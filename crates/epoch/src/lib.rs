@@ -361,31 +361,12 @@ impl EpochSet {
     /// [`EpochSet::synchronize`] with a caller-owned scratch buffer:
     /// the snapshot reuses `snap`'s capacity, so a buffer threaded through
     /// repeated barriers makes quiescence allocation-free after warm-up.
-    /// Takes the grace snapshot at barrier entry; callers that buffered
-    /// their stores earlier should take it themselves and use
+    /// Takes the grace snapshot at barrier entry — so one call retires
+    /// every publication the caller made before it, and a snapshot from
+    /// before the *last* of them would not; callers that buffered their
+    /// stores earlier should take it themselves and use
     /// [`EpochSet::synchronize_from`] for a wider sharing window.
     pub fn synchronize_in(&self, skip: Option<usize>, snap: &mut Vec<u64>) -> BarrierOutcome {
-        self.synchronize_from(skip, self.grace.snapshot(), snap)
-    }
-
-    /// Batch-amortized quiescence: one barrier retiring an arbitrary
-    /// number of publications the caller made since its last barrier.
-    ///
-    /// The semantic difference from calling [`EpochSet::synchronize_in`]
-    /// once per publication is *where the grace snapshot is taken*: here
-    /// it is taken after the caller's **final** flip, so the one barrier
-    /// covers every copy retired by the whole batch — a reader still
-    /// traversing any pre-flip copy has an odd clock at this scan and is
-    /// waited for. (A snapshot taken before the last flip could be
-    /// "covered" by a grace period concurrent with the later flips and
-    /// release a copy a reader still holds.) This is the service layer's
-    /// amortization entry point: the event loop performs one store pass
-    /// over a batch of decoded mutations — at most one flip per shard —
-    /// then pays this single barrier before any reply is flushed.
-    /// Grace-period sharing still applies on top: a batch whose snapshot
-    /// is already covered by another worker's completed grace period
-    /// returns `shared` without scanning at all.
-    pub fn batch_barrier(&self, skip: Option<usize>, snap: &mut Vec<u64>) -> BarrierOutcome {
         self.synchronize_from(skip, self.grace.snapshot(), snap)
     }
 

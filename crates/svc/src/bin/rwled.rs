@@ -160,8 +160,8 @@ fn main() {
                 report.batch_ops as f64 / report.batches as f64
             };
             println!(
-                "  batches: {} ({:.2} ops/batch), barriers: {} full + {} shared, \
-                 writev: {}",
+                "  batches: {} ({:.2} ops/batch), barriers: {} full + {} shared \
+                 (one per touched shard), writev: {}",
                 report.batches,
                 mean_batch,
                 report.barriers,

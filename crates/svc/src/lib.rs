@@ -13,7 +13,8 @@
 //! * [`server`] — the `rwled` server: event-driven workers, each owning
 //!   an epoll loop, a slab of nonblocking connections and one session
 //!   into the sharded elided store (`workloads::sharded`), batching
-//!   each iteration's mutations into a single quiescence barrier;
+//!   each iteration's mutations into one store pass that pays one
+//!   quiescence barrier per shard it touches;
 //! * [`loadgen`] — the client: open- and closed-loop traffic with
 //!   configurable skew and write fraction, latency recorded per op class
 //!   in [`stats::LatencyHist`];

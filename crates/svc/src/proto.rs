@@ -128,11 +128,13 @@ pub struct ServerStats {
     /// Requests executed across all batches (mean batch size is
     /// `batch_ops / batches`).
     pub batch_ops: u64,
-    /// Quiescence barriers paid in full by a batch's store pass.
+    /// Quiescence barriers paid in full by batches' store passes: on
+    /// the native backend up to one per shard a batch touches (one per
+    /// batch when durable), one per mutation on the others.
     pub barriers: u64,
     /// Barriers satisfied by an already-elapsed shared grace period
     /// (`GraceSeq` sharing) — amortization across workers, on top of the
-    /// per-batch amortization across connections.
+    /// per-shard-group amortization across connections.
     pub barriers_shared: u64,
     /// Vectored reply writes issued (`writev` amortization:
     /// `replied / writev_calls` replies per syscall).
@@ -168,7 +170,9 @@ impl ServerStats {
 
     /// Full quiescence barriers per *mutation* — the amortization factor
     /// the paper's argument predicts should drop below 1.0 once batching
-    /// coalesces writes (each unbatched PUT/DEL pays exactly 1.0).
+    /// coalesces writes (each unbatched PUT/DEL pays exactly 1.0). On
+    /// the native backend it is touched shards ÷ mutations: a batch's
+    /// mutations share a barrier only with those on the same shard.
     pub fn barriers_per_mutation(&self) -> f64 {
         let muts = self.puts + self.dels;
         if muts == 0 {

@@ -20,12 +20,16 @@
 //!    bounded by `queue_depth` per iteration. Per connection, admission
 //!    follows the reads-then-mutations phase rule (see below).
 //! 4. **Execute** the batch: reads first, then every decoded mutation
-//!    in **one** `apply_batch` store pass — one flip per touched shard,
-//!    **one** quiescence barrier for the whole batch (the paper's
-//!    amortization argument turned into served-traffic throughput).
+//!    in **one** `apply_batch` store pass — per touched shard one flip
+//!    and one quiescence barrier cover however many of the batch's
+//!    mutations landed there (the paper's amortization argument turned
+//!    into served-traffic throughput), and the pass holds one shard's
+//!    writer lock at a time. A durable pass keeps the touched shards
+//!    locked until its log append and pays one barrier for all of them.
 //! 5. **Flush** replies with vectored writes — one `writev` drains all
-//!    of a connection's pending replies — only after the batch's
-//!    barrier has completed, so no client ever observes an acked but
+//!    of a connection's pending replies — only after `apply_batch` has
+//!    returned, i.e. after every barrier covering one of the batch's
+//!    flips has completed, so no client ever observes an acked but
 //!    unquiesced write.
 //!
 //! ## Per-connection ordering
@@ -195,7 +199,8 @@ pub struct DrainReport {
     pub batches: u64,
     /// Requests executed across all batches.
     pub batch_ops: u64,
-    /// Full quiescence barriers paid by batched store passes.
+    /// Full quiescence barriers paid by batched store passes (native:
+    /// up to one per shard a batch touches, one per durable batch).
     pub barriers: u64,
     /// Barriers satisfied by an already-shared grace period.
     pub barriers_shared: u64,
@@ -854,8 +859,8 @@ fn worker_loop(
             }
             // Durable servers append the batch's write-set inside the
             // store pass's commit window (shard locks on native, the
-            // sink's order section elsewhere), so the flush rides the
-            // same per-batch amortization as the quiescence barrier.
+            // sink's order section elsewhere), so the flush overlaps
+            // the quiescence barrier the pass pays anyway.
             let (outcome, lsn) = match shared.wal.as_deref() {
                 Some(w) => sess.apply_batch_durable(&mut_ops, &mut mut_replies, w),
                 None => (sess.apply_batch(&mut_ops, &mut mut_replies), NO_LSN),
@@ -887,8 +892,8 @@ fn worker_loop(
             }
 
             // Queue replies in admitted (per-connection FIFO) order.
-            // The batch's covering barrier completed inside
-            // `apply_batch` above, so nothing queued here can reach a
+            // Every barrier covering one of the batch's flips completed
+            // inside `apply_batch` above, so nothing queued here can reach a
             // client before its mutation is quiesced (and, durable, not
             // before its record is synced — see the gate above).
             let mut queued = 0u64;

@@ -544,16 +544,20 @@ fn acknowledged_writes_are_visible_across_connections_on_both_backends() {
         drop(reader);
         let report = shutdown(&addr, handle);
         // Amortization bookkeeping must balance: batched ops account for
-        // every enqueued request, and on the native backend every batch
-        // is covered by at most one full barrier. (The sim backend uses
-        // the default unamortized `apply_batch` — one barrier per
-        // mutation — so the per-batch bound only applies to native.)
+        // every enqueued request, and on the native backend a batch pays
+        // one grace period (own or shared) per shard it touches — so at
+        // most one per mutation, and at most `shards` per batch. (The
+        // sim backend uses the default unamortized `apply_batch`: one
+        // barrier per mutation exactly.)
         assert!(report.batches > 0);
         if matches!(backend, BackendKind::Native) {
+            let graces = report.barriers + report.barriers_shared;
+            // Native mutations are exactly its ROT-emulated commits.
+            let mutations = report.summary.commits(stats::CommitKind::Rot);
+            let per_batch_cap = report.batches * small_cfg().shards as u64;
             assert!(
-                report.barriers <= report.batches,
-                "{} full barriers for {} batches — more than one per batch",
-                report.barriers,
+                (1..=mutations.min(per_batch_cap)).contains(&graces),
+                "{graces} grace periods for {mutations} mutations in {} batches",
                 report.batches
             );
         }

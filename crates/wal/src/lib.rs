@@ -1,10 +1,11 @@
 //! Group-commit redo log behind the quiescence barrier.
 //!
-//! RW-LE writers already pay one epoch-quiescence barrier per batch;
-//! this crate rides that amortization for durability. The appender
-//! write()s the batch's effective write-set into the current segment
-//! while the batch's commit order is still pinned (under the shard
-//! writer locks on the native backend, under the sink's order mutex
+//! RW-LE writers already pay epoch-quiescence barriers for every batch;
+//! this crate rides that wait for durability. The appender write()s
+//! the batch's effective write-set into the current segment while the
+//! batch's commit order is still pinned (under the shard writer locks
+//! on the native backend, whose durable batch keeps them until after
+//! the append and then pays one barrier; under the sink's order mutex
 //! elsewhere), and a background group-commit thread turns many appends
 //! into one `fdatasync`. Replies wait on the **durable frontier** —
 //! the highest LSN covered by a completed fsync — so under
@@ -22,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use workloads::backend::{BatchOutcome, DurableSink, Lsn, MutOp, NO_LSN};
 
@@ -143,23 +144,34 @@ impl WalShared {
     }
 
     fn flusher_loop(&self) {
+        let mut last_sync = Instant::now();
         loop {
             let (file, target, stop);
             {
                 let mut inner = self.inner.lock().unwrap();
-                while !inner.stop && inner.appended <= self.durable_frontier() {
+                while !inner.stop {
+                    let pending = inner.appended > self.durable_frontier();
                     inner = match self.policy {
-                        FsyncPolicy::Interval(d) => self.work.wait_timeout(inner, d).unwrap().0,
+                        // The cadence holds under load too: with appends
+                        // pending, what is left of `d` since the last
+                        // sync is still slept out.
+                        FsyncPolicy::Interval(d) => {
+                            let left = d.saturating_sub(last_sync.elapsed());
+                            if pending && left.is_zero() {
+                                break;
+                            }
+                            let nap = if left.is_zero() { d } else { left };
+                            self.work.wait_timeout(inner, nap).unwrap().0
+                        }
+                        _ if pending => break,
                         _ => self.work.wait(inner).unwrap(),
                     };
                 }
                 stop = inner.stop;
                 target = inner.appended;
                 if target <= self.durable_frontier() {
-                    if stop {
-                        return;
-                    }
-                    continue;
+                    // Only a stop leaves the wait with nothing pending.
+                    return;
                 }
                 // Clone the fd so the (possibly slow) fsync runs
                 // outside the append lock. Everything ≤ target is in
@@ -171,7 +183,11 @@ impl WalShared {
                 };
                 inner.stats.fsyncs += 1;
             }
-            let _ = file.sync_data();
+            // A failed fsync must not ack: the frontier below would
+            // release replies for records that may not be on disk, so
+            // this fails stop like a failed append does.
+            file.sync_data().expect("wal fsync failed");
+            last_sync = Instant::now();
             self.publish_durable(target);
             if stop {
                 return;
@@ -210,7 +226,7 @@ impl WalShared {
     /// any new-segment append means the flusher only ever needs to
     /// sync the *current* file.
     fn rotate(&self, inner: &mut WalInner) {
-        let _ = inner.file.sync_data();
+        inner.file.sync_data().expect("wal fsync failed");
         inner.stats.fsyncs += 1;
         let (file, seg_bytes) =
             new_segment(&self.dir, inner.next_lsn).expect("wal segment rotation failed");

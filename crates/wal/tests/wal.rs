@@ -195,6 +195,33 @@ fn interval_and_off_policies_do_not_block_acks() {
     }
 }
 
+/// `interval:<ms>` is a cadence, not a floor: appends that keep the
+/// flusher's queue non-empty for N intervals still get about N fsyncs
+/// (one per interval, one in flight at the edges), not one per wake-up.
+#[test]
+fn interval_policy_keeps_its_cadence_under_continuous_appends() {
+    let interval = std::time::Duration::from_millis(20);
+    let dir = scratch("interval-cadence");
+    let w = Wal::open(&dir, FsyncPolicy::Interval(interval), 1).unwrap();
+    let t0 = std::time::Instant::now();
+    let mut appended = 0u64;
+    while t0.elapsed() < 10 * interval {
+        appended += 1;
+        w.append(&[put(appended, appended)]);
+    }
+    let fsyncs = w.stats().fsyncs;
+    // Counted against the time that actually passed, so a stalled host
+    // only loosens the bound.
+    let intervals = (t0.elapsed().as_micros() / interval.as_micros()) as u64;
+    assert!(
+        (1..=intervals + 2).contains(&fsyncs),
+        "{fsyncs} fsyncs in {intervals} intervals of continuous appends"
+    );
+    drop(w);
+    assert_eq!(collect(&dir).0.records, appended);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn fsync_policy_parse_roundtrips() {
     for s in ["batch", "off", "interval:25"] {

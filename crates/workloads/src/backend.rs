@@ -118,9 +118,9 @@ pub const NO_LSN: Lsn = 0;
 /// pair of conflicting batches. Two ways to get that ordering:
 ///
 /// * [`DurableSink::append`] trusts the caller to hold the store-side
-///   serialization already (the native backend appends while it still
-///   holds every touched shard's writer lock, so conflicting batches
-///   serialize their appends through those locks);
+///   serialization already (the native backend's durable cycle keeps
+///   every touched shard's writer guard until after the append, so
+///   conflicting batches serialize their appends through those locks);
 /// * [`DurableSink::append_ordered`] serializes execute + append under
 ///   the sink's own global order lock, for backends whose `apply_batch`
 ///   has no lock window spanning the whole batch (the simulated
@@ -184,9 +184,10 @@ pub trait StoreSession {
     /// Semantics: per key, mutations apply in `ops` order, and every
     /// mutation is durable-to-readers (quiesced) when the call returns —
     /// a caller may acknowledge all of them afterwards. Backends are
-    /// free to amortize: the native backend groups the batch per shard,
-    /// publishes one flip per touched shard, and pays **one** barrier
-    /// for the entire batch (`BatchOutcome::barriers <= 1`). The default
+    /// free to amortize: the native backend groups the batch per shard
+    /// and publishes each touched shard's group with one flip and one
+    /// grace period, holding that shard's writer lock and no other
+    /// (`barriers + shared` = touched shards). The default
     /// implementation is the unamortized per-op loop, paying one barrier
     /// per mutation like individual [`StoreSession::put`]/
     /// [`StoreSession::del`] calls.
@@ -212,11 +213,12 @@ pub trait StoreSession {
     ///
     /// The default implementation serializes execute + append under the
     /// sink's order lock — sound on any backend, but it adds a global
-    /// serialization point. The native backend overrides it to append
-    /// while holding its shard writer locks, between the publication
-    /// flips and the quiescence barrier, so the log write (and the
-    /// group-commit fsync it kicks off) overlaps the grace period the
-    /// batch already pays.
+    /// serialization point. The native backend overrides it: one
+    /// publication cycle spans every touched shard and keeps their
+    /// writer guards until after the append, which sits between the
+    /// flips and the one quiescence barrier (`barriers + shared <= 1`),
+    /// so the log write (and the group-commit fsync it kicks off)
+    /// overlaps the grace period the batch already pays.
     fn apply_batch_durable(
         &mut self,
         ops: &[MutOp],
@@ -398,24 +400,26 @@ mod tests {
         roundtrip(&crate::native::SglBackend::create(200));
     }
 
+    const BATCH: [MutOp; 4] = [
+        MutOp::Put {
+            key: 1000,
+            value: 5,
+        },
+        MutOp::Del { key: 1 },
+        MutOp::Put {
+            key: 1000,
+            value: 6,
+        },
+        MutOp::Del { key: 4000 },
+    ];
+
     /// `apply_batch` must agree with sequential put/del semantics on
-    /// every backend, amortized or not.
-    fn batched_mutations(backend: &dyn StoreBackend) {
+    /// every backend, amortized or not, and report the grace periods
+    /// (`barriers + shared`) its publication strategy pays: `graces`.
+    fn batched_mutations(backend: &dyn StoreBackend, graces: u64) {
         let mut s = backend.session();
-        let ops = [
-            MutOp::Put {
-                key: 1000,
-                value: 5,
-            },
-            MutOp::Del { key: 1 },
-            MutOp::Put {
-                key: 1000,
-                value: 6,
-            },
-            MutOp::Del { key: 4000 },
-        ];
         let mut replies = Vec::new();
-        let out = s.apply_batch(&ops, &mut replies);
+        let out = s.apply_batch(&BATCH, &mut replies);
         assert_eq!(
             replies,
             vec![
@@ -425,24 +429,32 @@ mod tests {
                 MutReply::Del(false),
             ]
         );
-        assert!(out.barriers + out.shared >= 1);
+        assert_eq!(out.barriers + out.shared, graces);
         assert_eq!(s.get(1000), Some(6));
         assert_eq!(s.get(1), None);
     }
 
     #[test]
     fn sim_backend_batches() {
-        batched_mutations(&sim());
+        // The default per-op loop: one barrier per mutation.
+        batched_mutations(&sim(), BATCH.len() as u64);
+    }
+
+    /// Shards of `native()` (4) that `BATCH` touches.
+    fn batch_shards() -> u64 {
+        crate::native::touched_shards(&BATCH, 4)
     }
 
     #[test]
     fn native_backend_batches() {
-        batched_mutations(&native());
+        // One publication cycle per touched shard.
+        assert!(batch_shards() > 1, "the batch must span shards");
+        batched_mutations(&native(), batch_shards());
     }
 
     #[test]
     fn sgl_backend_batches() {
-        batched_mutations(&crate::native::SglBackend::create(200));
+        batched_mutations(&crate::native::SglBackend::create(200), BATCH.len() as u64);
     }
 
     /// The torn-read invariant of the sharded-store test, parameterized
@@ -530,6 +542,25 @@ mod tests {
         }
 
         fn wait_durable(&self, _lsn: Lsn) {}
+    }
+
+    /// The native durable cycle spans the whole batch: one grace period
+    /// (own or shared) and one log record however many shards it
+    /// touches, with the volatile path's replies and final state.
+    #[test]
+    fn native_durable_batch_pays_one_barrier_and_one_record() {
+        assert!(batch_shards() > 1, "the batch must span shards");
+        let backend = native();
+        let sink = MockSink::default();
+        let mut s = backend.session();
+        let mut replies = Vec::new();
+        let (out, lsn) = s.apply_batch_durable(&BATCH, &mut replies, &sink);
+        assert_eq!(out.barriers + out.shared, 1);
+        assert_eq!(lsn, 1);
+        assert_eq!(*sink.records.lock().unwrap(), vec![BATCH.to_vec()]);
+        assert_eq!(replies.len(), BATCH.len());
+        assert_eq!(s.get(1000), Some(6));
+        assert_eq!(s.get(1), None);
     }
 
     /// An empty batch is a no-op on every backend and every path:

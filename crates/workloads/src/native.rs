@@ -10,8 +10,12 @@
 //! aggregate store, the native stand-in for a ROT's all-or-nothing store
 //! burst), waits one grace period on the existing scalable summary-tree
 //! barrier so no reader can still hold the old copy, then replays the
-//! mutation into it. Outside a writer's critical section the two copies
-//! are identical.
+//! mutation into it and unlocks. That lock → apply → flip → barrier →
+//! replay → unlock sequence is the **cycle**, the backend's one unit of
+//! publication ([`NativeSession::cycle`]): `put`, `del` and every shard
+//! group of a batch run through it, one shard at a time, so a writer
+//! waiting out its grace period holds one shard mutex and nothing else.
+//! Outside a cycle the two copies of a shard are identical.
 //!
 //! What this keeps from the simulated backend: linearizable single-key
 //! operations, torn-free reads, the quiescence-barrier structure (and
@@ -36,8 +40,9 @@
 
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use epoch::EpochSet;
 use stats::{CommitKind, ThreadStats};
@@ -130,37 +135,6 @@ impl NativeShard {
         epochs.exit(tid);
         out
     }
-
-    /// Publishes `mutate` (applied to both copies around a quiescence
-    /// barrier) and returns the first application's result.
-    fn write<R>(
-        &self,
-        epochs: &EpochSet,
-        tid: usize,
-        st: &mut ThreadStats,
-        snap: &mut Vec<u64>,
-        mutate: impl Fn(&mut BTreeMap<u64, u64>) -> R,
-    ) -> R {
-        let _guard = self.writer.lock().unwrap();
-        let active = self.writer_active_idx();
-        let inactive = 1 - active;
-        // SAFETY: the inactive copy is private to the mutex-holding
-        // writer — readers dereference only the active index, and the
-        // previous writer's grace period already drained everyone who
-        // saw this copy as active.
-        let out = mutate(unsafe { &mut *self.slots[inactive].get() });
-        self.publish(inactive);
-        let grace = epochs.grace_snapshot();
-        let barrier = epochs.synchronize_from(Some(tid), grace, snap);
-        st.barrier_stalls += barrier.stalls;
-        st.barriers_shared += barrier.shared as u64;
-        // SAFETY: the grace period drained every reader that could have
-        // loaded `active` as its index; the copy is now writer-private.
-        // Both copies held identical data before this call, so replaying
-        // restores the identical-copies invariant.
-        mutate(unsafe { &mut *self.slots[active].get() });
-        out
-    }
 }
 
 /// The native backend: plain-memory shards plus the shared epoch set
@@ -222,6 +196,17 @@ fn shard_index(key: u64, n_shards: usize) -> usize {
     ((key.wrapping_mul(SPREAD) >> 32) as usize) % n_shards
 }
 
+/// How many of `n_shards` shards `ops` touch: the grace periods
+/// (`barriers + shared`) a volatile batch of them pays.
+#[cfg(test)]
+pub(crate) fn touched_shards(ops: &[MutOp], n_shards: usize) -> u64 {
+    let shards: std::collections::BTreeSet<usize> = ops
+        .iter()
+        .map(|op| shard_index(op.key(), n_shards))
+        .collect();
+    shards.len() as u64
+}
+
 impl StoreBackend for NativeBackend {
     fn session(&self) -> Box<dyn StoreSession + '_> {
         Box::new(NativeSession {
@@ -229,7 +214,8 @@ impl StoreBackend for NativeBackend {
             tid: self.register(),
             st: ThreadStats::new(),
             snap: Vec::new(),
-            groups: Vec::new(),
+            groups: vec![Vec::new(); self.shards.len()],
+            held: Vec::new(),
         })
     }
 
@@ -239,14 +225,18 @@ impl StoreBackend for NativeBackend {
 }
 
 /// Per-thread session over [`NativeBackend`]: an epoch slot plus the
-/// reusable barrier snapshot buffer and the per-shard grouping scratch
-/// the batched apply path reuses across calls.
+/// scratch a publication cycle reuses across calls — the barrier
+/// snapshot buffer, the per-shard op-index groups, and the shards the
+/// running cycle has flipped but not yet replayed (empty between
+/// cycles).
 struct NativeSession<'a> {
     backend: &'a NativeBackend,
     tid: usize,
     st: ThreadStats,
     snap: Vec<u64>,
     groups: Vec<Vec<usize>>,
+    /// `(shard, its writer guard, the copy the flip retired)`.
+    held: Vec<(usize, MutexGuard<'a, ()>, usize)>,
 }
 
 /// Applies one mutation to one map copy.
@@ -270,33 +260,17 @@ impl StoreSession for NativeSession<'_> {
     }
 
     fn put(&mut self, key: u64, value: u64) -> Result<PutOutcome, StoreFull> {
-        let shard = self.backend.shard_of(key);
-        let prev = shard.write(
-            &self.backend.epochs,
-            self.tid,
-            &mut self.st,
-            &mut self.snap,
-            |map| map.insert(key, value),
-        );
-        // The publication flip stands in for a ROT's aggregate store.
-        self.st.commit(CommitKind::Rot);
-        Ok(match prev {
-            None => PutOutcome::Inserted,
-            Some(_) => PutOutcome::Updated,
-        })
+        match self.publish_one(MutOp::Put { key, value }) {
+            MutReply::Put(outcome) => outcome,
+            MutReply::Del(_) => unreachable!("a put is answered as a put"),
+        }
     }
 
     fn del(&mut self, key: u64) -> bool {
-        let shard = self.backend.shard_of(key);
-        let removed = shard.write(
-            &self.backend.epochs,
-            self.tid,
-            &mut self.st,
-            &mut self.snap,
-            |map| map.remove(&key).is_some(),
-        );
-        self.st.commit(CommitKind::Rot);
-        removed
+        match self.publish_one(MutOp::Del { key }) {
+            MutReply::Del(removed) => removed,
+            MutReply::Put(_) => unreachable!("a del is answered as a del"),
+        }
     }
 
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>) {
@@ -317,32 +291,24 @@ impl StoreSession for NativeSession<'_> {
         out.sort_unstable();
     }
 
-    /// The amortized batch path: group per shard, one flip per touched
-    /// shard, **one** quiescence barrier for the whole batch.
-    ///
-    /// Within one batch epoch a shard may flip only once — a second flip
-    /// before the replay would hand readers a copy missing the earlier
-    /// group's mutations — so each shard's whole group is applied to its
-    /// inactive copy before the single publication. Shard writer locks
-    /// are taken in ascending shard order, the one lock order every
-    /// batching session shares, so concurrent batches cannot deadlock
-    /// (single-op `put`/`del` holds at most one shard lock and cannot
-    /// participate in a cycle). The grace snapshot is taken by
-    /// [`EpochSet::batch_barrier`] *after the last flip*, which is what
-    /// makes one barrier cover every retired copy; see the module docs
-    /// for why an earlier snapshot would be unsound.
+    /// The batch path: group per shard, then one [`NativeSession::cycle`]
+    /// per touched shard — its whole group rides one flip and one grace
+    /// period, and its writer lock is released before the next shard's
+    /// is taken, so a batch never makes another worker wait on a shard
+    /// it is not publishing right now.
     fn apply_batch(&mut self, ops: &[MutOp], replies: &mut Vec<MutReply>) -> BatchOutcome {
         let (out, _lsn) = self.apply_batch_inner(ops, replies, None);
         out
     }
 
-    /// The durable override: the write-set is appended *between* the
-    /// publication flips and the quiescence barrier, while every touched
-    /// shard's writer lock is still held. Two batches that conflict on
-    /// any shard serialize their appends through that shard's lock, so
-    /// log order equals commit order without a global order lock — and
-    /// the group-commit fsync the append kicks off runs concurrently
-    /// with the grace period the batch pays anyway.
+    /// The durable override: the log needs the batch's commit order
+    /// pinned while its one record is appended, so every touched shard
+    /// goes through a *single* cycle that keeps each guard until after
+    /// the append (flips → append → one barrier → replays → unlock).
+    /// Two batches that conflict on any shard serialize their appends
+    /// through that shard's lock, so log order equals commit order
+    /// without a global order lock — and the group-commit fsync the
+    /// append kicks off runs concurrently with the grace period.
     fn apply_batch_durable(
         &mut self,
         ops: &[MutOp],
@@ -357,10 +323,103 @@ impl StoreSession for NativeSession<'_> {
     }
 }
 
-impl NativeSession<'_> {
-    /// The batch path shared by the volatile and durable entry points;
-    /// see [`StoreSession::apply_batch`] on `NativeSession` for the
-    /// phase structure.
+impl<'a> NativeSession<'a> {
+    /// The unit of publication, and the only place a copy is retired:
+    /// for each shard of `span` with a non-empty group — lock, apply the
+    /// group to the inactive copy, SeqCst flip; then the log append (if
+    /// any), one grace period, and per shard the replay into the retired
+    /// copy followed by its unlock.
+    ///
+    /// A shard flips once per cycle (a second flip before the replay
+    /// would hand readers a copy missing the first group), so its whole
+    /// group is applied before the one publication. The barrier takes
+    /// its grace snapshot at entry, i.e. after the span's last flip,
+    /// which is what lets one grace period cover every copy the span
+    /// retired: a reader still on any of them has an odd clock at the
+    /// scan (module docs). Volatile callers pass one-shard spans and so
+    /// hold one mutex at a time. Only a durable batch spans several
+    /// shards; it takes them in ascending order, which cannot deadlock
+    /// against another ascending span or a holder of a single lock.
+    fn cycle(
+        &mut self,
+        span: Range<usize>,
+        ops: &[MutOp],
+        replies: &mut [MutReply],
+        sink: Option<&dyn DurableSink>,
+        out: &mut BatchOutcome,
+    ) -> Lsn {
+        let backend = self.backend;
+        for s in span {
+            if self.groups[s].is_empty() {
+                continue;
+            }
+            let shard = &backend.shards[s];
+            let guard = shard
+                .writer
+                .lock()
+                .expect("a writer panicked inside its publication cycle");
+            let active = shard.writer_active_idx();
+            // SAFETY: the inactive copy is private to the mutex-holding
+            // writer — readers dereference only the active index, and
+            // the previous cycle's grace period already drained everyone
+            // who saw this copy as active.
+            let map = unsafe { &mut *shard.slots[1 - active].get() };
+            for &i in &self.groups[s] {
+                replies[i] = apply_one(map, &ops[i]);
+            }
+            shard.publish(1 - active);
+            self.held.push((s, guard, active));
+        }
+        if self.held.is_empty() {
+            return NO_LSN;
+        }
+        // Commit order is pinned by the guards in `held`, so this is
+        // where the write-set is logged; the flush then rides the grace
+        // period below. Native PUTs are infallible (process heap), so
+        // `ops` *is* the effective write-set. The wal lock nests
+        // strictly inside the shard locks, so lock order is acyclic.
+        let lsn = sink.map_or(NO_LSN, |sink| sink.append(ops));
+        let barrier = backend
+            .epochs
+            .synchronize_in(Some(self.tid), &mut self.snap);
+        self.st.barrier_stalls += barrier.stalls;
+        self.st.barriers_shared += barrier.shared as u64;
+        out.barriers += !barrier.shared as u64;
+        out.shared += barrier.shared as u64;
+        for (s, _guard, retired) in self.held.drain(..) {
+            // SAFETY: the grace period drained every reader that could
+            // have loaded `retired` as its index, and `_guard` still
+            // excludes other writers until the end of this iteration.
+            // Both copies were identical before the cycle, so replaying
+            // the group restores that.
+            let map = unsafe { &mut *backend.shards[s].slots[retired].get() };
+            for &i in &self.groups[s] {
+                apply_one(map, &ops[i]);
+                // The publication flip stands in for a ROT's aggregate
+                // store: one ROT commit per mutation.
+                self.st.commit(CommitKind::Rot);
+            }
+        }
+        lsn
+    }
+
+    /// `put`/`del`: a one-op group through one cycle.
+    fn publish_one(&mut self, op: MutOp) -> MutReply {
+        let s = shard_index(op.key(), self.backend.shards.len());
+        self.groups[s].clear();
+        self.groups[s].push(0);
+        let mut reply = [MutReply::Del(false)];
+        self.cycle(
+            s..s + 1,
+            &[op],
+            &mut reply,
+            None,
+            &mut BatchOutcome::default(),
+        );
+        reply[0]
+    }
+
+    /// The batch path shared by the volatile and durable entry points.
     fn apply_batch_inner(
         &mut self,
         ops: &[MutOp],
@@ -368,13 +427,7 @@ impl NativeSession<'_> {
         sink: Option<&dyn DurableSink>,
     ) -> (BatchOutcome, Lsn) {
         replies.clear();
-        if ops.is_empty() {
-            return (BatchOutcome::default(), NO_LSN);
-        }
         let n_shards = self.backend.shards.len();
-        if self.groups.len() < n_shards {
-            self.groups.resize(n_shards, Vec::new());
-        }
         for group in &mut self.groups {
             group.clear();
         }
@@ -382,73 +435,14 @@ impl NativeSession<'_> {
             self.groups[shard_index(op.key(), n_shards)].push(i);
         }
         replies.resize(ops.len(), MutReply::Del(false));
-
-        // Phase 1: apply each shard's group to its inactive copy and
-        // publish — ascending shard order, locks held until the replay.
-        let mut locked = Vec::with_capacity(n_shards.min(ops.len()));
-        for (s, group) in self.groups.iter().enumerate().take(n_shards) {
-            if group.is_empty() {
-                continue;
-            }
-            let shard = &self.backend.shards[s];
-            let guard = shard.writer.lock().unwrap();
-            let active = shard.writer_active_idx();
-            // SAFETY: the inactive copy is private to the mutex-holding
-            // writer, exactly as in `NativeShard::write`.
-            let map = unsafe { &mut *shard.slots[1 - active].get() };
-            for &i in group {
-                replies[i] = apply_one(map, &ops[i]);
-            }
-            shard.publish(1 - active);
-            locked.push((s, guard, active));
+        // One cycle per shard, unless a sink needs the guards kept
+        // until after its append: then one cycle spans every shard.
+        let width = if sink.is_some() { n_shards } else { 1 };
+        let (mut out, mut lsn) = (BatchOutcome::default(), NO_LSN);
+        for lo in (0..n_shards).step_by(width) {
+            lsn = lsn.max(self.cycle(lo..lo + width, ops, replies, sink, &mut out));
         }
-
-        // Phase 1.5 (durable only): append the write-set while the
-        // shard locks are held — the commit-order window — so the log
-        // flush rides the barrier below instead of extending the batch.
-        // Native PUTs are infallible (process heap), so `ops` *is* the
-        // effective write-set. The wal lock nests strictly inside the
-        // shard locks on every path, so lock order is acyclic.
-        let lsn = match sink {
-            Some(sink) => sink.append(ops),
-            None => NO_LSN,
-        };
-
-        // Phase 2: one barrier retires every copy the batch just
-        // flipped away from (snapshot taken after the final flip).
-        let barrier = self
-            .backend
-            .epochs
-            .batch_barrier(Some(self.tid), &mut self.snap);
-        self.st.barrier_stalls += barrier.stalls;
-        self.st.barriers_shared += barrier.shared as u64;
-
-        // Phase 3: replay each group into the retired copy to restore
-        // the identical-copies invariant, then release the shard locks.
-        for (s, _guard, old_active) in &locked {
-            let shard = &self.backend.shards[*s];
-            // SAFETY: the grace period above drained every reader that
-            // could have held `old_active` as its index; the copy is now
-            // writer-private (we still hold the shard's writer lock).
-            let map = unsafe { &mut *shard.slots[*old_active].get() };
-            for &i in &self.groups[*s] {
-                apply_one(map, &ops[i]);
-            }
-        }
-        drop(locked);
-
-        // Same per-mutation accounting as the unbatched path: each
-        // mutation is one ROT-emulated publication.
-        for _ in ops {
-            self.st.commit(CommitKind::Rot);
-        }
-        (
-            BatchOutcome {
-                barriers: (!barrier.shared) as u64,
-                shared: barrier.shared as u64,
-            },
-            lsn,
-        )
+        (out, lsn)
     }
 }
 
@@ -534,24 +528,27 @@ impl StoreSession for SglSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run_backend_threads;
+    use std::sync::TryLockError;
+
+    /// The identical-copies invariant, checked once nothing is running.
+    fn assert_copies_identical(backend: &mut NativeBackend) {
+        for shard in &mut backend.shards {
+            let [a, b] = &mut shard.slots;
+            assert_eq!(a.get_mut(), b.get_mut());
+        }
+    }
 
     #[test]
     fn copies_stay_identical_after_writes() {
-        let backend = NativeBackend::create(2, 2, 20);
+        let mut backend = NativeBackend::create(2, 2, 20);
         {
             let mut s = backend.session();
             s.put(100, 7).unwrap();
             s.del(5);
             s.put(3, 99).unwrap();
         }
-        for shard in &backend.shards {
-            // SAFETY: the session is dropped and no other thread exists;
-            // both copies are quiescent and safe to inspect.
-            let a = unsafe { &*shard.slots[0].get() };
-            // SAFETY: as above.
-            let b = unsafe { &*shard.slots[1].get() };
-            assert_eq!(a, b);
-        }
+        assert_copies_identical(&mut backend);
     }
 
     #[test]
@@ -576,7 +573,7 @@ mod tests {
 
     #[test]
     fn batched_apply_matches_sequential_semantics() {
-        let backend = NativeBackend::create(4, 2, 10);
+        let mut backend = NativeBackend::create(4, 2, 10);
         let mut s = backend.session();
         let ops = [
             MutOp::Put { key: 100, value: 1 },
@@ -588,8 +585,9 @@ mod tests {
         ];
         let mut replies = Vec::new();
         let out = s.apply_batch(&ops, &mut replies);
-        // The whole batch pays exactly one grace period (own or shared).
-        assert_eq!(out.barriers + out.shared, 1);
+        // One cycle, hence one grace period (own or shared), per touched
+        // shard — however many of the batch's ops landed on it.
+        assert_eq!(out.barriers + out.shared, touched_shards(&ops, 4));
         assert_eq!(
             replies,
             vec![
@@ -606,14 +604,152 @@ mod tests {
         let st = s.take_stats();
         assert_eq!(st.commits(CommitKind::Rot), 5);
         drop(s);
-        for shard in &backend.shards {
-            // SAFETY: the session is dropped and no other thread exists;
-            // both copies are quiescent and safe to inspect.
-            let a = unsafe { &*shard.slots[0].get() };
-            // SAFETY: as above.
-            let b = unsafe { &*shard.slots[1].get() };
-            assert_eq!(a, b);
+        assert_copies_identical(&mut backend);
+    }
+
+    /// `want` disjoint key pairs `(k, k + d)` from `from` upwards whose
+    /// two keys live in the same shard (and within one short scan).
+    fn same_shard_pairs(n_shards: usize, want: usize, from: u64) -> Vec<(u64, u64)> {
+        (from..)
+            .step_by(8)
+            .filter_map(|k| {
+                let d =
+                    (1..8).find(|d| shard_index(k + d, n_shards) == shard_index(k, n_shards))?;
+                Some((k, k + d))
+            })
+            .take(want)
+            .collect()
+    }
+
+    /// A shard's group is published by one flip: two keys of one shard
+    /// written with equal values in one batch never differ to a reader
+    /// that looks at both inside one read section (a scan), and never
+    /// run backwards across two (a get of each). Real threads, so this
+    /// also drives replay-vs-reader on plain memory.
+    #[test]
+    fn shard_groups_are_never_seen_torn() {
+        const WRITERS: usize = 2;
+        const READERS: usize = 3;
+        const PAIRS: usize = 6;
+        // Not a multiple of 4: the last round puts every pair.
+        const ROUNDS: u64 = 1501;
+        for n_shards in [1, 3, 16] {
+            // One more slot for the final check: slots are not recycled.
+            let mut backend = NativeBackend::create(n_shards, WRITERS + READERS + 1, 0);
+            let pairs = same_shard_pairs(n_shards, WRITERS * PAIRS, 1000);
+            run_backend_threads(&backend, WRITERS + READERS, |t, sess| {
+                if t < WRITERS {
+                    let own = &pairs[t * PAIRS..(t + 1) * PAIRS];
+                    let mut replies = Vec::new();
+                    for v in 1..=ROUNDS {
+                        let ops: Vec<MutOp> = own
+                            .iter()
+                            .enumerate()
+                            .flat_map(|(p, &(a, b))| {
+                                // Every few rounds one pair is deleted
+                                // (and rewritten the round after).
+                                if v % 4 == 0 && (v / 4) as usize % PAIRS == p {
+                                    [MutOp::Del { key: a }, MutOp::Del { key: b }]
+                                } else {
+                                    [
+                                        MutOp::Put { key: a, value: v },
+                                        MutOp::Put { key: b, value: v },
+                                    ]
+                                }
+                            })
+                            .collect();
+                        sess.apply_batch(&ops, &mut replies);
+                    }
+                    return;
+                }
+                let mut out = Vec::new();
+                for i in 0..2 * ROUNDS as usize {
+                    let (a, b) = pairs[(t + i) % pairs.len()];
+                    out.clear();
+                    sess.scan(a, (b - a + 1) as u32, &mut out);
+                    let at = |key| out.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
+                    assert_eq!(
+                        at(a),
+                        at(b),
+                        "torn group on keys {a}/{b}, {n_shards} shards"
+                    );
+                    if let (Some(first), Some(second)) = (sess.get(a), sess.get(b)) {
+                        assert!(
+                            second >= first,
+                            "key {b} ran backwards: {first} then {second}"
+                        );
+                    }
+                }
+            });
+            let mut s = backend.session();
+            for &(a, b) in &pairs {
+                assert_eq!(s.get(a), Some(ROUNDS));
+                assert_eq!(s.get(b), Some(ROUNDS));
+            }
+            drop(s);
+            assert_copies_identical(&mut backend);
         }
+    }
+
+    /// The property the one-shard cycle exists for: a volatile batch
+    /// that touches every shard never holds two shard mutexes at once.
+    ///
+    /// The main thread sits in a read section, so whichever cycle the
+    /// batch is in cannot get past its barrier — it is *parked* holding
+    /// what it holds — until the probe has looked 50 times; then the
+    /// reader steps out and back in, which lets the batch advance a
+    /// cycle or a few. The batch takes its shards in ascending order;
+    /// the probe sweeps them in *descending* order with `try_lock` and
+    /// keeps what it gets until the sweep ends, so the writer cannot
+    /// step onto a shard the probe has already passed: two misses in
+    /// one sweep mean the batch held both of those mutexes at once.
+    #[test]
+    fn volatile_batch_holds_one_shard_lock_at_a_time() {
+        const SHARDS: usize = 32;
+        let backend = NativeBackend::create(SHARDS, 2, 0);
+        let ops: Vec<MutOp> = (0..2048).map(|k| MutOp::Put { key: k, value: k }).collect();
+        assert_eq!(
+            touched_shards(&ops, SHARDS),
+            SHARDS as u64,
+            "the batch must span every shard"
+        );
+        let reader = backend.register();
+        let (mut misses, mut worst) = (0, 0);
+        // Entered before the batch starts: its first barrier meets us.
+        backend.epochs.enter(reader);
+        std::thread::scope(|sc| {
+            let batch = sc.spawn(|| backend.session().apply_batch(&ops, &mut Vec::new()));
+            while worst <= 1 && !batch.is_finished() {
+                let mut caught = 0;
+                while caught < 50 && worst <= 1 && !batch.is_finished() {
+                    let mut kept = Vec::with_capacity(SHARDS);
+                    let mut busy = 0;
+                    for shard in backend.shards.iter().rev() {
+                        match shard.writer.try_lock() {
+                            Ok(guard) => kept.push(guard),
+                            Err(TryLockError::WouldBlock) => busy += 1,
+                            Err(TryLockError::Poisoned(_)) => panic!("the writer panicked"),
+                        }
+                    }
+                    drop(kept);
+                    worst = worst.max(busy);
+                    caught += busy;
+                    // All mutexes are free here: let a blocked writer in.
+                    std::thread::yield_now();
+                }
+                misses += caught;
+                backend.epochs.exit(reader);
+                backend.epochs.enter(reader);
+            }
+            // Step out before the scope joins the writer, which may
+            // still be parked behind this section.
+            backend.epochs.exit(reader);
+        });
+        assert!(
+            worst <= 1,
+            "{worst} shard mutexes held at once by one volatile batch"
+        );
+        assert!(misses >= 50, "the first cycle was parked behind the reader");
     }
 
     #[test]

@@ -152,7 +152,11 @@ impl ShardedKv {
         // shard's read CS once over its slice of the range.
         for shard_idx in 0..self.shards.len() {
             let shard = &self.shards[shard_idx];
+            let entry_len = out.len();
             shard.scheme.read_cs(ctx, st, &mut |acc| {
+                // A speculating scheme (HLE) re-runs this body after an
+                // abort: drop what the aborted attempt pushed.
+                out.truncate(entry_len);
                 for key in start..start.saturating_add(count as u64) {
                     let spread = (key.wrapping_mul(SPREAD) >> 32) as usize;
                     if spread % self.shards.len() != shard_idx {
@@ -242,6 +246,51 @@ mod tests {
         kv.scan(&mut ctx, &mut st, 40, 20, &mut out);
         let expect: Vec<(u64, u64)> = (40..50).map(|k| (k, k)).collect();
         assert_eq!(out, expect);
+    }
+
+    /// HLE runs read sections as transactions and re-executes the body
+    /// after an abort. A 400-key scan overflows the 96-line read
+    /// capacity, so every shard's section aborts at least once whatever
+    /// the concurrent writer's timing (its conflicts come on top); the
+    /// result must still hold each key once.
+    #[test]
+    fn scan_is_duplicate_free_when_its_read_section_is_retried() {
+        let (rt, alloc) = setup(16384);
+        let kv = ShardedKv::create(&alloc, SchemeKind::Hle, 2, 16, 2).unwrap();
+        kv.populate(&alloc, 400).unwrap();
+        let (scans, aborts) = std::thread::scope(|s| {
+            let scanner = s.spawn(|| {
+                let mut ctx = rt.register();
+                let mut st = ThreadStats::new();
+                let scans: Vec<Vec<u64>> = (0..30)
+                    .map(|_| {
+                        let mut out = Vec::new();
+                        kv.scan(&mut ctx, &mut st, 0, 400, &mut out);
+                        out.iter().map(|&(k, _)| k).collect()
+                    })
+                    .collect();
+                (
+                    scans,
+                    stats::StatsSummary::from_threads([&st]).total_aborts(),
+                )
+            });
+            let mut ctx = rt.register();
+            let mut st = ThreadStats::new();
+            let mut spare = None;
+            let mut round = 0;
+            while !scanner.is_finished() {
+                round += 1;
+                for key in (0..400).step_by(7) {
+                    kv.put(&mut ctx, &mut st, &alloc, &mut spare, key, key + round % 2)
+                        .unwrap();
+                }
+            }
+            scanner.join().expect("scanner panicked")
+        });
+        for keys in scans {
+            assert_eq!(keys, (0..400).collect::<Vec<_>>(), "not strictly ascending");
+        }
+        assert!(aborts > 0, "no read section was ever retried");
     }
 
     #[test]
