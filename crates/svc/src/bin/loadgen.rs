@@ -15,7 +15,7 @@
 //! sender, one epoll receiver, any number of connections — the SLO-gate
 //! mode). `--json` emits one JSON-lines row compatible with `summarize`
 //! (commit-mix keys are zero placeholders — the service measures
-//! latency, not the commit path; see DESIGN.md §8).
+//! latency, not the commit path; see DESIGN.md §11).
 //!
 //! `--journal PATH` records every mutation this run sent with its ack
 //! status (see `svc::journal` for the format and soundness argument);
@@ -218,9 +218,15 @@ fn main() {
                 res.hists[i].count()
             ));
         }
+        // The server's flush amortization, when its STATS were fetched.
+        let writev = res
+            .server
+            .as_ref()
+            .map(|s| format!(", \"writev_per_op\": {:.4}", s.writev_per_op()))
+            .unwrap_or_default();
         // Keys through `c_uninstr` make the row parseable by
         // bench::parse_json_result_row; the latency keys extend it
-        // (schema "svc-loadgen", see DESIGN.md §8).
+        // (schema "svc-loadgen", see DESIGN.md §11).
         println!(
             "{{\"section\": {}, \"scheme\": {}, \"backend\": {}, \"threads\": {}, \
              \"w\": {}, \
@@ -228,7 +234,7 @@ fn main() {
              \"c_htm\": 0.00, \"c_rot\": 0.00, \"c_sgl\": 0.00, \"c_uninstr\": 0.00, \
              \"p50_us\": {:.1}, \"p90_us\": {:.1}, \"p99_us\": {:.1}, \
              \"p999_us\": {:.1}, \"max_us\": {:.1}, \"sent\": {}, \
-             \"received\": {}, \"errors\": {}, \"shed\": {}{per_class}}}",
+             \"received\": {}, \"errors\": {}, \"shed\": {}{writev}{per_class}}}",
             json_string(&section),
             json_string(&scheme),
             json_string(&backend),

@@ -12,9 +12,11 @@
 //!   (no external crates), with a portable degraded fallback;
 //! * [`server`] — the `rwled` server: event-driven workers, each owning
 //!   an epoll loop, a slab of nonblocking connections and one session
-//!   into the sharded elided store (`workloads::sharded`), batching
-//!   each iteration's mutations into one store pass that pays one
-//!   quiescence barrier per shard it touches;
+//!   into the sharded elided store (`workloads::sharded`); a wake-up
+//!   serves its buffered pipelines in rounds, each batching its
+//!   mutations into one store pass that pays one quiescence barrier
+//!   per shard it touches, and flushes every reply with one write per
+//!   connection;
 //! * [`loadgen`] — the client: open- and closed-loop traffic with
 //!   configurable skew and write fraction, latency recorded per op class
 //!   in [`stats::LatencyHist`];
@@ -22,7 +24,7 @@
 //!   and the verifier the crash-recovery harness replays it with
 //!   (every acked write must be readable after recovery).
 //!
-//! See DESIGN.md §8, §11 and §13 for the architecture rationale.
+//! See DESIGN.md §11 and §13 for the architecture rationale.
 
 #![warn(missing_docs)]
 

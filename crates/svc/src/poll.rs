@@ -7,9 +7,8 @@
 //! out `libc`/`mio`, so — like the `madvise` call in `simmem::mem` — the
 //! Linux build talks to the kernel with raw `syscall` instructions
 //! (x86-64 and aarch64). Everything else in the server sticks to std:
-//! sockets stay `TcpStream`s flipped to nonblocking mode, and vectored
-//! reply writes go through `Write::write_vectored` (which is `writev`
-//! underneath) rather than a bespoke wrapper.
+//! sockets stay `TcpStream`s flipped to nonblocking mode, read and
+//! written through `Read::read` and `Write::write`.
 //!
 //! Non-Linux hosts get a degraded-but-correct fallback: `wait` sleeps a
 //! couple of milliseconds and then reports every registered descriptor as

@@ -123,7 +123,9 @@ pub struct ServerStats {
     pub scans: u64,
     /// Connections accepted since start.
     pub conns: u64,
-    /// Event-loop iterations that executed at least one request.
+    /// Batches executed: rounds of the event loop (one store pass
+    /// each), of which one wake-up runs as many as its buffered
+    /// pipelines have read-after-mutation boundaries.
     pub batches: u64,
     /// Requests executed across all batches (mean batch size is
     /// `batch_ops / batches`).
@@ -136,8 +138,8 @@ pub struct ServerStats {
     /// (`GraceSeq` sharing) — amortization across workers, on top of the
     /// per-shard-group amortization across connections.
     pub barriers_shared: u64,
-    /// Vectored reply writes issued (`writev` amortization:
-    /// `replied / writev_calls` replies per syscall).
+    /// Reply writes issued (`replied / writev_calls` replies per
+    /// syscall; the name dates from the vectored flush).
     pub writev_calls: u64,
     /// WAL records appended (one per non-empty batch write-set); 0 when
     /// running volatile.
@@ -165,6 +167,17 @@ impl ServerStats {
             0.0
         } else {
             self.batch_ops as f64 / self.batches as f64
+        }
+    }
+
+    /// Reply writes per reply — the flush amortization: one write
+    /// carries everything a wake-up queued for a connection, so a deep
+    /// pipeline drives this toward 1/depth. 0 when nothing was replied.
+    pub fn writev_per_op(&self) -> f64 {
+        if self.replied == 0 {
+            0.0
+        } else {
+            self.writev_calls as f64 / self.replied as f64
         }
     }
 
@@ -296,11 +309,7 @@ impl Request {
     /// the allocation-free variant of [`Request::to_frame`] for senders
     /// gathering several frames into one write.
     pub fn encode_frame(&self, out: &mut Vec<u8>) {
-        let at = out.len();
-        out.extend_from_slice(&[0u8; 4]);
-        self.encode_body(out);
-        let len = (out.len() - at - 4) as u32;
-        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        frame_in_place(out, |out| self.encode_body(out));
     }
 
     /// Parses a frame body. Never panics, for any input.
@@ -416,9 +425,16 @@ impl Response {
 
     /// Serializes the response as a complete frame.
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(32);
-        self.encode_body(&mut body);
-        frame(&body)
+        let mut out = Vec::with_capacity(32);
+        self.encode_frame(&mut out);
+        out
+    }
+
+    /// Appends the complete frame (length prefix + body) to `out`,
+    /// encoded in place — what the server's [`Outbox`] queues replies
+    /// with.
+    pub fn encode_frame(&self, out: &mut Vec<u8>) {
+        frame_in_place(out, |out| self.encode_body(out));
     }
 
     /// Parses a frame body. Never panics, for any input.
@@ -543,6 +559,16 @@ impl Response {
     }
 }
 
+/// Appends one frame to `out` without an intermediate buffer: `body`
+/// encodes behind a placeholder length prefix, which is then patched.
+fn frame_in_place(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    body(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
 /// Wraps a body in a length-prefixed frame.
 pub fn frame(body: &[u8]) -> Vec<u8> {
     debug_assert!(!body.is_empty() && body.len() <= MAX_FRAME);
@@ -554,10 +580,13 @@ pub fn frame(body: &[u8]) -> Vec<u8> {
 
 /// Incremental frame parser over a byte stream.
 ///
-/// Feed arbitrary chunks with [`FrameReader::extend`]; pull complete
-/// frame bodies with [`FrameReader::next_frame`]. Framing errors
-/// (zero/oversized length headers) are sticky: the stream has no
-/// recoverable boundary after them.
+/// Feed arbitrary chunks with [`FrameReader::extend`]; look at the next
+/// complete frame body in place with [`FrameReader::peek_frame`] and
+/// step past it with [`FrameReader::consume_frame`] (the server decodes
+/// straight out of the buffer and leaves a frame it is not ready for
+/// where it is), or pull an owned copy with [`FrameReader::next_frame`].
+/// Framing errors (zero/oversized length headers) are sticky: the
+/// stream has no recoverable boundary after them.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -573,8 +602,13 @@ impl FrameReader {
 
     /// Appends raw bytes received from the stream.
     pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact once consumed bytes dominate the buffer.
-        if self.pos > 4096 && self.pos * 2 > self.buf.len() {
+        if self.pos == self.buf.len() {
+            // Everything consumed (the steady state of a served
+            // pipeline): restart at the front, nothing to move.
+            self.buf.clear();
+            self.pos = 0;
+        } else if self.pos > 4096 && self.pos * 2 > self.buf.len() {
+            // Compact once consumed bytes dominate the buffer.
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
@@ -586,69 +620,87 @@ impl FrameReader {
         self.pos < self.buf.len()
     }
 
-    /// True if [`FrameReader::next_frame`] would yield a frame *or* a
-    /// sticky framing error — i.e. the event loop has decodable input
-    /// buffered here even if the socket reports nothing new. Deferred
-    /// frames (batch-budget carryover) are found through this peek.
-    pub fn has_complete_frame(&self) -> bool {
-        if self.poisoned.is_some() {
-            return true;
-        }
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            return false;
-        }
-        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
-        // Bad headers count as "complete": next_frame will surface the
-        // framing error immediately.
-        len == 0 || len > MAX_FRAME || avail >= 4 + len
-    }
-
-    /// Next complete frame body, `None` if more bytes are needed, or a
-    /// (sticky) framing error.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
-        if let Some(e) = self.poisoned {
-            return Err(e);
-        }
+    /// Body length of the complete frame at the cursor, `None` if more
+    /// bytes are needed, or the framing error its header amounts to.
+    fn head(&self) -> Result<Option<usize>, ProtoError> {
         let avail = self.buf.len() - self.pos;
         if avail < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
+        let len = get_u32(&self.buf, self.pos) as usize;
         if len == 0 {
-            self.poisoned = Some(ProtoError::EmptyFrame);
             return Err(ProtoError::EmptyFrame);
         }
         if len > MAX_FRAME {
-            self.poisoned = Some(ProtoError::Oversize(len));
             return Err(ProtoError::Oversize(len));
         }
-        if avail < 4 + len {
-            return Ok(None);
+        Ok((avail >= 4 + len).then_some(len))
+    }
+
+    /// True if [`FrameReader::peek_frame`] would yield a frame *or* a
+    /// sticky framing error — i.e. the event loop has decodable input
+    /// buffered here even if the socket reports nothing new. Frames a
+    /// wake-up left behind (batch budget, outbox cap) are found through
+    /// this peek.
+    pub fn has_complete_frame(&self) -> bool {
+        // Bad headers count as "complete": peek_frame will surface the
+        // framing error immediately.
+        self.poisoned.is_some() || !matches!(self.head(), Ok(None))
+    }
+
+    /// Next complete frame body, borrowed from the reader's buffer and
+    /// *not* consumed; `None` if more bytes are needed, or a (sticky)
+    /// framing error.
+    pub fn peek_frame(&mut self) -> Result<Option<&[u8]>, ProtoError> {
+        if let Some(e) = self.poisoned {
+            return Err(e);
         }
-        let body = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(body))
+        match self.head() {
+            Ok(len) => Ok(len.map(|len| &self.buf[self.pos + 4..self.pos + 4 + len])),
+            Err(e) => {
+                self.poisoned = Some(e);
+                Err(e)
+            }
+        }
+    }
+
+    /// Steps past the frame [`FrameReader::peek_frame`] yields; a no-op
+    /// when there is none (incomplete frame, or a bad header — which
+    /// stays at the cursor for good).
+    pub fn consume_frame(&mut self) {
+        if let Ok(Some(len)) = self.head() {
+            self.pos += 4 + len;
+        }
+    }
+
+    /// Next complete frame body as an owned copy, consumed; `None` if
+    /// more bytes are needed, or a (sticky) framing error.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
+        let body = self.peek_frame()?.map(<[u8]>::to_vec);
+        self.consume_frame();
+        Ok(body)
     }
 }
 
-/// Queue of encoded reply frames awaiting transmission on a nonblocking
-/// socket, with partial-write resumption.
+/// Capacity an [`Outbox`] keeps once it has drained (one server read
+/// chunk); what a burst of large replies grew beyond it is given back.
+const OUTBOX_RETAIN: usize = 16 * 1024;
+
+/// Encoded reply bytes awaiting transmission on a nonblocking socket:
+/// one contiguous buffer and a cursor, with partial-write resumption.
 ///
-/// The event loop pushes whole frames, asks for a vectored view of what's
-/// pending ([`Outbox::chunks`]), hands that to `write_vectored`, and
-/// reports back how many bytes the kernel took ([`Outbox::advance`]) —
-/// which may land mid-frame. The cursor never splits or reorders frames,
-/// so pipelined FIFO reply order is preserved across any schedule of
-/// short writes (the proptests in `tests/wire.rs` drive this with
-/// arbitrary split schedules).
+/// The event loop encodes replies straight into the buffer
+/// ([`Outbox::encode`]), hands the pending bytes ([`Outbox::pending`])
+/// to one plain `write`, and reports back how many the kernel took
+/// ([`Outbox::advance`]) — which may land mid-frame. Bytes leave in the
+/// order they were queued, so pipelined FIFO reply order is preserved
+/// across any schedule of short writes (the proptests in
+/// `tests/wire.rs` drive this with arbitrary split schedules).
 #[derive(Debug, Default)]
 pub struct Outbox {
-    queue: std::collections::VecDeque<Vec<u8>>,
-    /// Bytes of `queue[0]` already written.
-    head_pos: usize,
-    /// Total bytes pending (all queued frames minus `head_pos`).
-    pending: usize,
+    buf: Vec<u8>,
+    /// Bytes of `buf` already written.
+    pos: usize,
 }
 
 impl Outbox {
@@ -659,60 +711,71 @@ impl Outbox {
 
     /// True when nothing is waiting to be written.
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.pos == self.buf.len()
     }
 
     /// Bytes waiting to be written.
     pub fn pending_bytes(&self) -> usize {
-        self.pending
+        self.buf.len() - self.pos
     }
 
-    /// Queues one encoded frame (length prefix included).
+    /// The bytes waiting to be written, in order, starting mid-frame if
+    /// a previous write was short.
+    pub fn pending(&self) -> &[u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// Drops the written prefix once it is at least as long as what is
+    /// still pending, so a connection that never fully drains cannot
+    /// grow the buffer by what it has already been sent (each pending
+    /// byte moves at most once per byte written: amortized O(1)).
+    fn compact(&mut self) {
+        if self.pos > 0 && self.pos >= self.pending_bytes() {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+    }
+
+    /// Queues `resp` as one frame, encoded in place.
+    pub fn encode(&mut self, resp: &Response) {
+        self.compact();
+        resp.encode_frame(&mut self.buf);
+    }
+
+    /// Queues one already encoded frame (length prefix included).
     pub fn push(&mut self, frame: Vec<u8>) {
         debug_assert!(frame.len() > 4, "outbox frames carry a header and body");
-        self.pending += frame.len();
-        self.queue.push_back(frame);
+        self.compact();
+        self.buf.extend_from_slice(&frame);
     }
 
-    /// Fills `out` with up to `max` slices covering the pending bytes in
-    /// order, starting mid-frame if a previous write was short. Returns
-    /// the number of slices pushed.
+    /// The pending bytes as a vectored view, for callers that gather:
+    /// pushes at most one slice (none when empty or `max == 0`) and
+    /// returns how many it pushed.
     pub fn chunks<'a>(&'a self, out: &mut Vec<io::IoSlice<'a>>, max: usize) -> usize {
-        let mut n = 0;
-        for (i, frame) in self.queue.iter().enumerate() {
-            if n == max {
-                break;
-            }
-            let skip = if i == 0 { self.head_pos } else { 0 };
-            if skip < frame.len() {
-                out.push(io::IoSlice::new(&frame[skip..]));
-                n += 1;
-            }
+        if max == 0 || self.is_empty() {
+            return 0;
         }
-        n
+        out.push(io::IoSlice::new(self.pending()));
+        1
     }
 
-    /// Consumes `written` bytes from the front of the queue (the return
-    /// value of a vectored write). Short writes leave the cursor mid-frame.
+    /// Consumes `written` bytes from the front (the return value of a
+    /// write). Short writes leave the cursor mid-frame.
     ///
     /// # Panics
     ///
     /// Panics if `written` exceeds the pending byte count.
     pub fn advance(&mut self, written: usize) {
-        assert!(written <= self.pending, "advance past outbox contents");
-        self.pending -= written;
-        let mut left = written;
-        while left > 0 {
-            let head = self.queue.front().expect("pending bytes imply a frame");
-            let rem = head.len() - self.head_pos;
-            if left >= rem {
-                left -= rem;
-                self.head_pos = 0;
-                self.queue.pop_front();
-            } else {
-                self.head_pos += left;
-                left = 0;
-            }
+        assert!(
+            written <= self.pending_bytes(),
+            "advance past outbox contents"
+        );
+        self.pos += written;
+        if self.is_empty() {
+            self.buf.clear();
+            self.buf.shrink_to(OUTBOX_RETAIN);
+            self.pos = 0;
         }
     }
 }
@@ -855,26 +918,56 @@ mod tests {
         let a = Response::Value(1).to_frame();
         let b = Response::Ok.to_frame();
         ob.push(a.clone());
-        ob.push(b.clone());
+        ob.encode(&Response::Ok);
         assert_eq!(ob.pending_bytes(), a.len() + b.len());
+        let mut expect = a.clone();
+        expect.extend_from_slice(&b);
+        assert_eq!(ob.pending(), &expect[..]);
 
-        // A short write that ends inside frame `a`.
+        // A short write that ends inside frame `a`: the pending bytes
+        // resume mid-frame, and the gathered view is the same bytes.
         ob.advance(3);
+        assert_eq!(ob.pending(), &expect[3..]);
         let mut iovs = Vec::new();
-        assert_eq!(ob.chunks(&mut iovs, 16), 2);
-        assert_eq!(&*iovs[0], &a[3..]);
-        assert_eq!(&*iovs[1], &b[..]);
+        assert_eq!(ob.chunks(&mut iovs, 16), 1);
+        assert_eq!(&*iovs[0], &expect[3..]);
 
-        // Drain the rest one byte at a time; frames stay in order.
-        let seen: Vec<u8> = iovs.iter().flat_map(|s| s.to_vec()).collect();
+        // Drain the rest one byte at a time; the stream stays in order,
+        // also across a frame queued behind a partly written one.
+        let mut seen = expect[..3].to_vec();
+        ob.encode(&Response::NotFound);
+        expect.extend_from_slice(&Response::NotFound.to_frame());
         while !ob.is_empty() {
+            seen.push(ob.pending()[0]);
             ob.advance(1);
         }
-        let mut expect = a[3..].to_vec();
-        expect.extend_from_slice(&b);
         assert_eq!(seen, expect);
         let mut iovs = Vec::new();
         assert_eq!(ob.chunks(&mut iovs, 16), 0);
+    }
+
+    #[test]
+    fn peeked_frame_stays_until_consumed() {
+        let mut fr = FrameReader::new();
+        let (a, b) = (Request::Get { key: 1 }, Request::Del { key: 2 });
+        fr.extend(&a.to_frame());
+        fr.extend(&b.to_frame());
+        for _ in 0..2 {
+            assert_eq!(
+                Request::decode(fr.peek_frame().unwrap().unwrap()),
+                Ok(a.clone())
+            );
+        }
+        fr.consume_frame();
+        assert_eq!(Request::decode(fr.peek_frame().unwrap().unwrap()), Ok(b));
+        fr.consume_frame();
+        assert_eq!(fr.peek_frame(), Ok(None));
+        // Nothing to step past: incomplete input stays where it is.
+        fr.extend(&a.to_frame()[..6]);
+        fr.consume_frame();
+        assert!(fr.has_partial());
+        fr.extend(&a.to_frame()[6..]);
+        assert_eq!(Request::decode(&fr.next_frame().unwrap().unwrap()), Ok(a));
     }
 
     #[test]

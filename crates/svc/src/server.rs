@@ -9,55 +9,74 @@
 //! threads, so replies on a pipelined connection come back in request
 //! order.
 //!
-//! ## The batch pipeline
+//! ## One wake-up, many rounds, one flush
 //!
-//! One loop iteration runs five phases:
+//! One loop iteration — one wake-up — serves everything it has in hand:
 //!
-//! 1. **Wait** for readiness (or a zero timeout if deferred work is
-//!    carried from the previous iteration).
-//! 2. **Read** ready sockets into per-connection [`FrameReader`]s.
-//! 3. **Decode** buffered frames into one *batch* of admitted requests,
-//!    bounded by `queue_depth` per iteration. Per connection, admission
-//!    follows the reads-then-mutations phase rule (see below).
-//! 4. **Execute** the batch: reads first, then every decoded mutation
-//!    in **one** `apply_batch` store pass — per touched shard one flip
-//!    and one quiescence barrier cover however many of the batch's
+//! 1. **Wait** for readiness (or a zero timeout if input was left
+//!    behind by the previous iteration).
+//! 2. **Read** ready sockets into per-connection [`FrameReader`]s, one
+//!    chunk each.
+//! 3. **Rounds**, while any pumped connection still has a complete
+//!    frame buffered and the iteration's `queue_depth` budget lasts.
+//!    A round walks each connection's buffered frames in place (no
+//!    copy, no per-request allocation): reads are answered as they are
+//!    decoded, mutations are collected, and the walk of a connection
+//!    stops at its first read behind a mutation (see below). The round
+//!    then runs every collected mutation, from every connection, in
+//!    **one** `apply_batch` store pass — per touched shard one flip and
+//!    one quiescence barrier cover however many of the round's
 //!    mutations landed there (the paper's amortization argument turned
 //!    into served-traffic throughput), and the pass holds one shard's
 //!    writer lock at a time. A durable pass keeps the touched shards
 //!    locked until its log append and pays one barrier for all of them.
-//! 5. **Flush** replies with vectored writes — one `writev` drains all
-//!    of a connection's pending replies — only after `apply_batch` has
-//!    returned, i.e. after every barrier covering one of the batch's
-//!    flips has completed, so no client ever observes an acked but
-//!    unquiesced write.
+//!    A mutation's reply is encoded into its connection's [`Outbox`]
+//!    only after the pass returned, i.e. after every barrier covering
+//!    one of the round's flips has completed. The next round starts at
+//!    the frames the boundaries left behind. Once a SHUTDOWN was seen,
+//!    the round in progress is the last.
+//! 4. **Durable wait**, once: a durable server blocks on the fsync
+//!    covering the highest LSN any of the iteration's rounds appended.
+//! 5. **Flush**: one `write` per connection carries every reply the
+//!    iteration's rounds queued for it. Nothing is written before this
+//!    phase, so no client ever observes an acked but unquiesced (or,
+//!    durable, unsynced) write — and a 64-deep pipeline with a boundary
+//!    every few requests costs one `epoll_wait`, one `read` and one
+//!    `write`, not one of each per boundary.
+//!
+//! `batches` and `ops_per_batch` in STATS count store passes — rounds —
+//! not iterations; `writev_calls` counts the flush phase's writes.
 //!
 //! ## Per-connection ordering
 //!
-//! Executing a batch as reads-then-mutations must not reorder one
-//! connection's pipelined requests: a GET pipelined *after* a PUT has
-//! to see it. Admission therefore stops at a connection's first
-//! read-after-mutation boundary — within one batch a connection
+//! Answering reads before the round's mutations are applied must not
+//! reorder one connection's pipelined requests: a GET pipelined *after*
+//! a PUT has to see it. Within one round a connection therefore
 //! contributes a prefix of the form `reads*, mutations*`, which the
-//! reads-first execution order preserves exactly; the deferred request
-//! is carried into the next iteration (which starts with a fresh phase,
-//! after the previous batch's mutations are applied and quiesced).
-//! Closed-loop clients (one outstanding request) never defer.
+//! reads-first execution order preserves exactly; whatever would be
+//! answered outside the store pass behind a mutation — a read, a
+//! rejection of a malformed frame — stays un-consumed in the reader and
+//! opens the connection's next round, after the previous round's
+//! mutations are applied and quiesced. Replies are appended to the
+//! outbox in that same order. Closed-loop clients (one outstanding
+//! request) never reach a second round.
 //!
 //! ## Backpressure
 //!
-//! `queue_depth` bounds the *batch*, not a queue: frames beyond the
-//! budget stay buffered in their connection (which also stops being
-//! read), so a worker that falls behind pushes backpressure into TCP
-//! instead of growing memory — the bounded-queue reasoning of the old
-//! thread-per-core design (DESIGN.md §8) without the `Busy` shed on
-//! the request path. `Busy` remains the connection-limit shed reply.
+//! `queue_depth` bounds the *iteration*, across all its rounds, not a
+//! queue: frames beyond the budget stay buffered in their connection
+//! (which also stops being read), so a worker that falls behind pushes
+//! backpressure into TCP instead of growing memory. The same holds for
+//! replies: a connection with `OUTBOX_HIGH_WATER` reply bytes pending is
+//! neither read nor decoded until its client has taken them, so a
+//! client that sends without reading fills its own socket buffers, not
+//! the server's heap. `Busy` is the connection-limit shed reply only.
 //!
 //! All cross-thread coordination flows through the mailboxes, wakers
 //! and the sockets themselves; the atomics here are monotonic counters
 //! and advisory flags (see `docs/orderings.toml`).
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -121,14 +140,13 @@ pub struct ServerConfig {
     pub buckets_per_shard: u32,
     /// Keys `0..prefill` loaded before serving.
     pub prefill: u64,
-    /// Extra node capacity for inserts beyond the prefill (deleted nodes
-    /// are leaked until exit — deferred reclamation — so this bounds the
-    /// total number of PUTs that allocate).
+    /// Extra node capacity beyond the prefill: how many more keys the
+    /// simulated store can hold (a deleted key's node is reused).
     pub extra_capacity: u64,
-    /// Per-worker, per-iteration batch budget: at most this many
-    /// requests are decoded and executed per event-loop iteration;
-    /// frames beyond it stay in their connection's buffer (TCP
-    /// backpressure).
+    /// Per-worker, per-iteration admission budget: at most this many
+    /// requests are decoded and executed per event-loop iteration,
+    /// across all its rounds; frames beyond it stay in their
+    /// connection's buffer (TCP backpressure).
     pub queue_depth: usize,
     /// Connection limit; beyond it new connections are shed per
     /// [`ServerConfig::shed`].
@@ -182,7 +200,7 @@ impl Default for ServerConfig {
 /// Final accounting returned by [`Server::run`] after a clean drain.
 #[derive(Debug, Clone, Default)]
 pub struct DrainReport {
-    /// Requests admitted into a batch.
+    /// Requests admitted into a round.
     pub enqueued: u64,
     /// Replies queued by workers. Equal to [`DrainReport::enqueued`]
     /// after a clean drain: every admitted request was answered.
@@ -195,7 +213,8 @@ pub struct DrainReport {
     pub timeouts: u64,
     /// Connections accepted.
     pub conns: u64,
-    /// Batches executed (event-loop iterations with ≥1 request).
+    /// Batches executed: rounds (store passes) with ≥1 request, of
+    /// which one event-loop iteration can run several.
     pub batches: u64,
     /// Requests executed across all batches.
     pub batch_ops: u64,
@@ -204,7 +223,7 @@ pub struct DrainReport {
     pub barriers: u64,
     /// Barriers satisfied by an already-shared grace period.
     pub barriers_shared: u64,
-    /// Vectored reply writes issued.
+    /// Reply writes issued by the flush phase.
     pub writev_calls: u64,
     /// WAL records appended (0 when running volatile).
     pub wal_appends: u64,
@@ -454,8 +473,12 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// in the kernel buffer (level-triggered epoll re-reports them).
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Max `IoSlice`s per vectored write (well under any IOV_MAX).
-const MAX_IOVS: usize = 64;
+/// Outbox cap: a connection with this many reply bytes pending is
+/// neither read nor decoded until it drains below the mark, so a client
+/// that sends without reading makes the server hold this much plus one
+/// reply (and the acks of the mutations already decoded), not whatever
+/// it manages to send.
+const OUTBOX_HIGH_WATER: usize = 256 * 1024;
 
 /// How long the drain waits for backpressured reply bytes before
 /// force-closing the stragglers.
@@ -496,10 +519,13 @@ impl Counters {
         c.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bulk add for per-iteration tallies (one RMW per batch, not per op).
+    /// Bulk add for per-round tallies (one RMW per round, not per op,
+    /// and none for a tally that stayed at zero).
     #[inline]
     fn add(c: &AtomicU64, n: u64) {
-        c.fetch_add(n, Ordering::Relaxed);
+        if n != 0 {
+            c.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     #[inline]
@@ -620,9 +646,6 @@ struct Conn {
     stream: TcpStream,
     fr: FrameReader,
     outbox: Outbox,
-    /// A decoded request deferred to the next batch (read-after-write
-    /// phase boundary or batch budget).
-    carry: Option<Request>,
     last_activity: Instant,
     /// Peer sent FIN (or the socket errored): no more reads, but
     /// buffered requests are still served and flushed (half-close).
@@ -631,8 +654,10 @@ struct Conn {
     closing: bool,
     /// Socket is dead: retire without flushing.
     dead: bool,
-    /// EPOLLOUT armed (a previous flush hit WouldBlock).
-    wants_write: bool,
+    /// What the poller currently reports for this socket: writability
+    /// while a flush is backpressured, readability unless the outbox is
+    /// over [`OUTBOX_HIGH_WATER`].
+    armed: Interest,
     /// This connection sent SHUTDOWN; its stream is handed back for the
     /// post-drain ack instead of being closed.
     is_shutdown_conn: bool,
@@ -643,17 +668,19 @@ struct Conn {
     _guard: ConnGuard,
 }
 
-/// One admitted batch entry.
-enum WorkItem {
-    /// A well-formed request (counts toward enqueued/replied).
-    Req(Request),
-    /// A malformed body: answered `BadRequest` in FIFO position, not
-    /// counted as enqueued.
-    Malformed,
-}
-
-fn is_mutation(req: &Request) -> bool {
-    matches!(req, Request::Put { .. } | Request::Del { .. })
+/// What one round answered, summed in locals and added to the shared
+/// counters once per round rather than once per request.
+#[derive(Default)]
+struct RoundTally {
+    /// Everything answered, rejections included.
+    ops: u64,
+    /// Rejections (`BadRequest`): answered in FIFO position, but never
+    /// counted as enqueued or replied.
+    malformed: u64,
+    gets: u64,
+    puts: u64,
+    dels: u64,
+    scans: u64,
 }
 
 /// The per-worker event loop. See the module docs for the phase
@@ -670,14 +697,16 @@ fn worker_loop(
     let mut free: Vec<usize> = Vec::new();
     let mut events: Vec<crate::poll::Event> = Vec::new();
     let mut buf = [0u8; READ_CHUNK];
-    // Batch scratch, reused across iterations.
-    let mut work: Vec<(usize, WorkItem)> = Vec::new();
-    let mut replies: Vec<Option<Response>> = Vec::new();
+    // Round scratch, reused across rounds and iterations: the slots
+    // this round walks, the slots left at a boundary for the next one,
+    // and the round's mutations with the slot each reply goes to.
+    let mut round: Vec<usize> = Vec::new();
+    let mut again: Vec<usize> = Vec::new();
     let mut mut_ops: Vec<MutOp> = Vec::new();
-    let mut mut_at: Vec<usize> = Vec::new();
+    let mut mut_slots: Vec<usize> = Vec::new();
     let mut mut_replies: Vec<MutReply> = Vec::new();
     let mut scratch: Vec<(u64, u64)> = Vec::new();
-    // Slots with deferred decodable input, carried across iterations.
+    // Slots with decodable input left behind, carried across iterations.
     let mut carry: Vec<usize> = Vec::new();
     let mut retire: Vec<usize> = Vec::new();
     let mut gen: u64 = 0;
@@ -740,13 +769,27 @@ fn worker_loop(
             }
         }
 
-        // Phase 3: decode one batch. Skipped during the drain — frames
-        // never admitted are never counted, so the drain invariant
-        // (enqueued == replied) is unaffected.
-        work.clear();
+        // Phases 3-4: rounds, until the pumped connections' input is
+        // used up, the iteration's budget is spent or a SHUTDOWN was
+        // seen. Skipped during the drain — frames never admitted are
+        // never counted, so the drain invariant (enqueued == replied) is
+        // unaffected.
+        let mut budget = cfg.queue_depth;
+        let mut durable_to = NO_LSN;
+        round.clear();
         if drain_deadline.is_none() {
-            let mut admitted = 0usize;
-            'conns: for &slot in &pump {
+            round.extend_from_slice(&pump);
+        }
+        while !round.is_empty() {
+            // Walk each connection's buffered frames in place: reads
+            // are answered as they are decoded (each sees the state as
+            // of the previous round), mutations are collected for the
+            // round's one store pass.
+            let mut tally = RoundTally::default();
+            again.clear();
+            mut_ops.clear();
+            mut_slots.clear();
+            'conns: for &slot in &round {
                 let Some(conn) = conns.get_mut(slot).and_then(|c| c.as_mut()) else {
                     continue;
                 };
@@ -756,162 +799,156 @@ fn worker_loop(
                 // Reads-then-mutations phase rule (module docs).
                 let mut saw_mutation = false;
                 loop {
-                    if admitted == cfg.queue_depth {
+                    if budget == 0 {
                         break 'conns;
                     }
-                    let req = match conn.carry.take() {
-                        Some(req) => req,
-                        None => match conn.fr.next_frame() {
-                            Ok(Some(body)) => match Request::decode(&body) {
-                                Ok(req) => req,
-                                Err(_) => {
-                                    // Bad body behind a valid header:
-                                    // reject in FIFO position, keep the
-                                    // connection.
-                                    Counters::inc(&shared.counters.malformed);
-                                    work.push((slot, WorkItem::Malformed));
-                                    admitted += 1;
-                                    continue;
-                                }
-                            },
-                            Ok(None) => break,
-                            Err(_) => {
-                                // Framing error: reject and close once
-                                // the reply drains.
-                                Counters::inc(&shared.counters.malformed);
-                                work.push((slot, WorkItem::Malformed));
-                                admitted += 1;
-                                conn.closing = true;
-                                break;
-                            }
-                        },
+                    if conn.outbox.pending_bytes() >= OUTBOX_HIGH_WATER {
+                        break;
+                    }
+                    // An error is a bad body behind a valid header, which
+                    // keeps the connection, or a bad header, which ends it
+                    // (`ProtoError::is_framing`).
+                    let req = match conn.fr.peek_frame() {
+                        Ok(Some(body)) => Request::decode(body),
+                        Ok(None) => break,
+                        Err(e) => Err(e),
                     };
-                    if matches!(req, Request::Shutdown) {
-                        conn.is_shutdown_conn = true;
-                        shared.request_shutdown();
-                        for waker in &shared.wakers {
-                            waker.wake();
-                        }
-                        // Unblock the acceptor so it observes the flag.
-                        if let Ok(addr) = conn.stream.local_addr() {
-                            let _ = TcpStream::connect(addr);
-                        }
+                    let is_mutation = matches!(req, Ok(Request::Put { .. } | Request::Del { .. }));
+                    if saw_mutation && !is_mutation {
+                        // Answered outside the store pass, so it may not
+                        // overtake the mutation ahead of it: the frame
+                        // stays in the reader for the next round.
+                        again.push(slot);
                         break;
                     }
-                    if is_mutation(&req) {
-                        saw_mutation = true;
-                    } else if saw_mutation {
-                        // Read after mutation: next batch.
-                        conn.carry = Some(req);
-                        break;
-                    }
-                    Counters::inc(&shared.counters.enqueued);
-                    work.push((slot, WorkItem::Req(req)));
-                    admitted += 1;
-                }
-            }
-        }
-
-        // Phase 4: execute the batch — reads first (each sees its
-        // connection's pre-batch prefix state), then every mutation in
-        // one amortized store pass.
-        if !work.is_empty() {
-            replies.clear();
-            replies.resize(work.len(), None);
-            mut_ops.clear();
-            mut_at.clear();
-            for (i, (_slot, item)) in work.iter().enumerate() {
-                match item {
-                    WorkItem::Malformed => replies[i] = Some(Response::BadRequest),
-                    WorkItem::Req(req) => match *req {
-                        Request::Get { key } => {
-                            Counters::inc(&shared.counters.gets);
-                            replies[i] = Some(match sess.get(key) {
+                    saw_mutation = is_mutation;
+                    conn.fr.consume_frame();
+                    let resp = match req {
+                        Ok(Request::Put { key, value }) => {
+                            tally.puts += 1;
+                            mut_ops.push(MutOp::Put { key, value });
+                            mut_slots.push(slot);
+                            None
+                        }
+                        Ok(Request::Del { key }) => {
+                            tally.dels += 1;
+                            mut_ops.push(MutOp::Del { key });
+                            mut_slots.push(slot);
+                            None
+                        }
+                        Ok(Request::Get { key }) => {
+                            tally.gets += 1;
+                            Some(match sess.get(key) {
                                 Some(v) => Response::Value(v),
                                 None => Response::NotFound,
-                            });
+                            })
                         }
-                        Request::Scan { start, count } => {
-                            Counters::inc(&shared.counters.scans);
+                        Ok(Request::Scan { start, count }) => {
+                            tally.scans += 1;
                             scratch.clear();
                             sess.scan(start, count, &mut scratch);
-                            replies[i] = Some(Response::Pairs(scratch.clone()));
+                            Some(Response::Pairs(std::mem::take(&mut scratch)))
                         }
-                        Request::Stats => {
-                            replies[i] = Some(Response::Stats(Box::new(shared.snapshot())));
+                        Ok(Request::Stats) => Some(Response::Stats(Box::new(shared.snapshot()))),
+                        Ok(Request::Shutdown) => {
+                            conn.is_shutdown_conn = true;
+                            shared.request_shutdown();
+                            for waker in &shared.wakers {
+                                waker.wake();
+                            }
+                            // Unblock the acceptor so it observes the flag.
+                            if let Ok(addr) = conn.stream.local_addr() {
+                                let _ = TcpStream::connect(addr);
+                            }
+                            break;
                         }
-                        Request::Put { key, value } => {
-                            Counters::inc(&shared.counters.puts);
-                            mut_ops.push(MutOp::Put { key, value });
-                            mut_at.push(i);
+                        Err(e) => {
+                            tally.malformed += 1;
+                            conn.closing = e.is_framing();
+                            Some(Response::BadRequest)
                         }
-                        Request::Del { key } => {
-                            Counters::inc(&shared.counters.dels);
-                            mut_ops.push(MutOp::Del { key });
-                            mut_at.push(i);
+                    };
+                    if let Some(resp) = resp {
+                        conn.outbox.encode(&resp);
+                        // The pairs buffer is lent to the reply, not given.
+                        if let Response::Pairs(pairs) = resp {
+                            scratch = pairs;
                         }
-                        // A SHUTDOWN that raced into a batch just acks
-                        // (interception above makes this unreachable,
-                        // but the arm keeps decode changes safe).
-                        Request::Shutdown => replies[i] = Some(Response::Ok),
-                    },
+                    }
+                    tally.ops += 1;
+                    budget -= 1;
+                    if conn.closing {
+                        break;
+                    }
                 }
             }
-            // Durable servers append the batch's write-set inside the
-            // store pass's commit window (shard locks on native, the
-            // sink's order section elsewhere), so the flush overlaps
-            // the quiescence barrier the pass pays anyway.
-            let (outcome, lsn) = match shared.wal.as_deref() {
-                Some(w) => sess.apply_batch_durable(&mut_ops, &mut mut_replies, w),
-                None => (sess.apply_batch(&mut_ops, &mut mut_replies), NO_LSN),
-            };
-            for (&i, reply) in mut_at.iter().zip(&mut_replies) {
-                replies[i] = Some(match *reply {
-                    MutReply::Put(Ok(_)) => Response::Ok,
-                    // Capacity exhausted (extra_capacity spent): shed
-                    // the write rather than crash the store.
-                    MutReply::Put(Err(_)) => Response::ServerFull,
-                    MutReply::Del(true) => Response::Ok,
-                    MutReply::Del(false) => Response::NotFound,
-                });
-            }
-            let c = &shared.counters;
-            Counters::inc(&c.batches);
-            Counters::add(&c.batch_ops, work.len() as u64);
-            Counters::add(&c.barriers, outcome.barriers);
-            Counters::add(&c.barriers_shared, outcome.shared);
-            let bucket = (work.len().max(1).ilog2() as usize).min(7);
-            Counters::inc(&c.batch_hist[bucket]);
+            if tally.ops > 0 {
+                let c = &shared.counters;
+                let enqueued = tally.ops - tally.malformed;
+                // `enqueued` before the pass and `replied` after it: a
+                // STATS snapshot never shows more replies than requests.
+                Counters::add(&c.enqueued, enqueued);
+                Counters::add(&c.malformed, tally.malformed);
+                Counters::add(&c.gets, tally.gets);
+                Counters::add(&c.scans, tally.scans);
+                Counters::add(&c.puts, tally.puts);
+                Counters::add(&c.dels, tally.dels);
 
-            // Durability gate: an ack must not leave before an fsync
-            // covers the batch's record (FsyncPolicy::Batch blocks
-            // here on the group commit; Interval/Off return at once).
-            if let Some(w) = shared.wal.as_deref() {
-                use workloads::backend::DurableSink;
-                w.wait_durable(lsn);
-            }
-
-            // Queue replies in admitted (per-connection FIFO) order.
-            // Every barrier covering one of the batch's flips completed
-            // inside `apply_batch` above, so nothing queued here can reach a
-            // client before its mutation is quiesced (and, durable, not
-            // before its record is synced — see the gate above).
-            let mut queued = 0u64;
-            for ((slot, item), resp) in work.iter().zip(replies.drain(..)) {
-                let Some(conn) = conns.get_mut(*slot).and_then(|c| c.as_mut()) else {
-                    continue;
+                // Every mutation of the round in one amortized store
+                // pass. Durable servers append the round's write-set
+                // inside the pass's commit window (shard locks on
+                // native, the sink's order section elsewhere), so the
+                // log flush overlaps the quiescence barrier the pass
+                // pays anyway.
+                let (outcome, lsn) = match shared.wal.as_deref() {
+                    Some(w) => sess.apply_batch_durable(&mut_ops, &mut mut_replies, w),
+                    None => (sess.apply_batch(&mut_ops, &mut mut_replies), NO_LSN),
                 };
-                let resp = resp.expect("every work item got a reply");
-                conn.outbox.push(resp.to_frame());
-                if matches!(item, WorkItem::Req(_)) {
-                    queued += 1;
+                // Log order is commit order: a later round's record has
+                // the higher LSN.
+                durable_to = durable_to.max(lsn);
+                // Every barrier covering one of the round's flips
+                // completed inside the pass above, so no reply queued
+                // here can reach a client before its mutation is
+                // quiesced.
+                for (&slot, reply) in mut_slots.iter().zip(&mut_replies) {
+                    let Some(conn) = conns.get_mut(slot).and_then(|c| c.as_mut()) else {
+                        continue;
+                    };
+                    conn.outbox.encode(&match *reply {
+                        MutReply::Put(Ok(_)) | MutReply::Del(true) => Response::Ok,
+                        // Capacity exhausted (extra_capacity spent):
+                        // shed the write rather than crash the store.
+                        MutReply::Put(Err(_)) => Response::ServerFull,
+                        MutReply::Del(false) => Response::NotFound,
+                    });
                 }
+                Counters::add(&c.replied, enqueued);
+                Counters::inc(&c.batches);
+                Counters::add(&c.batch_ops, tally.ops);
+                Counters::add(&c.barriers, outcome.barriers);
+                Counters::add(&c.barriers_shared, outcome.shared);
+                let bucket = (tally.ops.ilog2() as usize).min(7);
+                Counters::inc(&c.batch_hist[bucket]);
             }
-            Counters::add(&c.replied, queued);
+            if budget == 0 || shared.shutting_down() {
+                break;
+            }
+            std::mem::swap(&mut round, &mut again);
         }
 
-        // Phase 5: flush. One writev drains all of a connection's
-        // pending replies; WouldBlock arms EPOLLOUT for resumption.
+        // Durability gate, once per wake-up: no ack leaves before an
+        // fsync covers the last record any of its rounds appended
+        // (FsyncPolicy::Batch blocks here on the group commit;
+        // Interval/Off return at once).
+        if let Some(w) = shared.wal.as_deref() {
+            use workloads::backend::DurableSink;
+            w.wait_durable(durable_to);
+        }
+
+        // Phase 5: flush. One write carries everything the wake-up's
+        // rounds queued for a connection; WouldBlock arms EPOLLOUT for
+        // resumption.
         retire.clear();
         for &slot in &pump {
             let Some(conn) = conns.get_mut(slot).and_then(|c| c.as_mut()) else {
@@ -920,14 +957,16 @@ fn worker_loop(
             if !conn.dead && !conn.outbox.is_empty() {
                 flush_conn(conn, slot, &poller, shared);
             }
-            let idle_input =
-                conn.carry.is_none() && !conn.fr.has_complete_frame() && conn.outbox.is_empty();
+            let more_input = conn.fr.has_complete_frame();
             if conn.dead
                 || (conn.closing && conn.outbox.is_empty())
-                || (conn.read_closed && idle_input)
+                || (conn.read_closed && !more_input && conn.outbox.is_empty())
             {
                 retire.push(slot);
-            } else if conn.carry.is_some() || conn.fr.has_complete_frame() {
+            } else if more_input && !conn.closing && conn.outbox.pending_bytes() < OUTBOX_HIGH_WATER
+            {
+                // Left behind by the budget or the outbox cap. (Over the
+                // cap, the socket's writability brings the slot back.)
                 carry.push(slot);
             }
         }
@@ -1011,12 +1050,11 @@ fn admit_conn(
         stream,
         fr: FrameReader::new(),
         outbox: Outbox::new(),
-        carry: None,
         last_activity: Instant::now(),
         read_closed: false,
         closing: false,
         dead: false,
-        wants_write: false,
+        armed: Interest::READ,
         is_shutdown_conn: false,
         pump_gen: 0,
         _guard: guard,
@@ -1047,9 +1085,13 @@ fn retire_conn(
 /// Reads up to one chunk into the connection's frame buffer. Reading
 /// stops while decodable input is already buffered — that throttles a
 /// pipelining blaster to the decode budget (TCP backpressure) instead
-/// of growing the buffer; level-triggered epoll re-reports the socket.
+/// of growing the buffer — and while the outbox is over its cap, which
+/// does the same to a client that does not read its replies.
 fn read_socket(conn: &mut Conn, buf: &mut [u8; READ_CHUNK]) {
-    if conn.read_closed || conn.carry.is_some() || conn.fr.has_complete_frame() {
+    if conn.read_closed
+        || conn.fr.has_complete_frame()
+        || conn.outbox.pending_bytes() >= OUTBOX_HIGH_WATER
+    {
         return;
     }
     match conn.stream.read(buf) {
@@ -1064,43 +1106,34 @@ fn read_socket(conn: &mut Conn, buf: &mut [u8; READ_CHUNK]) {
     }
 }
 
-/// Drains the outbox with vectored writes until empty or WouldBlock,
-/// arming/disarming EPOLLOUT as needed.
+/// Writes the outbox's pending bytes until empty or WouldBlock, then
+/// re-arms the poller for what the connection now waits on.
 fn flush_conn(conn: &mut Conn, slot: usize, poller: &Poller, shared: &Shared) {
     while !conn.outbox.is_empty() {
-        // The gathered-slice borrow of the outbox must end before
-        // `advance` mutates it, so each round gathers afresh.
-        let res = {
-            let mut iovs: Vec<IoSlice<'_>> = Vec::with_capacity(8);
-            conn.outbox.chunks(&mut iovs, MAX_IOVS);
-            conn.stream.write_vectored(&iovs)
-        };
-        match res {
-            Ok(0) => {
-                conn.dead = true;
-                break;
-            }
+        match conn.stream.write(conn.outbox.pending()) {
+            Ok(0) => conn.dead = true,
             Ok(n) => {
                 Counters::inc(&shared.counters.writev_calls);
                 conn.outbox.advance(n);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if !conn.wants_write {
-                    conn.wants_write = true;
-                    let _ = poller.modify(stream_fd(&conn.stream), slot as u64, Interest::BOTH);
-                }
-                return;
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
+            Err(_) => conn.dead = true,
+        }
+        if conn.dead {
+            return;
         }
     }
-    if conn.wants_write && conn.outbox.is_empty() {
-        conn.wants_write = false;
-        let _ = poller.modify(stream_fd(&conn.stream), slot as u64, Interest::READ);
+    // Over the cap the socket's readability is not acted on, so it is
+    // not asked for either (level-triggered epoll would report it on
+    // every wait).
+    let want = Interest {
+        read: conn.outbox.pending_bytes() < OUTBOX_HIGH_WATER,
+        write: !conn.outbox.is_empty(),
+    };
+    if want != conn.armed {
+        conn.armed = want;
+        let _ = poller.modify(stream_fd(&conn.stream), slot as u64, want);
     }
 }
 

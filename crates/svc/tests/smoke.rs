@@ -6,7 +6,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use svc::proto::{read_frame, Request, Response};
+use svc::proto::{read_frame, Request, Response, ServerStats};
 use svc::server::{DrainReport, Server, ServerConfig};
 use workloads::{BackendKind, SchemeKind};
 
@@ -51,7 +51,15 @@ fn shutdown(
     addr: &str,
     handle: std::thread::JoinHandle<std::io::Result<DrainReport>>,
 ) -> DrainReport {
-    let mut c = connect(addr);
+    shutdown_over(connect(addr), handle)
+}
+
+/// SHUTDOWN over an already admitted connection (a fresh one can be
+/// shed at the connection limit), then the drain check.
+fn shutdown_over(
+    mut c: TcpStream,
+    handle: std::thread::JoinHandle<std::io::Result<DrainReport>>,
+) -> DrainReport {
     assert_eq!(request(&mut c, &Request::Shutdown), Response::Ok);
     let report = handle.join().expect("server thread").expect("server run");
     assert!(
@@ -199,7 +207,7 @@ fn connection_limit_sheds_with_busy() {
     drop(first);
     // Slot freed: a new connection is admitted (poll briefly — the
     // server notices the close on its reader thread, not instantly).
-    let mut admitted = false;
+    let mut admitted = None;
     for _ in 0..100 {
         let mut third = connect(&addr);
         third
@@ -208,15 +216,18 @@ fn connection_limit_sheds_with_busy() {
         let body = read_frame(&mut third).expect("reply");
         match Response::decode(&body).unwrap() {
             Response::Value(3) => {
-                admitted = true;
+                admitted = Some(third);
                 break;
             }
             Response::Busy => continue,
             other => panic!("unexpected reply: {other:?}"),
         }
     }
-    assert!(admitted, "freed connection slot was never reused");
-    shutdown(&addr, handle);
+    // The admitted connection holds the only slot: a fresh one for the
+    // SHUTDOWN would race the server noticing this one's close and be
+    // shed with `Busy` itself.
+    let third = admitted.expect("freed connection slot was never reused");
+    shutdown_over(third, handle);
 }
 
 #[test]
@@ -596,6 +607,166 @@ fn pipelined_write_then_read_sees_the_write() {
         drop(c);
         shutdown(&addr, handle);
     }
+}
+
+fn stats(c: &mut TcpStream) -> ServerStats {
+    match request(c, &Request::Stats) {
+        Response::Stats(s) => *s,
+        other => panic!("stats reply: {other:?}"),
+    }
+}
+
+/// Fresh scratch directory under the system temp dir.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("svc-smoke-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// The round loop, observed from outside: a pipeline whose every other
+/// request is a read behind a mutation takes one store pass per
+/// boundary, but all of them inside the wake-up that read it — one
+/// reply write, not one per boundary.
+#[test]
+fn pipeline_with_boundaries_is_served_from_one_wakeup() {
+    let scratch_dir = scratch("rounds-wal");
+    for (backend, wal_dir) in [
+        (BackendKind::Sim, None),
+        (BackendKind::Native, None),
+        (BackendKind::Native, Some(scratch_dir.clone())),
+    ] {
+        let durable = wal_dir.is_some();
+        let (addr, handle) = start(ServerConfig {
+            backend,
+            wal_dir,
+            ..small_cfg()
+        });
+        let mut c = connect(&addr);
+        let before = stats(&mut c);
+        let key = 30_000;
+        let mut wire = Vec::new();
+        for value in 0..32u64 {
+            wire.extend_from_slice(&Request::Put { key, value }.to_frame());
+            wire.extend_from_slice(&Request::Get { key }.to_frame());
+        }
+        c.write_all(&wire).unwrap();
+        for value in 0..32u64 {
+            for want in [Response::Ok, Response::Value(value)] {
+                let body = read_frame(&mut c).expect("reply");
+                assert_eq!(
+                    Response::decode(&body).unwrap(),
+                    want,
+                    "round {value} on {} backend, durable: {durable}",
+                    backend.name()
+                );
+            }
+        }
+        let after = stats(&mut c);
+        // One round per PUT (each GET is a boundary), and two writes:
+        // the first STATS reply and the whole pipeline's replies.
+        assert!(after.batches - before.batches >= 32, "{before:?} {after:?}");
+        assert!(
+            after.writev_calls - before.writev_calls <= 2,
+            "{before:?} {after:?}"
+        );
+        drop(c);
+        shutdown(&addr, handle);
+    }
+    let _ = std::fs::remove_dir_all(&scratch_dir);
+}
+
+/// SHUTDOWN while another connection of the same worker still has a
+/// pipeline buffered: rounds stop, whatever was admitted is answered in
+/// order, and nothing is counted that is not.
+#[test]
+fn shutdown_mid_pipeline_keeps_the_drain_invariant() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..small_cfg()
+    });
+    let mut busy = connect(&addr);
+    let mut wire = Vec::new();
+    for value in 0..32u64 {
+        wire.extend_from_slice(&Request::Put { key: 31_000, value }.to_frame());
+        wire.extend_from_slice(&Request::Get { key: 31_000 }.to_frame());
+    }
+    busy.write_all(&wire).unwrap();
+    // `shutdown` asserts enqueued == replied.
+    let report = shutdown(&addr, handle);
+    // The server has exited: what it answered is a FIFO prefix.
+    let mut answered = 0u64;
+    while let Ok(body) = read_frame(&mut busy) {
+        let want = match answered % 2 {
+            0 => Response::Ok,
+            _ => Response::Value(answered / 2),
+        };
+        assert_eq!(Response::decode(&body).unwrap(), want, "reply {answered}");
+        answered += 1;
+    }
+    assert!(answered <= 64);
+    assert_eq!(report.replied, answered);
+}
+
+/// The outbox cap: a client that pipelines SCANs and never reads a
+/// reply stops being read once its replies back up, so the server
+/// executes no more of its requests than the socket buffers and the cap
+/// can hold replies for — and the worker keeps serving its neighbour.
+#[test]
+fn never_reading_client_is_capped_and_its_neighbour_served() {
+    const COUNT: u32 = 256;
+    const REPLY_BYTES: u64 = 4 + 1 + 4 + 16 * COUNT as u64;
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..small_cfg()
+    });
+    let mut hog = connect(&addr);
+    let mut polite = connect(&addr);
+    // Requests worth ~250 MB of replies, far beyond what the kernel
+    // buffers of a loopback pair hold.
+    let scan = Request::Scan {
+        start: 0,
+        count: COUNT,
+    }
+    .to_frame();
+    let total = (1 << 20) / scan.len();
+    let wire = scan.repeat(total);
+    hog.set_nonblocking(true).unwrap();
+    let mut sent = 0;
+    let (mut last, mut stable) = (0, 0);
+    let deadline = std::time::Instant::now() + Duration::from_secs(8);
+    // Keep sending until the server has stopped executing SCANs: the
+    // one worker serves both connections from the same wake-ups, so a
+    // count that stays put over this many STATS round trips, with
+    // requests waiting in the socket, means the hog is no longer read.
+    while stable < 100 {
+        assert!(std::time::Instant::now() < deadline, "never settled");
+        while sent < wire.len() {
+            match hog.write(&wire[sent..]) {
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("hog write: {e}"),
+            }
+        }
+        let scans = stats(&mut polite).scans;
+        stable = if scans == last && scans > 0 {
+            stable + 1
+        } else {
+            0
+        };
+        last = scans;
+    }
+    assert!(
+        last * REPLY_BYTES <= 64 << 20,
+        "{last} of {total} SCANs executed for a client that reads nothing"
+    );
+    assert_eq!(
+        request(&mut polite, &Request::Get { key: 5 }),
+        Response::Value(5)
+    );
+    drop(hog);
+    drop(polite);
+    shutdown(&addr, handle);
 }
 
 #[test]

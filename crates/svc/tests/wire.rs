@@ -275,50 +275,89 @@ proptest! {
         prop_assert!(!fr.has_partial());
     }
 
-    /// Outbox partial-write resumption: any schedule of short vectored
-    /// writes (down to one byte per call, with any slice cap) drains the
-    /// queued reply frames as the exact concatenated byte stream — no
-    /// reorder, no skip, no duplicate — and never panics.
+    /// The borrowed pull (`peek_frame`/`consume_frame`, what the server
+    /// decodes from) and the owning one (`next_frame`) are the same
+    /// parser: fed the same arbitrary bytes in the same arbitrary
+    /// chunks they yield the same bodies and the same framing error at
+    /// the same point, and a peek without a consume changes nothing.
+    #[test]
+    fn borrowed_and_owning_pulls_agree(
+        picks in prop::collection::vec(0usize..9, 0..30),
+        garbage in prop::collection::vec(any::<u8>(), 0..40),
+        chunk in 1usize..23,
+    ) {
+        // Valid frames (index 8: a valid header over a garbage body)
+        // with raw garbage behind them, so both outcomes are reached.
+        let menu = all_requests();
+        let mut wire = Vec::new();
+        for &i in &picks {
+            match menu.get(i) {
+                Some(req) => wire.extend_from_slice(&req.to_frame()),
+                None => wire.extend_from_slice(&frame(&[0x77, 1, 2])),
+            }
+        }
+        wire.extend_from_slice(&garbage);
+        let (mut owning, mut borrowed) = (FrameReader::new(), FrameReader::new());
+        for piece in wire.chunks(chunk) {
+            owning.extend(piece);
+            borrowed.extend(piece);
+            loop {
+                let want = owning.next_frame();
+                prop_assert_eq!(borrowed.has_complete_frame(), want != Ok(None));
+                let first = borrowed.peek_frame().map(|b| b.map(<[u8]>::to_vec));
+                let again = borrowed.peek_frame().map(|b| b.map(<[u8]>::to_vec));
+                prop_assert_eq!(&first, &again);
+                prop_assert_eq!(&first, &want);
+                borrowed.consume_frame();
+                if !matches!(want, Ok(Some(_))) {
+                    break;
+                }
+            }
+            prop_assert_eq!(owning.has_partial(), borrowed.has_partial());
+        }
+    }
+
+    /// Outbox in-place encoding and partial-write resumption: replies
+    /// encoded straight into the outbox are byte-identical to their
+    /// `to_frame` images, and any schedule of short writes (down to one
+    /// byte per call), with more replies queued behind a partly written
+    /// one, drains exactly the concatenated byte stream — no reorder,
+    /// no skip, no duplicate — and never panics.
     #[test]
     fn outbox_survives_any_partial_write_schedule(
-        picks in prop::collection::vec(0usize..10, 1..20),
+        picks in prop::collection::vec(0usize..11, 1..40),
         steps in prop::collection::vec(1usize..40, 1..64),
-        max_slices in 1usize..6,
+        burst in 1usize..5,
     ) {
         let menu = all_responses();
         let mut outbox = svc::proto::Outbox::new();
         let mut expected = Vec::new();
-        for &i in &picks {
-            let f = menu[i].to_frame();
-            expected.extend_from_slice(&f);
-            outbox.push(f);
-        }
-        prop_assert_eq!(outbox.pending_bytes(), expected.len());
         let mut written = Vec::new();
+        let mut queued = 0;
         let mut turn = 0;
-        while !outbox.is_empty() {
-            let mut slices = Vec::new();
-            let n = outbox.chunks(&mut slices, max_slices);
-            prop_assert!(n > 0, "pending bytes but no slices");
-            prop_assert_eq!(n, slices.len());
-            // Simulate a short write: the kernel takes `step` bytes from
-            // the front of the vectored view — capped at the bytes the
-            // view actually exposes (writev never consumes beyond the
-            // slices it was handed).
-            let visible: usize = slices.iter().map(|s| s.len()).sum();
-            let step = steps[turn % steps.len()];
-            turn += 1;
-            let mut left = step.min(visible);
-            let took = left;
-            for s in &slices {
-                let take = left.min(s.len());
-                written.extend_from_slice(&s[..take]);
-                left -= take;
-                if left == 0 {
-                    break;
+        while queued < picks.len() || !outbox.is_empty() {
+            // Queue up to `burst` more replies, alternating the in-place
+            // encode with the pre-encoded push.
+            for &i in picks.iter().skip(queued).take(burst) {
+                let f = menu[i].to_frame();
+                expected.extend_from_slice(&f);
+                if queued % 2 == 0 {
+                    outbox.encode(&menu[i]);
+                } else {
+                    outbox.push(f);
                 }
+                queued += 1;
             }
-            drop(slices);
+            prop_assert_eq!(outbox.pending_bytes(), expected.len() - written.len());
+            prop_assert_eq!(outbox.pending(), &expected[written.len()..]);
+            // The gathered view is the same bytes.
+            let mut slices = Vec::new();
+            prop_assert_eq!(outbox.chunks(&mut slices, 4), 1);
+            prop_assert_eq!(&*slices[0], outbox.pending());
+            // A short write: the kernel takes `step` bytes off the front.
+            let took = steps[turn % steps.len()].min(outbox.pending_bytes());
+            turn += 1;
+            written.extend_from_slice(&outbox.pending()[..took]);
             outbox.advance(took);
         }
         prop_assert_eq!(written, expected);

@@ -89,7 +89,7 @@ fn parse_segment_name(name: &str) -> Option<Lsn> {
     Lsn::from_str_radix(hex, 16).ok()
 }
 
-fn list_segments(dir: &Path) -> Result<Vec<(Lsn, PathBuf)>, WalError> {
+pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(Lsn, PathBuf)>, WalError> {
     let mut segs = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;

@@ -156,6 +156,27 @@ fn rotation_splits_segments_and_replay_stitches_them() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `off` promises no fsync, so rotation must not sneak one in: sealing
+/// a 64 MiB segment stalled every appender for 140–170 ms, once per
+/// segment. The unsealed segments still replay (page cache) and a clean
+/// shutdown still syncs them.
+#[test]
+fn off_policy_rotates_without_an_fsync() {
+    let dir = scratch("rotate-off");
+    let w = Wal::open_with_segment_bytes(&dir, FsyncPolicy::Off, 1, 64).unwrap();
+    for i in 0..50u64 {
+        w.append(&[put(i, i * 2), del(i + 1000)]);
+    }
+    assert_eq!(w.stats().appends, 50);
+    assert_eq!(w.stats().fsyncs, 0, "rotation fsynced under --fsync off");
+    drop(w);
+    let (report, got) = collect(&dir);
+    assert!(report.segments > 1, "expected rotation, got 1 segment");
+    assert_eq!(report.records, 50);
+    assert_eq!(got[49], (50, vec![put(49, 98), del(1049)]));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn reopen_appends_in_a_new_segment() {
     let dir = scratch("reopen");

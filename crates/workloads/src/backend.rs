@@ -23,6 +23,7 @@ use std::sync::Arc;
 use htm::{HtmConfig, HtmRuntime, ThreadCtx};
 use stats::ThreadStats;
 
+use crate::hashmap::NODE_WORDS;
 use crate::scheme::SchemeKind;
 use crate::sharded::{PutOutcome, ShardedKv};
 
@@ -254,8 +255,8 @@ pub struct SimBackend {
 
 impl SimBackend {
     /// Sizes simulated memory, builds and prefills the sharded store.
-    /// `extra_capacity` bounds PUT allocations beyond the prefill
-    /// (deleted nodes are leaked until exit — deferred reclamation).
+    /// `extra_capacity` bounds the keys the store can hold beyond the
+    /// prefill (a deleted key's node returns to the arena).
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         scheme: SchemeKind,
@@ -338,7 +339,17 @@ impl StoreSession for SimSession<'_> {
     }
 
     fn del(&mut self, key: u64) -> bool {
-        self.backend.kv.del(&mut self.ctx, &mut self.st, key)
+        // The node goes back to the arena: unreferenced once the write
+        // section is over (see `ShardedKv::unlink`), so PUT/DEL churn
+        // costs no capacity and a server never sheds writes just for
+        // having served long, or fast, enough.
+        match self.backend.kv.unlink(&mut self.ctx, &mut self.st, key) {
+            Some(node) => {
+                self.backend.alloc.free_sized(node, NODE_WORDS);
+                true
+            }
+            None => false,
+        }
     }
 
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>) {
@@ -487,6 +498,86 @@ mod tests {
             }
         });
         StatsSummary::from_threads(&stats)
+    }
+
+    /// PUT/DEL churn costs no capacity: a deleted key's node returns to
+    /// the arena, so a store far smaller than the number of inserts it
+    /// serves never sheds one. (When DELs leaked their nodes, a server
+    /// that had inserted `--capacity` keys answered ServerFull for the
+    /// rest of its life, however few were live.)
+    #[test]
+    fn sim_churn_recycles_deleted_nodes() {
+        let backend = SimBackend::create(SchemeKind::RwLeOpt, 2, 16, 10, 100, 1, 1).unwrap();
+        let before = backend.alloc.words_remaining();
+        let mut s = backend.session();
+        // An order of magnitude more inserts than the arena has lines.
+        for i in 0..60_000u64 {
+            let key = 1000 + i % 64;
+            assert_eq!(s.put(key, i), Ok(PutOutcome::Inserted), "insert {i}");
+            assert_eq!(s.get(key), Some(i));
+            assert!(s.del(key));
+            assert_eq!(s.get(key), None);
+        }
+        // One node serves the whole churn.
+        assert!(before - backend.alloc.words_remaining() <= 8);
+    }
+
+    /// Recycling must not be visible to readers: writers churn their own
+    /// keys through a single shard of two buckets (long chains, every
+    /// unlinked node re-linked under another key moments later) while
+    /// readers look up and scan. A value carries its key in the upper
+    /// half, so a reader that found a node by one key and read the value
+    /// another key had since stored into it — or walked into a re-linked
+    /// node and lost the rest of its chain, missing a key that is never
+    /// deleted — fails here.
+    fn recycling_is_invisible_to_readers(scheme: SchemeKind) {
+        const STABLE: u64 = 16;
+        let tag = |key: u64, n: u64| key << 32 | n;
+        // Four workers and the checking session below.
+        let backend = SimBackend::create(scheme, 1, 2, STABLE, 64, 5, 7).unwrap();
+        run_backend_threads(&backend, 4, |t, sess| {
+            let mut out = Vec::new();
+            for i in 0..1500u64 {
+                if t < 2 {
+                    // Writers: four keys each, inserted and deleted in
+                    // turn so that some are always absent.
+                    let key = 100 + t as u64 * 4 + i % 4;
+                    sess.put(key, tag(key, i)).unwrap();
+                    let victim = 100 + t as u64 * 4 + (i + 2) % 4;
+                    sess.del(victim);
+                } else {
+                    let key = 100 + i % 8;
+                    if let Some(v) = sess.get(key) {
+                        assert_eq!(v >> 32, key, "{scheme:?}: value {v:#x} under key {key}");
+                    }
+                    let stable = i % STABLE;
+                    assert_eq!(sess.get(stable), Some(stable), "{scheme:?}: lost a key");
+                    out.clear();
+                    sess.scan(96, 16, &mut out);
+                    for &(k, v) in &out {
+                        assert_eq!(v >> 32, k, "{scheme:?}: scanned {v:#x} under key {k}");
+                    }
+                }
+            }
+        });
+        let mut s = backend.session();
+        for key in 0..STABLE {
+            assert_eq!(s.get(key), Some(key));
+        }
+    }
+
+    #[test]
+    fn recycled_nodes_stay_invisible_under_every_scheme_family() {
+        for scheme in [
+            SchemeKind::RwLeOpt,
+            SchemeKind::RwLePes,
+            SchemeKind::RwLeFair,
+            SchemeKind::Hle,
+            SchemeKind::BrLock,
+            SchemeKind::Sgl,
+        ] {
+            recycling_is_invisible_to_readers(scheme);
+        }
     }
 
     #[test]

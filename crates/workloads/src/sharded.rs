@@ -13,7 +13,7 @@
 //! choice, so skewed (Zipf-hot) key ranges do not land in one shard *and*
 //! one bucket simultaneously.
 
-use htm::{AbortCause, MemAccess, ThreadCtx};
+use htm::ThreadCtx;
 use simmem::{Addr, AllocError, SimAlloc};
 use stats::ThreadStats;
 
@@ -125,15 +125,23 @@ impl ShardedKv {
         }
     }
 
-    /// Removes `key`, returning whether it was present. The unlinked node
-    /// is *leaked* until process exit: concurrent uninstrumented readers
-    /// may still be traversing it, and the service keeps no per-node
-    /// grace-period bookkeeping (see DESIGN.md §8).
-    pub fn del(&self, ctx: &mut ThreadCtx, st: &mut ThreadStats, key: u64) -> bool {
+    /// Removes `key` and hands back its node (`None`: the key was
+    /// absent), unlinked and — once this returns — unreferenced: every
+    /// scheme here is a read-write lock, elided or not, so the write
+    /// section that unlinked the node is over only when no read section
+    /// that could have reached it still runs. Under RW-LE that is the
+    /// quiescence-before-commit rule (readers active during the
+    /// speculative unlink are drained before the commit; one that starts
+    /// later reads the predecessor's line, which is in the writer's
+    /// write set, and dooms the writer instead), under HLE the reader is
+    /// a transaction the commit aborts, under the locks it is mutual
+    /// exclusion. The caller may therefore reuse the node like the
+    /// never-linked spare of [`ShardedKv::put`].
+    pub fn unlink(&self, ctx: &mut ThreadCtx, st: &mut ThreadStats, key: u64) -> Option<Addr> {
         let shard = self.shard_of(key);
         shard
             .scheme
-            .write_cs(ctx, st, &mut |acc| map_remove(&shard.map, acc, key))
+            .write_cs(ctx, st, &mut |acc| shard.map.remove(acc, key))
     }
 
     /// Looks up every key in `[start, start + count)` in **one** read
@@ -188,11 +196,6 @@ impl ShardedKv {
     }
 }
 
-/// `remove` narrowed to a presence bool (the caller leaks the node).
-fn map_remove(map: &SimHashMap, acc: &mut dyn MemAccess, key: u64) -> Result<bool, AbortCause> {
-    Ok(map.remove(acc, key)?.is_some())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,8 +233,8 @@ mod tests {
         assert_eq!(out, PutOutcome::Updated);
         assert!(spare.is_some());
         assert_eq!(kv.get(&mut ctx, &mut st, 7), Some(999));
-        assert!(kv.del(&mut ctx, &mut st, 7));
-        assert!(!kv.del(&mut ctx, &mut st, 7));
+        assert!(kv.unlink(&mut ctx, &mut st, 7).is_some());
+        assert!(kv.unlink(&mut ctx, &mut st, 7).is_none());
         assert_eq!(kv.get(&mut ctx, &mut st, 7), None);
     }
 
@@ -321,7 +324,7 @@ mod tests {
                                 }
                             }
                             2 => {
-                                kv.del(&mut ctx, &mut st, key);
+                                kv.unlink(&mut ctx, &mut st, key);
                             }
                             _ => {
                                 let mut out = Vec::new();
