@@ -15,10 +15,7 @@ use workloads::SchemeKind;
 fn main() {
     let args = Args::parse();
     let threads = args.thread_list(&[1, 2, 4, 8]);
-    let write_pcts: Vec<u32> = match args.get("writes") {
-        Some(v) => v.split(',').map(|s| s.trim().parse().unwrap()).collect(),
-        None => vec![10, 50, 90],
-    };
+    let write_pcts = args.u32_list("writes", &[10, 50, 90]);
     let ops: u64 = args.get_or("ops", 300);
     let runs: usize = args.get_or("runs", 1);
     let seed: u64 = args.get_or("seed", 42);

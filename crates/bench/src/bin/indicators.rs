@@ -155,18 +155,7 @@ fn run_cell(scheme: &Scheme, p: &Params) -> (f64, f64, Vec<ThreadStats>) {
 fn main() {
     let args = Args::parse();
     let threads = args.thread_list(&[1, 8, 32]);
-    let write_pcts: Vec<u32> = match args.get("writes") {
-        Some(v) => v
-            .split(',')
-            .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("bad write percentage in --writes: {s:?}");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-        None => vec![1, 90],
-    };
+    let write_pcts = args.u32_list("writes", &[1, 90]);
     let ops: u64 = args.get_or("ops", 2000);
     let runs: usize = args.get_or("runs", 1);
     let seed: u64 = args.get_or("seed", 42);
@@ -221,7 +210,6 @@ fn main() {
                 }
                 out.row_labeled(
                     scheme.label,
-                    "sim",
                     t,
                     w,
                     secs_sum / runs as f64,

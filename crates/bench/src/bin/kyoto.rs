@@ -16,10 +16,7 @@ fn main() {
     let threads = args.thread_list(&[1, 2, 4, 8]);
     let schemes = args.scheme_list(&SchemeKind::SENSITIVITY);
     // The paper plots <1%, 5% and 10% outer write-lock acquisition rates.
-    let write_permilles: Vec<u32> = match args.get("writes-permille") {
-        Some(v) => v.split(',').map(|s| s.trim().parse().unwrap()).collect(),
-        None => vec![5, 50, 100],
-    };
+    let write_permilles = args.u32_list("writes-permille", &[5, 50, 100]);
     let ops: u64 = args.get_or("ops", 300);
     let runs: usize = args.get_or("runs", 1);
     let seed: u64 = args.get_or("seed", 42);

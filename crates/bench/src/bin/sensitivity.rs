@@ -8,27 +8,32 @@
 //! ```text
 //! cargo run --release -p bench --bin sensitivity -- --scenario hc-hc
 //! cargo run --release -p bench --bin sensitivity -- --full --runs 3
-//! cargo run --release -p bench --bin sensitivity -- --backend native
 //! ```
 //!
-//! `--backend sim` (default) drives the simulated-HTM store directly
-//! through the scheme + hashmap harness; `--backend native` routes the
-//! same op mix through `StoreBackend` sessions over the plain-memory
-//! publication store (SMT grouping and page-fault injection are
-//! sim-only knobs and are ignored there).
+//! Simulated HTM only: the panels *are* the abort/commit breakdown,
+//! which the native store does not have (DESIGN.md §5).
 
 use bench::{average, Args, Output};
-use workloads::driver::{run_sensitivity, run_sensitivity_backend, Scenario, SensitivityParams};
-use workloads::{BackendKind, SchemeKind};
+use workloads::driver::{run_sensitivity, Scenario, SensitivityParams};
+use workloads::SchemeKind;
+
+/// Every flag this binary accepts; anything else exits 2.
+const FLAGS: &[&str] = &[
+    "scenario", "threads", "full", "schemes", "writes", "ops", "runs", "seed", "smt", "json",
+];
+
+const USAGE: &str = "\
+usage: sensitivity [--scenario hc-hc|hc-lc|lc-hc|lc-lc] [--threads 1,2,4,8]
+                   [--full] [--schemes NAME,..] [--writes 1,10,90] [--ops N]
+                   [--runs N] [--seed N] [--smt GROUP] [--json]
+
+  Default: all four scenarios. --full sweeps the paper's thread grid (up
+  to 80); --smt 8 models the paper's 8-way POWER8 cores; --json prints
+  one self-contained object per row instead of the text tables.";
 
 fn main() {
     let args = Args::parse();
-    let backend_name = args.get("backend").unwrap_or("sim").to_string();
-    let Some(backend) = BackendKind::parse(&backend_name) else {
-        eprintln!("unknown backend {backend_name:?}");
-        eprintln!("hint: try --backend sim or --backend native");
-        std::process::exit(2);
-    };
+    args.expect_only(FLAGS, USAGE);
     let scenarios: Vec<Scenario> = match args.get("scenario") {
         Some(name) => vec![Scenario::parse(name).unwrap_or_else(|| {
             eprintln!("unknown scenario {name:?} (hc-hc, hc-lc, lc-hc, lc-lc)");
@@ -38,18 +43,7 @@ fn main() {
     };
     let threads = args.thread_list(&[1, 2, 4, 8]);
     let schemes = args.scheme_list(&SchemeKind::SENSITIVITY);
-    let write_pcts: Vec<u32> = match args.get("writes") {
-        Some(v) => v
-            .split(',')
-            .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("bad write percentage in --writes: {s:?}");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-        None => vec![1, 10, 90],
-    };
+    let write_pcts = args.u32_list("writes", &[1, 10, 90]);
     let ops: u64 = args.get_or("ops", 300);
     let runs: usize = args.get_or("runs", 1);
     let seed: u64 = args.get_or("seed", 42);
@@ -76,7 +70,7 @@ fn main() {
                 for &scheme in &schemes {
                     let results: Vec<_> = (0..runs)
                         .map(|r| {
-                            let p = SensitivityParams {
+                            run_sensitivity(&SensitivityParams {
                                 scheme,
                                 scenario,
                                 write_pct: w,
@@ -84,18 +78,24 @@ fn main() {
                                 ops_per_thread: ops,
                                 seed: seed + r as u64,
                                 smt_group_size: smt,
-                            };
-                            match backend {
-                                BackendKind::Sim => run_sensitivity(&p),
-                                BackendKind::Native => run_sensitivity_backend(&p, backend),
-                            }
+                            })
                         })
                         .collect();
                     let (secs, tput, summary) = average(&results);
-                    out.row_labeled(scheme.label(), backend.name(), t, w, secs, tput, &summary);
+                    out.row(scheme, t, w, secs, tput, &summary);
                 }
             }
             out.gap();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_accepted_flag() {
+        assert_eq!(Args::undocumented(FLAGS, USAGE), None);
     }
 }

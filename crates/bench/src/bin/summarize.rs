@@ -12,7 +12,7 @@
 //! ```text
 //! cargo run --release -p bench --bin summarize -- --file results/sensitivity_full.txt
 //! cargo run --release -p bench --bin summarize -- \
-//!     --file results/sensitivity_post.txt --prev results/sensitivity_default.txt \
+//!     --file results/sensitivity_pr3.txt --prev results/sensitivity_post.txt \
 //!     --json-out BENCH_rwle.json
 //! ```
 

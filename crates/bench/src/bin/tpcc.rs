@@ -16,10 +16,7 @@ fn main() {
     let args = Args::parse();
     let threads = args.thread_list(&[1, 2, 4, 8]);
     let schemes = args.scheme_list(&SchemeKind::SENSITIVITY);
-    let write_pcts: Vec<u32> = match args.get("writes") {
-        Some(v) => v.split(',').map(|s| s.trim().parse().unwrap()).collect(),
-        None => vec![1, 10, 50],
-    };
+    let write_pcts = args.u32_list("writes", &[1, 10, 50]);
     let ops: u64 = args.get_or("ops", 200);
     let runs: usize = args.get_or("runs", 1);
     let seed: u64 = args.get_or("seed", 42);

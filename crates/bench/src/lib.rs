@@ -3,7 +3,7 @@
 //! Each binary in `src/bin/` regenerates one figure (or figure family) of
 //! the paper, printing the same three panels per configuration — execution
 //! time/throughput, abort-cause breakdown, commit-type breakdown — as
-//! aligned text tables (or CSV with `--csv`).
+//! aligned text tables (or JSON lines with `--json`).
 //!
 //! Common flags:
 //!
@@ -11,7 +11,6 @@
 //! * `--ops N` — operations per thread;
 //! * `--runs N` — repetitions averaged per configuration;
 //! * `--seed N` — base RNG seed;
-//! * `--csv` — machine-readable CSV output;
 //! * `--json` — machine-readable JSON-lines output (one object per row);
 //! * `--full` — the paper's full grid (thread counts up to 80).
 
@@ -96,19 +95,54 @@ impl Args {
         }
     }
 
+    /// Exits 2, naming the flag and printing `usage`, if a flag outside
+    /// `known` was given: a misspelt or removed flag must not silently
+    /// run the default configuration.
+    pub fn expect_only(&self, known: &[&str], usage: &str) {
+        if let Some(bad) = self.unknown(known) {
+            eprintln!("unknown flag --{bad}");
+            eprintln!("{usage}");
+            std::process::exit(2);
+        }
+    }
+
+    /// A flag in `known` that `usage` does not mention — what each
+    /// binary's unit test holds to `None`, so the list `expect_only`
+    /// enforces and the text it prints cannot drift apart.
+    pub fn undocumented<'a>(known: &[&'a str], usage: &str) -> Option<&'a str> {
+        let missing = |flag: &&str| !usage.contains(&format!("--{flag}"));
+        known.iter().copied().find(missing)
+    }
+
+    /// A flag given that is not in `known` (the alphabetically first, so
+    /// the report does not depend on hash order).
+    fn unknown(&self, known: &[&str]) -> Option<&str> {
+        let given = self.named.keys().chain(&self.flags).map(String::as_str);
+        given.filter(|name| !known.contains(name)).min()
+    }
+
+    /// Comma-separated list value of `--name`, if given; exits 2 naming
+    /// the item that does not parse.
+    fn list<T: std::str::FromStr>(&self, name: &str) -> Option<Vec<T>> {
+        self.get(name).map(|v| {
+            parse_list(v).unwrap_or_else(|bad| {
+                eprintln!("bad value in --{name}: {bad:?}");
+                std::process::exit(2);
+            })
+        })
+    }
+
+    /// Comma-separated list of integers (`--writes 1,10,90`), with a
+    /// default.
+    pub fn u32_list(&self, name: &str, default: &[u32]) -> Vec<u32> {
+        self.list(name).unwrap_or_else(|| default.to_vec())
+    }
+
     /// Comma-separated list of thread counts (`--threads`), with a
     /// default, capped by `--full`'s paper grid.
     pub fn thread_list(&self, default: &[usize]) -> Vec<usize> {
-        if let Some(v) = self.get("threads") {
-            return v
-                .split(',')
-                .map(|s| {
-                    s.trim().parse().unwrap_or_else(|_| {
-                        eprintln!("bad thread count in --threads: {s:?}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect();
+        if let Some(threads) = self.list("threads") {
+            return threads;
         }
         if self.flag("full") {
             // The paper's grid (80-way POWER8).
@@ -134,6 +168,14 @@ impl Args {
             None => default.to_vec(),
         }
     }
+}
+
+/// Parses a comma-separated list; the error is the item that does not
+/// parse.
+fn parse_list<T: std::str::FromStr>(v: &str) -> Result<Vec<T>, &str> {
+    v.split(',')
+        .map(|item| item.trim().parse().map_err(|_| item))
+        .collect()
 }
 
 /// Averages repeated runs of one configuration: mean wall-clock and
@@ -162,13 +204,11 @@ pub fn average(results: &[RunResult]) -> (f64, f64, StatsSummary) {
     )
 }
 
-/// Row output format, selected by `--csv` / `--json`.
+/// Row output format, selected by `--json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputMode {
     /// Aligned human-readable tables (the default).
     Text,
-    /// One CSV header plus one comma-separated line per row.
-    Csv,
     /// JSON lines: one self-contained object per result row. Section
     /// headers are carried inside each object, so the stream needs no
     /// surrounding context to parse.
@@ -183,16 +223,12 @@ pub struct Output {
 }
 
 impl Output {
-    /// Builds the sink from `--csv` / `--json` (mutually exclusive).
+    /// Builds the sink from `--json`.
     pub fn from_args(args: &Args) -> Output {
-        let mode = match (args.flag("csv"), args.flag("json")) {
-            (true, true) => {
-                eprintln!("--csv and --json are mutually exclusive");
-                std::process::exit(2);
-            }
-            (true, false) => OutputMode::Csv,
-            (false, true) => OutputMode::Json,
-            (false, false) => OutputMode::Text,
+        let mode = if args.flag("json") {
+            OutputMode::Json
+        } else {
+            OutputMode::Text
         };
         Output {
             mode,
@@ -206,7 +242,7 @@ impl Output {
     }
 
     /// Starts a new section: printed as a `# ...` header line in
-    /// text/CSV mode, attached to each subsequent row in JSON mode.
+    /// text mode, attached to each subsequent row in JSON mode.
     pub fn section(&mut self, text: impl Into<String>) {
         self.section = text.into();
         if self.mode != OutputMode::Json {
@@ -214,7 +250,7 @@ impl Output {
         }
     }
 
-    /// A free-form comment line (text/CSV only; JSON streams stay pure).
+    /// A free-form comment line (text only; JSON streams stay pure).
     pub fn note(&self, text: impl std::fmt::Display) {
         if self.mode != OutputMode::Json {
             println!("# {text}");
@@ -230,9 +266,6 @@ impl Output {
     /// Prints the table header for one figure panel set.
     pub fn header(&self) {
         match self.mode {
-            OutputMode::Csv => println!(
-                "scheme,threads,w,time_s,ops_per_s,abort_pct,htm_tx,htm_nontx,htm_cap,lock,rot_cf,rot_cap,c_htm,c_rot,c_sgl,c_uninstr"
-            ),
             OutputMode::Text => println!(
                 "{:<11} {:>3} {:>4} {:>9} {:>12} {:>7} | {:>6} {:>7} {:>7} {:>6} {:>6} {:>7} | {:>6} {:>6} {:>6} {:>8}",
                 "scheme", "thr", "w%", "time(s)", "ops/s", "abort%",
@@ -253,20 +286,18 @@ impl Output {
         tput: f64,
         s: &StatsSummary,
     ) {
-        self.row_labeled(scheme.label(), "sim", threads, w, secs, tput, s);
+        self.row_labeled(scheme.label(), threads, w, secs, tput, s);
     }
 
-    /// [`Output::row`] with a free-form scheme label and an explicit
-    /// execution backend — for harnesses whose schemes are not
-    /// [`SchemeKind`]s (e.g. the reader-indicator sweep). The backend is
-    /// carried as a JSON key so recorded rows compare only against rows
-    /// measured the same way ([`ResultRow::backend`]); text and CSV keep
-    /// the established columns, where the backend is a per-run constant.
-    #[expect(clippy::too_many_arguments)]
+    /// [`Output::row`] with a free-form scheme label — for harnesses
+    /// whose schemes are not [`SchemeKind`]s (e.g. the reader-indicator
+    /// sweep). JSON rows carry `"backend": "sim"`: the figure harnesses
+    /// run on the simulated HTM only (DESIGN.md §5), and recorded rows
+    /// compare only against rows measured the same way
+    /// ([`ResultRow::backend`]).
     pub fn row_labeled(
         &self,
         label: &str,
-        backend: &str,
         threads: usize,
         w: u32,
         secs: f64,
@@ -276,25 +307,6 @@ impl Output {
         use AbortBucket as B;
         use CommitKind as C;
         match self.mode {
-            OutputMode::Csv => println!(
-                "{},{},{},{:.6},{:.1},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2}",
-                label,
-                threads,
-                w,
-                secs,
-                tput,
-                s.abort_rate_pct(),
-                s.abort_share_pct(B::HtmTx),
-                s.abort_share_pct(B::HtmNonTx),
-                s.abort_share_pct(B::HtmCapacity),
-                s.abort_share_pct(B::LockAborts),
-                s.abort_share_pct(B::RotConflicts),
-                s.abort_share_pct(B::RotCapacity),
-                s.commit_share_pct(C::Htm),
-                s.commit_share_pct(C::Rot),
-                s.commit_share_pct(C::Sgl),
-                s.commit_share_pct(C::Uninstrumented),
-            ),
             OutputMode::Text => println!(
                 "{:<11} {:>3} {:>4} {:>9.4} {:>12.0} {:>7.1} | {:>6.1} {:>7.1} {:>7.1} {:>6.1} {:>6.1} {:>7.1} | {:>6.1} {:>6.1} {:>6.1} {:>8.1}",
                 label,
@@ -315,13 +327,12 @@ impl Output {
                 s.commit_share_pct(C::Uninstrumented),
             ),
             OutputMode::Json => println!(
-                "{{\"section\": {}, \"scheme\": {}, \"backend\": {}, \"threads\": {threads}, \
+                "{{\"section\": {}, \"scheme\": {}, \"backend\": \"sim\", \"threads\": {threads}, \
                  \"w\": {w}, \
                  \"time_s\": {secs:.6}, \"ops_per_s\": {tput:.1}, \"abort_pct\": {:.2}, \
                  \"c_htm\": {:.2}, \"c_rot\": {:.2}, \"c_sgl\": {:.2}, \"c_uninstr\": {:.2}}}",
                 json_string(&self.section),
                 json_string(label),
-                json_string(backend),
                 s.abort_rate_pct(),
                 s.commit_share_pct(C::Htm),
                 s.commit_share_pct(C::Rot),
@@ -415,7 +426,7 @@ pub struct ResultRow {
 }
 
 /// Parses a harness result file — text tables (tracking `# ...` section
-/// headers), CSV, or `--json` JSON-lines output — into `(section, row)`
+/// headers) or `--json` JSON-lines output — into `(section, row)`
 /// pairs. Exits with an error if the file cannot be read.
 pub fn parse_results(path: &str) -> Vec<(String, ResultRow)> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -550,9 +561,9 @@ mod tests {
 
     #[test]
     fn parse_named_and_bare_flags() {
-        let a = args(&["--ops", "500", "--csv", "--threads", "1,2"]);
+        let a = args(&["--ops", "500", "--json", "--threads", "1,2"]);
         assert_eq!(a.get("ops"), Some("500"));
-        assert!(a.flag("csv"));
+        assert!(a.flag("json"));
         assert_eq!(a.thread_list(&[4]), vec![1, 2]);
         assert_eq!(a.get_or("seed", 42u64), 42);
     }
@@ -562,6 +573,28 @@ mod tests {
         let a = args(&["--filter=--weird", "--ops=7"]);
         assert_eq!(a.get("filter"), Some("--weird"));
         assert_eq!(a.get_or("ops", 0u64), 7);
+    }
+
+    #[test]
+    fn unknown_flags_are_found_in_either_form() {
+        let a = args(&["--ops", "500", "--json", "--rate=7"]);
+        assert_eq!(a.unknown(&["ops", "json", "rate"]), None);
+        assert_eq!(a.unknown(&["ops", "json"]), Some("rate"));
+        assert_eq!(a.unknown(&["ops", "rate"]), Some("json"));
+        let usage = "usage: x [--ops N] [--json]";
+        assert_eq!(Args::undocumented(&["ops", "json"], usage), None);
+        assert_eq!(Args::undocumented(&["ops", "rate"], usage), Some("rate"));
+    }
+
+    #[test]
+    fn list_parsing_names_the_bad_item() {
+        assert_eq!(parse_list::<u32>("1, 10,90"), Ok(vec![1, 10, 90]));
+        assert_eq!(parse_list::<u32>("1,ten,90"), Err("ten"));
+        assert_eq!(parse_list::<u32>("1,,90"), Err(""));
+        assert_eq!(parse_list::<u32>("-1"), Err("-1"));
+        let a = args(&["--writes", "5,50"]);
+        assert_eq!(a.u32_list("writes", &[1]), vec![5, 50]);
+        assert_eq!(a.u32_list("writes-permille", &[1]), vec![1]);
     }
 
     #[test]

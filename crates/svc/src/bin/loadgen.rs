@@ -3,19 +3,17 @@
 //! ```text
 //! loadgen [--addr HOST:PORT | --port P] [--conns N] [--writes PCT]
 //!         [--scans PCT] [--scan-count N] [--secs S] [--ops N]
-//!         [--keys N] [--theta F] [--rate OPS_PER_CONN_PER_S]
-//!         [--total-rate OPS_PER_S] [--pipeline D]
-//!         [--seed N] [--json] [--shutdown]
+//!         [--keys N] [--theta F] [--total-rate OPS_PER_S]
+//!         [--pipeline D] [--seed N] [--json] [--shutdown]
 //!         [--journal PATH] [--verify PATH]
 //! ```
 //!
 //! Closed loop by default (`--pipeline D` keeps D requests outstanding
-//! per connection); `--rate R` switches to per-connection open-loop
-//! injection, and `--total-rate R` to the shared-pacing open loop (one
-//! sender, one epoll receiver, any number of connections — the SLO-gate
-//! mode). `--json` emits one JSON-lines row compatible with `summarize`
-//! (commit-mix keys are zero placeholders — the service measures
-//! latency, not the commit path; see DESIGN.md §11).
+//! per connection); `--total-rate R` switches to the shared-pacing open
+//! loop (one sender, one epoll receiver, any number of connections —
+//! the SLO-gate mode). `--json` emits one JSON-lines row compatible
+//! with `summarize` (commit-mix keys are zero placeholders — the
+//! service measures latency, not the commit path; see DESIGN.md §11).
 //!
 //! `--journal PATH` records every mutation this run sent with its ack
 //! status (see `svc::journal` for the format and soundness argument);
@@ -30,18 +28,40 @@ use std::process::exit;
 use bench::{json_string, Args};
 use svc::loadgen::{self, LoadgenConfig, CLASS_NAMES};
 
+/// Every flag this binary accepts; anything else exits 2.
+const FLAGS: &[&str] = &[
+    "help",
+    "addr",
+    "port",
+    "conns",
+    "writes",
+    "scans",
+    "scan-count",
+    "secs",
+    "ops",
+    "keys",
+    "theta",
+    "total-rate",
+    "pipeline",
+    "seed",
+    "json",
+    "shutdown",
+    "journal",
+    "verify",
+];
+
 const USAGE: &str = "\
 usage: loadgen [--addr HOST:PORT | --port P] [--conns N] [--writes PCT]
                [--scans PCT] [--scan-count N] [--secs S] [--ops N]
-               [--keys N] [--theta F] [--rate R] [--total-rate R]
-               [--pipeline D] [--seed N] [--json] [--shutdown]
-               [--journal PATH] [--verify PATH]
+               [--keys N] [--theta F] [--total-rate R] [--pipeline D]
+               [--seed N] [--json] [--shutdown] [--journal PATH]
+               [--verify PATH] [--help]
 
   Closed loop by default; --pipeline D keeps D requests outstanding per
-  connection (default 1). --rate R injects R ops/s per connection (one
-  sender thread each); --total-rate R paces R ops/s aggregate across
-  all connections from a single sender with an epoll receiver — use it
-  for thousands of connections. --shutdown drains the server at the
+  connection (default 1). --total-rate R paces R ops/s aggregate across
+  all connections from a single sender with an epoll receiver, however
+  many connections there are; R ops/s per connection is --total-rate
+  R x conns (the one open loop). --shutdown drains the server at the
   end. --journal PATH writes an ack journal of every mutation sent
   (closed loop only); --verify PATH replays such a journal against the
   server instead of generating load — exit 1 if any acked write is
@@ -54,6 +74,7 @@ fn us(nanos: u64) -> f64 {
 
 fn main() {
     let args = Args::parse();
+    args.expect_only(FLAGS, USAGE);
     if args.flag("help") {
         println!("{USAGE}");
         return;
@@ -98,14 +119,13 @@ fn main() {
         ops_per_conn: args.get_or("ops", 0u64),
         key_range: args.get_or("keys", 100_000u64),
         zipf_theta: args.get_or("theta", 0.0f64),
-        open_rate: args.get_or("rate", 0u64),
         total_rate: args.get_or("total-rate", 0u64),
         pipeline: args.get_or("pipeline", 1usize),
         seed: args.get_or("seed", 1u64),
         shutdown: args.flag("shutdown"),
         journal: journal_path.is_some(),
     };
-    if cfg.journal && (cfg.open_rate > 0 || cfg.total_rate > 0) {
+    if cfg.journal && cfg.total_rate > 0 {
         eprintln!("loadgen: --journal requires the closed loop");
         eprintln!("hint: the open-loop drain grace drops late replies, which would fake lost acks");
         exit(2);
@@ -119,12 +139,7 @@ fn main() {
         eprintln!("hint: 1 is the classic closed loop; deeper windows pipeline");
         exit(2);
     }
-    if cfg.open_rate > 0 && cfg.total_rate > 0 {
-        eprintln!("loadgen: --rate and --total-rate are mutually exclusive");
-        eprintln!("hint: --rate paces each connection; --total-rate paces the aggregate");
-        exit(2);
-    }
-    if (cfg.open_rate > 0 || cfg.total_rate > 0) && cfg.pipeline > 1 {
+    if cfg.total_rate > 0 && cfg.pipeline > 1 {
         eprintln!("loadgen: --pipeline only applies to the closed loop");
         eprintln!("hint: open-loop depth is set by the arrival rate, not a window");
         exit(2);
@@ -190,9 +205,7 @@ fn main() {
                 cfg.total_rate, cfg.conns
             )
         } else {
-            let mode = if cfg.open_rate > 0 {
-                format!("open rate={}", cfg.open_rate)
-            } else if cfg.pipeline > 1 {
+            let mode = if cfg.pipeline > 1 {
                 format!("closed pipeline={}", cfg.pipeline)
             } else {
                 String::from("closed")
@@ -255,8 +268,6 @@ fn main() {
     } else {
         let mode = if cfg.total_rate > 0 {
             format!("open loop @ {} ops/s aggregate", cfg.total_rate)
-        } else if cfg.open_rate > 0 {
-            format!("open loop @ {} ops/s/conn", cfg.open_rate)
         } else if cfg.pipeline > 1 {
             format!("closed loop, pipeline {}", cfg.pipeline)
         } else {
@@ -325,5 +336,15 @@ fn main() {
             res.sent, res.received
         );
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_accepted_flag() {
+        assert_eq!(Args::undocumented(FLAGS, USAGE), None);
     }
 }

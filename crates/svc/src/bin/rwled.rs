@@ -3,9 +3,9 @@
 //! ```text
 //! rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
 //!       [--shards N] [--buckets N] [--prefill N] [--capacity N]
-//!       [--queue-depth N] [--max-conns N] [--shed MODE] [--idle-ms MS]
-//!       [--reap-ms MS] [--seed N] [--port-file PATH]
-//!       [--wal-dir DIR] [--fsync batch|interval:<ms>|off]
+//!       [--queue-depth N] [--max-conns N] [--idle-ms MS] [--seed N]
+//!       [--port-file PATH] [--wal-dir DIR]
+//!       [--fsync batch|interval:<ms>|off]
 //! ```
 //!
 //! Prints the bound address on stdout, serves until a SHUTDOWN request,
@@ -17,27 +17,46 @@ use std::process::exit;
 use std::time::Duration;
 
 use bench::Args;
-use svc::server::{Server, ServerConfig, ShedMode};
+use svc::server::{Server, ServerConfig};
 use workloads::{BackendKind, SchemeKind};
+
+/// Every flag this binary accepts; anything else exits 2.
+const FLAGS: &[&str] = &[
+    "help",
+    "port",
+    "threads",
+    "scheme",
+    "backend",
+    "shards",
+    "buckets",
+    "prefill",
+    "capacity",
+    "queue-depth",
+    "max-conns",
+    "idle-ms",
+    "seed",
+    "port-file",
+    "wal-dir",
+    "fsync",
+];
 
 const USAGE: &str = "\
 usage: rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
              [--shards N] [--buckets N] [--prefill N] [--capacity N]
-             [--queue-depth N] [--max-conns N] [--shed MODE] [--idle-ms MS]
-             [--reap-ms MS] [--seed N] [--port-file PATH]
-             [--wal-dir DIR] [--fsync batch|interval:<ms>|off]
+             [--queue-depth N] [--max-conns N] [--idle-ms MS] [--seed N]
+             [--port-file PATH] [--wal-dir DIR]
+             [--fsync batch|interval:<ms>|off] [--help]
 
   --port 0 binds an ephemeral port; --port-file writes the bound port
   there for scripts. Schemes: rw-le_opt (default), rw-le_pes, hle, sgl,
-  rwl, brlock, ... Backends: sim (default, simulated-HTM pipeline) or
-  native (plain process memory; --scheme sgl selects the single-mutex
-  canary, anything else the RW-LE publication store).
+  rwl, brlock, ... Backends: sim (default, simulated-HTM pipeline, any
+  scheme) or native (plain process memory: rw-le_opt is the RW-LE
+  publication store, sgl the single-mutex canary, nothing else runs).
   --queue-depth bounds the per-worker batch per event-loop iteration
   (frames beyond it wait in TCP). --max-conns bounds concurrent
-  connections; --shed busy (default) answers Busy before closing,
-  --shed drop closes silently. --idle-ms drops silent connections;
-  --reap-ms sets how often workers sweep for them (also the event-loop
-  tick; default 100, clamped to at most --idle-ms).
+  connections; one over the limit is answered Busy and closed.
+  --idle-ms drops silent connections (workers sweep every 100 ms, or
+  every --idle-ms if that is shorter).
   --wal-dir makes acked mutations durable: the directory's redo log is
   replayed at startup (a torn final record is truncated) and every
   batch's write-set is logged inside its store pass. --fsync picks when
@@ -47,6 +66,7 @@ usage: rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
 
 fn main() {
     let args = Args::parse();
+    args.expect_only(FLAGS, USAGE);
     if args.flag("help") {
         println!("{USAGE}");
         return;
@@ -63,12 +83,6 @@ fn main() {
         eprintln!("hint: try --backend sim or --backend native");
         exit(2);
     };
-    let shed_name = args.get("shed").unwrap_or("busy").to_string();
-    let Some(shed) = ShedMode::parse(&shed_name) else {
-        eprintln!("unknown shed mode {shed_name:?}");
-        eprintln!("hint: --shed busy replies Busy before closing; --shed drop closes silently");
-        exit(2);
-    };
     let fsync = match wal::FsyncPolicy::parse(args.get("fsync").unwrap_or("batch")) {
         Ok(p) => p,
         Err(e) => {
@@ -78,12 +92,6 @@ fn main() {
         }
     };
     let wal_dir = args.get("wal-dir").map(std::path::PathBuf::from);
-    let reap_ms = args.get_or("reap-ms", 100u64);
-    if reap_ms == 0 {
-        eprintln!("--reap-ms must be at least 1");
-        eprintln!("hint: the reap interval is the event-loop tick; 0 would busy-spin the workers");
-        exit(2);
-    }
     let cfg = ServerConfig {
         port: args.get_or("port", 7878u16),
         threads: args.get_or("threads", 4usize),
@@ -95,9 +103,7 @@ fn main() {
         extra_capacity: args.get_or("capacity", 400_000u64),
         queue_depth: args.get_or("queue-depth", 1024usize),
         max_conns: args.get_or("max-conns", 1024usize),
-        shed,
         idle_timeout: Duration::from_millis(args.get_or("idle-ms", 10_000u64)),
-        reap_interval: Duration::from_millis(reap_ms),
         seed: args.get_or("seed", 1u64),
         wal_dir,
         fsync,
@@ -113,7 +119,8 @@ fn main() {
             eprintln!("rwled: cannot start: {e}");
             eprintln!(
                 "hint: pass --port 0 for an ephemeral port if the address is \
-                 taken, or lower --prefill/--capacity if memory sizing failed"
+                 taken, lower --prefill/--capacity if memory sizing failed, \
+                 or pick --scheme rw-le_opt or sgl with --backend native"
             );
             exit(2);
         }
@@ -144,44 +151,35 @@ fn main() {
     );
     match server.run() {
         Ok(report) => {
+            let s = &report.stats;
             println!(
                 "rwled drained: {} enqueued, {} replied, {} shed, {} malformed, \
                  {} timeouts, {} conns",
-                report.enqueued,
-                report.replied,
-                report.shed,
-                report.malformed,
-                report.timeouts,
-                report.conns
+                s.enqueued, s.replied, s.shed, s.malformed, s.timeouts, s.conns
             );
-            let mean_batch = if report.batches == 0 {
-                0.0
-            } else {
-                report.batch_ops as f64 / report.batches as f64
-            };
             println!(
                 "  batches: {} ({:.2} ops/batch), barriers: {} full + {} shared \
                  (one per touched shard), writev: {}",
-                report.batches,
-                mean_batch,
-                report.barriers,
-                report.barriers_shared,
-                report.writev_calls
+                s.batches,
+                s.mean_batch(),
+                s.barriers,
+                s.barriers_shared,
+                s.writev_calls
             );
-            if report.wal_appends > 0 {
+            if s.wal_appends > 0 {
                 println!(
                     "  wal: {} appends, {} fsyncs ({:.2} appends/fsync), {} bytes",
-                    report.wal_appends,
-                    report.wal_fsyncs,
-                    report.wal_appends as f64 / report.wal_fsyncs.max(1) as f64,
-                    report.wal_bytes
+                    s.wal_appends,
+                    s.wal_fsyncs,
+                    s.wal_appends as f64 / s.wal_fsyncs.max(1) as f64,
+                    s.wal_bytes
                 );
             }
             println!("  {}", report.summary);
             if !report.drained() {
                 eprintln!(
                     "rwled: drain mismatch: {} enqueued but {} replied",
-                    report.enqueued, report.replied
+                    s.enqueued, s.replied
                 );
                 exit(1);
             }
@@ -190,5 +188,15 @@ fn main() {
             eprintln!("rwled: server error: {e}");
             exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_accepted_flag() {
+        assert_eq!(Args::undocumented(FLAGS, USAGE), None);
     }
 }

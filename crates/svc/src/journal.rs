@@ -162,7 +162,7 @@ pub fn write(path: &Path, entries: &[JournalEntry]) -> io::Result<()> {
     out.flush()
 }
 
-/// Loads a journal file written by [`write`].
+/// Loads a journal file written by [`write()`].
 pub fn load(path: &Path) -> io::Result<Vec<JournalEntry>> {
     let bad = |line: usize, why: &str| {
         io::Error::new(

@@ -9,7 +9,7 @@
 //! * [`proto`] — the length-prefixed binary wire protocol (GET / PUT /
 //!   DEL / SCAN / STATS / SHUTDOWN) and its incremental frame parser;
 //! * [`poll`] — a thin epoll/eventfd readiness shim over raw syscalls
-//!   (no external crates), with a portable degraded fallback;
+//!   (no external crates; x86-64 and aarch64 Linux only);
 //! * [`server`] — the `rwled` server: event-driven workers, each owning
 //!   an epoll loop, a slab of nonblocking connections and one session
 //!   into the sharded elided store (`workloads::sharded`); a wake-up
@@ -17,9 +17,9 @@
 //!   mutations into one store pass that pays one quiescence barrier
 //!   per shard it touches, and flushes every reply with one write per
 //!   connection;
-//! * [`loadgen`] — the client: open- and closed-loop traffic with
-//!   configurable skew and write fraction, latency recorded per op class
-//!   in [`stats::LatencyHist`];
+//! * [`loadgen`] — the client: closed-loop (optionally pipelined) or
+//!   shared-pacing open-loop traffic with configurable skew and write
+//!   fraction, latency recorded per op class in [`stats::LatencyHist`];
 //! * [`journal`] — the ack journal loadgen writes in `--journal` runs
 //!   and the verifier the crash-recovery harness replays it with
 //!   (every acked write must be readable after recovery).

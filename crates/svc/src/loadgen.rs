@@ -1,31 +1,29 @@
 //! The load generator behind the `loadgen` binary.
 //!
-//! Three pacing modes:
+//! Two pacing modes:
 //!
 //! * **Closed loop** (default): each connection keeps a bounded window
 //!   of requests outstanding — `pipeline = 1` is the classic
 //!   send-wait-record loop; deeper windows measure pipelined
 //!   throughput. Throughput adapts to the server; latency excludes
 //!   queueing the client itself causes (at depth 1).
-//! * **Open loop** (`open_rate > 0`): a sender thread per connection
-//!   injects at a fixed rate regardless of replies, and a receiver
-//!   thread matches replies in order. Latency is measured from the
-//!   *intended* send instant, so server-side queueing delay is charged
-//!   to the request (no coordinated omission).
 //! * **Shared-pacing open loop** (`total_rate > 0`): ONE sender thread
 //!   round-robins a single global arrival schedule across all
-//!   connections and one readiness-driven receiver matches replies, so
-//!   a single process can hold thousands of mostly-idle connections
-//!   open for SLO runs without thousands of client threads.
+//!   connections, injecting at a fixed rate regardless of replies, and
+//!   one readiness-driven receiver matches replies, so a single process
+//!   can hold thousands of mostly-idle connections open for SLO runs
+//!   without thousands of client threads. (`R` ops/s per connection is
+//!   `total_rate = R × conns`.)
 //!
 //! ## Coordinated omission at high connection counts
 //!
-//! In both open-loop modes latency runs from the *intended* arrival
-//! instant of the global (or per-connection) schedule. If the sender
-//! falls behind — a backpressured `write` blocking it, or simple CPU
-//! starvation at very high `conns` — the delay is charged to every
-//! affected request rather than silently stretching the schedule, so
-//! percentiles stay honest under overload. The one residual artifact:
+//! In the open loop latency runs from the *intended* arrival instant
+//! of the global schedule, so server-side queueing delay is charged to
+//! the request. If the sender falls behind — a backpressured `write`
+//! blocking it, or simple CPU starvation at very high `conns` — the
+//! delay is charged to every affected request rather than silently
+//! stretching the schedule, so percentiles stay honest under overload.
+//! The one residual artifact:
 //! requests that were never sent by the deadline are dropped from the
 //! histogram entirely (they count in neither sent nor latency), so a
 //! grossly overloaded run under-reports its own tail; compare `sent`
@@ -37,8 +35,9 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -85,13 +84,8 @@ pub struct LoadgenConfig {
     pub key_range: u64,
     /// Zipf skew exponent (0 = uniform). Hot keys are the low ones.
     pub zipf_theta: f64,
-    /// Open-loop injection rate per connection in ops/s (0 = closed
-    /// loop).
-    pub open_rate: u64,
     /// Aggregate open-loop rate in ops/s shared across all connections
-    /// by one paced sender (0 = off). Takes precedence over
-    /// [`LoadgenConfig::open_rate`]; this is the mode that scales to
-    /// thousands of mostly-idle connections.
+    /// by one paced sender (0 = closed loop).
     pub total_rate: u64,
     /// Closed-loop window: requests kept outstanding per connection.
     /// 1 (default) is the classic closed loop; deeper windows pipeline.
@@ -120,7 +114,6 @@ impl Default for LoadgenConfig {
             ops_per_conn: 0,
             key_range: 100_000,
             zipf_theta: 0.0,
-            open_rate: 0,
             total_rate: 0,
             pipeline: 1,
             seed: 1,
@@ -442,72 +435,6 @@ fn journalize(
     }
 }
 
-/// One open-loop connection: a paced sender plus a receiver matching
-/// replies in order. Latency runs from the intended send instant.
-fn open_loop(cfg: &LoadgenConfig, dist: &KeyDist, conn_id: usize) -> io::Result<ConnResult> {
-    let mut stream = TcpStream::connect(&cfg.addr)?;
-    stream.set_nodelay(true)?;
-    let mut rd = stream.try_clone()?;
-    let (tx, rx) = mpsc::channel::<(Instant, usize)>();
-    let receiver = std::thread::spawn(move || {
-        let mut res = ConnResult::new();
-        while let Ok((t_intended, class)) = rx.recv() {
-            match read_frame(&mut rd) {
-                Ok(body) => {
-                    let nanos = t_intended.elapsed().as_nanos() as u64;
-                    res.account(&body, class, nanos, None);
-                }
-                Err(_) => {
-                    res.errors += 1;
-                    break;
-                }
-            }
-        }
-        res
-    });
-
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (conn_id as u64 + 1).wrapping_mul(SPREAD));
-    let rate = cfg.open_rate.max(1);
-    let period = intended_send_offset(1, rate).max(Duration::from_nanos(1));
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs_f64(cfg.secs);
-    let mut sent = 0u64;
-    let mut send_err = false;
-    while Instant::now() < deadline {
-        if cfg.ops_per_conn > 0 && sent >= cfg.ops_per_conn {
-            break;
-        }
-        // Absolute schedule: the k-th send belongs at start + k/rate,
-        // not at an accumulated per-op interval whose truncated
-        // fraction of a nanosecond compounds into rate drift.
-        let next = start + intended_send_offset(sent, rate);
-        let now = Instant::now();
-        if now < next {
-            // xlint: allow(A5) -- open-loop pacing sleeps real wall-clock
-            // time between injections on a live socket; this is client
-            // think time, not a simulated-HTM wait loop.
-            std::thread::sleep(next - now);
-        }
-        let (req, class) = gen_op(&mut rng, dist, cfg);
-        let frame = req.to_frame();
-        if stream.write_all(&frame).is_err() {
-            send_err = true;
-            break;
-        }
-        sent += 1;
-        // The intended instant, not the actual one: send-side slip is
-        // server-induced delay and must show up in latency.
-        let _ = tx.send((next.max(now - period), class));
-    }
-    drop(tx);
-    let mut res = receiver.join().expect("receiver panicked");
-    res.sent = sent;
-    if send_err {
-        res.errors += 1;
-    }
-    Ok(res)
-}
-
 /// Where the k-th open-loop send belongs relative to the start of the
 /// run: `k / rate` seconds, computed in one shot so fractional-period
 /// rates do not accumulate truncation error send over send.
@@ -647,7 +574,7 @@ fn shared_receiver(
     for (i, s) in streams.iter().enumerate() {
         let registered = s
             .set_nonblocking(true)
-            .and_then(|()| poller.add(stream_fd(s), i as u64, Interest::READ));
+            .and_then(|()| poller.add(s.as_raw_fd(), i as u64, Interest::READ));
         if registered.is_err() {
             alive[i] = false;
             per[i].errors += 1;
@@ -734,18 +661,6 @@ fn shared_receiver(
     per
 }
 
-#[cfg(unix)]
-fn stream_fd(stream: &TcpStream) -> std::os::fd::RawFd {
-    use std::os::fd::AsRawFd;
-    stream.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn stream_fd(_stream: &TcpStream) -> i32 {
-    // The portable poll fallback ignores descriptors entirely.
-    0
-}
-
 /// Fetches server counters over a fresh connection.
 fn fetch_stats(addr: &str) -> io::Result<ServerStats> {
     let mut stream = TcpStream::connect(addr)?;
@@ -781,10 +696,10 @@ fn send_shutdown(addr: &str) -> io::Result<()> {
 pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadResult> {
     assert!(cfg.conns > 0, "need at least one connection");
     // The journal's soundness argument leans on the closed loop's
-    // strict per-connection FIFO; the open-loop modes drop replies on
-    // the floor after their drain grace, which would fake lost acks.
+    // strict per-connection FIFO; the open loop drops replies on the
+    // floor after its drain grace, which would fake lost acks.
     assert!(
-        !cfg.journal || (cfg.open_rate == 0 && cfg.total_rate == 0),
+        !cfg.journal || cfg.total_rate == 0,
         "journaling requires the closed loop"
     );
     // Probe before spawning so "server not running" is one clean error.
@@ -799,13 +714,7 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadResult> {
             let mut handles = Vec::with_capacity(cfg.conns);
             for conn_id in 0..cfg.conns {
                 let dist = dist.clone();
-                handles.push(s.spawn(move || {
-                    if cfg.open_rate > 0 {
-                        open_loop(cfg, &dist, conn_id)
-                    } else {
-                        Ok(closed_loop(cfg, &dist, conn_id))
-                    }
-                }));
+                handles.push(s.spawn(move || Ok(closed_loop(cfg, &dist, conn_id))));
             }
             for h in handles {
                 conn_results.push(h.join().expect("connection thread panicked"));

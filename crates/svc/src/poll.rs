@@ -10,12 +10,8 @@
 //! sockets stay `TcpStream`s flipped to nonblocking mode, read and
 //! written through `Read::read` and `Write::write`.
 //!
-//! Non-Linux hosts get a degraded-but-correct fallback: `wait` sleeps a
-//! couple of milliseconds and then reports every registered descriptor as
-//! ready per its interest. The event loop already tolerates spurious
-//! readiness (nonblocking reads return `WouldBlock`), so the fallback is
-//! a polling loop at a few hundred hertz — fine for development, not for
-//! production; production targets are Linux.
+//! Linux on those two architectures is the only target: anything else
+//! is a compile error, not a degraded mode no CI job would ever run.
 //!
 //! Level-triggered semantics on purpose: a connection whose buffered
 //! request frames were deferred by the batch budget is re-reported by the
@@ -431,86 +427,9 @@ mod sys {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-mod sys {
-    //! Portable fallback: no readiness facility, so `wait` naps briefly and
-    //! reports every registration ready per its interest. Spurious-ready is
-    //! already part of the Poller contract (level-triggered epoll plus
-    //! nonblocking sockets), so callers need no fallback-specific code.
-
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    const NAP: Duration = Duration::from_millis(2);
-
-    pub struct Poller {
-        registered: Mutex<Vec<(RawFd, u64, Interest)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                registered: Mutex::new(Vec::new()),
-            })
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.lock().unwrap().push((fd, token, interest));
-            Ok(())
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut reg = self.registered.lock().unwrap();
-            for slot in reg.iter_mut() {
-                if slot.0 == fd {
-                    *slot = (fd, token, interest);
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-            self.registered.lock().unwrap().retain(|slot| slot.0 != fd);
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            let nap = timeout.map_or(NAP, |t| t.min(NAP));
-            if !nap.is_zero() {
-                // xlint: allow(a5) -- the portable fallback has no
-                // readiness syscall to block in; a bounded wall-clock nap
-                // between polls is its documented degraded behavior.
-                std::thread::sleep(nap);
-            }
-            for &(_, token, interest) in self.registered.lock().unwrap().iter() {
-                out.push(Event {
-                    token,
-                    readable: interest.read,
-                    writable: interest.write,
-                    hangup: false,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    /// No portable way to change a listening socket's backlog: no-op.
-    pub fn widen_backlog(_fd: RawFd, _backlog: usize) {}
-
-    /// No blocking wait to interrupt: wakes are free no-ops.
-    pub struct Waker;
-
-    impl Waker {
-        pub fn new(_poller: &Poller, _token: u64) -> io::Result<Waker> {
-            Ok(Waker)
-        }
-        pub fn wake(&self) {}
-        pub fn drain(&self) {}
-    }
-}
+compile_error!(
+    "svc::poll talks to epoll through raw syscalls: supported targets are x86_64 and aarch64 Linux"
+);
 
 #[cfg(test)]
 mod tests {
@@ -527,7 +446,6 @@ mod tests {
         (a, b)
     }
 
-    #[cfg(target_os = "linux")]
     fn raw_fd(s: &TcpStream) -> std::os::fd::RawFd {
         use std::os::fd::AsRawFd;
         s.as_raw_fd()
@@ -542,7 +460,7 @@ mod tests {
             .wait(&mut out, Some(Duration::from_millis(20)))
             .unwrap();
         assert!(start.elapsed() >= Duration::from_millis(10));
-        assert!(out.is_empty() || !cfg!(target_os = "linux"));
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -553,14 +471,9 @@ mod tests {
         let mut out = Vec::new();
         poller.wait(&mut out, Some(Duration::from_secs(5))).unwrap();
         waker.drain();
-        // On Linux the eventfd token must surface; the fallback returns
-        // after its nap regardless, which is also a successful wake.
-        if cfg!(target_os = "linux") {
-            assert!(out.iter().any(|e| e.token == u64::MAX && e.readable));
-        }
+        assert!(out.iter().any(|e| e.token == u64::MAX && e.readable));
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn socket_readable_after_peer_write() {
         let (mut a, b) = pair();
@@ -581,7 +494,6 @@ mod tests {
         poller.remove(raw_fd(&b)).unwrap();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn modify_arms_and_disarms_write_interest() {
         let (_a, b) = pair();

@@ -34,7 +34,7 @@
 //! | ShuttingDown | `0x93` | — |
 //! | ServerFull | `0x94` | — (store capacity exhausted) |
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Maximum frame body size in bytes. A SCAN of [`MAX_SCAN`] pairs plus
 /// header fits with room to spare.
@@ -795,11 +795,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     Ok(body)
-}
-
-/// Writes one frame.
-pub fn write_frame(w: &mut impl Write, body_frame: &[u8]) -> io::Result<()> {
-    w.write_all(body_frame)
 }
 
 #[cfg(test)]

@@ -78,6 +78,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -91,34 +92,6 @@ use workloads::{BackendKind, SchemeKind, StoreBackend};
 use crate::poll::{Interest, Poller, Waker};
 use crate::proto::{FrameReader, Outbox, Request, Response, ServerStats};
 
-/// What happens to a connection past `max_conns`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedMode {
-    /// Reply `Busy`, then close (default; tells the client to back off).
-    Busy,
-    /// Close immediately without a reply (cheapest under SYN floods).
-    Drop,
-}
-
-impl ShedMode {
-    /// Command-line name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShedMode::Busy => "busy",
-            ShedMode::Drop => "drop",
-        }
-    }
-
-    /// Parses a command-line name.
-    pub fn parse(s: &str) -> Option<ShedMode> {
-        match s {
-            "busy" => Some(ShedMode::Busy),
-            "drop" => Some(ShedMode::Drop),
-            _ => None,
-        }
-    }
-}
-
 /// Server configuration. `Default` gives the smoke-test setup: four
 /// workers, RW-LE optimistic, 16 shards, ephemeral port.
 #[derive(Debug, Clone)]
@@ -128,9 +101,9 @@ pub struct ServerConfig {
     /// Worker threads (each owns one backend session and event loop).
     pub threads: usize,
     /// Synchronization scheme guarding every shard. On the simulated
-    /// backend any scheme runs; on the native backend `SGL` selects the
-    /// plain-mutex canary and everything else the RW-LE publication
-    /// protocol.
+    /// backend any scheme runs; the native backend has two stores,
+    /// `RW-LE_OPT` (the RW-LE publication protocol) and `SGL` (the
+    /// plain-mutex canary), and [`Server::bind`] rejects the rest.
     pub scheme: SchemeKind,
     /// Execution backend: simulated HTM or plain memory.
     pub backend: BackendKind,
@@ -148,17 +121,12 @@ pub struct ServerConfig {
     /// across all its rounds; frames beyond it stay in their
     /// connection's buffer (TCP backpressure).
     pub queue_depth: usize,
-    /// Connection limit; beyond it new connections are shed per
-    /// [`ServerConfig::shed`].
+    /// Connection limit; beyond it a new connection is answered a
+    /// best-effort `Busy` and closed.
     pub max_conns: usize,
-    /// Shed behavior at the connection limit.
-    pub shed: ShedMode,
-    /// A connection silent for this long is dropped.
+    /// A connection silent for this long is dropped (workers sweep
+    /// every `REAP_TICK`, or every `idle_timeout` if that is shorter).
     pub idle_timeout: Duration,
-    /// How often each worker sweeps its connections for idle-timeout
-    /// reaping (also the event-loop wait tick). Clamped to
-    /// `[1ms, idle_timeout]`.
-    pub reap_interval: Duration,
     /// Seed for the simulated-HTM engine.
     pub seed: u64,
     /// Redo-log directory. `Some` makes every acked mutation durable:
@@ -187,9 +155,7 @@ impl Default for ServerConfig {
             extra_capacity: 400_000,
             queue_depth: 1024,
             max_conns: 1024,
-            shed: ShedMode::Busy,
             idle_timeout: Duration::from_secs(10),
-            reap_interval: Duration::from_millis(100),
             seed: 1,
             wal_dir: None,
             fsync: FsyncPolicy::Batch,
@@ -200,37 +166,9 @@ impl Default for ServerConfig {
 /// Final accounting returned by [`Server::run`] after a clean drain.
 #[derive(Debug, Clone, Default)]
 pub struct DrainReport {
-    /// Requests admitted into a round.
-    pub enqueued: u64,
-    /// Replies queued by workers. Equal to [`DrainReport::enqueued`]
-    /// after a clean drain: every admitted request was answered.
-    pub replied: u64,
-    /// Connections shed at the connection limit.
-    pub shed: u64,
-    /// Malformed frames answered with `BadRequest`.
-    pub malformed: u64,
-    /// Connections dropped by the idle timeout.
-    pub timeouts: u64,
-    /// Connections accepted.
-    pub conns: u64,
-    /// Batches executed: rounds (store passes) with ≥1 request, of
-    /// which one event-loop iteration can run several.
-    pub batches: u64,
-    /// Requests executed across all batches.
-    pub batch_ops: u64,
-    /// Full quiescence barriers paid by batched store passes (native:
-    /// up to one per shard a batch touches, one per durable batch).
-    pub barriers: u64,
-    /// Barriers satisfied by an already-shared grace period.
-    pub barriers_shared: u64,
-    /// Reply writes issued by the flush phase.
-    pub writev_calls: u64,
-    /// WAL records appended (0 when running volatile).
-    pub wal_appends: u64,
-    /// WAL fsync calls completed.
-    pub wal_fsyncs: u64,
-    /// WAL bytes appended.
-    pub wal_bytes: u64,
+    /// The server's counters at exit — what a last STATS would have
+    /// answered.
+    pub stats: ServerStats,
     /// Merged worker-side protocol statistics (commit/abort mix).
     pub summary: StatsSummary,
 }
@@ -238,7 +176,7 @@ pub struct DrainReport {
 impl DrainReport {
     /// True when every admitted request was replied to.
     pub fn drained(&self) -> bool {
-        self.enqueued == self.replied
+        self.stats.enqueued == self.stats.replied
     }
 }
 
@@ -260,12 +198,6 @@ impl Server {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "threads, shards, queue depth and connection limit must all be at least 1",
-            ));
-        }
-        if cfg.reap_interval.is_zero() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "reap interval must be at least 1ms (it is the event-loop tick)",
             ));
         }
         // Recovery replays through one extra session before the workers
@@ -290,8 +222,20 @@ impl Server {
             (BackendKind::Native, SchemeKind::Sgl) => Box::new(SglBackend::create(cfg.prefill)),
             // Plain memory needs no sizing: capacity is the process
             // heap, so extra_capacity and seed have nothing to govern.
-            (BackendKind::Native, _) => {
+            (BackendKind::Native, SchemeKind::RwLeOpt) => {
                 Box::new(NativeBackend::create(cfg.shards, sessions, cfg.prefill))
+            }
+            // Native has those two stores only; any other scheme would
+            // run the publication store under its own label in STATS and
+            // in every recorded row.
+            (BackendKind::Native, other) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "scheme {} does not run on the native backend (rw-le_opt or sgl only)",
+                        other.label()
+                    ),
+                ));
             }
         };
         // Durable path: replay whatever the previous incarnation acked
@@ -318,11 +262,7 @@ impl Server {
         // thousands of connections back to back overflows that and eats
         // ~1 s SYN-retransmit stalls. Size the backlog to the connection
         // budget instead (best-effort; see poll::widen_backlog).
-        #[cfg(unix)]
-        {
-            use std::os::fd::AsRawFd;
-            crate::poll::widen_backlog(listener.as_raw_fd(), cfg.max_conns.max(128));
-        }
+        crate::poll::widen_backlog(listener.as_raw_fd(), cfg.max_conns.max(128));
         Ok(Server {
             cfg,
             listener,
@@ -403,14 +343,9 @@ impl Server {
                 // slab drops and worker panics included (a leaked slot
                 // would silently shrink max_conns forever).
                 let Some(guard) = ConnGuard::enter(&shared, cfg.max_conns) else {
-                    match cfg.shed {
-                        ShedMode::Busy => {
-                            // Best-effort Busy, then close.
-                            let mut stream = stream;
-                            let _ = stream.write_all(&Response::Busy.to_frame());
-                        }
-                        ShedMode::Drop => {}
-                    }
+                    // Best-effort Busy, then close.
+                    let mut stream = stream;
+                    let _ = stream.write_all(&Response::Busy.to_frame());
                     Counters::inc(&shared.counters.shed);
                     continue;
                 };
@@ -444,23 +379,8 @@ impl Server {
                 mb.lock().unwrap().clear();
             }
         });
-        let c = &shared.counters;
-        let ws = shared.wal.as_ref().map(|w| w.stats()).unwrap_or_default();
         Ok(DrainReport {
-            enqueued: Counters::get(&c.enqueued),
-            replied: Counters::get(&c.replied),
-            shed: Counters::get(&c.shed),
-            malformed: Counters::get(&c.malformed),
-            timeouts: Counters::get(&c.timeouts),
-            conns: Counters::get(&c.conns),
-            batches: Counters::get(&c.batches),
-            batch_ops: Counters::get(&c.batch_ops),
-            barriers: Counters::get(&c.barriers),
-            barriers_shared: Counters::get(&c.barriers_shared),
-            writev_calls: Counters::get(&c.writev_calls),
-            wal_appends: ws.appends,
-            wal_fsyncs: ws.fsyncs,
-            wal_bytes: ws.bytes,
+            stats: shared.snapshot(),
             summary: StatsSummary::from_threads(&worker_stats),
         })
     }
@@ -483,6 +403,10 @@ const OUTBOX_HIGH_WATER: usize = 256 * 1024;
 /// How long the drain waits for backpressured reply bytes before
 /// force-closing the stragglers.
 const DRAIN_GRACE: Duration = Duration::from_secs(1);
+
+/// How often each worker sweeps its connections for idle-timeout
+/// reaping — also the longest an idle event loop sleeps in one wait.
+const REAP_TICK: Duration = Duration::from_millis(100);
 
 /// A connection handed from the acceptor to a worker.
 struct NewConn {
@@ -710,8 +634,7 @@ fn worker_loop(
     let mut carry: Vec<usize> = Vec::new();
     let mut retire: Vec<usize> = Vec::new();
     let mut gen: u64 = 0;
-    let tick = cfg
-        .reap_interval
+    let tick = REAP_TICK
         .min(cfg.idle_timeout)
         .max(Duration::from_millis(1));
     let mut last_reap = Instant::now();
@@ -1040,7 +963,7 @@ fn admit_conn(
         conns.len() - 1
     });
     if poller
-        .add(stream_fd(&stream), slot as u64, Interest::READ)
+        .add(stream.as_raw_fd(), slot as u64, Interest::READ)
         .is_err()
     {
         free.push(slot);
@@ -1133,26 +1056,14 @@ fn flush_conn(conn: &mut Conn, slot: usize, poller: &Poller, shared: &Shared) {
     };
     if want != conn.armed {
         conn.armed = want;
-        let _ = poller.modify(stream_fd(&conn.stream), slot as u64, want);
+        let _ = poller.modify(conn.stream.as_raw_fd(), slot as u64, want);
     }
-}
-
-#[cfg(unix)]
-fn stream_fd(stream: &TcpStream) -> std::os::fd::RawFd {
-    use std::os::fd::AsRawFd;
-    stream.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn stream_fd(_stream: &TcpStream) -> i32 {
-    // The portable poll fallback ignores descriptors entirely.
-    0
 }
 
 impl Poller {
     /// Convenience: deregister a stream by descriptor.
     fn remove_stream(&self, stream: &TcpStream) -> io::Result<()> {
-        self.remove(stream_fd(stream))
+        self.remove(stream.as_raw_fd())
     }
 }
 
@@ -1222,10 +1133,24 @@ mod tests {
     }
 
     #[test]
-    fn shed_mode_parse_roundtrip() {
-        for m in [ShedMode::Busy, ShedMode::Drop] {
-            assert_eq!(ShedMode::parse(m.name()), Some(m));
+    fn native_backend_binds_only_the_two_stores_it_has() {
+        let native = |scheme| {
+            Server::bind(ServerConfig {
+                backend: BackendKind::Native,
+                scheme,
+                prefill: 16,
+                ..ServerConfig::default()
+            })
+        };
+        for scheme in [SchemeKind::Hle, SchemeKind::RwLePes, SchemeKind::BrLock] {
+            let Err(e) = native(scheme) else {
+                panic!("native bound {scheme:?}, which it would serve as RW-LE_OPT");
+            };
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+            assert!(e.to_string().contains(scheme.label()), "{e}");
         }
-        assert_eq!(ShedMode::parse("bogus"), None);
+        for scheme in [SchemeKind::RwLeOpt, SchemeKind::Sgl] {
+            assert!(native(scheme).is_ok(), "{scheme:?} must bind");
+        }
     }
 }

@@ -110,7 +110,6 @@ fn crash_once(backend: &str, round: u32, kill_after: Duration) {
         ops_per_conn: 0,
         key_range: 512,
         zipf_theta: 0.0,
-        open_rate: 0,
         total_rate: 0,
         pipeline: 4,
         seed: 0xC0FFEE ^ round as u64,
@@ -200,7 +199,6 @@ fn clean_restart_replays_the_full_log() {
         ops_per_conn: 500,
         key_range: 256,
         zipf_theta: 0.0,
-        open_rate: 0,
         total_rate: 0,
         pipeline: 2,
         seed: 7,

@@ -65,8 +65,8 @@ fn shutdown_over(
     assert!(
         report.drained(),
         "drain mismatch: {} enqueued, {} replied",
-        report.enqueued,
-        report.replied
+        report.stats.enqueued,
+        report.stats.replied
     );
     report
 }
@@ -149,7 +149,7 @@ fn garbage_body_gets_bad_request_and_keeps_the_connection() {
         Response::Value(1)
     );
     let report = shutdown(&addr, handle);
-    assert_eq!(report.malformed, 1);
+    assert_eq!(report.stats.malformed, 1);
 }
 
 #[test]
@@ -164,7 +164,7 @@ fn framing_error_gets_bad_request_then_close() {
     let mut buf = [0u8; 8];
     assert_eq!(c.read(&mut buf).unwrap(), 0);
     let report = shutdown(&addr, handle);
-    assert_eq!(report.malformed, 1);
+    assert_eq!(report.stats.malformed, 1);
 }
 
 #[test]
@@ -245,7 +245,7 @@ fn idle_partial_frame_is_reaped() {
     let mut buf = [0u8; 8];
     assert_eq!(c.read(&mut buf).unwrap(), 0, "expected EOF from reaper");
     let report = shutdown(&addr, handle);
-    assert_eq!(report.timeouts, 1);
+    assert_eq!(report.stats.timeouts, 1);
 }
 
 #[test]
@@ -264,8 +264,8 @@ fn pipelined_requests_all_answered_in_order_before_shutdown_ack() {
         assert_eq!(Response::decode(&body).unwrap(), Response::Value(key));
     }
     let report = shutdown(&addr, handle);
-    assert_eq!(report.enqueued, report.replied);
-    assert!(report.enqueued >= 50);
+    assert_eq!(report.stats.enqueued, report.stats.replied);
+    assert!(report.stats.enqueued >= 50);
 }
 
 #[test]
@@ -288,7 +288,6 @@ fn loadgen_closed_loop_end_to_end() {
         ops_per_conn: 200,
         key_range: 10_000,
         zipf_theta: 0.0,
-        open_rate: 0,
         total_rate: 0,
         pipeline: 1,
         seed: 7,
@@ -306,34 +305,7 @@ fn loadgen_closed_loop_end_to_end() {
     let server = res.server.expect("stats fetch");
     assert_eq!(server.malformed, 0);
     let report = shutdown(&addr, handle);
-    assert!(report.enqueued >= 800);
-}
-
-#[test]
-fn loadgen_open_loop_receives_everything_sent() {
-    let (addr, handle) = start(small_cfg());
-    let cfg = svc::loadgen::LoadgenConfig {
-        addr: addr.clone(),
-        conns: 2,
-        write_pct: 20,
-        scan_pct: 0,
-        scan_count: 16,
-        secs: 10.0,
-        ops_per_conn: 100,
-        key_range: 2_000,
-        zipf_theta: 0.9,
-        open_rate: 2_000,
-        total_rate: 0,
-        pipeline: 1,
-        seed: 9,
-        shutdown: false,
-        journal: false,
-    };
-    let res = svc::loadgen::run(&cfg).expect("loadgen run");
-    assert_eq!(res.sent, 2 * 100);
-    assert_eq!(res.received, res.sent, "open loop lost replies");
-    assert_eq!(res.errors, 0);
-    shutdown(&addr, handle);
+    assert!(report.stats.enqueued >= 800);
 }
 
 #[test]
@@ -397,7 +369,6 @@ fn native_backend_serves_the_same_wire_protocol() {
         ops_per_conn: 200,
         key_range: 2_000,
         zipf_theta: 0.0,
-        open_rate: 0,
         total_rate: 0,
         pipeline: 1,
         seed: 11,
@@ -424,7 +395,6 @@ fn loadgen_pipelined_closed_loop_receives_everything_sent() {
         ops_per_conn: 300,
         key_range: 2_000,
         zipf_theta: 0.9,
-        open_rate: 0,
         total_rate: 0,
         pipeline: 8,
         seed: 13,
@@ -438,8 +408,8 @@ fn loadgen_pipelined_closed_loop_receives_everything_sent() {
     let report = shutdown(&addr, handle);
     // Pipelined connections are what the decode phase batches: the run
     // must have produced batches, and replies must balance exactly.
-    assert!(report.batches > 0);
-    assert_eq!(report.enqueued, report.replied);
+    assert!(report.stats.batches > 0);
+    assert_eq!(report.stats.enqueued, report.stats.replied);
 }
 
 #[test]
@@ -455,7 +425,6 @@ fn loadgen_shared_pacing_receives_everything_sent() {
         ops_per_conn: 10, // 320 sends total, round-robined
         key_range: 2_000,
         zipf_theta: 0.9,
-        open_rate: 0,
         total_rate: 4_000,
         pipeline: 1,
         seed: 17,
@@ -517,7 +486,6 @@ fn acknowledged_writes_are_visible_across_connections_on_both_backends() {
                 ops_per_conn: 400,
                 key_range: 500,
                 zipf_theta: 0.9,
-                open_rate: 0,
                 total_rate: 0,
                 pipeline: 4,
                 seed: 23,
@@ -560,19 +528,19 @@ fn acknowledged_writes_are_visible_across_connections_on_both_backends() {
         // most one per mutation, and at most `shards` per batch. (The
         // sim backend uses the default unamortized `apply_batch`: one
         // barrier per mutation exactly.)
-        assert!(report.batches > 0);
+        assert!(report.stats.batches > 0);
         if matches!(backend, BackendKind::Native) {
-            let graces = report.barriers + report.barriers_shared;
+            let graces = report.stats.barriers + report.stats.barriers_shared;
             // Native mutations are exactly its ROT-emulated commits.
             let mutations = report.summary.commits(stats::CommitKind::Rot);
-            let per_batch_cap = report.batches * small_cfg().shards as u64;
+            let per_batch_cap = report.stats.batches * small_cfg().shards as u64;
             assert!(
                 (1..=mutations.min(per_batch_cap)).contains(&graces),
                 "{graces} grace periods for {mutations} mutations in {} batches",
-                report.batches
+                report.stats.batches
             );
         }
-        assert_eq!(report.batch_ops, report.enqueued);
+        assert_eq!(report.stats.batch_ops, report.stats.enqueued);
     }
 }
 
@@ -705,7 +673,7 @@ fn shutdown_mid_pipeline_keeps_the_drain_invariant() {
         answered += 1;
     }
     assert!(answered <= 64);
-    assert_eq!(report.replied, answered);
+    assert_eq!(report.stats.replied, answered);
 }
 
 /// The outbox cap: a client that pipelines SCANs and never reads a

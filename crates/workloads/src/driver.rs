@@ -10,9 +10,8 @@ use rand::{Rng, SeedableRng};
 use simmem::{Addr, SharedMem, SimAlloc};
 use stats::{StatsSummary, ThreadStats};
 
-use crate::backend::{BackendKind, SimBackend, StoreBackend, StoreSession};
+use crate::backend::{StoreBackend, StoreSession};
 use crate::hashmap::{SimHashMap, NODE_WORDS};
-use crate::native::{NativeBackend, SglBackend};
 use crate::scheme::{Scheme, SchemeKind};
 
 /// Outcome of one measured run.
@@ -276,66 +275,6 @@ pub fn run_sensitivity(p: &SensitivityParams) -> RunResult {
             }
         }
         let _ = NODE_WORDS; // silence unused-import paths in cfg variations
-    });
-    RunResult {
-        wall,
-        summary: StatsSummary::from_threads(&stats),
-        threads: p.threads,
-    }
-}
-
-/// [`run_sensitivity`]'s op mix routed through [`StoreBackend`]
-/// sessions instead of raw scheme + hashmap calls, so the same figure
-/// harness drives either substrate (`sensitivity --backend native`).
-///
-/// The scenario's contention profile maps onto each backend's own
-/// granularity: the simulated store keeps the scenario's bucket count
-/// on a single shard (HC-HC really is one bucket), while the native
-/// store — whose conflict unit is the shard, not a bucket — clamps the
-/// bucket count to a shard count (1 for the high-contention scenarios,
-/// a modest fan-out for the low-contention ones). Page-fault injection
-/// and SMT grouping are simulated-HTM knobs with no native equivalent;
-/// they apply only on the sim backend.
-pub fn run_sensitivity_backend(p: &SensitivityParams, kind: BackendKind) -> RunResult {
-    let n_items = p.n_items();
-    let total_writes = p.threads as u64 * p.ops_per_thread * p.write_pct as u64 / 100;
-    let backend: Box<dyn StoreBackend> = match (kind, p.scheme) {
-        (BackendKind::Sim, scheme) => Box::new(
-            SimBackend::create(
-                scheme,
-                1,
-                p.scenario.buckets(),
-                n_items,
-                total_writes + p.threads as u64 * 2,
-                p.threads,
-                p.seed,
-            )
-            .expect("sim backend build"),
-        ),
-        (BackendKind::Native, SchemeKind::Sgl) => Box::new(SglBackend::create(n_items)),
-        (BackendKind::Native, _) => Box::new(NativeBackend::create(
-            (p.scenario.buckets() as usize).min(64),
-            p.threads,
-            n_items,
-        )),
-    };
-    let key_range = n_items * 2;
-    let (wall, stats) = run_backend_threads(&*backend, p.threads, |t, sess| {
-        let mut rng =
-            SmallRng::seed_from_u64(p.seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        for _ in 0..p.ops_per_thread {
-            let key = rng.gen_range(0..key_range);
-            let is_write = rng.gen_range(0..100) < p.write_pct;
-            if !is_write {
-                sess.get(key);
-            } else if rng.gen_bool(0.5) {
-                // A full arena sheds the insert, mirroring the direct
-                // harness's failed-link path (the op still counts).
-                let _ = sess.put(key, key);
-            } else {
-                sess.del(key);
-            }
-        }
     });
     RunResult {
         wall,
@@ -666,49 +605,6 @@ mod tests {
             r.summary.aborts(stats::AbortBucket::HtmCapacity) > 0,
             "200-item buckets must overflow HTM read capacity"
         );
-    }
-
-    #[test]
-    fn sensitivity_backend_completes_on_both_substrates() {
-        for kind in [BackendKind::Sim, BackendKind::Native] {
-            for scenario in [Scenario::HcHc, Scenario::LcHc] {
-                let r = run_sensitivity_backend(
-                    &SensitivityParams {
-                        scheme: SchemeKind::RwLeOpt,
-                        scenario,
-                        write_pct: 30,
-                        threads: 3,
-                        ops_per_thread: 50,
-                        seed: 42,
-                        smt_group_size: 1,
-                    },
-                    kind,
-                );
-                assert_eq!(r.summary.ops, 150, "lost ops on {kind:?} {scenario:?}");
-                assert!(
-                    r.summary.commits(stats::CommitKind::Uninstrumented) > 0,
-                    "RW-LE reads must stay uninstrumented on {kind:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sensitivity_backend_runs_the_sgl_canary() {
-        let r = run_sensitivity_backend(
-            &SensitivityParams {
-                scheme: SchemeKind::Sgl,
-                scenario: Scenario::LcHc,
-                write_pct: 30,
-                threads: 2,
-                ops_per_thread: 40,
-                seed: 7,
-                smt_group_size: 1,
-            },
-            BackendKind::Native,
-        );
-        assert_eq!(r.summary.ops, 80);
-        assert!(r.summary.commits(stats::CommitKind::Sgl) > 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! barrier so no reader can still hold the old copy, then replays the
 //! mutation into it and unlocks. That lock → apply → flip → barrier →
 //! replay → unlock sequence is the **cycle**, the backend's one unit of
-//! publication ([`NativeSession::cycle`]): `put`, `del` and every shard
+//! publication (`NativeSession::cycle`): `put`, `del` and every shard
 //! group of a batch run through it, one shard at a time, so a writer
 //! waiting out its grace period holds one shard mutex and nothing else.
 //! Outside a cycle the two copies of a shard are identical.
