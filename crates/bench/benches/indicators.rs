@@ -2,8 +2,9 @@
 //!
 //! Two groups:
 //!
-//! * `reader_scaling` — host-level [`locks::IndicatedRwLock`] read
-//!   acquisition for every indicator variant at 1/8/32/128 threads. The
+//! * `reader_scaling` — host-level read acquisition at 1/8/32/128
+//!   threads: [`locks::IndicatedRwLock`] (BRAVO) against the
+//!   [`locks::PthreadRwLock`] it wraps (the centralized baseline). The
 //!   BRAVO claim is that a certified publication (one CAS into a private
 //!   slot plus a bias re-check) stays flat as threads grow, while the
 //!   centralized path funnels every reader through one reader-count word.
@@ -23,7 +24,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use htm::{HtmConfig, HtmRuntime};
-use locks::{BrLock, IndicatedRwLock, SpinMutex};
+use locks::{BrLock, IndicatedRwLock, PthreadRwLock, SpinMutex};
 use rind::IndicatorKind;
 use rwle::{RwLe, RwLeConfig};
 use simmem::{SharedMem, SimAlloc};
@@ -32,14 +33,14 @@ use stats::ThreadStats;
 /// Read acquisitions per thread per timed iteration.
 const OPS: usize = 64;
 
-/// Spawns `threads` workers that each acquire/release `OPS` times.
-fn read_batch(lock: &IndicatedRwLock, threads: usize) {
+/// Spawns `threads` workers that each run `acquire(tid)` `OPS` times.
+fn read_batch(threads: usize, acquire: impl Fn(usize) + Sync) {
     std::thread::scope(|s| {
         for tid in 0..threads {
-            let lock = &lock;
+            let acquire = &acquire;
             s.spawn(move || {
                 for _ in 0..OPS {
-                    criterion::black_box(lock.read_lock(tid));
+                    acquire(tid);
                 }
             });
         }
@@ -47,21 +48,24 @@ fn read_batch(lock: &IndicatedRwLock, threads: usize) {
 }
 
 fn bench_reader_scaling(c: &mut Criterion) {
+    const THREADS: [usize; 4] = [1, 8, 32, 128];
     let mut g = c.benchmark_group("reader_scaling");
-    for kind in [
-        IndicatorKind::Central,
-        IndicatorKind::Bravo,
-        IndicatorKind::Cloned,
-    ] {
-        for threads in [1usize, 8, 32, 128] {
-            let lock = IndicatedRwLock::new(kind, 128);
-            // Prime the bias: BRAVO starts biased, but the first
-            // publication per thread still takes the table-install path.
-            read_batch(&lock, threads);
-            g.bench_function(format!("{kind:?}_{threads}_threads"), |b| {
-                b.iter(|| read_batch(&lock, threads))
-            });
-        }
+    for threads in THREADS {
+        let lock = PthreadRwLock::new();
+        let acquire = |_tid| drop(criterion::black_box(lock.read_lock()));
+        g.bench_function(format!("Central_{threads}_threads"), |b| {
+            b.iter(|| read_batch(threads, acquire))
+        });
+    }
+    for threads in THREADS {
+        let lock = IndicatedRwLock::new(128);
+        let acquire = |tid| drop(criterion::black_box(lock.read_lock(tid)));
+        // Prime the bias: BRAVO starts biased, but the first
+        // publication per thread still takes the table-install path.
+        read_batch(threads, acquire);
+        g.bench_function(format!("Bravo_{threads}_threads"), |b| {
+            b.iter(|| read_batch(threads, acquire))
+        });
     }
     g.finish();
 }
@@ -84,18 +88,14 @@ impl UnpaddedBrSlots {
     }
 }
 
-/// Single-thread cost of one fallback (NS-only) `read_cs` per indicator:
-/// the per-acquisition price each scheme pays with zero contention. The
-/// BRAVO row should sit well below the central row — it replaces the
-/// epoch enter/exit pair and the lock-word check with one slot CAS and a
-/// bias re-check.
+/// Single-thread cost of one fallback (NS-only) `read_cs` with and
+/// without the indicator: the per-acquisition price with zero
+/// contention. The BRAVO row should sit well below the central row — it
+/// replaces the epoch enter/exit pair and the lock-word check with one
+/// slot CAS and a bias re-check.
 fn bench_fallback_read(c: &mut Criterion) {
     let mut g = c.benchmark_group("fallback_read");
-    for kind in [
-        IndicatorKind::Central,
-        IndicatorKind::Bravo,
-        IndicatorKind::Cloned,
-    ] {
+    for kind in [IndicatorKind::Central, IndicatorKind::Bravo] {
         let mem = Arc::new(SharedMem::new_lines(64));
         let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
         let alloc = SimAlloc::new(Arc::clone(&mem));

@@ -2,16 +2,14 @@
 //!
 //! Measures what the BRAVO-style distributed indicator buys when elision
 //! is *disabled* (`RwLeConfig::fallback_only`: `max_htm_retries = 0`,
-//! `max_rot_retries = 0`) and every read takes the software path. Three
-//! indicator schemes run the same read-mostly critical sections over the
-//! same RW-LE lock:
+//! `max_rot_retries = 0`) and every read takes the software path. Two
+//! schemes run the same read-mostly critical sections over the same
+//! RW-LE lock:
 //!
-//! * `IND-C` — centralized accounting (the seed fallback: epoch
-//!   registration plus a lock-word check per read);
+//! * `IND-C` — centralized accounting, no indicator (the seed fallback:
+//!   epoch registration plus a lock-word check per read);
 //! * `IND-BRAVO` — bias-certified slot publication (one private CAS and
-//!   a bias re-check per read in steady state);
-//! * `IND-CLONE` — per-thread cloned slots (always published, reader
-//!   still checks the lock word).
+//!   a bias re-check per read in steady state).
 //!
 //! `SGL` — a test-and-test-and-set spin lock around the same bodies — is
 //! the machine-speed canary: the regression gate compares every scheme
@@ -49,7 +47,7 @@ struct Scheme {
     kind: Option<rind::IndicatorKind>,
 }
 
-const SCHEMES: [Scheme; 4] = [
+const SCHEMES: [Scheme; 3] = [
     Scheme {
         label: "SGL",
         kind: None,
@@ -61,10 +59,6 @@ const SCHEMES: [Scheme; 4] = [
     Scheme {
         label: "IND-BRAVO",
         kind: Some(rind::IndicatorKind::Bravo),
-    },
-    Scheme {
-        label: "IND-CLONE",
-        kind: Some(rind::IndicatorKind::Cloned),
     },
 ];
 
@@ -85,7 +79,7 @@ fn run_cell(scheme: &Scheme, p: &Params) -> (f64, f64, Vec<ThreadStats>) {
     let rwle = scheme.kind.map(|kind| {
         Arc::new(
             RwLe::new(&alloc, p.threads, RwLeConfig::fallback_only(kind))
-                .expect("fallback_only is NS-only, every indicator is accepted"),
+                .expect("fallback_only is NS-only, either kind is accepted"),
         )
     });
     let sgl = Arc::new(SpinMutex::new());
@@ -152,33 +146,26 @@ fn run_cell(scheme: &Scheme, p: &Params) -> (f64, f64, Vec<ThreadStats>) {
     (secs, total_ops as f64 / secs, stats)
 }
 
+/// Every flag this binary accepts; anything else exits 2.
+const FLAGS: &[&str] = &["threads", "full", "writes", "ops", "runs", "seed", "json"];
+
+const USAGE: &str = "\
+usage: indicators [--threads 1,8,32] [--full] [--writes 1,90] [--ops N]
+                  [--runs N] [--seed N] [--json]
+
+  Sweeps SGL (the canary), IND-C and IND-BRAVO over every (threads, w)
+  cell; the regression gate needs all three rows of a cell. --full sweeps
+  the paper's thread grid (up to 80); --json prints one self-contained
+  object per row instead of the text table.";
+
 fn main() {
     let args = Args::parse();
+    args.expect_only(FLAGS, USAGE);
     let threads = args.thread_list(&[1, 8, 32]);
     let write_pcts = args.u32_list("writes", &[1, 90]);
     let ops: u64 = args.get_or("ops", 2000);
     let runs: usize = args.get_or("runs", 1);
     let seed: u64 = args.get_or("seed", 42);
-    // `--schemes SGL,IND-BRAVO` narrows the sweep to the named indicator
-    // schemes (default: all four).
-    let schemes: Vec<&Scheme> = match args.get("schemes") {
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                let name = name.trim();
-                SCHEMES
-                    .iter()
-                    .find(|s| s.label.eq_ignore_ascii_case(name))
-                    .unwrap_or_else(|| {
-                        eprintln!(
-                            "unknown scheme in --schemes: {name:?} (expected one of SGL, IND-C, IND-BRAVO, IND-CLONE)"
-                        );
-                        std::process::exit(2);
-                    })
-            })
-            .collect(),
-        None => SCHEMES.iter().collect(),
-    };
     let mut out = Output::from_args(&args);
 
     out.section("Reader indicators — NS fallback read path");
@@ -190,7 +177,7 @@ fn main() {
     out.header();
     for &w in &write_pcts {
         for &t in &threads {
-            for scheme in &schemes {
+            for scheme in &SCHEMES {
                 let mut secs_sum = 0.0;
                 let mut tput_sum = 0.0;
                 let mut stats = Vec::new();
@@ -219,5 +206,15 @@ fn main() {
             }
         }
         out.gap();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_accepted_flag() {
+        assert_eq!(Args::undocumented(FLAGS, USAGE), None);
     }
 }

@@ -6,8 +6,10 @@
 //! record's `"set": "current"` rows must reach at least
 //! `(100 - tolerance)%` of the recorded throughput. The backend is part
 //! of the key, so sim and native rows gate independently and are never
-//! compared against each other. Rows only present on one side are reported
-//! but do not fail the gate; zero matched rows does.
+//! compared against each other. Rows only present on one side — a fresh
+//! row with no record, or a recorded row of a measured
+//! (section, backend, threads, w) cell with no fresh counterpart — are
+//! reported but do not fail the gate; zero matched rows does.
 //!
 //! The default tolerance is deliberately generous (30%): CI runners are
 //! noisy and the goal is to catch order-of-magnitude fast-path
@@ -21,7 +23,10 @@
 //! under test (SGL — a single global lock) cancels the drift while a
 //! genuine fast-path regression still shows up as the instrumented
 //! schemes falling *relative to* the canary. The canary's own row always
-//! passes by construction and is reported as `canary`.
+//! passes by construction and is reported as `canary` — so every section
+//! the canary matched in must also match at least one other row, or the
+//! gate fails: a renamed label or a dropped scheme must not leave the
+//! canary comparing itself to itself.
 //!
 //! ## The SLO row dialect
 //!
@@ -40,7 +45,7 @@
 //! cargo run --release -p bench --bin regress -- --file fresh.txt --against BENCH_rwle.json
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bench::{parse_json_result_row, parse_results, Args, ResultRow};
 
@@ -56,13 +61,24 @@ fn load_record(path: &str) -> Vec<(String, ResultRow)> {
         .collect()
 }
 
+/// Every flag this binary accepts; anything else exits 2.
+const FLAGS: &[&str] = &["file", "against", "tolerance", "slo-factor", "relative-to"];
+
+const USAGE: &str = "\
+usage: regress --file <fresh-results> --against <BENCH_rwle.json>
+               [--tolerance 30] [--slo-factor 4] [--relative-to SGL]
+
+  Exit 1 if a fresh row falls more than --tolerance percent below its
+  recorded throughput (svc slo rows: p99 above --slo-factor times the
+  recorded one), or if nothing but the canary matched the record.
+  --relative-to SCHEME divides every ratio by that scheme's own
+  fresh/recorded drift at the same configuration.";
+
 fn main() {
     let args = Args::parse();
+    args.expect_only(FLAGS, USAGE);
     let (Some(file), Some(against)) = (args.get("file"), args.get("against")) else {
-        eprintln!(
-            "usage: regress --file <fresh-results> --against <BENCH_rwle.json> \
-             [--tolerance 30] [--relative-to SGL]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let tolerance: f64 = args.get_or("tolerance", 30.0);
@@ -113,6 +129,12 @@ fn main() {
     let floor = 1.0 - tolerance / 100.0;
     let mut matched = 0usize;
     let mut failures = 0usize;
+    // Sections in which a row other than the canary's was compared.
+    let mut gated: BTreeSet<&str> = BTreeSet::new();
+    // Cells the fresh file measured, and the recorded rows it has not
+    // matched yet.
+    let mut measured: BTreeSet<(&str, &str, u32, u32)> = BTreeSet::new();
+    let mut unmatched = recorded.clone();
     println!("# Regression check: {file} vs {against} (tolerance {tolerance}%)");
     if let Some(canary) = &canary {
         println!("# ratios normalised by the {canary} fresh/recorded drift per configuration");
@@ -122,16 +144,27 @@ fn main() {
         "scheme", "backend", "thr", "w", "recorded", "fresh", "ratio"
     );
     for (section, r) in &fresh {
-        let Some(&base) = recorded.get(&(
+        measured.insert((section, &r.backend, r.threads, r.w));
+        let key = (
             section.as_str(),
             r.scheme.as_str(),
             r.backend.as_str(),
             r.threads,
             r.w,
-        )) else {
+        );
+        unmatched.remove(&key);
+        let Some(&base) = recorded.get(&key) else {
+            println!(
+                "{:<11} {:<7} {:>3} {:>4} {:>12} {:>12.0} {:>7}  fresh only (no recorded row)",
+                r.scheme, r.backend, r.threads, r.w, "-", r.ops_per_s, "-"
+            );
             continue;
         };
         matched += 1;
+        let is_canary = canary.as_deref() == Some(r.scheme.as_str());
+        if !is_canary {
+            gated.insert(section);
+        }
         // SLO rows (shared-pacing open loop) gate tail latency, not
         // throughput: the arrival rate fixes ops/s by construction.
         if section.starts_with("svc slo") {
@@ -168,7 +201,6 @@ fn main() {
         } else {
             1.0
         };
-        let is_canary = canary.as_deref() == Some(r.scheme.as_str());
         if !is_canary {
             if let Some(d) = drift.get(&(section.as_str(), r.backend.as_str(), r.threads, r.w)) {
                 ratio /= d;
@@ -196,6 +228,16 @@ fn main() {
             }
         );
     }
+    // Recorded rows of a cell the fresh file measured, whose scheme it
+    // did not: reported, so a dropped scheme is visible in the gate's log.
+    for (&(section, _, backend, threads, w), base) in &unmatched {
+        if measured.contains(&(section, backend, threads, w)) {
+            println!(
+                "{:<11} {:<7} {:>3} {:>4} {:>12.0} {:>12} {:>7}  recorded only (not measured)",
+                base.scheme, base.backend, base.threads, base.w, base.ops_per_s, "-", "-"
+            );
+        }
+    }
     if matched == 0 {
         eprintln!(
             "no fresh row matched the record — section/scheme/backend/threads/w \
@@ -203,8 +245,27 @@ fn main() {
         );
         std::process::exit(1);
     }
+    if let Some(canary) = &canary {
+        if let Some((section, ..)) = drift.keys().find(|(s, ..)| !gated.contains(s)) {
+            eprintln!(
+                "--relative-to {canary}: only the canary's own rows matched the record in \
+                 section {section:?} — nothing is gated there (renamed label? dropped scheme?)"
+            );
+            std::process::exit(1);
+        }
+    }
     println!("# {matched} row(s) compared, {failures} regression(s)");
     if failures > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_accepted_flag() {
+        assert_eq!(Args::undocumented(FLAGS, USAGE), None);
     }
 }

@@ -18,11 +18,11 @@
 //!   (§3.3): [`EpochSet::record_version`] / [`EpochSet::synchronize_fair`],
 //!   which only waits for readers that entered before a given writer
 //!   version.
-//! * A pluggable *reader indicator* on the registration path
-//!   ([`EpochSet::with_indicator`]): a BRAVO-style or cloned
-//!   [`rind::ReaderIndicator`] lets a reader publish itself with a single
-//!   private store instead of the summary tree's shared RMWs; the barriers
-//!   then union the indicator's slot scan with the summary scan.
+//! * An optional *reader indicator* on the registration path
+//!   ([`EpochSet::with_indicator`]): a [`rind::BravoIndicator`] lets a
+//!   reader publish itself with a single private store instead of the
+//!   summary tree's shared RMWs; the barriers then union the indicator's
+//!   slot scan with the summary scan.
 //!
 //! # Examples
 //!
@@ -46,7 +46,7 @@ pub use scalable::BarrierOutcome;
 
 use scalable::{AdaptiveWaiter, GraceSeq, Parking, Summary};
 
-use rind::{Indicator, IndicatorKind, Publish, ReaderIndicator, Revocation};
+use rind::{BravoIndicator, IndicatorKind, Publish, Revocation};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A cache-line-padded atomic counter.
@@ -73,7 +73,7 @@ pub struct EpochSet {
     /// (`None` for [`IndicatorKind::Central`], the seed behaviour): a
     /// reader that publishes a slot skips the summary tree entirely, and
     /// barriers discover it by scanning the indicator instead.
-    ind: Option<Indicator>,
+    ind: Option<BravoIndicator>,
     /// Per-thread indicator token: `slot + 1` while the thread's current
     /// read-side section is slot-published, `0` when it registered through
     /// the summary tree. Owner-only (same single-writer discipline as the
@@ -90,19 +90,19 @@ pub struct EpochSet {
 /// every exit path (including the mid-wait quiescence-sharing returns).
 ///
 /// `begin` forces `must_scan` whenever an indicator is installed, even if
-/// [`rind::ReaderIndicator::begin_collect`] said the scan was skippable:
+/// [`BravoIndicator::begin_collect`] said the scan was skippable:
 /// that proof relies on lock-style collectors waiting for slot *vacation*
 /// before `end_collect`, whereas epoch barriers wait for clock movement —
 /// a published reader that had not yet flipped its clock at one barrier's
 /// scan (ignored there as a post-scan entry) can still be inside, slot
 /// occupied and summary-invisible, when the next collection begins.
 struct IndCollect<'a> {
-    ind: Option<&'a dyn ReaderIndicator>,
+    ind: Option<&'a BravoIndicator>,
     rev: Revocation,
 }
 
 impl<'a> IndCollect<'a> {
-    fn begin(ind: Option<&'a dyn ReaderIndicator>) -> Self {
+    fn begin(ind: Option<&'a BravoIndicator>) -> Self {
         let rev = match ind {
             Some(i) => Revocation {
                 must_scan: true,
@@ -119,7 +119,7 @@ impl<'a> IndCollect<'a> {
     /// Visits the thread id of every currently published reader.
     fn scan(&self, mut f: impl FnMut(usize)) {
         if let Some(i) = self.ind {
-            i.collect(&self.rev, &mut |_slot, tid| f(tid));
+            i.collect(&self.rev, |_slot, tid| f(tid));
         }
     }
 }
@@ -152,8 +152,8 @@ impl EpochSet {
     /// reader indicator of the given kind.
     ///
     /// [`IndicatorKind::Central`] is exactly [`EpochSet::new`]: readers
-    /// mark the summary tree. For the distributed kinds, a reader first
-    /// tries to publish an indicator slot (one private store for BRAVO in
+    /// mark the summary tree. With [`IndicatorKind::Bravo`], a reader
+    /// first tries to publish an indicator slot (one private store in
     /// steady state); only on decline does it fall back to the summary
     /// RMWs. Barriers union the indicator scan with the summary scan, so
     /// either registration route is discovered.
@@ -167,7 +167,7 @@ impl EpochSet {
             parking: Parking::new(),
             ind: match kind {
                 IndicatorKind::Central => None,
-                _ => Some(Indicator::new(kind, n)),
+                IndicatorKind::Bravo => Some(BravoIndicator::sized(n)),
             },
             ind_tokens: (0..n).map(mk).collect(),
             #[cfg(debug_assertions)]
@@ -177,8 +177,8 @@ impl EpochSet {
 
     /// The reader indicator on the registration path, if one is installed
     /// (tests and benches inspect bias state through this).
-    pub fn indicator(&self) -> Option<&dyn ReaderIndicator> {
-        self.ind.as_ref().map(|i| i as &dyn ReaderIndicator)
+    pub fn indicator(&self) -> Option<&BravoIndicator> {
+        self.ind.as_ref()
     }
 
     /// Number of tracked threads.
@@ -220,10 +220,7 @@ impl EpochSet {
                 // slot is ordered before the publication — the reader
                 // entered after the scan and is conflict detection's
                 // responsibility, exactly like a post-scan summary entry.
-                // (`Published`, the uncertified cloned outcome, needs no
-                // extra writer check here because epoch barriers always
-                // scan; see `IndCollect::begin`.)
-                Publish::Certified(slot) | Publish::Published(slot) => {
+                Publish::Certified(slot) => {
                     self.ind_tokens[tid]
                         .0
                         .store(slot as u64 + 1, Ordering::Relaxed);
@@ -408,7 +405,7 @@ impl EpochSet {
             };
         }
         let ticket = self.grace.begin();
-        let collect = IndCollect::begin(self.ind.as_ref().map(|i| i as &dyn ReaderIndicator));
+        let collect = IndCollect::begin(self.ind.as_ref());
         snap.clear();
         let mut skip_active = false;
         self.summary.scan(|tid| {
@@ -501,7 +498,7 @@ impl EpochSet {
             };
         }
         let ticket = self.grace.begin();
-        let collect = IndCollect::begin(self.ind.as_ref().map(|i| i as &dyn ReaderIndicator));
+        let collect = IndCollect::begin(self.ind.as_ref());
         let mut waiter = AdaptiveWaiter::new(&self.parking);
         let mut skip_active = false;
         // Manual summary walk (the closure-based scan cannot host the
@@ -628,7 +625,7 @@ impl EpochSet {
                 shared: true,
             };
         }
-        let collect = IndCollect::begin(self.ind.as_ref().map(|i| i as &dyn ReaderIndicator));
+        let collect = IndCollect::begin(self.ind.as_ref());
         self.fair_wait_set_in(skip, writer_version, snap);
         // Indicator-admitted readers join the wait set under the same
         // fair rule ([`EpochSet::fair_wait_set`] documents the
@@ -879,9 +876,9 @@ mod tests {
 
     #[test]
     fn indicator_barrier_waits_for_slot_reader() {
-        let e = Arc::new(EpochSet::with_indicator(2, IndicatorKind::Cloned));
+        let e = Arc::new(EpochSet::with_indicator(2, IndicatorKind::Bravo));
         e.enter(1);
-        assert!(!e.summary_active(1), "cloned reader registers via its slot");
+        assert!(!e.summary_active(1), "biased reader registers via its slot");
         let exiting = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let e2 = Arc::clone(&e);
         let x2 = Arc::clone(&exiting);
@@ -916,7 +913,7 @@ mod tests {
 
     #[test]
     fn indicator_fair_barrier_respects_versions() {
-        let e = EpochSet::with_indicator(2, IndicatorKind::Cloned);
+        let e = EpochSet::with_indicator(2, IndicatorKind::Bravo);
         e.enter(1);
         e.record_version(1, 5);
         // Slot reader with version >= the writer's: no wait, no deadlock.

@@ -73,7 +73,7 @@ fn grace_period_schedules() {
 }
 
 /// The grace-period model over an indicator-equipped epoch set: readers
-/// register through BRAVO/cloned slots (or decline to the summary after a
+/// register through BRAVO slots (or decline to the summary after a
 /// revocation), writers revoke the bias inside `synchronize` and must
 /// union the slot scan with the summary scan. A barrier that misses a
 /// slot-admitted reader lets it observe poisoned memory.
@@ -81,11 +81,14 @@ fn grace_period_schedules() {
 /// `slot_admitted` counts pause-point states where a reader was inside
 /// with its summary bit clear — proof the exploration actually drove the
 /// slot path, not just the post-revocation summary fallback.
-fn indicator_grace_schedule(kind: rind::IndicatorKind, seed: u64, slot_admitted: &Arc<AtomicU64>) {
+fn indicator_grace_schedule(seed: u64, slot_admitted: &Arc<AtomicU64>) {
     const READERS: usize = 3;
     const WRITER: usize = READERS;
     const POISON: u64 = u64::MAX;
-    let epochs = Arc::new(EpochSet::with_indicator(READERS + 1, kind));
+    let epochs = Arc::new(EpochSet::with_indicator(
+        READERS + 1,
+        rind::IndicatorKind::Bravo,
+    ));
     let bufs: Arc<[AtomicU64; 2]> = Arc::new([AtomicU64::new(50), AtomicU64::new(0)]);
     let current = Arc::new(AtomicUsize::new(0));
 
@@ -134,24 +137,11 @@ fn bravo_indicator_grace_schedules() {
     let admitted = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&admitted);
     sched::explore("epoch-bravo-grace", 0..320, move |seed| {
-        indicator_grace_schedule(rind::IndicatorKind::Bravo, seed, &counter)
+        indicator_grace_schedule(seed, &counter)
     });
     assert!(
         admitted.load(Ordering::Relaxed) > 0,
         "no schedule admitted a reader through the BRAVO slot path"
-    );
-}
-
-#[test]
-fn cloned_indicator_grace_schedules() {
-    let admitted = Arc::new(AtomicU64::new(0));
-    let counter = Arc::clone(&admitted);
-    sched::explore("epoch-cloned-grace", 0..320, move |seed| {
-        indicator_grace_schedule(rind::IndicatorKind::Cloned, seed, &counter)
-    });
-    assert!(
-        admitted.load(Ordering::Relaxed) > 0,
-        "no schedule admitted a reader through the cloned slot path"
     );
 }
 
@@ -223,10 +213,13 @@ fn blocked_readers_schedules() {
 /// reader that retreats (sees the lock after entering) must retire its
 /// slot cleanly. A torn pair means the single-pass barrier missed a
 /// slot-admitted reader.
-fn indicator_blocked_readers_schedule(kind: rind::IndicatorKind, seed: u64) {
+fn indicator_blocked_readers_schedule(seed: u64) {
     const READERS: usize = 2;
     const WRITER: usize = READERS;
-    let epochs = Arc::new(EpochSet::with_indicator(READERS + 1, kind));
+    let epochs = Arc::new(EpochSet::with_indicator(
+        READERS + 1,
+        rind::IndicatorKind::Bravo,
+    ));
     let lock = Arc::new(AtomicBool::new(false));
     let data: Arc<[AtomicU64; 2]> = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
 
@@ -278,16 +271,11 @@ fn indicator_blocked_readers_schedule(kind: rind::IndicatorKind, seed: u64) {
 
 #[test]
 fn bravo_indicator_blocked_readers_schedules() {
-    sched::explore("epoch-bravo-blocked-readers", 0..320, |seed| {
-        indicator_blocked_readers_schedule(rind::IndicatorKind::Bravo, seed)
-    });
-}
-
-#[test]
-fn cloned_indicator_blocked_readers_schedules() {
-    sched::explore("epoch-cloned-blocked-readers", 0..320, |seed| {
-        indicator_blocked_readers_schedule(rind::IndicatorKind::Cloned, seed)
-    });
+    sched::explore(
+        "epoch-bravo-blocked-readers",
+        0..320,
+        indicator_blocked_readers_schedule,
+    );
 }
 
 /// A reader whose recorded version is the writer's own (or newer) must

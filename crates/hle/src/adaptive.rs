@@ -191,12 +191,6 @@ const CENTRAL_MIN_WRITE_RATE: u64 = 200_000;
 /// single threshold would otherwise flap the recommendation every
 /// window, and each switch costs a drain of the old indicator.
 ///
-/// [`IndicatorKind::Cloned`] is never auto-selected: its writer cost is
-/// a full per-thread scan on *every* collection (no bias to keep scans
-/// rare) while its reader is no cheaper than BRAVO's certified path, so
-/// it is dominated on both sides of the threshold. It remains available
-/// for explicit configuration as the no-bias comparison point.
-///
 /// The tuner only *recommends*: switching a live lock's indicator
 /// requires draining the old one, so callers consult
 /// [`current`](IndicatorTuner::current) at natural rebuild points (lock
@@ -227,15 +221,13 @@ impl IndicatorTuner {
         match kind {
             IndicatorKind::Central => 0,
             IndicatorKind::Bravo => 1,
-            IndicatorKind::Cloned => 2,
         }
     }
 
     fn decode(v: u64) -> IndicatorKind {
         match v {
             0 => IndicatorKind::Central,
-            1 => IndicatorKind::Bravo,
-            _ => IndicatorKind::Cloned,
+            _ => IndicatorKind::Bravo,
         }
     }
 

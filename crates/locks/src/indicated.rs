@@ -1,54 +1,39 @@
-//! A read-write lock with a pluggable reader indicator (BRAVO-style).
+//! A read-write lock with a BRAVO reader indicator.
 //!
-//! [`IndicatedRwLock`] bolts a [`rind::ReaderIndicator`] onto the
+//! [`IndicatedRwLock`] bolts a [`rind::BravoIndicator`] onto the
 //! [`PthreadRwLock`](crate::PthreadRwLock) baseline, exactly the way BRAVO
 //! (arXiv:1810.01553) retrofits an existing rwlock: readers first try to
 //! publish into the indicator — a bias-certified publication admits the
 //! read without touching the underlying lock at all — and only fall back
 //! to the centralized `read_lock` when the indicator declines. Writers
-//! take the underlying lock in write mode, raise a writer-present word,
-//! revoke the bias, and wait published readers out before proceeding.
+//! take the underlying lock in write mode, revoke the bias, and wait
+//! published readers out before proceeding.
 //!
 //! Soundness is the bias-word dichotomy (see `rind` and
 //! docs/PROTOCOL.md): a certified reader's slot is provably visible to
-//! any collecting writer's scan, and a published-but-uncertified reader
-//! (the cloned indicator) runs a Dekker-style check of the writer word
-//! that pairs with the writer's raise-then-scan order.
+//! any collecting writer's scan.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use rind::{collect_wait, Indicator, IndicatorKind, Publish, ReaderIndicator};
+use rind::{collect_wait, BravoIndicator, Publish};
 
 use crate::rwlock::{PthreadRwLock, RwReadGuard, RwWriteGuard};
 
 /// A [`PthreadRwLock`] with distributed read-side accounting.
 pub struct IndicatedRwLock {
     inner: PthreadRwLock,
-    ind: Indicator,
-    /// Writer-present word (Dekker partner of uncertified publications):
-    /// raised after the underlying write lock is held, lowered before it
-    /// is released.
-    wactive: AtomicU64,
+    ind: BravoIndicator,
 }
 
 impl IndicatedRwLock {
-    /// Creates an unlocked lock using the given indicator scheme, sized
-    /// for thread ids `0..max_threads`.
-    pub fn new(kind: IndicatorKind, max_threads: usize) -> Self {
+    /// Creates an unlocked lock, sized for thread ids `0..max_threads`.
+    pub fn new(max_threads: usize) -> Self {
         IndicatedRwLock {
             inner: PthreadRwLock::new(),
-            ind: Indicator::new(kind, max_threads),
-            wactive: AtomicU64::new(0),
+            ind: BravoIndicator::sized(max_threads),
         }
     }
 
-    /// The indicator scheme in use.
-    pub fn kind(&self) -> IndicatorKind {
-        self.ind.kind()
-    }
-
     /// The indicator itself (tests and benches).
-    pub fn indicator(&self) -> &dyn ReaderIndicator {
+    pub fn indicator(&self) -> &BravoIndicator {
         &self.ind
     }
 
@@ -56,29 +41,13 @@ impl IndicatedRwLock {
     /// used by the indicator; any id below `max_threads` works, but
     /// concurrent readers sharing an id would collide on their slot).
     pub fn read_lock(&self, tid: usize) -> IndReadGuard<'_> {
-        match self.ind.publish(tid) {
-            Publish::Certified(slot) => {
-                // Certified: the publication alone excludes writers (any
-                // writer must revoke the bias and scan us out first).
-                return IndReadGuard {
-                    lock: self,
-                    mode: ReadMode::Fast { tid, slot },
-                };
-            }
-            Publish::Published(slot) => {
-                sched::step();
-                // Dekker check: our slot store (SeqCst) precedes this
-                // load, the writer's wactive store precedes its scan —
-                // one of the two must see the other.
-                if self.wactive.load(Ordering::SeqCst) == 0 {
-                    return IndReadGuard {
-                        lock: self,
-                        mode: ReadMode::Fast { tid, slot },
-                    };
-                }
-                self.ind.retire(tid, slot);
-            }
-            Publish::Declined => {}
+        if let Publish::Certified(slot) = self.ind.publish(tid) {
+            // Certified: the publication alone excludes writers (any
+            // writer must revoke the bias and scan us out first).
+            return IndReadGuard {
+                lock: self,
+                mode: ReadMode::Fast { tid, slot },
+            };
         }
         let guard = self.inner.read_lock();
         self.ind.note_slow_read();
@@ -88,12 +57,10 @@ impl IndicatedRwLock {
         }
     }
 
-    /// Acquires in exclusive mode: underlying write lock, writer word,
-    /// bias revocation, then a scan waiting published readers out.
+    /// Acquires in exclusive mode: underlying write lock, bias
+    /// revocation, then a scan waiting published readers out.
     pub fn write_lock(&self) -> IndWriteGuard<'_> {
         let inner = self.inner.write_lock();
-        sched::step();
-        self.wactive.store(1, Ordering::SeqCst);
         let rev = self.ind.begin_collect();
         collect_wait(&self.ind, &rev, None);
         IndWriteGuard {
@@ -148,7 +115,6 @@ impl IndWriteGuard<'_> {
 
 impl Drop for IndWriteGuard<'_> {
     fn drop(&mut self) {
-        self.lock.wactive.store(0, Ordering::SeqCst);
         self.lock.ind.end_collect();
         // _inner drops last, releasing the underlying lock.
     }
@@ -157,12 +123,12 @@ impl Drop for IndWriteGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     #[test]
     fn bravo_reads_certify_until_revoked() {
-        let l = IndicatedRwLock::new(IndicatorKind::Bravo, 4);
+        let l = IndicatedRwLock::new(4);
         assert!(l.indicator().bias_enabled());
         {
             let g = l.read_lock(0);
@@ -179,58 +145,33 @@ mod tests {
     }
 
     #[test]
-    fn cloned_reads_publish_and_yield_to_writer() {
-        let l = IndicatedRwLock::new(IndicatorKind::Cloned, 4);
-        {
-            let g = l.read_lock(1);
-            assert!(g.is_fast());
-        }
-        let w = l.write_lock();
-        assert!(!w.revoked());
-        drop(w);
-        assert!(l.read_lock(1).is_fast());
-    }
-
-    #[test]
-    fn central_reads_always_take_the_underlying_lock() {
-        let l = IndicatedRwLock::new(IndicatorKind::Central, 4);
-        assert!(!l.read_lock(0).is_fast());
-    }
-
-    #[test]
     fn writer_excludes_all_reader_paths() {
-        for kind in [
-            IndicatorKind::Central,
-            IndicatorKind::Bravo,
-            IndicatorKind::Cloned,
-        ] {
-            let l = Arc::new(IndicatedRwLock::new(kind, 4));
-            let data = Arc::new(AtomicU64::new(0));
-            std::thread::scope(|s| {
-                // Readers check the invariant (value is even outside
-                // writes) on whatever path the indicator admits them.
-                for tid in 0..3usize {
-                    let l = Arc::clone(&l);
-                    let data = Arc::clone(&data);
-                    s.spawn(move || {
-                        for _ in 0..200 {
-                            let _g = l.read_lock(tid);
-                            assert_eq!(data.load(Ordering::Relaxed) % 2, 0);
-                        }
-                    });
-                }
+        let l = Arc::new(IndicatedRwLock::new(4));
+        let data = Arc::new(AtomicU64::new(0));
+        std::thread::scope(|s| {
+            // Readers check the invariant (value is even outside
+            // writes) on whatever path the indicator admits them.
+            for tid in 0..3usize {
                 let l = Arc::clone(&l);
                 let data = Arc::clone(&data);
                 s.spawn(move || {
-                    for _ in 0..100 {
-                        let _g = l.write_lock();
-                        data.fetch_add(1, Ordering::Relaxed); // odd: "mid-update"
-                        std::thread::yield_now();
-                        data.fetch_add(1, Ordering::Relaxed); // even again
+                    for _ in 0..200 {
+                        let _g = l.read_lock(tid);
+                        assert_eq!(data.load(Ordering::Relaxed) % 2, 0);
                     }
                 });
+            }
+            let l = Arc::clone(&l);
+            let data = Arc::clone(&data);
+            s.spawn(move || {
+                for _ in 0..100 {
+                    let _g = l.write_lock();
+                    data.fetch_add(1, Ordering::Relaxed); // odd: "mid-update"
+                    std::thread::yield_now();
+                    data.fetch_add(1, Ordering::Relaxed); // even again
+                }
             });
-            assert_eq!(data.load(Ordering::Relaxed), 200, "kind {kind:?}");
-        }
+        });
+        assert_eq!(data.load(Ordering::Relaxed), 200);
     }
 }

@@ -10,9 +10,9 @@
 //!   readers lock only a private per-thread mutex; writers lock all of
 //!   them, trading write throughput for read throughput.
 //! * [`TicketLock`] — a FIFO spin lock, useful as a fair SGL variant.
-//! * [`IndicatedRwLock`] — [`PthreadRwLock`] with a pluggable
-//!   [`rind::ReaderIndicator`] bolted on, BRAVO-style: bias-certified
-//!   readers bypass the centralized lock entirely.
+//! * [`IndicatedRwLock`] — [`PthreadRwLock`] with a
+//!   [`rind::BravoIndicator`] bolted on: bias-certified readers bypass
+//!   the centralized lock entirely.
 //!
 //! All spin loops yield to the scheduler: the reproduction hosts may have
 //! a single hardware CPU, where busy-waiting would starve the lock holder.

@@ -1,34 +1,27 @@
-//! Read-side **reader indicators** — pluggable visibility schemes for the
-//! fallback (non-elided) read paths.
+//! Read-side **reader indicator** — BRAVO's revocable-bias table under
+//! the fallback (non-elided) read paths.
 //!
 //! The paper's elision fast path gives readers a free ride through the
 //! hardware, but the moment elision is disabled or exhausted every reader
 //! funnels through centralized state: a shared counter, a lock word, or an
-//! epoch slot that writers must scan. A *reader indicator* abstracts the
-//! question "which readers are inside?" behind a small protocol so the
-//! answer can be maintained centrally (cheap for writers, a coherence
-//! hot-spot for readers) or distributedly (one private store per reader,
-//! a bounded scan for writers).
+//! epoch slot that writers must scan. A *reader indicator* answers "which
+//! readers are inside?" distributedly instead — one private store per
+//! reader, a bounded scan for writers.
 //!
-//! Three implementations ship behind [`ReaderIndicator`]:
+//! There is one indicator, [`BravoIndicator`] — BRAVO (Dice & Kogan,
+//! arXiv:1810.01553): a process-global, cache-line-padded
+//! *visible-readers table*. A reader hashes `(indicator id, thread id)`
+//! to a slot, publishes with one compare-and-swap, and re-checks the
+//! indicator's **bias** word; while the bias is set the publication alone
+//! certifies the read (no writer check needed). A writer *revokes* the
+//! bias and scans the table, waiting out published readers. An adaptive
+//! rebias policy bounds the scan cost against the slow-path fraction (see
+//! [`BravoIndicator`]).
 //!
-//! * [`CentralIndicator`] — the null indicator. Every publish is
-//!   [`Publish::Declined`], so callers keep using whatever centralized
-//!   accounting they already have. This is the seed behaviour, kept as the
-//!   baseline.
-//! * [`BravoIndicator`] — BRAVO (Dice & Kogan, arXiv:1810.01553): a
-//!   process-global, cache-line-padded *visible-readers table*. A reader
-//!   hashes `(indicator id, thread id)` to a slot, publishes with one
-//!   compare-and-swap, and re-checks the indicator's **bias** word; while
-//!   the bias is set the publication alone certifies the read (no writer
-//!   check needed). A writer *revokes* the bias and scans the table,
-//!   waiting out published readers. An adaptive rebias policy bounds the
-//!   scan cost against the slow-path fraction (see [`BravoIndicator`]).
-//! * [`ClonedIndicator`] — one padded slot per thread, owned by the
-//!   indicator instance. Readers always publish ([`Publish::Published`])
-//!   and must still perform their own writer check (Dekker-style); writers
-//!   always scan all slots. The classic big-reader/cloned-lock layout,
-//!   here as the no-bias comparison point.
+//! A holder either has one or has none: [`IndicatorKind::Central`] means
+//! *no indicator* — `rwle` and `epoch` spell it `None` and keep whatever
+//! centralized accounting they already have, paying not even a publish
+//! attempt. [`IndicatorKind`] survives only as that configuration choice.
 //!
 //! # The bias-word dichotomy
 //!
@@ -50,37 +43,23 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Which reader-indicator scheme a lock (or epoch set) uses.
+/// Whether a lock (or epoch set) carries a reader indicator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndicatorKind {
-    /// Centralized accounting (the seed behaviour) — the null indicator.
+    /// Centralized accounting (the seed behaviour) — no indicator.
     #[default]
     Central,
     /// BRAVO-style global visible-readers table with a revocable bias.
     Bravo,
-    /// Per-thread cloned slots, always published, writer scans all.
-    Cloned,
 }
 
 impl IndicatorKind {
-    /// Short scheme label used by benches and CLI flags.
+    /// Short scheme label used by benches.
     pub fn label(self) -> &'static str {
         match self {
             IndicatorKind::Central => "central",
             IndicatorKind::Bravo => "bravo",
-            IndicatorKind::Cloned => "cloned",
-        }
-    }
-
-    /// Parses a CLI spelling (`central` | `bravo` | `cloned`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "central" => Some(IndicatorKind::Central),
-            "bravo" => Some(IndicatorKind::Bravo),
-            "cloned" => Some(IndicatorKind::Cloned),
-            _ => None,
         }
     }
 }
@@ -93,11 +72,6 @@ pub enum Publish {
     /// must revoke the bias and scan the table before mutating, and the
     /// dichotomy guarantees the scan sees this slot.
     Certified(u32),
-    /// Published but not certified: the slot is visible to collecting
-    /// writers, but the caller must still perform its own writer check
-    /// (Dekker-style) before proceeding, and [`ReaderIndicator::retire`]
-    /// the slot if the check fails.
-    Published(u32),
     /// Not published — take the centralized slow path.
     Declined,
 }
@@ -115,253 +89,15 @@ pub struct Revocation {
     pub must_scan: bool,
 }
 
-/// A pluggable read-side visibility scheme.
-///
-/// Reader protocol: [`publish`](ReaderIndicator::publish) on entry; on
-/// exit, [`retire`](ReaderIndicator::retire) the slot returned by a
-/// `Certified`/`Published` outcome. A reader that fell through to the
-/// centralized slow path reports it via
-/// [`note_slow_read`](ReaderIndicator::note_slow_read) (which drives the
-/// rebias policy).
-///
-/// Writer protocol: [`begin_collect`](ReaderIndicator::begin_collect)
-/// (revokes the bias), then either [`collect_wait`] to wait published
-/// readers out (lock-style) or [`collect`](ReaderIndicator::collect) to
-/// enumerate them and wait on some other channel (epoch-style, waiting on
-/// per-thread clocks), then [`end_collect`](ReaderIndicator::end_collect)
-/// once the critical section is over. Writers that are already serialized
-/// by their own lock word and gate reader rebias behind their own drain
-/// protocol can use the registration-free
-/// [`revoke_serialized`](ReaderIndicator::revoke_serialized) instead.
-pub trait ReaderIndicator: Send + Sync {
-    /// Which scheme this is.
-    fn kind(&self) -> IndicatorKind;
-
-    /// Attempts to publish thread `tid` as an active reader.
-    fn publish(&self, tid: usize) -> Publish;
-
-    /// Withdraws a publication made by `publish` (same `tid`, the slot it
-    /// returned).
-    fn retire(&self, tid: usize, slot: u32);
-
-    /// Begins a collection: revokes the bias (if any) and registers this
-    /// caller as an active collector, blocking rebias until
-    /// [`end_collect`](ReaderIndicator::end_collect).
-    fn begin_collect(&self) -> Revocation;
-
-    /// Ends a collection begun by
-    /// [`begin_collect`](ReaderIndicator::begin_collect).
-    fn end_collect(&self);
-
-    /// Enumerates currently published readers of *this* indicator as
-    /// `(slot, tid)` pairs. Honours `rev.must_scan` (no-op when `false`).
-    fn collect(&self, rev: &Revocation, each: &mut dyn FnMut(u32, usize));
-
-    /// Whether a previously observed `(slot, tid)` publication has been
-    /// withdrawn (or the slot reused by an unrelated reader).
-    fn vacated(&self, slot: u32, tid: usize) -> bool;
-
-    /// A reader took the centralized slow path. Drives the adaptive
-    /// rebias policy; cheap no-op for indicators without a bias.
-    fn note_slow_read(&self);
-
-    /// Records a slow read **without** attempting a rebias; returns `true`
-    /// when the rebias policy wants one. The caller must then invoke
-    /// [`try_rebias`](ReaderIndicator::try_rebias) from a context where no
-    /// [serialized collection](ReaderIndicator::revoke_serialized) can be
-    /// in progress — e.g. `rwle` calls it from inside the reader's epoch
-    /// after observing the NS lock free, so a concurrent NS writer's
-    /// quiescence barrier is guaranteed to drain the rebias before the
-    /// writer's post-quiescence re-check. Indicators without a bias
-    /// return `false`.
-    fn note_slow_read_deferred(&self) -> bool {
-        false
-    }
-
-    /// Attempts to re-enable the bias (the deferred half of
-    /// [`note_slow_read_deferred`](ReaderIndicator::note_slow_read_deferred)).
-    /// No-op for indicators without a bias.
-    fn try_rebias(&self) {}
-
-    /// Serialized-collector revocation: the cheap alternative to the
-    /// [`begin_collect`](ReaderIndicator::begin_collect)/
-    /// [`end_collect`](ReaderIndicator::end_collect) pair, with no
-    /// registration and no paired end call. The caller must guarantee
-    /// **(a)** its collections are mutually exclusive (serialized by an
-    /// external writer lock) and **(b)** every rebias attempt is gated by
-    /// [`note_slow_read_deferred`](ReaderIndicator::note_slow_read_deferred)
-    /// +[`try_rebias`](ReaderIndicator::try_rebias) placed so that the
-    /// caller's own reader-drain protocol flushes any rebias racing a
-    /// collection — and it must call this method *again* after that drain
-    /// to catch one that slipped in (see `rwle`'s NS write path). Under
-    /// those guarantees, observing the bias already clear proves no
-    /// certified reader is live, so the scan is skipped entirely.
-    fn revoke_serialized(&self) -> Revocation;
-
-    /// Reports the measured cost (stall iterations) of a completed
-    /// collection so the rebias policy can bound scan cost against the
-    /// slow-path fraction.
-    fn note_collect_cost(&self, stalls: u64);
-
-    /// Whether the read bias is currently enabled (tests/benches).
-    fn bias_enabled(&self) -> bool;
-}
-
-/// Constructs an indicator of the given kind sized for `max_threads`.
-///
-/// Returns a trait object; callers on a read-side fast path should prefer
-/// [`Indicator::build`], whose enum dispatch lets `publish`/`retire`
-/// inline into the caller.
-pub fn build(kind: IndicatorKind, max_threads: usize) -> Arc<dyn ReaderIndicator> {
-    Indicator::build(kind, max_threads)
-}
-
-/// A statically dispatched indicator: the enum counterpart of
-/// `Arc<dyn ReaderIndicator>`.
-///
-/// Virtual dispatch costs a few nanoseconds per call and — worse — hides
-/// the slot hash and CAS from the inliner. On the certified read path
-/// (publish + retire around a tiny critical section) that overhead is a
-/// measurable fraction of the whole acquisition, so the hot callers
-/// (`rwle::RwLe::read_cs`, epoch registration) hold this enum instead.
-/// `Indicator` also implements [`ReaderIndicator`], so it coerces to the
-/// trait object wherever genericity matters more than the last few
-/// nanoseconds (e.g. [`collect_wait`]).
-pub enum Indicator {
-    /// The null indicator (see [`CentralIndicator`]).
-    Central(CentralIndicator),
-    /// BRAVO (see [`BravoIndicator`]).
-    Bravo(BravoIndicator),
-    /// Per-thread cloned slots (see [`ClonedIndicator`]).
-    Cloned(ClonedIndicator),
-}
-
-/// Forwards one method to whichever variant is live, statically.
-macro_rules! each_variant {
-    ($self:ident, $i:pat => $body:expr) => {
-        match $self {
-            Indicator::Central($i) => $body,
-            Indicator::Bravo($i) => $body,
-            Indicator::Cloned($i) => $body,
-        }
-    };
-}
-
-impl Indicator {
-    /// Constructs an indicator of the given kind sized for `max_threads`.
-    /// Hot-path holders (`rwle`, epoch registration) embed the enum
-    /// inline — no `Arc` indirection on the publish path.
-    pub fn new(kind: IndicatorKind, max_threads: usize) -> Indicator {
-        match kind {
-            IndicatorKind::Central => Indicator::Central(CentralIndicator::new()),
-            IndicatorKind::Bravo => Indicator::Bravo(BravoIndicator::sized(max_threads)),
-            IndicatorKind::Cloned => Indicator::Cloned(ClonedIndicator::new(max_threads)),
-        }
-    }
-
-    /// [`Indicator::new`] behind an `Arc`, for holders that share it.
-    pub fn build(kind: IndicatorKind, max_threads: usize) -> Arc<Indicator> {
-        Arc::new(Self::new(kind, max_threads))
-    }
-
-    /// Statically dispatched [`ReaderIndicator::publish`].
-    #[inline]
-    pub fn publish(&self, tid: usize) -> Publish {
-        each_variant!(self, i => i.publish(tid))
-    }
-
-    /// Statically dispatched [`ReaderIndicator::retire`].
-    #[inline]
-    pub fn retire(&self, tid: usize, slot: u32) {
-        each_variant!(self, i => i.retire(tid, slot))
-    }
-
-    /// Statically dispatched [`ReaderIndicator::note_slow_read`].
-    #[inline]
-    pub fn note_slow_read(&self) {
-        each_variant!(self, i => i.note_slow_read())
-    }
-
-    /// Statically dispatched [`ReaderIndicator::note_slow_read_deferred`].
-    #[inline]
-    pub fn note_slow_read_deferred(&self) -> bool {
-        each_variant!(self, i => i.note_slow_read_deferred())
-    }
-
-    /// Statically dispatched [`ReaderIndicator::try_rebias`].
-    pub fn try_rebias(&self) {
-        each_variant!(self, i => i.try_rebias())
-    }
-
-    /// Statically dispatched [`ReaderIndicator::revoke_serialized`].
-    pub fn revoke_serialized(&self) -> Revocation {
-        each_variant!(self, i => i.revoke_serialized())
-    }
-}
-
-impl ReaderIndicator for Indicator {
-    fn kind(&self) -> IndicatorKind {
-        each_variant!(self, i => i.kind())
-    }
-
-    fn publish(&self, tid: usize) -> Publish {
-        Indicator::publish(self, tid)
-    }
-
-    fn retire(&self, tid: usize, slot: u32) {
-        Indicator::retire(self, tid, slot)
-    }
-
-    fn begin_collect(&self) -> Revocation {
-        each_variant!(self, i => i.begin_collect())
-    }
-
-    fn end_collect(&self) {
-        each_variant!(self, i => i.end_collect())
-    }
-
-    fn collect(&self, rev: &Revocation, each: &mut dyn FnMut(u32, usize)) {
-        each_variant!(self, i => i.collect(rev, each))
-    }
-
-    fn vacated(&self, slot: u32, tid: usize) -> bool {
-        each_variant!(self, i => i.vacated(slot, tid))
-    }
-
-    fn note_slow_read(&self) {
-        Indicator::note_slow_read(self)
-    }
-
-    fn note_slow_read_deferred(&self) -> bool {
-        Indicator::note_slow_read_deferred(self)
-    }
-
-    fn try_rebias(&self) {
-        Indicator::try_rebias(self)
-    }
-
-    fn revoke_serialized(&self) -> Revocation {
-        Indicator::revoke_serialized(self)
-    }
-
-    fn note_collect_cost(&self, stalls: u64) {
-        each_variant!(self, i => i.note_collect_cost(stalls))
-    }
-
-    fn bias_enabled(&self) -> bool {
-        each_variant!(self, i => i.bias_enabled())
-    }
-}
-
 /// Waits out every reader published in the indicator (lock-style
 /// collection): enumerates occupied slots and spins (with backoff) until
 /// each is vacated. `skip` exempts the collector's own thread id, so a
 /// writer that is itself inside a read-side nest cannot deadlock on its
 /// own slot. Returns the number of stall iterations and reports it to the
 /// rebias policy.
-pub fn collect_wait(ind: &dyn ReaderIndicator, rev: &Revocation, skip: Option<usize>) -> u64 {
+pub fn collect_wait(ind: &BravoIndicator, rev: &Revocation, skip: Option<usize>) -> u64 {
     let mut stalls = 0u64;
-    ind.collect(rev, &mut |slot, tid| {
+    ind.collect(rev, |slot, tid| {
         if skip == Some(tid) {
             return;
         }
@@ -379,72 +115,6 @@ pub fn collect_wait(ind: &dyn ReaderIndicator, rev: &Revocation, skip: Option<us
 /// readers — the whole point of distributing the indicator).
 #[repr(align(64))]
 struct PaddedSlot(AtomicU64);
-
-// ---------------------------------------------------------------------------
-// Central (null) indicator
-// ---------------------------------------------------------------------------
-
-/// The null indicator: never publishes, never needs scanning. Callers fall
-/// through to their existing centralized accounting, making this the
-/// zero-overhead baseline every other indicator is measured against.
-#[derive(Default)]
-pub struct CentralIndicator;
-
-impl CentralIndicator {
-    /// Creates the null indicator.
-    pub fn new() -> Self {
-        CentralIndicator
-    }
-}
-
-impl ReaderIndicator for CentralIndicator {
-    fn kind(&self) -> IndicatorKind {
-        IndicatorKind::Central
-    }
-
-    #[inline]
-    fn publish(&self, _tid: usize) -> Publish {
-        Publish::Declined
-    }
-
-    fn retire(&self, _tid: usize, _slot: u32) {
-        unreachable!("central indicator never publishes");
-    }
-
-    fn begin_collect(&self) -> Revocation {
-        Revocation {
-            revoked: false,
-            must_scan: false,
-        }
-    }
-
-    fn end_collect(&self) {}
-
-    fn collect(&self, _rev: &Revocation, _each: &mut dyn FnMut(u32, usize)) {}
-
-    fn vacated(&self, _slot: u32, _tid: usize) -> bool {
-        true
-    }
-
-    fn note_slow_read(&self) {}
-
-    fn revoke_serialized(&self) -> Revocation {
-        Revocation {
-            revoked: false,
-            must_scan: false,
-        }
-    }
-
-    fn note_collect_cost(&self, _stalls: u64) {}
-
-    fn bias_enabled(&self) -> bool {
-        false
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BRAVO indicator
-// ---------------------------------------------------------------------------
 
 /// Slots in the process-global visible-readers table. Power of two so the
 /// hash reduces with a mask. 1024 padded slots = 64 KiB of static data,
@@ -509,13 +179,30 @@ const REBIAS_MAX: u64 = 4096;
 /// slot, re-load the bias word. If the re-check still sees the
 /// bias, the read is certified — no writer check, no centralized counter.
 ///
-/// Writer path: [`begin_collect`](ReaderIndicator::begin_collect) clears
+/// Writer path: [`begin_collect`](BravoIndicator::begin_collect) clears
 /// the bias and bumps the collector count in one RMW; the scan then visits
 /// this indicator's region of the global table (sized for its thread
 /// count — see [`BravoIndicator::sized`]) filtering on its id. The packed
 /// bias+collectors word closes the rebias-during-scan race: a reader can
 /// only re-enable the bias with a CAS from the all-zero state, which fails
 /// while any collector is registered.
+///
+/// Reader protocol: [`publish`](BravoIndicator::publish) on entry; on
+/// exit, [`retire`](BravoIndicator::retire) the slot returned by a
+/// `Certified` outcome. A reader that fell through to the centralized
+/// slow path reports it via
+/// [`note_slow_read`](BravoIndicator::note_slow_read) (which drives the
+/// rebias policy).
+///
+/// Writer protocol: [`begin_collect`](BravoIndicator::begin_collect)
+/// (revokes the bias), then either [`collect_wait`] to wait published
+/// readers out (lock-style) or [`collect`](BravoIndicator::collect) to
+/// enumerate them and wait on some other channel (epoch-style, waiting on
+/// per-thread clocks), then [`end_collect`](BravoIndicator::end_collect)
+/// once the critical section is over. Writers that are already serialized
+/// by their own lock word and gate reader rebias behind their own drain
+/// protocol can use the registration-free
+/// [`revoke_serialized`](BravoIndicator::revoke_serialized) instead.
 pub struct BravoIndicator {
     /// This instance's nonzero id (the high half of its slot values).
     id: u64,
@@ -586,15 +273,10 @@ impl BravoIndicator {
             self.rebias_threshold.store(t + 1, Ordering::Relaxed);
         }
     }
-}
 
-impl ReaderIndicator for BravoIndicator {
-    fn kind(&self) -> IndicatorKind {
-        IndicatorKind::Bravo
-    }
-
+    /// Attempts to publish thread `tid` as an active reader.
     #[inline]
-    fn publish(&self, tid: usize) -> Publish {
+    pub fn publish(&self, tid: usize) -> Publish {
         // Advisory pre-check: unbiased means the CAS would be wasted work.
         // No yield point of its own — the races that matter interleave
         // around the slot CAS and the certify re-check below.
@@ -630,8 +312,10 @@ impl ReaderIndicator for BravoIndicator {
         Publish::Declined
     }
 
+    /// Withdraws a publication made by `publish` (same `tid`, the slot it
+    /// returned).
     #[inline]
-    fn retire(&self, tid: usize, slot: u32) {
+    pub fn retire(&self, tid: usize, slot: u32) {
         // No yield point of its own: the reader-holds-slot-while-writer-
         // scans window is explored via the yield points inside the
         // critical section's reads and the collector's `vacated` loop.
@@ -643,7 +327,10 @@ impl ReaderIndicator for BravoIndicator {
         TABLE[slot as usize].0.store(0, Ordering::Release);
     }
 
-    fn begin_collect(&self) -> Revocation {
+    /// Begins a collection: revokes the bias (if set) and registers this
+    /// caller as an active collector, blocking rebias until
+    /// [`end_collect`](BravoIndicator::end_collect).
+    pub fn begin_collect(&self) -> Revocation {
         sched::step();
         // Register as a collector first: a non-zero count blocks the
         // rebias CAS (which requires the all-zero state), so the bias
@@ -676,8 +363,21 @@ impl ReaderIndicator for BravoIndicator {
         }
     }
 
-    fn revoke_serialized(&self) -> Revocation {
-        // Caller contract (see the trait doc): collections are serialized
+    /// Serialized-collector revocation: the cheap alternative to the
+    /// [`begin_collect`](BravoIndicator::begin_collect)/
+    /// [`end_collect`](BravoIndicator::end_collect) pair, with no
+    /// registration and no paired end call. The caller must guarantee
+    /// **(a)** its collections are mutually exclusive (serialized by an
+    /// external writer lock) and **(b)** every rebias attempt is gated by
+    /// [`note_slow_read_deferred`](BravoIndicator::note_slow_read_deferred)
+    /// +[`try_rebias`](BravoIndicator::try_rebias) placed so that the
+    /// caller's own reader-drain protocol flushes any rebias racing a
+    /// collection — and it must call this method *again* after that drain
+    /// to catch one that slipped in (see `rwle`'s NS write path). Under
+    /// those guarantees, observing the bias already clear proves no
+    /// certified reader is live, so the scan is skipped entirely.
+    pub fn revoke_serialized(&self) -> Revocation {
+        // Caller contract (see the doc comment): collections are serialized
         // by an external writer lock, and rebias attempts are gated so
         // the caller's reader-drain protocol flushes any that race this
         // collection before the caller's re-call of this method.
@@ -704,7 +404,9 @@ impl ReaderIndicator for BravoIndicator {
         }
     }
 
-    fn end_collect(&self) {
+    /// Ends a collection begun by
+    /// [`begin_collect`](BravoIndicator::begin_collect).
+    pub fn end_collect(&self) {
         sched::step();
         // The bias bit is zero for the whole collection (rebias CASes from
         // the all-zero state only), so decrementing the packed count never
@@ -712,7 +414,9 @@ impl ReaderIndicator for BravoIndicator {
         self.state.fetch_sub(2, Ordering::SeqCst);
     }
 
-    fn collect(&self, rev: &Revocation, each: &mut dyn FnMut(u32, usize)) {
+    /// Enumerates currently published readers of *this* indicator as
+    /// `(slot, tid)` pairs. Honours `rev.must_scan` (no-op when `false`).
+    pub fn collect(&self, rev: &Revocation, mut each: impl FnMut(u32, usize)) {
         if !rev.must_scan {
             return;
         }
@@ -731,20 +435,32 @@ impl ReaderIndicator for BravoIndicator {
         }
     }
 
-    fn vacated(&self, slot: u32, tid: usize) -> bool {
+    /// Whether a previously observed `(slot, tid)` publication has been
+    /// withdrawn (or the slot reused by an unrelated reader).
+    pub fn vacated(&self, slot: u32, tid: usize) -> bool {
         sched::step();
         TABLE[slot as usize].0.load(Ordering::SeqCst) != self.slot_value(tid)
     }
 
+    /// A reader took the centralized slow path. Drives the adaptive
+    /// rebias policy.
     #[inline]
-    fn note_slow_read(&self) {
+    pub fn note_slow_read(&self) {
         if self.note_slow_read_deferred() {
             self.try_rebias();
         }
     }
 
+    /// Records a slow read **without** attempting a rebias; returns `true`
+    /// when the rebias policy wants one. The caller must then invoke
+    /// [`try_rebias`](BravoIndicator::try_rebias) from a context where no
+    /// [serialized collection](BravoIndicator::revoke_serialized) can be
+    /// in progress — e.g. `rwle` calls it from inside the reader's epoch
+    /// after observing the NS lock free, so a concurrent NS writer's
+    /// quiescence barrier is guaranteed to drain the rebias before the
+    /// writer's post-quiescence re-check.
     #[inline]
-    fn note_slow_read_deferred(&self) -> bool {
+    pub fn note_slow_read_deferred(&self) -> bool {
         if self.state.load(Ordering::Relaxed) & BIAS != 0 {
             return false;
         }
@@ -752,7 +468,9 @@ impl ReaderIndicator for BravoIndicator {
         n >= self.rebias_threshold.load(Ordering::Relaxed)
     }
 
-    fn try_rebias(&self) {
+    /// Attempts to re-enable the bias (the deferred half of
+    /// [`note_slow_read_deferred`](BravoIndicator::note_slow_read_deferred)).
+    pub fn try_rebias(&self) {
         sched::step();
         // Rebias only from the fully idle state: bias clear, zero
         // collectors. Failure just means a collector is live (or another
@@ -772,7 +490,10 @@ impl ReaderIndicator for BravoIndicator {
         }
     }
 
-    fn note_collect_cost(&self, stalls: u64) {
+    /// Reports the measured cost (stall iterations) of a completed
+    /// collection so the rebias policy can bound scan cost against the
+    /// slow-path fraction.
+    pub fn note_collect_cost(&self, stalls: u64) {
         // Ratchet, don't overwrite: most collections are cheap (the scan
         // was skipped, zero stalls) and must not erase what an expensive
         // one taught us. The rebias decay above is the only way down.
@@ -784,98 +505,9 @@ impl ReaderIndicator for BravoIndicator {
         }
     }
 
-    fn bias_enabled(&self) -> bool {
+    /// Whether the read bias is currently enabled (tests/benches).
+    pub fn bias_enabled(&self) -> bool {
         self.state.load(Ordering::Relaxed) & BIAS != 0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cloned indicator
-// ---------------------------------------------------------------------------
-
-/// Per-thread cloned reader slots: one padded flag per thread, owned by
-/// this instance. Readers always publish and must still run their own
-/// writer check; writers always scan all `max_threads` slots. No bias, no
-/// revocation — the comparison point showing what the bias buys (a
-/// certified fast path) and what it costs (revocation scans).
-pub struct ClonedIndicator {
-    slots: Box<[PaddedSlot]>,
-}
-
-impl ClonedIndicator {
-    /// Creates an indicator with one slot per thread id below
-    /// `max_threads`.
-    pub fn new(max_threads: usize) -> Self {
-        ClonedIndicator {
-            slots: (0..max_threads)
-                .map(|_| PaddedSlot(AtomicU64::new(0)))
-                .collect(),
-        }
-    }
-}
-
-impl ReaderIndicator for ClonedIndicator {
-    fn kind(&self) -> IndicatorKind {
-        IndicatorKind::Cloned
-    }
-
-    #[inline]
-    fn publish(&self, tid: usize) -> Publish {
-        sched::step();
-        // SeqCst store: the Dekker half of publish-then-check-writer
-        // against the writer's set-writer-then-scan.
-        self.slots[tid].0.store(1, Ordering::SeqCst);
-        Publish::Published(tid as u32)
-    }
-
-    #[inline]
-    fn retire(&self, tid: usize, slot: u32) {
-        debug_assert_eq!(tid as u32, slot);
-        sched::step();
-        self.slots[tid].0.store(0, Ordering::Release);
-    }
-
-    fn begin_collect(&self) -> Revocation {
-        Revocation {
-            revoked: false,
-            must_scan: true,
-        }
-    }
-
-    fn end_collect(&self) {}
-
-    fn collect(&self, rev: &Revocation, each: &mut dyn FnMut(u32, usize)) {
-        if !rev.must_scan {
-            return;
-        }
-        for (tid, slot) in self.slots.iter().enumerate() {
-            sched::step();
-            if slot.0.load(Ordering::SeqCst) != 0 {
-                each(tid as u32, tid);
-            }
-        }
-    }
-
-    fn vacated(&self, _slot: u32, tid: usize) -> bool {
-        sched::step();
-        self.slots[tid].0.load(Ordering::SeqCst) == 0
-    }
-
-    fn note_slow_read(&self) {}
-
-    fn revoke_serialized(&self) -> Revocation {
-        // No bias to revoke, but cloned slots are always live: a
-        // serialized collector must still scan them all.
-        Revocation {
-            revoked: false,
-            must_scan: true,
-        }
-    }
-
-    fn note_collect_cost(&self, _stalls: u64) {}
-
-    fn bias_enabled(&self) -> bool {
-        false
     }
 }
 
@@ -891,7 +523,6 @@ mod tests {
         for _ in 0..1_000_000 {
             match ind.publish(tid) {
                 Publish::Certified(slot) => return slot,
-                Publish::Published(_) => unreachable!("bravo never returns Published"),
                 Publish::Declined => {
                     assert!(
                         ind.bias_enabled(),
@@ -905,17 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn central_always_declines() {
-        let ind = CentralIndicator::new();
-        assert_eq!(ind.publish(0), Publish::Declined);
-        let rev = ind.begin_collect();
-        assert!(!rev.revoked);
-        assert!(!rev.must_scan);
-        assert_eq!(collect_wait(&ind, &rev, None), 0);
-        ind.end_collect();
-    }
-
-    #[test]
     fn bravo_publish_certifies_while_biased() {
         let ind = BravoIndicator::new();
         assert!(ind.bias_enabled());
@@ -925,7 +545,7 @@ mod tests {
         assert!(rev.revoked);
         assert!(rev.must_scan);
         let mut seen = Vec::new();
-        ind.collect(&rev, &mut |s, tid| seen.push((s, tid)));
+        ind.collect(&rev, |s, tid| seen.push((s, tid)));
         assert_eq!(seen, vec![(slot, 3)]);
         assert!(!ind.vacated(slot, 3));
         ind.retire(3, slot);
@@ -1042,46 +662,14 @@ mod tests {
     }
 
     #[test]
-    fn cloned_publishes_and_writer_scans_all() {
-        let ind = ClonedIndicator::new(4);
-        let Publish::Published(slot) = ind.publish(2) else {
-            panic!("cloned must always publish");
-        };
-        assert_eq!(slot, 2);
-        let rev = ind.begin_collect();
-        assert!(rev.must_scan);
-        let mut seen = Vec::new();
-        ind.collect(&rev, &mut |s, tid| seen.push((s, tid)));
-        assert_eq!(seen, vec![(2, 2)]);
-        ind.retire(2, slot);
-        assert!(ind.vacated(slot, 2));
-        ind.end_collect();
-    }
-
-    #[test]
     fn collect_wait_skips_own_slot() {
-        let ind = ClonedIndicator::new(2);
-        let Publish::Published(_) = ind.publish(1) else {
-            panic!()
-        };
+        let ind = BravoIndicator::new();
+        let slot = publish_certified(&ind, 1);
         let rev = ind.begin_collect();
         // Without skip this would spin forever on tid 1's live slot.
         assert_eq!(collect_wait(&ind, &rev, Some(1)), 0);
         ind.end_collect();
-        ind.retire(1, 1);
-    }
-
-    #[test]
-    fn build_matches_kind() {
-        for kind in [
-            IndicatorKind::Central,
-            IndicatorKind::Bravo,
-            IndicatorKind::Cloned,
-        ] {
-            assert_eq!(build(kind, 8).kind(), kind);
-            assert_eq!(IndicatorKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(IndicatorKind::parse("nope"), None);
+        ind.retire(1, slot);
     }
 
     #[test]

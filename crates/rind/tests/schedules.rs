@@ -9,15 +9,17 @@
 //! non-atomic two-word update overlap the read and shows up here as a
 //! torn-pair assertion carrying the reproducing seed.
 //!
-//! The model is a minimal lock built from nothing but an indicator, a
-//! writer flag, and a centralized slow-reader count — the same shape
-//! `locks::IndicatedRwLock` and the rwle NS fallback use, with every
-//! protocol step under `sched::step()`.
+//! The model is a minimal lock built from nothing but an optional
+//! indicator, a writer flag, and a centralized slow-reader count — the
+//! same shape `locks::IndicatedRwLock` and the rwle NS fallback use, with
+//! every protocol step under `sched::step()`. Without an indicator it is
+//! a plain writer-preference lock: the baseline that shows a torn pair
+//! under BRAVO is the indicator's fault, not the harness's.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rind::{build, collect_wait, IndicatorKind, Publish, ReaderIndicator};
+use rind::{collect_wait, BravoIndicator, Publish};
 
 const READERS: usize = 2;
 const WRITERS: usize = 2;
@@ -25,7 +27,7 @@ const READS: usize = 3;
 const WRITES: usize = 2;
 
 struct Model {
-    ind: Arc<dyn ReaderIndicator>,
+    ind: Option<BravoIndicator>,
     writer: AtomicU64,
     slow: AtomicU64,
     a: AtomicU64,
@@ -35,9 +37,9 @@ struct Model {
 }
 
 impl Model {
-    fn new(kind: IndicatorKind) -> Self {
+    fn new(ind: Option<BravoIndicator>) -> Self {
         Model {
-            ind: build(kind, READERS + WRITERS),
+            ind,
             writer: AtomicU64::new(0),
             slow: AtomicU64::new(0),
             a: AtomicU64::new(0),
@@ -71,29 +73,23 @@ impl Model {
         }
         self.read_pair();
         self.slow.fetch_sub(1, Ordering::SeqCst);
-        self.ind.note_slow_read();
+        if let Some(ind) = &self.ind {
+            ind.note_slow_read();
+        }
         self.slow_reads.fetch_add(1, Ordering::SeqCst);
     }
 
     fn read(&self, tid: usize) {
-        match self.ind.publish(tid) {
+        let Some(ind) = &self.ind else {
+            return self.slow_read();
+        };
+        match ind.publish(tid) {
             Publish::Certified(slot) => {
                 // Certified: no writer check at all — the revocation
                 // protocol alone must exclude us from write sections.
                 self.read_pair();
-                self.ind.retire(tid, slot);
+                ind.retire(tid, slot);
                 self.fast_reads.fetch_add(1, Ordering::SeqCst);
-            }
-            Publish::Published(slot) => {
-                sched::yield_point();
-                if self.writer.load(Ordering::SeqCst) == 0 {
-                    self.read_pair();
-                    self.ind.retire(tid, slot);
-                    self.fast_reads.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    self.ind.retire(tid, slot);
-                    self.slow_read();
-                }
             }
             Publish::Declined => self.slow_read(),
         }
@@ -108,8 +104,10 @@ impl Model {
         {
             bo.snooze();
         }
-        let rev = self.ind.begin_collect();
-        collect_wait(self.ind.as_ref(), &rev, None);
+        if let Some(ind) = &self.ind {
+            let rev = ind.begin_collect();
+            collect_wait(ind, &rev, None);
+        }
         let mut bo = sched::Backoff::new();
         while self.slow.load(Ordering::SeqCst) != 0 {
             bo.snooze();
@@ -119,12 +117,14 @@ impl Model {
         sched::yield_point();
         self.b.store(v, Ordering::SeqCst);
         self.writer.store(0, Ordering::SeqCst);
-        self.ind.end_collect();
+        if let Some(ind) = &self.ind {
+            ind.end_collect();
+        }
     }
 }
 
-fn revocation_schedule(kind: IndicatorKind, seed: u64) {
-    let m = Arc::new(Model::new(kind));
+fn revocation_schedule(ind: Option<BravoIndicator>, seed: u64) {
+    let m = Arc::new(Model::new(ind));
     let mut s = sched::Scheduler::new(seed);
     for tid in 0..READERS {
         let m = Arc::clone(&m);
@@ -156,25 +156,16 @@ fn revocation_schedule(kind: IndicatorKind, seed: u64) {
 #[test]
 fn bravo_revocation_schedules() {
     sched::explore("rind-bravo-revocation", 0..320, |seed| {
-        revocation_schedule(IndicatorKind::Bravo, seed)
+        revocation_schedule(Some(BravoIndicator::sized(READERS + WRITERS)), seed)
     });
 }
 
-/// Cloned (no bias): the Dekker race between slot-publish/writer-check
-/// and set-writer/scan. 320 seeds.
-#[test]
-fn cloned_revocation_schedules() {
-    sched::explore("rind-cloned-revocation", 0..320, |seed| {
-        revocation_schedule(IndicatorKind::Cloned, seed)
-    });
-}
-
-/// Central (null indicator): everything funnels through the slow path;
-/// the model degenerates to a plain writer-preference lock. 150 seeds.
+/// No indicator: everything funnels through the slow path; the model
+/// degenerates to a plain writer-preference lock. 150 seeds.
 #[test]
 fn central_revocation_schedules() {
     sched::explore("rind-central-revocation", 0..150, |seed| {
-        revocation_schedule(IndicatorKind::Central, seed)
+        revocation_schedule(None, seed)
     });
 }
 
@@ -186,13 +177,13 @@ fn central_revocation_schedules() {
 #[test]
 fn bravo_rebias_vs_collect_schedules() {
     sched::explore("rind-bravo-rebias", 0..320, |seed| {
-        let m = Arc::new(Model::new(IndicatorKind::Bravo));
+        let m = Arc::new(Model::new(Some(BravoIndicator::sized(READERS + WRITERS))));
         let mut s = sched::Scheduler::new(seed);
         {
             let m = Arc::clone(&m);
             s.spawn(move || {
                 for _ in 0..8 {
-                    m.ind.note_slow_read();
+                    m.ind.as_ref().unwrap().note_slow_read();
                     sched::yield_point();
                 }
             });

@@ -53,7 +53,7 @@ use std::sync::Arc;
 
 use epoch::EpochSet;
 use htm::{AbortCause, MemAccess, ThreadCtx, TxMode, ABORT_LOCK_BUSY};
-use rind::{Indicator, IndicatorKind, Publish, ReaderIndicator};
+use rind::{BravoIndicator, IndicatorKind, Publish};
 use simmem::{Addr, AllocError, SimAlloc};
 use stats::{CommitKind, ThreadStats};
 
@@ -244,7 +244,7 @@ pub struct RwLe {
     nesting: guard::NestingDepths,
     /// Read-side indicator; `None` for [`IndicatorKind::Central`] so the
     /// default configuration pays nothing (not even a publish attempt).
-    ind: Option<Indicator>,
+    ind: Option<BravoIndicator>,
     cfg: RwLeConfig,
 }
 
@@ -296,7 +296,7 @@ impl RwLe {
         };
         let ind = match cfg.indicator {
             IndicatorKind::Central => None,
-            kind => Some(Indicator::new(kind, max_threads)),
+            IndicatorKind::Bravo => Some(BravoIndicator::sized(max_threads)),
         };
         Ok(RwLe {
             wlock,
@@ -309,8 +309,8 @@ impl RwLe {
     }
 
     /// The reader indicator, if one is configured (tests/benches).
-    pub fn indicator(&self) -> Option<&dyn ReaderIndicator> {
-        self.ind.as_ref().map(|i| i as &dyn ReaderIndicator)
+    pub fn indicator(&self) -> Option<&BravoIndicator> {
+        self.ind.as_ref()
     }
 
     /// The configuration this lock was built with.
@@ -367,26 +367,6 @@ impl RwLe {
                     ind.retire(tid, slot);
                     stats.commit(CommitKind::Uninstrumented);
                     return r;
-                }
-                Publish::Published(slot) => {
-                    // Published but uncertified (the cloned indicator):
-                    // Dekker check of the NS lock word. The fence orders
-                    // our slot store before the lock load against the
-                    // writer's lock-CAS-then-scan.
-                    std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-                    if state(ctx.read_nt(self.wlock)) != ST_NS {
-                        stats.bias_reads += 1;
-                        // Claim-filtered for the same reason as the
-                        // certified path: NS-only writers wait our slot
-                        // out before storing.
-                        let mut acc = ctx.epoch_reader();
-                        let r = body(&mut acc).expect("uninstrumented read cannot abort");
-                        ind.retire(tid, slot);
-                        stats.commit(CommitKind::Uninstrumented);
-                        return r;
-                    }
-                    ind.retire(tid, slot);
-                    stats.bias_slowpath += 1;
                 }
                 Publish::Declined => {
                     stats.bias_slowpath += 1;
@@ -879,7 +859,7 @@ mod tests {
                 ..RwLeConfig::opt()
             },
             RwLeConfig {
-                indicator: IndicatorKind::Cloned,
+                indicator: IndicatorKind::Bravo,
                 ..RwLeConfig::pes()
             },
         ] {
@@ -893,12 +873,8 @@ mod tests {
                 e => panic!("wrong error kind: {e}"),
             }
         }
-        // The NS-only configuration accepts all three indicator kinds.
-        for kind in [
-            IndicatorKind::Central,
-            IndicatorKind::Bravo,
-            IndicatorKind::Cloned,
-        ] {
+        // The NS-only configuration accepts both indicator kinds.
+        for kind in [IndicatorKind::Central, IndicatorKind::Bravo] {
             assert!(
                 RwLe::new(&alloc, 4, RwLeConfig::fallback_only(kind)).is_ok(),
                 "fallback_only({kind:?}) rejected"
@@ -959,50 +935,51 @@ mod tests {
     }
 
     #[test]
-    fn indicator_variants_maintain_invariant_real_threads() {
+    fn indicator_maintains_invariant_real_threads() {
         // The indicator twin of `concurrent_readers_and_writers_maintain_
         // invariant`: certified readers must never see a torn NS update.
-        for kind in [IndicatorKind::Bravo, IndicatorKind::Cloned] {
-            let (rt, alloc, rwle) =
-                setup(256, HtmConfig::default(), RwLeConfig::fallback_only(kind));
-            let data = alloc.alloc(2).unwrap();
-            std::thread::scope(|s| {
-                for _ in 0..2 {
-                    let rt = Arc::clone(&rt);
-                    let rwle = Arc::clone(&rwle);
-                    s.spawn(move || {
-                        let mut ctx = rt.register();
-                        let mut st = ThreadStats::new();
-                        for _ in 0..200 {
-                            rwle.read_cs(&mut ctx, &mut st, &mut |acc| {
-                                let a = acc.read(data)?;
-                                let b = acc.read(data.offset(1))?;
-                                assert_eq!(a, b, "reader saw a torn writer update");
-                                Ok(())
-                            });
-                        }
-                    });
-                }
-                for _ in 0..2 {
-                    let rt = Arc::clone(&rt);
-                    let rwle = Arc::clone(&rwle);
-                    s.spawn(move || {
-                        let mut ctx = rt.register();
-                        let mut st = ThreadStats::new();
-                        for _ in 0..100 {
-                            rwle.write_cs(&mut ctx, &mut st, &mut |acc| {
-                                let v = acc.read(data)?;
-                                acc.write(data, v + 1)?;
-                                acc.write(data.offset(1), v + 1)?;
-                                Ok(())
-                            });
-                        }
-                    });
-                }
-            });
-            assert_eq!(rt.mem().load(data), 200, "kind {kind:?}");
-            assert_eq!(rt.mem().load(data.offset(1)), 200, "kind {kind:?}");
-        }
+        let (rt, alloc, rwle) = setup(
+            256,
+            HtmConfig::default(),
+            RwLeConfig::fallback_only(IndicatorKind::Bravo),
+        );
+        let data = alloc.alloc(2).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let rt = Arc::clone(&rt);
+                let rwle = Arc::clone(&rwle);
+                s.spawn(move || {
+                    let mut ctx = rt.register();
+                    let mut st = ThreadStats::new();
+                    for _ in 0..200 {
+                        rwle.read_cs(&mut ctx, &mut st, &mut |acc| {
+                            let a = acc.read(data)?;
+                            let b = acc.read(data.offset(1))?;
+                            assert_eq!(a, b, "reader saw a torn writer update");
+                            Ok(())
+                        });
+                    }
+                });
+            }
+            for _ in 0..2 {
+                let rt = Arc::clone(&rt);
+                let rwle = Arc::clone(&rwle);
+                s.spawn(move || {
+                    let mut ctx = rt.register();
+                    let mut st = ThreadStats::new();
+                    for _ in 0..100 {
+                        rwle.write_cs(&mut ctx, &mut st, &mut |acc| {
+                            let v = acc.read(data)?;
+                            acc.write(data, v + 1)?;
+                            acc.write(data.offset(1), v + 1)?;
+                            Ok(())
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(rt.mem().load(data), 200);
+        assert_eq!(rt.mem().load(data.offset(1)), 200);
     }
 
     #[test]

@@ -405,15 +405,6 @@ fn bravo_indicator_ns_schedules() {
 }
 
 #[test]
-fn cloned_indicator_ns_schedules() {
-    // The cloned indicator's Dekker race: slot publish + NS-lock check
-    // against lock CAS + slot scan.
-    sched::explore("rwle-cloned-ns", 0..320, |seed| {
-        run_schedule(RwLeConfig::fallback_only(rind::IndicatorKind::Cloned), seed)
-    });
-}
-
-#[test]
 fn fair_bravo_indicator_schedules() {
     // Fair slow readers (wait in place, version-skipping barrier)
     // combined with certified fast readers that bypass the version
