@@ -58,11 +58,13 @@ usage: rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
   --idle-ms drops silent connections (workers sweep every 100 ms, or
   every --idle-ms if that is shorter).
   --wal-dir makes acked mutations durable: the directory's redo log is
-  replayed at startup (a torn final record is truncated) and every
-  batch's write-set is logged inside its store pass. --fsync picks when
-  the ack may leave: batch (default, group commit — acked means
-  durable), interval:<ms> (cadence, bounded loss), off (page cache
-  only). Restarts must reuse the same --prefill.";
+  replayed at startup (a torn tail is truncated) and every batch's
+  write-set is logged inside its store pass. An ack always waits for
+  its record's write into the page cache (a process crash loses no
+  acked write); --fsync picks what else it waits for: batch (default,
+  group commit — acked means on disk), interval:<ms> (fsync on a
+  cadence, a power cut loses at most that), off (never fsync).
+  Restarts must reuse the same --prefill.";
 
 fn main() {
     let args = Args::parse();
@@ -168,8 +170,9 @@ fn main() {
             );
             if s.wal_appends > 0 {
                 println!(
-                    "  wal: {} appends, {} fsyncs ({:.2} appends/fsync), {} bytes",
+                    "  wal: {} appends in {} writes, {} fsyncs ({:.2} appends/fsync), {} bytes",
                     s.wal_appends,
+                    report.wal_writes,
                     s.wal_fsyncs,
                     s.wal_appends as f64 / s.wal_fsyncs.max(1) as f64,
                     s.wal_bytes

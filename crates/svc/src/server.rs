@@ -29,20 +29,23 @@
 //!    mutations landed there (the paper's amortization argument turned
 //!    into served-traffic throughput), and the pass holds one shard's
 //!    writer lock at a time. A durable pass keeps the touched shards
-//!    locked until its log append and pays one barrier for all of them.
+//!    locked until its log append — an encode into the log's staging
+//!    buffer, no system call — and pays one barrier for all of them.
 //!    A mutation's reply is encoded into its connection's [`Outbox`]
 //!    only after the pass returned, i.e. after every barrier covering
 //!    one of the round's flips has completed. The next round starts at
 //!    the frames the boundaries left behind. Once a SHUTDOWN was seen,
 //!    the round in progress is the last.
-//! 4. **Durable wait**, once: a durable server blocks on the fsync
-//!    covering the highest LSN any of the iteration's rounds appended.
+//! 4. **Durable wait**, once, on the highest LSN any of the iteration's
+//!    rounds appended: the one `write` that hands the wake-up's staged
+//!    records to the kernel, under every fsync policy, and under
+//!    `batch` the block on the fsync covering them.
 //! 5. **Flush**: one `write` per connection carries every reply the
 //!    iteration's rounds queued for it. Nothing is written before this
 //!    phase, so no client ever observes an acked but unquiesced (or,
-//!    durable, unsynced) write — and a 64-deep pipeline with a boundary
-//!    every few requests costs one `epoll_wait`, one `read` and one
-//!    `write`, not one of each per boundary.
+//!    durable, unlogged) write — and a 64-deep pipeline with a boundary
+//!    every few requests costs one `epoll_wait`, one `read`, one log
+//!    `write` and one reply `write`, not one of each per boundary.
 //!
 //! `batches` and `ops_per_batch` in STATS count store passes — rounds —
 //! not iterations; `writev_calls` counts the flush phase's writes.
@@ -137,8 +140,8 @@ pub struct ServerConfig {
     /// state, not the prefill itself.
     pub wal_dir: Option<std::path::PathBuf>,
     /// When the log is fsynced relative to the ack (ignored without
-    /// `wal_dir`). `Batch` is the acked-⇒-durable mode the
-    /// crash-recovery gate runs.
+    /// `wal_dir`); the ack waits for the log *write* under every policy.
+    /// `Batch` is the acked-⇒-durable mode.
     pub fsync: FsyncPolicy,
 }
 
@@ -171,6 +174,10 @@ pub struct DrainReport {
     pub stats: ServerStats,
     /// Merged worker-side protocol statistics (commit/abort mix).
     pub summary: StatsSummary,
+    /// `write` calls that carried `stats.wal_appends` records into the
+    /// log (0 when volatile). Here and not in [`ServerStats`]: the
+    /// STATS wire layout is frozen until it is versioned.
+    pub wal_writes: u64,
 }
 
 impl DrainReport {
@@ -382,6 +389,7 @@ impl Server {
         Ok(DrainReport {
             stats: shared.snapshot(),
             summary: StatsSummary::from_threads(&worker_stats),
+            wal_writes: shared.wal.as_ref().map_or(0, |w| w.stats().writes),
         })
     }
 }
@@ -818,11 +826,10 @@ fn worker_loop(
                 Counters::add(&c.dels, tally.dels);
 
                 // Every mutation of the round in one amortized store
-                // pass. Durable servers append the round's write-set
-                // inside the pass's commit window (shard locks on
-                // native, the sink's order section elsewhere), so the
-                // log flush overlaps the quiescence barrier the pass
-                // pays anyway.
+                // pass. Durable servers stage the round's write-set in
+                // the log inside the pass's commit window (shard locks
+                // on native, the sink's order section elsewhere), which
+                // fixes its place in the log; the bytes go out below.
                 let (outcome, lsn) = match shared.wal.as_deref() {
                     Some(w) => sess.apply_batch_durable(&mut_ops, &mut mut_replies, w),
                     None => (sess.apply_batch(&mut_ops, &mut mut_replies), NO_LSN),
@@ -860,10 +867,11 @@ fn worker_loop(
             std::mem::swap(&mut round, &mut again);
         }
 
-        // Durability gate, once per wake-up: no ack leaves before an
-        // fsync covers the last record any of its rounds appended
-        // (FsyncPolicy::Batch blocks here on the group commit;
-        // Interval/Off return at once).
+        // Durability gate, once per wake-up: no ack leaves before the
+        // last record any of its rounds appended — and so all of them —
+        // is written to the log, this call being the wake-up's one log
+        // write; FsyncPolicy::Batch also blocks here on the group
+        // commit covering it.
         if let Some(w) = shared.wal.as_deref() {
             use workloads::backend::DurableSink;
             w.wait_durable(durable_to);

@@ -1,7 +1,10 @@
 //! Crash-recovery suite: SIGKILL a durable `rwled` mid-load, restart it
 //! on the same WAL directory, and verify that every write the load
-//! generator saw acknowledged is still readable — the "acked ⇒ durable"
-//! contract from DESIGN.md §13.
+//! generator saw acknowledged is still readable — the contract from
+//! DESIGN.md §13, which against a process crash holds under every
+//! `--fsync` policy: no ack leaves before its record is written. The
+//! drills run `batch` at pipeline 4 and `off` and `interval:50` at
+//! pipeline 64, where one wake-up's log write carries many records.
 //!
 //! The server runs as a real child process (`CARGO_BIN_EXE_rwled`) so
 //! the kill is a genuine SIGKILL of the whole address space, not a
@@ -9,9 +12,10 @@
 //! half-written record die exactly the way a power-cut leaves them.
 //! The load generator runs in-process (the `loadgen` library) with
 //! journaling on, so the ack journal survives in our memory when the
-//! server vanishes. Kill points are drawn from a seeded LCG — twenty
-//! distinct delays across both backends per run, deterministic per
-//! suite revision but spread over the whole load window.
+//! server vanishes. Kill points are drawn from a seeded LCG — ten
+//! distinct delays per backend, the same ten for every drill,
+//! deterministic per suite revision but spread over the whole load
+//! window.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -37,7 +41,7 @@ const PREFILL: u64 = 2_000;
 
 /// Starts a durable `rwled` child on an ephemeral port and waits until
 /// its port file appears; returns the child and the resolved address.
-fn start_rwled(wal_dir: &Path, backend: &str, port_file: &Path) -> (Child, String) {
+fn start_rwled(wal_dir: &Path, backend: &str, fsync: &str, port_file: &Path) -> (Child, String) {
     let _ = std::fs::remove_file(port_file);
     let child = Command::new(env!("CARGO_BIN_EXE_rwled"))
         .args([
@@ -60,7 +64,7 @@ fn start_rwled(wal_dir: &Path, backend: &str, port_file: &Path) -> (Child, Strin
             "--wal-dir",
             &wal_dir.display().to_string(),
             "--fsync",
-            "batch",
+            fsync,
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::inherit())
@@ -94,11 +98,11 @@ fn shutdown_rwled(addr: &str, mut child: Child) {
 
 /// One kill point: load with journaling until `kill_after`, SIGKILL the
 /// server, restart it on the same WAL directory, verify the journal.
-fn crash_once(backend: &str, round: u32, kill_after: Duration) {
-    let dir = scratch(&format!("{backend}-{round}"));
+fn crash_once(backend: &str, fsync: &str, pipeline: usize, round: u32, kill_after: Duration) {
+    let dir = scratch(&format!("{backend}-{}-{round}", fsync.replace(':', "-")));
     let wal_dir = dir.join("wal");
     let port_file = dir.join("port");
-    let (child, addr) = start_rwled(&wal_dir, backend, &port_file);
+    let (child, addr) = start_rwled(&wal_dir, backend, fsync, &port_file);
 
     let cfg = LoadgenConfig {
         addr: addr.clone(),
@@ -111,7 +115,7 @@ fn crash_once(backend: &str, round: u32, kill_after: Duration) {
         key_range: 512,
         zipf_theta: 0.0,
         total_rate: 0,
-        pipeline: 4,
+        pipeline,
         seed: 0xC0FFEE ^ round as u64,
         shutdown: false,
         journal: true,
@@ -133,16 +137,16 @@ fn crash_once(backend: &str, round: u32, kill_after: Duration) {
         .count();
     assert!(
         !res.journal.is_empty(),
-        "{backend} round {round}: journal is empty — kill landed before any mutation was sent"
+        "{backend} {fsync} round {round}: journal is empty — kill landed before any mutation was sent"
     );
 
     // Restart on the same WAL directory and prefill; recovery replays
     // the log (truncating any torn tail) before the socket opens.
-    let (child2, addr2) = start_rwled(&wal_dir, backend, &port_file);
+    let (child2, addr2) = start_rwled(&wal_dir, backend, fsync, &port_file);
     let report = journal::verify_against(&addr2, &res.journal).expect("verify");
     assert!(
         report.ok(),
-        "{backend} round {round} (kill after {kill_after:?}): {} lost acks out of {acked} acked \
+        "{backend} {fsync} round {round} (kill after {kill_after:?}): {} lost acks out of {acked} acked \
          mutations over {} keys\n{}",
         report.lost_acks,
         report.keys_checked,
@@ -150,14 +154,14 @@ fn crash_once(backend: &str, round: u32, kill_after: Duration) {
     );
     assert!(
         report.keys_checked > 0,
-        "{backend} round {round}: vacuous pass — {acked} acked mutations, no keys verified"
+        "{backend} {fsync} round {round}: vacuous pass — {acked} acked mutations, no keys verified"
     );
     shutdown_rwled(&addr2, child2);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Ten kill points spread over the load window, seeded per backend.
-fn crash_suite(backend: &str) {
+fn crash_suite(backend: &str, fsync: &str, pipeline: usize) {
     let mut state: u64 = 0x9E3779B97F4A7C15 ^ backend.len() as u64;
     for round in 0..10u32 {
         // LCG: deterministic "random" kill delays in 20..=420 ms.
@@ -165,18 +169,43 @@ fn crash_suite(backend: &str) {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let kill_after = Duration::from_millis(20 + (state >> 33) % 400);
-        crash_once(backend, round, kill_after);
+        crash_once(backend, fsync, pipeline, round, kill_after);
     }
 }
 
+/// Group commit at a shallow pipeline: acked ⇒ fsynced.
 #[test]
 fn sigkill_recovery_loses_no_acked_writes_sim() {
-    crash_suite("sim");
+    crash_suite("sim", "batch", 4);
 }
 
 #[test]
 fn sigkill_recovery_loses_no_acked_writes_native() {
-    crash_suite("native");
+    crash_suite("native", "batch", 4);
+}
+
+/// No fsync on the ack path and 64-deep pipelines — what `benchmark/`'s
+/// own crash drill runs: a wake-up stages a dozen records, and the one
+/// write at its durable wait is all that stands between them and the
+/// kill.
+#[test]
+fn sigkill_recovery_loses_no_acked_writes_sim_fsync_off() {
+    crash_suite("sim", "off", 64);
+}
+
+#[test]
+fn sigkill_recovery_loses_no_acked_writes_native_fsync_off() {
+    crash_suite("native", "off", 64);
+}
+
+#[test]
+fn sigkill_recovery_loses_no_acked_writes_sim_fsync_interval() {
+    crash_suite("sim", "interval:50", 64);
+}
+
+#[test]
+fn sigkill_recovery_loses_no_acked_writes_native_fsync_interval() {
+    crash_suite("native", "interval:50", 64);
 }
 
 /// A clean (non-crash) durable restart must also replay exactly: run a
@@ -188,7 +217,7 @@ fn clean_restart_replays_the_full_log() {
     let dir = scratch("clean");
     let wal_dir = dir.join("wal");
     let port_file = dir.join("port");
-    let (child, addr) = start_rwled(&wal_dir, "sim", &port_file);
+    let (child, addr) = start_rwled(&wal_dir, "sim", "batch", &port_file);
     let cfg = LoadgenConfig {
         addr: addr.clone(),
         conns: 2,
@@ -209,7 +238,7 @@ fn clean_restart_replays_the_full_log() {
     assert_eq!(res.errors, 0, "clean run must not error");
     shutdown_rwled(&addr, child);
 
-    let (child2, addr2) = start_rwled(&wal_dir, "sim", &port_file);
+    let (child2, addr2) = start_rwled(&wal_dir, "sim", "batch", &port_file);
     let report = journal::verify_against(&addr2, &res.journal).expect("verify");
     assert!(
         report.ok(),

@@ -1,21 +1,32 @@
 //! Group-commit redo log behind the quiescence barrier.
 //!
 //! RW-LE writers already pay epoch-quiescence barriers for every batch;
-//! this crate rides that wait for durability. The appender write()s
-//! the batch's effective write-set into the current segment while the
-//! batch's commit order is still pinned (under the shard writer locks
-//! on the native backend, whose durable batch keeps them until after
-//! the append and then pays one barrier; under the sink's order mutex
-//! elsewhere), and a background group-commit thread turns many appends
-//! into one `fdatasync`. Replies wait on the **durable frontier** —
-//! the highest LSN covered by a completed fsync — so under
-//! [`FsyncPolicy::Batch`] an acked write is a durable write.
+//! this crate rides that wait for durability. An append is a memory
+//! operation: the batch's effective write-set is encoded onto the log's
+//! staging buffer, and given its LSN, while the batch's commit order is
+//! still pinned (under the shard writer locks on the native backend,
+//! whose durable batch keeps them until after the append and then pays
+//! one barrier; under the sink's order mutex elsewhere). The staged
+//! bytes reach the file in one `write` when somebody needs them there —
+//! the ack gate ([`DurableSink::wait_durable`], once per server
+//! wake-up), the group-commit thread before an `fdatasync`, a segment
+//! rotation, the drop — so no lock that pins commit order is ever held
+//! across a system call, and a wake-up that appended many records pays
+//! for one.
+//!
+//! Three frontiers, each chasing the one before it: **staged** (the
+//! highest LSN encoded, `appended`), **written** (the highest LSN
+//! handed to the kernel, which a process crash can no longer lose) and
+//! **durable** (the highest LSN covered by a completed fsync). Replies
+//! wait for *written* under every policy and additionally for *durable*
+//! under [`FsyncPolicy::Batch`], where an acked write is a durable
+//! write.
 //!
 //! Log order equals commit order by construction (see
 //! [`workloads::backend::DurableSink`]), so replaying the log from the
-//! start rebuilds exactly the acked store state; a torn final record
-//! (the only artifact a crash mid-append can leave) is truncated on
-//! recovery.
+//! start rebuilds exactly the acked store state; a torn tail (the only
+//! artifact a crash mid-write can leave — part of one wake-up's
+//! records) is truncated to the last whole record on recovery.
 
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -42,12 +53,13 @@ pub enum FsyncPolicy {
     /// LSN. Acked ⇒ durable; one fsync absorbs every append that
     /// landed while the previous fsync was in flight.
     Batch,
-    /// fsync on a fixed cadence; replies do not wait. Bounded loss
-    /// window (at most the interval), no fsync on the ack path.
+    /// fsync on a fixed cadence; a reply waits for its record's write
+    /// into the page cache, never for an fsync. Survives process
+    /// crashes; a power cut loses at most the interval.
     Interval(Duration),
-    /// Never fsync (write-through to the page cache only). Survives
-    /// process crashes but not power loss; useful for measuring the
-    /// pure logging overhead.
+    /// Never fsync: a reply waits for the write into the page cache
+    /// only. Survives process crashes but not power loss; useful for
+    /// measuring the pure logging overhead.
     Off,
 }
 
@@ -89,19 +101,48 @@ pub struct WalStats {
     pub fsyncs: u64,
     /// Bytes appended (record headers + payloads).
     pub bytes: u64,
+    /// `write` calls that handed staged records to the kernel.
+    pub writes: u64,
 }
+
+/// Most bytes the staging buffer holds once an append has returned: an
+/// appender that never waits (a log being generated, a backlog behind a
+/// slow flusher) writes inline at this mark instead of growing it.
+const STAGE_CAP: usize = 32 << 10;
+
+/// A failed log write must not ack. Every site that writes holds the
+/// log's mutex, so the panic also poisons it: the next appender or
+/// waiter on any worker fails too instead of acking past the hole.
+const WRITE_FAILED: &str = "wal write failed";
 
 struct WalInner {
     file: File,
-    /// Bytes written to the current segment (header included).
+    /// Bytes of the current segment, staged ones included (header too).
     seg_bytes: u64,
     next_lsn: Lsn,
-    /// Highest LSN written into a segment (durable frontier chases it).
+    /// Highest LSN encoded — the staged frontier.
     appended: Lsn,
+    /// Highest LSN handed to the kernel (`written <= appended`); the
+    /// records in between are exactly `stage`.
+    written: Lsn,
+    /// Encoded records not yet written, in LSN order.
+    stage: Vec<u8>,
     stop: bool,
     stats: WalStats,
-    /// Record encode buffer, reused across appends (the lock is held).
-    record: Vec<u8>,
+}
+
+impl WalInner {
+    /// Hands every staged record to the kernel with one `write`, in LSN
+    /// order (the caller holds the log's mutex, as every appender did).
+    fn write_staged(&mut self) -> std::io::Result<()> {
+        if !self.stage.is_empty() {
+            self.file.write_all(&self.stage)?;
+            self.stage.clear();
+            self.stats.writes += 1;
+        }
+        self.written = self.appended;
+        Ok(())
+    }
 }
 
 /// State shared between appenders and the group-commit thread. The
@@ -175,6 +216,8 @@ impl WalShared {
                     // Only a stop leaves the wait with nothing pending.
                     return;
                 }
+                // What the sync is to cover has to be in the file first.
+                inner.write_staged().expect(WRITE_FAILED);
                 // Clone the fd so the (possibly slow) fsync runs
                 // outside the append lock. Everything ≤ target is in
                 // this file or in an older segment already synced at
@@ -187,7 +230,7 @@ impl WalShared {
             }
             // A failed fsync must not ack: the frontier below would
             // release replies for records that may not be on disk, so
-            // this fails stop like a failed append does.
+            // this fails stop like a failed write does.
             file.sync_data().expect("wal fsync failed");
             last_sync = Instant::now();
             self.publish_durable(target);
@@ -197,26 +240,26 @@ impl WalShared {
         }
     }
 
-    /// Appends one record under the inner lock; rotates first if the
-    /// current segment is full. Returns the record's LSN.
+    /// Stages one record under the inner lock — LSN, segment and stats
+    /// accounting, no system call; rotates first if the current segment
+    /// is full. Returns the record's LSN.
     fn append_locked(&self, ops: &[MutOp]) -> Lsn {
         let mut inner = self.inner.lock().unwrap();
         if inner.seg_bytes >= self.segment_bytes {
             self.rotate(&mut inner);
         }
         let lsn = inner.next_lsn;
-        let WalInner { file, record, .. } = &mut *inner;
-        record.clear();
-        record::encode_record(record, lsn, ops);
-        // A failed append must not ack: panicking here tears the
-        // process down rather than letting replies outrun the log.
-        file.write_all(record).expect("wal append failed");
-        let len = record.len() as u64;
+        let staged = inner.stage.len();
+        record::encode_record(&mut inner.stage, lsn, ops);
+        let len = (inner.stage.len() - staged) as u64;
         inner.seg_bytes += len;
         inner.next_lsn = lsn + 1;
         inner.appended = lsn;
         inner.stats.appends += 1;
         inner.stats.bytes += len;
+        if inner.stage.len() >= STAGE_CAP {
+            inner.write_staged().expect(WRITE_FAILED);
+        }
         drop(inner);
         if matches!(self.policy, FsyncPolicy::Batch) {
             self.work.notify_one();
@@ -224,11 +267,12 @@ impl WalShared {
         lsn
     }
 
-    /// Seals the current segment (fsync) and opens the next one. Runs
-    /// synchronously in the appender: rotation is rare (once per
-    /// `segment_bytes`) and keeping old segments fully durable before
-    /// any new-segment append means the flusher only ever needs to
-    /// sync the *current* file.
+    /// Writes what is staged into the current segment — those records
+    /// were counted into it — then seals it (fsync) and opens the next
+    /// one. Runs synchronously in the appender: rotation is rare (once
+    /// per `segment_bytes`) and keeping old segments fully durable
+    /// before any new-segment append means the flusher only ever needs
+    /// to sync the *current* file.
     ///
     /// [`FsyncPolicy::Off`] seals nothing: it promises no fsync, there
     /// is no flusher to rely on the sealed segments, and syncing a whole
@@ -237,6 +281,7 @@ impl WalShared {
     /// once per segment — i.e. the more often the faster the server
     /// appends.
     fn rotate(&self, inner: &mut WalInner) {
+        inner.write_staged().expect(WRITE_FAILED);
         let seal = !matches!(self.policy, FsyncPolicy::Off);
         if seal {
             inner.file.sync_data().expect("wal fsync failed");
@@ -289,9 +334,10 @@ impl Wal {
                 seg_bytes,
                 next_lsn,
                 appended: next_lsn - 1,
+                written: next_lsn - 1,
+                stage: Vec::new(),
                 stop: false,
                 stats: WalStats::default(),
-                record: Vec::new(),
             }),
             work: Condvar::new(),
             durable_cv: Condvar::new(),
@@ -351,27 +397,42 @@ impl DurableSink for Wal {
         (outcome, lsn)
     }
 
+    /// The ack gate. Whatever the policy, `lsn` is first written: a
+    /// record still in the staging buffer dies with the process, and an
+    /// ack must not. One call covers every record staged so far, so a
+    /// wake-up that waits once on its highest LSN pays one `write`.
+    /// [`FsyncPolicy::Batch`] then waits for the covering fsync.
     fn wait_durable(&self, lsn: Lsn) {
-        if lsn == NO_LSN || !matches!(self.shared.policy, FsyncPolicy::Batch) {
-            // Interval/Off trade the wait away: acked-but-lost windows
-            // are bounded by the interval (or unbounded for Off).
-            return;
-        }
-        if self.shared.durable_frontier() >= lsn {
+        if lsn == NO_LSN || self.shared.durable_frontier() >= lsn {
             return;
         }
         let mut inner = self.shared.inner.lock().unwrap();
-        while self.shared.durable_frontier() < lsn && !inner.stop {
-            inner = self.shared.durable_cv.wait(inner).unwrap();
+        if inner.written < lsn {
+            // A failed write must not ack: panicking here, with the
+            // lock held, tears this worker down before any reply of its
+            // wake-up is flushed and poisons the log for the others.
+            inner.write_staged().expect(WRITE_FAILED);
+        }
+        if matches!(self.shared.policy, FsyncPolicy::Batch) {
+            while self.shared.durable_frontier() < lsn && !inner.stop {
+                inner = self.shared.durable_cv.wait(inner).unwrap();
+            }
         }
     }
 }
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        {
-            let mut inner = self.shared.inner.lock().unwrap();
+        // A poisoned lock means a write or fsync already failed and the
+        // process is failing stop: nothing more is written, and the
+        // flusher finds the same poison on its own.
+        if let Ok(mut inner) = self.shared.inner.lock() {
             inner.stop = true;
+            // Records nobody waited for (a log being generated): every
+            // acked one was written by its `wait_durable`.
+            if let Err(e) = inner.write_staged() {
+                eprintln!("wal: staged records lost at close: {e}");
+            }
         }
         self.shared.work.notify_all();
         self.shared.durable_cv.notify_all();

@@ -50,6 +50,13 @@ const TAG_DEL: u8 = 2;
 /// CRC-32 (IEEE 802.3, reflected, init/xorout `!0`) — table-driven,
 /// dependency-free.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// Feeds `bytes` into a running CRC-32 `state` (start from `!0`,
+/// complement the final state), so a checksum over several slices
+/// needs no buffer that joins them.
+fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
         let mut i = 0;
@@ -69,11 +76,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         }
         table
     };
-    let mut crc = !0u32;
     for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+        state = TABLE[((state ^ b as u32) & 0xff) as usize] ^ (state >> 8);
     }
-    !crc
+    state
+}
+
+/// The record checksum: CRC-32 over `lsn || payload`, in place.
+fn record_crc(lsn: Lsn, payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, &lsn.to_le_bytes()), payload)
 }
 
 /// Appends the segment header for a segment whose first record will be
@@ -114,13 +125,7 @@ pub fn encode_record(out: &mut Vec<u8>, lsn: Lsn, ops: &[MutOp]) {
     }
     let payload_at = header_at + RECORD_HEADER;
     let len = (out.len() - payload_at) as u32;
-    // CRC over lsn || payload: stitch the lsn bytes in front of the
-    // payload without an extra buffer by chaining two crc updates...
-    // the table implementation is one-shot, so build the small prefix.
-    let mut crc_input = Vec::with_capacity(8 + len as usize);
-    crc_input.extend_from_slice(&lsn.to_le_bytes());
-    crc_input.extend_from_slice(&out[payload_at..]);
-    let crc = crc32(&crc_input);
+    let crc = record_crc(lsn, &out[payload_at..]);
     out[header_at..header_at + 4].copy_from_slice(&len.to_le_bytes());
     out[header_at + 4..header_at + 8].copy_from_slice(&crc.to_le_bytes());
     out[header_at + 8..header_at + 16].copy_from_slice(&lsn.to_le_bytes());
@@ -151,10 +156,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<Record> {
         return None;
     }
     let payload = &bytes[RECORD_HEADER..RECORD_HEADER + len];
-    let mut crc_input = Vec::with_capacity(8 + len);
-    crc_input.extend_from_slice(&lsn.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != crc {
+    if record_crc(lsn, payload) != crc {
         return None;
     }
     let ops = decode_ops(payload)?;
@@ -202,6 +204,42 @@ mod tests {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        // Resuming across any split gives the one-shot value.
+        let whole = b"123456789";
+        for cut in 0..=whole.len() {
+            let state = crc32_update(crc32_update(!0, &whole[..cut]), &whole[cut..]);
+            assert_eq!(!state, 0xcbf4_3926, "split at {cut}");
+        }
+    }
+
+    /// The byte format is frozen: these are the bytes the one-shot
+    /// `lsn || payload` checksum of PR 10 produced for the same input,
+    /// so a log written before the CRC became resumable replays after,
+    /// and the other way round.
+    #[test]
+    fn encoding_matches_the_golden_bytes() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let ops = [
+            MutOp::Put { key: 7, value: 9 },
+            MutOp::Del { key: u64::MAX },
+            MutOp::Put {
+                key: 0x0102_0304_0506_0708,
+                value: 0xfffe_fdfc_fbfa_f9f8,
+            },
+        ];
+        let mut buf = Vec::new();
+        encode_record(&mut buf, 0x1122_3344_5566_7788, &ops);
+        assert_eq!(
+            hex(&buf),
+            "2f0000008ff2083e8877665544332211030000000107000000000000000900000000000000\
+             02ffffffffffffffff010807060504030201f8f9fafbfcfdfeff"
+        );
+        assert_eq!(decode_record(&buf).expect("golden decodes").ops, ops);
+        buf.clear();
+        encode_record(&mut buf, 1, &[]);
+        assert_eq!(hex(&buf), "04000000008a70e0010000000000000000000000");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! End-to-end WAL behavior: append → replay roundtrips, torn-tail
-//! truncation, segment rotation, reopen continuity, fsync policies, and
+//! truncation, segment rotation, reopen continuity, fsync policies, the
+//! staged / written frontiers seen from the directory, and
 //! replay-equals-store on the native backend.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use wal::{replay, FsyncPolicy, Wal, WalError};
 use workloads::backend::{DurableSink, MutOp, MutReply, StoreBackend, NO_LSN};
@@ -25,11 +27,29 @@ fn del(key: u64) -> MutOp {
     MutOp::Del { key }
 }
 
-fn collect(dir: &std::path::Path) -> (wal::Replay, Vec<(u64, Vec<MutOp>)>) {
+/// Replays `dir`. Also used on the directory of a `Wal` that is still
+/// open — what recovery would find if the process died now; the log
+/// only ever writes whole records, so there is no torn tail for the
+/// replay to truncate under the live appender.
+fn collect(dir: &Path) -> (wal::Replay, Vec<(u64, Vec<MutOp>)>) {
     let mut got = Vec::new();
     let report = replay(dir, |lsn, ops| got.push((lsn, ops.to_vec()))).expect("replay");
     (report, got)
 }
+
+/// Segment files in LSN order (the fixed-width hex name sorts as such).
+fn segment_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read wal dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    files
+}
+
+/// Never reached within a test: an `interval` log whose flusher stays
+/// out of the way until the drop.
+const NEVER: Duration = Duration::from_secs(3600);
 
 #[test]
 fn append_then_replay_roundtrips() {
@@ -196,24 +216,193 @@ fn reopen_appends_in_a_new_segment() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The written frontier, seen from the directory while the log is
+/// open: an appended record is in memory only, the wait on its LSN puts
+/// it (and everything before it) in the file — under every policy, and
+/// under `off` and `interval` without waiting for an fsync.
 #[test]
-fn interval_and_off_policies_do_not_block_acks() {
+fn records_reach_the_file_at_the_wait_under_every_policy() {
     for policy in [
-        FsyncPolicy::Interval(std::time::Duration::from_millis(5)),
         FsyncPolicy::Off,
+        FsyncPolicy::Interval(NEVER),
+        FsyncPolicy::Batch,
     ] {
-        let dir = scratch(&format!("policy-{}", policy.label().replace(':', "-")));
+        // Batch's flusher is woken by the append and may write early.
+        let eager_flusher = policy == FsyncPolicy::Batch;
+        let dir = scratch(&format!("written-{}", policy.label().replace(':', "-")));
         let w = Wal::open(&dir, policy, 1).unwrap();
-        let lsn = w.append(&[put(1, 1)]);
-        // Must return immediately even though no fsync may have
-        // happened yet — that is the policy's contract.
-        w.wait_durable(lsn);
+        w.append(&[put(1, 1)]);
+        let b = w.append(&[put(2, 2), del(1)]);
+        if !eager_flusher {
+            assert_eq!(collect(&dir).0.records, 0, "{policy:?}: unwaited record");
+            assert_eq!(w.stats().writes, 0, "{policy:?}");
+        }
+        w.wait_durable(b);
+        let c = w.append(&[put(3, 3)]);
+        let lsns: Vec<u64> = collect(&dir).1.iter().map(|(lsn, _)| *lsn).collect();
+        assert_eq!(lsns[..2], [1, 2], "{policy:?}: waited records missing");
+        if eager_flusher {
+            assert!(w.durable_frontier() >= b);
+        } else {
+            assert_eq!(lsns, [1, 2], "{policy:?}: unwaited record");
+            let stats = w.stats();
+            assert_eq!((stats.writes, stats.fsyncs), (1, 0), "{policy:?}");
+        }
+        // A clean shutdown writes what nobody waited for.
         drop(w);
-        // Clean shutdown still leaves a complete log.
-        let (report, _) = collect(&dir);
-        assert_eq!(report.records, 1);
+        let (report, got) = collect(&dir);
+        assert_eq!(report.records, 3, "{policy:?}");
+        assert_eq!(got[2], (c, vec![put(3, 3)]));
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Whoever hands staged bytes to the kernel — a waiter, another
+/// thread's waiter, the flusher — hands over all of them, in LSN order:
+/// the file never holds a gap or an inversion, and every waited record
+/// is in it before the log is dropped.
+#[test]
+fn concurrent_append_and_wait_leave_the_file_in_lsn_order() {
+    for policy in [FsyncPolicy::Off, FsyncPolicy::Batch] {
+        let dir = scratch(&format!("order-{}", policy.label()));
+        let w = Wal::open(&dir, policy, 1).unwrap();
+        let (threads, rounds) = (4u64, 200u64);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let w = &w;
+                s.spawn(move || {
+                    for i in 0..rounds {
+                        let lsn = w.append(&[put(t, i), del(t + 100)]);
+                        w.wait_durable(lsn);
+                    }
+                });
+            }
+        });
+        // `replay` itself refuses a gap; spell the order out anyway.
+        let lsns: Vec<u64> = collect(&dir).1.iter().map(|(lsn, _)| *lsn).collect();
+        assert_eq!(
+            lsns,
+            (1..=threads * rounds).collect::<Vec<_>>(),
+            "{policy:?}"
+        );
+        let stats = w.stats();
+        assert_eq!(stats.appends, threads * rounds);
+        assert!((1..=stats.appends).contains(&stats.writes), "{stats:?}");
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A record staged when its segment fills belongs to that segment: the
+/// rotation writes it there before it opens the next one, so every
+/// segment's header base is its first record's LSN.
+#[test]
+fn rotation_writes_staged_records_into_the_old_segment() {
+    for policy in [FsyncPolicy::Off, FsyncPolicy::Batch] {
+        let dir = scratch(&format!("rotate-staged-{}", policy.label()));
+        let w = Wal::open_with_segment_bytes(&dir, policy, 1, 200).unwrap();
+        let mut last = NO_LSN;
+        for i in 0..50u64 {
+            // Never waited for: only rotation (and batch's flusher)
+            // moves these records out of memory.
+            last = w.append(&[put(i, i * 2), del(i + 1000)]);
+        }
+        w.wait_durable(last);
+        let files = segment_files(&dir);
+        assert!(files.len() > 5, "{policy:?}: {} segments", files.len());
+        let mut next = 1;
+        for path in &files {
+            let bytes = std::fs::read(path).unwrap();
+            let base = wal::record::decode_segment_header(&bytes).expect("header");
+            assert_eq!(base, next, "{policy:?}: {} starts late", path.display());
+            let mut at = wal::record::SEGMENT_HEADER;
+            while at < bytes.len() {
+                let rec = wal::record::decode_record(&bytes[at..]).expect("whole record");
+                assert_eq!(rec.lsn, next, "{policy:?}: {}", path.display());
+                next += 1;
+                at += rec.size;
+            }
+            assert!(next > base, "{policy:?}: {} is empty", path.display());
+        }
+        assert_eq!(next, last + 1);
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// An appender that never waits (the benchmark's synthetic log) does
+/// not grow the staging buffer without bound: past a fixed cap of at
+/// most 64 KiB the append writes inline.
+#[test]
+fn unwaited_appends_stage_at_most_the_cap() {
+    const CAP_CEILING: u64 = 64 << 10;
+    let dir = scratch("stage-cap");
+    let w = Wal::open(&dir, FsyncPolicy::Off, 1).unwrap();
+    let record: Vec<MutOp> = (0..64).map(|k| put(k, k)).collect();
+    let segment = dir.join(wal::recover::segment_name(1));
+    for _ in 0..1000 {
+        w.append(&record);
+        let in_file = std::fs::metadata(&segment).unwrap().len();
+        let staged = wal::record::SEGMENT_HEADER as u64 + w.stats().bytes - in_file;
+        assert!(staged <= CAP_CEILING, "{staged} bytes staged");
+    }
+    let stats = w.stats();
+    assert!(stats.bytes > 8 * CAP_CEILING, "{stats:?}");
+    assert!(
+        stats.writes >= stats.bytes / CAP_CEILING && stats.writes < stats.appends / 8,
+        "{stats:?}"
+    );
+    drop(w);
+    assert_eq!(collect(&dir).0.records, 1000);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A wake-up's write carries several records, so a crash inside it can
+/// tear the log anywhere in them: cut one three-record write at every
+/// byte and recovery keeps the whole records before the cut, drops the
+/// rest, and leaves the file ending on a record boundary.
+#[test]
+fn multi_record_write_torn_at_every_byte_replays_a_gap_free_prefix() {
+    let dir = scratch("torn-write");
+    let w = Wal::open(&dir, FsyncPolicy::Off, 1).unwrap();
+    let first = w.append(&[put(1, 1)]);
+    w.wait_durable(first);
+    w.append(&[put(2, 2), del(1)]);
+    w.append(&[del(7)]);
+    let last = w.append(&[put(3, 3), put(4, 4), put(5, 5)]);
+    w.wait_durable(last);
+    assert_eq!(w.stats().writes, 2, "three records, one write");
+    drop(w);
+    let name = wal::recover::segment_name(1);
+    let bytes = std::fs::read(dir.join(&name)).unwrap();
+    // Offsets at which a record ends (the header's end stands for
+    // "no record").
+    let mut ends = vec![wal::record::SEGMENT_HEADER];
+    while *ends.last().unwrap() < bytes.len() {
+        let at = *ends.last().unwrap();
+        ends.push(at + wal::record::decode_record(&bytes[at..]).unwrap().size);
+    }
+    assert_eq!(ends.len(), 5);
+
+    let cut_dir = scratch("torn-write-cut");
+    for cut in ends[1]..=bytes.len() {
+        std::fs::create_dir_all(&cut_dir).unwrap();
+        std::fs::write(cut_dir.join(&name), &bytes[..cut]).unwrap();
+        let whole = ends.iter().rposition(|&end| end <= cut).unwrap();
+        let (report, got) = collect(&cut_dir);
+        let lsns: Vec<u64> = got.iter().map(|(lsn, _)| *lsn).collect();
+        assert_eq!(lsns, (1..=whole as u64).collect::<Vec<_>>(), "cut {cut}");
+        assert_eq!(
+            report.truncated_bytes,
+            (cut - ends[whole]) as u64,
+            "cut {cut}"
+        );
+        assert_eq!(report.next_lsn, whole as u64 + 1, "cut {cut}");
+        let left = std::fs::metadata(cut_dir.join(&name)).unwrap().len();
+        assert_eq!(left, ends[whole] as u64, "cut {cut}: not a record boundary");
+        std::fs::remove_dir_all(&cut_dir).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `interval:<ms>` is a cadence, not a floor: appends that keep the
@@ -221,7 +410,7 @@ fn interval_and_off_policies_do_not_block_acks() {
 /// (one per interval, one in flight at the edges), not one per wake-up.
 #[test]
 fn interval_policy_keeps_its_cadence_under_continuous_appends() {
-    let interval = std::time::Duration::from_millis(20);
+    let interval = Duration::from_millis(20);
     let dir = scratch("interval-cadence");
     let w = Wal::open(&dir, FsyncPolicy::Interval(interval), 1).unwrap();
     let t0 = std::time::Instant::now();

@@ -129,11 +129,20 @@ pub const NO_LSN: Lsn = 0;
 ///
 /// Only the *effective* write-set is appended: a PUT that failed with
 /// [`StoreFull`] had no effect and must not be replayed as if it had.
+///
+/// An append fixes a record's place in the log and nothing else: the
+/// sink may keep the record in memory, where a crash of the process
+/// loses it. **Acknowledge a mutation only after
+/// [`DurableSink::wait_durable`] returned for its LSN** — under every
+/// policy of the sink, not only a synchronous one. One wait on the
+/// highest LSN covers every record appended before it.
 pub trait DurableSink: Send + Sync {
     /// Appends one batch's effective write-set as a single record and
     /// returns its LSN (`NO_LSN` for an empty write-set). The caller
     /// must already hold whatever store-side serialization orders this
-    /// batch against conflicting ones — see the trait docs.
+    /// batch against conflicting ones — see the trait docs. Cheap
+    /// enough for that lock window: `wal::Wal` encodes into a buffer
+    /// and leaves the system call to the wait.
     fn append(&self, ops: &[MutOp]) -> Lsn;
 
     /// Runs `exec` (which applies a batch and pushes its effective
@@ -145,9 +154,11 @@ pub trait DurableSink: Send + Sync {
         exec: &mut dyn FnMut(&mut Vec<MutOp>) -> BatchOutcome,
     ) -> (BatchOutcome, Lsn);
 
-    /// Blocks until everything up to `lsn` is durable under the sink's
-    /// fsync policy (an interval/off policy may return immediately —
-    /// the acked ⇒ durable guarantee is the per-batch policy's).
+    /// Blocks until everything up to `lsn` may be acknowledged: handed
+    /// to the operating system at the least (so it survives this
+    /// process), and as durable as the sink's fsync policy promises —
+    /// `wal::Wal` writes what is staged and, under its per-batch
+    /// policy only, waits for the covering fsync (acked ⇒ durable).
     fn wait_durable(&self, lsn: Lsn);
 }
 
@@ -217,9 +228,9 @@ pub trait StoreSession {
     /// serialization point. The native backend overrides it: one
     /// publication cycle spans every touched shard and keeps their
     /// writer guards until after the append, which sits between the
-    /// flips and the one quiescence barrier (`barriers + shared <= 1`),
-    /// so the log write (and the group-commit fsync it kicks off)
-    /// overlaps the grace period the batch already pays.
+    /// flips and the one quiescence barrier (`barriers + shared <= 1`);
+    /// the append is an encode into the sink's buffer, so no guard is
+    /// held across a system call.
     fn apply_batch_durable(
         &mut self,
         ops: &[MutOp],
