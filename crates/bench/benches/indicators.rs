@@ -2,29 +2,26 @@
 //!
 //! Two groups:
 //!
-//! * `reader_scaling` — host-level read acquisition at 1/8/32/128
-//!   threads: [`locks::IndicatedRwLock`] (BRAVO) against the
-//!   [`locks::PthreadRwLock`] it wraps (the centralized baseline). The
-//!   BRAVO claim is that a certified publication (one CAS into a private
-//!   slot plus a bias re-check) stays flat as threads grow, while the
-//!   centralized path funnels every reader through one reader-count word.
+//! * `fallback_read` — single-thread cost of one NS-only `read_cs` with
+//!   and without the indicator.
 //! * `brlock_padding` — the satellite check for the cache-line padding of
 //!   `locks::BrLock`: contended per-slot read acquisition on the padded
 //!   lock versus an unpadded `Box<[SpinMutex]>` that packs 64 one-byte
 //!   slots into a single line, so every acquisition false-shares with its
 //!   neighbours.
 //!
-//! Each timed iteration spawns a thread scope and runs a fixed batch of
-//! acquisitions per thread; the batch amortizes the spawn cost, and the
-//! same harness shape is used for every variant so the comparison is fair
-//! even though the absolute numbers include scope setup.
+//! Each timed `brlock_padding` iteration spawns a thread scope and runs a
+//! fixed batch of acquisitions per thread; the batch amortizes the spawn
+//! cost, and the same harness shape is used for both variants so the
+//! comparison is fair even though the absolute numbers include scope
+//! setup.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use htm::{HtmConfig, HtmRuntime};
-use locks::{BrLock, IndicatedRwLock, PthreadRwLock, SpinMutex};
+use locks::{BrLock, SpinMutex};
 use rind::IndicatorKind;
 use rwle::{RwLe, RwLeConfig};
 use simmem::{SharedMem, SimAlloc};
@@ -32,43 +29,6 @@ use stats::ThreadStats;
 
 /// Read acquisitions per thread per timed iteration.
 const OPS: usize = 64;
-
-/// Spawns `threads` workers that each run `acquire(tid)` `OPS` times.
-fn read_batch(threads: usize, acquire: impl Fn(usize) + Sync) {
-    std::thread::scope(|s| {
-        for tid in 0..threads {
-            let acquire = &acquire;
-            s.spawn(move || {
-                for _ in 0..OPS {
-                    acquire(tid);
-                }
-            });
-        }
-    });
-}
-
-fn bench_reader_scaling(c: &mut Criterion) {
-    const THREADS: [usize; 4] = [1, 8, 32, 128];
-    let mut g = c.benchmark_group("reader_scaling");
-    for threads in THREADS {
-        let lock = PthreadRwLock::new();
-        let acquire = |_tid| drop(criterion::black_box(lock.read_lock()));
-        g.bench_function(format!("Central_{threads}_threads"), |b| {
-            b.iter(|| read_batch(threads, acquire))
-        });
-    }
-    for threads in THREADS {
-        let lock = IndicatedRwLock::new(128);
-        let acquire = |tid| drop(criterion::black_box(lock.read_lock(tid)));
-        // Prime the bias: BRAVO starts biased, but the first
-        // publication per thread still takes the table-install path.
-        read_batch(threads, acquire);
-        g.bench_function(format!("Bravo_{threads}_threads"), |b| {
-            b.iter(|| read_batch(threads, acquire))
-        });
-    }
-    g.finish();
-}
 
 /// The pre-padding `BrLock` layout: one-byte spin slots packed densely,
 /// so up to 64 of them share a cache line.
@@ -149,10 +109,5 @@ fn bench_brlock_padding(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_reader_scaling,
-    bench_fallback_read,
-    bench_brlock_padding
-);
+criterion_group!(benches, bench_fallback_read, bench_brlock_padding);
 criterion_main!(benches);

@@ -174,7 +174,7 @@ fn bench_quiescence(c: &mut Criterion) {
             b.iter(|| epochs.synchronize_in(Some(0), &mut snap))
         });
         g.bench_function(format!("single_pass_idle_{n}_threads"), |b| {
-            b.iter(|| epochs.synchronize_blocked_readers(Some(0)))
+            b.iter(|| epochs.synchronize_blocked_readers_from(Some(0), epochs.grace_snapshot()))
         });
     }
     let epochs = epoch::EpochSet::new(16);

@@ -12,17 +12,15 @@
 //!
 //! * [`EpochSet`] — the clock array with [`EpochSet::synchronize`] (the
 //!   general two-pass barrier) and
-//!   [`EpochSet::synchronize_blocked_readers`] (the §3.3 single-pass
+//!   [`EpochSet::synchronize_blocked_readers_from`] (the §3.3 single-pass
 //!   optimization, valid when new readers are blocked by a lock).
 //! * Per-thread *lock-version snapshots* used by the fair variant of RW-LE
-//!   (§3.3): [`EpochSet::record_version`] / [`EpochSet::synchronize_fair`],
-//!   which only waits for readers that entered before a given writer
-//!   version.
-//! * An optional *reader indicator* on the registration path
-//!   ([`EpochSet::with_indicator`]): a [`rind::BravoIndicator`] lets a
-//!   reader publish itself with a single private store instead of the
-//!   summary tree's shared RMWs; the barriers then union the indicator's
-//!   slot scan with the summary scan.
+//!   (§3.3): [`EpochSet::record_version`] /
+//!   [`EpochSet::synchronize_fair_from`], which only waits for readers
+//!   that entered before a given writer version.
+//! * An active-reader summary tree and a grace-period sequence, so a
+//!   barrier visits only active readers and concurrently committing
+//!   writers share one grace period.
 //!
 //! # Examples
 //!
@@ -46,7 +44,6 @@ pub use scalable::BarrierOutcome;
 
 use scalable::{AdaptiveWaiter, GraceSeq, Parking, Summary};
 
-use rind::{BravoIndicator, IndicatorKind, Publish, Revocation};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A cache-line-padded atomic counter.
@@ -69,67 +66,11 @@ pub struct EpochSet {
     grace: GraceSeq,
     /// Condvar rendezvous for parked barrier waiters.
     parking: Parking,
-    /// Optional distributed reader indicator on the registration path
-    /// (`None` for [`IndicatorKind::Central`], the seed behaviour): a
-    /// reader that publishes a slot skips the summary tree entirely, and
-    /// barriers discover it by scanning the indicator instead.
-    ind: Option<BravoIndicator>,
-    /// Per-thread indicator token: `slot + 1` while the thread's current
-    /// read-side section is slot-published, `0` when it registered through
-    /// the summary tree. Owner-only (same single-writer discipline as the
-    /// clock), hence Relaxed.
-    ind_tokens: Box<[PaddedU64]>,
     /// Debug builds only: token of the OS thread currently updating the
     /// slot's clock (0 = none), used to detect two OS threads racing the
     /// non-atomic load-then-store clock update.
     #[cfg(debug_assertions)]
     owners: Box<[PaddedU64]>,
-}
-
-/// A barrier's indicator collection, scoped so `end_collect` runs on
-/// every exit path (including the mid-wait quiescence-sharing returns).
-///
-/// `begin` forces `must_scan` whenever an indicator is installed, even if
-/// [`BravoIndicator::begin_collect`] said the scan was skippable:
-/// that proof relies on lock-style collectors waiting for slot *vacation*
-/// before `end_collect`, whereas epoch barriers wait for clock movement —
-/// a published reader that had not yet flipped its clock at one barrier's
-/// scan (ignored there as a post-scan entry) can still be inside, slot
-/// occupied and summary-invisible, when the next collection begins.
-struct IndCollect<'a> {
-    ind: Option<&'a BravoIndicator>,
-    rev: Revocation,
-}
-
-impl<'a> IndCollect<'a> {
-    fn begin(ind: Option<&'a BravoIndicator>) -> Self {
-        let rev = match ind {
-            Some(i) => Revocation {
-                must_scan: true,
-                ..i.begin_collect()
-            },
-            None => Revocation {
-                revoked: false,
-                must_scan: false,
-            },
-        };
-        IndCollect { ind, rev }
-    }
-
-    /// Visits the thread id of every currently published reader.
-    fn scan(&self, mut f: impl FnMut(usize)) {
-        if let Some(i) = self.ind {
-            i.collect(&self.rev, |_slot, tid| f(tid));
-        }
-    }
-}
-
-impl Drop for IndCollect<'_> {
-    fn drop(&mut self) {
-        if let Some(i) = self.ind {
-            i.end_collect();
-        }
-    }
 }
 
 /// A unique, never-zero token per OS thread (debug builds only).
@@ -145,19 +86,6 @@ fn thread_token() -> u64 {
 impl EpochSet {
     /// Creates a set of `n` clocks, all initially even (outside).
     pub fn new(n: usize) -> Self {
-        Self::with_indicator(n, IndicatorKind::Central)
-    }
-
-    /// Creates a set of `n` clocks whose registration path runs through a
-    /// reader indicator of the given kind.
-    ///
-    /// [`IndicatorKind::Central`] is exactly [`EpochSet::new`]: readers
-    /// mark the summary tree. With [`IndicatorKind::Bravo`], a reader
-    /// first tries to publish an indicator slot (one private store in
-    /// steady state); only on decline does it fall back to the summary
-    /// RMWs. Barriers union the indicator scan with the summary scan, so
-    /// either registration route is discovered.
-    pub fn with_indicator(n: usize, kind: IndicatorKind) -> Self {
         let mk = |_| PaddedU64(AtomicU64::new(0));
         EpochSet {
             clocks: (0..n).map(mk).collect(),
@@ -165,20 +93,9 @@ impl EpochSet {
             summary: Summary::new(n),
             grace: GraceSeq::new(),
             parking: Parking::new(),
-            ind: match kind {
-                IndicatorKind::Central => None,
-                IndicatorKind::Bravo => Some(BravoIndicator::sized(n)),
-            },
-            ind_tokens: (0..n).map(mk).collect(),
             #[cfg(debug_assertions)]
             owners: (0..n).map(mk).collect(),
         }
-    }
-
-    /// The reader indicator on the registration path, if one is installed
-    /// (tests and benches inspect bias state through this).
-    pub fn indicator(&self) -> Option<&BravoIndicator> {
-        self.ind.as_ref()
     }
 
     /// Number of tracked threads.
@@ -212,26 +129,6 @@ impl EpochSet {
     #[inline]
     pub fn enter(&self, tid: usize) {
         sched::step();
-        if let Some(ind) = &self.ind {
-            match ind.publish(tid) {
-                // The slot store plays the summary bit's role and obeys
-                // the same ordering rule: it is SeqCst and precedes the
-                // SeqCst clock store, so a barrier scan that misses the
-                // slot is ordered before the publication — the reader
-                // entered after the scan and is conflict detection's
-                // responsibility, exactly like a post-scan summary entry.
-                Publish::Certified(slot) => {
-                    self.ind_tokens[tid]
-                        .0
-                        .store(slot as u64 + 1, Ordering::Relaxed);
-                    self.update_clock(tid, 0, "nested enter", Ordering::SeqCst);
-                    return;
-                }
-                // Bias down or slot collision: centralized registration,
-                // counted so the rebias policy can re-arm the fast path.
-                Publish::Declined => ind.note_slow_read(),
-            }
-        }
         // The summary bits go up first: both are SeqCst, so they precede
         // the clock store in the SeqCst total order and any barrier scan
         // that could observe the odd clock observes the bits (the
@@ -256,19 +153,9 @@ impl EpochSet {
     pub fn exit(&self, tid: usize) {
         sched::step();
         self.update_clock(tid, 1, "exit without enter", Ordering::Release);
-        // Retract the registration only after the clock is even, so it
-        // covers the clock's entire odd window (slot or summary bit,
-        // whichever route `enter` took), then wake any barrier parked on
-        // this reader (one load when nobody is parked).
-        if let Some(ind) = &self.ind {
-            let tok = self.ind_tokens[tid].0.load(Ordering::Relaxed);
-            if tok != 0 {
-                self.ind_tokens[tid].0.store(0, Ordering::Relaxed);
-                ind.retire(tid, (tok - 1) as u32);
-                self.parking.wake_all();
-                return;
-            }
-        }
+        // Retract the summary bit only after the clock is even, so it
+        // covers the clock's entire odd window, then wake any barrier
+        // parked on this reader (one load when nobody is parked).
         self.summary.mark_exit(tid);
         self.parking.wake_all();
     }
@@ -321,22 +208,10 @@ impl EpochSet {
     }
 
     /// Whether the summary tree currently marks `tid` active. Always set
-    /// while `tid`'s clock is odd — unless an installed indicator admitted
-    /// the reader, which is then visible through the indicator's slot scan
-    /// instead. May be transiently set just before entry or just after
-    /// exit (the conservative direction).
+    /// while `tid`'s clock is odd. May be transiently set just before
+    /// entry or just after exit (the conservative direction).
     pub fn summary_active(&self, tid: usize) -> bool {
         self.summary.leaf_word(tid / 64) & (1 << (tid % 64)) != 0
-    }
-
-    /// Raw summary words, exposed for schedule tests and microbenches.
-    #[doc(hidden)]
-    pub fn summary_words(&self) -> (u64, Vec<u64>) {
-        let root = self.summary.root_word();
-        let leaves = (0..self.clocks.len().div_ceil(64))
-            .map(|g| self.summary.leaf_word(g))
-            .collect();
-        (root, leaves)
     }
 
     /// The general quiescence barrier (`RWLE_SYNCHRONIZE`, Algorithm 1).
@@ -405,7 +280,6 @@ impl EpochSet {
             };
         }
         let ticket = self.grace.begin();
-        let collect = IndCollect::begin(self.ind.as_ref());
         snap.clear();
         let mut skip_active = false;
         self.summary.scan(|tid| {
@@ -417,23 +291,6 @@ impl EpochSet {
                 // The caller's own read-side section (nesting): this
                 // barrier does not drain it, so it must not be published
                 // as a full grace period for other writers to share.
-                skip_active = true;
-                return;
-            }
-            snap.push(tid as u64);
-            snap.push(c);
-        });
-        // Indicator-admitted readers never touched the summary: union the
-        // slot scan in under the same rules (odd clock, own slot exempt).
-        // A tid already snapshotted exited and re-entered through the
-        // other route between the two scans — its first epoch is the one
-        // this barrier owes a wait, so keep the earlier pair.
-        collect.scan(|tid| {
-            let c = self.clocks[tid].0.load(Ordering::Acquire);
-            if c % 2 != 1 || snap.chunks(2).any(|p| p[0] == tid as u64) {
-                return;
-            }
-            if Some(tid) == skip {
                 skip_active = true;
                 return;
             }
@@ -475,17 +332,13 @@ impl EpochSet {
     /// Valid only when new readers are blocked (the caller holds the
     /// global lock in a state readers wait on): each clock only needs to
     /// be observed even once, with no snapshot pass (and no allocation).
-    pub fn synchronize_blocked_readers(&self, skip: Option<usize>) -> BarrierOutcome {
-        self.synchronize_blocked_readers_from(skip, self.grace.snapshot())
-    }
-
-    /// [`EpochSet::synchronize_blocked_readers`] with a caller-taken
-    /// grace snapshot (see [`EpochSet::synchronize_from`]; for the NS
-    /// path the commit point is the lock acquisition, so take the
-    /// snapshot right after it). Waiting for every summarized clock to
-    /// turn even is a *full* grace period — stronger than the snapshot
-    /// barrier — so a completed single-pass barrier is published for
-    /// sharing too.
+    ///
+    /// `grace_snap` is the caller-taken grace snapshot (see
+    /// [`EpochSet::synchronize_from`]; for the NS path the commit point is
+    /// the lock acquisition, so take the snapshot right after it). Waiting
+    /// for every summarized clock to turn even is a *full* grace period —
+    /// stronger than the snapshot barrier — so a completed single-pass
+    /// barrier is published for sharing too.
     pub fn synchronize_blocked_readers_from(
         &self,
         skip: Option<usize>,
@@ -498,18 +351,16 @@ impl EpochSet {
             };
         }
         let ticket = self.grace.begin();
-        let collect = IndCollect::begin(self.ind.as_ref());
         let mut waiter = AdaptiveWaiter::new(&self.parking);
         let mut skip_active = false;
         // Manual summary walk (the closure-based scan cannot host the
         // wait loop): new readers are blocked, so a summary word loaded
         // once stays conservative for this barrier's purposes.
-        let (root, leaves) = self.summary_words();
-        let mut root = root;
+        let mut root = self.summary.root_word();
         while root != 0 {
             let g = root.trailing_zeros() as usize;
             root &= root - 1;
-            let mut word = leaves[g];
+            let mut word = self.summary.leaf_word(g);
             while word != 0 {
                 let i = word.trailing_zeros() as usize;
                 word &= word - 1;
@@ -528,32 +379,6 @@ impl EpochSet {
                     waiter.stall(|| self.clocks[tid].0.load(Ordering::Acquire) % 2 == 1);
                 }
             }
-        }
-        // Indicator-admitted readers (invisible to the summary), same
-        // single-pass rule: new readers are blocked, so each published
-        // slot's clock only needs to be observed even once.
-        let mut covered = false;
-        collect.scan(|tid| {
-            if covered {
-                return;
-            }
-            if Some(tid) == skip {
-                skip_active = skip_active || self.clocks[tid].0.load(Ordering::Acquire) % 2 == 1;
-                return;
-            }
-            while self.clocks[tid].0.load(Ordering::Acquire) % 2 == 1 {
-                if self.grace.covered(grace_snap) {
-                    covered = true;
-                    return;
-                }
-                waiter.stall(|| self.clocks[tid].0.load(Ordering::Acquire) % 2 == 1);
-            }
-        });
-        if covered {
-            return BarrierOutcome {
-                stalls: waiter.stalls,
-                shared: true,
-            };
         }
         if !skip_active {
             self.grace.publish(ticket);
@@ -579,33 +404,11 @@ impl EpochSet {
     ///
     /// Readers that observed the writer's own (or a newer) version are
     /// serialized after it by construction and need not be waited for.
-    ///
-    /// The recorded version is re-checked *while* waiting, not only in
-    /// the initial pass: a reader flips its clock before recording the
-    /// version it observed, so the barrier can catch a reader between
-    /// the two steps with a stale (older) version. If that reader then
-    /// observes the writer's lock and records its version, it will wait
-    /// for the lock in place — waiting for its clock here would deadlock
-    /// (writer awaits reader's exit, reader awaits writer's release).
-    pub fn synchronize_fair(&self, skip: Option<usize>, writer_version: u64) -> BarrierOutcome {
-        self.synchronize_fair_in(skip, writer_version, &mut Vec::new())
-    }
-
-    /// [`EpochSet::synchronize_fair`] with a caller-owned scratch buffer
-    /// (same contract as [`EpochSet::synchronize_in`]): the snapshot
-    /// reuses `snap`'s capacity, keeping the fair barrier allocation-free
-    /// across repeated commits. The wait rule is the one specified (and
-    /// tested) by [`EpochSet::fair_wait_set`].
-    pub fn synchronize_fair_in(
-        &self,
-        skip: Option<usize>,
-        writer_version: u64,
-        snap: &mut Vec<u64>,
-    ) -> BarrierOutcome {
-        self.synchronize_fair_from(skip, writer_version, self.grace.snapshot(), snap)
-    }
-
-    /// The fair barrier with a caller-taken grace snapshot.
+    /// The wait rule is the one specified (and tested) by
+    /// [`EpochSet::fair_wait_set_in`]; `snap` is a caller-owned scratch
+    /// buffer (same contract as [`EpochSet::synchronize_in`]) and
+    /// `grace_snap` a caller-taken grace snapshot (see
+    /// [`EpochSet::synchronize_from`]).
     ///
     /// Grace sharing *consumes* here but never *publishes*: a completed
     /// full grace period drains a superset of the fair wait set (everyone
@@ -625,23 +428,7 @@ impl EpochSet {
                 shared: true,
             };
         }
-        let collect = IndCollect::begin(self.ind.as_ref());
         self.fair_wait_set_in(skip, writer_version, snap);
-        // Indicator-admitted readers join the wait set under the same
-        // fair rule ([`EpochSet::fair_wait_set`] documents the
-        // summary-path rule; the barrier applies it to slot-published
-        // readers here): odd clock AND recorded version older than the
-        // writer's.
-        collect.scan(|tid| {
-            if Some(tid) == skip || snap.chunks(2).any(|p| p[0] == tid as u64) {
-                return;
-            }
-            let c = self.clocks[tid].0.load(Ordering::Acquire);
-            if c % 2 == 1 && self.versions[tid].0.load(Ordering::Acquire) < writer_version {
-                snap.push(tid as u64);
-                snap.push(c);
-            }
-        });
         let mut waiter = AdaptiveWaiter::new(&self.parking);
         let mut i = 0;
         while i < snap.len() {
@@ -678,23 +465,16 @@ impl EpochSet {
         }
     }
 
-    /// The wait-set decision of [`EpochSet::synchronize_fair`], separated
-    /// out so the rule is directly testable: the barrier waits on exactly
-    /// the threads that are inside a critical section (odd snapshot clock)
-    /// *and* recorded a version older than `writer_version`.
+    /// The wait-set decision of [`EpochSet::synchronize_fair_from`],
+    /// separated out so the rule is directly testable: the barrier waits
+    /// on exactly the threads that are inside a critical section (odd
+    /// snapshot clock) *and* recorded a version older than
+    /// `writer_version`.
     ///
-    /// Returns `(tid, snapshot_clock)` pairs; the barrier waits for each
-    /// listed clock to move past its snapshot value. Allocates — hot
-    /// paths use [`EpochSet::fair_wait_set_in`].
-    pub fn fair_wait_set(&self, skip: Option<usize>, writer_version: u64) -> Vec<(usize, u64)> {
-        let mut buf = Vec::new();
-        self.fair_wait_set_in(skip, writer_version, &mut buf);
-        buf.chunks(2).map(|p| (p[0] as usize, p[1])).collect()
-    }
-
-    /// Allocation-free [`EpochSet::fair_wait_set`]: fills `buf` with
-    /// flattened `(tid, snapshot_clock)` pairs (`tid` at even indices),
-    /// visiting only summary-marked threads in ascending tid order.
+    /// Fills `buf` with flattened `(tid, snapshot_clock)` pairs (`tid` at
+    /// even indices), visiting only summary-marked threads in ascending
+    /// tid order; the barrier waits for each listed clock to move past its
+    /// snapshot value. Allocation-free once `buf` has its capacity.
     pub fn fair_wait_set_in(&self, skip: Option<usize>, writer_version: u64, buf: &mut Vec<u64>) {
         buf.clear();
         self.summary.scan(|tid| {
@@ -715,6 +495,13 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// [`EpochSet::fair_wait_set_in`]'s flattened pairs, unflattened.
+    fn fair_wait_set(e: &EpochSet, skip: Option<usize>, writer_version: u64) -> Vec<(usize, u64)> {
+        let mut buf = Vec::new();
+        e.fair_wait_set_in(skip, writer_version, &mut buf);
+        buf.chunks(2).map(|p| (p[0] as usize, p[1])).collect()
+    }
+
     #[test]
     fn enter_exit_toggles_activity() {
         let e = EpochSet::new(2);
@@ -731,8 +518,8 @@ mod tests {
     fn synchronize_with_no_readers_returns() {
         let e = EpochSet::new(8);
         e.synchronize(None);
-        e.synchronize_blocked_readers(None);
-        e.synchronize_fair(None, 1);
+        e.synchronize_blocked_readers_from(None, e.grace_snapshot());
+        e.synchronize_fair_from(None, 1, e.grace_snapshot(), &mut Vec::new());
     }
 
     #[test]
@@ -741,7 +528,7 @@ mod tests {
         e.enter(0);
         // Would deadlock if slot 0 were waited on.
         e.synchronize(Some(0));
-        e.synchronize_blocked_readers(Some(0));
+        e.synchronize_blocked_readers_from(Some(0), e.grace_snapshot());
         e.exit(0);
     }
 
@@ -794,7 +581,7 @@ mod tests {
         e.enter(1);
         e.record_version(1, 5);
         // Writer at version 5: reader recorded version 5 (>= 5) → no wait.
-        e.synchronize_fair(Some(0), 5);
+        e.synchronize_fair_from(Some(0), 5, e.grace_snapshot(), &mut Vec::new());
         // Writer at version 6: reader version 5 < 6 → must wait.
         let waited = Arc::new(std::sync::atomic::AtomicBool::new(false));
         std::thread::scope(|s| {
@@ -806,7 +593,7 @@ mod tests {
                 w.store(true, Ordering::SeqCst);
                 e.exit(1);
             });
-            e.synchronize_fair(Some(0), 6);
+            e.synchronize_fair_from(Some(0), 6, e.grace_snapshot(), &mut Vec::new());
             assert!(waited.load(Ordering::SeqCst), "waited for older reader");
         });
     }
@@ -819,7 +606,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             e2.exit(2);
         });
-        e.synchronize_blocked_readers(Some(0));
+        e.synchronize_blocked_readers_from(Some(0), e.grace_snapshot());
         assert!(!e.is_active(2));
         h.join().unwrap();
     }
@@ -845,94 +632,17 @@ mod tests {
     }
 
     #[test]
-    fn indicator_reader_skips_summary_but_barrier_sees_it() {
-        let e = EpochSet::with_indicator(4, IndicatorKind::Bravo);
-        assert!(e.indicator().unwrap().bias_enabled());
-        e.enter(0);
-        assert!(e.is_active(0));
-        assert!(
-            !e.summary_active(0),
-            "certified reader must not touch the summary tree"
-        );
-        // The slot scan must find the reader: with `skip` naming it, the
-        // barrier marks its own slot active and therefore must NOT publish
-        // a full grace period. A barrier blind to the slot would publish.
-        let o = e.synchronize(Some(0));
-        assert!(!o.shared);
-        assert_eq!(
-            e.graces_completed(),
-            0,
-            "barrier published a grace period despite an active slot reader"
-        );
-        e.synchronize_blocked_readers(Some(0));
-        assert_eq!(e.graces_completed(), 0);
-        e.exit(0);
-        assert!(!e.is_active(0));
-        e.synchronize(None);
-        // Ticket high-water mark: the skipped barriers consumed tickets,
-        // so only "a full grace period completed" is asserted, not "one".
-        assert!(e.graces_completed() > 0);
-    }
-
-    #[test]
-    fn indicator_barrier_waits_for_slot_reader() {
-        let e = Arc::new(EpochSet::with_indicator(2, IndicatorKind::Bravo));
-        e.enter(1);
-        assert!(!e.summary_active(1), "biased reader registers via its slot");
-        let exiting = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let e2 = Arc::clone(&e);
-        let x2 = Arc::clone(&exiting);
-        let h = std::thread::spawn(move || {
-            x2.store(true, Ordering::SeqCst);
-            e2.exit(1);
-        });
-        e.synchronize(Some(0));
-        assert!(
-            exiting.load(Ordering::SeqCst),
-            "barrier returned before the slot reader started draining"
-        );
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn indicator_declined_reader_falls_back_to_summary() {
-        let e = EpochSet::with_indicator(2, IndicatorKind::Bravo);
-        let ind = e.indicator().unwrap();
-        // Revoke the bias: subsequent publishes decline.
-        let rev = ind.begin_collect();
-        assert!(rev.revoked);
-        e.enter(0);
-        assert!(
-            e.summary_active(0),
-            "declined reader must register through the summary tree"
-        );
-        e.exit(0);
-        assert!(!e.summary_active(0));
-        ind.end_collect();
-    }
-
-    #[test]
-    fn indicator_fair_barrier_respects_versions() {
-        let e = EpochSet::with_indicator(2, IndicatorKind::Bravo);
-        e.enter(1);
-        e.record_version(1, 5);
-        // Slot reader with version >= the writer's: no wait, no deadlock.
-        e.synchronize_fair(Some(0), 5);
-        e.exit(1);
-    }
-
-    #[test]
     fn fair_wait_set_matches_rule() {
         let e = EpochSet::new(4);
         e.enter(0); // odd, version 0 -> waited on for wv > 0
         e.enter(1);
         e.record_version(1, 7); // odd, version 7 -> skipped for wv <= 7
         e.record_version(3, 1); // even clock -> never waited on
-        let ws = e.fair_wait_set(None, 5);
+        let ws = fair_wait_set(&e, None, 5);
         assert_eq!(ws, vec![(0, 1)]);
-        let ws = e.fair_wait_set(None, 8);
+        let ws = fair_wait_set(&e, None, 8);
         assert_eq!(ws, vec![(0, 1), (1, 1)]);
-        let ws = e.fair_wait_set(Some(0), 8);
+        let ws = fair_wait_set(&e, Some(0), 8);
         assert_eq!(ws, vec![(1, 1)]);
     }
 }

@@ -9,7 +9,7 @@
 //! the reproducing seed either way.
 //!
 //! The property tests at the bottom pin the fair barrier's wait-set rule
-//! itself (via [`EpochSet::fair_wait_set`]): wait on exactly the readers
+//! itself (via [`EpochSet::fair_wait_set_in`]): wait on exactly the readers
 //! that are inside a critical section *and* recorded a version older
 //! than the writer's.
 
@@ -72,79 +72,6 @@ fn grace_period_schedules() {
     sched::explore("epoch-grace-period", 0..400, grace_period_schedule);
 }
 
-/// The grace-period model over an indicator-equipped epoch set: readers
-/// register through BRAVO slots (or decline to the summary after a
-/// revocation), writers revoke the bias inside `synchronize` and must
-/// union the slot scan with the summary scan. A barrier that misses a
-/// slot-admitted reader lets it observe poisoned memory.
-///
-/// `slot_admitted` counts pause-point states where a reader was inside
-/// with its summary bit clear — proof the exploration actually drove the
-/// slot path, not just the post-revocation summary fallback.
-fn indicator_grace_schedule(seed: u64, slot_admitted: &Arc<AtomicU64>) {
-    const READERS: usize = 3;
-    const WRITER: usize = READERS;
-    const POISON: u64 = u64::MAX;
-    let epochs = Arc::new(EpochSet::with_indicator(
-        READERS + 1,
-        rind::IndicatorKind::Bravo,
-    ));
-    let bufs: Arc<[AtomicU64; 2]> = Arc::new([AtomicU64::new(50), AtomicU64::new(0)]);
-    let current = Arc::new(AtomicUsize::new(0));
-
-    let mut s = sched::Scheduler::new(seed);
-    for tid in 0..READERS {
-        let epochs = Arc::clone(&epochs);
-        let bufs = Arc::clone(&bufs);
-        let current = Arc::clone(&current);
-        let slot_admitted = Arc::clone(slot_admitted);
-        s.spawn(move || {
-            for _ in 0..3 {
-                epochs.enter(tid);
-                if !epochs.summary_active(tid) {
-                    slot_admitted.fetch_add(1, Ordering::Relaxed);
-                }
-                sched::yield_point();
-                let idx = current.load(Ordering::SeqCst);
-                sched::yield_point();
-                let v = bufs[idx].load(Ordering::SeqCst);
-                assert_ne!(v, POISON, "reader observed a reclaimed buffer");
-                epochs.exit(tid);
-                sched::yield_point();
-            }
-        });
-    }
-    {
-        let epochs = Arc::clone(&epochs);
-        let bufs = Arc::clone(&bufs);
-        let current = Arc::clone(&current);
-        s.spawn(move || {
-            for round in 0..3u64 {
-                let old = current.load(Ordering::SeqCst);
-                let new = 1 - old;
-                bufs[new].store(100 + round, Ordering::SeqCst);
-                current.store(new, Ordering::SeqCst);
-                epochs.synchronize(Some(WRITER));
-                bufs[old].store(POISON, Ordering::SeqCst);
-            }
-        });
-    }
-    s.run();
-}
-
-#[test]
-fn bravo_indicator_grace_schedules() {
-    let admitted = Arc::new(AtomicU64::new(0));
-    let counter = Arc::clone(&admitted);
-    sched::explore("epoch-bravo-grace", 0..320, move |seed| {
-        indicator_grace_schedule(seed, &counter)
-    });
-    assert!(
-        admitted.load(Ordering::Relaxed) > 0,
-        "no schedule admitted a reader through the BRAVO slot path"
-    );
-}
-
 /// Single-pass quiescence (§3.3): sound exactly because the writer's
 /// "lock" blocks new readers. The writer then updates two words
 /// non-atomically; a reader overlapping the update would see a torn pair.
@@ -191,7 +118,7 @@ fn blocked_readers_schedule(seed: u64) {
         s.spawn(move || {
             for round in 1..=2u64 {
                 lock.store(true, Ordering::SeqCst);
-                epochs.synchronize_blocked_readers(Some(WRITER));
+                epochs.synchronize_blocked_readers_from(Some(WRITER), epochs.grace_snapshot());
                 data[0].store(round, Ordering::SeqCst);
                 sched::yield_point();
                 data[1].store(round, Ordering::SeqCst);
@@ -206,76 +133,6 @@ fn blocked_readers_schedule(seed: u64) {
 #[test]
 fn blocked_readers_schedules() {
     sched::explore("epoch-blocked-readers", 0..400, blocked_readers_schedule);
-}
-
-/// Single-pass quiescence over an indicator-equipped set: the barrier's
-/// one-shot summary walk is followed by the slot walk, and a certified
-/// reader that retreats (sees the lock after entering) must retire its
-/// slot cleanly. A torn pair means the single-pass barrier missed a
-/// slot-admitted reader.
-fn indicator_blocked_readers_schedule(seed: u64) {
-    const READERS: usize = 2;
-    const WRITER: usize = READERS;
-    let epochs = Arc::new(EpochSet::with_indicator(
-        READERS + 1,
-        rind::IndicatorKind::Bravo,
-    ));
-    let lock = Arc::new(AtomicBool::new(false));
-    let data: Arc<[AtomicU64; 2]> = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
-
-    let mut s = sched::Scheduler::new(seed);
-    for tid in 0..READERS {
-        let epochs = Arc::clone(&epochs);
-        let lock = Arc::clone(&lock);
-        let data = Arc::clone(&data);
-        s.spawn(move || {
-            for _ in 0..3 {
-                loop {
-                    epochs.enter(tid);
-                    if !lock.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    epochs.exit(tid);
-                    while lock.load(Ordering::SeqCst) {
-                        sched::yield_point();
-                    }
-                }
-                sched::yield_point();
-                let a = data[0].load(Ordering::SeqCst);
-                sched::yield_point();
-                let b = data[1].load(Ordering::SeqCst);
-                assert_eq!(a, b, "torn read: single-pass barrier under-waited");
-                epochs.exit(tid);
-                sched::yield_point();
-            }
-        });
-    }
-    {
-        let epochs = Arc::clone(&epochs);
-        let lock = Arc::clone(&lock);
-        let data = Arc::clone(&data);
-        s.spawn(move || {
-            for round in 1..=2u64 {
-                lock.store(true, Ordering::SeqCst);
-                epochs.synchronize_blocked_readers(Some(WRITER));
-                data[0].store(round, Ordering::SeqCst);
-                sched::yield_point();
-                data[1].store(round, Ordering::SeqCst);
-                lock.store(false, Ordering::SeqCst);
-                sched::yield_point();
-            }
-        });
-    }
-    s.run();
-}
-
-#[test]
-fn bravo_indicator_blocked_readers_schedules() {
-    sched::explore(
-        "epoch-bravo-blocked-readers",
-        0..320,
-        indicator_blocked_readers_schedule,
-    );
 }
 
 /// A reader whose recorded version is the writer's own (or newer) must
@@ -309,7 +166,7 @@ fn fair_skips_newer_schedule(seed: u64) {
             while !inside.load(Ordering::SeqCst) {
                 sched::yield_point();
             }
-            epochs.synchronize_fair(Some(1), 7);
+            epochs.synchronize_fair_from(Some(1), 7, epochs.grace_snapshot(), &mut Vec::new());
             done.store(true, Ordering::SeqCst);
         });
     }
@@ -352,7 +209,7 @@ fn fair_waits_for_older_schedule(seed: u64) {
             while !entered.load(Ordering::SeqCst) {
                 sched::yield_point();
             }
-            epochs.synchronize_fair(Some(1), 7);
+            epochs.synchronize_fair_from(Some(1), 7, epochs.grace_snapshot(), &mut Vec::new());
             log.lock().unwrap().push("writer-synced");
         });
     }
@@ -405,7 +262,7 @@ fn fair_release_by_record_schedule(seed: u64) {
         let epochs = Arc::clone(&epochs);
         let released = Arc::clone(&released);
         s.spawn(move || {
-            epochs.synchronize_fair(Some(1), 9);
+            epochs.synchronize_fair_from(Some(1), 9, epochs.grace_snapshot(), &mut Vec::new());
             released.store(true, Ordering::SeqCst);
         });
     }
@@ -580,7 +437,7 @@ fn grace_sharing_publish_rules() {
 
     // A fair barrier consumes but never publishes.
     let snap = e.grace_snapshot();
-    e.synchronize_fair(None, 7);
+    e.synchronize_fair_from(None, 7, e.grace_snapshot(), &mut buf);
     assert_eq!(
         e.graces_completed(),
         1,
@@ -590,9 +447,16 @@ fn grace_sharing_publish_rules() {
     assert!(!o.shared, "nothing completed since the snapshot");
 }
 
+/// [`EpochSet::fair_wait_set_in`]'s flattened pairs, unflattened.
+fn fair_wait_set(e: &EpochSet, skip: Option<usize>, writer_version: u64) -> Vec<(usize, u64)> {
+    let mut buf = Vec::new();
+    e.fair_wait_set_in(skip, writer_version, &mut buf);
+    buf.chunks(2).map(|p| (p[0] as usize, p[1])).collect()
+}
+
 proptest! {
     /// The fair wait-set rule, over arbitrary clock/version states:
-    /// `synchronize_fair` waits on a reader iff its clock is odd AND its
+    /// `synchronize_fair_from` waits on a reader iff its clock is odd AND its
     /// recorded version is older than the writer's — never on readers
     /// with version >= the writer's, always on older odd-clock readers.
     #[test]
@@ -611,7 +475,7 @@ proptest! {
             }
             e.record_version(tid, ver);
         }
-        let ws = e.fair_wait_set(None, writer_version);
+        let ws = fair_wait_set(&e, None, writer_version);
         for (tid, &(clock, ver)) in threads.iter().enumerate() {
             let entry = ws.iter().find(|&&(t, _)| t == tid);
             let must_wait = clock % 2 == 1 && ver < writer_version;
@@ -638,7 +502,7 @@ proptest! {
             e.enter(tid); // all inside, version 0 < writer_version
         }
         for skip in 0..n {
-            let ws = e.fair_wait_set(Some(skip), writer_version);
+            let ws = fair_wait_set(&e, Some(skip), writer_version);
             prop_assert_eq!(ws.len(), n - 1);
             prop_assert!(ws.iter().all(|&(t, _)| t != skip));
         }

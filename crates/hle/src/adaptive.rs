@@ -9,14 +9,7 @@
 //! budget, probes a neighbouring budget, and keeps whichever was better —
 //! a deliberately simple, workload-oblivious controller in the spirit of
 //! the cited self-tuning work.
-//!
-//! The same windowed-measurement idea drives [`IndicatorTuner`]: a
-//! per-lock controller that watches the read/write mix and recommends a
-//! [`rind::IndicatorKind`] for the lock's fallback read path (BRAVO for
-//! read-dominated locks, centralized accounting once writes are frequent
-//! enough that revocation scans would dominate).
 
-use rind::IndicatorKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use simmem::Addr;
@@ -168,110 +161,6 @@ impl AdaptiveHle {
     }
 }
 
-/// Critical sections per indicator-selection window.
-const IND_WINDOW: u64 = 256;
-/// Write fraction (×1e6) at or below which a window votes for the BRAVO
-/// indicator: with ≤5% writes, revocation scans amortize over many
-/// certified reads (cf. the BRAVO paper's read-dominated regime).
-const BRAVO_MAX_WRITE_RATE: u64 = 50_000;
-/// Write fraction (×1e6) at or above which a window votes for
-/// centralized accounting: at ≥20% writes, every few sections revoke the
-/// bias and pay a table scan, which the rebias policy then keeps off
-/// most of the time anyway — the bias only adds overhead.
-const CENTRAL_MIN_WRITE_RATE: u64 = 200_000;
-
-/// A per-lock controller that recommends a reader-indicator kind from the
-/// observed read/write mix.
-///
-/// Same deterministic, operation-counted style as [`AdaptiveHle`]: each
-/// finished critical section is [`record`](IndicatorTuner::record)-ed,
-/// and at every `IND_WINDOW`-th section the write fraction decides the
-/// recommendation. The dead band between `BRAVO_MAX_WRITE_RATE` and
-/// `CENTRAL_MIN_WRITE_RATE` is hysteresis: a mix that hovers around a
-/// single threshold would otherwise flap the recommendation every
-/// window, and each switch costs a drain of the old indicator.
-///
-/// The tuner only *recommends*: switching a live lock's indicator
-/// requires draining the old one, so callers consult
-/// [`current`](IndicatorTuner::current) at natural rebuild points (lock
-/// construction, idle phases) rather than mid-stream.
-pub struct IndicatorTuner {
-    /// Ops and writes in the current window, packed `(writes, ops)`.
-    window: AtomicU64,
-    /// Current recommendation, as the `IndicatorKind` discriminant.
-    choice: AtomicU64,
-}
-
-impl IndicatorTuner {
-    /// Creates a tuner starting from the seed recommendation
-    /// (centralized accounting).
-    pub fn new() -> Self {
-        Self::with_initial(IndicatorKind::Central)
-    }
-
-    /// Creates a tuner with an explicit starting recommendation.
-    pub fn with_initial(kind: IndicatorKind) -> Self {
-        IndicatorTuner {
-            window: AtomicU64::new(0),
-            choice: AtomicU64::new(Self::encode(kind)),
-        }
-    }
-
-    fn encode(kind: IndicatorKind) -> u64 {
-        match kind {
-            IndicatorKind::Central => 0,
-            IndicatorKind::Bravo => 1,
-        }
-    }
-
-    fn decode(v: u64) -> IndicatorKind {
-        match v {
-            0 => IndicatorKind::Central,
-            _ => IndicatorKind::Bravo,
-        }
-    }
-
-    /// The currently recommended indicator kind.
-    pub fn current(&self) -> IndicatorKind {
-        Self::decode(self.choice.load(Ordering::Relaxed))
-    }
-
-    /// Records one finished critical section and, at window boundaries,
-    /// re-derives the recommendation from the window's write fraction.
-    pub fn record(&self, is_write: bool) {
-        let add = 1 | u64::from(is_write) << 32;
-        let packed = self.window.fetch_add(add, Ordering::Relaxed) + add;
-        let ops = packed & 0xFFFF_FFFF;
-        if ops < IND_WINDOW {
-            return;
-        }
-        // One thread wins the reset; losers simply keep counting (the
-        // same idiom as `AdaptiveHle::record`).
-        if self
-            .window
-            .compare_exchange(packed, 0, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        let write_rate = (packed >> 32) * 1_000_000 / ops;
-        if write_rate <= BRAVO_MAX_WRITE_RATE {
-            self.choice
-                .store(Self::encode(IndicatorKind::Bravo), Ordering::Relaxed);
-        } else if write_rate >= CENTRAL_MIN_WRITE_RATE {
-            self.choice
-                .store(Self::encode(IndicatorKind::Central), Ordering::Relaxed);
-        }
-        // In the dead band: keep the previous recommendation.
-    }
-}
-
-impl Default for IndicatorTuner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,63 +172,6 @@ mod tests {
     fn starts_at_the_paper_default() {
         let a = AdaptiveHle::new(Addr(0));
         assert_eq!(a.current_budget(), 5);
-    }
-
-    /// Feeds the tuner one full window with `writes` write sections out
-    /// of [`IND_WINDOW`].
-    fn feed_window(t: &IndicatorTuner, writes: u64) {
-        for i in 0..IND_WINDOW {
-            t.record(i < writes);
-        }
-    }
-
-    #[test]
-    fn tuner_picks_bravo_for_read_heavy_windows() {
-        let t = IndicatorTuner::new();
-        assert_eq!(t.current(), IndicatorKind::Central);
-        feed_window(&t, 2); // <1% writes
-        assert_eq!(t.current(), IndicatorKind::Bravo);
-    }
-
-    #[test]
-    fn tuner_picks_central_for_write_heavy_windows() {
-        let t = IndicatorTuner::with_initial(IndicatorKind::Bravo);
-        feed_window(&t, IND_WINDOW / 2); // 50% writes
-        assert_eq!(t.current(), IndicatorKind::Central);
-    }
-
-    #[test]
-    fn tuner_dead_band_keeps_previous_choice() {
-        // 10% writes sits between the thresholds: no flapping, the prior
-        // recommendation survives from either side.
-        let t = IndicatorTuner::with_initial(IndicatorKind::Bravo);
-        feed_window(&t, IND_WINDOW / 10);
-        assert_eq!(t.current(), IndicatorKind::Bravo);
-        let t = IndicatorTuner::new();
-        feed_window(&t, IND_WINDOW / 10);
-        assert_eq!(t.current(), IndicatorKind::Central);
-    }
-
-    #[test]
-    fn tuner_only_decides_at_window_boundaries() {
-        let t = IndicatorTuner::new();
-        for _ in 0..IND_WINDOW - 1 {
-            t.record(false);
-        }
-        assert_eq!(t.current(), IndicatorKind::Central, "window not full yet");
-        t.record(false);
-        assert_eq!(t.current(), IndicatorKind::Bravo);
-    }
-
-    #[test]
-    fn tuner_recovers_after_mix_shift() {
-        let t = IndicatorTuner::new();
-        feed_window(&t, 0);
-        assert_eq!(t.current(), IndicatorKind::Bravo);
-        feed_window(&t, IND_WINDOW); // all writes
-        assert_eq!(t.current(), IndicatorKind::Central);
-        feed_window(&t, 0);
-        assert_eq!(t.current(), IndicatorKind::Bravo);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 pub mod adaptive;
 pub mod scm;
 
-pub use adaptive::{AdaptiveHle, IndicatorTuner};
+pub use adaptive::AdaptiveHle;
 pub use scm::ScmHle;
 
 use simmem::Addr;

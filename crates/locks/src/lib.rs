@@ -10,9 +10,6 @@
 //!   readers lock only a private per-thread mutex; writers lock all of
 //!   them, trading write throughput for read throughput.
 //! * [`TicketLock`] — a FIFO spin lock, useful as a fair SGL variant.
-//! * [`IndicatedRwLock`] — [`PthreadRwLock`] with a
-//!   [`rind::BravoIndicator`] bolted on: bias-certified readers bypass
-//!   the centralized lock entirely.
 //!
 //! All spin loops yield to the scheduler: the reproduction hosts may have
 //! a single hardware CPU, where busy-waiting would starve the lock holder.
@@ -20,13 +17,11 @@
 #![warn(missing_docs)]
 
 mod brlock;
-mod indicated;
 mod rwlock;
 mod spin;
 mod ticket;
 
 pub use brlock::{BrLock, BrReadGuard, BrWriteGuard};
-pub use indicated::{IndReadGuard, IndWriteGuard, IndicatedRwLock};
 pub use rwlock::{PthreadRwLock, RwReadGuard, RwWriteGuard};
 pub use spin::{SpinGuard, SpinMutex};
 pub use ticket::{TicketGuard, TicketLock};

@@ -18,10 +18,17 @@
 //! rebias policy bounds the scan cost against the slow-path fraction (see
 //! [`BravoIndicator`]).
 //!
-//! A holder either has one or has none: [`IndicatorKind::Central`] means
-//! *no indicator* — `rwle` and `epoch` spell it `None` and keep whatever
-//! centralized accounting they already have, paying not even a publish
-//! attempt. [`IndicatorKind`] survives only as that configuration choice.
+//! There is one holder, the `rwle` NS fallback, and it either has an
+//! indicator or has none: [`IndicatorKind::Central`] means *no
+//! indicator* — `rwle` spells it `None` and keeps its epoch clock and
+//! lock-word check, paying not even a publish attempt. [`IndicatorKind`]
+//! survives only as that configuration choice.
+//!
+//! There is one writer protocol too: BRAVO puts the table in front of a
+//! lock whose writer *already holds the underlying lock* when it revokes
+//! the bias, so revocations are serialized by that lock and the
+//! indicator's whole state is one bit
+//! ([`BravoIndicator::revoke_serialized`]).
 //!
 //! # The bias-word dichotomy
 //!
@@ -34,7 +41,7 @@
 //! the scan *must* see the slot and wait the reader out. Otherwise the
 //! reader observes the revocation and declines to the slow path. There is
 //! no interleaving in which a certified reader is invisible to a
-//! collecting writer: no lost reader.
+//! revoking writer: no lost reader.
 //!
 //! All protocol steps run under `sched::step()` so the schedule-exploration
 //! suites (`tests/schedules.rs`) can drive every interleaving of the
@@ -44,7 +51,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Whether a lock (or epoch set) carries a reader indicator.
+/// Whether a lock carries a reader indicator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndicatorKind {
     /// Centralized accounting (the seed behaviour) — no indicator.
@@ -76,28 +83,15 @@ pub enum Publish {
     Declined,
 }
 
-/// What a writer learned when it began collecting readers.
-#[derive(Debug, Clone, Copy)]
-pub struct Revocation {
-    /// The bias was set and this collector cleared it (a *revocation* in
-    /// BRAVO's sense). Feeds `ThreadStats::revocations`.
-    pub revoked: bool,
-    /// The table may hold live readers and must be scanned. When `false`
-    /// (bias was already clear **and** no other collector was active) the
-    /// scan is provably empty and is skipped — see
-    /// [`BravoIndicator::begin_collect`] for the argument.
-    pub must_scan: bool,
-}
-
 /// Waits out every reader published in the indicator (lock-style
 /// collection): enumerates occupied slots and spins (with backoff) until
 /// each is vacated. `skip` exempts the collector's own thread id, so a
 /// writer that is itself inside a read-side nest cannot deadlock on its
 /// own slot. Returns the number of stall iterations and reports it to the
 /// rebias policy.
-pub fn collect_wait(ind: &BravoIndicator, rev: &Revocation, skip: Option<usize>) -> u64 {
+pub fn collect_wait(ind: &BravoIndicator, skip: Option<usize>) -> u64 {
     let mut stalls = 0u64;
-    ind.collect(rev, |slot, tid| {
+    ind.collect(|slot, tid| {
         if skip == Some(tid) {
             return;
         }
@@ -131,8 +125,7 @@ static TABLE: [PaddedSlot; TABLE_SLOTS] = [const { PaddedSlot(AtomicU64::new(0))
 /// is never 0).
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Bias bit of the packed state word; the collector count lives in the
-/// bits above it.
+/// The state word's one bit: set while published readers are certified.
 const BIAS: u64 = 1;
 
 /// SplitMix64 finalizer: cheap avalanche for slot and region hashing.
@@ -179,30 +172,25 @@ const REBIAS_MAX: u64 = 4096;
 /// slot, re-load the bias word. If the re-check still sees the
 /// bias, the read is certified — no writer check, no centralized counter.
 ///
-/// Writer path: [`begin_collect`](BravoIndicator::begin_collect) clears
-/// the bias and bumps the collector count in one RMW; the scan then visits
-/// this indicator's region of the global table (sized for its thread
-/// count — see [`BravoIndicator::sized`]) filtering on its id. The packed
-/// bias+collectors word closes the rebias-during-scan race: a reader can
-/// only re-enable the bias with a CAS from the all-zero state, which fails
-/// while any collector is registered.
+/// Writer path: a writer that holds the lock the indicator fronts calls
+/// [`revoke_serialized`](BravoIndicator::revoke_serialized), which clears
+/// the bias, and — when that call found the bias set — scans this
+/// indicator's region of the global table (sized for its thread count —
+/// see [`BravoIndicator::sized`]) filtering on its id, either with
+/// [`collect_wait`] to wait published readers out or with
+/// [`collect`](BravoIndicator::collect) to enumerate them. Writers are
+/// serialized by that lock, so the state word is the bias bit alone; the
+/// rebias-during-scan race is closed by the caller's drain protocol (see
+/// `revoke_serialized`).
 ///
 /// Reader protocol: [`publish`](BravoIndicator::publish) on entry; on
 /// exit, [`retire`](BravoIndicator::retire) the slot returned by a
 /// `Certified` outcome. A reader that fell through to the centralized
-/// slow path reports it via
-/// [`note_slow_read`](BravoIndicator::note_slow_read) (which drives the
-/// rebias policy).
-///
-/// Writer protocol: [`begin_collect`](BravoIndicator::begin_collect)
-/// (revokes the bias), then either [`collect_wait`] to wait published
-/// readers out (lock-style) or [`collect`](BravoIndicator::collect) to
-/// enumerate them and wait on some other channel (epoch-style, waiting on
-/// per-thread clocks), then [`end_collect`](BravoIndicator::end_collect)
-/// once the critical section is over. Writers that are already serialized
-/// by their own lock word and gate reader rebias behind their own drain
-/// protocol can use the registration-free
-/// [`revoke_serialized`](BravoIndicator::revoke_serialized) instead.
+/// slow path reports it from inside its slow section via
+/// [`note_slow_read_deferred`](BravoIndicator::note_slow_read_deferred)
+/// and, when that asks for one,
+/// [`try_rebias`](BravoIndicator::try_rebias) (which drive the rebias
+/// policy).
 pub struct BravoIndicator {
     /// This instance's nonzero id (the high half of its slot values).
     id: u64,
@@ -210,7 +198,7 @@ pub struct BravoIndicator {
     base: usize,
     /// Region size minus one (region sizes are powers of two).
     mask: usize,
-    /// Packed `collectors << 1 | bias`.
+    /// [`BIAS`] or zero.
     state: AtomicU64,
     /// Slow-path reads since the last revocation (rebias policy input).
     slow_reads: AtomicU64,
@@ -219,13 +207,6 @@ pub struct BravoIndicator {
 }
 
 impl BravoIndicator {
-    /// Creates a biased indicator with a fresh id, hashing over the whole
-    /// global table (equivalent to `sized(TABLE_SLOTS)`).
-    #[expect(clippy::new_without_default)]
-    pub fn new() -> Self {
-        Self::sized(TABLE_SLOTS)
-    }
-
     /// Creates a biased indicator whose readers occupy a region of the
     /// global table sized for `max_threads` (rounded up to a power of
     /// two). Slots are dense by thread id within the region — no
@@ -263,7 +244,7 @@ impl BravoIndicator {
         (self.id << 32) | (tid as u64 + 1)
     }
 
-    /// A collection arrived while the bias was already down: writes are
+    /// A revocation arrived while the bias was already down: writes are
     /// outpacing the rebias policy, so defer the next rebias by one more
     /// slow read (see [`REBIAS_BASE`]). Plain load+store: a lost update
     /// under a race only under-counts a heuristic.
@@ -300,7 +281,7 @@ impl BravoIndicator {
         sched::step();
         // The load-bearing re-check (enter-vs-scan dichotomy on the bias
         // word): seeing the bias set here orders this publication before
-        // any collector's scan. Machine-checked by `wmm::proto`'s
+        // any revoking writer's scan. Machine-checked by `wmm::proto`'s
         // `rind_bias_revocation` litmus: the certified-but-unseen outcome
         // is unreachable at these strengths, and every one-notch
         // weakening is killed with a seed.
@@ -327,99 +308,44 @@ impl BravoIndicator {
         TABLE[slot as usize].0.store(0, Ordering::Release);
     }
 
-    /// Begins a collection: revokes the bias (if set) and registers this
-    /// caller as an active collector, blocking rebias until
-    /// [`end_collect`](BravoIndicator::end_collect).
-    pub fn begin_collect(&self) -> Revocation {
-        sched::step();
-        // Register as a collector first: a non-zero count blocks the
-        // rebias CAS (which requires the all-zero state), so the bias
-        // cannot come back up mid-collection. In the write-heavy steady
-        // state the bias is already clear and this is the only RMW.
-        let old = self.state.fetch_add(2, Ordering::SeqCst);
-        let revoked = old & BIAS != 0;
-        if revoked {
-            sched::step();
-            // The revocation proper. A reader whose certify re-check
-            // (SeqCst) precedes this clear is certified — and our scan
-            // below that clear must see its slot (single total order). A
-            // concurrent co-collector may observe `revoked` too; both
-            // then clear (idempotent) and both scan.
-            self.state.fetch_and(!BIAS, Ordering::SeqCst);
-        }
-        if !revoked {
-            self.defer_rebias();
-        }
-        // Skipping the scan is sound only when the bias was already clear
-        // AND no other collector was registered: the previous collection
-        // then finished completely (its end_collect dropped the count to
-        // zero) having waited out every certified reader, and with the
-        // bias clear ever since, no new reader can have certified. A live
-        // co-collector, in contrast, may still be waiting out a certified
-        // reader that predates *both* revocations — we must see it too.
-        Revocation {
-            revoked,
-            must_scan: revoked || (old >> 1) != 0,
-        }
-    }
-
-    /// Serialized-collector revocation: the cheap alternative to the
-    /// [`begin_collect`](BravoIndicator::begin_collect)/
-    /// [`end_collect`](BravoIndicator::end_collect) pair, with no
-    /// registration and no paired end call. The caller must guarantee
-    /// **(a)** its collections are mutually exclusive (serialized by an
-    /// external writer lock) and **(b)** every rebias attempt is gated by
+    /// Revokes the bias on behalf of a writer that holds the lock this
+    /// indicator fronts. Returns whether the bias was set (a *revocation*
+    /// in BRAVO's sense, feeding `ThreadStats::revocations`): if so the
+    /// table may hold certified readers and the caller must scan it
+    /// ([`collect`](BravoIndicator::collect) / [`collect_wait`]) before
+    /// its first store.
+    ///
+    /// The caller must guarantee **(a)** its revocations are mutually
+    /// exclusive (serialized by that writer lock) and **(b)** every
+    /// rebias attempt is gated by
     /// [`note_slow_read_deferred`](BravoIndicator::note_slow_read_deferred)
     /// +[`try_rebias`](BravoIndicator::try_rebias) placed so that the
     /// caller's own reader-drain protocol flushes any rebias racing a
-    /// collection — and it must call this method *again* after that drain
+    /// revocation — and it must call this method *again* after that drain
     /// to catch one that slipped in (see `rwle`'s NS write path). Under
     /// those guarantees, observing the bias already clear proves no
-    /// certified reader is live, so the scan is skipped entirely.
-    pub fn revoke_serialized(&self) -> Revocation {
-        // Caller contract (see the doc comment): collections are serialized
-        // by an external writer lock, and rebias attempts are gated so
-        // the caller's reader-drain protocol flushes any that race this
-        // collection before the caller's re-call of this method.
+    /// certified reader is live, so there is nothing to scan.
+    pub fn revoke_serialized(&self) -> bool {
         if self.state.load(Ordering::SeqCst) & BIAS == 0 {
             // Bias already down and — by the contract — no rebias can
-            // have survived the previous serialized collection, so no
-            // certified reader is live: skip the scan entirely. This is
-            // the write-heavy steady state, and it costs one load.
+            // have survived the previous serialized revocation, so no
+            // certified reader is live. This is the write-heavy steady
+            // state, and it costs one load.
             self.defer_rebias();
-            return Revocation {
-                revoked: false,
-                must_scan: false,
-            };
+            return false;
         }
         sched::step();
-        // The revocation proper, as in `begin_collect`: a reader whose
-        // certify re-check (SeqCst) precedes this clear is certified, and
-        // the caller's scan after this clear must see its slot (writer
-        // side of the `rind_bias_revocation` litmus in `wmm::proto`).
+        // The revocation proper: a reader whose certify re-check (SeqCst)
+        // precedes this clear is certified, and the caller's scan after
+        // this clear must see its slot (writer side of the
+        // `rind_bias_revocation` litmus in `wmm::proto`).
         self.state.fetch_and(!BIAS, Ordering::SeqCst);
-        Revocation {
-            revoked: true,
-            must_scan: true,
-        }
-    }
-
-    /// Ends a collection begun by
-    /// [`begin_collect`](BravoIndicator::begin_collect).
-    pub fn end_collect(&self) {
-        sched::step();
-        // The bias bit is zero for the whole collection (rebias CASes from
-        // the all-zero state only), so decrementing the packed count never
-        // borrows into the bias bit.
-        self.state.fetch_sub(2, Ordering::SeqCst);
+        true
     }
 
     /// Enumerates currently published readers of *this* indicator as
-    /// `(slot, tid)` pairs. Honours `rev.must_scan` (no-op when `false`).
-    pub fn collect(&self, rev: &Revocation, mut each: impl FnMut(u32, usize)) {
-        if !rev.must_scan {
-            return;
-        }
+    /// `(slot, tid)` pairs.
+    pub fn collect(&self, mut each: impl FnMut(u32, usize)) {
         sched::step();
         // Only this instance's region can hold its publications (`slot_of`
         // masks into it), so the scan is O(region), not O(TABLE_SLOTS).
@@ -442,23 +368,14 @@ impl BravoIndicator {
         TABLE[slot as usize].0.load(Ordering::SeqCst) != self.slot_value(tid)
     }
 
-    /// A reader took the centralized slow path. Drives the adaptive
-    /// rebias policy.
-    #[inline]
-    pub fn note_slow_read(&self) {
-        if self.note_slow_read_deferred() {
-            self.try_rebias();
-        }
-    }
-
     /// Records a slow read **without** attempting a rebias; returns `true`
     /// when the rebias policy wants one. The caller must then invoke
     /// [`try_rebias`](BravoIndicator::try_rebias) from a context where no
-    /// [serialized collection](BravoIndicator::revoke_serialized) can be
-    /// in progress — e.g. `rwle` calls it from inside the reader's epoch
-    /// after observing the NS lock free, so a concurrent NS writer's
-    /// quiescence barrier is guaranteed to drain the rebias before the
-    /// writer's post-quiescence re-check.
+    /// [revocation](BravoIndicator::revoke_serialized) can be in progress
+    /// — e.g. `rwle` calls it from inside the reader's epoch after
+    /// observing the NS lock free, so a concurrent NS writer's quiescence
+    /// barrier is guaranteed to drain the rebias before the writer's
+    /// post-quiescence re-check.
     #[inline]
     pub fn note_slow_read_deferred(&self) -> bool {
         if self.state.load(Ordering::Relaxed) & BIAS != 0 {
@@ -472,9 +389,7 @@ impl BravoIndicator {
     /// [`note_slow_read_deferred`](BravoIndicator::note_slow_read_deferred)).
     pub fn try_rebias(&self) {
         sched::step();
-        // Rebias only from the fully idle state: bias clear, zero
-        // collectors. Failure just means a collector is live (or another
-        // reader already rebias-ed) — try again after more slow reads.
+        // Failure just means another reader already rebias-ed.
         if self
             .state
             .compare_exchange(0, BIAS, Ordering::SeqCst, Ordering::Relaxed)
@@ -494,9 +409,9 @@ impl BravoIndicator {
     /// collection so the rebias policy can bound scan cost against the
     /// slow-path fraction.
     pub fn note_collect_cost(&self, stalls: u64) {
-        // Ratchet, don't overwrite: most collections are cheap (the scan
-        // was skipped, zero stalls) and must not erase what an expensive
-        // one taught us. The rebias decay above is the only way down.
+        // Ratchet, don't overwrite: most collections are cheap (zero
+        // stalls) and must not erase what an expensive one taught us.
+        // The rebias decay above is the only way down.
         // Checked with a plain load first so the common no-op costs no
         // RMW on the write path.
         let want = REBIAS_BASE + stalls.saturating_mul(REBIAS_STALL_MULT);
@@ -535,70 +450,64 @@ mod tests {
         panic!("slot collision never cleared");
     }
 
+    /// A slow read as `rwle::read_cs` performs it: count it, and rebias
+    /// when the policy asks.
+    fn slow_read(ind: &BravoIndicator) {
+        if ind.note_slow_read_deferred() {
+            ind.try_rebias();
+        }
+    }
+
     #[test]
     fn bravo_publish_certifies_while_biased() {
-        let ind = BravoIndicator::new();
+        let ind = BravoIndicator::sized(TABLE_SLOTS);
         assert!(ind.bias_enabled());
         let slot = publish_certified(&ind, 3);
-        // The collector must see the published reader.
-        let rev = ind.begin_collect();
-        assert!(rev.revoked);
-        assert!(rev.must_scan);
+        // The revoking writer's scan must see the published reader.
+        assert!(ind.revoke_serialized());
         let mut seen = Vec::new();
-        ind.collect(&rev, |s, tid| seen.push((s, tid)));
+        ind.collect(|s, tid| seen.push((s, tid)));
         assert_eq!(seen, vec![(slot, 3)]);
         assert!(!ind.vacated(slot, 3));
         ind.retire(3, slot);
         assert!(ind.vacated(slot, 3));
-        ind.end_collect();
     }
 
     #[test]
     fn bravo_declines_after_revocation() {
-        let ind = BravoIndicator::new();
-        let rev = ind.begin_collect();
-        assert!(rev.revoked);
-        // Bias is down and a collector is live: no publication possible.
+        let ind = BravoIndicator::sized(TABLE_SLOTS);
+        assert!(ind.revoke_serialized());
+        // Bias is down: no publication possible, and only the rebias
+        // policy re-enables it.
         assert_eq!(ind.publish(1), Publish::Declined);
-        ind.end_collect();
-        // Still down after the collection — only the rebias policy
-        // re-enables it.
         assert_eq!(ind.publish(1), Publish::Declined);
     }
 
     #[test]
-    fn bravo_second_collector_skips_empty_scan_only_when_alone() {
-        let ind = BravoIndicator::new();
-        let first = ind.begin_collect();
-        assert!(first.revoked);
-        // A second collector overlapping the first must scan (the first
-        // may still be waiting out a certified reader)...
-        let second = ind.begin_collect();
-        assert!(!second.revoked);
-        assert!(second.must_scan);
-        ind.end_collect();
-        ind.end_collect();
-        // ...but once all collectors drained and the bias stayed down, the
-        // next collection is provably empty.
-        let third = ind.begin_collect();
-        assert!(!third.revoked);
-        assert!(!third.must_scan);
-        ind.end_collect();
+    fn revoke_on_clear_bias_reports_not_revoked_and_defers_rebias_by_one() {
+        let ind = BravoIndicator::sized(TABLE_SLOTS);
+        assert!(ind.revoke_serialized());
+        assert_eq!(ind.rebias_threshold.load(Ordering::Relaxed), REBIAS_BASE);
+        assert!(!ind.revoke_serialized());
+        assert_eq!(
+            ind.rebias_threshold.load(Ordering::Relaxed),
+            REBIAS_BASE + 1
+        );
+        assert!(!ind.bias_enabled());
     }
 
     #[test]
     fn bravo_rebias_policy_counts_slow_reads() {
-        let ind = BravoIndicator::new();
-        let rev = ind.begin_collect();
-        collect_wait(&ind, &rev, None);
-        ind.end_collect();
+        let ind = BravoIndicator::sized(TABLE_SLOTS);
+        assert!(ind.revoke_serialized());
+        collect_wait(&ind, None);
         assert!(!ind.bias_enabled());
         // An idle collection saw zero stalls: threshold is REBIAS_BASE.
         for _ in 0..REBIAS_BASE - 1 {
-            ind.note_slow_read();
+            slow_read(&ind);
             assert!(!ind.bias_enabled());
         }
-        ind.note_slow_read();
+        slow_read(&ind);
         assert!(ind.bias_enabled(), "threshold reached, bias restored");
         // Reads certify again.
         let slot = publish_certified(&ind, 0);
@@ -606,23 +515,8 @@ mod tests {
     }
 
     #[test]
-    fn bravo_rebias_blocked_while_collector_live() {
-        let ind = BravoIndicator::new();
-        let rev = ind.begin_collect();
-        collect_wait(&ind, &rev, None);
-        // Collector still registered: no amount of slow reads may rebias.
-        for _ in 0..REBIAS_BASE * 4 {
-            ind.note_slow_read();
-        }
-        assert!(!ind.bias_enabled());
-        ind.end_collect();
-        ind.note_slow_read();
-        assert!(ind.bias_enabled());
-    }
-
-    #[test]
     fn bravo_collect_cost_raises_threshold() {
-        let ind = BravoIndicator::new();
+        let ind = BravoIndicator::sized(TABLE_SLOTS);
         ind.note_collect_cost(10);
         let raised = REBIAS_BASE + 10 * REBIAS_STALL_MULT;
         assert_eq!(ind.rebias_threshold.load(Ordering::Relaxed), raised);
@@ -634,15 +528,13 @@ mod tests {
 
     #[test]
     fn bravo_rebias_halves_threshold() {
-        let ind = BravoIndicator::new();
+        let ind = BravoIndicator::sized(TABLE_SLOTS);
         ind.note_collect_cost(10);
         let raised = REBIAS_BASE + 10 * REBIAS_STALL_MULT;
         // Knock the bias down, then feed slow reads until rebias fires.
-        let rev = ind.begin_collect();
-        assert!(rev.revoked);
-        ind.end_collect();
+        assert!(ind.revoke_serialized());
         while !ind.bias_enabled() {
-            ind.note_slow_read();
+            slow_read(&ind);
         }
         assert_eq!(ind.rebias_threshold.load(Ordering::Relaxed), raised / 2);
         // Repeated rebias cycles decay all the way back to the base; the
@@ -651,11 +543,9 @@ mod tests {
             if ind.rebias_threshold.load(Ordering::Relaxed) == REBIAS_BASE {
                 break;
             }
-            let rev = ind.begin_collect();
-            assert!(rev.revoked);
-            ind.end_collect();
+            assert!(ind.revoke_serialized());
             while !ind.bias_enabled() {
-                ind.note_slow_read();
+                slow_read(&ind);
             }
         }
         assert_eq!(ind.rebias_threshold.load(Ordering::Relaxed), REBIAS_BASE);
@@ -663,19 +553,18 @@ mod tests {
 
     #[test]
     fn collect_wait_skips_own_slot() {
-        let ind = BravoIndicator::new();
+        let ind = BravoIndicator::sized(TABLE_SLOTS);
         let slot = publish_certified(&ind, 1);
-        let rev = ind.begin_collect();
+        assert!(ind.revoke_serialized());
         // Without skip this would spin forever on tid 1's live slot.
-        assert_eq!(collect_wait(&ind, &rev, Some(1)), 0);
-        ind.end_collect();
+        assert_eq!(collect_wait(&ind, Some(1)), 0);
         ind.retire(1, slot);
     }
 
     #[test]
     fn bravo_ids_are_distinct_and_slots_disjoint_in_value() {
-        let a = BravoIndicator::new();
-        let b = BravoIndicator::new();
+        let a = BravoIndicator::sized(TABLE_SLOTS);
+        let b = BravoIndicator::sized(TABLE_SLOTS);
         assert_ne!(a.id, b.id);
         // Even on a hash collision the packed values differ, so a scan
         // never mistakes b's reader for a's.

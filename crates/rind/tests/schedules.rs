@@ -3,18 +3,36 @@
 //!
 //! The property under attack is **no lost reader**: a reader publishing
 //! into the table concurrently with a writer revoking the bias and
-//! collecting must either be seen by the collection scan (and waited out)
-//! or observe the revocation and decline to the slow path. A lost reader
-//! — certified yet invisible to the collector — would let the writer's
+//! scanning must either be seen by the scan (and waited out) or observe
+//! the revocation and decline to the slow path. A lost reader —
+//! certified yet invisible to the writer — would let the writer's
 //! non-atomic two-word update overlap the read and shows up here as a
 //! torn-pair assertion carrying the reproducing seed.
 //!
 //! The model is a minimal lock built from nothing but an optional
 //! indicator, a writer flag, and a centralized slow-reader count — the
-//! same shape `locks::IndicatedRwLock` and the rwle NS fallback use, with
-//! every protocol step under `sched::step()`. Without an indicator it is
-//! a plain writer-preference lock: the baseline that shows a torn pair
-//! under BRAVO is the indicator's fault, not the harness's.
+//! shape of the rwle NS fallback (`writer` is the NS lock word, `slow`
+//! the epoch clocks, the drain of `slow` the quiescence barrier), with
+//! every protocol step under `sched::step()`. Writers are serialized by
+//! the `writer` CAS, so they run `RwLe::write_ns`'s protocol:
+//! `revoke_serialized`, drain, `revoke_serialized` again, scan; slow
+//! readers rebias from inside their slow section, as `RwLe::read_cs`
+//! does. Without an indicator it is a plain writer-preference lock: the
+//! baseline that shows a torn pair under BRAVO is the indicator's fault,
+//! not the harness's.
+//!
+//! Non-vacuity — both halves of `revoke_serialized`'s caller contract
+//! are load-bearing here, each mutation of the *model* ending in the
+//! torn-pair assertion:
+//!
+//! * drop the post-drain re-call in [`Model::write`] (`let late =
+//!   false`: a rebias that raced the first call survives into the write):
+//!   `rind-bravo-revocation` fails at seed 67, `rind-bravo-rebias` at
+//!   seed 53;
+//! * move the rebias in [`Model::slow_read`] below the `slow` decrement
+//!   (nothing drains it before the writer's re-call, so it can land
+//!   mid-write): `rind-bravo-revocation` fails at seed 311
+//!   (`rind-bravo-rebias` first at seed 665, outside its 320).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,11 +89,16 @@ impl Model {
                 bo.snooze();
             }
         }
+        // Rebias only from inside the slow section, after seeing no
+        // writer: a writer whose CAS we preceded drains us before its
+        // second `revoke_serialized`, which then sees this rebias.
+        if let Some(ind) = &self.ind {
+            if ind.note_slow_read_deferred() {
+                ind.try_rebias();
+            }
+        }
         self.read_pair();
         self.slow.fetch_sub(1, Ordering::SeqCst);
-        if let Some(ind) = &self.ind {
-            ind.note_slow_read();
-        }
         self.slow_reads.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -104,22 +127,25 @@ impl Model {
         {
             bo.snooze();
         }
-        if let Some(ind) = &self.ind {
-            let rev = ind.begin_collect();
-            collect_wait(ind, &rev, None);
-        }
+        // First call: catch a bias set before our CAS.
+        let early = self.ind.as_ref().is_some_and(|ind| ind.revoke_serialized());
         let mut bo = sched::Backoff::new();
         while self.slow.load(Ordering::SeqCst) != 0 {
             bo.snooze();
+        }
+        if let Some(ind) = &self.ind {
+            // Second call, after the drain: catch a rebias that raced the
+            // first. Past the scan no certified reader is live.
+            let late = ind.revoke_serialized();
+            if early || late {
+                collect_wait(ind, None);
+            }
         }
         let v = self.a.load(Ordering::SeqCst) + 1;
         self.a.store(v, Ordering::SeqCst);
         sched::yield_point();
         self.b.store(v, Ordering::SeqCst);
         self.writer.store(0, Ordering::SeqCst);
-        if let Some(ind) = &self.ind {
-            ind.end_collect();
-        }
     }
 }
 
@@ -139,6 +165,7 @@ fn revocation_schedule(ind: Option<BravoIndicator>, seed: u64) {
         s.spawn(move || {
             for _ in 0..WRITES {
                 m.write();
+                sched::yield_point();
             }
         });
     }
@@ -151,7 +178,7 @@ fn revocation_schedule(ind: Option<BravoIndicator>, seed: u64) {
     assert_eq!(m.slow.load(Ordering::SeqCst), 0);
 }
 
-/// BRAVO publish/revoke race: the bias re-check against the collector's
+/// BRAVO publish/revoke race: the bias re-check against the writer's
 /// revoke + scan. 320 seeds.
 #[test]
 fn bravo_revocation_schedules() {
@@ -169,11 +196,11 @@ fn central_revocation_schedules() {
     });
 }
 
-/// The rebias policy itself raced against collectors: slow readers keep
-/// nudging `note_slow_read` while writers collect; the bias must never be
-/// observed set by `begin_collect` without the collection scan running
-/// (that is what `rev.revoked => rev.must_scan` encodes), and the run must
-/// terminate with consistent data. 320 seeds.
+/// The rebias policy itself raced against revocations: a reader forced
+/// onto the slow path keeps nudging the policy from inside its slow
+/// sections while a writer revokes; a rebias must never survive into a
+/// write section (the torn-pair assertion in every reader), and the run
+/// must terminate with consistent data. 320 seeds.
 #[test]
 fn bravo_rebias_vs_collect_schedules() {
     sched::explore("rind-bravo-rebias", 0..320, |seed| {
@@ -183,7 +210,7 @@ fn bravo_rebias_vs_collect_schedules() {
             let m = Arc::clone(&m);
             s.spawn(move || {
                 for _ in 0..8 {
-                    m.ind.as_ref().unwrap().note_slow_read();
+                    m.slow_read();
                     sched::yield_point();
                 }
             });
@@ -201,6 +228,7 @@ fn bravo_rebias_vs_collect_schedules() {
             s.spawn(move || {
                 for _ in 0..WRITES {
                     m.write();
+                    sched::yield_point();
                 }
             });
         }

@@ -386,8 +386,8 @@ impl RwLe {
             // through its quiescence barrier, and its post-quiescence
             // `revoke_serialized` re-check then sees this rebias (the CAS
             // below is program-ordered before our epoch exit). That gating
-            // is what lets NS writers skip collector registration
-            // entirely — see `write_ns`.
+            // is the drain protocol `revoke_serialized` asks of its
+            // caller — see `write_ns`.
             if ind.note_slow_read_deferred() {
                 ind.try_rebias();
             }
@@ -697,11 +697,11 @@ impl RwLe {
     ) -> R {
         let tid = ctx.slot();
         let my_version = self.acquire_word(ctx, self.wlock, ST_NS);
-        // Serialized (registration-free) revocation: NS writers are
-        // mutually exclusive on the lock word, so no collector count is
-        // needed — `revoke_serialized` costs one load in the bias-down
-        // steady state. First call: catch a bias set before our lock CAS.
-        let early = self.ind.as_ref().map(|ind| ind.revoke_serialized());
+        // NS writers are mutually exclusive on the lock word, which is
+        // the serialization `revoke_serialized` asks for; it costs one
+        // load in the bias-down steady state. First call: catch a bias
+        // set before our lock CAS.
+        let early = self.ind.as_ref().is_some_and(|ind| ind.revoke_serialized());
         if self.cfg.split_locks {
             // Writers must be mutually exclusive: wait for any ROT holder
             // (new ROTs check the NS lock before acquiring).
@@ -738,17 +738,10 @@ impl RwLe {
             // none can land until we release the lock. Then wait every
             // certified slot out: past here, and before our first store,
             // no indicator-published reader is live.
-            let early = early.expect("early revocation ran: self.ind is Some");
             let late = ind.revoke_serialized();
-            let rev = rind::Revocation {
-                revoked: early.revoked || late.revoked,
-                must_scan: early.must_scan || late.must_scan,
-            };
-            if rev.revoked {
+            if early || late {
                 stats.revocations += 1;
-            }
-            if rev.must_scan {
-                stats.barrier_stalls += rind::collect_wait(ind, &rev, Some(tid));
+                stats.barrier_stalls += rind::collect_wait(ind, Some(tid));
             }
         }
         let mut nt = ctx.non_tx();
