@@ -173,9 +173,6 @@ fn bench_quiescence(c: &mut Criterion) {
         g.bench_function(format!("synchronize_in_idle_{n}_threads"), |b| {
             b.iter(|| epochs.synchronize_in(Some(0), &mut snap))
         });
-        g.bench_function(format!("single_pass_idle_{n}_threads"), |b| {
-            b.iter(|| epochs.synchronize_blocked_readers_from(Some(0), epochs.grace_snapshot()))
-        });
     }
     let epochs = epoch::EpochSet::new(16);
     g.bench_function("enter_exit_pair", |b| {

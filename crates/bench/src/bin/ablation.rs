@@ -1,6 +1,6 @@
-//! §3.3 ablations (not a paper figure): each RW-LE optimization toggled
-//! independently, plus the retry-budget sweep behind the paper's "5 is
-//! best on average" claim.
+//! RW-LE ablations (not a paper figure): the §3.3 variants side by side,
+//! what each POWER8 feature buys, and the retry-budget sweep behind the
+//! paper's "5 is best on average" claim.
 //!
 //! ```text
 //! cargo run --release -p bench --bin ablation
@@ -8,132 +8,87 @@
 
 use bench::{average, Args, Output, OutputMode};
 use rwle::RwLeConfig;
-use workloads::driver::{run_threads, Scenario};
-use workloads::hashmap::SimHashMap;
+use workloads::driver::{run_sensitivity_with, Scenario, SensitivityParams};
 use workloads::{Scheme, SchemeKind};
 
-use htm::{HtmConfig, HtmRuntime};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use simmem::{Addr, SharedMem, SimAlloc};
-use stats::StatsSummary;
-use std::sync::Arc;
-use workloads::driver::RunResult;
+/// Every flag this binary accepts; anything else exits 2.
+const FLAGS: &[&str] = &["threads", "writes", "ops", "runs", "seed", "json"];
 
-/// Runs the hc-hc sensitivity workload under an arbitrary RW-LE config.
-fn run_custom(
-    cfg: RwLeConfig,
-    scenario: Scenario,
-    write_pct: u32,
-    threads: usize,
-    ops_per_thread: u64,
-    seed: u64,
-) -> RunResult {
-    let n_items = scenario.buckets() as u64 * scenario.items_per_bucket() as u64;
-    let total_writes = threads as u64 * ops_per_thread * write_pct as u64 / 100;
-    let lines = (n_items + total_writes + 8192) * 9 / 8;
-    let mem = Arc::new(SharedMem::new_lines(lines as u32));
-    let rt = HtmRuntime::new(
-        Arc::clone(&mem),
-        HtmConfig::default()
-            .with_page_faults(scenario.page_fault_prob())
-            .with_seed(seed),
-    );
-    let alloc = SimAlloc::new(Arc::clone(&mem));
-    let scheme = Scheme::build_rwle(&alloc, threads, cfg).expect("lock allocation");
-    let map = SimHashMap::create(&alloc, scenario.buckets()).expect("buckets");
-    map.populate(&alloc, n_items).expect("population");
-    let key_range = n_items * 2;
-    let (wall, stats) = run_threads(&rt, threads, |t, ctx, st| {
-        let mut rng =
-            SmallRng::seed_from_u64(seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let mut spare: Option<Addr> = None;
-        for _ in 0..ops_per_thread {
-            let key = rng.gen_range(0..key_range);
-            if rng.gen_range(0..100) >= write_pct {
-                scheme.read_cs(ctx, st, &mut |acc| map.lookup(acc, key));
-            } else if rng.gen_bool(0.5) {
-                let node = match spare.take() {
-                    Some(n) => {
-                        mem.store(n, key);
-                        mem.store(n.offset(1), key);
-                        mem.store(n.offset(2), Addr::NULL.to_word());
-                        n
-                    }
-                    None => map.make_node(&alloc, key, key).expect("node"),
-                };
-                if !scheme.write_cs(ctx, st, &mut |acc| map.insert(acc, node)) {
-                    spare = Some(node);
-                }
-            } else {
-                let _ = scheme.write_cs(ctx, st, &mut |acc| map.remove(acc, key));
-            }
-        }
-    });
-    RunResult {
-        wall,
-        summary: StatsSummary::from_threads(&stats),
-        threads,
-    }
-}
+const USAGE: &str = "\
+usage: ablation [--threads N] [--writes PCT] [--ops N] [--runs N] [--seed N]
+                [--json]
 
-fn main() {
-    let args = Args::parse();
-    let threads: usize = args.get_or("threads", 4);
-    let ops: u64 = args.get_or("ops", 300);
-    let runs: usize = args.get_or("runs", 1);
-    let seed: u64 = args.get_or("seed", 42);
-    let w: u32 = args.get_or("writes", 10);
-    let mut out = Output::from_args(&args);
+  The hc-hc hashmap under hand-built RW-LE configurations. Defaults: 4
+  threads, 10% writes, 300 ops/thread, 1 run, seed 42; --json prints one
+  self-contained object per row instead of the text tables.";
 
-    out.section(format!(
-        "§3.3 optimization ablations (hc-hc hashmap, w={w}%, {threads} threads)"
-    ));
-    let variants: Vec<(&str, RwLeConfig)> = vec![
-        ("full-OPT", RwLeConfig::opt()),
-        (
-            "no-split-locks",
-            RwLeConfig {
-                split_locks: false,
-                ..RwLeConfig::opt()
-            },
-        ),
-        (
-            "two-pass-NS-quiesce",
-            RwLeConfig {
-                single_pass_quiesce: false,
-                ..RwLeConfig::opt()
-            },
-        ),
-        (
-            "slow-read-entry",
-            RwLeConfig {
-                fast_read_entry: false,
-                ..RwLeConfig::opt()
-            },
-        ),
-        (
-            "fair",
-            RwLeConfig {
-                fair: true,
-                split_locks: false,
-                fast_read_entry: false,
-                ..RwLeConfig::opt()
-            },
-        ),
-    ];
+/// One table: each `(name, config)` row runs the hc-hc sensitivity
+/// workload `runs` times (seeds `base.seed`, `base.seed + 1`, ..) and
+/// prints the average.
+fn table<N: std::fmt::Display>(
+    out: &mut Output,
+    title: &str,
+    base: &SensitivityParams,
+    runs: u64,
+    rows: &[(N, RwLeConfig)],
+) {
     out.header();
-    for (name, cfg) in &variants {
+    for (name, cfg) in rows {
         let results: Vec<_> = (0..runs)
-            .map(|r| run_custom(*cfg, Scenario::HcHc, w, threads, ops, seed + r as u64))
+            .map(|r| {
+                let p = SensitivityParams {
+                    seed: base.seed + r,
+                    ..base.clone()
+                };
+                run_sensitivity_with(&p, &|alloc, max_threads| {
+                    Scheme::build_rwle(alloc, max_threads, *cfg).expect("lock allocation")
+                })
+            })
             .collect();
         let (secs, tput, summary) = average(&results);
         if out.mode() == OutputMode::Text {
             println!("--- {name}");
         }
-        out.tag(format!("§3.3 optimization ablations — {name}"));
-        out.row(SchemeKind::RwLeOpt, threads, w, secs, tput, &summary);
+        out.tag(format!("{title} — {name}"));
+        out.row(
+            base.scheme,
+            base.threads,
+            base.write_pct,
+            secs,
+            tput,
+            &summary,
+        );
     }
+}
+
+fn main() {
+    let args = Args::parse();
+    args.expect_only(FLAGS, USAGE);
+    let base = SensitivityParams {
+        scheme: SchemeKind::RwLeOpt, // the row label; `table` builds the lock
+        scenario: Scenario::HcHc,
+        write_pct: args.get_or("writes", 10),
+        threads: args.get_or("threads", 4),
+        ops_per_thread: args.get_or("ops", 300),
+        seed: args.get_or("seed", 42),
+        smt_group_size: 1,
+    };
+    let runs: u64 = args.get_or("runs", 1);
+    let mut out = Output::from_args(&args);
+
+    // The §3.3 optimizations are the algorithm, not options (the last
+    // rows measured with each one off are in EXPERIMENTS.md, "RW-LE
+    // option space"); what §3.3 leaves to compare is fairness.
+    out.section(format!(
+        "§3.3 variants (hc-hc hashmap, w={}%, {} threads)",
+        base.write_pct, base.threads
+    ));
+    let fair = RwLeConfig {
+        fair: true,
+        ..RwLeConfig::opt()
+    };
+    let variants = [("full-OPT", RwLeConfig::opt()), ("fair", fair)];
+    table(&mut out, "§3.3 variants", &base, runs, &variants);
 
     // The paper's conclusion argues other vendors should adopt POWER8's
     // suspend/resume and ROTs. Quantify what each feature buys RW-LE:
@@ -141,44 +96,35 @@ fn main() {
     // regular transactions (writers lose the HTM path → PES); without
     // ROTs capacity-hostile writers land on the global lock; without
     // both, every writer serializes.
-    if out.mode() != OutputMode::Json {
-        println!();
-    }
+    out.gap();
     out.section("Hardware-feature ablation (what suspend/resume and ROTs buy)");
-    let features: Vec<(&str, RwLeConfig)> = vec![
+    let features = [
         ("both features (OPT)", RwLeConfig::opt()),
         ("no suspend/resume (→ROT only)", RwLeConfig::pes()),
         ("no ROTs (→HTM+NS)", RwLeConfig::htm_only()),
         ("neither (→NS only)", RwLeConfig::opt().with_retries(0, 0)),
     ];
-    out.header();
-    for (name, cfg) in &features {
-        let results: Vec<_> = (0..runs)
-            .map(|r| run_custom(*cfg, Scenario::HcHc, w, threads, ops, seed + r as u64))
-            .collect();
-        let (secs, tput, summary) = average(&results);
-        if out.mode() == OutputMode::Text {
-            println!("--- {name}");
-        }
-        out.tag(format!("Hardware-feature ablation — {name}"));
-        out.row(SchemeKind::RwLeOpt, threads, w, secs, tput, &summary);
-    }
+    table(
+        &mut out,
+        "Hardware-feature ablation",
+        &base,
+        runs,
+        &features,
+    );
 
-    if out.mode() != OutputMode::Json {
-        println!();
-    }
+    out.gap();
     out.section("Retry-budget sweep (the paper settled on 5/5)");
-    out.header();
-    for budget in [1u32, 2, 5, 10, 20] {
-        let cfg = RwLeConfig::opt().with_retries(budget, budget);
-        let results: Vec<_> = (0..runs)
-            .map(|r| run_custom(cfg, Scenario::HcHc, w, threads, ops, seed + r as u64))
-            .collect();
-        let (secs, tput, summary) = average(&results);
-        if out.mode() == OutputMode::Text {
-            println!("--- retries={budget}");
-        }
-        out.tag(format!("Retry-budget sweep — retries={budget}"));
-        out.row(SchemeKind::RwLeOpt, threads, w, secs, tput, &summary);
+    let sweep = [1u32, 2, 5, 10, 20]
+        .map(|b| (format!("retries={b}"), RwLeConfig::opt().with_retries(b, b)));
+    table(&mut out, "Retry-budget sweep", &base, runs, &sweep);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_accepted_flag() {
+        assert_eq!(Args::undocumented(FLAGS, USAGE), None);
     }
 }

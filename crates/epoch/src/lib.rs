@@ -10,10 +10,11 @@
 //!
 //! The crate provides:
 //!
-//! * [`EpochSet`] — the clock array with [`EpochSet::synchronize`] (the
-//!   general two-pass barrier) and
-//!   [`EpochSet::synchronize_blocked_readers_from`] (the §3.3 single-pass
-//!   optimization, valid when new readers are blocked by a lock).
+//! * [`EpochSet`] — the clock array with [`EpochSet::synchronize`], the
+//!   general snapshot-then-wait barrier. (The paper's §3.3 single-pass
+//!   variant for the lock-holding NS writer is not a separate loop: the
+//!   summary scan already visits only active readers, which is all the
+//!   single pass saved.)
 //! * Per-thread *lock-version snapshots* used by the fair variant of RW-LE
 //!   (§3.3): [`EpochSet::record_version`] /
 //!   [`EpochSet::synchronize_fair_from`], which only waits for readers
@@ -327,68 +328,6 @@ impl EpochSet {
         }
     }
 
-    /// Single-pass quiescence (§3.3 optimization).
-    ///
-    /// Valid only when new readers are blocked (the caller holds the
-    /// global lock in a state readers wait on): each clock only needs to
-    /// be observed even once, with no snapshot pass (and no allocation).
-    ///
-    /// `grace_snap` is the caller-taken grace snapshot (see
-    /// [`EpochSet::synchronize_from`]; for the NS path the commit point is
-    /// the lock acquisition, so take the snapshot right after it). Waiting
-    /// for every summarized clock to turn even is a *full* grace period —
-    /// stronger than the snapshot barrier — so a completed single-pass
-    /// barrier is published for sharing too.
-    pub fn synchronize_blocked_readers_from(
-        &self,
-        skip: Option<usize>,
-        grace_snap: u64,
-    ) -> BarrierOutcome {
-        if self.grace.covered(grace_snap) {
-            return BarrierOutcome {
-                stalls: 0,
-                shared: true,
-            };
-        }
-        let ticket = self.grace.begin();
-        let mut waiter = AdaptiveWaiter::new(&self.parking);
-        let mut skip_active = false;
-        // Manual summary walk (the closure-based scan cannot host the
-        // wait loop): new readers are blocked, so a summary word loaded
-        // once stays conservative for this barrier's purposes.
-        let mut root = self.summary.root_word();
-        while root != 0 {
-            let g = root.trailing_zeros() as usize;
-            root &= root - 1;
-            let mut word = self.summary.leaf_word(g);
-            while word != 0 {
-                let i = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let tid = g * 64 + i;
-                if Some(tid) == skip {
-                    skip_active = self.clocks[tid].0.load(Ordering::Acquire) % 2 == 1;
-                    continue;
-                }
-                while self.clocks[tid].0.load(Ordering::Acquire) % 2 == 1 {
-                    if self.grace.covered(grace_snap) {
-                        return BarrierOutcome {
-                            stalls: waiter.stalls,
-                            shared: true,
-                        };
-                    }
-                    waiter.stall(|| self.clocks[tid].0.load(Ordering::Acquire) % 2 == 1);
-                }
-            }
-        }
-        if !skip_active {
-            self.grace.publish(ticket);
-        }
-        BarrierOutcome {
-            stalls: waiter.stalls,
-            shared: false,
-        }
-    }
-
     /// Records the lock version a reader observed at entry (fair variant).
     ///
     /// Release: pairs with the barrier's Acquire version check; the fair
@@ -518,7 +457,6 @@ mod tests {
     fn synchronize_with_no_readers_returns() {
         let e = EpochSet::new(8);
         e.synchronize(None);
-        e.synchronize_blocked_readers_from(None, e.grace_snapshot());
         e.synchronize_fair_from(None, 1, e.grace_snapshot(), &mut Vec::new());
     }
 
@@ -528,7 +466,6 @@ mod tests {
         e.enter(0);
         // Would deadlock if slot 0 were waited on.
         e.synchronize(Some(0));
-        e.synchronize_blocked_readers_from(Some(0), e.grace_snapshot());
         e.exit(0);
     }
 
@@ -596,19 +533,6 @@ mod tests {
             e.synchronize_fair_from(Some(0), 6, e.grace_snapshot(), &mut Vec::new());
             assert!(waited.load(Ordering::SeqCst), "waited for older reader");
         });
-    }
-
-    #[test]
-    fn blocked_readers_barrier_waits_until_even() {
-        let e = Arc::new(EpochSet::new(3));
-        e.enter(2);
-        let e2 = Arc::clone(&e);
-        let h = std::thread::spawn(move || {
-            e2.exit(2);
-        });
-        e.synchronize_blocked_readers_from(Some(0), e.grace_snapshot());
-        assert!(!e.is_active(2));
-        h.join().unwrap();
     }
 
     #[test]

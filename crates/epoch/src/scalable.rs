@@ -122,11 +122,6 @@ impl Summary {
     pub(crate) fn leaf_word(&self, group: usize) -> u64 {
         self.leaves[group].0.load(Ordering::SeqCst)
     }
-
-    /// Raw root word (tests and benches).
-    pub(crate) fn root_word(&self) -> u64 {
-        self.root.0.load(Ordering::SeqCst)
-    }
 }
 
 /// Global grace-period sequence: `start` counts barriers that have begun

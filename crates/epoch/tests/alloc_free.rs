@@ -76,14 +76,6 @@ fn synchronize_in_is_allocation_free_when_warm() {
 }
 
 #[test]
-fn single_pass_barrier_is_allocation_free() {
-    let n = allocs_over_warm_calls(|e, _| {
-        e.synchronize_blocked_readers_from(Some(READER), e.grace_snapshot());
-    });
-    assert_eq!(n, 0, "synchronize_blocked_readers_from allocated");
-}
-
-#[test]
 fn fair_barrier_is_allocation_free_when_warm() {
     let n = allocs_over_warm_calls(|e, snap| {
         e.synchronize_fair_from(Some(READER), 1, e.grace_snapshot(), snap);

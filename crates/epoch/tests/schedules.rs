@@ -72,69 +72,6 @@ fn grace_period_schedules() {
     sched::explore("epoch-grace-period", 0..400, grace_period_schedule);
 }
 
-/// Single-pass quiescence (§3.3): sound exactly because the writer's
-/// "lock" blocks new readers. The writer then updates two words
-/// non-atomically; a reader overlapping the update would see a torn pair.
-fn blocked_readers_schedule(seed: u64) {
-    const READERS: usize = 2;
-    const WRITER: usize = READERS;
-    let epochs = Arc::new(EpochSet::new(READERS + 1));
-    let lock = Arc::new(AtomicBool::new(false));
-    let data: Arc<[AtomicU64; 2]> = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
-
-    let mut s = sched::Scheduler::new(seed);
-    for tid in 0..READERS {
-        let epochs = Arc::clone(&epochs);
-        let lock = Arc::clone(&lock);
-        let data = Arc::clone(&data);
-        s.spawn(move || {
-            for _ in 0..3 {
-                // Retreat-style entry: readers defer to the lock holder,
-                // which is what legitimizes the single-pass barrier.
-                loop {
-                    epochs.enter(tid);
-                    if !lock.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    epochs.exit(tid);
-                    while lock.load(Ordering::SeqCst) {
-                        sched::yield_point();
-                    }
-                }
-                sched::yield_point();
-                let a = data[0].load(Ordering::SeqCst);
-                sched::yield_point();
-                let b = data[1].load(Ordering::SeqCst);
-                assert_eq!(a, b, "torn read: single-pass barrier under-waited");
-                epochs.exit(tid);
-                sched::yield_point();
-            }
-        });
-    }
-    {
-        let epochs = Arc::clone(&epochs);
-        let lock = Arc::clone(&lock);
-        let data = Arc::clone(&data);
-        s.spawn(move || {
-            for round in 1..=2u64 {
-                lock.store(true, Ordering::SeqCst);
-                epochs.synchronize_blocked_readers_from(Some(WRITER), epochs.grace_snapshot());
-                data[0].store(round, Ordering::SeqCst);
-                sched::yield_point();
-                data[1].store(round, Ordering::SeqCst);
-                lock.store(false, Ordering::SeqCst);
-                sched::yield_point();
-            }
-        });
-    }
-    s.run();
-}
-
-#[test]
-fn blocked_readers_schedules() {
-    sched::explore("epoch-blocked-readers", 0..400, blocked_readers_schedule);
-}
-
 /// A reader whose recorded version is the writer's own (or newer) must
 /// NOT be waited for: the reader stays inside until the writer's barrier
 /// completes, so over-waiting is a deadlock (caught by the step budget).

@@ -211,16 +211,6 @@ impl<'c> Tx<'c> {
         self.mode
     }
 
-    /// Distinct lines read so far (regular HTM only; ROTs do not track).
-    pub fn read_footprint(&self) -> usize {
-        self.ctx.read_lines.len()
-    }
-
-    /// Distinct lines written so far.
-    pub fn write_footprint(&self) -> usize {
-        self.ctx.write_lines.len()
-    }
-
     #[inline]
     fn rt(&self) -> &HtmRuntime {
         &self.ctx.rt

@@ -17,8 +17,12 @@
 //!   footprint), then a non-speculative global lock.
 //!
 //! See [`RwLe`] for the complete algorithm (paper Algorithm 2 plus the
-//! §3.3 fairness variant and optimizations) and [`basic::BasicRwLe`] for
-//! the pedagogical Algorithm 1.
+//! §3.3 fairness variant) and [`basic::BasicRwLe`] for the pedagogical
+//! Algorithm 1. The §3.3 optimizations are not options: enter-first read
+//! entry is the unfair entry, and the split ROT/NS lock words are laid
+//! out exactly when both speculative budgets are non-zero (an HTM writer
+//! then has a ROT writer to overlap) and the lock is not fair (see
+//! [`RwLe::new`]).
 //!
 //! # Examples
 //!
@@ -113,7 +117,9 @@ enum Path {
     Ns,
 }
 
-/// Configuration of an [`RwLe`] lock (variant selection + §3.3 knobs).
+/// Configuration of an [`RwLe`] lock: the paper's variants are points in
+/// the two retry budgets plus `fair`; `indicator` is the fallback path's
+/// read-side extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RwLeConfig {
     /// Attempts on the HTM path before falling to ROT (paper: 5; the
@@ -126,16 +132,6 @@ pub struct RwLeConfig {
     /// for readers that entered before them, and readers wait in place
     /// instead of retreating, so they cannot be overtaken indefinitely.
     pub fair: bool,
-    /// Split ROT/NS lock words (§3.3): HTM writers subscribe the NS lock
-    /// eagerly and the ROT lock lazily at commit, letting HTM transactions
-    /// run concurrently with a ROT writer.
-    pub split_locks: bool,
-    /// Single-pass quiescence on the NS path (§3.3): valid because the
-    /// held NS lock blocks new readers.
-    pub single_pass_quiesce: bool,
-    /// Fast-path read entry (§3.3): enter the epoch first and check the
-    /// lock once, saving a comparison when uncontended.
-    pub fast_read_entry: bool,
     /// Read-side indicator for the fallback path (BRAVO-style, see
     /// `rind`). With a non-[`Central`](IndicatorKind::Central) indicator,
     /// readers first try to publish into a distributed table — a
@@ -146,16 +142,6 @@ pub struct RwLeConfig {
     /// via the epoch clocks alone and would never see an
     /// indicator-published reader (see [`RwLe::new`]).
     pub indicator: IndicatorKind,
-    /// **Deliberately unsound** litmus knob: skip the commit-time ROT-lock
-    /// subscription entirely, so an HTM writer can commit in the middle of
-    /// a ROT writer's critical section — the unsafe end of the lazy-
-    /// subscription spectrum analyzed by Dice et al. (arXiv 1407.6968).
-    /// Exists only so `crates/wmm/tests/lazy_sub.rs` can machine-check
-    /// that the documented commit-time placement is load-bearing: with
-    /// this set, seed exploration finds a lost update. Never enable it
-    /// outside that harness.
-    #[doc(hidden)]
-    pub skip_rot_subscription: bool,
 }
 
 impl RwLeConfig {
@@ -165,15 +151,12 @@ impl RwLeConfig {
             max_htm_retries: 5,
             max_rot_retries: 5,
             fair: false,
-            split_locks: true,
-            single_pass_quiesce: true,
-            fast_read_entry: true,
             indicator: IndicatorKind::Central,
-            skip_rot_subscription: false,
         }
     }
 
-    /// RW-LE_PES: writers serialized, 5 × ROT, then the global lock.
+    /// RW-LE_PES: writers serialized, 5 × ROT, then the global lock. No
+    /// HTM writer exists to overlap a ROT, so PES has one lock word.
     pub fn pes() -> Self {
         RwLeConfig {
             max_htm_retries: 0,
@@ -188,7 +171,6 @@ impl RwLeConfig {
         RwLeConfig {
             max_htm_retries: 5,
             max_rot_retries: 0,
-            split_locks: false,
             ..Self::opt()
         }
     }
@@ -197,7 +179,6 @@ impl RwLeConfig {
     pub fn fair_htm_only() -> Self {
         RwLeConfig {
             fair: true,
-            fast_read_entry: false,
             ..Self::htm_only()
         }
     }
@@ -209,7 +190,6 @@ impl RwLeConfig {
         RwLeConfig {
             max_htm_retries: 0,
             max_rot_retries: 0,
-            split_locks: false,
             indicator: kind,
             ..Self::opt()
         }
@@ -236,9 +216,10 @@ impl Default for RwLeConfig {
 /// HTM conflict machinery: a fallback acquirer's compare-and-swap dooms
 /// every transaction that subscribed the word.
 pub struct RwLe {
-    /// Global lock word (also the NS lock when `split_locks`).
+    /// Global lock word (the NS lock when the words are split).
     wlock: Addr,
-    /// ROT lock word (== `wlock` when `split_locks` is off).
+    /// ROT lock word; `== wlock` unless the words are split (see
+    /// [`RwLe::new`] for when they are).
     rot_lock: Addr,
     epochs: Arc<EpochSet>,
     nesting: guard::NestingDepths,
@@ -254,18 +235,19 @@ impl RwLe {
     /// Allocates one cache line per lock word from `alloc` so that no
     /// workload data shares a line with the locks.
     ///
+    /// The ROT and NS locks are separate words (§3.3) exactly when
+    /// `max_htm_retries > 0 && max_rot_retries > 0 && !fair`: the split
+    /// exists so that HTM writers — eager NS subscription, lazy ROT
+    /// subscription at commit — can run alongside a ROT writer's body, so
+    /// it needs both kinds of writer. `!fair` is conservative: the fair
+    /// variant has only ever been explored and measured on one word, and
+    /// no recorded row says splitting it pays. Of the presets only
+    /// [`RwLeConfig::opt`] (and `with_retries(h, r)` for non-zero `h`,
+    /// `r`) is split.
+    ///
     /// # Errors
     ///
-    /// Rejects `fair && split_locks`: fair quiescence compares the lock
-    /// version a reader recorded at entry (always read from the NS lock
-    /// word) against the committing writer's version, but with split
-    /// locks a ROT writer's version comes from the *ROT* lock word — an
-    /// independent counter, so the comparison would be meaningless and a
-    /// writer could skip waiting for a genuinely older reader. The
-    /// combination stays rejected until the two words share one version
-    /// domain.
-    ///
-    /// Also rejects a non-`Central` indicator outside the NS-only
+    /// Rejects a non-`Central` indicator outside the NS-only
     /// configuration: a bias-certified reader is visible only through its
     /// table slot, which only the NS write path scans. An HTM or ROT
     /// writer quiesces via the epoch clocks alone, so it would commit
@@ -281,19 +263,9 @@ impl RwLe {
                  see an indicator-published reader",
             ));
         }
-        if cfg.fair && cfg.split_locks {
-            return Err(RwLeError::UnsupportedConfig(
-                "fair && split_locks: the ROT and NS lock words have independent \
-                 version counters, so fair quiescence cannot compare reader and \
-                 writer versions across them",
-            ));
-        }
         let wlock = alloc.alloc(1)?;
-        let rot_lock = if cfg.split_locks {
-            alloc.alloc(1)?
-        } else {
-            wlock
-        };
+        let split = cfg.max_htm_retries > 0 && cfg.max_rot_retries > 0 && !cfg.fair;
+        let rot_lock = if split { alloc.alloc(1)? } else { wlock };
         let ind = match cfg.indicator {
             IndicatorKind::Central => None,
             IndicatorKind::Bravo => Some(BravoIndicator::sized(max_threads)),
@@ -330,6 +302,13 @@ impl RwLe {
 
     pub(crate) fn nesting(&self) -> &guard::NestingDepths {
         &self.nesting
+    }
+
+    /// Whether the ROT lock is its own word (decided once, in
+    /// [`RwLe::new`]).
+    #[inline]
+    fn is_split(&self) -> bool {
+        self.rot_lock != self.wlock
     }
 
     // ------------------------------------------------------------------
@@ -403,37 +382,23 @@ impl RwLe {
         r
     }
 
-    /// Unfair entry (Algorithm 2 lines 11–17): defer to NS writers by
-    /// retreating and retrying. Returns the number of retreats — the
-    /// starvation signal the fair variant eliminates.
+    /// Unfair entry (Algorithm 2 lines 11–17, in §3.3's enter-first
+    /// form): flip the epoch, check the lock once, and only if an NS
+    /// writer holds it retreat, wait it out and retry. Returns the number
+    /// of retreats — the starvation signal the fair variant eliminates.
     pub(crate) fn read_enter(&self, ctx: &ThreadCtx, tid: usize) -> u64 {
         let mut retreats = 0;
-        if self.cfg.fast_read_entry {
-            // §3.3: enter first; only loop if the lock turns out busy.
-            loop {
-                self.epochs.enter(tid);
-                if state(ctx.read_nt(self.wlock)) != ST_NS {
-                    return retreats;
-                }
-                self.epochs.exit(tid);
-                retreats += 1;
-                let mut bo = sched::Backoff::new();
-                while state(ctx.read_nt(self.wlock)) == ST_NS {
-                    bo.snooze();
-                }
-            }
-        }
         loop {
-            let mut bo = sched::Backoff::new();
-            while state(ctx.read_nt(self.wlock)) == ST_NS {
-                bo.snooze();
-            }
             self.epochs.enter(tid);
             if state(ctx.read_nt(self.wlock)) != ST_NS {
                 return retreats;
             }
             self.epochs.exit(tid);
             retreats += 1;
+            let mut bo = sched::Backoff::new();
+            while state(ctx.read_nt(self.wlock)) == ST_NS {
+                bo.snooze();
+            }
         }
     }
 
@@ -511,7 +476,7 @@ impl RwLe {
         };
         loop {
             let result = match path {
-                Path::Htm => self.write_htm(ctx, stats, body, snap),
+                Path::Htm => self.write_htm(ctx, stats, body, snap, true),
                 Path::Rot => self.write_rot(ctx, stats, body, snap),
                 Path::Ns => {
                     let r = self.write_ns(ctx, stats, body, snap);
@@ -562,15 +527,24 @@ impl RwLe {
     /// (`crates/wmm/tests/lazy_sub.rs`) can pit a bare HTM writer against
     /// a bare ROT writer and machine-check the lazy ROT-subscription
     /// placement. Not part of the protocol surface.
+    ///
+    /// `subscribe_rot = false` is **deliberately unsound**: the attempt
+    /// skips the commit-time ROT-lock subscription, so it can commit in
+    /// the middle of a ROT writer's critical section — the unsafe end of
+    /// the lazy-subscription spectrum analyzed by Dice et al. (arXiv
+    /// 1407.6968). It exists so the harness can show the documented
+    /// placement is load-bearing (seed exploration then finds a lost
+    /// update); [`RwLe::write_cs`] always subscribes.
     #[doc(hidden)]
     pub fn litmus_write_htm<R>(
         &self,
         ctx: &mut ThreadCtx,
         stats: &mut ThreadStats,
         body: &mut dyn FnMut(&mut dyn MemAccess) -> Result<R, AbortCause>,
+        subscribe_rot: bool,
     ) -> Result<R, AbortCause> {
         let mut snap = ctx.take_scratch();
-        let r = self.write_htm(ctx, stats, body, &mut snap);
+        let r = self.write_htm(ctx, stats, body, &mut snap, subscribe_rot);
         ctx.restore_scratch(snap);
         r
     }
@@ -599,6 +573,7 @@ impl RwLe {
         stats: &mut ThreadStats,
         body: &mut dyn FnMut(&mut dyn MemAccess) -> Result<R, AbortCause>,
         snap: &mut Vec<u64>,
+        subscribe_rot: bool,
     ) -> Result<R, AbortCause> {
         let tid = ctx.slot();
         // Let non-HTM writers finish before starting (line 42).
@@ -614,14 +589,14 @@ impl RwLe {
             return Err(AbortCause::Explicit(ABORT_LOCK_BUSY));
         }
         let r = body(&mut tx)?;
-        if self.cfg.split_locks && !self.cfg.skip_rot_subscription {
+        if self.is_split() && subscribe_rot {
             // Lazy ROT-lock subscription (§3.3): only at commit must no
             // ROT writer be active — their bodies may overlap with ours.
             // Subscribing here (not earlier) is safe because a ROT holder
             // that appears *after* this read dooms us through the read-set
-            // conflict on the lock word; skipping it (the
-            // `skip_rot_subscription` litmus knob) lets us commit inside a
-            // ROT critical section — see `wmm`'s lazy-subscription litmus.
+            // conflict on the lock word; skipping it (only
+            // `litmus_write_htm` can) lets us commit inside a ROT critical
+            // section — see `wmm`'s lazy-subscription litmus.
             if state(tx.read(self.rot_lock)?) != ST_FREE {
                 drop(tx);
                 return Err(AbortCause::Explicit(ABORT_LOCK_BUSY));
@@ -659,7 +634,7 @@ impl RwLe {
         snap: &mut Vec<u64>,
     ) -> Result<R, AbortCause> {
         let tid = ctx.slot();
-        let my_version = self.acquire_rot_lock(ctx);
+        self.acquire_rot_lock(ctx);
         let result = (|| -> Result<R, AbortCause> {
             let mut rot = ctx.begin(TxMode::Rot);
             let r = body(&mut rot)?;
@@ -668,17 +643,12 @@ impl RwLe {
             let gp = self.epochs.grace_snapshot();
             // Drain readers that may have observed pre-commit state; new
             // readers conflicting with our store set abort us instead.
-            let o = if self.cfg.fair {
-                // Sound only because `fair` forbids `split_locks` (see
-                // `RwLe::new`): the ROT lock *is* the NS lock word, so
-                // `my_version` lives in the same version domain readers
-                // record at entry.
-                debug_assert!(!self.cfg.split_locks);
-                self.epochs
-                    .synchronize_fair_from(Some(tid), my_version, gp, snap)
-            } else {
-                self.epochs.synchronize_from(Some(tid), gp, snap)
-            };
+            // The general barrier under `fair` too: version skipping is
+            // for NS writers, whose held lock parks every reader that
+            // recorded their version. Nobody waits on a ROT holder, so a
+            // reader that entered after our lock CAS may have read ahead
+            // of our claims and must be drained like any other.
+            let o = self.epochs.synchronize_from(Some(tid), gp, snap);
             self.note_barrier(stats, o);
             rot.commit()?;
             Ok(r)
@@ -702,7 +672,7 @@ impl RwLe {
         // load in the bias-down steady state. First call: catch a bias
         // set before our lock CAS.
         let early = self.ind.as_ref().is_some_and(|ind| ind.revoke_serialized());
-        if self.cfg.split_locks {
+        if self.is_split() {
             // Writers must be mutually exclusive: wait for any ROT holder
             // (new ROTs check the NS lock before acquiring).
             let mut bo = sched::Backoff::new();
@@ -715,16 +685,12 @@ impl RwLe {
         // and retreat/wait, so a grace period starting after this
         // snapshot drains every reader that slipped in before the CAS.
         let gp = self.epochs.grace_snapshot();
-        // Let readers drain (line 59). Readers are blocked by the held NS
-        // lock, enabling the single-pass barrier (§3.3).
+        // Let readers drain (line 59). The general barrier: its summary
+        // scan visits only active readers, which is all §3.3's single-pass
+        // variant saved on top of it.
         let o = if self.cfg.fair {
             self.epochs
                 .synchronize_fair_from(Some(tid), my_version, gp, snap)
-        } else if self.cfg.single_pass_quiesce {
-            // The single-pass barrier is only sound while the held NS lock
-            // blocks new readers from entering.
-            debug_assert_eq!(state(ctx.read_nt(self.wlock)), ST_NS);
-            self.epochs.synchronize_blocked_readers_from(Some(tid), gp)
         } else {
             self.epochs.synchronize_from(Some(tid), gp, snap)
         };
@@ -751,18 +717,19 @@ impl RwLe {
     }
 
     /// Acquires the ROT lock, respecting NS-lock priority in split mode.
-    fn acquire_rot_lock(&self, ctx: &ThreadCtx) -> u64 {
-        if !self.cfg.split_locks {
-            return self.acquire_word(ctx, self.wlock, ST_ROT);
+    fn acquire_rot_lock(&self, ctx: &ThreadCtx) {
+        if !self.is_split() {
+            self.acquire_word(ctx, self.wlock, ST_ROT);
+            return;
         }
         loop {
             let mut bo = sched::Backoff::new();
             while state(ctx.read_nt(self.wlock)) != ST_FREE {
                 bo.snooze();
             }
-            let v = self.acquire_word(ctx, self.rot_lock, ST_ROT);
+            self.acquire_word(ctx, self.rot_lock, ST_ROT);
             if state(ctx.read_nt(self.wlock)) == ST_FREE {
-                return v;
+                return;
             }
             // An NS writer arrived while we acquired; defer to it.
             self.release_word(ctx, self.rot_lock);
@@ -814,31 +781,29 @@ mod tests {
     }
 
     #[test]
-    fn fair_with_split_locks_is_rejected() {
-        let mem = Arc::new(SharedMem::new_lines(16));
+    fn lock_word_layout_is_derived_from_the_budgets() {
+        // Every preset is constructible; the ROT lock is its own word
+        // exactly when both budgets are non-zero and the lock is not fair.
+        let mem = Arc::new(SharedMem::new_lines(64));
         let alloc = SimAlloc::new(Arc::clone(&mem));
-        let cfg = RwLeConfig {
+        let fair_opt = RwLeConfig {
             fair: true,
-            split_locks: true,
             ..RwLeConfig::opt()
         };
-        let err = RwLe::new(&alloc, 4, cfg)
-            .err()
-            .expect("fair+split_locks must be rejected");
-        match err {
-            RwLeError::UnsupportedConfig(why) => {
-                assert!(why.contains("version"), "unexpected reason: {why}")
-            }
-            e => panic!("wrong error kind: {e}"),
-        }
-        // Every preset remains constructible.
-        for cfg in [
-            RwLeConfig::opt(),
-            RwLeConfig::pes(),
-            RwLeConfig::htm_only(),
-            RwLeConfig::fair_htm_only(),
+        for (cfg, split) in [
+            (RwLeConfig::opt(), true),
+            (RwLeConfig::opt().with_retries(1, 1), true),
+            (RwLeConfig::opt().with_retries(20, 20), true),
+            (RwLeConfig::pes(), false),
+            (RwLeConfig::htm_only(), false),
+            (RwLeConfig::fair_htm_only(), false),
+            (RwLeConfig::fallback_only(IndicatorKind::Central), false),
+            (RwLeConfig::fallback_only(IndicatorKind::Bravo), false),
+            (RwLeConfig::opt().with_retries(0, 0), false),
+            (fair_opt, false),
         ] {
-            assert!(RwLe::new(&alloc, 4, cfg).is_ok(), "preset {cfg:?} rejected");
+            let rwle = RwLe::new(&alloc, 4, cfg).unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
+            assert_eq!(rwle.is_split(), split, "lock words of {cfg:?}");
         }
     }
 
@@ -1310,7 +1275,7 @@ mod tests {
     }
 
     #[test]
-    fn split_locks_allow_htm_alongside_rot_bodies() {
+    fn split_words_allow_htm_alongside_rot_bodies() {
         // With split locks, an HTM writer whose body overlaps a ROT
         // writer's body (disjoint data) can commit after the ROT releases.
         let (rt, alloc, rwle) = setup(256, HtmConfig::default(), RwLeConfig::opt());

@@ -278,23 +278,11 @@ fn fair_htm_only_schedules() {
 }
 
 #[test]
-fn ns_single_pass_schedules() {
-    // Retries zeroed: every write lands on the NS path, exercising the
-    // single-pass blocked-readers barrier (and, in debug builds, the
-    // assertion that it only runs while the held NS lock blocks readers).
-    sched::explore("rwle-ns-single-pass", 0..150, |seed| {
+fn ns_schedules() {
+    // Retries zeroed: every write lands on the NS path — lock CAS, grace
+    // snapshot, the general barrier, plain stores under the held lock.
+    sched::explore("rwle-ns", 0..150, |seed| {
         run_schedule(RwLeConfig::opt().with_retries(0, 0), seed)
-    });
-}
-
-#[test]
-fn ns_two_pass_schedules() {
-    let cfg = RwLeConfig {
-        single_pass_quiesce: false,
-        ..RwLeConfig::opt()
-    };
-    sched::explore("rwle-ns-two-pass", 0..100, |seed| {
-        run_schedule(cfg.with_retries(0, 0), seed)
     });
 }
 
@@ -412,20 +400,28 @@ fn fair_bravo_indicator_schedules() {
     // the fair barrier runs.
     let cfg = RwLeConfig {
         fair: true,
-        fast_read_entry: false,
         ..RwLeConfig::fallback_only(rind::IndicatorKind::Bravo)
     };
     sched::explore("rwle-fair-bravo", 0..160, |seed| run_schedule(cfg, seed));
 }
 
 #[test]
-fn slow_read_entry_schedules() {
-    // §3.3 fast read entry disabled: the check-then-enter reader loop.
-    let cfg = RwLeConfig {
-        fast_read_entry: false,
-        ..RwLeConfig::opt()
-    };
-    sched::explore("rwle-slow-read-entry", 0..100, |seed| {
-        run_schedule(cfg, seed)
-    });
+fn fair_rot_schedules() {
+    // Fair *with* ROTs enabled — in-place-waiting readers against ROT
+    // writers on the one shared lock word — under the HTM → ROT → NS
+    // policy and under PES's ROT-first one, on distinct lines and on one
+    // repeatedly accessed word. (`pes` seed 3 is the torn snapshot that
+    // took version skipping off the ROT path: nobody waits on a ROT
+    // holder, so a reader carrying its version can have read ahead.)
+    for (name, base) in [("opt", RwLeConfig::opt()), ("pes", RwLeConfig::pes())] {
+        let cfg = RwLeConfig { fair: true, ..base };
+        sched::explore(&format!("rwle-fair-rot-{name}"), 0..150, |seed| {
+            run_schedule(cfg, seed)
+        });
+        sched::explore(
+            &format!("rwle-fair-rot-{name}-same-word"),
+            0x5000..0x5096,
+            |seed| run_same_word_schedule(cfg, seed),
+        );
+    }
 }

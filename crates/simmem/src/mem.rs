@@ -166,18 +166,6 @@ impl SharedMem {
         self.word(addr).store(value, Ordering::Release);
     }
 
-    /// Plain load with an explicit memory ordering.
-    #[inline]
-    pub fn load_with(&self, addr: Addr, order: Ordering) -> u64 {
-        self.word(addr).load(order)
-    }
-
-    /// Plain store with an explicit memory ordering.
-    #[inline]
-    pub fn store_with(&self, addr: Addr, value: u64, order: Ordering) {
-        self.word(addr).store(value, order)
-    }
-
     /// Atomic compare-exchange on a word (sequentially consistent).
     ///
     /// Returns `Ok(previous)` on success and `Err(actual)` on failure,

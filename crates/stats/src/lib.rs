@@ -186,12 +186,6 @@ impl ThreadStats {
         self.aborts[AbortBucket::classify(mode, cause).index()] += 1;
     }
 
-    /// Records an abort in a pre-classified bucket.
-    #[inline]
-    pub fn abort_bucket(&mut self, bucket: AbortBucket) {
-        self.aborts[bucket.index()] += 1;
-    }
-
     /// Commits recorded for `kind`.
     pub fn commits(&self, kind: CommitKind) -> u64 {
         self.commits[kind.index()]

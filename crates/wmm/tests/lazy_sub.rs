@@ -1,6 +1,6 @@
 //! Lazy ROT-lock subscription litmus over the *real* protocol stack.
 //!
-//! The split-lock optimization (§3.3) lets HTM writers run concurrently
+//! The split ROT/NS lock words (§3.3) let HTM writers run concurrently
 //! with a ROT writer's body and subscribe the ROT lock only at commit.
 //! Dice et al. (arXiv 1407.6968) showed that lazy lock subscription is a
 //! spectrum with an unsafe end: subscribe too late — or not at all — and
@@ -24,9 +24,9 @@
 //! dichotomy both ways:
 //!
 //! * at the documented placement the lost update is unreachable, and
-//! * with the subscription skipped (`RwLeConfig::skip_rot_subscription`,
-//!   a knob that exists only for this harness) exploration *finds* the
-//!   lost update and prints the reproducing seed.
+//! * with the subscription skipped (`litmus_write_htm(.., false)`, an
+//!   argument only this harness can pass — `write_cs` always subscribes)
+//!   exploration *finds* the lost update and prints the reproducing seed.
 
 use std::sync::Arc;
 
@@ -42,12 +42,13 @@ const Y: u32 = 8;
 
 /// Runs one seeded schedule: one bare-HTM writer vs one bare-ROT writer,
 /// each incrementing the two-word record exactly once (retrying its own
-/// path until it commits). Returns the final `(x, y)`.
-fn run_schedule(cfg: RwLeConfig, seed: u64) -> (u64, u64) {
+/// path until it commits); `subscribe_rot` is the HTM writer's commit-time
+/// ROT-lock subscription. Returns the final `(x, y)`.
+fn run_schedule(subscribe_rot: bool, seed: u64) -> (u64, u64) {
     let mem = Arc::new(SharedMem::new_lines(16));
     let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
     let alloc = SimAlloc::new(Arc::clone(&mem));
-    let rwle = Arc::new(RwLe::new(&alloc, 2, cfg).unwrap());
+    let rwle = Arc::new(RwLe::new(&alloc, 2, RwLeConfig::opt()).unwrap());
     let data = alloc.alloc(Y + 1).unwrap();
 
     let mut s = sched::Scheduler::new(seed);
@@ -65,7 +66,7 @@ fn run_schedule(cfg: RwLeConfig, seed: u64) -> (u64, u64) {
                     Ok(())
                 };
                 let r = if htm_path {
-                    rwle.litmus_write_htm(&mut ctx, &mut st, body)
+                    rwle.litmus_write_htm(&mut ctx, &mut st, body, subscribe_rot)
                 } else {
                     rwle.litmus_write_rot(&mut ctx, &mut st, body)
                 };
@@ -85,7 +86,7 @@ fn commit_time_subscription_makes_htm_and_rot_writers_atomic() {
     // Documented placement: no schedule loses an increment or tears the
     // two-word record.
     sched::explore("lazy-sub-documented", 0..200, |seed| {
-        let (x, y) = run_schedule(RwLeConfig::opt(), seed);
+        let (x, y) = run_schedule(true, seed);
         assert_eq!((x, y), (2, 2), "lost or torn increment at seed {seed}");
     });
 }
@@ -96,19 +97,15 @@ fn skipping_the_subscription_reproduces_the_lazy_subscription_unsafety() {
     // never reads the ROT lock, so nothing stops it committing inside
     // the ROT writer's critical section. Exploration must find a lost
     // update — if it cannot, the subscription is not load-bearing and
-    // the split-lock justification in orderings.toml is untested.
-    let cfg = RwLeConfig {
-        skip_rot_subscription: true,
-        ..RwLeConfig::opt()
-    };
-    let witness = (0..200).find(|&seed| run_schedule(cfg, seed) != (2, 2));
+    // the split-word justification in orderings.toml is untested.
+    let witness = (0..200).find(|&seed| run_schedule(false, seed) != (2, 2));
     let seed = witness.expect(
         "no schedule lost an update with the ROT subscription skipped; \
          the commit-time subscription litmus has no teeth",
     );
     // The witness seed must reproduce: one whole-protocol interleaving
     // is one seed.
-    let (x, y) = run_schedule(cfg, seed);
+    let (x, y) = run_schedule(false, seed);
     assert_ne!((x, y), (2, 2), "witness seed {seed} did not reproduce");
     println!("lazy-subscription lost update at seed {seed}: x={x} y={y}");
 }

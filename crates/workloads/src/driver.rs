@@ -11,7 +11,7 @@ use simmem::{Addr, SharedMem, SimAlloc};
 use stats::{StatsSummary, ThreadStats};
 
 use crate::backend::{StoreBackend, StoreSession};
-use crate::hashmap::{SimHashMap, NODE_WORDS};
+use crate::hashmap::SimHashMap;
 use crate::scheme::{Scheme, SchemeKind};
 
 /// Outcome of one measured run.
@@ -219,6 +219,22 @@ impl SensitivityParams {
 /// Runs one sensitivity-benchmark configuration end to end: build memory,
 /// populate the hashmap, run the mixed workload, merge statistics.
 pub fn run_sensitivity(p: &SensitivityParams) -> RunResult {
+    run_sensitivity_with(p, &|alloc, max_threads| {
+        Scheme::build(p.scheme, alloc, max_threads).expect("lock allocation")
+    })
+}
+
+/// [`run_sensitivity`] over a scheme the caller builds from the run's
+/// allocator and thread count (`p.scheme` is then unused) — how the
+/// ablation harness runs RW-LE configurations that are not a
+/// [`SchemeKind`]. The builder is a trait object so that the measured
+/// loop below is compiled once, here, for every caller: as a type
+/// parameter it cost the hc-hc w=10 rows 6–8 % through different
+/// inlining (EXPERIMENTS.md, "RW-LE option space").
+pub fn run_sensitivity_with(
+    p: &SensitivityParams,
+    build: &dyn Fn(&SimAlloc, usize) -> Scheme,
+) -> RunResult {
     let n_items = p.n_items();
     let total_writes = p.threads as u64 * p.ops_per_thread * p.write_pct as u64 / 100;
     // One line per node; removed nodes are reclaimed only after the run
@@ -237,7 +253,7 @@ pub fn run_sensitivity(p: &SensitivityParams) -> RunResult {
         .with_smt_group(p.smt_group_size.max(1));
     let rt = HtmRuntime::new(Arc::clone(&mem), htm_cfg);
     let alloc = SimAlloc::new(Arc::clone(&mem));
-    let scheme = Scheme::build(p.scheme, &alloc, p.threads).expect("lock allocation");
+    let scheme = build(&alloc, p.threads);
     let map = SimHashMap::create(&alloc, p.scenario.buckets()).expect("bucket allocation");
     map.populate(&alloc, n_items).expect("population");
 
@@ -274,7 +290,6 @@ pub fn run_sensitivity(p: &SensitivityParams) -> RunResult {
                 let _removed = scheme.write_cs(ctx, st, &mut |acc| map.remove(acc, key));
             }
         }
-        let _ = NODE_WORDS; // silence unused-import paths in cfg variations
     });
     RunResult {
         wall,

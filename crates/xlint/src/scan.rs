@@ -428,16 +428,6 @@ pub fn range_has_call(tokens: &[Token], range: (usize, usize), name: &str) -> bo
     })
 }
 
-/// The enclosing symbol of a 1-based line (symbol of its first token; an
-/// empty string at module scope).
-pub fn symbol_at_line(scan: &FileScan, line: usize) -> String {
-    scan.tokens
-        .iter()
-        .position(|t| t.line >= line)
-        .map(|i| scan.symbols[i].clone())
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

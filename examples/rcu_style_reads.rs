@@ -22,13 +22,9 @@ fn main() {
     let mem = Arc::new(SharedMem::new_lines(8 * 1024));
     let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
     let alloc = SimAlloc::new(Arc::clone(&mem));
-    // Reclamation requires serialized writers (no split lock words); see
+    // Reclamation requires serialized writers: PES has one lock word; see
     // tests/reclamation.rs for the safety argument.
-    let cfg = RwLeConfig {
-        split_locks: false,
-        ..RwLeConfig::pes()
-    };
-    let rwle = Arc::new(RwLe::new(&alloc, 8, cfg).unwrap());
+    let rwle = Arc::new(RwLe::new(&alloc, 8, RwLeConfig::pes()).unwrap());
     let map = SimHashMap::create(&alloc, 8).unwrap();
     map.populate(&alloc, 64).unwrap();
     let reclaimer = Reclaimer::new();

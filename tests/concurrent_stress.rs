@@ -75,19 +75,6 @@ fn bank_invariant_fair() {
 }
 
 #[test]
-fn bank_invariant_no_optimizations() {
-    bank_transfer_invariant(
-        RwLeConfig {
-            split_locks: false,
-            single_pass_quiesce: false,
-            fast_read_entry: false,
-            ..RwLeConfig::opt()
-        },
-        HtmConfig::default(),
-    );
-}
-
-#[test]
 fn bank_invariant_under_interrupt_pressure() {
     // Transient interrupts force heavy use of the fallback paths.
     bank_transfer_invariant(

@@ -2,16 +2,14 @@
 //! to an [`epoch::Reclaimer`] and recycled through the allocator once a
 //! grace period has drained every uninstrumented reader.
 //!
-//! Safety argument for this configuration (no split lock words): epoch
-//! clocks cover every uninstrumented reader; HTM writers' loads are
-//! tracked, so a committing unlinker dooms any speculative traversal
-//! through the unlinked node's predecessor before the unlink becomes
-//! visible; ROT writers are serialized with all other writers by the
-//! single lock word. Hence after one grace period nobody can hold a
-//! retired pointer. (With the split-lock optimization, ROT and HTM write
-//! *bodies* may overlap, so frees would additionally need to wait for a
-//! ROT-lock turnover — which is why the benchmarks defer reclamation to
-//! the end of the run instead.)
+//! Safety argument for this configuration (PES has one lock word): epoch
+//! clocks cover every uninstrumented reader, and ROT writers are
+//! serialized with all other writers by the single lock word. Hence
+//! after one grace period nobody can hold a retired pointer. (OPT lays
+//! the ROT and NS locks out as two words so that ROT and HTM write
+//! *bodies* may overlap; frees would then additionally need to wait for
+//! a ROT-lock turnover — which is why the benchmarks defer reclamation
+//! to the end of the run instead.)
 
 use std::sync::Arc;
 
@@ -32,11 +30,8 @@ fn removed_nodes_are_recycled_safely() {
     let mem = Arc::new(SharedMem::new_lines(64 * 1024));
     let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
     let alloc = SimAlloc::new(Arc::clone(&mem));
-    let cfg = RwLeConfig {
-        split_locks: false, // required for safe reclamation, see header
-        ..RwLeConfig::pes()
-    };
-    let rwle = Arc::new(RwLe::new(&alloc, WRITERS + READERS, cfg).unwrap());
+    // PES: one lock word — required for safe reclamation, see header.
+    let rwle = Arc::new(RwLe::new(&alloc, WRITERS + READERS, RwLeConfig::pes()).unwrap());
     let map = SimHashMap::create(&alloc, 4).unwrap();
     map.populate(&alloc, KEYS).unwrap();
     let reclaimer = Arc::new(Reclaimer::new());
