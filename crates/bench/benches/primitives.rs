@@ -10,7 +10,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use htm::{HtmConfig, HtmRuntime, TxMode};
-use locks::{BrLock, PthreadRwLock, SpinMutex, TicketLock};
+use locks::{BrLock, PthreadRwLock, SpinMutex};
 use rwle::{RwLe, RwLeConfig};
 use simmem::{SharedMem, SimAlloc};
 use stats::ThreadStats;
@@ -218,8 +218,6 @@ fn bench_locks(c: &mut Criterion) {
     let mut g = c.benchmark_group("locks_uncontended");
     let spin = SpinMutex::new();
     g.bench_function("spin_mutex", |b| b.iter(|| drop(spin.lock())));
-    let ticket = TicketLock::new();
-    g.bench_function("ticket_lock", |b| b.iter(|| drop(ticket.lock())));
     let rwl = PthreadRwLock::new();
     g.bench_function("pthread_rwlock_read", |b| b.iter(|| drop(rwl.read_lock())));
     g.bench_function("pthread_rwlock_write", |b| {

@@ -6,75 +6,51 @@
 //! cargo run --release -p bench --bin ablation
 //! ```
 
-use bench::{average, Args, Output, OutputMode};
+use bench::{Args, Output};
 use rwle::RwLeConfig;
 use workloads::driver::{run_sensitivity_with, Scenario, SensitivityParams};
 use workloads::{Scheme, SchemeKind};
 
 /// Every flag this binary accepts; anything else exits 2.
-const FLAGS: &[&str] = &["threads", "writes", "ops", "runs", "seed", "json"];
+const FLAGS: &[&str] = &["threads", "writes", "ops", "runs", "seed"];
 
 const USAGE: &str = "\
 usage: ablation [--threads N] [--writes PCT] [--ops N] [--runs N] [--seed N]
-                [--json]
 
   The hc-hc hashmap under hand-built RW-LE configurations. Defaults: 4
-  threads, 10% writes, 300 ops/thread, 1 run, seed 42; --json prints one
-  self-contained object per row instead of the text tables.";
+  threads, 10% writes, 300 ops/thread, 1 run, seed 42.";
 
-/// One table: each `(name, config)` row runs the hc-hc sensitivity
-/// workload `runs` times (seeds `base.seed`, `base.seed + 1`, ..) and
-/// prints the average.
-fn table<N: std::fmt::Display>(
-    out: &mut Output,
-    title: &str,
-    base: &SensitivityParams,
-    runs: u64,
-    rows: &[(N, RwLeConfig)],
-) {
+/// One table: under a `--- name` line, each `(name, config)` row is the
+/// hc-hc sensitivity workload measured under that configuration.
+fn table<N: std::fmt::Display>(out: &Output, base: &SensitivityParams, rows: &[(N, RwLeConfig)]) {
     out.header();
     for (name, cfg) in rows {
-        let results: Vec<_> = (0..runs)
-            .map(|r| {
-                let p = SensitivityParams {
-                    seed: base.seed + r,
-                    ..base.clone()
-                };
-                run_sensitivity_with(&p, &|alloc, max_threads| {
-                    Scheme::build_rwle(alloc, max_threads, *cfg).expect("lock allocation")
-                })
+        println!("--- {name}");
+        out.measure(base.scheme.label(), base.threads, base.write_pct, &|seed| {
+            let p = SensitivityParams {
+                seed,
+                ..base.clone()
+            };
+            run_sensitivity_with(&p, &|alloc, max_threads| {
+                Scheme::build_rwle(alloc, max_threads, *cfg).expect("lock allocation")
             })
-            .collect();
-        let (secs, tput, summary) = average(&results);
-        if out.mode() == OutputMode::Text {
-            println!("--- {name}");
-        }
-        out.tag(format!("{title} — {name}"));
-        out.row(
-            base.scheme,
-            base.threads,
-            base.write_pct,
-            secs,
-            tput,
-            &summary,
-        );
+        });
     }
 }
 
 fn main() {
     let args = Args::parse();
     args.expect_only(FLAGS, USAGE);
+    let out = Output::from_args(&args, 300);
     let base = SensitivityParams {
         scheme: SchemeKind::RwLeOpt, // the row label; `table` builds the lock
         scenario: Scenario::HcHc,
         write_pct: args.get_or("writes", 10),
         threads: args.get_or("threads", 4),
-        ops_per_thread: args.get_or("ops", 300),
-        seed: args.get_or("seed", 42),
+        ops_per_thread: out.ops,
+        seed: 0, // `table` sets it per run
         smt_group_size: 1,
     };
-    let runs: u64 = args.get_or("runs", 1);
-    let mut out = Output::from_args(&args);
 
     // The §3.3 optimizations are the algorithm, not options (the last
     // rows measured with each one off are in EXPERIMENTS.md, "RW-LE
@@ -88,7 +64,7 @@ fn main() {
         ..RwLeConfig::opt()
     };
     let variants = [("full-OPT", RwLeConfig::opt()), ("fair", fair)];
-    table(&mut out, "§3.3 variants", &base, runs, &variants);
+    table(&out, &base, &variants);
 
     // The paper's conclusion argues other vendors should adopt POWER8's
     // suspend/resume and ROTs. Quantify what each feature buys RW-LE:
@@ -96,7 +72,7 @@ fn main() {
     // regular transactions (writers lose the HTM path → PES); without
     // ROTs capacity-hostile writers land on the global lock; without
     // both, every writer serializes.
-    out.gap();
+    println!();
     out.section("Hardware-feature ablation (what suspend/resume and ROTs buy)");
     let features = [
         ("both features (OPT)", RwLeConfig::opt()),
@@ -104,19 +80,13 @@ fn main() {
         ("no ROTs (→HTM+NS)", RwLeConfig::htm_only()),
         ("neither (→NS only)", RwLeConfig::opt().with_retries(0, 0)),
     ];
-    table(
-        &mut out,
-        "Hardware-feature ablation",
-        &base,
-        runs,
-        &features,
-    );
+    table(&out, &base, &features);
 
-    out.gap();
+    println!();
     out.section("Retry-budget sweep (the paper settled on 5/5)");
     let sweep = [1u32, 2, 5, 10, 20]
         .map(|b| (format!("retries={b}"), RwLeConfig::opt().with_retries(b, b)));
-    table(&mut out, "Retry-budget sweep", &base, runs, &sweep);
+    table(&out, &base, &sweep);
 }
 
 #[cfg(test)]

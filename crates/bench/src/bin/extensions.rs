@@ -7,18 +7,26 @@
 //! cargo run --release -p bench --bin extensions
 //! ```
 
-use bench::{average, Args, Output};
+use bench::{grid_flags, Args, Output};
 use workloads::driver::{run_sensitivity, Scenario, SensitivityParams};
 use workloads::SchemeKind;
 
+/// This binary's flags beyond `bench::GRID_FLAGS`; anything else exits 2.
+const FLAGS: &[&str] = &["writes"];
+
+const USAGE: &str = "\
+usage: extensions [--threads 2,4,8] [--full] [--writes PCT] [--ops N]
+                  [--runs N] [--seed N]
+
+  HLE, HLE-SCM, adaptive HLE and RW-LE_OPT on hc-hc and lc-hc at one
+  write ratio (default 50%).";
+
 fn main() {
     let args = Args::parse();
+    args.expect_only(&grid_flags(FLAGS), USAGE);
     let threads = args.thread_list(&[2, 4, 8]);
-    let ops: u64 = args.get_or("ops", 300);
-    let runs: usize = args.get_or("runs", 1);
-    let seed: u64 = args.get_or("seed", 42);
     let w: u32 = args.get_or("writes", 50);
-    let mut out = Output::from_args(&args);
+    let out = Output::from_args(&args, 300);
     let schemes = [
         SchemeKind::Hle,
         SchemeKind::ScmHle,
@@ -36,23 +44,29 @@ fn main() {
         out.header();
         for &t in &threads {
             for scheme in schemes {
-                let results: Vec<_> = (0..runs)
-                    .map(|r| {
-                        run_sensitivity(&SensitivityParams {
-                            scheme,
-                            scenario,
-                            write_pct: w,
-                            threads: t,
-                            ops_per_thread: ops,
-                            seed: seed + r as u64,
-                            smt_group_size: 1,
-                        })
+                out.measure(scheme.label(), t, w, &|seed| {
+                    run_sensitivity(&SensitivityParams {
+                        scheme,
+                        scenario,
+                        write_pct: w,
+                        threads: t,
+                        ops_per_thread: out.ops,
+                        seed,
+                        smt_group_size: 1,
                     })
-                    .collect();
-                let (secs, tput, summary) = average(&results);
-                out.row(scheme, t, w, secs, tput, &summary);
+                });
             }
-            out.gap();
+            println!();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_accepted_flag() {
+        assert_eq!(Args::undocumented(&grid_flags(FLAGS), USAGE), None);
     }
 }

@@ -16,18 +16,19 @@
 //! *relative to* SGL so host drift cancels out (`regress --relative-to`).
 //!
 //! ```text
-//! cargo run --release -p bench --bin indicators -- --threads 1,8,32 --writes 1,90 --json
+//! cargo run --release -p bench --bin indicators -- --threads 1,8,32 --writes 1,90
 //! ```
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench::{Args, Output};
+use bench::{grid_flags, Args, Output};
 use htm::{HtmConfig, HtmRuntime};
 use locks::SpinMutex;
 use rwle::{RwLe, RwLeConfig};
 use simmem::{SharedMem, SimAlloc};
 use stats::{CommitKind, StatsSummary, ThreadStats};
+use workloads::driver::RunResult;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -69,9 +70,9 @@ struct Params {
     seed: u64,
 }
 
-/// Runs one (scheme, threads, w) cell and returns (secs, throughput,
-/// per-thread stats).
-fn run_cell(scheme: &Scheme, p: &Params) -> (f64, f64, Vec<ThreadStats>) {
+/// Runs one (scheme, threads, w) cell. Every op commits exactly once, so
+/// the summary's op count is `threads × ops_per_thread`.
+fn run_cell(scheme: &Scheme, p: &Params) -> RunResult {
     let mem = Arc::new(SharedMem::new_lines(64));
     let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
     let alloc = SimAlloc::new(Arc::clone(&mem));
@@ -141,71 +142,49 @@ fn run_cell(scheme: &Scheme, p: &Params) -> (f64, f64, Vec<ThreadStats>) {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let secs = start.elapsed().as_secs_f64();
-    let total_ops = p.ops_per_thread * p.threads as u64;
-    (secs, total_ops as f64 / secs, stats)
+    RunResult {
+        wall: start.elapsed(),
+        summary: StatsSummary::from_threads(&stats),
+        threads: p.threads,
+    }
 }
 
-/// Every flag this binary accepts; anything else exits 2.
-const FLAGS: &[&str] = &["threads", "full", "writes", "ops", "runs", "seed", "json"];
+/// This binary's flags beyond `bench::GRID_FLAGS`; anything else exits 2.
+const FLAGS: &[&str] = &["writes"];
 
 const USAGE: &str = "\
 usage: indicators [--threads 1,8,32] [--full] [--writes 1,90] [--ops N]
-                  [--runs N] [--seed N] [--json]
+                  [--runs N] [--seed N]
 
   Sweeps SGL (the canary), IND-C and IND-BRAVO over every (threads, w)
   cell; the regression gate needs all three rows of a cell. --full sweeps
-  the paper's thread grid (up to 80); --json prints one self-contained
-  object per row instead of the text table.";
+  the paper's thread grid (up to 80).";
 
 fn main() {
     let args = Args::parse();
-    args.expect_only(FLAGS, USAGE);
+    args.expect_only(&grid_flags(FLAGS), USAGE);
     let threads = args.thread_list(&[1, 8, 32]);
     let write_pcts = args.u32_list("writes", &[1, 90]);
-    let ops: u64 = args.get_or("ops", 2000);
-    let runs: usize = args.get_or("runs", 1);
-    let seed: u64 = args.get_or("seed", 42);
-    let mut out = Output::from_args(&args);
+    let out = Output::from_args(&args, 2000);
 
     out.section("Reader indicators — NS fallback read path");
-    // The note must start with "ops/thread" — `parse_results` treats any
-    // other `# ` line as a section header.
-    out.note(format_args!(
-        "ops/thread={ops} runs={runs} seed={seed} (elision disabled: fallback_only)"
-    ));
+    out.note("(elision disabled: fallback_only)");
     out.header();
     for &w in &write_pcts {
         for &t in &threads {
             for scheme in &SCHEMES {
-                let mut secs_sum = 0.0;
-                let mut tput_sum = 0.0;
-                let mut stats = Vec::new();
-                for r in 0..runs {
-                    let (secs, tput, st) = run_cell(
-                        scheme,
-                        &Params {
-                            threads: t,
-                            write_pct: w,
-                            ops_per_thread: ops,
-                            seed: seed + r as u64,
-                        },
-                    );
-                    secs_sum += secs;
-                    tput_sum += tput;
-                    stats.extend(st);
-                }
-                out.row_labeled(
-                    scheme.label,
-                    t,
-                    w,
-                    secs_sum / runs as f64,
-                    tput_sum / runs as f64,
-                    &StatsSummary::from_threads(&stats),
-                );
+                out.measure(scheme.label, t, w, &|seed| {
+                    let p = Params {
+                        threads: t,
+                        write_pct: w,
+                        ops_per_thread: out.ops,
+                        seed,
+                    };
+                    run_cell(scheme, &p)
+                });
             }
         }
-        out.gap();
+        println!();
     }
 }
 
@@ -215,6 +194,6 @@ mod tests {
 
     #[test]
     fn usage_names_every_accepted_flag() {
-        assert_eq!(Args::undocumented(FLAGS, USAGE), None);
+        assert_eq!(Args::undocumented(&grid_flags(FLAGS), USAGE), None);
     }
 }

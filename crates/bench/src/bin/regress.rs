@@ -2,11 +2,10 @@
 //!
 //! Compares a freshly measured harness result file against the committed
 //! benchmark record (`BENCH_rwle.json`): every fresh row whose
-//! (section, scheme, backend, threads, w) configuration appears in the
-//! record's `"set": "current"` rows must reach at least
-//! `(100 - tolerance)%` of the recorded throughput. The backend is part
-//! of the key, so sim and native rows gate independently and are never
-//! compared against each other. Rows only present on one side — a fresh
+//! (section, scheme, backend, threads, w) configuration appears among the
+//! record's rows must reach at least `(100 - tolerance)%` of the recorded
+//! throughput. The backend is part of the key, so sim and native rows
+//! gate independently and are never compared against each other. Rows only present on one side — a fresh
 //! row with no record, or a recorded row of a measured
 //! (section, backend, threads, w) cell with no fresh counterpart — are
 //! reported but do not fail the gate; zero matched rows does.
@@ -47,19 +46,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bench::{parse_json_result_row, parse_results, Args, ResultRow};
-
-/// Loads the `"set": "current"` rows of a benchmark-record JSON.
-fn load_record(path: &str) -> Vec<(String, ResultRow)> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    text.lines()
-        .filter(|l| l.trim_start().starts_with('{') && l.contains("\"set\": \"current\""))
-        .filter_map(parse_json_result_row)
-        .collect()
-}
+use bench::{parse_results, Args, ResultRow};
 
 /// Every flag this binary accepts; anything else exits 2.
 const FLAGS: &[&str] = &["file", "against", "tolerance", "slo-factor", "relative-to"];
@@ -85,9 +72,10 @@ fn main() {
     let slo_factor: f64 = args.get_or("slo-factor", 4.0);
     let canary = args.get("relative-to").map(str::to_owned);
     let fresh = parse_results(file);
-    let record = load_record(against);
+    // Every row of the record: `summarize --json-out` writes one per line.
+    let record = parse_results(against);
     if record.is_empty() {
-        eprintln!("no \"set\": \"current\" rows found in {against}");
+        eprintln!("no rows found in {against}");
         std::process::exit(2);
     }
 

@@ -199,8 +199,19 @@ fn run_elision(kind: SchemeKind, cfg: &Config) -> Result<f64, String> {
     failure.into_result().map(|()| tput)
 }
 
+/// Every flag this binary accepts; anything else exits 2.
+const FLAGS: &[&str] = &["threads", "full", "ops", "initial", "seed", "fine"];
+
+const USAGE: &str = "\
+usage: rlu_compare [--threads 1,2,4] [--full] [--ops N] [--initial KEYS]
+                   [--seed N] [--fine]
+
+  RLU, RW-LE_OPT, HLE and SGL on one sorted-list set at w = 2, 20, 50%.
+  --fine runs RLU with concurrent (fine-grained) writers.";
+
 fn main() {
     let args = Args::parse();
+    args.expect_only(FLAGS, USAGE);
     let threads_list = args.thread_list(&[1, 2, 4]);
     let ops: u64 = args.get_or("ops", 500);
     let initial: u64 = args.get_or("initial", 128);
@@ -256,4 +267,14 @@ fn fail(msg: &str) -> ! {
         "rlu_compare: {msg} (simulated heap exhausted — lower ops/initial or raise the line count)"
     );
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_accepted_flag() {
+        assert_eq!(Args::undocumented(FLAGS, USAGE), None);
+    }
 }

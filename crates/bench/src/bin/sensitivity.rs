@@ -13,27 +13,24 @@
 //! Simulated HTM only: the panels *are* the abort/commit breakdown,
 //! which the native store does not have (DESIGN.md §5).
 
-use bench::{average, Args, Output};
+use bench::{grid_flags, Args, Output};
 use workloads::driver::{run_sensitivity, Scenario, SensitivityParams};
 use workloads::SchemeKind;
 
-/// Every flag this binary accepts; anything else exits 2.
-const FLAGS: &[&str] = &[
-    "scenario", "threads", "full", "schemes", "writes", "ops", "runs", "seed", "smt", "json",
-];
+/// This binary's flags beyond `bench::GRID_FLAGS`; anything else exits 2.
+const FLAGS: &[&str] = &["scenario", "schemes", "writes", "smt"];
 
 const USAGE: &str = "\
 usage: sensitivity [--scenario hc-hc|hc-lc|lc-hc|lc-lc] [--threads 1,2,4,8]
                    [--full] [--schemes NAME,..] [--writes 1,10,90] [--ops N]
-                   [--runs N] [--seed N] [--smt GROUP] [--json]
+                   [--runs N] [--seed N] [--smt GROUP]
 
   Default: all four scenarios. --full sweeps the paper's thread grid (up
-  to 80); --smt 8 models the paper's 8-way POWER8 cores; --json prints
-  one self-contained object per row instead of the text tables.";
+  to 80); --smt 8 models the paper's 8-way POWER8 cores.";
 
 fn main() {
     let args = Args::parse();
-    args.expect_only(FLAGS, USAGE);
+    args.expect_only(&grid_flags(FLAGS), USAGE);
     let scenarios: Vec<Scenario> = match args.get("scenario") {
         Some(name) => vec![Scenario::parse(name).unwrap_or_else(|| {
             eprintln!("unknown scenario {name:?} (hc-hc, hc-lc, lc-hc, lc-lc)");
@@ -44,13 +41,10 @@ fn main() {
     let threads = args.thread_list(&[1, 2, 4, 8]);
     let schemes = args.scheme_list(&SchemeKind::SENSITIVITY);
     let write_pcts = args.u32_list("writes", &[1, 10, 90]);
-    let ops: u64 = args.get_or("ops", 300);
-    let runs: usize = args.get_or("runs", 1);
-    let seed: u64 = args.get_or("seed", 42);
     // SMT resource sharing (paper footnote 4): --smt 8 models the
     // paper's 8-way POWER8 cores; default 1 (independent threads).
     let smt: u32 = args.get_or("smt", 1);
-    let mut out = Output::from_args(&args);
+    let out = Output::from_args(&args, 300);
 
     for scenario in scenarios {
         out.section(format!(
@@ -61,31 +55,25 @@ fn main() {
             scenario.items_per_bucket(),
             scenario.page_fault_prob()
         ));
-        out.note(format_args!(
-            "ops/thread={ops} runs={runs} seed={seed} smt-group={smt}"
-        ));
+        out.note(&format!("smt-group={smt}"));
         out.header();
         for &w in &write_pcts {
             for &t in &threads {
                 for &scheme in &schemes {
-                    let results: Vec<_> = (0..runs)
-                        .map(|r| {
-                            run_sensitivity(&SensitivityParams {
-                                scheme,
-                                scenario,
-                                write_pct: w,
-                                threads: t,
-                                ops_per_thread: ops,
-                                seed: seed + r as u64,
-                                smt_group_size: smt,
-                            })
+                    out.measure(scheme.label(), t, w, &|seed| {
+                        run_sensitivity(&SensitivityParams {
+                            scheme,
+                            scenario,
+                            write_pct: w,
+                            threads: t,
+                            ops_per_thread: out.ops,
+                            seed,
+                            smt_group_size: smt,
                         })
-                        .collect();
-                    let (secs, tput, summary) = average(&results);
-                    out.row(scheme, t, w, secs, tput, &summary);
+                    });
                 }
             }
-            out.gap();
+            println!();
         }
     }
 }
@@ -96,6 +84,6 @@ mod tests {
 
     #[test]
     fn usage_names_every_accepted_flag() {
-        assert_eq!(Args::undocumented(FLAGS, USAGE), None);
+        assert_eq!(Args::undocumented(&grid_flags(FLAGS), USAGE), None);
     }
 }

@@ -1,31 +1,42 @@
-//! Post-processes figure-harness output into paper-style comparisons.
+//! Post-processes harness output: paper-style speedup tables, and the
+//! benchmark record.
 //!
-//! Reads one or more result files produced by the other binaries (text
-//! table or `--json` format) and prints, per (section, w, threads), each
-//! scheme's speedup over the baselines the paper compares against (HLE
-//! and SGL). With `--json-out PATH` it also writes the machine-readable
-//! benchmark record (`BENCH_rwle.json` at the repo root by convention):
-//! every row of `--file` tagged `"set": "current"`, every row of the
-//! optional `--prev` file tagged `"set": "baseline"`, plus per-row
-//! speedup comparisons wherever the two sets share a configuration.
+//! Reads the result files named by `--file a,b,c` (text tables or
+//! `loadgen --json` lines) and prints, per (section, w, threads), each
+//! scheme's speedup over the baseline the paper compares against
+//! (`--baseline`, default HLE). With `--json-out PATH` it also writes the
+//! machine-readable benchmark record, `BENCH_rwle.json` at the repo root:
+//! every row of every file in the order given, and per file the
+//! `# recorded at <rev>, nproc=<n>, with: <command>` line it must open
+//! with. The record is a pure function of the files named — nothing else
+//! writes it, so CI rebuilds it and `cmp`s:
 //!
 //! ```text
 //! cargo run --release -p bench --bin summarize -- --file results/sensitivity_full.txt
-//! cargo run --release -p bench --bin summarize -- \
-//!     --file results/sensitivity_pr3.txt --prev results/sensitivity_post.txt \
-//!     --json-out BENCH_rwle.json
+//! cargo run --release -p bench --bin summarize -- --json-out BENCH_rwle.json \
+//!     --file results/sensitivity.txt,results/indicators.txt,results/svc_gates.txt
 //! ```
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use bench::{json_string, parse_results as parse, Args, ResultRow as Row};
+use bench::{json_string, parse_results, Args, ResultRow as Row, RECORDED_AT};
 
-/// One `"set": ...` row object of the benchmark-record JSON.
-fn json_row(set: &str, section: &str, r: &Row) -> String {
-    // Service-layer rows (loadgen --json) carry latency quantiles;
-    // forward them so BENCH_rwle.json keeps them. `regress` ignores
-    // keys it does not know.
+/// Every flag this binary accepts; anything else exits 2.
+const FLAGS: &[&str] = &["file", "baseline", "json-out"];
+
+const USAGE: &str = "\
+usage: summarize --file <results.txt>[,<more.txt>..] [--baseline HLE]
+                 [--json-out <BENCH_rwle.json>]
+
+  Prints each scheme's speedup over --baseline per (section, w, threads).
+  --json-out writes the benchmark record: every row of every --file, in
+  order; each file must open with its '# recorded at ...' line.";
+
+/// One `"rows"` entry of the benchmark record.
+fn json_row(section: &str, r: &Row) -> String {
+    // Service rows (`loadgen --json`) carry latency quantiles, which the
+    // SLO gate reads.
     let latency = match r.latency_us {
         Some([p50, p90, p99, p999, max]) => format!(
             ", \"p50_us\": {p50:.1}, \"p90_us\": {p90:.1}, \"p99_us\": {p99:.1}, \
@@ -34,11 +45,10 @@ fn json_row(set: &str, section: &str, r: &Row) -> String {
         None => String::new(),
     };
     format!(
-        "{{\"set\": {}, \"section\": {}, \"scheme\": {}, \"backend\": {}, \
+        "{{\"section\": {}, \"scheme\": {}, \"backend\": {}, \
          \"threads\": {}, \"w\": {}, \
          \"time_s\": {:.6}, \"ops_per_s\": {:.1}, \"abort_pct\": {:.2}, \
          \"c_htm\": {:.2}, \"c_rot\": {:.2}, \"c_sgl\": {:.2}, \"c_uninstr\": {:.2}{latency}}}",
-        json_string(set),
         json_string(section),
         json_string(&r.scheme),
         json_string(&r.backend),
@@ -54,82 +64,48 @@ fn json_row(set: &str, section: &str, r: &Row) -> String {
     )
 }
 
-/// Writes the benchmark-record JSON: current rows, baseline rows, and a
-/// speedup comparison per configuration present in both sets.
-fn write_json_record(
-    path: &str,
-    current: &[(String, Row)],
-    current_src: &str,
-    baseline: &[(String, Row)],
-    baseline_src: Option<&str>,
-) {
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    let _ = writeln!(doc, "  \"schema\": \"hrwle-bench-v1\",");
-    let _ = writeln!(doc, "  \"current_source\": {},", json_string(current_src));
-    if let Some(src) = baseline_src {
-        let _ = writeln!(doc, "  \"baseline_source\": {},", json_string(src));
-    }
-    doc.push_str("  \"rows\": [\n");
-    let mut first = true;
-    for (section, row) in baseline {
-        if !first {
-            doc.push_str(",\n");
+/// The provenance of `path`: what follows `# recorded at ` on its first
+/// line. Exits 2 if the file does not open with one — a record row must
+/// be traceable to a revision, a host and a command.
+fn recorded_at(path: &str) -> String {
+    // `parse_results` has read `path` already, so it is readable.
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let first = text.lines().next().unwrap_or_default();
+    match first
+        .strip_prefix("# ")
+        .and_then(|l| l.strip_prefix(RECORDED_AT))
+    {
+        Some(provenance) => provenance.to_string(),
+        None => {
+            eprintln!(
+                "{path} does not open with '# {RECORDED_AT}<rev>, nproc=<n>, with: <command>'"
+            );
+            std::process::exit(2);
         }
-        first = false;
-        let _ = write!(doc, "    {}", json_row("baseline", section, row));
     }
-    for (section, row) in current {
-        if !first {
-            doc.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(doc, "    {}", json_row("current", section, row));
-    }
-    doc.push_str("\n  ],\n  \"comparisons\": [\n");
-    // The backend is part of the key: a native row only ever compares
-    // against a native baseline, never against a sim one.
-    let mut index: BTreeMap<(&str, &str, &str, u32, u32), f64> = BTreeMap::new();
-    for (section, r) in baseline {
-        index.insert(
-            (section, &r.scheme, &r.backend, r.threads, r.w),
-            r.ops_per_s,
-        );
-    }
-    first = true;
-    for (section, r) in current {
-        let Some(&base) = index.get(&(
-            section.as_str(),
-            r.scheme.as_str(),
-            r.backend.as_str(),
-            r.threads,
-            r.w,
-        )) else {
-            continue;
-        };
-        if base <= 0.0 {
-            continue;
-        }
-        if !first {
-            doc.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
+}
+
+/// Writes the benchmark record: one `sources` entry per file, then every
+/// row, one object per line (`regress` and `parse_results` read lines).
+fn write_record(path: &str, files: &[String], parsed: &[Vec<(String, Row)>]) {
+    let mut doc = String::from("{\n  \"schema\": \"hrwle-bench-v2\",\n  \"sources\": [\n");
+    for (i, (file, rows)) in files.iter().zip(parsed).enumerate() {
+        let sep = if i + 1 < files.len() { "," } else { "" };
+        let _ = writeln!(
             doc,
-            "    {{\"section\": {}, \"scheme\": {}, \"backend\": {}, \"threads\": {}, \
-             \"w\": {}, \
-             \"baseline_ops_per_s\": {:.1}, \"current_ops_per_s\": {:.1}, \"speedup\": {:.3}}}",
-            json_string(section),
-            json_string(&r.scheme),
-            json_string(&r.backend),
-            r.threads,
-            r.w,
-            base,
-            r.ops_per_s,
-            r.ops_per_s / base,
+            "    {{\"file\": {}, \"recorded\": {}, \"rows\": {}}}{sep}",
+            json_string(file),
+            json_string(&recorded_at(file)),
+            rows.len(),
         );
     }
-    doc.push_str("\n  ]\n}\n");
+    doc.push_str("  ],\n  \"rows\": [\n");
+    let rows: Vec<_> = parsed.iter().flatten().collect();
+    for (i, (section, row)) in rows.iter().enumerate() {
+        let sep = if i + 1 < rows.len() { "," } else { "" };
+        let _ = writeln!(doc, "    {}{sep}", json_row(section, row));
+    }
+    doc.push_str("  ]\n}\n");
     if let Err(e) = std::fs::write(path, &doc) {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(2);
@@ -139,40 +115,33 @@ fn write_json_record(
 
 fn main() {
     let args = Args::parse();
-    let Some(path) = args.get("file") else {
-        eprintln!(
-            "usage: summarize --file <results.txt> [--baseline HLE] \
-             [--prev <old-results.txt>] [--json-out <BENCH_rwle.json>]"
-        );
+    args.expect_only(FLAGS, USAGE);
+    let Some(files) = args.list::<String>("file") else {
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let baseline = args.get("baseline").unwrap_or("HLE").to_string();
-    let rows = parse(path);
-    if rows.is_empty() {
-        eprintln!("no result rows found in {path}");
+    let parsed: Vec<_> = files.iter().map(|file| parse_results(file)).collect();
+    if let Some(empty) = files.iter().zip(&parsed).find(|(_, rows)| rows.is_empty()) {
+        eprintln!("no result rows found in {}", empty.0);
         std::process::exit(1);
     }
 
     if let Some(json_out) = args.get("json-out") {
-        let prev_rows = args.get("prev").map(|p| (parse(p), p));
-        let (baseline_rows, baseline_src) = match &prev_rows {
-            Some((rows, src)) => (rows.as_slice(), Some(*src)),
-            None => (&[][..], None),
-        };
-        write_json_record(json_out, &rows, path, baseline_rows, baseline_src);
+        write_record(json_out, &files, &parsed);
     }
 
     // Group by (section, backend, w, threads) — speedups are only
     // meaningful between rows measured on the same backend.
     let mut groups: BTreeMap<(String, String, u32, u32), Vec<Row>> = BTreeMap::new();
-    for (section, row) in rows {
+    for (section, row) in parsed.into_iter().flatten() {
         groups
             .entry((section, row.backend.clone(), row.w, row.threads))
             .or_default()
             .push(row);
     }
 
-    println!("# Speedups vs {baseline} (from {path})");
+    println!("# Speedups vs {baseline} (from {})", files.join(","));
     println!(
         "{:<55} {:>4} {:>4}  scheme:speedup(abort%)",
         "section", "w", "thr"
@@ -199,5 +168,15 @@ fn main() {
         cells.sort();
         let short: String = section.chars().take(55).collect();
         println!("{short:<55} {w:>4} {threads:>4}  {}", cells.join(" "));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_accepted_flag() {
+        assert_eq!(Args::undocumented(FLAGS, USAGE), None);
     }
 }

@@ -3,16 +3,20 @@
 //! Each binary in `src/bin/` regenerates one figure (or figure family) of
 //! the paper, printing the same three panels per configuration — execution
 //! time/throughput, abort-cause breakdown, commit-type breakdown — as
-//! aligned text tables (or JSON lines with `--json`).
+//! one aligned text table. JSON rows have two producers only: `summarize
+//! --json-out` (the benchmark record) and `loadgen --json` (service rows);
+//! [`parse_results`] reads the table and both.
 //!
-//! Common flags:
+//! Every grid binary takes [`GRID_FLAGS`]:
 //!
 //! * `--threads 1,2,4,8` — thread counts to sweep;
+//! * `--full` — the paper's full grid (thread counts up to 80);
 //! * `--ops N` — operations per thread;
 //! * `--runs N` — repetitions averaged per configuration;
-//! * `--seed N` — base RNG seed;
-//! * `--json` — machine-readable JSON-lines output (one object per row);
-//! * `--full` — the paper's full grid (thread counts up to 80).
+//! * `--seed N` — base RNG seed.
+//!
+//! Every binary exits 2, naming the offender, on a flag it does not know
+//! or a stray positional argument.
 
 #![warn(missing_docs)]
 
@@ -26,6 +30,7 @@ use workloads::SchemeKind;
 pub struct Args {
     named: HashMap<String, String>,
     flags: Vec<String>,
+    strays: Vec<String>,
 }
 
 impl Args {
@@ -42,6 +47,7 @@ impl Args {
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Args {
         let mut named = HashMap::new();
         let mut flags = Vec::new();
+        let mut strays = Vec::new();
         let mut it = args.into_iter().peekable();
         while let Some(arg) = it.next() {
             if let Some(name) = arg.strip_prefix("--") {
@@ -56,10 +62,14 @@ impl Args {
                     _ => flags.push(name.to_string()),
                 }
             } else {
-                eprintln!("ignoring stray argument {arg:?}");
+                strays.push(arg);
             }
         }
-        Args { named, flags }
+        Args {
+            named,
+            flags,
+            strays,
+        }
     }
 
     /// Named value, if present.
@@ -95,14 +105,24 @@ impl Args {
         }
     }
 
-    /// Exits 2, naming the flag and printing `usage`, if a flag outside
-    /// `known` was given: a misspelt or removed flag must not silently
-    /// run the default configuration.
+    /// Exits 2, naming the offender and printing `usage`, if a positional
+    /// argument or a flag outside `known` was given: a misspelt or removed
+    /// flag, or a value missing its flag, must not silently run the
+    /// default configuration.
     pub fn expect_only(&self, known: &[&str], usage: &str) {
-        if let Some(bad) = self.unknown(known) {
-            eprintln!("unknown flag --{bad}");
+        if let Some(bad) = self.offender(known) {
+            eprintln!("{bad}");
             eprintln!("{usage}");
             std::process::exit(2);
+        }
+    }
+
+    /// What [`Args::expect_only`] reports: the first stray argument, else
+    /// an unknown flag.
+    fn offender(&self, known: &[&str]) -> Option<String> {
+        match self.strays.first() {
+            Some(stray) => Some(format!("unexpected argument {stray:?}")),
+            None => self.unknown(known).map(|f| format!("unknown flag --{f}")),
         }
     }
 
@@ -123,7 +143,7 @@ impl Args {
 
     /// Comma-separated list value of `--name`, if given; exits 2 naming
     /// the item that does not parse.
-    fn list<T: std::str::FromStr>(&self, name: &str) -> Option<Vec<T>> {
+    pub fn list<T: std::str::FromStr>(&self, name: &str) -> Option<Vec<T>> {
         self.get(name).map(|v| {
             parse_list(v).unwrap_or_else(|bad| {
                 eprintln!("bad value in --{name}: {bad:?}");
@@ -178,175 +198,127 @@ fn parse_list<T: std::str::FromStr>(v: &str) -> Result<Vec<T>, &str> {
         .collect()
 }
 
-/// Averages repeated runs of one configuration: mean wall-clock and
-/// throughput, breakdown counters summed across runs.
-pub fn average(results: &[RunResult]) -> (f64, f64, StatsSummary) {
-    assert!(!results.is_empty());
-    let mean_secs =
-        results.iter().map(|r| r.wall.as_secs_f64()).sum::<f64>() / results.len() as f64;
-    let mean_tput = results.iter().map(|r| r.throughput()).sum::<f64>() / results.len() as f64;
-    let mut commits = [0u64; 4];
-    let mut aborts = [0u64; 6];
-    let mut ops = 0;
-    for r in results {
-        for (i, k) in CommitKind::ALL.iter().enumerate() {
-            commits[i] += r.summary.commits(*k);
-        }
-        for (i, b) in AbortBucket::ALL.iter().enumerate() {
-            aborts[i] += r.summary.aborts(*b);
-        }
-        ops += r.summary.ops;
-    }
-    (
-        mean_secs,
-        mean_tput,
-        StatsSummary::from_raw(commits, aborts, ops),
-    )
+/// The flags every grid binary accepts; each extends the list with its
+/// own through [`grid_flags`].
+pub const GRID_FLAGS: [&str; 5] = ["threads", "full", "ops", "runs", "seed"];
+
+/// [`GRID_FLAGS`] followed by a binary's `own` flags — the list its
+/// [`Args::expect_only`] call and its usage test share.
+pub fn grid_flags<'a>(own: &[&'a str]) -> Vec<&'a str> {
+    [&GRID_FLAGS[..], own].concat()
 }
 
-/// Row output format, selected by `--json`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutputMode {
-    /// Aligned human-readable tables (the default).
-    Text,
-    /// JSON lines: one self-contained object per result row. Section
-    /// headers are carried inside each object, so the stream needs no
-    /// surrounding context to parse.
-    Json,
-}
-
-/// Row sink shared by the figure binaries: tracks the current `# ...`
-/// section so JSON rows can be self-contained.
+/// Cell runner and row writer shared by the figure binaries: holds the
+/// `--ops` / `--runs` / `--seed` every cell is measured with and prints
+/// the one text-table format [`parse_results`] reads back.
 pub struct Output {
-    mode: OutputMode,
-    section: String,
+    /// Operations per thread (`--ops`).
+    pub ops: u64,
+    runs: u64,
+    seed: u64,
 }
 
 impl Output {
-    /// Builds the sink from `--json`.
-    pub fn from_args(args: &Args) -> Output {
-        let mode = if args.flag("json") {
-            OutputMode::Json
-        } else {
-            OutputMode::Text
-        };
+    /// Reads `--ops` (default `default_ops`, which differs per binary),
+    /// `--runs` (1) and `--seed` (42).
+    pub fn from_args(args: &Args, default_ops: u64) -> Output {
         Output {
-            mode,
-            section: String::from("(top)"),
+            ops: args.get_or("ops", default_ops),
+            runs: args.get_or("runs", 1),
+            seed: args.get_or("seed", 42),
         }
     }
 
-    /// The selected format.
-    pub fn mode(&self) -> OutputMode {
-        self.mode
+    /// Starts a new section: a `# ...` header line, the key recorded rows
+    /// are matched by.
+    pub fn section(&self, text: impl std::fmt::Display) {
+        println!("# {text}");
     }
 
-    /// Starts a new section: printed as a `# ...` header line in
-    /// text mode, attached to each subsequent row in JSON mode.
-    pub fn section(&mut self, text: impl Into<String>) {
-        self.section = text.into();
-        if self.mode != OutputMode::Json {
-            println!("# {}", self.section);
-        }
-    }
-
-    /// A free-form comment line (text only; JSON streams stay pure).
-    pub fn note(&self, text: impl std::fmt::Display) {
-        if self.mode != OutputMode::Json {
-            println!("# {text}");
-        }
-    }
-
-    /// Updates the section carried by JSON rows without printing a header
-    /// line — for sub-labels that text mode renders its own way.
-    pub fn tag(&mut self, text: impl Into<String>) {
-        self.section = text.into();
+    /// The `# ops/thread=...` line under a section header: how its rows
+    /// were measured (`extra` carries a binary's own parameters) and on
+    /// how many CPUs. [`parse_results`] skips it by that prefix.
+    pub fn note(&self, extra: &str) {
+        let sep = if extra.is_empty() { "" } else { " " };
+        let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+        println!(
+            "# ops/thread={} runs={} seed={}{sep}{extra} nproc={nproc}",
+            self.ops, self.runs, self.seed
+        );
     }
 
     /// Prints the table header for one figure panel set.
     pub fn header(&self) {
-        match self.mode {
-            OutputMode::Text => println!(
-                "{:<11} {:>3} {:>4} {:>9} {:>12} {:>7} | {:>6} {:>7} {:>7} {:>6} {:>6} {:>7} | {:>6} {:>6} {:>6} {:>8}",
-                "scheme", "thr", "w%", "time(s)", "ops/s", "abort%",
-                "HTMtx", "HTMntx", "HTMcap", "Lock", "ROTcf", "ROTcap",
-                "HTM%", "ROT%", "SGL%", "Uninstr%"
-            ),
-            OutputMode::Json => {}
+        println!(
+            "{:<11} {:>3} {:>4} {:>9} {:>12} {:>7} | {:>6} {:>7} {:>7} {:>6} {:>6} {:>7} | {:>6} {:>6} {:>6} {:>8}",
+            "scheme", "thr", "w%", "time(s)", "ops/s", "abort%",
+            "HTMtx", "HTMntx", "HTMcap", "Lock", "ROTcf", "ROTcap",
+            "HTM%", "ROT%", "SGL%", "Uninstr%"
+        );
+    }
+
+    /// Runs one configuration once per `--runs` seed (`--seed`,
+    /// `--seed + 1`, ..) and averages: mean wall-clock, mean throughput,
+    /// breakdown counters summed across runs.
+    pub fn average(&self, run: &dyn Fn(u64) -> RunResult) -> (f64, f64, StatsSummary) {
+        let results: Vec<_> = (0..self.runs).map(|r| run(self.seed + r)).collect();
+        assert!(!results.is_empty(), "--runs must be at least 1");
+        let n = results.len() as f64;
+        let mean_secs = results.iter().map(|r| r.wall.as_secs_f64()).sum::<f64>() / n;
+        let mean_tput = results.iter().map(|r| r.throughput()).sum::<f64>() / n;
+        let mut commits = [0u64; 4];
+        let mut aborts = [0u64; 6];
+        let (mut ops, mut retreats, mut waits) = (0, 0, 0);
+        for r in &results {
+            for (i, k) in CommitKind::ALL.iter().enumerate() {
+                commits[i] += r.summary.commits(*k);
+            }
+            for (i, b) in AbortBucket::ALL.iter().enumerate() {
+                aborts[i] += r.summary.aborts(*b);
+            }
+            ops += r.summary.ops;
+            retreats += r.summary.reader_retreats;
+            waits += r.summary.reader_waits;
         }
+        let mut summary = StatsSummary::from_raw(commits, aborts, ops);
+        summary.reader_retreats = retreats;
+        summary.reader_waits = waits;
+        (mean_secs, mean_tput, summary)
     }
 
-    /// Prints one result row.
-    pub fn row(
-        &self,
-        scheme: SchemeKind,
-        threads: usize,
-        w: u32,
-        secs: f64,
-        tput: f64,
-        s: &StatsSummary,
-    ) {
-        self.row_labeled(scheme.label(), threads, w, secs, tput, s);
-    }
-
-    /// [`Output::row`] with a free-form scheme label — for harnesses
-    /// whose schemes are not [`SchemeKind`]s (e.g. the reader-indicator
-    /// sweep). JSON rows carry `"backend": "sim"`: the figure harnesses
-    /// run on the simulated HTM only (DESIGN.md §5), and recorded rows
-    /// compare only against rows measured the same way
-    /// ([`ResultRow::backend`]).
-    pub fn row_labeled(
+    /// Measures one grid cell ([`Output::average`]) and prints its row;
+    /// returns the throughput and summary for binaries that print a
+    /// derived line under it.
+    pub fn measure(
         &self,
         label: &str,
         threads: usize,
         w: u32,
-        secs: f64,
-        tput: f64,
-        s: &StatsSummary,
-    ) {
+        run: &dyn Fn(u64) -> RunResult,
+    ) -> (f64, StatsSummary) {
         use AbortBucket as B;
         use CommitKind as C;
-        match self.mode {
-            OutputMode::Text => println!(
-                "{:<11} {:>3} {:>4} {:>9.4} {:>12.0} {:>7.1} | {:>6.1} {:>7.1} {:>7.1} {:>6.1} {:>6.1} {:>7.1} | {:>6.1} {:>6.1} {:>6.1} {:>8.1}",
-                label,
-                threads,
-                w,
-                secs,
-                tput,
-                s.abort_rate_pct(),
-                s.abort_share_pct(B::HtmTx),
-                s.abort_share_pct(B::HtmNonTx),
-                s.abort_share_pct(B::HtmCapacity),
-                s.abort_share_pct(B::LockAborts),
-                s.abort_share_pct(B::RotConflicts),
-                s.abort_share_pct(B::RotCapacity),
-                s.commit_share_pct(C::Htm),
-                s.commit_share_pct(C::Rot),
-                s.commit_share_pct(C::Sgl),
-                s.commit_share_pct(C::Uninstrumented),
-            ),
-            OutputMode::Json => println!(
-                "{{\"section\": {}, \"scheme\": {}, \"backend\": \"sim\", \"threads\": {threads}, \
-                 \"w\": {w}, \
-                 \"time_s\": {secs:.6}, \"ops_per_s\": {tput:.1}, \"abort_pct\": {:.2}, \
-                 \"c_htm\": {:.2}, \"c_rot\": {:.2}, \"c_sgl\": {:.2}, \"c_uninstr\": {:.2}}}",
-                json_string(&self.section),
-                json_string(label),
-                s.abort_rate_pct(),
-                s.commit_share_pct(C::Htm),
-                s.commit_share_pct(C::Rot),
-                s.commit_share_pct(C::Sgl),
-                s.commit_share_pct(C::Uninstrumented),
-            ),
-        }
-    }
-
-    /// A visual blank between row groups (text mode only).
-    pub fn gap(&self) {
-        if self.mode == OutputMode::Text {
-            println!();
-        }
+        let (secs, tput, s) = self.average(run);
+        println!(
+            "{:<11} {:>3} {:>4} {:>9.4} {:>12.0} {:>7.1} | {:>6.1} {:>7.1} {:>7.1} {:>6.1} {:>6.1} {:>7.1} | {:>6.1} {:>6.1} {:>6.1} {:>8.1}",
+            label,
+            threads,
+            w,
+            secs,
+            tput,
+            s.abort_rate_pct(),
+            s.abort_share_pct(B::HtmTx),
+            s.abort_share_pct(B::HtmNonTx),
+            s.abort_share_pct(B::HtmCapacity),
+            s.abort_share_pct(B::LockAborts),
+            s.abort_share_pct(B::RotConflicts),
+            s.abort_share_pct(B::RotCapacity),
+            s.commit_share_pct(C::Htm),
+            s.commit_share_pct(C::Rot),
+            s.commit_share_pct(C::Sgl),
+            s.commit_share_pct(C::Uninstrumented),
+        );
+        (tput, s)
     }
 }
 
@@ -425,9 +397,15 @@ pub struct ResultRow {
     pub latency_us: Option<[f64; 5]>,
 }
 
+/// How the first line of a recorded `results/` file starts, after `# `:
+/// `recorded at <rev>, nproc=<n>, with: <command>`.
+pub const RECORDED_AT: &str = "recorded at ";
+
 /// Parses a harness result file — text tables (tracking `# ...` section
-/// headers) or `--json` JSON-lines output — into `(section, row)`
-/// pairs. Exits with an error if the file cannot be read.
+/// headers; the `# recorded at ...` and `# ops/thread=...` provenance
+/// lines are not sections) or JSON lines (`loadgen --json`, the
+/// benchmark record) — into `(section, row)` pairs. Exits with an error
+/// if the file cannot be read.
 pub fn parse_results(path: &str) -> Vec<(String, ResultRow)> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -443,7 +421,7 @@ pub fn parse_results(path: &str) -> Vec<(String, ResultRow)> {
             continue;
         }
         if let Some(h) = line.strip_prefix("# ") {
-            if !h.starts_with("ops/thread") {
+            if !h.starts_with("ops/thread") && !h.starts_with(RECORDED_AT) {
                 section = h.to_string();
             }
             continue;
@@ -495,8 +473,8 @@ pub fn parse_results(path: &str) -> Vec<(String, ResultRow)> {
     rows
 }
 
-/// Parses one JSON-lines row emitted by a bin's `--json` mode (or a
-/// `"rows"` entry of the benchmark-record JSON, which has the same keys).
+/// Parses one JSON row: a `loadgen --json` line or a `"rows"` entry of
+/// the benchmark record, which has the same keys.
 pub fn parse_json_result_row(line: &str) -> Option<(String, ResultRow)> {
     Some((
         json_str(line, "section")?,
@@ -561,9 +539,9 @@ mod tests {
 
     #[test]
     fn parse_named_and_bare_flags() {
-        let a = args(&["--ops", "500", "--json", "--threads", "1,2"]);
+        let a = args(&["--ops", "500", "--full", "--threads", "1,2"]);
         assert_eq!(a.get("ops"), Some("500"));
-        assert!(a.flag("json"));
+        assert!(a.flag("full"));
         assert_eq!(a.thread_list(&[4]), vec![1, 2]);
         assert_eq!(a.get_or("seed", 42u64), 42);
     }
@@ -587,6 +565,22 @@ mod tests {
     }
 
     #[test]
+    fn stray_arguments_are_rejected() {
+        let known = ["scenario", "port"];
+        let offender = |tokens: &[&str]| args(tokens).offender(&known);
+        assert_eq!(offender(&["--scenario", "hc-lc", "--port=1"]), None);
+        // A value without its flag, in any position, is named — before
+        // any unknown flag, and never taken for the previous flag's value.
+        let stray = Some(String::from("unexpected argument \"hc-lc\""));
+        assert_eq!(offender(&["hc-lc"]), stray);
+        assert_eq!(offender(&["--port", "1", "hc-lc", "--nope"]), stray);
+        assert_eq!(
+            offender(&["--nope"]),
+            Some(String::from("unknown flag --nope"))
+        );
+    }
+
+    #[test]
     fn list_parsing_names_the_bad_item() {
         assert_eq!(parse_list::<u32>("1, 10,90"), Ok(vec![1, 10, 90]));
         assert_eq!(parse_list::<u32>("1,ten,90"), Err("ten"));
@@ -595,6 +589,32 @@ mod tests {
         let a = args(&["--writes", "5,50"]);
         assert_eq!(a.u32_list("writes", &[1]), vec![5, 50]);
         assert_eq!(a.u32_list("writes-permille", &[1]), vec![1]);
+    }
+
+    #[test]
+    fn average_sums_every_counter_across_runs() {
+        let out = Output {
+            ops: 10,
+            runs: 2,
+            seed: 7,
+        };
+        let (secs, tput, summary) = out.average(&|seed| {
+            let mut summary = StatsSummary::from_raw([seed, 0, 0, 0], [0; 6], 10);
+            summary.reader_retreats = 3;
+            summary.reader_waits = 1;
+            RunResult {
+                wall: std::time::Duration::from_secs(seed - 6),
+                summary,
+                threads: 1,
+            }
+        });
+        // Seeds 7 and 8: walls 1 s and 2 s, 10 ops each.
+        assert_eq!((secs, tput), (1.5, 7.5));
+        assert_eq!(summary.commits(CommitKind::ALL[0]), 15);
+        assert_eq!(
+            (summary.ops, summary.reader_retreats, summary.reader_waits),
+            (20, 6, 2)
+        );
     }
 
     #[test]

@@ -8,10 +8,10 @@ use std::process::Command;
 
 const SECTION: &str = "fixture section";
 
-/// One `"set": "current"` record row.
+/// One record row.
 fn recorded(scheme: &str, ops_per_s: f64) -> String {
     format!(
-        "{{\"set\": \"current\", \"section\": \"{SECTION}\", \"scheme\": \"{scheme}\", \
+        "{{\"section\": \"{SECTION}\", \"scheme\": \"{scheme}\", \
          \"backend\": \"sim\", \"threads\": 8, \"w\": 1, \"time_s\": 1.0, \
          \"ops_per_s\": {ops_per_s}, \"abort_pct\": 0.0, \"c_htm\": 0.0, \"c_rot\": 0.0, \
          \"c_sgl\": 0.0, \"c_uninstr\": 0.0}}\n"

@@ -32,12 +32,6 @@ pub struct HtmConfig {
     /// Base seed for per-thread interrupt-injection RNGs (slot id is mixed
     /// in), making single-threaded tests deterministic.
     pub seed: u64,
-    /// Conflict-detection granularity in words. 8 (one 64-byte cache
-    /// line, the default) models real HTM, including its false-sharing
-    /// conflicts; 1 gives idealized word-granular detection — an ablation
-    /// knob for quantifying how much line granularity costs. Capacity
-    /// budgets count granules of this size.
-    pub granule_words: u32,
     /// SMT group size: hardware threads of one core share transactional
     /// tracking resources (paper footnote 4). Slots `[k·g, (k+1)·g)` form
     /// a group; a transaction's effective capacity is the configured
@@ -56,7 +50,6 @@ impl Default for HtmConfig {
             page_fault_prob: 0.0,
             seed: 0x5eed_1e55_c0ff_ee00,
             smt_group_size: 1,
-            granule_words: 8,
         }
     }
 }
@@ -80,14 +73,6 @@ impl HtmConfig {
     pub fn with_smt_group(mut self, group_size: u32) -> Self {
         assert!(group_size >= 1, "group size must be at least 1");
         self.smt_group_size = group_size;
-        self
-    }
-
-    /// Returns the config with the given conflict-detection granularity
-    /// (1..=8 words; 8 = cache line, 1 = word).
-    pub fn with_granule_words(mut self, words: u32) -> Self {
-        assert!((1..=8).contains(&words), "granularity must be 1..=8 words");
-        self.granule_words = words;
         self
     }
 }

@@ -125,6 +125,11 @@ struct LineMeta {
     readers1: AtomicU64,
 }
 
+/// Conflict-detection granularity in words: one 64-byte cache line, as on
+/// real HTM — false-sharing conflicts included — and the unit capacity
+/// budgets count. A power of two, so [`HtmRuntime::granule_of`] is a shift.
+const GRANULE_WORDS: u32 = 8;
+
 /// Counters in the transactional-claim filter: a power of two, 4 KiB of
 /// `AtomicU32` total, small enough to stay L1-resident. Lines hash in by
 /// `line & CLAIM_FILTER_MASK`; collisions only cost a spurious slow path.
@@ -183,10 +188,6 @@ pub struct HtmRuntime {
     /// epoch-protected readers skip the (cache-cold) per-line metadata —
     /// see [`HtmRuntime::read_epoch_as`] for the soundness argument.
     claim_filter: Box<[AtomicU32]>,
-    /// `log2(granule_words)` when the granule size is a power of two
-    /// (`u32::MAX` otherwise): turns the per-access address→line division
-    /// into a shift on the hot path.
-    granule_shift: u32,
     next_slot: AtomicUsize,
     telemetry: Telemetry,
     /// Concurrently active transactions per SMT group (see
@@ -199,9 +200,8 @@ pub struct HtmRuntime {
 impl HtmRuntime {
     /// Creates a runtime over `mem` with the given configuration.
     pub fn new(mem: Arc<SharedMem>, cfg: HtmConfig) -> Arc<Self> {
-        // One metadata entry per conflict granule (a full cache line by
-        // default; finer for the false-sharing ablation).
-        let n_lines = (mem.num_words() as usize).div_ceil(cfg.granule_words.max(1) as usize);
+        // One metadata entry per conflict granule.
+        let n_lines = (mem.num_words() as usize).div_ceil(GRANULE_WORDS as usize);
         let mut slots = Vec::with_capacity(MAX_SLOTS);
         slots.resize_with(MAX_SLOTS, || SlotState {
             state: AtomicU64::new(pack_state(0, PHASE_IDLE, 0, 0)),
@@ -213,19 +213,12 @@ impl HtmRuntime {
             readers1: AtomicU64::new(0),
         });
         let n_groups = MAX_SLOTS.div_ceil(cfg.smt_group_size.max(1) as usize);
-        let gw = cfg.granule_words.max(1);
-        let granule_shift = if gw.is_power_of_two() {
-            gw.trailing_zeros()
-        } else {
-            u32::MAX
-        };
         Arc::new(HtmRuntime {
             mem,
             cfg,
             slots: slots.into_boxed_slice(),
             lines: lines.into_boxed_slice(),
             claim_filter: (0..CLAIM_FILTER_SLOTS).map(|_| AtomicU32::new(0)).collect(),
-            granule_shift,
             next_slot: AtomicUsize::new(0),
             telemetry: Telemetry::default(),
             group_active: (0..n_groups).map(|_| AtomicUsize::new(0)).collect(),
@@ -296,14 +289,10 @@ impl HtmRuntime {
     // Slot lifecycle (called from `tx.rs`)
     // ------------------------------------------------------------------
 
-    /// Conflict granule containing `addr` (a cache line by default).
+    /// Conflict granule containing `addr`.
     #[inline]
     pub(crate) fn granule_of(&self, addr: Addr) -> usize {
-        if self.granule_shift != u32::MAX {
-            (addr.0 >> self.granule_shift) as usize
-        } else {
-            (addr.0 / self.cfg.granule_words) as usize
-        }
+        (addr.0 / GRANULE_WORDS) as usize
     }
 
     #[inline]

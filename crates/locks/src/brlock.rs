@@ -32,11 +32,6 @@ impl BrLock {
         }
     }
 
-    /// Number of per-thread slots.
-    pub fn slots(&self) -> usize {
-        self.per_thread.len()
-    }
-
     /// Acquires in read mode: locks only `tid`'s private mutex.
     ///
     /// # Panics

@@ -9,7 +9,6 @@
 //! * [`BrLock`] — the big-reader lock once used in the Linux kernel:
 //!   readers lock only a private per-thread mutex; writers lock all of
 //!   them, trading write throughput for read throughput.
-//! * [`TicketLock`] — a FIFO spin lock, useful as a fair SGL variant.
 //!
 //! All spin loops yield to the scheduler: the reproduction hosts may have
 //! a single hardware CPU, where busy-waiting would starve the lock holder.
@@ -19,9 +18,7 @@
 mod brlock;
 mod rwlock;
 mod spin;
-mod ticket;
 
 pub use brlock::{BrLock, BrReadGuard, BrWriteGuard};
 pub use rwlock::{PthreadRwLock, RwReadGuard, RwWriteGuard};
 pub use spin::{SpinGuard, SpinMutex};
-pub use ticket::{TicketGuard, TicketLock};

@@ -3,7 +3,7 @@
 //! ```text
 //! rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
 //!       [--shards N] [--buckets N] [--prefill N] [--capacity N]
-//!       [--queue-depth N] [--max-conns N] [--idle-ms MS] [--seed N]
+//!       [--max-conns N] [--idle-ms MS] [--seed N]
 //!       [--port-file PATH] [--wal-dir DIR]
 //!       [--fsync batch|interval:<ms>|off]
 //! ```
@@ -31,7 +31,6 @@ const FLAGS: &[&str] = &[
     "buckets",
     "prefill",
     "capacity",
-    "queue-depth",
     "max-conns",
     "idle-ms",
     "seed",
@@ -43,7 +42,7 @@ const FLAGS: &[&str] = &[
 const USAGE: &str = "\
 usage: rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
              [--shards N] [--buckets N] [--prefill N] [--capacity N]
-             [--queue-depth N] [--max-conns N] [--idle-ms MS] [--seed N]
+             [--max-conns N] [--idle-ms MS] [--seed N]
              [--port-file PATH] [--wal-dir DIR]
              [--fsync batch|interval:<ms>|off] [--help]
 
@@ -52,9 +51,8 @@ usage: rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
   rwl, brlock, ... Backends: sim (default, simulated-HTM pipeline, any
   scheme) or native (plain process memory: rw-le_opt is the RW-LE
   publication store, sgl the single-mutex canary, nothing else runs).
-  --queue-depth bounds the per-worker batch per event-loop iteration
-  (frames beyond it wait in TCP). --max-conns bounds concurrent
-  connections; one over the limit is answered Busy and closed.
+  --max-conns bounds concurrent connections; one over the limit is
+  answered Busy and closed.
   --idle-ms drops silent connections (workers sweep every 100 ms, or
   every --idle-ms if that is shorter).
   --wal-dir makes acked mutations durable: the directory's redo log is
@@ -103,7 +101,6 @@ fn main() {
         buckets_per_shard: args.get_or("buckets", 1024u32),
         prefill: args.get_or("prefill", 100_000u64),
         extra_capacity: args.get_or("capacity", 400_000u64),
-        queue_depth: args.get_or("queue-depth", 1024usize),
         max_conns: args.get_or("max-conns", 1024usize),
         idle_timeout: Duration::from_millis(args.get_or("idle-ms", 10_000u64)),
         seed: args.get_or("seed", 1u64),

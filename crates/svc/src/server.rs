@@ -18,7 +18,7 @@
 //! 2. **Read** ready sockets into per-connection [`FrameReader`]s, one
 //!    chunk each.
 //! 3. **Rounds**, while any pumped connection still has a complete
-//!    frame buffered and the iteration's `queue_depth` budget lasts.
+//!    frame buffered and the iteration's `ITERATION_BUDGET` lasts.
 //!    A round walks each connection's buffered frames in place (no
 //!    copy, no per-request allocation): reads are answered as they are
 //!    decoded, mutations are collected, and the walk of a connection
@@ -66,8 +66,8 @@
 //!
 //! ## Backpressure
 //!
-//! `queue_depth` bounds the *iteration*, across all its rounds, not a
-//! queue: frames beyond the budget stay buffered in their connection
+//! `ITERATION_BUDGET` bounds the *iteration*, across all its rounds, not
+//! a queue: frames beyond the budget stay buffered in their connection
 //! (which also stops being read), so a worker that falls behind pushes
 //! backpressure into TCP instead of growing memory. The same holds for
 //! replies: a connection with `OUTBOX_HIGH_WATER` reply bytes pending is
@@ -119,11 +119,6 @@ pub struct ServerConfig {
     /// Extra node capacity beyond the prefill: how many more keys the
     /// simulated store can hold (a deleted key's node is reused).
     pub extra_capacity: u64,
-    /// Per-worker, per-iteration admission budget: at most this many
-    /// requests are decoded and executed per event-loop iteration,
-    /// across all its rounds; frames beyond it stay in their
-    /// connection's buffer (TCP backpressure).
-    pub queue_depth: usize,
     /// Connection limit; beyond it a new connection is answered a
     /// best-effort `Busy` and closed.
     pub max_conns: usize,
@@ -156,7 +151,6 @@ impl Default for ServerConfig {
             buckets_per_shard: 1024,
             prefill: 100_000,
             extra_capacity: 400_000,
-            queue_depth: 1024,
             max_conns: 1024,
             idle_timeout: Duration::from_secs(10),
             seed: 1,
@@ -201,10 +195,10 @@ impl Server {
     /// binds the listener. Bind and sizing failures surface as
     /// `io::Error` so the binary can exit 2 with a hint.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
-        if cfg.threads == 0 || cfg.shards == 0 || cfg.queue_depth == 0 || cfg.max_conns == 0 {
+        if cfg.threads == 0 || cfg.shards == 0 || cfg.max_conns == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "threads, shards, queue depth and connection limit must all be at least 1",
+                "threads, shards and connection limit must all be at least 1",
             ));
         }
         // Recovery replays through one extra session before the workers
@@ -400,6 +394,13 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// Per-connection socket read cap per iteration; frames beyond it stay
 /// in the kernel buffer (level-triggered epoll re-reports them).
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Per-worker admission budget: at most this many requests are decoded
+/// and executed per event-loop iteration, across all its rounds; frames
+/// beyond it stay in their connection's buffer (TCP backpressure). A
+/// constant because no gate, script or recorded row ever ran another
+/// value (ROADMAP item 8 decides from a load sweep whether it is a knob).
+const ITERATION_BUDGET: usize = 1024;
 
 /// Outbox cap: a connection with this many reply bytes pending is
 /// neither read nor decoded until it drains below the mark, so a client
@@ -705,7 +706,7 @@ fn worker_loop(
         // seen. Skipped during the drain — frames never admitted are
         // never counted, so the drain invariant (enqueued == replied) is
         // unaffected.
-        let mut budget = cfg.queue_depth;
+        let mut budget = ITERATION_BUDGET;
         let mut durable_to = NO_LSN;
         round.clear();
         if drain_deadline.is_none() {

@@ -41,7 +41,8 @@ pub const SEGMENT_HEADER: usize = 16;
 pub const RECORD_HEADER: usize = 16;
 
 /// Largest accepted payload: a defense bound for recovery, far above
-/// any real batch (the svc layer caps batches at `queue_depth` ops).
+/// any real batch (the svc layer caps batches at 1024 ops, its
+/// per-iteration budget).
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
 const TAG_PUT: u8 = 1;
