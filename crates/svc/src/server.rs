@@ -21,8 +21,11 @@
 //!    frame buffered and the iteration's `ITERATION_BUDGET` lasts.
 //!    A round walks each connection's buffered frames in place (no
 //!    copy, no per-request allocation): reads are answered as they are
-//!    decoded, mutations are collected, and the walk of a connection
-//!    stops at its first read behind a mutation (see below). The round
+//!    decoded — a connection's consecutive GETs as one `get_many` run
+//!    of at most `GET_RUN_CAP` keys, so the store can share read
+//!    sections and overlap the lookups' cache misses — mutations are
+//!    collected, and the walk of a connection stops at its first read
+//!    behind a mutation (see below). The round
 //!    then runs every collected mutation, from every connection, in
 //!    **one** `apply_batch` store pass — per touched shard one flip and
 //!    one quiescence barrier cover however many of the round's
@@ -90,7 +93,7 @@ use stats::{StatsSummary, ThreadStats};
 use wal::{FsyncPolicy, Wal};
 use workloads::backend::{MutOp, MutReply, SimBackend, NO_LSN};
 use workloads::native::{NativeBackend, SglBackend};
-use workloads::{BackendKind, SchemeKind, StoreBackend};
+use workloads::{BackendKind, SchemeKind, StoreBackend, StoreSession};
 
 use crate::poll::{Interest, Poller, Waker};
 use crate::proto::{FrameReader, Outbox, Request, Response, ServerStats};
@@ -402,6 +405,14 @@ const READ_CHUNK: usize = 16 * 1024;
 /// value (ROADMAP item 8 decides from a load sweep whether it is a knob).
 const ITERATION_BUDGET: usize = 1024;
 
+/// Longest run of consecutive GETs of one connection answered by one
+/// `get_many`: bounds how long the store is asked to read on the
+/// worker's behalf in one call (the native store splits a run into read
+/// sections of `workloads::native::GET_RUN` lookups, which is what a
+/// writer's barrier may wait behind) and the scratch a run needs. A
+/// constant for the reason [`ITERATION_BUDGET`] is one.
+const GET_RUN_CAP: usize = 32;
+
 /// Outbox cap: a connection with this many reply bytes pending is
 /// neither read nor decoded until it drains below the mark, so a client
 /// that sends without reading makes the server hold this much plus one
@@ -639,6 +650,8 @@ fn worker_loop(
     let mut mut_slots: Vec<usize> = Vec::new();
     let mut mut_replies: Vec<MutReply> = Vec::new();
     let mut scratch: Vec<(u64, u64)> = Vec::new();
+    // The run of GETs being gathered from the connection under the walk.
+    let mut gets = GetRun::default();
     // Slots with decodable input left behind, carried across iterations.
     let mut carry: Vec<usize> = Vec::new();
     let mut retire: Vec<usize> = Vec::new();
@@ -714,9 +727,9 @@ fn worker_loop(
         }
         while !round.is_empty() {
             // Walk each connection's buffered frames in place: reads
-            // are answered as they are decoded (each sees the state as
-            // of the previous round), mutations are collected for the
-            // round's one store pass.
+            // are answered as they are decoded — consecutive GETs as one
+            // run — and each sees the state as of the previous round;
+            // mutations are collected for the round's one store pass.
             let mut tally = RoundTally::default();
             again.clear();
             mut_ops.clear();
@@ -732,6 +745,7 @@ fn worker_loop(
                 let mut saw_mutation = false;
                 loop {
                     if budget == 0 {
+                        gets.answer(&mut *sess, &mut conn.outbox);
                         break 'conns;
                     }
                     if conn.outbox.pending_bytes() >= OUTBOX_HIGH_WATER {
@@ -755,6 +769,11 @@ fn worker_loop(
                     }
                     saw_mutation = is_mutation;
                     conn.fr.consume_frame();
+                    // A GET joins the run; anything else is answered (or
+                    // collected) behind the run's replies.
+                    if !matches!(req, Ok(Request::Get { .. })) {
+                        gets.answer(&mut *sess, &mut conn.outbox);
+                    }
                     let resp = match req {
                         Ok(Request::Put { key, value }) => {
                             tally.puts += 1;
@@ -770,10 +789,11 @@ fn worker_loop(
                         }
                         Ok(Request::Get { key }) => {
                             tally.gets += 1;
-                            Some(match sess.get(key) {
-                                Some(v) => Response::Value(v),
-                                None => Response::NotFound,
-                            })
+                            gets.keys.push(key);
+                            if gets.keys.len() == GET_RUN_CAP {
+                                gets.answer(&mut *sess, &mut conn.outbox);
+                            }
+                            None
                         }
                         Ok(Request::Scan { start, count }) => {
                             tally.scans += 1;
@@ -813,6 +833,8 @@ fn worker_loop(
                         break;
                     }
                 }
+                // The walk of this connection ended on a GET.
+                gets.answer(&mut *sess, &mut conn.outbox);
             }
             if tally.ops > 0 {
                 let c = &shared.counters;
@@ -953,6 +975,34 @@ fn worker_loop(
         }
     }
     sess.take_stats()
+}
+
+/// The consecutive GETs gathered from one connection and not answered
+/// yet (at most [`GET_RUN_CAP`]), with the buffer their answers land in.
+#[derive(Default)]
+struct GetRun {
+    keys: Vec<u64>,
+    vals: Vec<Option<u64>>,
+}
+
+impl GetRun {
+    /// Answers the run with one `get_many` and queues the replies, in
+    /// request order, on the connection the keys came from. The run is
+    /// left empty.
+    fn answer(&mut self, sess: &mut dyn StoreSession, outbox: &mut Outbox) {
+        if self.keys.is_empty() {
+            return;
+        }
+        self.vals.clear();
+        sess.get_many(&self.keys, &mut self.vals);
+        for val in &self.vals {
+            outbox.encode(&match *val {
+                Some(v) => Response::Value(v),
+                None => Response::NotFound,
+            });
+        }
+        self.keys.clear();
+    }
 }
 
 /// Registers a newly accepted connection in the slab; returns its slot.

@@ -578,6 +578,60 @@ fn pipelined_write_then_read_sees_the_write() {
     }
 }
 
+/// A pipelined burst whose GETs come in runs — longer than the server's
+/// run cap (32) and than a native read section (16), cut by a SCAN, and
+/// ending behind a PUT — is answered strictly in request order, present
+/// and absent keys alike, and the GET behind the PUT sees it.
+#[test]
+fn runs_of_gets_are_answered_in_order_around_other_requests() {
+    for (backend, scheme) in [
+        (BackendKind::Sim, SchemeKind::RwLeOpt),
+        (BackendKind::Native, SchemeKind::RwLeOpt),
+        (BackendKind::Native, SchemeKind::Sgl),
+    ] {
+        let (addr, handle) = start(ServerConfig {
+            backend,
+            scheme,
+            ..small_cfg()
+        });
+        let mut c = connect(&addr);
+        // Keys 0..1000 are prefilled as value = key; the rest are absent.
+        let lookup = |key: u64| match key {
+            0..1000 => Response::Value(key),
+            _ => Response::NotFound,
+        };
+        let mut wire = Vec::new();
+        let mut want = Vec::new();
+        for key in (0..40).map(|i| i * 29) {
+            wire.extend_from_slice(&Request::Get { key }.to_frame());
+            want.push(lookup(key));
+        }
+        wire.extend_from_slice(&Request::Scan { start: 5, count: 3 }.to_frame());
+        want.push(Response::Pairs(vec![(5, 5), (6, 6), (7, 7)]));
+        for key in [999, 1000, 3] {
+            wire.extend_from_slice(&Request::Get { key }.to_frame());
+            want.push(lookup(key));
+        }
+        wire.extend_from_slice(&Request::Put { key: 3, value: 77 }.to_frame());
+        want.push(Response::Ok);
+        wire.extend_from_slice(&Request::Get { key: 3 }.to_frame());
+        want.push(Response::Value(77));
+        c.write_all(&wire).unwrap();
+        for (i, want) in want.iter().enumerate() {
+            let body = read_frame(&mut c).expect("reply");
+            assert_eq!(
+                Response::decode(&body).unwrap(),
+                *want,
+                "reply {i} on {} / {}",
+                backend.name(),
+                scheme.label(),
+            );
+        }
+        let report = shutdown_over(c, handle);
+        assert_eq!(report.stats.gets, 44);
+    }
+}
+
 fn stats(c: &mut TcpStream) -> ServerStats {
     match request(c, &Request::Stats) {
         Response::Stats(s) => *s,

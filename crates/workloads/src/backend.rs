@@ -95,6 +95,14 @@ pub enum MutReply {
     Del(bool),
 }
 
+/// The keys a SCAN of `count` from `start` covers, last one included —
+/// an exclusive end could never name `u64::MAX` — or `None` when it
+/// asks for nothing. The range stops at the top of the key space.
+pub(crate) fn scan_keys(start: u64, count: u32) -> Option<std::ops::RangeInclusive<u64>> {
+    let span = u64::from(count.checked_sub(1)?);
+    Some(start..=start.saturating_add(span))
+}
+
 /// Quiescence accounting for one [`StoreSession::apply_batch`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchOutcome {
@@ -179,14 +187,28 @@ pub trait StoreSession {
     /// Looks `key` up (uninstrumented read under RW-LE).
     fn get(&mut self, key: u64) -> Option<u64>;
 
+    /// Looks every key of `keys` up, appending one answer per key to
+    /// `out` in `keys` order. Each answer is what a [`StoreSession::get`]
+    /// at some moment of the call would have returned; keys of one run
+    /// are not promised a common snapshot. The default is the per-key
+    /// loop; the native backend answers a run from inside one read
+    /// section per [`crate::native::GET_RUN`] keys with the lookups'
+    /// cache misses overlapped.
+    fn get_many(&mut self, keys: &[u64], out: &mut Vec<Option<u64>>) {
+        for &key in keys {
+            out.push(self.get(key));
+        }
+    }
+
     /// Inserts or updates `key`.
     fn put(&mut self, key: u64, value: u64) -> Result<PutOutcome, StoreFull>;
 
     /// Removes `key`, returning whether it was present.
     fn del(&mut self, key: u64) -> bool;
 
-    /// Appends all present pairs with keys in `[start, start + count)`
-    /// to `out`, sorted by key.
+    /// Appends all present pairs among the `count` keys from `start` up
+    /// (the range ends at `u64::MAX`, it does not wrap) to `out`, sorted
+    /// by key. What `out` already held stays in front, untouched.
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>);
 
     /// Applies a batch of mutations, filling `replies` index-aligned
@@ -405,6 +427,81 @@ mod tests {
         s.scan(10, 5, &mut out);
         assert_eq!(out, (10..15).map(|k| (k, k)).collect::<Vec<_>>());
         assert!(s.take_stats().ops > 0);
+    }
+
+    /// SCAN at its edges: the range includes its last key even when
+    /// that is `u64::MAX` and stops there instead of wrapping, a count of
+    /// zero returns nothing, and what the caller already had in `out`
+    /// stays in front, in the caller's order.
+    fn scan_edges(backend: &dyn StoreBackend) {
+        const TOP: u64 = u64::MAX;
+        let mut s = backend.session();
+        for key in [TOP, TOP - 2, TOP - 70] {
+            s.put(key, key - 1).unwrap();
+        }
+        let kept = [(9, 9), (3, 3)];
+        let mut out = kept.to_vec();
+        s.scan(TOP - 3, 64, &mut out);
+        assert_eq!(out[..2], kept);
+        assert_eq!(out[2..], [(TOP - 2, TOP - 3), (TOP, TOP - 1)]);
+        out.truncate(2);
+        s.scan(TOP, 1, &mut out);
+        assert_eq!(out[2..], [(TOP, TOP - 1)]);
+        out.truncate(2);
+        s.scan(TOP - 70, 70, &mut out);
+        assert_eq!(out[2..], [(TOP - 70, TOP - 71), (TOP - 2, TOP - 3)]);
+        out.truncate(2);
+        for start in [0, 10, TOP] {
+            s.scan(start, 0, &mut out);
+            assert_eq!(out, kept, "a SCAN of nothing from {start}");
+        }
+    }
+
+    /// `get_many` is the per-key `get` loop, on every backend and for
+    /// every run length around the native section size (16) and the
+    /// server's run cap (32): present, absent, deleted and repeated keys,
+    /// answers appended behind what `out` held.
+    fn get_many_is_get(backend: &dyn StoreBackend) {
+        let mut s = backend.session();
+        s.put(5000, 1).unwrap();
+        assert!(s.del(7));
+        for n in [0u64, 1, 2, 15, 16, 17, 32, 33, 70] {
+            let keys: Vec<u64> = (0..n)
+                .map(|i| match i % 4 {
+                    0 => i * 37 % 200,
+                    1 => 10_000 + i,
+                    2 => 7,
+                    _ => 5000,
+                })
+                .collect();
+            let mut got = vec![Some(99)];
+            s.get_many(&keys, &mut got);
+            let want: Vec<Option<u64>> = keys.iter().map(|&k| s.get(k)).collect();
+            assert_eq!(got[0], Some(99));
+            assert_eq!(got[1..], want, "run of {n}");
+        }
+    }
+
+    fn every_backend() -> [Box<dyn StoreBackend>; 3] {
+        [
+            Box::new(sim()),
+            Box::new(native()),
+            Box::new(crate::native::SglBackend::create(200)),
+        ]
+    }
+
+    #[test]
+    fn scan_includes_its_last_key_and_only_appends() {
+        for backend in every_backend() {
+            scan_edges(&*backend);
+        }
+    }
+
+    #[test]
+    fn get_many_is_get_on_every_backend() {
+        for backend in every_backend() {
+            get_many_is_get(&*backend);
+        }
     }
 
     #[test]

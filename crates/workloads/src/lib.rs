@@ -20,7 +20,7 @@
 //! [`backend`] abstracts the execution substrate: the simulated-HTM
 //! pipeline above, or [`native`] — the same RW-LE protocol over plain
 //! process memory with epoch-quiesced double-buffered writer commits
-//! (DESIGN.md §9).
+//! (DESIGN.md §9), each shard copy a [`leafmap::LeafMap`].
 
 #![warn(missing_docs)]
 
@@ -28,6 +28,7 @@ pub mod backend;
 pub mod driver;
 pub mod hashmap;
 pub mod kyoto;
+pub mod leafmap;
 pub mod native;
 pub mod scheme;
 pub mod sharded;

@@ -2,7 +2,7 @@
 //! memory.
 //!
 //! Readers are truly uninstrumented — `enter` the epoch set, load the
-//! active slot pointer, read an ordinary `BTreeMap`, `exit`. Writer
+//! active slot index, read a plain [`LeafMap`], `exit`. Writer
 //! commit is emulated as **epoch-quiesced double-buffered publication**
 //! (the PairLock/Left-Right active/inactive flip): each shard keeps two
 //! copies of its map; a writer mutates the *inactive* copy under the
@@ -16,6 +16,31 @@
 //! group of a batch run through it, one shard at a time, so a writer
 //! waiting out its grace period holds one shard mutex and nothing else.
 //! Outside a cycle the two copies of a shard are identical.
+//!
+//! ## Read sections
+//!
+//! With the reader-side synchronisation this cheap, a read costs what
+//! sits inside the section — the cache misses of the lookup — plus the
+//! section's own three fenced operations. Both are shared where the
+//! caller has more than one thing to read. `get_many` answers up to
+//! [`GET_RUN`] keys per section: for each key the cached part of the
+//! descent ([`LeafMap::locate`], which also asks the cache for the
+//! leaf), and only then the searches inside the leaves, whose misses now
+//! overlap. `scan` is one section over every shard, each shard's first
+//! leaf located before any is walked.
+//!
+//! A section picks a shard's copy once — the SeqCst index load, the
+//! first time the section asks for that shard (`Section::copy`) — and
+//! reads that copy until it ends, so everything one section reads of one
+//! shard is a snapshot of it (two loads could straddle a flip and show a
+//! batch's group half applied). Every copy is picked, located *and* read
+//! inside the one section whose `enter` preceded the index load — the
+//! borrow of the `Section` makes anything else a compile error — so
+//! the ordering argument below is the single-key one, unchanged. What
+//! does change is what a concurrent writer's barrier may have to wait
+//! out: [`GET_RUN`] lookups, or one SCAN (at most the wire's `MAX_SCAN`
+//! = 1024 pairs over all shards), instead of one lookup or one shard's
+//! slice of a SCAN.
 //!
 //! What this keeps from the simulated backend: linearizable single-key
 //! operations, torn-free reads, the quiescence-barrier structure (and
@@ -38,8 +63,7 @@
 //! store precedes the writer's scan (the barrier waits for it) or the
 //! reader sees the new index (and never touches the old copy).
 
-use std::cell::UnsafeCell;
-use std::collections::BTreeMap;
+use std::cell::{Cell, UnsafeCell};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -48,12 +72,50 @@ use epoch::EpochSet;
 use stats::{CommitKind, ThreadStats};
 
 use crate::backend::{
-    BatchOutcome, DurableSink, Lsn, MutOp, MutReply, StoreBackend, StoreFull, StoreSession, NO_LSN,
+    scan_keys, BatchOutcome, DurableSink, Lsn, MutOp, MutReply, StoreBackend, StoreFull,
+    StoreSession, NO_LSN,
 };
+use crate::leafmap::LeafMap;
 use crate::sharded::PutOutcome;
 
 /// Fibonacci multiplier for the shard spreader (same as [`crate::sharded`]).
 const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Lookups one read section serves: how many leaves `get_many` (keys)
+/// and `scan` (shards) have in flight before the first is searched, and
+/// so the longest run of lookups a writer's barrier waits behind.
+pub const GET_RUN: usize = 16;
+
+/// [`Section::picked`] of a shard the section has not read yet.
+const UNPICKED: u8 = u8::MAX;
+
+/// A read section in progress: made by [`NativeBackend::read`] for the
+/// duration of its closure and by nothing else, so a copy borrowed
+/// through it cannot outlive the section that protects it.
+struct Section<'s> {
+    shards: &'s [NativeShard],
+    /// Per shard, the copy this section reads ([`UNPICKED`] until asked).
+    picked: &'s [Cell<u8>],
+}
+
+impl Section<'_> {
+    /// Shard `s`'s copy for this section: the one that was active when
+    /// the section first asked.
+    #[inline]
+    fn copy(&self, s: usize) -> &LeafMap {
+        let shard = &self.shards[s];
+        let mut idx = self.picked[s].get();
+        if idx == UNPICKED {
+            idx = shard.reader_active_idx() as u8;
+            self.picked[s].set(idx);
+        }
+        // SAFETY: `idx` was active after this section's epoch entry, so
+        // any writer that retires this copy must first complete a grace
+        // period that includes us; the copy is not mutated for as long
+        // as the section — and with it this borrow — lasts.
+        unsafe { &*shard.slots[usize::from(idx)].get() }
+    }
+}
 
 /// One shard: two map copies, the active index, and the writer mutex
 /// that serializes this shard's publications.
@@ -61,7 +123,7 @@ struct NativeShard {
     /// The two copies. Index [`NativeShard::reader_active_idx`] is read
     /// by any number of epoch-protected readers; the other copy is
     /// private to the mutex-holding writer.
-    slots: [UnsafeCell<BTreeMap<u64, u64>>; 2],
+    slots: [UnsafeCell<LeafMap>; 2],
     /// Which slot readers use (0 or 1).
     active: AtomicUsize,
     /// Serializes writers per shard.
@@ -82,8 +144,8 @@ impl NativeShard {
     fn new() -> NativeShard {
         NativeShard {
             slots: [
-                UnsafeCell::new(BTreeMap::new()),
-                UnsafeCell::new(BTreeMap::new()),
+                UnsafeCell::new(LeafMap::new()),
+                UnsafeCell::new(LeafMap::new()),
             ],
             active: AtomicUsize::new(0),
             writer: Mutex::new(()),
@@ -116,24 +178,6 @@ impl NativeShard {
     #[inline]
     fn publish(&self, idx: usize) {
         self.active.store(idx, Ordering::SeqCst);
-    }
-
-    /// Runs `f` over the active copy inside an epoch read section.
-    fn read<R>(
-        &self,
-        epochs: &EpochSet,
-        tid: usize,
-        f: impl FnOnce(&BTreeMap<u64, u64>) -> R,
-    ) -> R {
-        epochs.enter(tid);
-        let idx = self.reader_active_idx();
-        // SAFETY: `idx` was active after our epoch entry, so any writer
-        // that retires this copy must first complete a grace period that
-        // includes us; the copy is not mutated while we hold it.
-        let map = unsafe { &*self.slots[idx].get() };
-        let out = f(map);
-        epochs.exit(tid);
-        out
     }
 }
 
@@ -171,9 +215,21 @@ impl NativeBackend {
         backend
     }
 
+    /// Runs `f` inside one epoch read section of slot `tid`, with
+    /// `picked` (one cell per shard) as the section's memory of the
+    /// copies it chose.
     #[inline]
-    fn shard_of(&self, key: u64) -> &NativeShard {
-        &self.shards[shard_index(key, self.shards.len())]
+    fn read<R>(&self, tid: usize, picked: &[Cell<u8>], f: impl FnOnce(&Section) -> R) -> R {
+        for pick in picked {
+            pick.set(UNPICKED);
+        }
+        self.epochs.enter(tid);
+        let out = f(&Section {
+            shards: &self.shards,
+            picked,
+        });
+        self.epochs.exit(tid);
+        out
     }
 
     /// Claims the next epoch slot. Relaxed: the counter only hands out
@@ -216,6 +272,7 @@ impl StoreBackend for NativeBackend {
             snap: Vec::new(),
             groups: vec![Vec::new(); self.shards.len()],
             held: Vec::new(),
+            picked: vec![Cell::new(UNPICKED); self.shards.len()],
         })
     }
 
@@ -228,7 +285,7 @@ impl StoreBackend for NativeBackend {
 /// scratch a publication cycle reuses across calls — the barrier
 /// snapshot buffer, the per-shard op-index groups, and the shards the
 /// running cycle has flipped but not yet replayed (empty between
-/// cycles).
+/// cycles) — and the per-shard picks of a read section.
 struct NativeSession<'a> {
     backend: &'a NativeBackend,
     tid: usize,
@@ -237,26 +294,51 @@ struct NativeSession<'a> {
     groups: Vec<Vec<usize>>,
     /// `(shard, its writer guard, the copy the flip retired)`.
     held: Vec<(usize, MutexGuard<'a, ()>, usize)>,
+    picked: Vec<Cell<u8>>,
 }
 
 /// Applies one mutation to one map copy.
-fn apply_one(map: &mut BTreeMap<u64, u64>, op: &MutOp) -> MutReply {
+fn apply_one(map: &mut LeafMap, op: &MutOp) -> MutReply {
     match *op {
         MutOp::Put { key, value } => MutReply::Put(Ok(match map.insert(key, value) {
             None => PutOutcome::Inserted,
             Some(_) => PutOutcome::Updated,
         })),
-        MutOp::Del { key } => MutReply::Del(map.remove(&key).is_some()),
+        MutOp::Del { key } => MutReply::Del(map.remove(key).is_some()),
     }
 }
 
 impl StoreSession for NativeSession<'_> {
     fn get(&mut self, key: u64) -> Option<u64> {
-        let shard = self.backend.shard_of(key);
-        let out = shard.read(&self.backend.epochs, self.tid, |map| map.get(&key).copied());
+        let n_shards = self.backend.shards.len();
+        let out = self.backend.read(self.tid, &self.picked, |sec| {
+            sec.copy(shard_index(key, n_shards)).get(key)
+        });
         // Reads are uninstrumented, exactly as under simulated RW-LE.
         self.st.commit(CommitKind::Uninstrumented);
         out
+    }
+
+    fn get_many(&mut self, keys: &[u64], out: &mut Vec<Option<u64>>) {
+        let n_shards = self.backend.shards.len();
+        out.reserve(keys.len());
+        for run in keys.chunks(GET_RUN) {
+            self.backend.read(self.tid, &self.picked, |sec| {
+                // Every leaf is asked for before any is searched, so the
+                // run pays about one miss latency, not one per key.
+                let mut spots = [None; GET_RUN];
+                for (spot, &key) in spots.iter_mut().zip(run) {
+                    let map = sec.copy(shard_index(key, n_shards));
+                    *spot = Some((map, map.locate(key)));
+                }
+                for ((map, spot), &key) in spots.into_iter().flatten().zip(run) {
+                    out.push(map.get_at(spot, key));
+                }
+            });
+            for _ in run {
+                self.st.commit(CommitKind::Uninstrumented);
+            }
+        }
     }
 
     fn put(&mut self, key: u64, value: u64) -> Result<PutOutcome, StoreFull> {
@@ -274,21 +356,28 @@ impl StoreSession for NativeSession<'_> {
     }
 
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>) {
-        // One read section per shard over its slice of the range, same
-        // as the sharded simulated store (and the same op accounting:
-        // one uninstrumented commit per shard). Each shard holds only
-        // its own keys, so the ordered map's range walk yields exactly
-        // this shard's slice — no per-key shard filtering.
-        let end = start.saturating_add(count as u64);
-        for shard in &self.backend.shards {
-            shard.read(&self.backend.epochs, self.tid, |map| {
-                for (&k, &v) in map.range(start..end) {
-                    out.push((k, v));
+        // One read section over all shards. Each shard holds only its
+        // own keys, so the ordered map's range walk yields exactly this
+        // shard's slice — no per-key shard filtering — and the slices,
+        // each already ascending, only need merging behind what the
+        // caller had in `out`.
+        let tail = out.len();
+        if let Some(keys) = scan_keys(start, count) {
+            self.backend.read(self.tid, &self.picked, |sec| {
+                for lo in (0..sec.shards.len()).step_by(GET_RUN) {
+                    let mut spots = [None; GET_RUN];
+                    for (spot, s) in spots.iter_mut().zip(lo..sec.shards.len()) {
+                        let map = sec.copy(s);
+                        *spot = Some((map, map.locate(start)));
+                    }
+                    for (map, spot) in spots.into_iter().flatten() {
+                        map.range_at(spot, keys.clone(), out);
+                    }
                 }
             });
-            self.st.commit(CommitKind::Uninstrumented);
         }
-        out.sort_unstable();
+        out[tail..].sort_unstable_by_key(|&(key, _)| key);
+        self.st.commit(CommitKind::Uninstrumented);
     }
 
     /// The batch path: group per shard, then one [`NativeSession::cycle`]
@@ -447,21 +536,26 @@ impl<'a> NativeSession<'a> {
 }
 
 /// Single-global-lock canary over plain process memory: one mutex around
-/// one `BTreeMap`, none of the elision machinery. This is the
+/// one [`LeafMap`] (the container the RW-LE store uses, so the pair
+/// differs in synchronisation only), none of the elision machinery. This is the
 /// `--scheme SGL --backend native` baseline the CI batching gate
 /// normalizes against — it reports the `"native"` backend label so
 /// `regress --relative-to SGL` can match it to the RW-LE native rows at
 /// the same configuration (the drift key includes the backend tag).
 pub struct SglBackend {
-    map: Mutex<BTreeMap<u64, u64>>,
+    map: Mutex<LeafMap>,
 }
 
 impl SglBackend {
     /// Builds the locked map with keys `0..prefill` pre-loaded as
     /// `value = key`.
     pub fn create(prefill: u64) -> SglBackend {
+        let mut map = LeafMap::new();
+        for key in 0..prefill {
+            map.insert(key, key);
+        }
         SglBackend {
-            map: Mutex::new((0..prefill).map(|k| (k, k)).collect()),
+            map: Mutex::new(map),
         }
     }
 }
@@ -480,9 +574,9 @@ impl StoreBackend for SglBackend {
 }
 
 /// Per-thread session over [`SglBackend`]: every operation takes the
-/// global lock. `apply_batch` deliberately keeps the default per-op
-/// loop — the canary must not benefit from the batching machinery it
-/// exists to baseline.
+/// global lock. `apply_batch` and `get_many` deliberately keep the
+/// default per-op loops — the canary must not benefit from the batching
+/// machinery it exists to baseline.
 struct SglSession<'a> {
     backend: &'a SglBackend,
     st: ThreadStats,
@@ -490,7 +584,7 @@ struct SglSession<'a> {
 
 impl StoreSession for SglSession<'_> {
     fn get(&mut self, key: u64) -> Option<u64> {
-        let out = self.backend.map.lock().unwrap().get(&key).copied();
+        let out = self.backend.map.lock().unwrap().get(key);
         self.st.commit(CommitKind::Sgl);
         out
     }
@@ -505,18 +599,15 @@ impl StoreSession for SglSession<'_> {
     }
 
     fn del(&mut self, key: u64) -> bool {
-        let removed = self.backend.map.lock().unwrap().remove(&key).is_some();
+        let removed = self.backend.map.lock().unwrap().remove(key).is_some();
         self.st.commit(CommitKind::Sgl);
         removed
     }
 
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>) {
-        let end = start.saturating_add(count as u64);
-        let map = self.backend.map.lock().unwrap();
-        for (&k, &v) in map.range(start..end) {
-            out.push((k, v));
+        if let Some(keys) = scan_keys(start, count) {
+            self.backend.map.lock().unwrap().range(keys, out);
         }
-        drop(map);
         self.st.commit(CommitKind::Sgl);
     }
 
@@ -623,9 +714,10 @@ mod tests {
 
     /// A shard's group is published by one flip: two keys of one shard
     /// written with equal values in one batch never differ to a reader
-    /// that looks at both inside one read section (a scan), and never
-    /// run backwards across two (a get of each). Real threads, so this
-    /// also drives replay-vs-reader on plain memory.
+    /// that looks at both inside one read section (a scan, or both keys
+    /// in one `get_many`), and never run backwards across two (a get of
+    /// each). Real threads, so this also drives replay-vs-reader on
+    /// plain memory.
     #[test]
     fn shard_groups_are_never_seen_torn() {
         const WRITERS: usize = 2;
@@ -662,7 +754,7 @@ mod tests {
                     }
                     return;
                 }
-                let mut out = Vec::new();
+                let (mut out, mut both) = (Vec::new(), Vec::new());
                 for i in 0..2 * ROUNDS as usize {
                     let (a, b) = pairs[(t + i) % pairs.len()];
                     out.clear();
@@ -672,6 +764,12 @@ mod tests {
                         at(a),
                         at(b),
                         "torn group on keys {a}/{b}, {n_shards} shards"
+                    );
+                    both.clear();
+                    sess.get_many(&[a, b], &mut both);
+                    assert_eq!(
+                        both[0], both[1],
+                        "torn run on keys {a}/{b}, {n_shards} shards"
                     );
                     if let (Some(first), Some(second)) = (sess.get(a), sess.get(b)) {
                         assert!(

@@ -156,6 +156,10 @@ impl ShardedKv {
         count: u32,
         out: &mut Vec<(u64, u64)>,
     ) {
+        let Some(keys) = crate::backend::scan_keys(start, count) else {
+            return;
+        };
+        let tail = out.len();
         // Keys in the range may live in different shards; take each
         // shard's read CS once over its slice of the range.
         for shard_idx in 0..self.shards.len() {
@@ -165,19 +169,21 @@ impl ShardedKv {
                 // A speculating scheme (HLE) re-runs this body after an
                 // abort: drop what the aborted attempt pushed.
                 out.truncate(entry_len);
-                for key in start..start.saturating_add(count as u64) {
+                // Internal iteration: a `for` over an inclusive range
+                // re-checks its exhausted flag on every key, and this
+                // loop is short enough for that to show (`svc-sim`).
+                keys.clone().try_for_each(|key| {
                     let spread = (key.wrapping_mul(SPREAD) >> 32) as usize;
-                    if spread % self.shards.len() != shard_idx {
-                        continue;
+                    if spread % self.shards.len() == shard_idx {
+                        if let Some(v) = shard.map.lookup(acc, key)? {
+                            out.push((key, v));
+                        }
                     }
-                    if let Some(v) = shard.map.lookup(acc, key)? {
-                        out.push((key, v));
-                    }
-                }
-                Ok(())
+                    Ok(())
+                })
             });
         }
-        out.sort_unstable();
+        out[tail..].sort_unstable_by_key(|&(key, _)| key);
     }
 
     /// Pre-loads keys `0..n` with `value = key`, single-threaded,
