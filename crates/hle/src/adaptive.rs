@@ -8,16 +8,18 @@
 //! of critical sections that ended on the serial lock) at the current
 //! budget, probes a neighbouring budget, and keeps whichever was better —
 //! a deliberately simple, workload-oblivious controller in the spirit of
-//! the cited self-tuning work.
+//! the cited self-tuning work. The policy over the crate's shared loop:
+//! attempts up to the current budget, else the serial fallback, and every
+//! finished section feeds the controller.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use simmem::Addr;
 
-use htm::{AbortCause, MemAccess, ThreadCtx, TxMode, ABORT_LOCK_BUSY};
-use stats::{CommitKind, ThreadStats};
+use htm::{AbortCause, MemAccess, ThreadCtx};
+use stats::ThreadStats;
 
-use crate::{LOCK_FREE, LOCK_HELD};
+use crate::{serial, speculate};
 
 /// Budgets explored by the controller.
 const BUDGETS: [u32; 6] = [1, 2, 3, 5, 8, 12];
@@ -110,53 +112,18 @@ impl AdaptiveHle {
         stats: &mut ThreadStats,
         body: &mut dyn FnMut(&mut dyn MemAccess) -> Result<R, AbortCause>,
     ) -> R {
-        let budget = self.current_budget();
-        for _ in 0..budget {
-            while ctx.read_nt(self.lock) != LOCK_FREE {
-                std::thread::yield_now();
-            }
-            let mut tx = ctx.begin(TxMode::Htm);
-            let result = (|| -> Result<R, AbortCause> {
-                if tx.read(self.lock)? != LOCK_FREE {
-                    return Err(AbortCause::Explicit(ABORT_LOCK_BUSY));
-                }
-                body(&mut tx)
-            })();
-            match result {
-                Ok(r) => match tx.commit() {
-                    Ok(()) => {
-                        stats.commit(CommitKind::Htm);
-                        self.record(false);
-                        return r;
-                    }
-                    Err(cause) => {
-                        stats.abort(TxMode::Htm, cause);
-                        if cause.is_persistent() {
-                            break;
-                        }
-                    }
-                },
-                Err(cause) => {
-                    drop(tx);
-                    stats.abort(TxMode::Htm, cause);
-                    if cause.is_persistent() {
-                        break;
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
-        loop {
-            if ctx.cas_nt(self.lock, LOCK_FREE, LOCK_HELD).is_ok() {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let mut nt = ctx.non_tx();
-        let r = body(&mut nt).expect("non-transactional execution cannot abort");
-        ctx.write_nt(self.lock, LOCK_FREE);
-        stats.commit(CommitKind::Sgl);
-        self.record(true);
+        let (r, fell_back) = match speculate(
+            self.lock,
+            self.current_budget(),
+            |_| false,
+            ctx,
+            stats,
+            body,
+        ) {
+            Ok(r) => (r, false),
+            Err(_) => (serial(self.lock, ctx, stats, body), true),
+        };
+        self.record(fell_back);
         r
     }
 }
@@ -166,6 +133,7 @@ mod tests {
     use super::*;
     use htm::{HtmConfig, HtmRuntime};
     use simmem::{SharedMem, SimAlloc};
+    use stats::CommitKind;
     use std::sync::Arc;
 
     #[test]

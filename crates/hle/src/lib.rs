@@ -1,12 +1,22 @@
-//! Classic hardware lock elision (HLE) over the simulated HTM.
+//! Classic hardware lock elision (HLE) over the simulated HTM, and the
+//! two refinements of the paper's §2.
 //!
-//! This is the paper's primary competitor (§2, Rajwar & Goodman): every
+//! HLE is the paper's primary competitor (§2, Rajwar & Goodman): every
 //! critical section — reader or writer alike — first runs as a hardware
 //! transaction that *subscribes* the elided lock (reads it transactionally
 //! and aborts if busy, so a pessimistic acquirer kills all speculative
 //! executions). After a bounded number of failed attempts, or immediately
 //! on a persistent failure such as a capacity overflow, the section falls
 //! back to physically acquiring the lock, serializing everyone.
+//!
+//! The three variants run one protocol and differ only in policy. One
+//! speculative attempt (eager subscription, the safe placement), one
+//! bounded retry loop over it and one serial fallback live here:
+//!
+//! - [`Hle`]: up to [`DEFAULT_MAX_RETRIES`] attempts, then the fallback.
+//! - [`ScmHle`]: the same, but a conflict retries behind an auxiliary
+//!   lock before anything serializes.
+//! - [`AdaptiveHle`]: an online-tuned retry budget.
 //!
 //! The elided lock word lives in *simulated* memory so that subscription
 //! works through the HTM conflict machinery itself: the fallback path's
@@ -59,6 +69,10 @@ pub const LOCK_HELD: u64 = 1;
 /// Default transactional retry budget (the paper found 5 best on average).
 pub const DEFAULT_MAX_RETRIES: u32 = 5;
 
+/// A critical-section body; it may run several times, and only the final
+/// run's [`MemAccess`] effects survive.
+type Body<'a, R> = dyn FnMut(&mut dyn MemAccess) -> Result<R, AbortCause> + 'a;
+
 /// A single-global-lock elision wrapper.
 ///
 /// The lock word must be a reserved word of simulated memory whose cache
@@ -66,18 +80,12 @@ pub const DEFAULT_MAX_RETRIES: u32 = 5;
 /// subscription).
 pub struct Hle {
     lock: Addr,
-    max_retries: u32,
 }
 
 impl Hle {
     /// Creates an HLE wrapper around the lock word at `lock`.
     pub fn new(lock: Addr) -> Self {
-        Self::with_retries(lock, DEFAULT_MAX_RETRIES)
-    }
-
-    /// Creates an HLE wrapper with a custom transactional retry budget.
-    pub fn with_retries(lock: Addr, max_retries: u32) -> Self {
-        Hle { lock, max_retries }
+        Hle { lock }
     }
 
     /// Address of the elided lock word.
@@ -87,71 +95,88 @@ impl Hle {
 
     /// Executes `body` as an elided critical section.
     ///
-    /// The body runs speculatively up to the retry budget, then under the
-    /// physical lock. It must be idempotent up to its [`MemAccess`]
-    /// effects (it may run several times; only the final run's effects
-    /// survive).
+    /// The body runs speculatively up to [`DEFAULT_MAX_RETRIES`] times,
+    /// then under the physical lock. It must be idempotent up to its
+    /// [`MemAccess`] effects (it may run several times; only the final
+    /// run's effects survive).
     pub fn execute<R>(
         &self,
         ctx: &mut ThreadCtx,
         stats: &mut ThreadStats,
         body: &mut dyn FnMut(&mut dyn MemAccess) -> Result<R, AbortCause>,
     ) -> R {
-        let mut attempts = 0;
-        while attempts < self.max_retries {
-            // Standard HLE: do not even start while the lock is held.
-            while ctx.read_nt(self.lock) != LOCK_FREE {
-                std::thread::yield_now();
-            }
-            let mut tx = ctx.begin(TxMode::Htm);
-            let lock = self.lock;
-            let result = (|| -> Result<R, AbortCause> {
-                // Eager subscription: the lock joins the read set, so a
-                // fallback acquirer dooms us through conflict detection.
-                if tx.read(lock)? != LOCK_FREE {
-                    return Err(AbortCause::Explicit(ABORT_LOCK_BUSY));
-                }
-                body(&mut tx)
-            })();
-            match result {
-                Ok(r) => match tx.commit() {
-                    Ok(()) => {
-                        stats.commit(CommitKind::Htm);
-                        return r;
-                    }
-                    Err(cause) => {
-                        stats.abort(TxMode::Htm, cause);
-                        attempts += 1;
-                        if cause.is_persistent() {
-                            break;
-                        }
-                    }
-                },
-                Err(cause) => {
-                    drop(tx); // roll back any speculative state
-                    stats.abort(TxMode::Htm, cause);
-                    attempts += 1;
-                    if cause.is_persistent() {
-                        break;
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
-        // Non-speculative fallback: acquire the lock for real. The
-        // successful CAS dooms every subscribed transaction.
-        loop {
-            if ctx.cas_nt(self.lock, LOCK_FREE, LOCK_HELD).is_ok() {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let mut nt = ctx.non_tx();
-        let r = body(&mut nt).expect("non-transactional execution cannot abort");
-        ctx.write_nt(self.lock, LOCK_FREE);
-        stats.commit(CommitKind::Sgl);
-        r
+        speculate(self.lock, DEFAULT_MAX_RETRIES, |_| false, ctx, stats, body)
+            .unwrap_or_else(|_| serial(self.lock, ctx, stats, body))
     }
+}
+
+/// One speculative run of `body`: wait until the lock word is free, begin
+/// a hardware transaction, subscribe the lock, run, commit.
+fn attempt<R>(lock: Addr, ctx: &mut ThreadCtx, body: &mut Body<R>) -> Result<R, AbortCause> {
+    // Standard HLE: do not even start while the lock is held.
+    while ctx.read_nt(lock) != LOCK_FREE {
+        std::thread::yield_now();
+    }
+    let mut tx = ctx.begin(TxMode::Htm);
+    // Eager subscription: the lock joins the read set, so a fallback
+    // acquirer dooms us through conflict detection. An error drops `tx`,
+    // which rolls back any speculative state.
+    if tx.read(lock)? != LOCK_FREE {
+        return Err(AbortCause::Explicit(ABORT_LOCK_BUSY));
+    }
+    let r = body(&mut tx)?;
+    tx.commit()?;
+    Ok(r)
+}
+
+/// Up to `budget` [`attempt`]s (at least one), each counted as an HTM
+/// commit or an HTM abort. Returns the first commit's result, or the last
+/// abort's cause once the budget is spent, the cause is persistent, or
+/// `stop(cause)` holds.
+fn speculate<R>(
+    lock: Addr,
+    budget: u32,
+    stop: fn(AbortCause) -> bool,
+    ctx: &mut ThreadCtx,
+    stats: &mut ThreadStats,
+    body: &mut Body<R>,
+) -> Result<R, AbortCause> {
+    let mut attempts = 0;
+    loop {
+        match attempt(lock, ctx, body) {
+            Ok(r) => {
+                stats.commit(CommitKind::Htm);
+                return Ok(r);
+            }
+            Err(cause) => {
+                stats.abort(TxMode::Htm, cause);
+                if cause.is_persistent() || stop(cause) {
+                    return Err(cause);
+                }
+                // Back off before the next attempt, and also before the
+                // caller's next phase once the budget is spent: its
+                // fallback CAS would doom whoever is still speculating.
+                std::thread::yield_now();
+                attempts += 1;
+                if attempts >= budget {
+                    return Err(cause);
+                }
+            }
+        }
+    }
+}
+
+/// The non-speculative fallback: acquire the lock for real — the
+/// successful CAS dooms every subscribed transaction — and run `body`
+/// outside any transaction.
+fn serial<R>(lock: Addr, ctx: &ThreadCtx, stats: &mut ThreadStats, body: &mut Body<R>) -> R {
+    while ctx.cas_nt(lock, LOCK_FREE, LOCK_HELD).is_err() {
+        std::thread::yield_now();
+    }
+    let r = body(&mut ctx.non_tx()).expect("non-transactional execution cannot abort");
+    ctx.write_nt(lock, LOCK_FREE);
+    stats.commit(CommitKind::Sgl);
+    r
 }
 
 #[cfg(test)]
@@ -168,6 +193,47 @@ mod tests {
         let alloc = SimAlloc::with_base(Arc::clone(&mem), Addr(8));
         let hle = Hle::new(Addr(0));
         (mem, rt, alloc, hle)
+    }
+
+    /// Runs one section through `execute`, single-threaded, with one
+    /// injected conflict: on the body's first run a second registered
+    /// context `write_nt`s the line the attempt has just read, so that
+    /// attempt aborts with `ConflictNonTx`. `on_run` sees each run's
+    /// number, from 1. Asserts what every variant must then report: one
+    /// abort, one HTM commit, no fallback.
+    pub(crate) fn one_injected_conflict(
+        execute: &dyn Fn(&mut ThreadCtx, &mut ThreadStats, &mut Body<u64>) -> u64,
+        on_run: &mut dyn FnMut(u32),
+    ) {
+        let (_mem, rt, alloc, _) = setup(64, HtmConfig::default());
+        let data = alloc.alloc(1).unwrap();
+        let mut ctx = rt.register();
+        let other = rt.register();
+        let mut st = ThreadStats::new();
+        let mut runs = 0;
+        let v = execute(&mut ctx, &mut st, &mut |acc| {
+            runs += 1;
+            on_run(runs);
+            let v = acc.read(data)?;
+            if runs == 1 {
+                other.write_nt(data, 7);
+            }
+            Ok(v)
+        });
+        assert_eq!(v, 7, "the committing run reads the conflicting write");
+        assert_eq!(st.aborts(stats::AbortBucket::HtmNonTx), 1);
+        let aborts: u64 = stats::AbortBucket::ALL.map(|b| st.aborts(b)).iter().sum();
+        assert_eq!(aborts, 1, "one abort in all");
+        assert_eq!(st.commits(CommitKind::Htm), 1);
+        assert_eq!(st.commits(CommitKind::Sgl), 0);
+    }
+
+    #[test]
+    fn one_injected_conflict_retries_in_htm() {
+        let hle = Hle::new(Addr(0));
+        one_injected_conflict(&|c, s, b| hle.execute(c, s, b), &mut |_| {});
+        let adaptive = AdaptiveHle::new(Addr(0));
+        one_injected_conflict(&|c, s, b| adaptive.execute(c, s, b), &mut |_| {});
     }
 
     #[test]

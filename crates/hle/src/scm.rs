@@ -7,24 +7,26 @@
 //! aborts due to a *conflict* retries while holding the auxiliary lock —
 //! still as a hardware transaction subscribed to the main lock, so it
 //! runs concurrently with non-conflicting transactions, but serialized
-//! against the other conflictors. Only persistent failures (capacity)
-//! still take the pessimistic fallback.
+//! against the other conflictors. The policy over the crate's shared
+//! loop: up to [`DEFAULT_MAX_RETRIES`] attempts that stop at the first
+//! conflict, then as many again behind the auxiliary lock. A persistent
+//! failure (capacity), a run of non-conflict aborts or a second spent
+//! budget still takes the pessimistic fallback, with the auxiliary lock
+//! released.
 
 use locks::SpinMutex;
 use simmem::Addr;
 
-use htm::{AbortCause, MemAccess, ThreadCtx, TxMode, ABORT_LOCK_BUSY};
-use stats::{CommitKind, ThreadStats};
+use htm::{AbortCause, MemAccess, ThreadCtx};
+use stats::ThreadStats;
 
-use crate::{LOCK_FREE, LOCK_HELD};
+use crate::{serial, speculate, DEFAULT_MAX_RETRIES};
 
 /// HLE with software-assisted conflict management.
 pub struct ScmHle {
     lock: Addr,
     /// Auxiliary serialization lock — software-side only, never elided.
     aux: SpinMutex,
-    max_retries: u32,
-    max_aux_retries: u32,
 }
 
 impl ScmHle {
@@ -33,42 +35,12 @@ impl ScmHle {
         ScmHle {
             lock,
             aux: SpinMutex::new(),
-            max_retries: crate::DEFAULT_MAX_RETRIES,
-            max_aux_retries: crate::DEFAULT_MAX_RETRIES,
         }
     }
 
     /// Address of the elided lock word.
     pub fn lock_addr(&self) -> Addr {
         self.lock
-    }
-
-    /// One transactional attempt (with eager main-lock subscription).
-    fn attempt<R>(
-        &self,
-        ctx: &mut ThreadCtx,
-        body: &mut dyn FnMut(&mut dyn MemAccess) -> Result<R, AbortCause>,
-    ) -> Result<R, AbortCause> {
-        while ctx.read_nt(self.lock) != LOCK_FREE {
-            std::thread::yield_now();
-        }
-        let mut tx = ctx.begin(TxMode::Htm);
-        let result = (|| -> Result<R, AbortCause> {
-            if tx.read(self.lock)? != LOCK_FREE {
-                return Err(AbortCause::Explicit(ABORT_LOCK_BUSY));
-            }
-            body(&mut tx)
-        })();
-        match result {
-            Ok(r) => {
-                tx.commit()?;
-                Ok(r)
-            }
-            Err(cause) => {
-                drop(tx);
-                Err(cause)
-            }
-        }
     }
 
     /// Executes `body` as an elided critical section under SCM.
@@ -78,63 +50,23 @@ impl ScmHle {
         stats: &mut ThreadStats,
         body: &mut dyn FnMut(&mut dyn MemAccess) -> Result<R, AbortCause>,
     ) -> R {
-        // Phase 1: optimistic attempts, no auxiliary serialization.
-        let mut saw_conflict = false;
-        for _ in 0..self.max_retries {
-            match self.attempt(ctx, body) {
-                Ok(r) => {
-                    stats.commit(CommitKind::Htm);
-                    return r;
-                }
-                Err(cause) => {
-                    stats.abort(TxMode::Htm, cause);
-                    if cause.is_persistent() {
-                        saw_conflict = false;
-                        break;
-                    }
-                    saw_conflict =
-                        matches!(cause, AbortCause::ConflictTx | AbortCause::ConflictNonTx)
-                            || saw_conflict;
-                    if saw_conflict {
-                        break; // escalate to the auxiliary lock
-                    }
-                }
+        let lock = self.lock;
+        // Optimistic attempts until the first conflict.
+        let spec = match speculate(lock, DEFAULT_MAX_RETRIES, is_conflict, ctx, stats, body) {
+            // Serialize conflictors behind the auxiliary lock while still
+            // running in hardware; it is free again before the fallback.
+            Err(cause) if is_conflict(cause) => {
+                let _aux = self.aux.lock();
+                speculate(lock, DEFAULT_MAX_RETRIES, |_| false, ctx, stats, body)
             }
-            std::thread::yield_now();
-        }
-        // Phase 2: serialize conflictors behind the auxiliary lock while
-        // still running in hardware.
-        if saw_conflict {
-            let _aux = self.aux.lock();
-            for _ in 0..self.max_aux_retries {
-                match self.attempt(ctx, body) {
-                    Ok(r) => {
-                        stats.commit(CommitKind::Htm);
-                        return r;
-                    }
-                    Err(cause) => {
-                        stats.abort(TxMode::Htm, cause);
-                        if cause.is_persistent() {
-                            break;
-                        }
-                    }
-                }
-                std::thread::yield_now();
-            }
-        }
-        // Phase 3: pessimistic fallback (serializes everyone).
-        loop {
-            if ctx.cas_nt(self.lock, LOCK_FREE, LOCK_HELD).is_ok() {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let mut nt = ctx.non_tx();
-        let r = body(&mut nt).expect("non-transactional execution cannot abort");
-        ctx.write_nt(self.lock, LOCK_FREE);
-        stats.commit(CommitKind::Sgl);
-        r
+            spec => spec,
+        };
+        spec.unwrap_or_else(|_| serial(lock, ctx, stats, body))
     }
+}
+
+fn is_conflict(cause: AbortCause) -> bool {
+    matches!(cause, AbortCause::ConflictTx | AbortCause::ConflictNonTx)
 }
 
 #[cfg(test)]
@@ -142,7 +74,18 @@ mod tests {
     use super::*;
     use htm::{HtmConfig, HtmRuntime};
     use simmem::{SharedMem, SimAlloc};
+    use stats::CommitKind;
     use std::sync::Arc;
+
+    #[test]
+    fn a_conflict_retries_behind_the_auxiliary_lock() {
+        let scm = ScmHle::new(Addr(0));
+        let mut aux_held = Vec::new();
+        crate::tests::one_injected_conflict(&|c, s, b| scm.execute(c, s, b), &mut |_| {
+            aux_held.push(scm.aux.is_locked())
+        });
+        assert_eq!(aux_held, [false, true], "only the retry holds aux");
+    }
 
     #[test]
     fn single_thread_commits_in_htm() {
@@ -201,7 +144,9 @@ mod tests {
         let base = alloc.alloc(8 * 16).unwrap();
         let mut ctx = rt.register();
         let mut st = ThreadStats::new();
+        let mut aux_held = false;
         scm.execute(&mut ctx, &mut st, &mut |acc| {
+            aux_held |= scm.aux.is_locked();
             let mut sum = 0;
             for i in 0..16u32 {
                 sum += acc.read(base.offset(i * 8))?;
@@ -209,5 +154,6 @@ mod tests {
             Ok(sum)
         });
         assert_eq!(st.commits(CommitKind::Sgl), 1);
+        assert!(!aux_held, "a capacity abort never escalates to aux");
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
 //!       [--shards N] [--buckets N] [--prefill N] [--capacity N]
-//!       [--max-conns N] [--idle-ms MS] [--seed N]
+//!       [--max-conns N] [--idle-ms MS]
 //!       [--port-file PATH] [--wal-dir DIR]
 //!       [--fsync batch|interval:<ms>|off]
 //! ```
@@ -33,7 +33,6 @@ const FLAGS: &[&str] = &[
     "capacity",
     "max-conns",
     "idle-ms",
-    "seed",
     "port-file",
     "wal-dir",
     "fsync",
@@ -42,7 +41,7 @@ const FLAGS: &[&str] = &[
 const USAGE: &str = "\
 usage: rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
              [--shards N] [--buckets N] [--prefill N] [--capacity N]
-             [--max-conns N] [--idle-ms MS] [--seed N]
+             [--max-conns N] [--idle-ms MS]
              [--port-file PATH] [--wal-dir DIR]
              [--fsync batch|interval:<ms>|off] [--help]
 
@@ -103,7 +102,6 @@ fn main() {
         extra_capacity: args.get_or("capacity", 400_000u64),
         max_conns: args.get_or("max-conns", 1024usize),
         idle_timeout: Duration::from_millis(args.get_or("idle-ms", 10_000u64)),
-        seed: args.get_or("seed", 1u64),
         wal_dir,
         fsync,
     };

@@ -30,8 +30,7 @@
 //! | Stats | `0x83` | 26 `u64` counters, then 3 × (`len: u8`, label): scheme, backend, durability |
 //! | NotFound | `0x90` | — |
 //! | BadRequest | `0x91` | — |
-//! | Busy | `0x92` | — (load shed: worker queue or conn limit full) |
-//! | ShuttingDown | `0x93` | — |
+//! | Busy | `0x92` | — (load shed: connection limit full) |
 //! | ServerFull | `0x94` | — (store capacity exhausted) |
 
 use std::io::{self, Read};
@@ -92,10 +91,8 @@ pub enum Response {
     NotFound,
     /// Malformed frame or unparsable request body.
     BadRequest,
-    /// Load shed: a worker queue (or the connection limit) is full.
+    /// Load shed: the connection limit is full.
     Busy,
-    /// The server is draining; no new work accepted.
-    ShuttingDown,
     /// The store's memory capacity is exhausted.
     ServerFull,
 }
@@ -103,11 +100,12 @@ pub enum Response {
 /// Server-side counters carried by a STATS response.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Requests accepted into worker queues.
+    /// Requests admitted for execution (every decoded frame but a
+    /// malformed one).
     pub enqueued: u64,
     /// Replies written by workers.
     pub replied: u64,
-    /// Busy replies (queue full or connection limit).
+    /// Busy replies (connection limit).
     pub shed: u64,
     /// BadRequest replies plus framing-error disconnects.
     pub malformed: u64,
@@ -418,7 +416,6 @@ impl Response {
             Response::NotFound => out.push(0x90),
             Response::BadRequest => out.push(0x91),
             Response::Busy => out.push(0x92),
-            Response::ShuttingDown => out.push(0x93),
             Response::ServerFull => out.push(0x94),
         }
     }
@@ -545,10 +542,6 @@ impl Response {
             0x92 => {
                 expect_len(body, 0)?;
                 Ok(Response::Busy)
-            }
-            0x93 => {
-                expect_len(body, 0)?;
-                Ok(Response::ShuttingDown)
             }
             0x94 => {
                 expect_len(body, 0)?;
@@ -859,7 +852,6 @@ mod tests {
             Response::NotFound,
             Response::BadRequest,
             Response::Busy,
-            Response::ShuttingDown,
             Response::ServerFull,
         ] {
             let f = resp.to_frame();

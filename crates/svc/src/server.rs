@@ -18,27 +18,26 @@
 //! 2. **Read** ready sockets into per-connection [`FrameReader`]s, one
 //!    chunk each.
 //! 3. **Rounds**, while any pumped connection still has a complete
-//!    frame buffered and the iteration's `ITERATION_BUDGET` lasts.
-//!    A round walks each connection's buffered frames in place (no
-//!    copy, no per-request allocation): reads are answered as they are
-//!    decoded — a connection's consecutive GETs as one `get_many` run
-//!    of at most `GET_RUN_CAP` keys, so the store can share read
-//!    sections and overlap the lookups' cache misses — mutations are
-//!    collected, and the walk of a connection stops at its first read
-//!    behind a mutation (see below). The round
-//!    then runs every collected mutation, from every connection, in
-//!    **one** `apply_batch` store pass — per touched shard one flip and
-//!    one quiescence barrier cover however many of the round's
-//!    mutations landed there (the paper's amortization argument turned
-//!    into served-traffic throughput), and the pass holds one shard's
-//!    writer lock at a time. A durable pass keeps the touched shards
-//!    locked until its log append — an encode into the log's staging
-//!    buffer, no system call — and pays one barrier for all of them.
-//!    A mutation's reply is encoded into its connection's [`Outbox`]
-//!    only after the pass returned, i.e. after every barrier covering
-//!    one of the round's flips has completed. The next round starts at
-//!    the frames the boundaries left behind. Once a SHUTDOWN was seen,
-//!    the round in progress is the last.
+//!    frame buffered and the iteration's `ITERATION_BUDGET` lasts. A
+//!    round walks each connection's buffered frames in place (no copy,
+//!    no per-request allocation): reads are answered as they are
+//!    decoded — a connection's consecutive GETs as one `get_many` run,
+//!    so the store can share read sections and overlap the lookups'
+//!    cache misses — mutations are collected, and the walk of a
+//!    connection stops at its first read behind a mutation (see below).
+//!    The round then runs every collected mutation, from every
+//!    connection, in **one** `apply_batch` store pass — per touched
+//!    shard one flip and one quiescence barrier cover however many of
+//!    the round's mutations landed there (the paper's amortization
+//!    argument turned into served-traffic throughput), and the pass
+//!    holds one shard's writer lock at a time. A durable pass keeps the
+//!    touched shards locked until its log append — an encode into the
+//!    log's staging buffer, no system call — and pays one barrier for
+//!    all of them. A mutation's reply is encoded into its connection's
+//!    [`Outbox`] only after the pass returned, i.e. after every barrier
+//!    covering one of the round's flips has completed. The next round
+//!    starts at the frames the boundaries left behind. Once a SHUTDOWN
+//!    was seen, the round in progress is the last.
 //! 4. **Durable wait**, once, on the highest LSN any of the iteration's
 //!    rounds appended: the one `write` that hands the wake-up's staged
 //!    records to the kernel, under every fsync policy, and under
@@ -128,8 +127,6 @@ pub struct ServerConfig {
     /// A connection silent for this long is dropped (workers sweep
     /// every `REAP_TICK`, or every `idle_timeout` if that is shorter).
     pub idle_timeout: Duration,
-    /// Seed for the simulated-HTM engine.
-    pub seed: u64,
     /// Redo-log directory. `Some` makes every acked mutation durable:
     /// existing segments are replayed into the store at bind (torn
     /// final record truncated), and each batch's write-set is appended
@@ -156,7 +153,6 @@ impl Default for ServerConfig {
             extra_capacity: 400_000,
             max_conns: 1024,
             idle_timeout: Duration::from_secs(10),
-            seed: 1,
             wal_dir: None,
             fsync: FsyncPolicy::Batch,
         }
@@ -217,7 +213,9 @@ impl Server {
                     cfg.prefill,
                     cfg.extra_capacity,
                     sessions,
-                    cfg.seed,
+                    // Seeds only the page-fault RNG, which the server's
+                    // HTM configuration never consults.
+                    1,
                 )
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?,
             ),
@@ -225,7 +223,7 @@ impl Server {
             // the baseline CI normalizes the batching gate against.
             (BackendKind::Native, SchemeKind::Sgl) => Box::new(SglBackend::create(cfg.prefill)),
             // Plain memory needs no sizing: capacity is the process
-            // heap, so extra_capacity and seed have nothing to govern.
+            // heap, so extra_capacity has nothing to govern.
             (BackendKind::Native, SchemeKind::RwLeOpt) => {
                 Box::new(NativeBackend::create(cfg.shards, sessions, cfg.prefill))
             }
@@ -404,14 +402,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// constant because no gate, script or recorded row ever ran another
 /// value (ROADMAP item 8 decides from a load sweep whether it is a knob).
 const ITERATION_BUDGET: usize = 1024;
-
-/// Longest run of consecutive GETs of one connection answered by one
-/// `get_many`: bounds how long the store is asked to read on the
-/// worker's behalf in one call (the native store splits a run into read
-/// sections of `workloads::native::GET_RUN` lookups, which is what a
-/// writer's barrier may wait behind) and the scratch a run needs. A
-/// constant for the reason [`ITERATION_BUDGET`] is one.
-const GET_RUN_CAP: usize = 32;
 
 /// Outbox cap: a connection with this many reply bytes pending is
 /// neither read nor decoded until it drains below the mark, so a client
@@ -790,9 +780,6 @@ fn worker_loop(
                         Ok(Request::Get { key }) => {
                             tally.gets += 1;
                             gets.keys.push(key);
-                            if gets.keys.len() == GET_RUN_CAP {
-                                gets.answer(&mut *sess, &mut conn.outbox);
-                            }
                             None
                         }
                         Ok(Request::Scan { start, count }) => {
@@ -978,7 +965,11 @@ fn worker_loop(
 }
 
 /// The consecutive GETs gathered from one connection and not answered
-/// yet (at most [`GET_RUN_CAP`]), with the buffer their answers land in.
+/// yet, with the buffer their answers land in. A run ends at the
+/// connection's first other frame or at the iteration's budget; the
+/// store bounds the read sections it answers the run in (the native
+/// store splits it into sections of `workloads::native::GET_RUN`
+/// lookups, which is what a writer's barrier may wait behind).
 #[derive(Default)]
 struct GetRun {
     keys: Vec<u64>,

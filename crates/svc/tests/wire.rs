@@ -57,7 +57,6 @@ fn all_responses() -> Vec<Response> {
         Response::NotFound,
         Response::BadRequest,
         Response::Busy,
-        Response::ShuttingDown,
         Response::ServerFull,
     ]
 }
@@ -128,6 +127,14 @@ fn unknown_opcodes_are_rejected() {
             Request::decode(&[op, 0, 0, 0, 0, 0, 0, 0, 0]),
             Err(ProtoError::UnknownOpcode(op)),
             "request op 0x{op:02x}"
+        );
+    }
+    // 0x93 was a SHUTTING_DOWN status no server ever sent.
+    for op in [0x00u8, 0x84, 0x93, 0x95, 0xFF] {
+        assert_eq!(
+            Response::decode(&[op]),
+            Err(ProtoError::UnknownOpcode(op)),
+            "response op 0x{op:02x}"
         );
     }
 }
@@ -325,7 +332,7 @@ proptest! {
     /// no skip, no duplicate — and never panics.
     #[test]
     fn outbox_survives_any_partial_write_schedule(
-        picks in prop::collection::vec(0usize..11, 1..40),
+        picks in prop::collection::vec(0usize..10, 1..40),
         steps in prop::collection::vec(1usize..40, 1..64),
         burst in 1usize..5,
     ) {

@@ -24,9 +24,10 @@
 //!
 //! Log order equals commit order by construction (see
 //! [`workloads::backend::DurableSink`]), so replaying the log from the
-//! start rebuilds exactly the acked store state; a torn tail (the only
-//! artifact a crash mid-write can leave — part of one wake-up's
-//! records) is truncated to the last whole record on recovery.
+//! start rebuilds exactly the acked store state; a torn tail (what a
+//! crash mid-write leaves — part of one wake-up's records) is truncated
+//! to the last whole record on recovery, and a final segment torn inside
+//! its header (a crash while opening it) is removed.
 
 use std::fs::{self, File};
 use std::io::Write as _;

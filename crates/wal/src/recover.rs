@@ -4,7 +4,9 @@
 //! front-to-back. An undecodable suffix is tolerated **only at the tail
 //! of the last segment** — that is the one place a crash mid-append can
 //! legally leave torn bytes, and recovery truncates the file back to
-//! the last whole record. An undecodable region anywhere else means the
+//! the last whole record. A final segment shorter than its header (a
+//! crash between creating it and writing the header) holds no record and
+//! is removed whole. An undecodable region anywhere else means the
 //! log was damaged after it was written (bit rot, manual edits) and is
 //! reported as a hard error rather than silently dropping acked
 //! history.
@@ -69,7 +71,8 @@ pub struct Replay {
     pub ops: u64,
     /// Segments scanned.
     pub segments: u64,
-    /// Torn bytes truncated from the final segment (0 on a clean log).
+    /// Torn bytes truncated from the final segment, a removed torn
+    /// segment header included (0 on a clean log).
     pub truncated_bytes: u64,
     /// LSN the next append should use (`last replayed + 1`, or 1 for an
     /// empty/absent log).
@@ -108,7 +111,8 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(Lsn, PathBuf)>, WalError>
 
 /// Replays every record under `dir` in LSN order, calling `apply` with
 /// each record's write-set. Truncates a torn tail in place (so the next
-/// open appends after the last whole record). A missing or empty
+/// open appends after the last whole record) and removes a final segment
+/// torn inside its header. A missing or empty
 /// directory is a valid empty log.
 pub fn replay(dir: &Path, mut apply: impl FnMut(Lsn, &[MutOp])) -> Result<Replay, WalError> {
     let mut out = Replay {
@@ -118,7 +122,19 @@ pub fn replay(dir: &Path, mut apply: impl FnMut(Lsn, &[MutOp])) -> Result<Replay
     if !dir.exists() {
         return Ok(out);
     }
-    let segs = list_segments(dir)?;
+    let mut segs = list_segments(dir)?;
+    // A crash between a segment's creation and its header write (at open
+    // or at a rotation) leaves a final segment shorter than the header,
+    // with no record behind it: drop it as torn. The next open recreates
+    // it, named by the recovered `next_lsn` as it was.
+    if let Some((_, path)) = segs.last() {
+        let len = fs::metadata(path)?.len();
+        if len < record::SEGMENT_HEADER as u64 {
+            fs::remove_file(path)?;
+            out.truncated_bytes = len;
+            segs.pop();
+        }
+    }
     let mut next = None::<Lsn>;
     for (i, (name_base, path)) in segs.iter().enumerate() {
         let last = i + 1 == segs.len();
@@ -165,7 +181,7 @@ pub fn replay(dir: &Path, mut apply: impl FnMut(Lsn, &[MutOp])) -> Result<Replay
                 None if last => {
                     // Torn tail: drop it so future appends resume from
                     // a clean record boundary.
-                    out.truncated_bytes = (bytes.len() - at) as u64;
+                    out.truncated_bytes += (bytes.len() - at) as u64;
                     let f = fs::OpenOptions::new().write(true).open(path)?;
                     f.set_len(at as u64)?;
                     f.sync_all()?;

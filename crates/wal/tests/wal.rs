@@ -128,6 +128,68 @@ fn half_torn_record_prefix_is_truncated() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crash between a segment's creation and its header write (at open
+/// or at a rotation) leaves a final segment shorter than the header. No
+/// record was ever written behind it, so recovery drops it as torn and
+/// the next incarnation recreates it under the same name.
+#[test]
+fn torn_final_segment_header_is_dropped_and_the_log_continues() {
+    for torn in [0, 7, 15] {
+        let dir = scratch(&format!("torn-header-{torn}"));
+        wal::recover::write_segment(&dir, 1, &[vec![put(1, 1)]], &[]).unwrap();
+        let mut header = Vec::new();
+        wal::record::encode_segment_header(&mut header, 2);
+        let path = dir.join(wal::recover::segment_name(2));
+        std::fs::write(&path, &header[..torn]).unwrap();
+        let mut got = Vec::new();
+        let report = replay(&dir, |lsn, ops| got.push((lsn, ops.to_vec())))
+            .unwrap_or_else(|e| panic!("{torn}-byte header: {e}"));
+        assert_eq!(report.truncated_bytes, torn as u64);
+        assert_eq!(report.next_lsn, 2);
+        assert_eq!(got, vec![(1, vec![put(1, 1)])]);
+
+        let w = Wal::open(&dir, FsyncPolicy::Batch, report.next_lsn).unwrap();
+        assert_eq!(w.append(&[put(2, 2)]), 2);
+        w.wait_durable(2);
+        drop(w);
+        let (report, got) = collect(&dir);
+        assert_eq!(report.truncated_bytes, 0);
+        assert_eq!(
+            got,
+            vec![(1, vec![put(1, 1)]), (2, vec![put(2, 2)])],
+            "{torn}-byte header"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A short header anywhere but the final segment, and a wrong magic
+/// anywhere, is damage, not a crash artifact.
+#[test]
+fn short_interior_or_wrong_magic_header_is_a_hard_error() {
+    let mut header = Vec::new();
+    wal::record::encode_segment_header(&mut header, 2);
+    let mut bad_magic = header.clone();
+    bad_magic[0] ^= 1;
+    for (name, seg2, seg3) in [
+        ("short", &header[..7], true),
+        ("magic", &bad_magic[..], false),
+        ("magic-interior", &bad_magic[..], true),
+    ] {
+        let dir = scratch(&format!("bad-header-{name}"));
+        wal::recover::write_segment(&dir, 1, &[vec![put(1, 1)]], &[]).unwrap();
+        std::fs::write(dir.join(wal::recover::segment_name(2)), seg2).unwrap();
+        if seg3 {
+            wal::recover::write_segment(&dir, 3, &[], &[]).unwrap();
+        }
+        match replay(&dir, |_, _| {}) {
+            Err(WalError::BadHeader(_)) => {}
+            other => panic!("{name}: expected BadHeader, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn corruption_in_non_final_segment_is_a_hard_error() {
     let dir = scratch("interior");

@@ -321,11 +321,6 @@ impl SimBackend {
             .map_err(|e| format!("prefill: {e:?}"))?;
         Ok(SimBackend { rt, alloc, kv })
     }
-
-    /// The underlying sharded store (for direct-driver callers).
-    pub fn kv(&self) -> &ShardedKv {
-        &self.kv
-    }
 }
 
 impl StoreBackend for SimBackend {

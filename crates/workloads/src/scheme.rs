@@ -159,24 +159,15 @@ impl Scheme {
             Scheme::Hle(l) => l.execute(ctx, stats, body),
             Scheme::ScmHle(l) => l.execute(ctx, stats, body),
             Scheme::AdaptiveHle(l) => l.execute(ctx, stats, body),
-            Scheme::BrLock(l) => {
-                let _g = l.read_lock(ctx.slot());
-                let r = run_nt(ctx, body);
-                stats.commit(CommitKind::Uninstrumented);
-                r
-            }
-            Scheme::Rwl(l) => {
-                let _g = l.read_lock();
-                let r = run_nt(ctx, body);
-                stats.commit(CommitKind::Uninstrumented);
-                r
-            }
-            Scheme::Sgl(l) => {
-                let _g = l.lock();
-                let r = run_nt(ctx, body);
-                stats.commit(CommitKind::Sgl);
-                r
-            }
+            Scheme::BrLock(l) => locked(
+                l.read_lock(ctx.slot()),
+                ctx,
+                stats,
+                CommitKind::Uninstrumented,
+                body,
+            ),
+            Scheme::Rwl(l) => locked(l.read_lock(), ctx, stats, CommitKind::Uninstrumented, body),
+            Scheme::Sgl(l) => locked(l.lock(), ctx, stats, CommitKind::Sgl, body),
         }
     }
 
@@ -192,34 +183,26 @@ impl Scheme {
             Scheme::Hle(l) => l.execute(ctx, stats, body),
             Scheme::ScmHle(l) => l.execute(ctx, stats, body),
             Scheme::AdaptiveHle(l) => l.execute(ctx, stats, body),
-            Scheme::BrLock(l) => {
-                let _g = l.write_lock();
-                let r = run_nt(ctx, body);
-                stats.commit(CommitKind::Sgl);
-                r
-            }
-            Scheme::Rwl(l) => {
-                let _g = l.write_lock();
-                let r = run_nt(ctx, body);
-                stats.commit(CommitKind::Sgl);
-                r
-            }
-            Scheme::Sgl(l) => {
-                let _g = l.lock();
-                let r = run_nt(ctx, body);
-                stats.commit(CommitKind::Sgl);
-                r
-            }
+            Scheme::BrLock(l) => locked(l.write_lock(), ctx, stats, CommitKind::Sgl, body),
+            Scheme::Rwl(l) => locked(l.write_lock(), ctx, stats, CommitKind::Sgl, body),
+            Scheme::Sgl(l) => locked(l.lock(), ctx, stats, CommitKind::Sgl, body),
         }
     }
 }
 
-fn run_nt<R>(
+/// A lock baseline's section: `body` runs non-transactionally while
+/// `_guard` holds the lock, then counts as a `kind` commit. The guard
+/// drops after the count.
+fn locked<G, R>(
+    _guard: G,
     ctx: &ThreadCtx,
+    stats: &mut ThreadStats,
+    kind: CommitKind,
     body: &mut dyn FnMut(&mut dyn MemAccess) -> Result<R, AbortCause>,
 ) -> R {
-    let mut nt = ctx.non_tx();
-    body(&mut nt).expect("non-transactional execution cannot abort")
+    let r = body(&mut ctx.non_tx()).expect("non-transactional execution cannot abort");
+    stats.commit(kind);
+    r
 }
 
 #[cfg(test)]
