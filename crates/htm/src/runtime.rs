@@ -497,7 +497,8 @@ impl HtmRuntime {
     /// Dooms every tracked HTM reader of `line` except `me`.
     ///
     /// Litmus: writer side of the `r1_commit_quartet` suite in
-    /// `wmm::proto` (the scan load after `claim_line`'s CAS).
+    /// `wmm::proto` (the scan load after `claim_line`'s CAS) and of
+    /// `r1_nt_store` (after `acquire_nt_claim`'s CAS, before the NT store).
     pub(crate) fn doom_readers(&self, line: usize, me: usize, cause: AbortCause) {
         let meta = self.line(line);
         // SeqCst (load-bearing): writer side of the store-buffering race
@@ -527,13 +528,26 @@ impl HtmRuntime {
     /// On return, any speculative transactional writer that existed has
     /// either been doomed (its buffered stores will never reach memory) or
     /// has finished its write-back (the line is released), so a subsequent
-    /// plain load of memory is sound. Non-transactional claims are ignored:
-    /// their single store is word-atomic, so a load sees either the old or
-    /// the new value.
+    /// plain load of memory is sound.
     ///
-    /// Litmus: reader side of `wmm::proto`'s `r1_commit_quartet`
-    /// (writer-word load after `add_reader`'s publication).
-    pub(crate) fn resolve_writer(&self, line: usize, me: usize, cause: AbortCause) {
+    /// A non-transactional claim is ignored by a non-transactional load:
+    /// its single store is word-atomic, so the load sees either the old or
+    /// the new value. A `transactional` load waits it out instead. The NT
+    /// store dooms the line's readers *before* it stores (see
+    /// [`HtmRuntime::write_nt_as`]), so a transaction that published its
+    /// reader bit after that scan and loaded the old value would commit a
+    /// result computed from it; waiting, it loads the new value. The
+    /// holder never blocks, so the wait is short.
+    ///
+    /// Litmus: reader side of `wmm::proto`'s `r1_commit_quartet` and
+    /// `r1_nt_store` (writer-word load after `add_reader`'s publication).
+    pub(crate) fn resolve_writer(
+        &self,
+        line: usize,
+        me: usize,
+        cause: AbortCause,
+        transactional: bool,
+    ) {
         let meta = self.line(line);
         loop {
             // SeqCst (load-bearing): reader side of race R1 — this load
@@ -541,7 +555,16 @@ impl HtmRuntime {
             // `doom_readers` for the pairing argument.
             let w = meta.writer.load(Ordering::SeqCst);
             match unpack_writer(w) {
-                Claim::Free | Claim::Nt(_) => return,
+                Claim::Free => return,
+                Claim::Nt(_) if !transactional => return,
+                Claim::Nt(_) => {
+                    // Acquire: the release CAS that ends the wait carries
+                    // the NT store this load must then see.
+                    let mut bo = sched::Backoff::new();
+                    while meta.writer.load(Ordering::Acquire) == w {
+                        bo.snooze();
+                    }
+                }
                 Claim::Tx(oslot, _) if oslot == me => return,
                 Claim::Tx(oslot, oseq) => match self.doom(oslot, oseq, cause) {
                     DoomOutcome::Doomed | DoomOutcome::Gone => return,
@@ -565,8 +588,8 @@ impl HtmRuntime {
     /// non-transactional store, dooming or waiting out any transactional
     /// writer. Must be released with [`HtmRuntime::release_nt_claim`].
     ///
-    /// Holders never block while owning a claim (one store, then release),
-    /// so waiting on an NT claim is deadlock-free.
+    /// Holders never block while owning a claim (a reader scan, one
+    /// store, then release), so waiting on an NT claim is deadlock-free.
     fn acquire_nt_claim(&self, line: usize, me: usize, cause: AbortCause) {
         let meta = self.line(line);
         let mine = pack_nt_claim(me);
@@ -790,7 +813,7 @@ impl HtmRuntime {
     /// committing writers, so the returned value is never torn.
     pub(crate) fn read_nt_as(&self, slot: usize, addr: Addr, cause: AbortCause) -> u64 {
         sched::step();
-        self.resolve_writer(self.granule_of(addr), slot, cause);
+        self.resolve_writer(self.granule_of(addr), slot, cause, false);
         self.mem.load(addr)
     }
 
@@ -831,7 +854,7 @@ impl HtmRuntime {
         let line = self.granule_of(addr);
         // SeqCst (load-bearing): the reader side of the dichotomy above.
         if self.claim_filter[line & CLAIM_FILTER_MASK].load(Ordering::SeqCst) != 0 {
-            self.resolve_writer(line, slot, cause);
+            self.resolve_writer(line, slot, cause, false);
         }
         self.mem.load(addr)
     }
@@ -839,27 +862,34 @@ impl HtmRuntime {
     /// Non-transactional store to `addr` on behalf of `slot`.
     ///
     /// Takes momentary exclusive ownership of the line (dooming any
-    /// transactional writer, waiting out committers), performs the store,
-    /// releases, and then dooms every tracked HTM reader. The store happens
-    /// before the reader scan, so the scan cannot miss a reader that
-    /// observed the old value: any reader whose bit is set after the scan
-    /// necessarily loads after the store and sees the new value.
+    /// transactional writer, waiting out committers), dooms every tracked
+    /// HTM reader, performs the store and releases. Both happen inside the
+    /// claim, which is what makes the store atomic against transactions:
+    /// a reader that loaded the old value is doomed before the store
+    /// exists, so it cannot commit a result computed from that value, and
+    /// a reader whose bit appears after the scan finds the claim in
+    /// [`HtmRuntime::resolve_writer`] and waits for the new value. (Scan
+    /// after release, and a transaction that read the old value can claim
+    /// the line and commit in between: a lost update.)
     pub(crate) fn write_nt_as(&self, slot: usize, addr: Addr, val: u64, cause: AbortCause) {
         sched::step();
         let line = self.granule_of(addr);
         self.acquire_nt_claim(line, slot, cause);
+        self.doom_readers(line, slot, cause);
+        // The store's latency: a scheduling point inside the claim.
+        sched::step();
         self.mem.store(addr, val);
         self.release_nt_claim(line, slot);
-        self.doom_readers(line, slot, cause);
     }
 
     /// Non-transactional compare-exchange on behalf of `slot`.
     ///
-    /// A successful exchange behaves like a store (dooms writers and
-    /// readers); a failed one behaves like a load (it still dooms the
-    /// transactional writer, since acquiring coherence ownership is part of
-    /// the attempt, but leaves readers alone — a failed `stcx.` performs no
-    /// store).
+    /// A successful exchange behaves like a store (dooms writers and,
+    /// before storing, readers — see [`HtmRuntime::write_nt_as`]); a failed
+    /// one behaves like a load (it still dooms the transactional writer,
+    /// since acquiring coherence ownership is part of the attempt, but
+    /// leaves readers alone — a failed `stcx.` performs no store). The
+    /// claim keeps the word unchanged between the compare and the store.
     pub(crate) fn cas_nt_as(
         &self,
         slot: usize,
@@ -871,11 +901,16 @@ impl HtmRuntime {
         sched::step();
         let line = self.granule_of(addr);
         self.acquire_nt_claim(line, slot, cause);
-        let res = self.mem.compare_exchange(addr, cur, new);
-        self.release_nt_claim(line, slot);
-        if res.is_ok() {
+        let old = self.mem.load(addr);
+        let res = if old == cur {
             self.doom_readers(line, slot, cause);
-        }
+            sched::step();
+            self.mem.store(addr, new);
+            Ok(old)
+        } else {
+            Err(old)
+        };
+        self.release_nt_claim(line, slot);
         res
     }
 

@@ -317,8 +317,12 @@ impl<'c> Tx<'c> {
             }
             self.rt().add_reader(granule as usize, self.ctx.slot);
         }
-        self.rt()
-            .resolve_writer(granule as usize, self.ctx.slot, AbortCause::ConflictTx);
+        self.rt().resolve_writer(
+            granule as usize,
+            self.ctx.slot,
+            AbortCause::ConflictTx,
+            true,
+        );
         let v = self.rt().mem().load(addr);
         // The load is only valid if nobody doomed us up to this point
         // (e.g. a writer claimed the line after our reader bit was set).

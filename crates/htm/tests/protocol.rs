@@ -191,11 +191,35 @@ fn rot_commit_survives_readers_of_untracked_lines() {
     assert_eq!(rot2.commit(), Err(AbortCause::ConflictNonTx));
 }
 
+/// A ROT's loads are untracked (PAPER.md), so a read-modify-write in a
+/// ROT loses an NT increment that lands between its read and its
+/// write, and still commits. That is the design, not a bug — it is why
+/// the counter stress below runs no ROT arm — and the same interleaving
+/// under HTM dooms the transaction instead.
+#[test]
+fn rot_read_modify_write_loses_a_concurrent_nt_increment() {
+    let (mem, rt) = setup(16);
+    let mut a = rt.register();
+    let b = rt.register();
+    let mut rot = a.begin(TxMode::Rot);
+    let v = rot.read(Addr(0)).unwrap();
+    assert_eq!(b.cas_nt(Addr(0), v, v + 1), Ok(v));
+    rot.write(Addr(0), v + 1).unwrap();
+    rot.commit().unwrap();
+    assert_eq!(mem.load(Addr(0)), 1, "two increments, one left");
+    let mut htm = a.begin(TxMode::Htm);
+    let v = htm.read(Addr(0)).unwrap();
+    assert_eq!(b.cas_nt(Addr(0), v, v + 1), Ok(v));
+    assert_eq!(htm.write(Addr(0), v + 1), Err(AbortCause::ConflictNonTx));
+    assert_eq!(mem.load(Addr(0)), 2);
+}
+
 #[test]
 fn randomized_counter_serializability_stress() {
-    // 4 threads × random per-op choice of HTM/ROT/nt-CAS incrementing a
-    // shared counter: the total must be exact. Exercises every conflict
-    // path against every other.
+    // 4 threads × random per-op choice of HTM/nt-CAS incrementing a
+    // shared counter: the total must be exact. Exercises the HTM and NT
+    // conflict paths against each other (ROT increments lose updates by
+    // design; see above).
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     let (mem, rt) = setup(16);
@@ -208,22 +232,9 @@ fn randomized_counter_serializability_stress() {
                 let mut rng = SmallRng::seed_from_u64(t);
                 let mut done = 0;
                 while done < PER_THREAD {
-                    match rng.gen_range(0..3) {
+                    match rng.gen_range(0..2) {
                         0 => {
                             let mut tx = ctx.begin(TxMode::Htm);
-                            let ok = (|| -> Result<(), AbortCause> {
-                                let v = tx.read(Addr(0))?;
-                                tx.write(Addr(0), v + 1)?;
-                                Ok(())
-                            })()
-                            .is_ok()
-                                && tx.commit().is_ok();
-                            if ok {
-                                done += 1;
-                            }
-                        }
-                        1 => {
-                            let mut tx = ctx.begin(TxMode::Rot);
                             let ok = (|| -> Result<(), AbortCause> {
                                 let v = tx.read(Addr(0))?;
                                 tx.write(Addr(0), v + 1)?;

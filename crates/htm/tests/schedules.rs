@@ -8,7 +8,9 @@
 //! their operations with non-transactional traffic in random order.
 //! Seed iteration and failing-seed reporting come from [`sched::explore`];
 //! whole-protocol OS-thread interleaving lives in the `sched` crate and
-//! the `rwle`/`epoch` schedule suites built on it.
+//! the `rwle`/`epoch` schedule suites built on it — and, for the one
+//! window an episode cannot split (inside an NT store), in
+//! `htm_increment_never_loses_a_cas_nt_increment` below.
 //!
 //! No step can block: engine waits only occur while another context is
 //! inside `commit()` write-back or an NT store, both of which complete
@@ -216,6 +218,54 @@ fn two_line_space_stresses_granule_cache_transitions() {
     // dooming NT traffic — the transition matrix the cache must survive.
     sched::explore("htm-episodes-cache", 0x7000..0x7200, |seed| {
         run_schedule(seed, 6, 12, 16)
+    });
+}
+
+/// An HTM increment against a `cas_nt` increment on two logical
+/// threads, switched by the seeded scheduler at every engine step —
+/// including the one an NT store takes while it holds the line's claim.
+/// Every increment must survive. Both halves of the NT store's
+/// protocol are needed: scan for readers only after releasing the claim
+/// (with a step between) and a transaction that read the old value
+/// claims the line in that window and commits a stale increment (seed
+/// 2); let transactional loads ignore the claim and one that starts
+/// after the scan loads the old value (seed 3).
+#[test]
+fn htm_increment_never_loses_a_cas_nt_increment() {
+    const EACH: u64 = 4;
+    sched::explore("htm-vs-cas-nt", 0..600, |seed| {
+        let mem = Arc::new(SharedMem::new_lines(1));
+        let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
+        let (mut htm, nt) = (rt.register(), rt.register());
+        let mut s = sched::Scheduler::new(seed);
+        s.spawn(move || {
+            let mut done = 0;
+            while done < EACH {
+                let mut tx = htm.begin(TxMode::Htm);
+                let run = (|| {
+                    let v = tx.read(Addr(0))?;
+                    tx.write(Addr(0), v + 1)
+                })();
+                if run.is_ok() && tx.commit().is_ok() {
+                    done += 1;
+                }
+            }
+        });
+        s.spawn(move || {
+            let mut done = 0;
+            while done < EACH {
+                let v = nt.read_nt(Addr(0));
+                if nt.cas_nt(Addr(0), v, v + 1).is_ok() {
+                    done += 1;
+                }
+            }
+        });
+        s.run();
+        assert_eq!(
+            mem.load(Addr(0)),
+            2 * EACH,
+            "seed {seed}: an increment was lost"
+        );
     });
 }
 

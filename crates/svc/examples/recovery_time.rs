@@ -1,0 +1,183 @@
+//! Start-to-first-reply of a durable `rwled` against the length of its
+//! redo log: the rows of `results/recovery.txt`.
+//!
+//! ```text
+//! cargo run --release -p svc --example recovery_time -- \
+//!     --rwled target/release/rwled --ops 150000,600000,2400000 [--label NAME]
+//! ```
+//!
+//! For each log length it writes one log — records of 64 mutations of
+//! keys below the 100 000-key prefill, PUT or DEL with even odds, the
+//! shape of the log `benchmark/` replays for `recover_s` — then starts
+//! `rwled --backend native --shards 16 --threads 2 --prefill 100000
+//! --wal-dir D --fsync off` eight times. Each start is timed from spawn to the
+//! first reply (a STATS exchange) and then killed. One row per length:
+//! the median, fastest and slowest start, and the median prefill,
+//! read+check, apply and copy times of the `rwled recovered:` line (`-`
+//! when the binary prints none). `--rwled` may name any build, so two
+//! revisions are compared by alternating runs with each binary.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::path::Path;
+use std::process::{Command, Stdio};
+use std::time::Instant;
+
+use bench::Args;
+use rand::{Rng, SeedableRng};
+use svc::proto::{read_frame, Request, Response};
+use wal::{FsyncPolicy, Wal};
+use workloads::backend::{DurableSink, MutOp};
+
+const FLAGS: &[&str] = &["help", "rwled", "ops", "label"];
+
+const USAGE: &str = "\
+usage: recovery_time --rwled PATH --ops N[,N...] [--label NAME] [--help]
+
+  Writes a synthetic redo log of each --ops length and times eight
+  starts of the --rwled binary on it, spawn to first reply.";
+
+/// Keys `0..PREFILL` are in the store before the log; the log's keys
+/// are drawn from the same range.
+const PREFILL: u64 = 100_000;
+/// Starts timed per log length.
+const STARTS: usize = 8;
+
+/// The four phases `rwled recovered:` reports, in ms, in line order.
+const PHASES: [&str; 4] = ["prefill ", "read+check ", "apply ", "copy "];
+
+fn main() {
+    let args = Args::parse();
+    args.expect_only(FLAGS, USAGE);
+    if args.flag("help") {
+        println!("{USAGE}");
+        return;
+    }
+    let (Some(rwled), Some(lengths)) = (args.get("rwled"), args.list::<u64>("ops")) else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
+    let label = args.get("label").unwrap_or("rwled");
+    let dir = std::env::temp_dir().join(format!("recovery-time-{}", std::process::id()));
+    println!(
+        "# {label}: native, prefill {PREFILL}, {STARTS} starts per log; ms: start = spawn to \
+         first reply (median min max), then the median phase split rwled reports"
+    );
+    println!("label log_ops records start_ms min_ms max_ms prefill_ms read_ms apply_ms copy_ms");
+    for ops in lengths {
+        let _ = std::fs::remove_dir_all(&dir);
+        let records = write_log(&dir, ops);
+        let mut times = Vec::new();
+        let mut phases: [Vec<f64>; 4] = Default::default();
+        for _ in 0..STARTS {
+            let (ms, split) = start(rwled, &dir);
+            times.push(ms);
+            for (all, one) in phases.iter_mut().zip(split.into_iter().flatten()) {
+                all.push(one);
+            }
+        }
+        let split: Vec<String> = phases
+            .iter_mut()
+            .map(|p| match median(p) {
+                Some(ms) => format!("{ms:.1}"),
+                None => "-".into(),
+            })
+            .collect();
+        // Sorts `times`, so the extremes are its ends.
+        let start_ms = median(&mut times).expect("at least one start");
+        let (lo, hi) = (times[0], times[times.len() - 1]);
+        println!(
+            "{label} {ops} {records} {start_ms:.1} {lo:.1} {hi:.1} {}",
+            split.join(" ")
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn median(v: &mut [f64]) -> Option<f64> {
+    v.sort_by(f64::total_cmp);
+    v.get(v.len() / 2).copied()
+}
+
+/// Writes `ops` mutations in records of 64; returns the record count.
+fn write_log(dir: &Path, ops: u64) -> u64 {
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(0x10d);
+    let wal = Wal::open(dir, FsyncPolicy::Off, 1).expect("open the log");
+    let (mut left, mut records, mut record) = (ops, 0, Vec::with_capacity(64));
+    while left > 0 {
+        record.clear();
+        for i in 0..left.min(64) {
+            let key = rng.gen_range(0..PREFILL);
+            record.push(if rng.gen_bool(0.5) {
+                MutOp::Put {
+                    key,
+                    value: left - i,
+                }
+            } else {
+                MutOp::Del { key }
+            });
+        }
+        left -= record.len() as u64;
+        wal.append(&record);
+        records += 1;
+    }
+    records
+}
+
+/// One start: spawn to the first STATS reply, in ms, and the phase
+/// split of the recovery line, when there is one.
+fn start(rwled: &str, dir: &Path) -> (f64, Option<[f64; 4]>) {
+    let t0 = Instant::now();
+    let mut child = Command::new(rwled)
+        .args([
+            "--port",
+            "0",
+            "--threads",
+            "2",
+            "--shards",
+            "16",
+            "--fsync",
+            "off",
+        ])
+        .args(["--backend", "native", "--prefill", &PREFILL.to_string()])
+        .arg("--wal-dir")
+        .arg(dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn rwled");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped"));
+    let (mut line, mut split) = (String::new(), None);
+    let addr = loop {
+        line.clear();
+        assert!(
+            stdout.read_line(&mut line).expect("read") > 0,
+            "rwled exited"
+        );
+        if line.starts_with("rwled recovered:") {
+            split = phase_split(&line);
+        }
+        if let Some(rest) = line.strip_prefix("rwled listening on ") {
+            break rest.split_whitespace().next().expect("address").to_string();
+        }
+    };
+    let mut c = TcpStream::connect(&addr).expect("connect");
+    c.write_all(&Request::Stats.to_frame()).expect("send");
+    let reply = Response::decode(&read_frame(&mut c).expect("reply")).expect("decode");
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert!(matches!(reply, Response::Stats(_)), "first reply {reply:?}");
+    child.kill().expect("kill rwled");
+    child.wait().expect("reap rwled");
+    (ms, split)
+}
+
+/// `prefill P ms, read+check R ms, apply A ms, copy C ms` from the
+/// recovery line.
+fn phase_split(line: &str) -> Option<[f64; 4]> {
+    let mut out = [0.0; 4];
+    for (slot, phase) in out.iter_mut().zip(PHASES) {
+        let at = line.find(phase)? + phase.len();
+        *slot = line[at..].split_whitespace().next()?.parse().ok()?;
+    }
+    Some(out)
+}

@@ -10,8 +10,10 @@
 //!
 //! Prints the bound address on stdout, serves until a SHUTDOWN request,
 //! then drains and prints the final report (including batch/barrier
-//! amortization counters). Exit codes: 0 clean drain, 1 runtime failure
-//! or drain mismatch, 2 bad configuration.
+//! amortization counters). A durable start prints what recovery read and
+//! where its time went first. Exit codes: 0 clean drain, 1 runtime
+//! failure or drain mismatch, 2 bad configuration or a redo log that
+//! does not load.
 
 use std::process::exit;
 use std::time::Duration;
@@ -61,7 +63,8 @@ usage: rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
   acked write); --fsync picks what else it waits for: batch (default,
   group commit — acked means on disk), interval:<ms> (fsync on a
   cadence, a power cut loses at most that), off (never fsync).
-  Restarts must reuse the same --prefill.";
+  Restarts must reuse the same --prefill, and a --capacity the log fits
+  in: a record that does not fit stops the start (exit 2).";
 
 fn main() {
     let args = Args::parse();
@@ -117,6 +120,7 @@ fn main() {
             eprintln!(
                 "hint: pass --port 0 for an ephemeral port if the address is \
                  taken, lower --prefill/--capacity if memory sizing failed, \
+                 raise --capacity if the log does not fit, \
                  or pick --scheme rw-le_opt or sgl with --backend native"
             );
             exit(2);
@@ -129,18 +133,31 @@ fn main() {
             exit(2);
         }
     };
+    // Before the port file: a script that waits for the port finds
+    // this line already written.
+    if let Some(r) = server.recovery() {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let log = &r.replay;
+        println!(
+            "rwled recovered: {} records ({} ops) from {} segments, \
+             {} torn bytes truncated, next lsn {}; prefill {:.1} ms, \
+             read+check {:.1} ms, apply {:.1} ms, copy {:.1} ms",
+            log.records,
+            log.ops,
+            log.segments,
+            log.truncated_bytes,
+            log.next_lsn,
+            ms(r.prefill),
+            ms(r.read),
+            ms(r.apply),
+            ms(r.copy)
+        );
+    }
     if let Some(path) = args.get("port-file") {
         if let Err(e) = std::fs::write(path, addr.port().to_string()) {
             eprintln!("rwled: cannot write --port-file {path}: {e}");
             exit(2);
         }
-    }
-    if let Some(r) = server.recovery() {
-        println!(
-            "rwled recovered: {} records ({} ops) from {} segments, \
-             {} torn bytes truncated, next lsn {}",
-            r.records, r.ops, r.segments, r.truncated_bytes, r.next_lsn
-        );
     }
     println!(
         "rwled listening on {addr} ({threads} workers, scheme {scheme_name}, \

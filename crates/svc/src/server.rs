@@ -92,7 +92,7 @@ use stats::{StatsSummary, ThreadStats};
 use wal::{FsyncPolicy, Wal};
 use workloads::backend::{MutOp, MutReply, SimBackend, NO_LSN};
 use workloads::native::{NativeBackend, SglBackend};
-use workloads::{BackendKind, SchemeKind, StoreBackend, StoreSession};
+use workloads::{BackendKind, SchemeKind, StoreBackend, StoreLoader, StoreSession};
 
 use crate::poll::{Interest, Poller, Waker};
 use crate::proto::{FrameReader, Outbox, Request, Response, ServerStats};
@@ -132,7 +132,8 @@ pub struct ServerConfig {
     /// final record truncated), and each batch's write-set is appended
     /// inside the store pass's commit window. Restarts must keep the
     /// same `prefill` — the log records mutations *over* the prefilled
-    /// state, not the prefill itself.
+    /// state, not the prefill itself — and an `extra_capacity` the log
+    /// fits in: a record the store cannot hold fails the bind.
     pub wal_dir: Option<std::path::PathBuf>,
     /// When the log is fsynced relative to the ack (ignored without
     /// `wal_dir`); the ack waits for the log *write* under every policy.
@@ -180,19 +181,39 @@ impl DrainReport {
     }
 }
 
+/// Where a durable server's start-up time went, and what its log held:
+/// the report [`Server::recovery`] carries and `rwled` prints.
+#[derive(Debug)]
+pub struct Recovery {
+    /// What the replay read: records, ops, segments, torn bytes, the
+    /// next LSN.
+    pub replay: wal::Replay,
+    /// Building the store and loading keys `0..prefill` into it.
+    pub prefill: Duration,
+    /// Reading the segments and checking and decoding their records:
+    /// the replay's own time, `apply` not included.
+    pub read: Duration,
+    /// Applying the decoded records to the store, each op once.
+    pub apply: Duration,
+    /// Handing the loaded store over; on the native store, cloning each
+    /// shard's loaded copy into its second copy.
+    pub copy: Duration,
+}
+
 /// A bound, configured server ready to [`run`](Server::run).
 pub struct Server {
     cfg: ServerConfig,
     listener: TcpListener,
     backend: Box<dyn StoreBackend>,
     wal: Option<Arc<Wal>>,
-    recovery: Option<wal::Replay>,
+    recovery: Option<Recovery>,
 }
 
 impl Server {
-    /// Builds and prefills the store on the configured backend and
-    /// binds the listener. Bind and sizing failures surface as
-    /// `io::Error` so the binary can exit 2 with a hint.
+    /// Builds and prefills the store on the configured backend, replays
+    /// the redo log into it when there is one, and binds the listener.
+    /// Bind and sizing failures, and a log that does not load, surface
+    /// as `io::Error` so the binary can exit 2 with a hint.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
         if cfg.threads == 0 || cfg.shards == 0 || cfg.max_conns == 0 {
             return Err(io::Error::new(
@@ -200,33 +221,36 @@ impl Server {
                 "threads, shards and connection limit must all be at least 1",
             ));
         }
-        // Recovery replays through one extra session before the workers
-        // claim theirs, so a durable server sizes the backend for
-        // `threads + 1`.
-        let sessions = cfg.threads + usize::from(cfg.wal_dir.is_some());
-        let backend: Box<dyn StoreBackend> = match (cfg.backend, cfg.scheme) {
-            (BackendKind::Sim, scheme) => Box::new(
-                SimBackend::create(
+        let started = Instant::now();
+        let (backend, recovery) = match (cfg.backend, cfg.scheme) {
+            (BackendKind::Sim, scheme) => load(
+                SimBackend::loader(
                     scheme,
                     cfg.shards,
                     cfg.buckets_per_shard,
                     cfg.prefill,
                     cfg.extra_capacity,
-                    sessions,
+                    cfg.threads,
                     // Seeds only the page-fault RNG, which the server's
                     // HTM configuration never consults.
                     1,
                 )
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?,
-            ),
+                &cfg,
+                started,
+            )?,
             // The native SGL canary: one mutex, no elision machinery —
             // the baseline CI normalizes the batching gate against.
-            (BackendKind::Native, SchemeKind::Sgl) => Box::new(SglBackend::create(cfg.prefill)),
+            (BackendKind::Native, SchemeKind::Sgl) => {
+                load(SglBackend::loader(cfg.prefill), &cfg, started)?
+            }
             // Plain memory needs no sizing: capacity is the process
             // heap, so extra_capacity has nothing to govern.
-            (BackendKind::Native, SchemeKind::RwLeOpt) => {
-                Box::new(NativeBackend::create(cfg.shards, sessions, cfg.prefill))
-            }
+            (BackendKind::Native, SchemeKind::RwLeOpt) => load(
+                NativeBackend::loader(cfg.shards, cfg.threads, cfg.prefill),
+                &cfg,
+                started,
+            )?,
             // Native has those two stores only; any other scheme would
             // run the publication store under its own label in STATS and
             // in every recorded row.
@@ -240,24 +264,13 @@ impl Server {
                 ));
             }
         };
-        // Durable path: replay whatever the previous incarnation acked
-        // (log order = commit order, so batch-at-a-time replay rebuilds
-        // exactly that state), then open a fresh segment for this one.
-        let (wal, recovery) = match &cfg.wal_dir {
-            Some(dir) => {
-                let bad_log = |e: wal::WalError| io::Error::other(format!("wal: {e}"));
-                let mut sess = backend.session();
-                let mut replies = Vec::new();
-                let report = wal::replay(dir, |_lsn, ops| {
-                    replies.clear();
-                    sess.apply_batch(ops, &mut replies);
-                })
-                .map_err(bad_log)?;
-                drop(sess);
-                let w = Wal::open(dir, cfg.fsync, report.next_lsn).map_err(bad_log)?;
-                (Some(Arc::new(w)), Some(report))
-            }
-            None => (None, None),
+        // This incarnation appends to a fresh segment after what the
+        // previous ones left.
+        let wal = match (&cfg.wal_dir, &recovery) {
+            (Some(dir), Some(r)) => Some(Arc::new(
+                Wal::open(dir, cfg.fsync, r.replay.next_lsn).map_err(bad_log)?,
+            )),
+            _ => None,
         };
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         // std hardwires a backlog of 128; a load generator opening
@@ -279,9 +292,9 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The recovery replay report, when this server was bound with a
-    /// WAL directory (present even for an empty log).
-    pub fn recovery(&self) -> Option<&wal::Replay> {
+    /// The recovery report, when this server was bound with a WAL
+    /// directory (present even for an empty log).
+    pub fn recovery(&self) -> Option<&Recovery> {
         self.recovery.as_ref()
     }
 
@@ -387,6 +400,63 @@ impl Server {
             wal_writes: shared.wal.as_ref().map_or(0, |w| w.stats().writes),
         })
     }
+}
+
+/// The starting store, built through `loader`, which holds the prefill
+/// it has loaded since `started`. On a durable server every logged
+/// record is applied in LSN order first, and the report says where the
+/// time went. Log order is commit order, so this rebuilds exactly what
+/// the previous incarnations acked — unless a record does not fit, and
+/// then the server refuses to start rather than serve without a write
+/// it acked.
+fn load<L: StoreLoader>(
+    mut loader: L,
+    cfg: &ServerConfig,
+    started: Instant,
+) -> io::Result<(Box<dyn StoreBackend>, Option<Recovery>)> {
+    let Some(dir) = &cfg.wal_dir else {
+        return Ok((Box::new(loader.finish()), None));
+    };
+    let prefill = started.elapsed();
+    let replay_started = Instant::now();
+    let mut apply = Duration::ZERO;
+    let mut full = None;
+    let replay = wal::replay(dir, |lsn, ops| {
+        if full.is_none() {
+            let t0 = Instant::now();
+            if loader.apply(ops).is_err() {
+                full = Some(lsn);
+            }
+            apply += t0.elapsed();
+        }
+    })
+    .map_err(bad_log)?;
+    if let Some(lsn) = full {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "wal: the record at lsn {lsn} does not fit the store: a capacity of {} keys \
+                 beyond the prefill is less than the log needs (restart with the capacity \
+                 it was written under)",
+                cfg.extra_capacity
+            ),
+        ));
+    }
+    let read = replay_started.elapsed().saturating_sub(apply);
+    let t0 = Instant::now();
+    let store = loader.finish();
+    let recovery = Recovery {
+        replay,
+        prefill,
+        read,
+        apply,
+        copy: t0.elapsed(),
+    };
+    Ok((Box::new(store), Some(recovery)))
+}
+
+fn bad_log(e: wal::WalError) -> io::Error {
+    io::Error::other(format!("wal: {e}"))
 }
 
 /// Poller token reserved for the worker's waker eventfd.

@@ -27,7 +27,11 @@
 //! start rebuilds exactly the acked store state; a torn tail (what a
 //! crash mid-write leaves — part of one wake-up's records) is truncated
 //! to the last whole record on recovery, and a final segment torn inside
-//! its header (a crash while opening it) is removed.
+//! its header (a crash while opening it) is removed. Every record is
+//! checked by a CRC-32 computed slicing-by-8 ([`record`]), so reading
+//! and checking a log costs less than applying it; a server applies the
+//! replayed records through its store's load path
+//! ([`workloads::StoreLoader`]), before anything can read the store.
 
 use std::fs::{self, File};
 use std::io::Write as _;

@@ -25,6 +25,10 @@
 //!
 //! The CRC covers the LSN so a record copied to the wrong log position
 //! (or a stale block exposed by a torn segment write) cannot validate.
+//! It is computed slicing-by-8 (eight compile-time tables, eight input
+//! bytes per step): the same checksum as the bytewise table loop, which
+//! stays behind as the test oracle, at about a quarter of its cost on
+//! the megabytes of log recovery reads.
 //! `len` is *not* covered: a torn `len` either points past EOF (caught
 //! by the bounds check) or frames bytes whose CRC then fails — both
 //! classify as a torn tail.
@@ -48,37 +52,69 @@ pub const MAX_PAYLOAD: usize = 64 << 20;
 const TAG_PUT: u8 = 1;
 const TAG_DEL: u8 = 2;
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout `!0`) — table-driven,
+/// CRC-32 (IEEE 802.3, reflected, init/xorout `!0`) — slicing-by-8,
 /// dependency-free.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0, bytes)
 }
 
-/// Feeds `bytes` into a running CRC-32 `state` (start from `!0`,
-/// complement the final state), so a checksum over several slices
-/// needs no buffer that joins them.
-fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// The slicing-by-8 tables, built at compile time: `TABLES[0]` is the
+/// classic byte table, and `TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight table lookups advance the state
+/// over eight input bytes at once.
+static TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
             i += 1;
         }
-        table
-    };
-    for &b in bytes {
-        state = TABLE[((state ^ b as u32) & 0xff) as usize] ^ (state >> 8);
+        k += 1;
+    }
+    tables
+};
+
+/// Feeds `bytes` into a running CRC-32 `state` (start from `!0`,
+/// complement the final state), so a checksum over several slices
+/// needs no buffer that joins them. Eight bytes per step through
+/// [`TABLES`], the tail a byte at a time: the same function as the
+/// bytewise loop, at about a quarter of its cost on recovery's
+/// megabytes.
+fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
+    let t = &TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        state = t[0][((state ^ u32::from(b)) & 0xff) as usize] ^ (state >> 8);
     }
     state
 }
@@ -200,17 +236,44 @@ fn decode_ops(payload: &[u8]) -> Option<Vec<MutOp>> {
 mod tests {
     use super::*;
 
+    /// The definition slicing-by-8 must agree with: one table lookup per
+    /// byte.
+    fn crc32_bytewise(mut state: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            state = TABLES[0][((state ^ u32::from(b)) & 0xff) as usize] ^ (state >> 8);
+        }
+        state
+    }
+
+    /// Every length from 0 to 300 (every alignment of the 8-byte steps
+    /// and every tail length), resumed at every split point, gives the
+    /// bytewise value.
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_crc() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let bytes: Vec<u8> = (0..300)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for len in 0..=bytes.len() {
+            let data = &bytes[..len];
+            let want = crc32_bytewise(!0, data);
+            for cut in 0..=len {
+                let got = crc32_update(crc32_update(!0, &data[..cut]), &data[cut..]);
+                assert_eq!(got, want, "length {len}, split at {cut}");
+            }
+        }
+    }
+
     #[test]
     fn crc32_matches_reference_vector() {
-        // The canonical IEEE check value.
+        // The canonical IEEE check value (resumed splits: above).
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
-        // Resuming across any split gives the one-shot value.
-        let whole = b"123456789";
-        for cut in 0..=whole.len() {
-            let state = crc32_update(crc32_update(!0, &whole[..cut]), &whole[cut..]);
-            assert_eq!(!state, 0xcbf4_3926, "split at {cut}");
-        }
     }
 
     /// The byte format is frozen: these are the bytes the one-shot

@@ -1,15 +1,19 @@
 //! End-to-end WAL behavior: append → replay roundtrips, torn-tail
 //! truncation, segment rotation, reopen continuity, fsync policies, the
 //! staged / written frontiers seen from the directory, and
-//! replay-equals-store on the native backend.
+//! replay-equals-store: the native backend's live state, rebuilt by
+//! every store's load path.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use wal::{replay, FsyncPolicy, Wal, WalError};
-use workloads::backend::{DurableSink, MutOp, MutReply, StoreBackend, NO_LSN};
-use workloads::native::NativeBackend;
+use workloads::backend::{
+    DurableSink, MutOp, MutReply, SimBackend, StoreBackend, StoreLoader, NO_LSN,
+};
+use workloads::native::{NativeBackend, SglBackend};
+use workloads::SchemeKind;
 
 /// Fresh per-test scratch directory (the container has no tempfile
 /// crate; process id + test name keeps parallel test binaries apart).
@@ -521,15 +525,81 @@ fn append_ordered_skips_empty_write_sets() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Prefilled keys of the stores [`native_backend_replay_equals_store`]
+/// builds: the logged PUTs below this update a key, the DELs remove one.
+const PREFILL: u64 = 100;
+
+/// Everything a store holds among the keys the replay test writes
+/// (those below 4096, and the top of the key space), by scan.
+fn contents(store: &dyn StoreBackend) -> Vec<(u64, u64)> {
+    let mut s = store.session();
+    let mut out = Vec::new();
+    s.scan(0, 4096, &mut out);
+    s.scan(u64::MAX - 4095, 4096, &mut out);
+    out
+}
+
+/// The server's start-up: every record of `dir` through the store's
+/// load path.
+fn loaded<L: StoreLoader>(mut loader: L, dir: &Path) -> L::Store {
+    replay(dir, |lsn, ops| {
+        loader
+            .apply(ops)
+            .unwrap_or_else(|_| panic!("record {lsn} fits"))
+    })
+    .expect("replay");
+    loader.finish()
+}
+
+/// The worker's path: every record of `dir` as one `apply_batch`.
+fn applied<B: StoreBackend>(store: B, dir: &Path) -> B {
+    let mut sess = store.session();
+    let mut replies = Vec::new();
+    replay(dir, |_lsn, ops| {
+        sess.apply_batch(ops, &mut replies);
+    })
+    .expect("replay");
+    drop(sess);
+    store
+}
+
+/// Each store's load path and its `apply_batch` rebuild the same
+/// contents from the log in `dir`; returns them.
+fn every_store_loads_what_it_replays(dir: &Path) -> Vec<(u64, u64)> {
+    let sim = || SimBackend::loader(SchemeKind::RwLeOpt, 4, 16, PREFILL, 4000, 2, 1).unwrap();
+    let native = loaded(NativeBackend::loader(4, 1, PREFILL), dir);
+    let want = contents(&applied(NativeBackend::create(4, 2, PREFILL), dir));
+    assert_eq!(contents(&native), want, "native load path");
+    assert_eq!(
+        contents(&loaded(sim(), dir)),
+        contents(&applied(sim().finish(), dir)),
+        "sim load path"
+    );
+    assert_eq!(contents(&loaded(sim(), dir)), want, "sim vs native");
+    let sgl = loaded(SglBackend::loader(PREFILL), dir);
+    assert_eq!(
+        contents(&sgl),
+        contents(&applied(SglBackend::create(PREFILL), dir)),
+        "SGL load path"
+    );
+    assert_eq!(contents(&sgl), want, "SGL vs native");
+    want
+}
+
 /// The headline invariant: concurrent durable batches on the native
 /// backend replay to exactly the state the store held, because the
 /// append happens inside the shard-lock window (log order = commit
-/// order).
+/// order). Replayed the way a server starts — each store's load path,
+/// which applies each op once and publishes nothing — the log gives
+/// every store the same contents as the worker path (`apply_batch`)
+/// does, for this log and for an empty one. The log holds PUT updates,
+/// DELs of absent keys, a key written several times in one record, an
+/// empty record, and the keys `0` and `u64::MAX`.
 #[test]
 fn native_backend_replay_equals_store() {
     let dir = scratch("native-replay");
     let threads = 4usize;
-    let backend = Arc::new(NativeBackend::create(4, threads + 1, 0));
+    let backend = Arc::new(NativeBackend::create(4, threads + 2, PREFILL));
     let w = Arc::new(Wal::open(&dir, FsyncPolicy::Batch, 1).unwrap());
 
     std::thread::scope(|s| {
@@ -551,28 +621,42 @@ fn native_backend_replay_equals_store() {
         }
     });
 
-    // Snapshot the live store.
-    let mut live = Vec::new();
-    let mut snap = backend.session();
-    snap.scan(0, 10_000, &mut live);
-    drop(snap);
-    drop(w);
-
-    // Rebuild from the log on a fresh backend.
-    let rebuilt = NativeBackend::create(4, 1, 0);
-    let mut sess = rebuilt.session();
+    // The last one leaves ten keys deleted for good.
+    let edges = [
+        vec![put(7, 1), del(7), put(7, 2), put(7, 3)],
+        vec![put(0, 5), put(u64::MAX, 6), del(1_000_000)],
+        vec![del(u64::MAX), put(u64::MAX, 8), del(3), put(3, 9), del(3)],
+        (90..PREFILL).map(del).collect(),
+    ];
+    let mut sess = backend.session();
     let mut replies = Vec::new();
-    let report = replay(&dir, |_lsn, ops| {
-        replies.clear();
-        sess.apply_batch(ops, &mut replies);
-    })
-    .expect("replay");
-    assert_eq!(report.records, (threads * 200) as u64);
-    let mut recovered = Vec::new();
-    sess.scan(0, 10_000, &mut recovered);
+    for ops in &edges {
+        let (_, lsn) = sess.apply_batch_durable(ops, &mut replies, &*w);
+        w.wait_durable(lsn);
+    }
+    drop(sess);
+    w.wait_durable(w.append(&[]));
+    let live = contents(&*backend);
+    drop(w);
+    let (report, records) = collect(&dir);
+    assert_eq!(report.records, (threads * 200 + edges.len() + 1) as u64);
+    assert!(records.last().is_some_and(|(_, ops)| ops.is_empty()));
+    assert!(live.contains(&(u64::MAX, 8)) && live.contains(&(7, 3)) && live.contains(&(0, 5)));
+    assert!(!live
+        .iter()
+        .any(|&(k, _)| k == 3 || (90..PREFILL).contains(&k)));
 
-    assert_eq!(live, recovered, "replayed state diverged from the store");
+    assert_eq!(
+        every_store_loads_what_it_replays(&dir),
+        live,
+        "replayed state diverged from the store"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+    let empty = scratch("native-replay-empty");
+    Wal::open(&empty, FsyncPolicy::Batch, 1).unwrap();
+    let prefill: Vec<(u64, u64)> = (0..PREFILL).map(|k| (k, k)).collect();
+    assert_eq!(every_store_loads_what_it_replays(&empty), prefill);
+    let _ = std::fs::remove_dir_all(&empty);
 }
 
 /// StoreFull'd puts are filtered from the write-set by
@@ -581,8 +665,6 @@ fn native_backend_replay_equals_store() {
 /// one whose puts can fail).
 #[test]
 fn shed_puts_never_reach_the_log() {
-    use workloads::backend::SimBackend;
-    use workloads::scheme::SchemeKind;
     let dir = scratch("shed");
     let w = Wal::open(&dir, FsyncPolicy::Batch, 1).unwrap();
     // extra_capacity 0: the store is at capacity from the start, every

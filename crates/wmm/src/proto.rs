@@ -43,12 +43,26 @@ const SEEDS: u64 = 400;
 // Writer: claim the writer word, then doom-scan the reader bitmap.
 // Forbidden: both sides miss each other — an elided reader keeps
 // running against a line a writer believes it owns exclusively.
-fn r1_build(o: &[MemOrder]) -> Litmus {
+fn r1_shape(name: &str, o: &[MemOrder]) -> Litmus {
     const BITMAP: usize = 0;
     const WWORD: usize = 1;
-    Litmus::new("r1_commit_quartet", &["readers_bitmap", "writer_word"])
+    Litmus::new(name, &["readers_bitmap", "writer_word"])
         .thread(vec![fetch_or(BITMAP, 1, 0, o[0]), ld(WWORD, 1, o[1])])
         .thread(vec![cas(WWORD, 0, 1, 0, o[2]), ld(BITMAP, 1, o[3])])
+}
+
+fn r1_build(o: &[MemOrder]) -> Litmus {
+    r1_shape("r1_commit_quartet", o)
+}
+
+// The same race with a non-transactional store as the writer: its
+// claim, then the doom scan, both before the store. A transactional
+// reader that sees the claim waits for the store; one whose bit the
+// scan sees is doomed. If both miss, the reader loads the old value
+// and commits a result computed from it after the store (a lost
+// update when it writes the word back).
+fn r1_nt_build(o: &[MemOrder]) -> Litmus {
+    r1_shape("r1_nt_store", o)
 }
 
 fn r1_forbidden(o: &Outcome) -> bool {
@@ -241,6 +255,50 @@ pub static SUITES: &[Suite] = &[
         forbidden: "reader misses the claim AND the doom scan misses the reader bit",
         is_forbidden: r1_forbidden,
         sane: "reader races ahead of the claim but the doom scan catches its bit",
+        is_sane: r1_sane,
+    },
+    Suite {
+        name: "r1_nt_store",
+        group: "R1 commit-point quartet",
+        about: "a transactional load's bitmap fetch_or + writer-word load race a \
+                non-transactional store's claim CAS + the doom scan it runs inside \
+                the claim, before storing; if both sides miss, a transaction commits \
+                on the value the store replaced",
+        sites: &[
+            SiteSpec {
+                file: "crates/htm/src/runtime.rs",
+                symbol: "HtmRuntime::add_reader",
+                label: "reader bitmap fetch_or",
+                strength: "SeqCst",
+                kind: OpKind::Rmw,
+            },
+            SiteSpec {
+                file: "crates/htm/src/runtime.rs",
+                symbol: "HtmRuntime::resolve_writer",
+                label: "reader writer-word load",
+                strength: "SeqCst",
+                kind: OpKind::Load,
+            },
+            SiteSpec {
+                file: "crates/htm/src/runtime.rs",
+                symbol: "HtmRuntime::acquire_nt_claim",
+                label: "NT store claim CAS",
+                strength: "SeqCst",
+                kind: OpKind::Rmw,
+            },
+            SiteSpec {
+                file: "crates/htm/src/runtime.rs",
+                symbol: "HtmRuntime::doom_readers",
+                label: "NT store bitmap scan load",
+                strength: "SeqCst",
+                kind: OpKind::Load,
+            },
+        ],
+        seeds: SEEDS,
+        build: r1_nt_build,
+        forbidden: "reader misses the NT claim AND the doom scan misses the reader bit",
+        is_forbidden: r1_forbidden,
+        sane: "reader races ahead of the NT claim but the doom scan catches its bit",
         is_sane: r1_sane,
     },
     Suite {

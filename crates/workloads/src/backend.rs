@@ -170,6 +170,29 @@ pub trait DurableSink: Send + Sync {
     fn wait_durable(&self, lsn: Lsn);
 }
 
+/// A store being built, before anything can read it: the prefill is in,
+/// and [`StoreLoader::apply`] adds the redo log's records, one at a
+/// time and in log order. The loader *owns* the store, so no session
+/// exists until [`StoreLoader::finish`] hands it over, and no reader
+/// can observe a write. Nothing is published: a loader skips the
+/// writer protocol (native flips and grace periods, sim write sections)
+/// that exists only to make writes safe for concurrent readers, and
+/// applies each op once.
+pub trait StoreLoader {
+    /// The store this loader builds.
+    type Store: StoreBackend + 'static;
+
+    /// Applies one record's write-set in order. `Err` means a PUT of a
+    /// new key found the store full (the simulated store, on a smaller
+    /// capacity than the log was written under). The ops before it are
+    /// applied and the ones after it are not, so the caller must
+    /// discard the loader rather than serve from it.
+    fn apply(&mut self, ops: &[MutOp]) -> Result<(), StoreFull>;
+
+    /// The loaded store, ready for sessions.
+    fn finish(self) -> Self::Store;
+}
+
 /// A store plus the substrate it executes on. Shared across worker
 /// threads; each thread gets its own [`StoreSession`].
 pub trait StoreBackend: Send + Sync {
@@ -300,6 +323,30 @@ impl SimBackend {
         max_threads: usize,
         seed: u64,
     ) -> Result<SimBackend, String> {
+        Ok(SimBackend::loader(
+            scheme,
+            shards,
+            buckets_per_shard,
+            prefill,
+            extra_capacity,
+            max_threads,
+            seed,
+        )?
+        .finish())
+    }
+
+    /// [`SimBackend::create`] stopped before the store is handed out, so
+    /// a redo log can be loaded into it first.
+    #[allow(clippy::too_many_arguments)]
+    pub fn loader(
+        scheme: SchemeKind,
+        shards: usize,
+        buckets_per_shard: u32,
+        prefill: u64,
+        extra_capacity: u64,
+        max_threads: usize,
+        seed: u64,
+    ) -> Result<SimLoader, String> {
         // One line per node plus the bucket arrays, with slack for lock
         // words and allocator rounding (same sizing rule as the bench
         // driver).
@@ -319,7 +366,38 @@ impl SimBackend {
             .map_err(|e| format!("store build: {e:?}"))?;
         kv.populate(&alloc, prefill)
             .map_err(|e| format!("prefill: {e:?}"))?;
-        Ok(SimBackend { rt, alloc, kv })
+        Ok(SimLoader(SimBackend { rt, alloc, kv }))
+    }
+}
+
+/// The simulated store's [`StoreLoader`]: plain stores into simulated
+/// memory, as the prefill does — no transaction begins, no write
+/// section runs, and a deleted key's node, or an update's unused one,
+/// goes back to the arena at once. It holds no spare nodes, so it needs
+/// no more of the arena than the server that wrote the log did.
+pub struct SimLoader(SimBackend);
+
+impl StoreLoader for SimLoader {
+    type Store = SimBackend;
+
+    fn apply(&mut self, ops: &[MutOp]) -> Result<(), StoreFull> {
+        let SimBackend { alloc, kv, .. } = &self.0;
+        for op in ops {
+            let unused = match *op {
+                MutOp::Put { key, value } => {
+                    kv.load_put(alloc, key, value).map_err(|_| StoreFull)?
+                }
+                MutOp::Del { key } => kv.load_del(alloc, key),
+            };
+            if let Some(node) = unused {
+                alloc.free_sized(node, NODE_WORDS);
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> SimBackend {
+        self.0
     }
 }
 
@@ -497,6 +575,63 @@ mod tests {
         for backend in every_backend() {
             get_many_is_get(&*backend);
         }
+    }
+
+    /// The simulated store's load path writes memory directly: it
+    /// begins no transaction, yet reads back like the serving path, and
+    /// a DEL's node goes back to the arena.
+    #[test]
+    fn sim_load_begins_no_transaction() {
+        let mut loader = SimBackend::loader(SchemeKind::RwLeOpt, 4, 16, 200, 4000, 1, 1).unwrap();
+        loader
+            .apply(&[
+                MutOp::Put {
+                    key: 5000,
+                    value: 1,
+                },
+                MutOp::Put { key: 7, value: 8 },
+                MutOp::Del { key: 9 },
+                MutOp::Put {
+                    key: 5000,
+                    value: 2,
+                },
+                MutOp::Del { key: 5000 },
+            ])
+            .unwrap();
+        let fresh = loader.0.alloc.words_remaining();
+        loader
+            .apply(&[MutOp::Put {
+                key: 6000,
+                value: 3,
+            }])
+            .unwrap();
+        assert_eq!(loader.0.alloc.words_remaining(), fresh, "node reused");
+        let backend = loader.finish();
+        assert_eq!(backend.rt.telemetry().snapshot().0, 0, "begins");
+        let mut s = backend.session();
+        assert_eq!((s.get(5000), s.get(7), s.get(9)), (None, Some(8), None));
+        assert_eq!((s.get(6000), s.get(10)), (Some(3), Some(10)));
+    }
+
+    /// A PUT into a full arena is the loader's one failure, an update
+    /// included (it takes a node first, as a session's put does); a DEL
+    /// makes room again, and the update's unused node goes back.
+    #[test]
+    fn sim_load_reports_a_full_store() {
+        let mut loader = SimBackend::loader(SchemeKind::RwLeOpt, 1, 16, 10, 0, 1, 1).unwrap();
+        let fresh = (1000..).map(|key| MutOp::Put { key, value: key });
+        let fits = fresh
+            .take_while(|op| loader.apply(std::slice::from_ref(op)).is_ok())
+            .count();
+        assert!(fits > 0 && fits < 100_000, "{fits} fresh keys fit");
+        let update = [MutOp::Put { key: 3, value: 9 }];
+        assert_eq!(loader.apply(&update), Err(StoreFull));
+        loader.apply(&[MutOp::Del { key: 4 }]).unwrap();
+        assert_eq!(loader.apply(&update), Ok(()));
+        assert_eq!(loader.apply(&[MutOp::Put { key: 4, value: 4 }]), Ok(()));
+        let backend = loader.finish();
+        let mut s = backend.session();
+        assert_eq!((s.get(3), s.get(4)), (Some(9), Some(4)));
     }
 
     #[test]

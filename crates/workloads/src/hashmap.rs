@@ -53,13 +53,6 @@ impl SimHashMap {
         self.buckets.offset((key % self.num_buckets as u64) as u32)
     }
 
-    /// Address of the bucket head `key` hashes to — for wrappers (the
-    /// sharded store) that pre-load nodes with direct memory writes.
-    #[inline]
-    pub fn bucket_addr(&self, key: u64) -> Addr {
-        self.bucket_of(key)
-    }
-
     /// Allocates and initializes a detached node (outside any critical
     /// section — the standard pre-allocation pattern under lock elision,
     /// since allocator metadata must not join the transaction footprint).
@@ -148,19 +141,72 @@ impl SimHashMap {
         Ok(self.len(acc)? == 0)
     }
 
+    /// [`SimHashMap::insert`] with plain stores, bypassing the HTM layer
+    /// like [`SimHashMap::populate`]: only for a map no other thread can
+    /// reach yet. Like a session's put it takes a node first, so it needs
+    /// a free one even to update; the node comes back as `Some` when the
+    /// key was present and only its value changed.
+    pub fn load_put(
+        &self,
+        alloc: &SimAlloc,
+        key: u64,
+        value: u64,
+    ) -> Result<Option<Addr>, AllocError> {
+        let node = self.make_node(alloc, key, value)?;
+        let linked = self
+            .insert(&mut Exclusive(alloc_mem(alloc)), node)
+            .expect(NEVER_ABORTS);
+        Ok((!linked).then_some(node))
+    }
+
+    /// [`SimHashMap::remove`] with plain stores (see
+    /// [`SimHashMap::load_put`]); nothing can still reference the node.
+    pub fn load_del(&self, mem: &SharedMem, key: u64) -> Option<Addr> {
+        self.remove(&mut Exclusive(mem), key).expect(NEVER_ABORTS)
+    }
+
+    /// Links a new node for `key`, which must be absent, at its bucket
+    /// head with plain stores: [`SimHashMap::populate`]'s step, which
+    /// skips [`SimHashMap::insert`]'s walk of the chain.
+    pub fn push_fresh(&self, alloc: &SimAlloc, key: u64, value: u64) -> Result<(), AllocError> {
+        let node = self.make_node(alloc, key, value)?;
+        let mem = alloc_mem(alloc);
+        let bucket = self.bucket_of(key);
+        mem.store(node.offset(NEXT), mem.load(bucket));
+        mem.store(bucket, node.to_word());
+        Ok(())
+    }
+
     /// Populates the map single-threadedly with keys `0..n` (value =
     /// `key`), bypassing the HTM layer (initialization happens before any
     /// concurrency).
     pub fn populate(&self, alloc: &SimAlloc, n: u64) -> Result<(), AllocError> {
-        let mem = alloc_mem(alloc);
-        for key in 0..n {
-            let node = self.make_node(alloc, key, key)?;
-            let bucket = self.bucket_of(key);
-            let head = mem.load(bucket);
-            mem.store(node.offset(NEXT), head);
-            mem.store(bucket, node.to_word());
-        }
+        (0..n).try_for_each(|key| self.push_fresh(alloc, key, key))
+    }
+}
+
+const NEVER_ABORTS: &str = "plain memory access never aborts";
+
+/// Plain loads and stores: the [`MemAccess`] of a map no other thread
+/// can reach yet, so there is nothing to conflict with.
+struct Exclusive<'a>(&'a SharedMem);
+
+impl MemAccess for Exclusive<'_> {
+    fn read(&mut self, addr: Addr) -> Result<u64, AbortCause> {
+        Ok(self.0.load(addr))
+    }
+
+    fn write(&mut self, addr: Addr, val: u64) -> Result<(), AbortCause> {
+        self.0.store(addr, val);
         Ok(())
+    }
+
+    fn cas(&mut self, addr: Addr, cur: u64, new: u64) -> Result<Result<u64, u64>, AbortCause> {
+        Ok(self.0.compare_exchange(addr, cur, new))
+    }
+
+    fn is_speculative(&self) -> bool {
+        false
     }
 }
 

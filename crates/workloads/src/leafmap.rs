@@ -49,6 +49,7 @@ const LEAF_CAP: usize = 31;
 const INNER_CAP: usize = 64;
 
 /// Eight cache lines of pairs, sorted by key in `keys[..len]`.
+#[derive(Clone, Copy)]
 #[repr(C, align(64))]
 struct Leaf {
     len: u32,
@@ -100,6 +101,7 @@ impl Leaf {
 /// `keys[i] <= k < keys[i + 1]`; `keys[0]` is never consulted (child 0
 /// takes everything below `keys[1]`), and the node's own bounds are its
 /// ancestors' business.
+#[derive(Clone, Copy)]
 struct Inner {
     len: u32,
     kids: [u32; INNER_CAP],
@@ -158,6 +160,11 @@ pub struct Spot {
 }
 
 /// The map. See the module docs for the layout.
+///
+/// A clone is two `memcpy`s of arenas sized exactly to the nodes in
+/// use, and has the original's layout: the native store builds one copy
+/// of a shard and clones it into the second.
+#[derive(Clone)]
 pub struct LeafMap {
     leaves: Vec<Leaf>,
     inners: Vec<Inner>,

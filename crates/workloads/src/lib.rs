@@ -36,5 +36,5 @@ pub mod sortedlist;
 pub mod stmbench7;
 pub mod tpcc;
 
-pub use backend::{BackendKind, StoreBackend, StoreSession};
+pub use backend::{BackendKind, StoreBackend, StoreLoader, StoreSession};
 pub use scheme::{Scheme, SchemeKind};

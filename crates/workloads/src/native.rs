@@ -73,7 +73,7 @@ use stats::{CommitKind, ThreadStats};
 
 use crate::backend::{
     scan_keys, BatchOutcome, DurableSink, Lsn, MutOp, MutReply, StoreBackend, StoreFull,
-    StoreSession, NO_LSN,
+    StoreLoader, StoreSession, NO_LSN,
 };
 use crate::leafmap::LeafMap;
 use crate::sharded::PutOutcome;
@@ -141,12 +141,11 @@ struct NativeShard {
 unsafe impl Sync for NativeShard {}
 
 impl NativeShard {
-    fn new() -> NativeShard {
+    /// A shard whose two copies are `map` and its clone: identical, as
+    /// they must be before the first writer runs.
+    fn new(map: LeafMap) -> NativeShard {
         NativeShard {
-            slots: [
-                UnsafeCell::new(LeafMap::new()),
-                UnsafeCell::new(LeafMap::new()),
-            ],
+            slots: [UnsafeCell::new(map.clone()), UnsafeCell::new(map)],
             active: AtomicUsize::new(0),
             writer: Mutex::new(()),
         }
@@ -195,24 +194,19 @@ impl NativeBackend {
     /// keys `0..prefill` pre-loaded as `value = key` (single-threaded,
     /// before any sharing).
     pub fn create(n_shards: usize, max_threads: usize, prefill: u64) -> NativeBackend {
+        NativeBackend::loader(n_shards, max_threads, prefill).finish()
+    }
+
+    /// [`NativeBackend::create`] stopped before the store is handed out,
+    /// so a redo log can be loaded into it first.
+    pub fn loader(n_shards: usize, max_threads: usize, prefill: u64) -> NativeLoader {
         assert!(n_shards > 0, "need at least one shard");
         assert!(max_threads > 0, "need at least one session slot");
-        let mut backend = NativeBackend {
-            shards: (0..n_shards).map(|_| NativeShard::new()).collect(),
-            epochs: EpochSet::new(max_threads),
-            next_tid: AtomicUsize::new(0),
-            capacity: max_threads,
-        };
+        let mut maps: Vec<LeafMap> = (0..n_shards).map(|_| LeafMap::new()).collect();
         for key in 0..prefill {
-            let shard = shard_index(key, n_shards);
-            // Both copies get the key: the identical-copies invariant
-            // must hold before the first writer runs. `get_mut` needs no
-            // unsafe — we still own the backend exclusively.
-            for slot in backend.shards[shard].slots.iter_mut() {
-                slot.get_mut().insert(key, key);
-            }
+            maps[shard_index(key, n_shards)].insert(key, key);
         }
-        backend
+        NativeLoader { maps, max_threads }
     }
 
     /// Runs `f` inside one epoch read section of slot `tid`, with
@@ -244,6 +238,36 @@ impl NativeBackend {
             tid + 1
         );
         tid
+    }
+}
+
+/// The native store's [`StoreLoader`]: one [`LeafMap`] per shard and
+/// nothing else — no mutex, flip, grace period or replay, each op
+/// applied once. [`StoreLoader::finish`] clones every map into its
+/// shard's second copy.
+pub struct NativeLoader {
+    maps: Vec<LeafMap>,
+    max_threads: usize,
+}
+
+impl StoreLoader for NativeLoader {
+    type Store = NativeBackend;
+
+    fn apply(&mut self, ops: &[MutOp]) -> Result<(), StoreFull> {
+        let n_shards = self.maps.len();
+        for op in ops {
+            apply_one(&mut self.maps[shard_index(op.key(), n_shards)], op);
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> NativeBackend {
+        NativeBackend {
+            shards: self.maps.into_iter().map(NativeShard::new).collect(),
+            epochs: EpochSet::new(self.max_threads),
+            next_tid: AtomicUsize::new(0),
+            capacity: self.max_threads,
+        }
     }
 }
 
@@ -550,13 +574,43 @@ impl SglBackend {
     /// Builds the locked map with keys `0..prefill` pre-loaded as
     /// `value = key`.
     pub fn create(prefill: u64) -> SglBackend {
+        SglBackend::loader(prefill).finish()
+    }
+
+    /// [`SglBackend::create`] stopped before the store is handed out, so
+    /// a redo log can be loaded into it first.
+    pub fn loader(prefill: u64) -> SglLoader {
         let mut map = LeafMap::new();
         for key in 0..prefill {
             map.insert(key, key);
         }
-        SglBackend {
+        SglLoader(SglBackend {
             map: Mutex::new(map),
+        })
+    }
+}
+
+/// The canary's [`StoreLoader`]: the map behind the lock, reached
+/// through `Mutex::get_mut` because the loader owns it.
+pub struct SglLoader(SglBackend);
+
+impl StoreLoader for SglLoader {
+    type Store = SglBackend;
+
+    fn apply(&mut self, ops: &[MutOp]) -> Result<(), StoreFull> {
+        let map = self
+            .0
+            .map
+            .get_mut()
+            .expect("nothing else can hold the lock");
+        for op in ops {
+            apply_one(map, op);
         }
+        Ok(())
+    }
+
+    fn finish(self) -> SglBackend {
+        self.0
     }
 }
 
@@ -628,6 +682,31 @@ mod tests {
             let [a, b] = &mut shard.slots;
             assert_eq!(a.get_mut(), b.get_mut());
         }
+    }
+
+    /// The load path applies each op once, to one copy, and `finish`
+    /// clones it: the copies are equal. (That the loaded store equals
+    /// the published one is `wal`'s `native_backend_replay_equals_store`.)
+    #[test]
+    fn a_loaded_store_has_identical_copies() {
+        let records: [&[MutOp]; 4] = [
+            &[MutOp::Put { key: 3, value: 1 }, MutOp::Del { key: 5 }],
+            &[],
+            &[
+                MutOp::Put {
+                    key: u64::MAX,
+                    value: 2,
+                },
+                MutOp::Put { key: 3, value: 4 },
+                MutOp::Del { key: 1000 },
+            ],
+            &[MutOp::Put { key: 0, value: 6 }, MutOp::Del { key: 3 }],
+        ];
+        let mut loader = NativeBackend::loader(4, 1, 20);
+        for ops in records {
+            loader.apply(ops).unwrap();
+        }
+        assert_copies_identical(&mut loader.finish());
     }
 
     #[test]

@@ -186,19 +186,28 @@ impl ShardedKv {
         out[tail..].sort_unstable_by_key(|&(key, _)| key);
     }
 
+    /// [`SimHashMap::load_put`] into `key`'s shard: plain stores, only
+    /// for a store no other thread can reach yet (a redo-log load). An
+    /// update hands back the unused node.
+    pub fn load_put(
+        &self,
+        alloc: &SimAlloc,
+        key: u64,
+        value: u64,
+    ) -> Result<Option<Addr>, AllocError> {
+        self.shard_of(key).map.load_put(alloc, key, value)
+    }
+
+    /// [`SimHashMap::load_del`] in `key`'s shard, returning its node for
+    /// the arena.
+    pub fn load_del(&self, alloc: &SimAlloc, key: u64) -> Option<Addr> {
+        self.shard_of(key).map.load_del(alloc.mem(), key)
+    }
+
     /// Pre-loads keys `0..n` with `value = key`, single-threaded,
     /// bypassing the HTM layer (initialization precedes concurrency).
     pub fn populate(&self, alloc: &SimAlloc, n: u64) -> Result<(), AllocError> {
-        let mem = alloc.mem();
-        for key in 0..n {
-            let shard = self.shard_of(key);
-            let node = shard.map.make_node(alloc, key, key)?;
-            let bucket = shard.map.bucket_addr(key);
-            let head = mem.load(bucket);
-            mem.store(node.offset(2), head);
-            mem.store(bucket, node.to_word());
-        }
-        Ok(())
+        (0..n).try_for_each(|key| self.shard_of(key).map.push_fresh(alloc, key, key))
     }
 }
 
