@@ -37,10 +37,8 @@
 
 #![warn(missing_docs)]
 
-mod reclaim;
 mod scalable;
 
-pub use reclaim::Reclaimer;
 pub use scalable::BarrierOutcome;
 
 use scalable::{AdaptiveWaiter, GraceSeq, Parking, Summary};

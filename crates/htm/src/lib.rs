@@ -47,14 +47,12 @@ mod cause;
 mod config;
 mod intmap;
 mod runtime;
-mod trace;
 mod tx;
 
 pub use cause::{AbortCause, TxMode, ABORT_LOCK_BUSY};
 pub use config::{HtmConfig, MAX_SLOTS};
 pub use intmap::{IntMap, IntSet};
 pub use runtime::{HtmRuntime, Telemetry};
-pub use trace::{TraceBuffer, TraceEvent, TraceRecord};
 pub use tx::{EpochReader, MemAccess, NonTx, ThreadCtx, Tx, ABORT_CANCELLED};
 
 #[cfg(test)]

@@ -41,7 +41,7 @@
 //! table lives in `docs/PROTOCOL.md` §5.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use simmem::{Addr, SharedMem};
 
@@ -193,8 +193,6 @@ pub struct HtmRuntime {
     /// Concurrently active transactions per SMT group (see
     /// [`HtmConfig::smt_group_size`]).
     group_active: Box<[AtomicUsize]>,
-    /// Optional event tracer (set once via [`HtmRuntime::attach_tracer`]).
-    tracer: OnceLock<Arc<crate::trace::TraceBuffer>>,
 }
 
 impl HtmRuntime {
@@ -222,7 +220,6 @@ impl HtmRuntime {
             next_slot: AtomicUsize::new(0),
             telemetry: Telemetry::default(),
             group_active: (0..n_groups).map(|_| AtomicUsize::new(0)).collect(),
-            tracer: OnceLock::new(),
         })
     }
 
@@ -242,19 +239,6 @@ impl HtmRuntime {
     #[inline]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Attaches an event tracer (at most once; later calls are ignored).
-    pub fn attach_tracer(&self, tracer: Arc<crate::trace::TraceBuffer>) {
-        let _ = self.tracer.set(tracer);
-    }
-
-    /// Records a lifecycle event if a tracer is attached.
-    #[inline]
-    pub(crate) fn trace(&self, slot: usize, event: crate::trace::TraceEvent) {
-        if let Some(t) = self.tracer.get() {
-            t.record(slot, event);
-        }
     }
 
     /// Registers the calling thread, returning its per-thread context.

@@ -276,45 +276,6 @@ fn line_granularity_false_sharing_dooms_the_first_writer() {
 }
 
 #[test]
-fn tracer_records_transaction_lifecycle() {
-    let (_mem, rt) = setup(64);
-    let tracer = Arc::new(htm::TraceBuffer::new(64));
-    rt.attach_tracer(Arc::clone(&tracer));
-    let mut a = rt.register();
-    let mut b = rt.register();
-    // Commit, explicit abort, and a conflict abort.
-    let mut tx = a.begin(TxMode::Htm);
-    tx.write(Addr(0), 1).unwrap();
-    tx.commit().unwrap();
-    let rot = b.begin(TxMode::Rot);
-    rot.abort(3);
-    let mut t1 = a.begin(TxMode::Htm);
-    t1.write(Addr(8), 1).unwrap();
-    let mut t2 = b.begin(TxMode::Htm);
-    t2.write(Addr(8), 2).unwrap();
-    assert!(t1.commit().is_err());
-    t2.commit().unwrap();
-
-    let rendered = tracer.render();
-    assert!(rendered.contains("begin(HTM)"), "{rendered}");
-    assert!(rendered.contains("begin(ROT)"), "{rendered}");
-    assert!(rendered.contains("commit"), "{rendered}");
-    assert!(
-        rendered.contains("abort[explicit abort (code 3)]"),
-        "{rendered}"
-    );
-    assert!(
-        rendered.contains("abort[conflict with transaction]"),
-        "{rendered}"
-    );
-    assert_eq!(
-        tracer.total_recorded(),
-        8,
-        "4 begins + 2 commits + 2 aborts"
-    );
-}
-
-#[test]
 fn smt_group_sharing_halves_capacity() {
     // Two slots in one SMT group: with both transactions active, each
     // gets half the 16-line budget; alone, the full budget.

@@ -16,13 +16,16 @@
 //!   rollback-only transactions (serialized writers, unbounded read
 //!   footprint), then a non-speculative global lock.
 //!
-//! See [`RwLe`] for the complete algorithm (paper Algorithm 2 plus the
-//! §3.3 fairness variant) and [`basic::BasicRwLe`] for the pedagogical
-//! Algorithm 1. The §3.3 optimizations are not options: enter-first read
-//! entry is the unfair entry, and the split ROT/NS lock words are laid
-//! out exactly when both speculative budgets are non-zero (an HTM writer
-//! then has a ROT writer to overlap) and the lock is not fair (see
-//! [`RwLe::new`]).
+//! [`RwLe`] is the complete algorithm (paper Algorithm 2 plus the §3.3
+//! fairness variant), written once: the basic Algorithm 1 is its HTM
+//! write path ([`RwLeConfig::htm_only`] is the closest preset), and a read
+//! section is one [`RwLe::read_cs`] call. Read sections do not nest
+//! (footnote 3's depth counter is not modelled; `epoch` asserts against a
+//! nested entry in debug builds). The §3.3 optimizations are not options:
+//! enter-first read entry is the unfair entry, and the split ROT/NS lock
+//! words are laid out exactly when both speculative budgets are non-zero
+//! (an HTM writer then has a ROT writer to overlap) and the lock is not
+//! fair (see [`RwLe::new`]).
 //!
 //! # Examples
 //!
@@ -47,11 +50,6 @@
 //! ```
 
 #![warn(missing_docs)]
-
-pub mod basic;
-mod guard;
-
-pub use guard::ReadGuard;
 
 use std::sync::Arc;
 
@@ -222,7 +220,6 @@ pub struct RwLe {
     /// [`RwLe::new`] for when they are).
     rot_lock: Addr,
     epochs: Arc<EpochSet>,
-    nesting: guard::NestingDepths,
     /// Read-side indicator; `None` for [`IndicatorKind::Central`] so the
     /// default configuration pays nothing (not even a publish attempt).
     ind: Option<BravoIndicator>,
@@ -274,7 +271,6 @@ impl RwLe {
             wlock,
             rot_lock,
             epochs: Arc::new(EpochSet::new(max_threads)),
-            nesting: guard::NestingDepths::new(max_threads),
             ind,
             cfg,
         })
@@ -298,10 +294,6 @@ impl RwLe {
     /// Address of the global (NS) lock word.
     pub fn wlock_addr(&self) -> Addr {
         self.wlock
-    }
-
-    pub(crate) fn nesting(&self) -> &guard::NestingDepths {
-        &self.nesting
     }
 
     /// Whether the ROT lock is its own word (decided once, in
@@ -386,7 +378,7 @@ impl RwLe {
     /// form): flip the epoch, check the lock once, and only if an NS
     /// writer holds it retreat, wait it out and retry. Returns the number
     /// of retreats — the starvation signal the fair variant eliminates.
-    pub(crate) fn read_enter(&self, ctx: &ThreadCtx, tid: usize) -> u64 {
+    fn read_enter(&self, ctx: &ThreadCtx, tid: usize) -> u64 {
         let mut retreats = 0;
         loop {
             self.epochs.enter(tid);
@@ -407,7 +399,7 @@ impl RwLe {
     /// reader cannot be overtaken by an endless stream of writers.
     /// Returns 1 if the entry had to wait, 0 otherwise (the fair
     /// counterpart of the unfair path's retreat count).
-    pub(crate) fn fair_read_enter(&self, ctx: &ThreadCtx, tid: usize) -> u64 {
+    fn fair_read_enter(&self, ctx: &ThreadCtx, tid: usize) -> u64 {
         self.epochs.enter(tid);
         let mut w = ctx.read_nt(self.wlock);
         self.epochs.record_version(tid, version(w));

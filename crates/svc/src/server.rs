@@ -215,10 +215,10 @@ impl Server {
     /// Bind and sizing failures, and a log that does not load, surface
     /// as `io::Error` so the binary can exit 2 with a hint.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
-        if cfg.threads == 0 || cfg.shards == 0 || cfg.max_conns == 0 {
+        if cfg.threads == 0 || cfg.shards == 0 || cfg.buckets_per_shard == 0 || cfg.max_conns == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "threads, shards and connection limit must all be at least 1",
+                "threads, shards, buckets and connection limit must all be at least 1",
             ));
         }
         let started = Instant::now();

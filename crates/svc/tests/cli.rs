@@ -1,7 +1,8 @@
 //! Command-line rejection: a flag the binaries no longer (or never)
-//! accepted, and a backend/scheme pair the server has no store for,
-//! exit 2 and name the offender on stderr instead of silently running
-//! some other configuration. Real child processes, as in `crash.rs`.
+//! accepted, a backend/scheme pair the server has no store for, and a
+//! store shape it cannot build exit 2 and name the offender on stderr
+//! instead of silently running some other configuration (or panicking).
+//! Real child processes, as in `crash.rs`.
 
 use std::process::Command;
 
@@ -28,6 +29,22 @@ fn removed_and_unknown_flags_exit_2_naming_the_flag() {
         assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
         assert!(stderr.contains(offender), "{bin} {args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_store_that_cannot_be_built_exits_2() {
+    const MAX: &str = "18446744073709551615";
+    for (args, reason) in [
+        (&["--prefill", "16", "--buckets", "0"][..], "buckets"),
+        (&["--prefill", "16", "--capacity", MAX][..], "too large"),
+        (&["--prefill", MAX, "--capacity", "0"][..], "too large"),
+    ] {
+        let all = [&["--port", "0"][..], args].concat();
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_rwled"), &all);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+        assert!(stderr.contains("hint:"), "{args:?}: {stderr}");
     }
 }
 

@@ -349,9 +349,10 @@ impl SimBackend {
     ) -> Result<SimLoader, String> {
         // One line per node plus the bucket arrays, with slack for lock
         // words and allocator rounding (same sizing rule as the bench
-        // driver).
-        let node_lines = prefill + extra_capacity;
-        let bucket_lines = (shards as u64 * buckets_per_shard as u64).div_ceil(8);
+        // driver). In u128 no argument can wrap the sum, so every size
+        // past the address space lands in the error below.
+        let node_lines = prefill as u128 + extra_capacity as u128;
+        let bucket_lines = (shards as u128 * buckets_per_shard as u128).div_ceil(8);
         let lines = (node_lines + bucket_lines + 4096) * 9 / 8;
         let lines = u32::try_from(lines).map_err(|_| {
             String::from(
@@ -635,6 +636,22 @@ mod tests {
     }
 
     #[test]
+    fn sim_sizes_past_the_address_space_are_refused_not_wrapped() {
+        for (prefill, extra, buckets) in [
+            (16, u64::MAX, 16),
+            (u64::MAX, 0, 16),
+            (u64::MAX, u64::MAX, u32::MAX),
+            (16, u64::from(u32::MAX), 16),
+        ] {
+            let Err(e) = SimBackend::loader(SchemeKind::RwLeOpt, 4, buckets, prefill, extra, 1, 1)
+            else {
+                panic!("sized a store for prefill {prefill} + capacity {extra}");
+            };
+            assert!(e.contains("too large"), "{e}");
+        }
+    }
+
+    #[test]
     fn sim_backend_roundtrips() {
         roundtrip(&sim());
     }
@@ -809,9 +826,13 @@ mod tests {
         for scheme in [
             SchemeKind::RwLeOpt,
             SchemeKind::RwLePes,
+            SchemeKind::RwLeHtmOnly,
             SchemeKind::RwLeFair,
             SchemeKind::Hle,
+            SchemeKind::ScmHle,
+            SchemeKind::AdaptiveHle,
             SchemeKind::BrLock,
+            SchemeKind::Rwl,
             SchemeKind::Sgl,
         ] {
             recycling_is_invisible_to_readers(scheme);

@@ -100,10 +100,11 @@ impl SimHashMap {
         Ok(true)
     }
 
-    /// Unlinks `key`, returning the removed node for *deferred*
-    /// reclamation (concurrent uninstrumented readers may still traverse
-    /// it; free only after a grace period — or after the run, as the
-    /// benchmarks do).
+    /// Unlinks `key`, returning the removed node. Concurrent
+    /// uninstrumented readers may still traverse it until the write
+    /// section that ran this returns; after that it may be freed (see
+    /// `ShardedKv::unlink`). The figure benchmarks keep it until the run
+    /// ends instead.
     pub fn remove(&self, acc: &mut dyn MemAccess, key: u64) -> Result<Option<Addr>, AbortCause> {
         let bucket = self.bucket_of(key);
         let mut prev: Option<Addr> = None;

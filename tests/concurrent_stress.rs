@@ -4,7 +4,6 @@
 use std::sync::Arc;
 
 use hrwle::htm::{HtmConfig, HtmRuntime};
-use hrwle::rwle::basic::BasicRwLe;
 use hrwle::rwle::{RwLe, RwLeConfig};
 use hrwle::simmem::{SharedMem, SimAlloc};
 use hrwle::workloads::driver::run_threads;
@@ -95,41 +94,6 @@ fn bank_invariant_with_tiny_capacity() {
             ..HtmConfig::default()
         },
     );
-}
-
-#[test]
-fn basic_algorithm_bank_invariant() {
-    const TOTAL: u64 = 500;
-    let mem = Arc::new(SharedMem::new_lines(512));
-    let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
-    let alloc = SimAlloc::new(Arc::clone(&mem));
-    let lock = Arc::new(BasicRwLe::new(&alloc, 8).unwrap());
-    let a = alloc.alloc(1).unwrap();
-    let b = alloc.alloc(1).unwrap();
-    mem.store(a, TOTAL);
-
-    run_threads(&rt, 4, |t, ctx, st| {
-        if t < 2 {
-            for i in 0..100u64 {
-                let amount = i % 5 + 1;
-                lock.write_cs(ctx, st, &mut |acc| {
-                    let va = acc.read(a)?;
-                    let vb = acc.read(b)?;
-                    if va >= amount {
-                        acc.write(a, va - amount)?;
-                        acc.write(b, vb + amount)?;
-                    }
-                    Ok(())
-                });
-            }
-        } else {
-            for _ in 0..200 {
-                let total = lock.read_cs(ctx, st, &mut |acc| Ok(acc.read(a)? + acc.read(b)?));
-                assert_eq!(total, TOTAL);
-            }
-        }
-    });
-    assert_eq!(mem.load(a) + mem.load(b), TOTAL);
 }
 
 /// Many threads, per-thread counters plus a shared counter: written totals

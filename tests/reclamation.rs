@@ -1,27 +1,33 @@
-//! End-to-end epoch-based reclamation: removed hashmap nodes are retired
-//! to an [`epoch::Reclaimer`] and recycled through the allocator once a
-//! grace period has drained every uninstrumented reader.
+//! Reclamation without a deferred-free queue: a hashmap node removed
+//! inside `write_cs` goes back to the allocator the moment `write_cs`
+//! returns, and the next insert may reuse it while readers keep running.
 //!
-//! Safety argument for this configuration (PES has one lock word): epoch
-//! clocks cover every uninstrumented reader, and ROT writers are
-//! serialized with all other writers by the single lock word. Hence
-//! after one grace period nobody can hold a retired pointer. (OPT lays
-//! the ROT and NS locks out as two words so that ROT and HTM write
-//! *bodies* may overlap; frees would then additionally need to wait for
-//! a ROT-lock turnover — which is why the benchmarks defer reclamation
-//! to the end of the run instead.)
+//! The one rule (`workloads::sharded::ShardedKv::unlink`): a write section
+//! returns only when no read section that could have reached the node it
+//! unlinked still runs, so the node is unreferenced from then on.
 
 use std::sync::Arc;
 
-use hrwle::epoch::Reclaimer;
 use hrwle::htm::{HtmConfig, HtmRuntime};
 use hrwle::rwle::{RwLe, RwLeConfig};
+use hrwle::sched;
 use hrwle::simmem::{Addr, SharedMem, SimAlloc};
 use hrwle::stats::ThreadStats;
 use hrwle::workloads::hashmap::{SimHashMap, NODE_WORDS};
 
 #[test]
 fn removed_nodes_are_recycled_safely() {
+    for cfg in [
+        RwLeConfig::opt(),
+        RwLeConfig::pes(),
+        RwLeConfig::htm_only(),
+        RwLeConfig::fair_htm_only(),
+    ] {
+        recycle_under(cfg);
+    }
+}
+
+fn recycle_under(cfg: RwLeConfig) {
     const WRITERS: usize = 2;
     const READERS: usize = 2;
     const OPS: u64 = 400;
@@ -30,11 +36,9 @@ fn removed_nodes_are_recycled_safely() {
     let mem = Arc::new(SharedMem::new_lines(64 * 1024));
     let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
     let alloc = SimAlloc::new(Arc::clone(&mem));
-    // PES: one lock word — required for safe reclamation, see header.
-    let rwle = Arc::new(RwLe::new(&alloc, WRITERS + READERS, RwLeConfig::pes()).unwrap());
+    let rwle = Arc::new(RwLe::new(&alloc, WRITERS + READERS, cfg).unwrap());
     let map = SimHashMap::create(&alloc, 4).unwrap();
     map.populate(&alloc, KEYS).unwrap();
-    let reclaimer = Arc::new(Reclaimer::new());
 
     let baseline_live = alloc.stats().live_blocks;
 
@@ -42,7 +46,6 @@ fn removed_nodes_are_recycled_safely() {
         for _ in 0..WRITERS {
             let rt = Arc::clone(&rt);
             let rwle = Arc::clone(&rwle);
-            let reclaimer = Arc::clone(&reclaimer);
             let (alloc, map) = (&alloc, &map);
             s.spawn(move || {
                 let mut ctx = rt.register();
@@ -64,19 +67,14 @@ fn removed_nodes_are_recycled_safely() {
                         if !rwle.write_cs(&mut ctx, &mut st, &mut |acc| map.insert(acc, node)) {
                             spare = Some(node);
                         }
-                    } else {
-                        let removed =
-                            rwle.write_cs(&mut ctx, &mut st, &mut |acc| map.remove(acc, key));
-                        if let Some(node) = removed {
-                            // Retire; a grace period later it is freed and
-                            // recycled by the allocator.
-                            reclaimer.retire(node.to_word());
-                        }
+                    } else if let Some(node) =
+                        rwle.write_cs(&mut ctx, &mut st, &mut |acc| map.remove(acc, key))
+                    {
+                        alloc.free_sized(node, NODE_WORDS);
                     }
-                    // Opportunistically free anything past its grace period.
-                    for word in reclaimer.try_flush(rwle.epochs()) {
-                        alloc.free_sized(Addr::from_word(word), NODE_WORDS);
-                    }
+                }
+                if let Some(n) = spare {
+                    alloc.free_sized(n, NODE_WORDS);
                 }
             });
         }
@@ -91,31 +89,91 @@ fn removed_nodes_are_recycled_safely() {
                     let key = (i * 3 + r as u64) % KEYS;
                     let v = rwle.read_cs(&mut ctx, &mut st, &mut |acc| map.lookup(acc, key));
                     if let Some(v) = v {
-                        assert_eq!(v, key, "reader observed a recycled/torn node");
+                        assert_eq!(v, key, "{cfg:?}: reader observed a recycled/torn node");
                     }
                 }
             });
         }
     });
 
-    // Drain everything still pending; the allocator must balance.
+    // Every removed node was freed exactly once: the live blocks are the
+    // starting ones less the keys that are gone.
     let ctx = rt.register();
-    let _ = ctx; // (not strictly needed; drain only reads clocks)
-    for word in reclaimer.drain(rwle.epochs(), None) {
-        alloc.free_sized(Addr::from_word(word), NODE_WORDS);
-    }
-    assert_eq!(reclaimer.pending(), 0);
-
-    // Every key present maps to itself and the structure is consistent.
-    let ctx2 = rt.register();
-    let mut nt = ctx2.non_tx();
-    let len = map.len(&mut nt).unwrap();
+    let len = map.len(&mut ctx.non_tx()).unwrap();
     assert!(len <= KEYS);
-    // live_blocks = initial population ± net inserts/removes; it must at
-    // least never exceed what an unreclaimed run would hold.
-    let live = alloc.stats().live_blocks;
-    assert!(
-        live <= baseline_live + WRITERS as u64 * 2,
-        "reclamation failed to recycle nodes: live={live} baseline={baseline_live}"
+    assert_eq!(
+        alloc.stats().live_blocks,
+        baseline_live - KEYS + len,
+        "{cfg:?}: nodes leaked or double-freed"
     );
+}
+
+/// The same rule on explored schedules, where a violation fails with its
+/// seed instead of needing a lucky preemption. One bucket, so a lookup
+/// walks the whole chain: the churned keys sit at its head, and the keys
+/// that are never removed sit at its tail. The writer frees each removed
+/// node at once and re-makes it under the same key with a new tag. The
+/// re-made node's `next` is null until the insert links it, so a reader
+/// still standing on it loses a tail key.
+#[test]
+fn recycled_nodes_are_invisible_on_every_explored_schedule() {
+    for (name, cfg) in [
+        ("reclaim-opt", RwLeConfig::opt()),
+        ("reclaim-pes", RwLeConfig::pes()),
+        ("reclaim-htm-only", RwLeConfig::htm_only()),
+        ("reclaim-fair-htm-only", RwLeConfig::fair_htm_only()),
+    ] {
+        sched::explore(name, 0..150, |seed| recycle_on_schedule(cfg, seed));
+    }
+}
+
+fn recycle_on_schedule(cfg: RwLeConfig, seed: u64) {
+    const STABLE: u64 = 2;
+    const CHURN: [u64; 3] = [100, 101, 102];
+    let tag = |key: u64, n: u64| key << 32 | n;
+
+    let mem = Arc::new(SharedMem::new_lines(256));
+    let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
+    let alloc = Arc::new(SimAlloc::new(Arc::clone(&mem)));
+    let rwle = Arc::new(RwLe::new(&alloc, 3, cfg).unwrap());
+    let map = Arc::new(SimHashMap::create(&alloc, 1).unwrap());
+    map.populate(&alloc, STABLE).unwrap();
+    for key in CHURN {
+        map.push_fresh(&alloc, key, tag(key, 0)).unwrap();
+    }
+
+    let mut s = sched::Scheduler::new(seed);
+    {
+        let (rt, rwle) = (Arc::clone(&rt), Arc::clone(&rwle));
+        let (alloc, map) = (Arc::clone(&alloc), Arc::clone(&map));
+        s.spawn(move || {
+            let mut ctx = rt.register();
+            let mut st = ThreadStats::new();
+            for n in 1..=4 {
+                let key = CHURN[n as usize % CHURN.len()];
+                let old = rwle
+                    .write_cs(&mut ctx, &mut st, &mut |acc| map.remove(acc, key))
+                    .expect("the only writer's key is present");
+                alloc.free_sized(old, NODE_WORDS);
+                let node = map.make_node(&alloc, key, tag(key, n)).unwrap();
+                assert!(rwle.write_cs(&mut ctx, &mut st, &mut |acc| map.insert(acc, node)));
+            }
+        });
+    }
+    for _ in 0..2 {
+        let (rt, rwle, map) = (Arc::clone(&rt), Arc::clone(&rwle), Arc::clone(&map));
+        s.spawn(move || {
+            let mut ctx = rt.register();
+            let mut st = ThreadStats::new();
+            for key in (0..STABLE).chain(CHURN) {
+                let v = rwle.read_cs(&mut ctx, &mut st, &mut |acc| map.lookup(acc, key));
+                if key < STABLE {
+                    assert_eq!(v, Some(key), "lost key {key}: a reader held a freed node");
+                } else if let Some(v) = v {
+                    assert_eq!(v >> 32, key, "value {v:#x} under key {key}");
+                }
+            }
+        });
+    }
+    s.run();
 }
