@@ -24,6 +24,7 @@
 //! unreachable server.
 
 use std::process::exit;
+use std::time::{Duration, Instant};
 
 use bench::{json_string, Args};
 use svc::loadgen::{self, LoadgenConfig, CLASS_NAMES};
@@ -162,6 +163,20 @@ fn main() {
             cfg.scan_count,
             svc::proto::MAX_SCAN
         );
+        exit(2);
+    }
+    // Every run sets its deadline `--secs` from now.
+    let deadline = Duration::try_from_secs_f64(cfg.secs)
+        .ok()
+        .and_then(|d| Instant::now().checked_add(d));
+    if deadline.is_none() {
+        eprintln!("loadgen: --secs {} is not a run length", cfg.secs);
+        eprintln!("hint: give a finite, non-negative number of seconds");
+        exit(2);
+    }
+    if !cfg.zipf_theta.is_finite() {
+        eprintln!("loadgen: --theta {} is not a Zipf exponent", cfg.zipf_theta);
+        eprintln!("hint: 0 is uniform, 0.99 the usual skew; give a finite number");
         exit(2);
     }
     if cfg.secs <= 0.0 && cfg.ops_per_conn == 0 {

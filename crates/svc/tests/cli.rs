@@ -32,6 +32,29 @@ fn removed_and_unknown_flags_exit_2_naming_the_flag() {
     }
 }
 
+/// A run length or Zipf exponent that is not a finite number, or a run
+/// length the clock cannot add, is refused before any connection is
+/// made (`--port 1`: a server is never reached). Let through, a run
+/// length panics in `Duration::from_secs_f64` (exit 101) and a `nan`
+/// exponent sends every request to key 0.
+#[test]
+fn non_finite_or_unbounded_run_parameters_exit_2() {
+    for (args, offender) in [
+        (&["--secs", "nan"][..], "--secs"),
+        (&["--secs", "inf"][..], "--secs"),
+        (&["--secs", "1e30"][..], "--secs"),
+        (&["--secs", "-1", "--ops", "10"][..], "--secs"),
+        (&["--theta", "nan"][..], "--theta"),
+        (&["--theta", "inf"][..], "--theta"),
+    ] {
+        let all = [&["--port", "1"][..], args].concat();
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_loadgen"), &all);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(offender), "{args:?}: {stderr}");
+        assert!(stderr.contains("hint:"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn a_store_that_cannot_be_built_exits_2() {
     const MAX: &str = "18446744073709551615";

@@ -26,8 +26,18 @@
 //! [`GET_RUN`] keys per section: for each key the cached part of the
 //! descent ([`LeafMap::locate`], which also asks the cache for the
 //! leaf), and only then the searches inside the leaves, whose misses now
-//! overlap. `scan` is one section over every shard, each shard's first
-//! leaf located before any is walked.
+//! overlap. `scan` is one section over the shards its range covers, each
+//! shard's first leaf located before any is walked.
+//!
+//! ## Shard layout
+//!
+//! Keys are sharded in blocks of 64 consecutive keys (`BLOCK_BITS`;
+//! about two full leaves), striped round-robin over the shards: block
+//! `b` lives on shard `b % n`. A range of `k` blocks therefore lives on
+//! `min(k, n)` shards, consecutive modulo `n` — a 64-pair SCAN reads one
+//! or two shards, not all of them. The price is locality of heat: a hot
+//! range of keys is a hot shard (EXPERIMENTS.md, "A SCAN reads the
+//! shards it covers", measures it on the Zipf mixes).
 //!
 //! A section picks a shard's copy once — the SeqCst index load, the
 //! first time the section asks for that shard (`Section::copy`) — and
@@ -39,8 +49,8 @@
 //! the ordering argument below is the single-key one, unchanged. What
 //! does change is what a concurrent writer's barrier may have to wait
 //! out: [`GET_RUN`] lookups, or one SCAN (at most the wire's `MAX_SCAN`
-//! = 1024 pairs over all shards), instead of one lookup or one shard's
-//! slice of a SCAN.
+//! = 1024 pairs, 17 blocks, over at most 17 shards), instead of one
+//! lookup or one shard's slice of a SCAN.
 //!
 //! What this keeps from the simulated backend: linearizable single-key
 //! operations, torn-free reads, the quiescence-barrier structure (and
@@ -78,13 +88,15 @@ use crate::backend::{
 use crate::leafmap::LeafMap;
 use crate::sharded::PutOutcome;
 
-/// Fibonacci multiplier for the shard spreader (same as [`crate::sharded`]).
-const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
-
 /// Lookups one read section serves: how many leaves `get_many` (keys)
 /// and `scan` (shards) have in flight before the first is searched, and
 /// so the longest run of lookups a writer's barrier waits behind.
 pub const GET_RUN: usize = 16;
+
+/// Keys per block, as a shift: a shard holds runs of 64 consecutive keys
+/// (about two full leaves), and the blocks are dealt round-robin over
+/// the shards (module docs, "Shard layout").
+const BLOCK_BITS: u32 = 6;
 
 /// [`Section::picked`] of a shard the section has not read yet.
 const UNPICKED: u8 = u8::MAX;
@@ -271,9 +283,11 @@ impl StoreLoader for NativeLoader {
     }
 }
 
+/// The shard holding `key`: its block's (module docs, "Shard layout"),
+/// so a range of keys lives on as few shards as it has blocks.
 #[inline]
 fn shard_index(key: u64, n_shards: usize) -> usize {
-    ((key.wrapping_mul(SPREAD) >> 32) as usize) % n_shards
+    ((key >> BLOCK_BITS) % n_shards as u64) as usize
 }
 
 /// How many of `n_shards` shards `ops` touch: the grace periods
@@ -289,15 +303,7 @@ pub(crate) fn touched_shards(ops: &[MutOp], n_shards: usize) -> u64 {
 
 impl StoreBackend for NativeBackend {
     fn session(&self) -> Box<dyn StoreSession + '_> {
-        Box::new(NativeSession {
-            backend: self,
-            tid: self.register(),
-            st: ThreadStats::new(),
-            snap: Vec::new(),
-            groups: vec![Vec::new(); self.shards.len()],
-            held: Vec::new(),
-            picked: vec![Cell::new(UNPICKED); self.shards.len()],
-        })
+        Box::new(NativeSession::new(self))
     }
 
     fn label(&self) -> &'static str {
@@ -380,18 +386,24 @@ impl StoreSession for NativeSession<'_> {
     }
 
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>) {
-        // One read section over all shards. Each shard holds only its
-        // own keys, so the ordered map's range walk yields exactly this
-        // shard's slice — no per-key shard filtering — and the slices,
-        // each already ascending, only need merging behind what the
-        // caller had in `out`.
+        // One read section over the shards the range covers: those of
+        // its blocks, consecutive modulo the shard count from the first
+        // block's. Each shard holds only its own keys, so the ordered
+        // map's range walk yields exactly this shard's slice — no
+        // per-key shard filtering — and the slices, each already
+        // ascending (and in order, unless the blocks wrapped around the
+        // shards), only need merging behind what the caller had in `out`.
         let tail = out.len();
         if let Some(keys) = scan_keys(start, count) {
+            let n_shards = self.backend.shards.len();
+            let blocks = (keys.end() >> BLOCK_BITS) - (start >> BLOCK_BITS) + 1;
+            let covered = blocks.min(n_shards as u64) as usize;
+            let first = shard_index(start, n_shards);
             self.backend.read(self.tid, &self.picked, |sec| {
-                for lo in (0..sec.shards.len()).step_by(GET_RUN) {
+                for lo in (0..covered).step_by(GET_RUN) {
                     let mut spots = [None; GET_RUN];
-                    for (spot, s) in spots.iter_mut().zip(lo..sec.shards.len()) {
-                        let map = sec.copy(s);
+                    for (spot, i) in spots.iter_mut().zip(lo..covered) {
+                        let map = sec.copy((first + i) % n_shards);
                         *spot = Some((map, map.locate(start)));
                     }
                     for (map, spot) in spots.into_iter().flatten() {
@@ -437,6 +449,18 @@ impl StoreSession for NativeSession<'_> {
 }
 
 impl<'a> NativeSession<'a> {
+    fn new(backend: &'a NativeBackend) -> NativeSession<'a> {
+        NativeSession {
+            backend,
+            tid: backend.register(),
+            st: ThreadStats::new(),
+            snap: Vec::new(),
+            groups: vec![Vec::new(); backend.shards.len()],
+            held: Vec::new(),
+            picked: vec![Cell::new(UNPICKED); backend.shards.len()],
+        }
+    }
+
     /// The unit of publication, and the only place a copy is retired:
     /// for each shard of `span` with a non-empty group — lock, apply the
     /// group to the inactive copy, SeqCst flip; then the log append (if
@@ -927,6 +951,88 @@ mod tests {
             "{worst} shard mutexes held at once by one volatile batch"
         );
         assert!(misses >= 50, "the first cycle was parked behind the reader");
+    }
+
+    /// `scan` is the canary's `scan` on every shard layout: both stores
+    /// take the same mutations — holes in the prefill, a sparse run
+    /// beyond it, and a populated top of the key space — and then every
+    /// count around a block (64) and the wire's limit (1024), from block
+    /// edges, mid-block and up against `u64::MAX`. The 32-shard scan of
+    /// 1024 pairs from mid-block covers 17 blocks, one more than a
+    /// section locates at once ([`GET_RUN`]).
+    #[test]
+    fn scan_equals_the_canary_on_every_shard_layout() {
+        const TOP: u64 = u64::MAX;
+        let ops: Vec<MutOp> = (0..3000)
+            .step_by(7)
+            .map(|key| MutOp::Del { key })
+            .chain((5000..6000).step_by(3).map(|key| MutOp::Put {
+                key,
+                value: key * 2,
+            }))
+            .chain((0..1500).step_by(2).map(|i| MutOp::Put {
+                key: TOP - i,
+                value: i,
+            }))
+            .collect();
+        let canary = SglBackend::create(3000);
+        let mut model = canary.session();
+        model.apply_batch(&ops, &mut Vec::new());
+        for n_shards in [1, 3, 16, 32] {
+            let backend = NativeBackend::create(n_shards, 1, 3000);
+            let mut s = backend.session();
+            for batch in ops.chunks(100) {
+                s.apply_batch(batch, &mut Vec::new());
+            }
+            for start in [
+                0,
+                320,
+                337,
+                1000,
+                2990,
+                4990,
+                5950,
+                TOP - 1023,
+                TOP - 1000,
+                TOP - 40,
+                TOP,
+            ] {
+                for count in [0, 1, 63, 64, 65, 1024] {
+                    let (mut got, mut want) = (vec![(7, 7)], vec![(7, 7)]);
+                    s.scan(start, count, &mut got);
+                    model.scan(start, count, &mut want);
+                    assert_eq!(got, want, "{n_shards} shards, scan({start}, {count})");
+                }
+            }
+        }
+    }
+
+    /// What the shard layout buys: a scan's section picks the copies of
+    /// the shards its blocks live on and no others — at most two for 64
+    /// pairs from any start, `min(17, n)` for 1024 pairs from mid-block
+    /// (16 from a block edge). A section resets its cells when it starts,
+    /// not when it ends, so after `scan` returns they still show what
+    /// its section picked.
+    #[test]
+    fn a_scan_picks_only_the_shards_its_range_covers() {
+        const TOP: u64 = u64::MAX;
+        for n_shards in [1, 3, 16, 32] {
+            let backend = NativeBackend::create(n_shards, 1, 4096);
+            let mut s = NativeSession::new(&backend);
+            let mut picks = |start, count| {
+                s.scan(start, count, &mut Vec::new());
+                s.picked.iter().filter(|p| p.get() != UNPICKED).count()
+            };
+            for start in [0, 1, 63, 64, 100, 1000, 4090, TOP - 64, TOP - 63, TOP] {
+                let two = picks(start, 64);
+                assert!(two <= 2, "{n_shards} shards: 64 from {start} picked {two}");
+            }
+            for start in [1, 63, 100, 1000] {
+                assert_eq!(picks(start, 1024), n_shards.min(17), "{n_shards} shards");
+            }
+            assert_eq!(picks(0, 1024), n_shards.min(16), "{n_shards} shards");
+            assert_eq!(picks(TOP - 100, 1024), n_shards.min(2), "{n_shards} shards");
+        }
     }
 
     #[test]
