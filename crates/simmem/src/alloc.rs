@@ -7,8 +7,10 @@ use crate::addr::{Addr, WORDS_PER_LINE};
 use crate::mem::SharedMem;
 
 /// Number of power-of-two size classes. Class `i` holds blocks of
-/// `WORDS_PER_LINE << i` words (1, 2, 4, ... lines).
-const NUM_CLASSES: usize = 16;
+/// `WORDS_PER_LINE << i` words (1, 2, 4, ... lines), up to 2^31 words:
+/// half of the largest address space, and the largest power of two a
+/// `u32` size holds.
+const NUM_CLASSES: usize = 29;
 
 /// Error returned when the simulated memory is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,14 +97,9 @@ impl SimAlloc {
 
     /// Size class for a request of `words` words.
     fn class_of(words: u32) -> Option<(usize, u32)> {
-        let mut size = WORDS_PER_LINE;
-        for class in 0..NUM_CLASSES {
-            if words <= size {
-                return Some((class, size));
-            }
-            size <<= 1;
-        }
-        None
+        let lines = words.div_ceil(WORDS_PER_LINE).next_power_of_two();
+        let class = lines.trailing_zeros() as usize;
+        (class < NUM_CLASSES).then(|| (class, WORDS_PER_LINE << class))
     }
 
     /// Allocates a block of at least `words` words, zeroed.
@@ -237,6 +234,27 @@ mod tests {
         // Freeing makes the block available again.
         let a = alloc.alloc(1); // still exhausted (fresh memory gone, nothing freed)
         assert!(a.is_err());
+    }
+
+    /// A block may be as large as the memory: a 2^20-word bucket array
+    /// (a 4 M-key store on one shard) is one allocation. A request no
+    /// class holds is an error, not a panic or a wrapped size.
+    #[test]
+    fn blocks_up_to_any_memory_size_are_served() {
+        let mem = Arc::new(SharedMem::new_lines(1 << 17));
+        let alloc = SimAlloc::new(Arc::clone(&mem));
+        let big = alloc.alloc(1 << 20).unwrap();
+        assert_eq!(alloc.words_remaining(), 0);
+        alloc.free_sized(big, 1 << 20);
+        assert_eq!(alloc.alloc((1 << 19) + 1), Ok(big), "same class recycles");
+        for words in [(1 << 31) + 1, u32::MAX] {
+            assert_eq!(
+                alloc.alloc(words),
+                Err(AllocError {
+                    requested_words: words
+                })
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
-//!       [--shards N] [--buckets N] [--prefill N] [--capacity N]
+//!       [--shards N] [--prefill N] [--capacity N]
 //!       [--max-conns N] [--idle-ms MS]
 //!       [--port-file PATH] [--wal-dir DIR]
 //!       [--fsync batch|interval:<ms>|off]
@@ -30,7 +30,6 @@ const FLAGS: &[&str] = &[
     "scheme",
     "backend",
     "shards",
-    "buckets",
     "prefill",
     "capacity",
     "max-conns",
@@ -42,7 +41,7 @@ const FLAGS: &[&str] = &[
 
 const USAGE: &str = "\
 usage: rwled [--port P] [--threads N] [--scheme NAME] [--backend NAME]
-             [--shards N] [--buckets N] [--prefill N] [--capacity N]
+             [--shards N] [--prefill N] [--capacity N]
              [--max-conns N] [--idle-ms MS]
              [--port-file PATH] [--wal-dir DIR]
              [--fsync batch|interval:<ms>|off] [--help]
@@ -100,7 +99,6 @@ fn main() {
         scheme,
         backend,
         shards: args.get_or("shards", 16usize),
-        buckets_per_shard: args.get_or("buckets", 1024u32),
         prefill: args.get_or("prefill", 100_000u64),
         extra_capacity: args.get_or("capacity", 400_000u64),
         max_conns: args.get_or("max-conns", 1024usize),

@@ -92,6 +92,7 @@ use stats::{StatsSummary, ThreadStats};
 use wal::{FsyncPolicy, Wal};
 use workloads::backend::{MutOp, MutReply, SimBackend, NO_LSN};
 use workloads::native::{NativeBackend, SglBackend};
+use workloads::sharded::buckets_per_shard;
 use workloads::{BackendKind, SchemeKind, StoreBackend, StoreLoader, StoreSession};
 
 use crate::poll::{Interest, Poller, Waker};
@@ -112,10 +113,10 @@ pub struct ServerConfig {
     pub scheme: SchemeKind,
     /// Execution backend: simulated HTM or plain memory.
     pub backend: BackendKind,
-    /// Independent store shards (each its own elided lock).
+    /// Independent store shards (each its own elided lock). The
+    /// simulated store gives each shard the hash buckets
+    /// [`workloads::sharded::buckets_per_shard`] derives from `prefill`.
     pub shards: usize,
-    /// Hash buckets per shard.
-    pub buckets_per_shard: u32,
     /// Keys `0..prefill` loaded before serving.
     pub prefill: u64,
     /// Extra node capacity beyond the prefill: how many more keys the
@@ -149,7 +150,6 @@ impl Default for ServerConfig {
             scheme: SchemeKind::RwLeOpt,
             backend: BackendKind::Sim,
             shards: 16,
-            buckets_per_shard: 1024,
             prefill: 100_000,
             extra_capacity: 400_000,
             max_conns: 1024,
@@ -215,10 +215,10 @@ impl Server {
     /// Bind and sizing failures, and a log that does not load, surface
     /// as `io::Error` so the binary can exit 2 with a hint.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
-        if cfg.threads == 0 || cfg.shards == 0 || cfg.buckets_per_shard == 0 || cfg.max_conns == 0 {
+        if cfg.threads == 0 || cfg.shards == 0 || cfg.max_conns == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "threads, shards, buckets and connection limit must all be at least 1",
+                "threads, shards and connection limit must all be at least 1",
             ));
         }
         let started = Instant::now();
@@ -227,7 +227,7 @@ impl Server {
                 SimBackend::loader(
                     scheme,
                     cfg.shards,
-                    cfg.buckets_per_shard,
+                    buckets_per_shard(cfg.prefill, cfg.shards),
                     cfg.prefill,
                     cfg.extra_capacity,
                     cfg.threads,
@@ -1271,6 +1271,23 @@ mod tests {
         }
         for scheme in [SchemeKind::RwLeOpt, SchemeKind::Sgl] {
             assert!(native(scheme).is_ok(), "{scheme:?} must bind");
+        }
+    }
+
+    /// An empty simulated store of many shards is small, and binds: each
+    /// shard's one-bucket array and its lock words take lines of their
+    /// own, so an arena sized as `shards × buckets ÷ 8` lines plus a
+    /// flat slack runs out while the shards are built.
+    #[test]
+    fn a_sim_store_of_many_empty_shards_binds() {
+        let server = Server::bind(ServerConfig {
+            shards: 20_000,
+            prefill: 0,
+            extra_capacity: 0,
+            ..ServerConfig::default()
+        });
+        if let Err(e) = server {
+            panic!("20000 empty shards did not bind: {e}");
         }
     }
 }

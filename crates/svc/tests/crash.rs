@@ -62,8 +62,6 @@ fn rwled(wal_dir: &Path, store: Store, fsync: &str, port_file: &Path, extra: &[&
         "2",
         "--shards",
         "4",
-        "--buckets",
-        "256",
         "--prefill",
         &PREFILL.to_string(),
         "--capacity",

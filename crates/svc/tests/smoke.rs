@@ -29,7 +29,6 @@ fn small_cfg() -> ServerConfig {
     ServerConfig {
         threads: 2,
         shards: 4,
-        buckets_per_shard: 64,
         prefill: 1000,
         extra_capacity: 4000,
         ..ServerConfig::default()
@@ -274,7 +273,6 @@ fn loadgen_closed_loop_end_to_end() {
     let (addr, handle) = start(ServerConfig {
         threads: 2,
         shards: 4,
-        buckets_per_shard: 256,
         prefill: 5_000,
         extra_capacity: 50_000,
         ..ServerConfig::default()

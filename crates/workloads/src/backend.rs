@@ -17,15 +17,15 @@
 //! context, an epoch slot) plus its [`ThreadStats`]. Sessions must be
 //! created on the thread that uses them and are not transferable.
 
-use simmem::{Addr, SharedMem, SimAlloc};
+use simmem::{Addr, SharedMem, SimAlloc, WORDS_PER_LINE};
 use std::sync::Arc;
 
 use htm::{HtmConfig, HtmRuntime, ThreadCtx};
 use stats::ThreadStats;
 
 use crate::hashmap::NODE_WORDS;
-use crate::scheme::SchemeKind;
-use crate::sharded::{PutOutcome, ShardedKv};
+use crate::scheme::{SchemeKind, MAX_LOCK_LINES};
+use crate::sharded::{PutOutcome, ScanScratch, ShardedKv};
 
 /// Which execution backend runs the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,7 +312,8 @@ pub struct SimBackend {
 impl SimBackend {
     /// Sizes simulated memory, builds and prefills the sharded store.
     /// `extra_capacity` bounds the keys the store can hold beyond the
-    /// prefill (a deleted key's node returns to the arena).
+    /// prefill (a deleted key's node returns to the arena). The server
+    /// passes [`crate::sharded::buckets_per_shard`] of its prefill.
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         scheme: SchemeKind,
@@ -347,19 +348,26 @@ impl SimBackend {
         max_threads: usize,
         seed: u64,
     ) -> Result<SimLoader, String> {
-        // One line per node plus the bucket arrays, with slack for lock
-        // words and allocator rounding (same sizing rule as the bench
-        // driver). In u128 no argument can wrap the sum, so every size
-        // past the address space lands in the error below.
+        // One line per node, and per shard its bucket array (its own
+        // block: a power of two of whole lines) and its lock's lines,
+        // with the bench driver's slack on top. In u128 no argument can
+        // wrap the sum, so every size past the address space (whose
+        // words must stay below the all-ones null address) lands in the
+        // error below.
         let node_lines = prefill as u128 + extra_capacity as u128;
-        let bucket_lines = (shards as u128 * buckets_per_shard as u128).div_ceil(8);
-        let lines = (node_lines + bucket_lines + 4096) * 9 / 8;
-        let lines = u32::try_from(lines).map_err(|_| {
-            String::from(
-                "store too large for the 32-bit simulated address space; \
-                 lower the prefill/capacity",
-            )
-        })?;
+        let shard_lines = u128::from(buckets_per_shard.div_ceil(WORDS_PER_LINE))
+            .next_power_of_two()
+            + u128::from(MAX_LOCK_LINES);
+        let lines = (node_lines + shards as u128 * shard_lines + 4096) * 9 / 8;
+        let lines = u32::try_from(lines)
+            .ok()
+            .filter(|&l| l <= u32::MAX / WORDS_PER_LINE)
+            .ok_or_else(|| {
+                String::from(
+                    "store too large for the 32-bit simulated address space; \
+                     lower the prefill/capacity",
+                )
+            })?;
         let mem = Arc::new(SharedMem::new_lines(lines));
         let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default().with_seed(seed));
         let alloc = SimAlloc::new(mem);
@@ -408,6 +416,7 @@ impl StoreBackend for SimBackend {
             ctx: self.rt.register(),
             st: ThreadStats::new(),
             spare: None,
+            scan: ScanScratch::default(),
             backend: self,
         })
     }
@@ -417,12 +426,14 @@ impl StoreBackend for SimBackend {
     }
 }
 
-/// Per-thread session over [`SimBackend`]: owns the HTM thread context
-/// and the spare-node slot the pre-allocation discipline needs.
+/// Per-thread session over [`SimBackend`]: owns the HTM thread context,
+/// the spare-node slot the pre-allocation discipline needs and the
+/// scratch a scan reuses.
 struct SimSession<'a> {
     ctx: ThreadCtx,
     st: ThreadStats,
     spare: Option<Addr>,
+    scan: ScanScratch,
     backend: &'a SimBackend,
 }
 
@@ -460,9 +471,14 @@ impl StoreSession for SimSession<'_> {
     }
 
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>) {
-        self.backend
-            .kv
-            .scan(&mut self.ctx, &mut self.st, start, count, out);
+        self.backend.kv.scan(
+            &mut self.ctx,
+            &mut self.st,
+            start,
+            count,
+            out,
+            &mut self.scan,
+        );
     }
 
     fn take_stats(&mut self) -> ThreadStats {
@@ -642,6 +658,8 @@ mod tests {
             (u64::MAX, 0, 16),
             (u64::MAX, u64::MAX, u32::MAX),
             (16, u64::from(u32::MAX), 16),
+            // Fits a u32 line count, but not its words: 2^29 lines.
+            (1 << 29, 0, 16),
         ] {
             let Err(e) = SimBackend::loader(SchemeKind::RwLeOpt, 4, buckets, prefill, extra, 1, 1)
             else {

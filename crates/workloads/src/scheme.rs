@@ -81,6 +81,11 @@ impl SchemeKind {
     }
 }
 
+/// The most simulated-memory lines [`Scheme::build`] allocates for one
+/// lock, whatever the scheme: RW-LE's writer lock word and, when HTM and
+/// ROT writers both run, its separate ROT lock word.
+pub const MAX_LOCK_LINES: u32 = 2;
+
 /// A built synchronization scheme guarding one logical read-write lock.
 ///
 /// `Arc`-cheap to clone into worker threads.
@@ -209,7 +214,7 @@ fn locked<G, R>(
 mod tests {
     use super::*;
     use htm::{HtmConfig, HtmRuntime};
-    use simmem::SharedMem;
+    use simmem::{SharedMem, WORDS_PER_LINE};
 
     #[test]
     fn parse_roundtrips_labels() {
@@ -248,6 +253,10 @@ mod tests {
             let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
             let alloc = SimAlloc::new(Arc::clone(&mem));
             let scheme = Scheme::build(kind, &alloc, 8).unwrap();
+            assert!(
+                alloc.stats().words_allocated <= u64::from(MAX_LOCK_LINES * WORDS_PER_LINE),
+                "{kind:?} takes more lock lines than the store sizes for"
+            );
             let data = alloc.alloc(2).unwrap();
             std::thread::scope(|s| {
                 for _ in 0..3 {

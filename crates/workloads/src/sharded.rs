@@ -12,16 +12,54 @@
 //! deliberately different from [`SimHashMap`]'s `key % buckets` bucket
 //! choice, so skewed (Zipf-hot) key ranges do not land in one shard *and*
 //! one bucket simultaneously.
+//!
+//! The service sizes each shard's bucket array from the prefill
+//! ([`buckets_per_shard`]): about one key per chain, so a lookup reads
+//! one or two nodes. The §4.1 figures, whose chain length *is* the
+//! experiment, build their own [`SimHashMap`]s.
 
 use htm::ThreadCtx;
 use simmem::{Addr, AllocError, SimAlloc};
 use stats::ThreadStats;
 
+use crate::backend::scan_keys;
 use crate::hashmap::SimHashMap;
 use crate::scheme::{Scheme, SchemeKind};
 
 /// Fibonacci multiplier for the shard spreader.
 const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Buckets per shard for a store that starts with `prefill` keys over
+/// `shards` (≥ 1) shards: each shard's share rounded up to a power of
+/// two, so at the prefill a chain holds more than ½ and at most 1 key on
+/// average, and one bucket when there are more shards than keys. A share
+/// beyond 2^31 gets 2^31 buckets, which no simulated address space
+/// holds, so the store build refuses it.
+pub fn buckets_per_shard(prefill: u64, shards: usize) -> u32 {
+    prefill
+        .div_ceil(shards as u64)
+        .checked_next_power_of_two()
+        .and_then(|b| u32::try_from(b).ok())
+        .unwrap_or(1 << 31)
+}
+
+/// The end of a shard's chain of scan offsets in [`ScanScratch`].
+const NO_OFFSET: u32 = u32::MAX;
+
+/// What [`ShardedKv::scan`] keeps between calls, so that a warm scan
+/// allocates nothing. An offset `i` names the range's key `start + i`.
+#[derive(Default)]
+pub struct ScanScratch {
+    /// Per shard, its first offset in the range; [`NO_OFFSET`] for every
+    /// shard between scans.
+    first: Vec<u32>,
+    /// Per offset, the next offset whose key is in the same shard.
+    next: Vec<u32>,
+    /// The shards the range touches.
+    touched: Vec<usize>,
+    /// Per offset, what the lookup of its key found.
+    found: Vec<Option<u64>>,
+}
 
 /// One shard: a hashmap plus the scheme instance that guards it.
 struct Shard {
@@ -76,9 +114,13 @@ impl ShardedKv {
     }
 
     #[inline]
+    fn shard_index(&self, key: u64) -> usize {
+        (key.wrapping_mul(SPREAD) >> 32) as usize % self.shards.len()
+    }
+
+    #[inline]
     fn shard_of(&self, key: u64) -> &Shard {
-        let spread = (key.wrapping_mul(SPREAD) >> 32) as usize;
-        &self.shards[spread % self.shards.len()]
+        &self.shards[self.shard_index(key)]
     }
 
     /// Looks `key` up (uninstrumented read under RW-LE).
@@ -144,10 +186,12 @@ impl ShardedKv {
             .write_cs(ctx, st, &mut |acc| shard.map.remove(acc, key))
     }
 
-    /// Looks up every key in `[start, start + count)` in **one** read
-    /// critical section, appending present pairs to `out`. Long scans are
-    /// the read-capacity stressor: under RW-LE they stay uninstrumented
-    /// (no HTM footprint), under HLE-style baselines they abort.
+    /// Appends the present pairs among the `count` keys from `start`
+    /// (the range stops at `u64::MAX`) to `out` in key order. Each key's
+    /// shard is computed once; then each shard the range touches runs
+    /// one read critical section over its own keys. Long scans are the
+    /// read-capacity stressor: under RW-LE they stay uninstrumented (no
+    /// HTM footprint), under HLE-style baselines they abort.
     pub fn scan(
         &self,
         ctx: &mut ThreadCtx,
@@ -155,35 +199,50 @@ impl ShardedKv {
         start: u64,
         count: u32,
         out: &mut Vec<(u64, u64)>,
+        scratch: &mut ScanScratch,
     ) {
-        let Some(keys) = crate::backend::scan_keys(start, count) else {
+        let Some(keys) = scan_keys(start, count) else {
             return;
         };
-        let tail = out.len();
-        // Keys in the range may live in different shards; take each
-        // shard's read CS once over its slice of the range.
-        for shard_idx in 0..self.shards.len() {
-            let shard = &self.shards[shard_idx];
-            let entry_len = out.len();
+        // At most `count` keys, so every offset fits below `NO_OFFSET`.
+        let len = (keys.end() - start) as u32 + 1;
+        let ScanScratch {
+            first,
+            next,
+            touched,
+            found,
+        } = scratch;
+        first.resize(self.shards.len(), NO_OFFSET);
+        next.resize(len as usize, NO_OFFSET);
+        // Backwards, so that each shard's chain comes out ascending.
+        for i in (0..len).rev() {
+            let s = self.shard_index(start + u64::from(i));
+            if first[s] == NO_OFFSET {
+                touched.push(s);
+            }
+            next[i as usize] = first[s];
+            first[s] = i;
+        }
+        found.resize(len as usize, None);
+        for s in touched.drain(..) {
+            let shard = &self.shards[s];
+            let head = std::mem::replace(&mut first[s], NO_OFFSET);
             shard.scheme.read_cs(ctx, st, &mut |acc| {
                 // A speculating scheme (HLE) re-runs this body after an
-                // abort: drop what the aborted attempt pushed.
-                out.truncate(entry_len);
-                // Internal iteration: a `for` over an inclusive range
-                // re-checks its exhausted flag on every key, and this
-                // loop is short enough for that to show (`svc-sim`).
-                keys.clone().try_for_each(|key| {
-                    let spread = (key.wrapping_mul(SPREAD) >> 32) as usize;
-                    if spread % self.shards.len() == shard_idx {
-                        if let Some(v) = shard.map.lookup(acc, key)? {
-                            out.push((key, v));
-                        }
-                    }
-                    Ok(())
-                })
+                // abort; each run rewrites every one of the shard's slots.
+                let mut i = head;
+                while i != NO_OFFSET {
+                    found[i as usize] = shard.map.lookup(acc, start + u64::from(i))?;
+                    i = next[i as usize];
+                }
+                Ok(())
             });
         }
-        out[tail..].sort_unstable_by_key(|&(key, _)| key);
+        out.extend(
+            (0..)
+                .zip(found.iter())
+                .filter_map(|(i, v)| Some((start + i, (*v)?))),
+        );
     }
 
     /// [`SimHashMap::load_put`] into `key`'s shard: plain stores, only
@@ -261,7 +320,14 @@ mod tests {
         let mut ctx = rt.register();
         let mut st = ThreadStats::new();
         let mut out = Vec::new();
-        kv.scan(&mut ctx, &mut st, 40, 20, &mut out);
+        kv.scan(
+            &mut ctx,
+            &mut st,
+            40,
+            20,
+            &mut out,
+            &mut ScanScratch::default(),
+        );
         let expect: Vec<(u64, u64)> = (40..50).map(|k| (k, k)).collect();
         assert_eq!(out, expect);
     }
@@ -280,10 +346,11 @@ mod tests {
             let scanner = s.spawn(|| {
                 let mut ctx = rt.register();
                 let mut st = ThreadStats::new();
+                let mut scratch = ScanScratch::default();
                 let scans: Vec<Vec<u64>> = (0..30)
                     .map(|_| {
                         let mut out = Vec::new();
-                        kv.scan(&mut ctx, &mut st, 0, 400, &mut out);
+                        kv.scan(&mut ctx, &mut st, 0, 400, &mut out, &mut scratch);
                         out.iter().map(|&(k, _)| k).collect()
                     })
                     .collect();
@@ -325,6 +392,8 @@ mod tests {
                     let mut ctx = rt.register();
                     let mut st = ThreadStats::new();
                     let mut spare = None;
+                    let mut scratch = ScanScratch::default();
+                    let mut scan_sections = 0;
                     for i in 0..200u64 {
                         let key = (t as u64 * 131 + i * 7) % 400;
                         match i % 4 {
@@ -343,7 +412,12 @@ mod tests {
                             }
                             _ => {
                                 let mut out = Vec::new();
-                                kv.scan(&mut ctx, &mut st, key, 8, &mut out);
+                                kv.scan(&mut ctx, &mut st, key, 8, &mut out, &mut scratch);
+                                let mut shards: Vec<_> =
+                                    (key..key + 8).map(|k| kv.shard_index(k)).collect();
+                                shards.sort_unstable();
+                                shards.dedup();
+                                scan_sections += shards.len() as u64;
                                 for (k, v) in out {
                                     assert!(v == k || v == k + 1, "torn scan {v} for {k}");
                                 }
@@ -351,10 +425,95 @@ mod tests {
                         }
                     }
                     // 150 single-shard ops + 50 scans × one read CS per
-                    // shard.
-                    assert_eq!(st.ops, 150 + 50 * kv.n_shards() as u64);
+                    // shard the scan's keys live on.
+                    assert_eq!(st.ops, 150 + scan_sections);
                 });
             }
         });
+    }
+
+    /// The sizing rule: more than ½ and at most 1 key per bucket at the
+    /// prefill whenever every shard gets a key, one bucket when some
+    /// cannot, and no count past what a `u32` holds.
+    #[test]
+    fn buckets_hold_half_to_one_key_at_the_prefill() {
+        for prefill in [0u64, 1, 1000, 100_000, 4_000_000] {
+            for shards in [1usize, 3, 16, 20_000] {
+                let b = buckets_per_shard(prefill, shards);
+                let slots = shards as u64 * u64::from(b);
+                assert!(b.is_power_of_two(), "{prefill} over {shards}: {b}");
+                if prefill >= shards as u64 {
+                    assert!(
+                        2 * prefill > slots && prefill <= slots,
+                        "{prefill} keys over {shards} × {b} buckets"
+                    );
+                } else {
+                    assert_eq!(b, 1, "{prefill} keys over {shards} shards");
+                }
+            }
+        }
+        // `svc-sim`: 100 k keys over 16 shards.
+        assert_eq!(buckets_per_shard(100_000, 16), 8192);
+        for (prefill, shards) in [(u64::MAX, 1), (1 << 40, 16), ((1 << 31) + 1, 1)] {
+            assert_eq!(buckets_per_shard(prefill, shards), 1 << 31);
+        }
+    }
+
+    /// `scan` is the SGL canary's `scan` at every shard count, with the
+    /// bucket count the service derives: both stores take the same
+    /// mutations — holes in the prefill, a sparse run beyond it, and a
+    /// populated top of the key space — and then every count around a
+    /// 64-key SCAN and the wire's limit (1024), from block edges,
+    /// mid-range and up against `u64::MAX`, behind what `out` held.
+    #[test]
+    fn scan_equals_the_canary_on_every_shard_count() {
+        use crate::backend::{MutOp, SimBackend, StoreBackend};
+        const TOP: u64 = u64::MAX;
+        const PREFILL: u64 = 3000;
+        let ops: Vec<MutOp> = (0..PREFILL)
+            .step_by(7)
+            .map(|key| MutOp::Del { key })
+            .chain((5000..6000).step_by(3).map(|key| MutOp::Put {
+                key,
+                value: key * 2,
+            }))
+            .chain((0..1500).step_by(2).map(|i| MutOp::Put {
+                key: TOP - i,
+                value: i,
+            }))
+            .collect();
+        let canary = crate::native::SglBackend::create(PREFILL);
+        let mut model = canary.session();
+        model.apply_batch(&ops, &mut Vec::new());
+        for n_shards in [1, 3, 16] {
+            let buckets = buckets_per_shard(PREFILL, n_shards);
+            let backend =
+                SimBackend::create(SchemeKind::RwLeOpt, n_shards, buckets, PREFILL, 2000, 1, 1)
+                    .unwrap();
+            let mut s = backend.session();
+            for batch in ops.chunks(100) {
+                s.apply_batch(batch, &mut Vec::new());
+            }
+            for start in [
+                0,
+                320,
+                337,
+                1000,
+                2990,
+                4990,
+                5950,
+                TOP - 1023,
+                TOP - 1000,
+                TOP - 40,
+                TOP,
+            ] {
+                for count in [0, 1, 63, 64, 65, 1024] {
+                    let (mut got, mut want) = (vec![(7, 7)], vec![(7, 7)]);
+                    s.scan(start, count, &mut got);
+                    model.scan(start, count, &mut want);
+                    assert_eq!(got, want, "{n_shards} shards, scan({start}, {count})");
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,6 @@
-//! The native read path is allocation-free once warm: `get`, `get_many`
-//! and `scan` touch the heap only to grow the caller's output buffer
+//! Every store's read path is allocation-free once warm: `get`,
+//! `get_many` and `scan` touch the heap only to grow the caller's output
+//! buffer or, on the simulated store, the session's scan scratch
 //! (the `epoch/tests/alloc_free.rs` pattern, one level up — a read
 //! section that allocated would hold a writer's barrier behind the
 //! allocator's lock).
@@ -12,8 +13,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use workloads::backend::SimBackend;
 use workloads::native::{NativeBackend, SglBackend};
-use workloads::StoreBackend;
+use workloads::sharded::buckets_per_shard;
+use workloads::{SchemeKind, StoreBackend};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -92,4 +95,11 @@ fn native_reads_are_allocation_free_when_warm() {
 fn sgl_reads_are_allocation_free_when_warm() {
     let backend = SglBackend::create(KEYS);
     assert_eq!(allocs_over_warm_reads(&backend), 0, "an SGL read allocated");
+}
+
+#[test]
+fn sim_reads_are_allocation_free_when_warm() {
+    let buckets = buckets_per_shard(KEYS, 16);
+    let backend = SimBackend::create(SchemeKind::RwLeOpt, 16, buckets, KEYS, 0, 1, 1).unwrap();
+    assert_eq!(allocs_over_warm_reads(&backend), 0, "a sim read allocated");
 }
