@@ -18,6 +18,7 @@
 //! created on the thread that uses them and are not transferable.
 
 use simmem::{Addr, SharedMem, SimAlloc, WORDS_PER_LINE};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use htm::{HtmConfig, HtmRuntime, ThreadCtx};
@@ -25,7 +26,7 @@ use stats::ThreadStats;
 
 use crate::hashmap::NODE_WORDS;
 use crate::scheme::{SchemeKind, MAX_LOCK_LINES};
-use crate::sharded::{PutOutcome, ScanScratch, ShardedKv};
+use crate::sharded::{PutOutcome, ShardedKv};
 
 /// Which execution backend runs the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,9 +99,31 @@ pub enum MutReply {
 /// The keys a SCAN of `count` from `start` covers, last one included —
 /// an exclusive end could never name `u64::MAX` — or `None` when it
 /// asks for nothing. The range stops at the top of the key space.
-pub(crate) fn scan_keys(start: u64, count: u32) -> Option<std::ops::RangeInclusive<u64>> {
+pub(crate) fn scan_keys(start: u64, count: u32) -> Option<RangeInclusive<u64>> {
     let span = u64::from(count.checked_sub(1)?);
     Some(start..=start.saturating_add(span))
+}
+
+/// Keys per block, as a shift: both sharded stores hold runs of 64
+/// consecutive keys (about two full native leaves) and deal the blocks
+/// round-robin over their shards, block `b` on shard `b % n`.
+pub(crate) const BLOCK_BITS: u32 = 6;
+
+/// The shard holding `key` among `n_shards`: its block's, so a range of
+/// keys lives on as few shards as it has blocks. The price is locality
+/// of heat: a hot range of keys is a hot shard.
+#[inline]
+pub(crate) fn shard_index(key: u64, n_shards: usize) -> usize {
+    ((key >> BLOCK_BITS) % n_shards as u64) as usize
+}
+
+/// The shards `keys` lives on, as `(first, covered)`: the `covered` =
+/// `min(blocks, n_shards)` shards consecutive modulo `n_shards` from
+/// `first`, in the order of their first blocks in the range.
+pub(crate) fn covered_shards(keys: &RangeInclusive<u64>, n_shards: usize) -> (usize, usize) {
+    let blocks = (keys.end() >> BLOCK_BITS) - (keys.start() >> BLOCK_BITS) + 1;
+    let covered = blocks.min(n_shards as u64) as usize;
+    (shard_index(*keys.start(), n_shards), covered)
 }
 
 /// Quiescence accounting for one [`StoreSession::apply_batch`] call.
@@ -416,7 +439,6 @@ impl StoreBackend for SimBackend {
             ctx: self.rt.register(),
             st: ThreadStats::new(),
             spare: None,
-            scan: ScanScratch::default(),
             backend: self,
         })
     }
@@ -426,14 +448,12 @@ impl StoreBackend for SimBackend {
     }
 }
 
-/// Per-thread session over [`SimBackend`]: owns the HTM thread context,
-/// the spare-node slot the pre-allocation discipline needs and the
-/// scratch a scan reuses.
+/// Per-thread session over [`SimBackend`]: owns the HTM thread context
+/// and the spare-node slot the pre-allocation discipline needs.
 struct SimSession<'a> {
     ctx: ThreadCtx,
     st: ThreadStats,
     spare: Option<Addr>,
-    scan: ScanScratch,
     backend: &'a SimBackend,
 }
 
@@ -471,14 +491,9 @@ impl StoreSession for SimSession<'_> {
     }
 
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>) {
-        self.backend.kv.scan(
-            &mut self.ctx,
-            &mut self.st,
-            start,
-            count,
-            out,
-            &mut self.scan,
-        );
+        self.backend
+            .kv
+            .scan(&mut self.ctx, &mut self.st, start, count, out);
     }
 
     fn take_stats(&mut self) -> ThreadStats {

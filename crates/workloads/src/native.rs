@@ -31,9 +31,10 @@
 //!
 //! ## Shard layout
 //!
-//! Keys are sharded in blocks of 64 consecutive keys (`BLOCK_BITS`;
-//! about two full leaves), striped round-robin over the shards: block
-//! `b` lives on shard `b % n`. A range of `k` blocks therefore lives on
+//! Keys are sharded in blocks of 64 consecutive keys (about two full
+//! leaves), striped round-robin over the shards: block `b` lives on
+//! shard `b % n` (`backend::shard_index`, the layout the simulated store
+//! shares). A range of `k` blocks therefore lives on
 //! `min(k, n)` shards, consecutive modulo `n` — a 64-pair SCAN reads one
 //! or two shards, not all of them. The price is locality of heat: a hot
 //! range of keys is a hot shard (EXPERIMENTS.md, "A SCAN reads the
@@ -82,8 +83,8 @@ use epoch::EpochSet;
 use stats::{CommitKind, ThreadStats};
 
 use crate::backend::{
-    scan_keys, BatchOutcome, DurableSink, Lsn, MutOp, MutReply, StoreBackend, StoreFull,
-    StoreLoader, StoreSession, NO_LSN,
+    covered_shards, scan_keys, shard_index, BatchOutcome, DurableSink, Lsn, MutOp, MutReply,
+    StoreBackend, StoreFull, StoreLoader, StoreSession, NO_LSN,
 };
 use crate::leafmap::LeafMap;
 use crate::sharded::PutOutcome;
@@ -92,11 +93,6 @@ use crate::sharded::PutOutcome;
 /// and `scan` (shards) have in flight before the first is searched, and
 /// so the longest run of lookups a writer's barrier waits behind.
 pub const GET_RUN: usize = 16;
-
-/// Keys per block, as a shift: a shard holds runs of 64 consecutive keys
-/// (about two full leaves), and the blocks are dealt round-robin over
-/// the shards (module docs, "Shard layout").
-const BLOCK_BITS: u32 = 6;
 
 /// [`Section::picked`] of a shard the section has not read yet.
 const UNPICKED: u8 = u8::MAX;
@@ -283,13 +279,6 @@ impl StoreLoader for NativeLoader {
     }
 }
 
-/// The shard holding `key`: its block's (module docs, "Shard layout"),
-/// so a range of keys lives on as few shards as it has blocks.
-#[inline]
-fn shard_index(key: u64, n_shards: usize) -> usize {
-    ((key >> BLOCK_BITS) % n_shards as u64) as usize
-}
-
 /// How many of `n_shards` shards `ops` touch: the grace periods
 /// (`barriers + shared`) a volatile batch of them pays.
 #[cfg(test)]
@@ -396,9 +385,7 @@ impl StoreSession for NativeSession<'_> {
         let tail = out.len();
         if let Some(keys) = scan_keys(start, count) {
             let n_shards = self.backend.shards.len();
-            let blocks = (keys.end() >> BLOCK_BITS) - (start >> BLOCK_BITS) + 1;
-            let covered = blocks.min(n_shards as u64) as usize;
-            let first = shard_index(start, n_shards);
+            let (first, covered) = covered_shards(&keys, n_shards);
             self.backend.read(self.tid, &self.picked, |sec| {
                 for lo in (0..covered).step_by(GET_RUN) {
                     let mut spots = [None; GET_RUN];

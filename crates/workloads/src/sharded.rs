@@ -8,10 +8,15 @@
 //! shard individually still runs the full paper protocol (uninstrumented
 //! readers, speculative writers, grace-period barriers).
 //!
-//! Keys are spread over shards by a multiplicative hash that is
-//! deliberately different from [`SimHashMap`]'s `key % buckets` bucket
-//! choice, so skewed (Zipf-hot) key ranges do not land in one shard *and*
-//! one bucket simultaneously.
+//! Keys are laid out as on the native store (`backend::shard_index`):
+//! blocks of 64 consecutive keys dealt round-robin over the shards, so a
+//! SCAN of 64 reads one or two shards, a run of consecutive keys on
+//! each. Inside its shard a key is filed under its rank among the
+//! shard's keys (`rank`), so a shard's keys are dense from 0 and
+//! [`SimHashMap`]'s `key % buckets` deals them round-robin over the
+//! buckets. Filed under the key itself, a shard's 64 of every
+//! `64 × shards` consecutive keys would crowd into one bucket in
+//! `shards`.
 //!
 //! The service sizes each shard's bucket array from the prefill
 //! ([`buckets_per_shard`]): about one key per chain, so a lookup reads
@@ -22,12 +27,12 @@ use htm::ThreadCtx;
 use simmem::{Addr, AllocError, SimAlloc};
 use stats::ThreadStats;
 
-use crate::backend::scan_keys;
+use crate::backend::{covered_shards, scan_keys, shard_index, BLOCK_BITS};
 use crate::hashmap::SimHashMap;
 use crate::scheme::{Scheme, SchemeKind};
 
-/// Fibonacci multiplier for the shard spreader.
-const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
+/// A key's offset in its block.
+const BLOCK_MASK: u64 = (1 << BLOCK_BITS) - 1;
 
 /// Buckets per shard for a store that starts with `prefill` keys over
 /// `shards` (≥ 1) shards: each shard's share rounded up to a power of
@@ -43,22 +48,12 @@ pub fn buckets_per_shard(prefill: u64, shards: usize) -> u32 {
         .unwrap_or(1 << 31)
 }
 
-/// The end of a shard's chain of scan offsets in [`ScanScratch`].
-const NO_OFFSET: u32 = u32::MAX;
-
-/// What [`ShardedKv::scan`] keeps between calls, so that a warm scan
-/// allocates nothing. An offset `i` names the range's key `start + i`.
-#[derive(Default)]
-pub struct ScanScratch {
-    /// Per shard, its first offset in the range; [`NO_OFFSET`] for every
-    /// shard between scans.
-    first: Vec<u32>,
-    /// Per offset, the next offset whose key is in the same shard.
-    next: Vec<u32>,
-    /// The shards the range touches.
-    touched: Vec<usize>,
-    /// Per offset, what the lookup of its key found.
-    found: Vec<Option<u64>>,
+/// The key that `key`'s shard (of `n_shards`) files it under: its
+/// block's rank among the shard's blocks, then its offset in the block.
+/// One shard's keys map one-to-one and in order onto `0..`.
+#[inline]
+fn rank(key: u64, n_shards: usize) -> u64 {
+    (((key >> BLOCK_BITS) / n_shards as u64) << BLOCK_BITS) | (key & BLOCK_MASK)
 }
 
 /// One shard: a hashmap plus the scheme instance that guards it.
@@ -113,22 +108,19 @@ impl ShardedKv {
         self.shards.len()
     }
 
+    /// `key`'s shard and the key its map files it under.
     #[inline]
-    fn shard_index(&self, key: u64) -> usize {
-        (key.wrapping_mul(SPREAD) >> 32) as usize % self.shards.len()
-    }
-
-    #[inline]
-    fn shard_of(&self, key: u64) -> &Shard {
-        &self.shards[self.shard_index(key)]
+    fn locate(&self, key: u64) -> (&Shard, u64) {
+        let n = self.shards.len();
+        (&self.shards[shard_index(key, n)], rank(key, n))
     }
 
     /// Looks `key` up (uninstrumented read under RW-LE).
     pub fn get(&self, ctx: &mut ThreadCtx, st: &mut ThreadStats, key: u64) -> Option<u64> {
-        let shard = self.shard_of(key);
+        let (shard, at) = self.locate(key);
         shard
             .scheme
-            .read_cs(ctx, st, &mut |acc| shard.map.lookup(acc, key))
+            .read_cs(ctx, st, &mut |acc| shard.map.lookup(acc, at))
     }
 
     /// Inserts or updates `key`. Allocation happens *outside* the
@@ -143,18 +135,18 @@ impl ShardedKv {
         key: u64,
         value: u64,
     ) -> Result<PutOutcome, AllocError> {
-        let shard = self.shard_of(key);
+        let (shard, at) = self.locate(key);
         let node = match spare.take() {
             Some(n) => {
                 // Re-initialize the detached (thread-private) node
                 // directly in memory; it is not reachable by any reader.
                 let mem = alloc.mem();
-                mem.store(n, key);
+                mem.store(n, at);
                 mem.store(n.offset(1), value);
                 mem.store(n.offset(2), Addr::NULL.to_word());
                 n
             }
-            None => shard.map.make_node(alloc, key, value)?,
+            None => shard.map.make_node(alloc, at, value)?,
         };
         let linked = shard
             .scheme
@@ -180,18 +172,19 @@ impl ShardedKv {
     /// exclusion. The caller may therefore reuse the node like the
     /// never-linked spare of [`ShardedKv::put`].
     pub fn unlink(&self, ctx: &mut ThreadCtx, st: &mut ThreadStats, key: u64) -> Option<Addr> {
-        let shard = self.shard_of(key);
+        let (shard, at) = self.locate(key);
         shard
             .scheme
-            .write_cs(ctx, st, &mut |acc| shard.map.remove(acc, key))
+            .write_cs(ctx, st, &mut |acc| shard.map.remove(acc, at))
     }
 
     /// Appends the present pairs among the `count` keys from `start`
-    /// (the range stops at `u64::MAX`) to `out` in key order. Each key's
-    /// shard is computed once; then each shard the range touches runs
-    /// one read critical section over its own keys. Long scans are the
-    /// read-capacity stressor: under RW-LE they stay uninstrumented (no
-    /// HTM footprint), under HLE-style baselines they abort.
+    /// (the range stops at `u64::MAX`) to `out` in key order. Each shard
+    /// the range covers runs one read critical section over the range's
+    /// blocks on it — one block, unless the range has more blocks than
+    /// there are shards. Long scans are the read-capacity stressor:
+    /// under RW-LE they stay uninstrumented (no HTM footprint), under
+    /// HLE-style baselines they abort.
     pub fn scan(
         &self,
         ctx: &mut ThreadCtx,
@@ -199,50 +192,36 @@ impl ShardedKv {
         start: u64,
         count: u32,
         out: &mut Vec<(u64, u64)>,
-        scratch: &mut ScanScratch,
     ) {
         let Some(keys) = scan_keys(start, count) else {
             return;
         };
-        // At most `count` keys, so every offset fits below `NO_OFFSET`.
-        let len = (keys.end() - start) as u32 + 1;
-        let ScanScratch {
-            first,
-            next,
-            touched,
-            found,
-        } = scratch;
-        first.resize(self.shards.len(), NO_OFFSET);
-        next.resize(len as usize, NO_OFFSET);
-        // Backwards, so that each shard's chain comes out ascending.
-        for i in (0..len).rev() {
-            let s = self.shard_index(start + u64::from(i));
-            if first[s] == NO_OFFSET {
-                touched.push(s);
-            }
-            next[i as usize] = first[s];
-            first[s] = i;
-        }
-        found.resize(len as usize, None);
-        for s in touched.drain(..) {
-            let shard = &self.shards[s];
-            let head = std::mem::replace(&mut first[s], NO_OFFSET);
+        let n = self.shards.len();
+        let tail = out.len();
+        let (first, covered) = covered_shards(&keys, n);
+        let (first_block, last_block) = (start >> BLOCK_BITS, keys.end() >> BLOCK_BITS);
+        for i in 0..covered {
+            let shard = &self.shards[(first + i) % n];
+            let mark = out.len();
             shard.scheme.read_cs(ctx, st, &mut |acc| {
                 // A speculating scheme (HLE) re-runs this body after an
-                // abort; each run rewrites every one of the shard's slots.
-                let mut i = head;
-                while i != NO_OFFSET {
-                    found[i as usize] = shard.map.lookup(acc, start + u64::from(i))?;
-                    i = next[i as usize];
+                // abort; each run starts again from the same `out`.
+                out.truncate(mark);
+                for block in (first_block + i as u64..=last_block).step_by(n) {
+                    let base = block << BLOCK_BITS;
+                    let ranked = rank(base, n);
+                    for key in base.max(start)..=(base | BLOCK_MASK).min(*keys.end()) {
+                        if let Some(value) = shard.map.lookup(acc, ranked | (key & BLOCK_MASK))? {
+                            out.push((key, value));
+                        }
+                    }
                 }
                 Ok(())
             });
         }
-        out.extend(
-            (0..)
-                .zip(found.iter())
-                .filter_map(|(i, v)| Some((start + i, (*v)?))),
-        );
+        // Each shard's pairs ascend, and the shards come in block order
+        // unless the range has more blocks than there are shards.
+        out[tail..].sort_unstable_by_key(|&(key, _)| key);
     }
 
     /// [`SimHashMap::load_put`] into `key`'s shard: plain stores, only
@@ -254,19 +233,24 @@ impl ShardedKv {
         key: u64,
         value: u64,
     ) -> Result<Option<Addr>, AllocError> {
-        self.shard_of(key).map.load_put(alloc, key, value)
+        let (shard, at) = self.locate(key);
+        shard.map.load_put(alloc, at, value)
     }
 
     /// [`SimHashMap::load_del`] in `key`'s shard, returning its node for
     /// the arena.
     pub fn load_del(&self, alloc: &SimAlloc, key: u64) -> Option<Addr> {
-        self.shard_of(key).map.load_del(alloc.mem(), key)
+        let (shard, at) = self.locate(key);
+        shard.map.load_del(alloc.mem(), at)
     }
 
     /// Pre-loads keys `0..n` with `value = key`, single-threaded,
     /// bypassing the HTM layer (initialization precedes concurrency).
     pub fn populate(&self, alloc: &SimAlloc, n: u64) -> Result<(), AllocError> {
-        (0..n).try_for_each(|key| self.shard_of(key).map.push_fresh(alloc, key, key))
+        (0..n).try_for_each(|key| {
+            let (shard, at) = self.locate(key);
+            shard.map.push_fresh(alloc, at, key)
+        })
     }
 }
 
@@ -320,14 +304,7 @@ mod tests {
         let mut ctx = rt.register();
         let mut st = ThreadStats::new();
         let mut out = Vec::new();
-        kv.scan(
-            &mut ctx,
-            &mut st,
-            40,
-            20,
-            &mut out,
-            &mut ScanScratch::default(),
-        );
+        kv.scan(&mut ctx, &mut st, 40, 20, &mut out);
         let expect: Vec<(u64, u64)> = (40..50).map(|k| (k, k)).collect();
         assert_eq!(out, expect);
     }
@@ -346,11 +323,10 @@ mod tests {
             let scanner = s.spawn(|| {
                 let mut ctx = rt.register();
                 let mut st = ThreadStats::new();
-                let mut scratch = ScanScratch::default();
                 let scans: Vec<Vec<u64>> = (0..30)
                     .map(|_| {
                         let mut out = Vec::new();
-                        kv.scan(&mut ctx, &mut st, 0, 400, &mut out, &mut scratch);
+                        kv.scan(&mut ctx, &mut st, 0, 400, &mut out);
                         out.iter().map(|&(k, _)| k).collect()
                     })
                     .collect();
@@ -392,7 +368,6 @@ mod tests {
                     let mut ctx = rt.register();
                     let mut st = ThreadStats::new();
                     let mut spare = None;
-                    let mut scratch = ScanScratch::default();
                     let mut scan_sections = 0;
                     for i in 0..200u64 {
                         let key = (t as u64 * 131 + i * 7) % 400;
@@ -412,9 +387,10 @@ mod tests {
                             }
                             _ => {
                                 let mut out = Vec::new();
-                                kv.scan(&mut ctx, &mut st, key, 8, &mut out, &mut scratch);
-                                let mut shards: Vec<_> =
-                                    (key..key + 8).map(|k| kv.shard_index(k)).collect();
+                                kv.scan(&mut ctx, &mut st, key, 8, &mut out);
+                                let mut shards: Vec<_> = (key..key + 8)
+                                    .map(|k| shard_index(k, kv.n_shards()))
+                                    .collect();
                                 shards.sort_unstable();
                                 shards.dedup();
                                 scan_sections += shards.len() as u64;
@@ -456,6 +432,57 @@ mod tests {
         assert_eq!(buckets_per_shard(100_000, 16), 8192);
         for (prefill, shards) in [(u64::MAX, 1), (1 << 40, 16), ((1 << 31) + 1, 1)] {
             assert_eq!(buckets_per_shard(prefill, shards), 1 << 31);
+        }
+    }
+
+    /// What each shard's map sees: the shard's keys of any prefix of the
+    /// key space, ranked `0..` in key order with no gap, so the prefill
+    /// puts at most one key in a bucket wherever a shard's blocks fit
+    /// its buckets — on `svc-sim`, every shard.
+    #[test]
+    fn a_shard_files_its_keys_densely_in_key_order() {
+        for n_shards in [1, 3, 16, 32] {
+            let mut next = vec![0u64; n_shards];
+            for key in 0..10_000 {
+                let s = shard_index(key, n_shards);
+                assert_eq!(rank(key, n_shards), next[s], "key {key}, {n_shards} shards");
+                next[s] += 1;
+            }
+        }
+        let svc_sim = u64::from(buckets_per_shard(100_000, 16));
+        assert!((0..100_000).all(|key| rank(key, 16) < svc_sim));
+        assert_eq!(rank(u64::MAX, 1), u64::MAX);
+        let top_block = (u64::MAX >> BLOCK_BITS) / 3;
+        assert_eq!(rank(u64::MAX, 3), (top_block << BLOCK_BITS) | BLOCK_MASK);
+    }
+
+    /// What the layout buys: a scan runs one read section per shard its
+    /// blocks live on and no others — at most two for 64 pairs from any
+    /// start, `min(17, n)` for 1024 pairs from mid-block (16 from a block
+    /// edge). `ThreadStats::ops` counts one per section.
+    #[test]
+    fn a_scan_reads_only_the_shards_its_range_covers() {
+        const TOP: u64 = u64::MAX;
+        let (rt, alloc) = setup(16384);
+        let mut ctx = rt.register();
+        let mut st = ThreadStats::new();
+        for n_shards in [1, 3, 16, 32] {
+            let kv = ShardedKv::create(&alloc, SchemeKind::RwLeOpt, n_shards, 8, 1).unwrap();
+            let mut sections = |start, count| {
+                let before = st.ops;
+                kv.scan(&mut ctx, &mut st, start, count, &mut Vec::new());
+                st.ops - before
+            };
+            for start in [0, 1, 63, 64, 100, 1000, 4090, TOP - 64, TOP - 63, TOP] {
+                let two = sections(start, 64);
+                assert!(two <= 2, "{n_shards} shards: 64 from {start} read {two}");
+            }
+            let n = n_shards as u64;
+            for start in [1, 63, 100, 1000] {
+                assert_eq!(sections(start, 1024), n.min(17), "{n_shards} shards");
+            }
+            assert_eq!(sections(0, 1024), n.min(16), "{n_shards} shards");
+            assert_eq!(sections(TOP - 100, 1024), n.min(2), "{n_shards} shards");
         }
     }
 

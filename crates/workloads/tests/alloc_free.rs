@@ -1,7 +1,6 @@
 //! Every store's read path is allocation-free once warm: `get`,
 //! `get_many` and `scan` touch the heap only to grow the caller's output
-//! buffer or, on the simulated store, the session's scan scratch
-//! (the `epoch/tests/alloc_free.rs` pattern, one level up — a read
+//! buffer (the `epoch/tests/alloc_free.rs` pattern, one level up — a read
 //! section that allocated would hold a writer's barrier behind the
 //! allocator's lock).
 //!
