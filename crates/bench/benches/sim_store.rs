@@ -11,8 +11,9 @@
 //! One iteration is [`OPS`] keys, pairs or writes, so `ns/iter ÷ 65536`
 //! is ns per looked-up key (`get`), per scanned key (`scan_64`: 1024
 //! scans of 64, all present; × 64 for one scan) and per `put` (an
-//! update of a present key: a write section, one thread, so no reader
-//! to wait for).
+//! update of a present key: a one-op batch, so one write section, one
+//! thread, so no reader to wait for; its node comes from the arena and
+//! goes back to it).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
@@ -69,7 +70,7 @@ fn bench_sim_store(c: &mut Criterion) {
             b.iter(|| {
                 for _ in 0..OPS {
                     let key = rng.gen_range(0..KEYS);
-                    black_box(sess.put(key, key)).expect("an update takes no new node");
+                    black_box(sess.put(key, key)).expect("an update's node goes back");
                 }
             })
         });

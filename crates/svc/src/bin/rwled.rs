@@ -118,7 +118,8 @@ fn main() {
             eprintln!(
                 "hint: pass --port 0 for an ephemeral port if the address is \
                  taken, lower --prefill/--capacity if memory sizing failed, \
-                 raise --capacity if the log does not fit, \
+                 raise --capacity if the log does not fit, lower --threads \
+                 to the simulated store's limit, \
                  or pick --scheme rw-le_opt or sgl with --backend native"
             );
             exit(2);

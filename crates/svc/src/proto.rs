@@ -128,9 +128,10 @@ pub struct ServerStats {
     /// Requests executed across all batches (mean batch size is
     /// `batch_ops / batches`).
     pub batch_ops: u64,
-    /// Quiescence barriers paid in full by batches' store passes: on
-    /// the native backend up to one per shard a batch touches (one per
-    /// batch when durable), one per mutation on the others.
+    /// Quiescence barriers paid in full by batches' store passes: up to
+    /// one per shard a batch touches (on the native backend one per
+    /// batch when durable; on the simulated one, one per write section),
+    /// none on the SGL canary.
     pub barriers: u64,
     /// Barriers satisfied by an already-elapsed shared grace period
     /// (`GraceSeq` sharing) — amortization across workers, on top of the
@@ -182,7 +183,7 @@ impl ServerStats {
     /// Full quiescence barriers per *mutation* — the amortization factor
     /// the paper's argument predicts should drop below 1.0 once batching
     /// coalesces writes (each unbatched PUT/DEL pays exactly 1.0). On
-    /// the native backend it is touched shards ÷ mutations: a batch's
+    /// both sharded stores it is touched shards ÷ mutations: a batch's
     /// mutations share a barrier only with those on the same shard.
     pub fn barriers_per_mutation(&self) -> f64 {
         let muts = self.puts + self.dels;

@@ -1290,4 +1290,28 @@ mod tests {
             panic!("20000 empty shards did not bind: {e}");
         }
     }
+
+    /// The simulated HTM registers at most `htm::MAX_SLOTS` threads, so
+    /// a simulated store with more workers is refused at bind. Bound, it
+    /// printed `listening` and then lost a worker to the registration
+    /// panic, leaving its connections unanswered.
+    #[test]
+    fn a_sim_store_with_more_workers_than_htm_slots_is_refused() {
+        let cfg = |threads| ServerConfig {
+            threads,
+            shards: 1,
+            prefill: 0,
+            extra_capacity: 0,
+            ..ServerConfig::default()
+        };
+        let Err(e) = Server::bind(cfg(htm::MAX_SLOTS + 1)) else {
+            panic!("bound {} sim workers", htm::MAX_SLOTS + 1);
+        };
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        let limit = format!("at most {} threads", htm::MAX_SLOTS);
+        assert!(e.to_string().contains(&limit), "{e}");
+        if let Err(e) = Server::bind(cfg(htm::MAX_SLOTS)) {
+            panic!("{} sim workers did not bind: {e}", htm::MAX_SLOTS);
+        }
+    }
 }

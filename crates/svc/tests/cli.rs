@@ -4,7 +4,10 @@
 //! instead of silently running some other configuration (or panicking).
 //! Real child processes, as in `crash.rs`.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// Runs `bin` with `args`; returns its exit code and stderr.
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
@@ -87,4 +90,37 @@ fn native_backend_with_a_scheme_it_cannot_run_exits_2() {
         stderr.contains("HLE") && stderr.contains("native"),
         "{stderr}"
     );
+}
+
+/// More workers than the simulated HTM has thread slots is refused at
+/// start. Let through, the server printed `listening`, lost a worker to
+/// the registration panic and served until killed, so the wait is
+/// bounded: its stderr still open after 30 s fails the test.
+#[test]
+fn more_sim_workers_than_htm_slots_exit_2() {
+    let threads = (htm::MAX_SLOTS + 2).to_string();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rwled"))
+        .args(["--port", "0", "--backend", "sim", "--threads", &threads])
+        .args(["--prefill", "0", "--capacity", "0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut pipe = child.stderr.take().expect("piped stderr");
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut text = String::new();
+        pipe.read_to_string(&mut text).expect("read stderr");
+        tx.send(text).expect("the test waits for stderr");
+    });
+    let Ok(stderr) = rx.recv_timeout(Duration::from_secs(30)) else {
+        child.kill().expect("kill");
+        child.wait().expect("reap");
+        panic!("rwled --threads {threads} was still running after 30 s");
+    };
+    reader.join().expect("stderr reader");
+    let status = child.wait().expect("wait");
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&threads), "{stderr}");
+    assert!(stderr.contains("--threads"), "{stderr}");
 }

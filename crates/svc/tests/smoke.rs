@@ -522,23 +522,19 @@ fn acknowledged_writes_are_visible_across_connections_on_both_backends() {
         drop(reader);
         let report = shutdown(&addr, handle);
         // Amortization bookkeeping must balance: batched ops account for
-        // every enqueued request, and on the native backend a batch pays
-        // one grace period (own or shared) per shard it touches — so at
-        // most one per mutation, and at most `shards` per batch. (The
-        // sim backend uses the default unamortized `apply_batch`: one
-        // barrier per mutation exactly.)
+        // every enqueued request, and on both backends a batch pays one
+        // grace period (own or shared) per shard it touches — so at most
+        // one per mutation, and at most `shards` per batch.
         assert!(report.stats.batches > 0);
-        if matches!(backend, BackendKind::Native) {
-            let graces = report.stats.barriers + report.stats.barriers_shared;
-            // Native mutations are exactly its ROT-emulated commits.
-            let mutations = report.summary.commits(stats::CommitKind::Rot);
-            let per_batch_cap = report.stats.batches * small_cfg().shards as u64;
-            assert!(
-                (1..=mutations.min(per_batch_cap)).contains(&graces),
-                "{graces} grace periods for {mutations} mutations in {} batches",
-                report.stats.batches
-            );
-        }
+        let graces = report.stats.barriers + report.stats.barriers_shared;
+        let mutations = report.stats.puts + report.stats.dels;
+        let per_batch_cap = report.stats.batches * small_cfg().shards as u64;
+        assert!(
+            (1..=mutations.min(per_batch_cap)).contains(&graces),
+            "{} backend: {graces} grace periods for {mutations} mutations in {} batches",
+            backend.name(),
+            report.stats.batches
+        );
         assert_eq!(report.stats.batch_ops, report.stats.enqueued);
     }
 }

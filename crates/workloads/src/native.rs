@@ -12,9 +12,9 @@
 //! barrier so no reader can still hold the old copy, then replays the
 //! mutation into it and unlocks. That lock → apply → flip → barrier →
 //! replay → unlock sequence is the **cycle**, the backend's one unit of
-//! publication (`NativeSession::cycle`): `put`, `del` and every shard
-//! group of a batch run through it, one shard at a time, so a writer
-//! waiting out its grace period holds one shard mutex and nothing else.
+//! publication (`NativeSession::cycle`): every shard group of a batch
+//! runs through it, one shard at a time, so a writer waiting out its
+//! grace period holds one shard mutex and nothing else.
 //! Outside a cycle the two copies of a shard are identical.
 //!
 //! ## Read sections
@@ -83,8 +83,8 @@ use epoch::EpochSet;
 use stats::{CommitKind, ThreadStats};
 
 use crate::backend::{
-    covered_shards, scan_keys, shard_index, BatchOutcome, DurableSink, Lsn, MutOp, MutReply,
-    StoreBackend, StoreFull, StoreLoader, StoreSession, NO_LSN,
+    covered_shards, group_by_shard, scan_keys, shard_index, BatchOutcome, DurableSink, Lsn, MutOp,
+    MutReply, StoreBackend, StoreFull, StoreLoader, StoreSession, NO_LSN,
 };
 use crate::leafmap::LeafMap;
 use crate::sharded::PutOutcome;
@@ -279,17 +279,6 @@ impl StoreLoader for NativeLoader {
     }
 }
 
-/// How many of `n_shards` shards `ops` touch: the grace periods
-/// (`barriers + shared`) a volatile batch of them pays.
-#[cfg(test)]
-pub(crate) fn touched_shards(ops: &[MutOp], n_shards: usize) -> u64 {
-    let shards: std::collections::BTreeSet<usize> = ops
-        .iter()
-        .map(|op| shard_index(op.key(), n_shards))
-        .collect();
-    shards.len() as u64
-}
-
 impl StoreBackend for NativeBackend {
     fn session(&self) -> Box<dyn StoreSession + '_> {
         Box::new(NativeSession::new(self))
@@ -357,20 +346,6 @@ impl StoreSession for NativeSession<'_> {
             for _ in run {
                 self.st.commit(CommitKind::Uninstrumented);
             }
-        }
-    }
-
-    fn put(&mut self, key: u64, value: u64) -> Result<PutOutcome, StoreFull> {
-        match self.publish_one(MutOp::Put { key, value }) {
-            MutReply::Put(outcome) => outcome,
-            MutReply::Del(_) => unreachable!("a put is answered as a put"),
-        }
-    }
-
-    fn del(&mut self, key: u64) -> bool {
-        match self.publish_one(MutOp::Del { key }) {
-            MutReply::Del(removed) => removed,
-            MutReply::Put(_) => unreachable!("a del is answered as a del"),
         }
     }
 
@@ -527,22 +502,6 @@ impl<'a> NativeSession<'a> {
         lsn
     }
 
-    /// `put`/`del`: a one-op group through one cycle.
-    fn publish_one(&mut self, op: MutOp) -> MutReply {
-        let s = shard_index(op.key(), self.backend.shards.len());
-        self.groups[s].clear();
-        self.groups[s].push(0);
-        let mut reply = [MutReply::Del(false)];
-        self.cycle(
-            s..s + 1,
-            &[op],
-            &mut reply,
-            None,
-            &mut BatchOutcome::default(),
-        );
-        reply[0]
-    }
-
     /// The batch path shared by the volatile and durable entry points.
     fn apply_batch_inner(
         &mut self,
@@ -552,12 +511,7 @@ impl<'a> NativeSession<'a> {
     ) -> (BatchOutcome, Lsn) {
         replies.clear();
         let n_shards = self.backend.shards.len();
-        for group in &mut self.groups {
-            group.clear();
-        }
-        for (i, op) in ops.iter().enumerate() {
-            self.groups[shard_index(op.key(), n_shards)].push(i);
-        }
+        group_by_shard(ops, &mut self.groups);
         replies.resize(ops.len(), MutReply::Del(false));
         // One cycle per shard, unless a sink needs the guards kept
         // until after its append: then one cycle spans every shard.
@@ -639,9 +593,9 @@ impl StoreBackend for SglBackend {
 }
 
 /// Per-thread session over [`SglBackend`]: every operation takes the
-/// global lock. `apply_batch` and `get_many` deliberately keep the
-/// default per-op loops — the canary must not benefit from the batching
-/// machinery it exists to baseline.
+/// global lock. `apply_batch` takes it once per op and `get_many` keeps
+/// the default per-key loop — the canary must not benefit from the
+/// batching machinery it exists to baseline.
 struct SglSession<'a> {
     backend: &'a SglBackend,
     st: ThreadStats,
@@ -654,26 +608,23 @@ impl StoreSession for SglSession<'_> {
         out
     }
 
-    fn put(&mut self, key: u64, value: u64) -> Result<PutOutcome, StoreFull> {
-        let prev = self.backend.map.lock().unwrap().insert(key, value);
-        self.st.commit(CommitKind::Sgl);
-        Ok(match prev {
-            None => PutOutcome::Inserted,
-            Some(_) => PutOutcome::Updated,
-        })
-    }
-
-    fn del(&mut self, key: u64) -> bool {
-        let removed = self.backend.map.lock().unwrap().remove(key).is_some();
-        self.st.commit(CommitKind::Sgl);
-        removed
-    }
-
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>) {
         if let Some(keys) = scan_keys(start, count) {
             self.backend.map.lock().unwrap().range(keys, out);
         }
         self.st.commit(CommitKind::Sgl);
+    }
+
+    /// The deliberate per-op loop: a lock waits out no readers, so the
+    /// batch pays no grace period.
+    fn apply_batch(&mut self, ops: &[MutOp], replies: &mut Vec<MutReply>) -> BatchOutcome {
+        replies.clear();
+        for op in ops {
+            let reply = apply_one(&mut self.backend.map.lock().expect("canary poisoned"), op);
+            replies.push(reply);
+            self.st.commit(CommitKind::Sgl);
+        }
+        BatchOutcome::default()
     }
 
     fn take_stats(&mut self) -> ThreadStats {
@@ -682,10 +633,18 @@ impl StoreSession for SglSession<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::driver::run_backend_threads;
     use std::sync::TryLockError;
+
+    /// How many of `n_shards` shards `ops` touch: the grace periods
+    /// (`barriers + shared`) a volatile batch of them pays.
+    pub(crate) fn touched_shards(ops: &[MutOp], n_shards: usize) -> u64 {
+        let mut groups = vec![Vec::new(); n_shards];
+        group_by_shard(ops, &mut groups);
+        groups.iter().filter(|g| !g.is_empty()).count() as u64
+    }
 
     /// The identical-copies invariant, checked once nothing is running.
     fn assert_copies_identical(backend: &mut NativeBackend) {

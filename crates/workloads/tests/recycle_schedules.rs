@@ -5,8 +5,8 @@
 //! frees and re-links a node" is pinned by the scheduler, not left to
 //! timing.
 //!
-//! `SimSession::del` hands the unlinked node back to the arena as soon
-//! as its write section is over, and the next insert re-keys and
+//! A DEL (a one-op batch) hands the unlinked node back to the arena as
+//! soon as its write section is over, and the next insert re-keys and
 //! re-links it. That is only sound if the scheme really is a read-write
 //! lock — no read section that could have reached the node outlives the
 //! write section that unlinked it. The stores below have one shard of
