@@ -1,20 +1,21 @@
 //! The store's read path without sockets: what one session pays for a
-//! `get`, for a `get_many` run, for a `scan` and for one mutation's
-//! double apply when the keys do not fit the cache (ROADMAP item 6's
-//! layer bench; `native_publish` is its write-side sibling).
+//! `get`, for a `get_many` run, for a `scan` and for one mutation when
+//! the keys do not fit the cache (ROADMAP item 6's layer bench;
+//! `native_publish` is its write-side sibling).
 //!
 //! 4 M keys, the `svc-read` workload's store, one thread, uniform keys.
-//! Three stores: `native` (16 shards × 2 copies, the service's layout),
-//! `sgl` (the canary: one map behind one mutex) and `native1` (one
-//! shard, so each copy is a single 4 M-key map — what the canary's map
-//! costs to mutate twice; its `apply` row against `native`'s 250 k-key
-//! shards shows whether a mutation's cost grows with the map).
+//! Three stores: `native` (16 shards of one copy-on-write map each, the
+//! service's layout), `sgl` (the canary: one map behind one mutex,
+//! changed in place) and `native1` (one shard, so one 4 M-key map — the
+//! canary's map under the native writer; its `apply` row against
+//! `native`'s 250 k-key shards shows whether a mutation's cost grows
+//! with the map).
 //!
 //! One iteration is [`OPS`] keys, pairs or mutations, so
 //! `ns/iter ÷ 65536` is ns per looked-up key (`get`, `get_many_*`), per
 //! returned pair (`scan_64`: 64 scans of 64; × 64 for one scan) and per
-//! mutation (`apply`: `apply_batch` of one PUT or DEL — lock, apply,
-//! flip, barrier with no reader in the way, replay).
+//! mutation (`apply`: `apply_batch` of one PUT or DEL — lock, path copy,
+//! flip, barrier with no reader in the way, free).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;

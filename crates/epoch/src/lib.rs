@@ -41,6 +41,10 @@ mod scalable;
 
 pub use scalable::BarrierOutcome;
 
+/// The schedule explorer this crate's hooks step, for protocols built on
+/// an [`EpochSet`] whose other steps must land in the same schedule.
+pub use sched;
+
 use scalable::{AdaptiveWaiter, GraceSeq, Parking, Summary};
 
 use std::sync::atomic::{AtomicU64, Ordering};

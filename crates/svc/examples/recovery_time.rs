@@ -13,8 +13,8 @@
 //! --wal-dir D --fsync off` eight times. Each start is timed from spawn to the
 //! first reply (a STATS exchange) and then killed. One row per length:
 //! the median, fastest and slowest start, and the median prefill,
-//! read+check, apply and copy times of the `rwled recovered:` line (`-`
-//! when the binary prints none). `--rwled` may name any build, so two
+//! read+check and apply times of the `rwled recovered:` line (`-` when
+//! the binary prints none). `--rwled` may name any build, so two
 //! revisions are compared by alternating runs with each binary.
 
 use std::io::{BufRead, BufReader, Write};
@@ -43,8 +43,8 @@ const PREFILL: u64 = 100_000;
 /// Starts timed per log length.
 const STARTS: usize = 8;
 
-/// The four phases `rwled recovered:` reports, in ms, in line order.
-const PHASES: [&str; 4] = ["prefill ", "read+check ", "apply ", "copy "];
+/// The phases `rwled recovered:` reports, in ms, in line order.
+const PHASES: [&str; 3] = ["prefill ", "read+check ", "apply "];
 
 fn main() {
     let args = Args::parse();
@@ -63,12 +63,12 @@ fn main() {
         "# {label}: native, prefill {PREFILL}, {STARTS} starts per log; ms: start = spawn to \
          first reply (median min max), then the median phase split rwled reports"
     );
-    println!("label log_ops records start_ms min_ms max_ms prefill_ms read_ms apply_ms copy_ms");
+    println!("label log_ops records start_ms min_ms max_ms prefill_ms read_ms apply_ms");
     for ops in lengths {
         let _ = std::fs::remove_dir_all(&dir);
         let records = write_log(&dir, ops);
         let mut times = Vec::new();
-        let mut phases: [Vec<f64>; 4] = Default::default();
+        let mut phases: [Vec<f64>; PHASES.len()] = Default::default();
         for _ in 0..STARTS {
             let (ms, split) = start(rwled, &dir);
             times.push(ms);
@@ -126,7 +126,7 @@ fn write_log(dir: &Path, ops: u64) -> u64 {
 
 /// One start: spawn to the first STATS reply, in ms, and the phase
 /// split of the recovery line, when there is one.
-fn start(rwled: &str, dir: &Path) -> (f64, Option<[f64; 4]>) {
+fn start(rwled: &str, dir: &Path) -> (f64, Option<[f64; PHASES.len()]>) {
     let t0 = Instant::now();
     let mut child = Command::new(rwled)
         .args([
@@ -171,10 +171,9 @@ fn start(rwled: &str, dir: &Path) -> (f64, Option<[f64; 4]>) {
     (ms, split)
 }
 
-/// `prefill P ms, read+check R ms, apply A ms, copy C ms` from the
-/// recovery line.
-fn phase_split(line: &str) -> Option<[f64; 4]> {
-    let mut out = [0.0; 4];
+/// `prefill P ms, read+check R ms, apply A ms` from the recovery line.
+fn phase_split(line: &str) -> Option<[f64; PHASES.len()]> {
+    let mut out = [0.0; PHASES.len()];
     for (slot, phase) in out.iter_mut().zip(PHASES) {
         let at = line.find(phase)? + phase.len();
         *slot = line[at..].split_whitespace().next()?.parse().ok()?;

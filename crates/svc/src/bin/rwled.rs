@@ -140,7 +140,7 @@ fn main() {
         println!(
             "rwled recovered: {} records ({} ops) from {} segments, \
              {} torn bytes truncated, next lsn {}; prefill {:.1} ms, \
-             read+check {:.1} ms, apply {:.1} ms, copy {:.1} ms",
+             read+check {:.1} ms, apply {:.1} ms",
             log.records,
             log.ops,
             log.segments,
@@ -148,8 +148,7 @@ fn main() {
             log.next_lsn,
             ms(r.prefill),
             ms(r.read),
-            ms(r.apply),
-            ms(r.copy)
+            ms(r.apply)
         );
     }
     if let Some(path) = args.get("port-file") {

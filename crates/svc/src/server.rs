@@ -195,9 +195,6 @@ pub struct Recovery {
     pub read: Duration,
     /// Applying the decoded records to the store, each op once.
     pub apply: Duration,
-    /// Handing the loaded store over; on the native store, cloning each
-    /// shard's loaded copy into its second copy.
-    pub copy: Duration,
 }
 
 /// A bound, configured server ready to [`run`](Server::run).
@@ -443,16 +440,13 @@ fn load<L: StoreLoader>(
         ));
     }
     let read = replay_started.elapsed().saturating_sub(apply);
-    let t0 = Instant::now();
-    let store = loader.finish();
     let recovery = Recovery {
         replay,
         prefill,
         read,
         apply,
-        copy: t0.elapsed(),
     };
-    Ok((Box::new(store), Some(recovery)))
+    Ok((Box::new(loader.finish()), Some(recovery)))
 }
 
 fn bad_log(e: wal::WalError) -> io::Error {

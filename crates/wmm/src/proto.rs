@@ -166,16 +166,16 @@ fn claim_filter_sane(o: &Outcome) -> bool {
 
 // --- Native backend publication ----------------------------------------
 
-// DESIGN.md §9 flip/index-load Dekker: the reader publishes its epoch
-// clock then loads the active index; the writer flips the index then
-// scans the clocks. Forbidden: the reader works the retired buffer
-// while the writer believes nobody can still see it.
+// DESIGN.md §9 flip/root-load Dekker: the reader publishes its epoch
+// clock then loads the root word; the writer flips the root word then
+// scans the clocks. Forbidden: the reader descends the retired root
+// while the writer believes nobody can still see it and frees its nodes.
 fn native_build(o: &[MemOrder]) -> Litmus {
     const CLOCK: usize = 0;
-    const IDX: usize = 1;
-    Litmus::new("native_flip_dekker", &["clock", "active_idx"])
-        .thread(vec![st(CLOCK, 1, SeqCst), ld(IDX, 0, o[1])])
-        .thread(vec![st(IDX, 1, o[0]), ld(CLOCK, 0, SeqCst)])
+    const ROOT: usize = 1;
+    Litmus::new("native_flip_dekker", &["clock", "root_word"])
+        .thread(vec![st(CLOCK, 1, SeqCst), ld(ROOT, 0, o[1])])
+        .thread(vec![st(ROOT, 1, o[0]), ld(CLOCK, 0, SeqCst)])
 }
 
 fn native_forbidden(o: &Outcome) -> bool {
@@ -421,30 +421,30 @@ pub static SUITES: &[Suite] = &[
     Suite {
         name: "native_flip_dekker",
         group: "Native backend publication",
-        about: "DESIGN.md \u{a7}9: publish's buffer flip races reader_active_idx's \
+        about: "DESIGN.md \u{a7}9: LeafMap::publish's root-word flip races Tree::pick's \
                 load against the reader's clock publication and the writer's \
                 quiescence scan (fixed SeqCst, documented under the epoch groups)",
         sites: &[
             SiteSpec {
-                file: "crates/workloads/src/native.rs",
-                symbol: "NativeShard::publish",
-                label: "writer index flip store",
+                file: "crates/workloads/src/leafmap.rs",
+                symbol: "LeafMap::publish",
+                label: "writer root-word flip store",
                 strength: "SeqCst",
                 kind: OpKind::Store,
             },
             SiteSpec {
-                file: "crates/workloads/src/native.rs",
-                symbol: "NativeShard::reader_active_idx",
-                label: "reader index load",
+                file: "crates/workloads/src/leafmap.rs",
+                symbol: "Tree::pick",
+                label: "reader root-word load",
                 strength: "SeqCst",
                 kind: OpKind::Load,
             },
         ],
         seeds: SEEDS,
         build: native_build,
-        forbidden: "reader reads the retired buffer AND the writer's scan misses its clock",
+        forbidden: "reader descends the retired root AND the writer's scan misses its clock",
         is_forbidden: native_forbidden,
-        sane: "reader reads the retired buffer but the scan waits for it",
+        sane: "reader descends the retired root but the scan waits for it",
         is_sane: native_sane,
     },
     Suite {

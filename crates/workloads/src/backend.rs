@@ -8,9 +8,10 @@
 //!   `sched` schedule exploration but pays the simulator on every load.
 //! * [`NativeBackend`](crate::native::NativeBackend) — the same
 //!   protocol over plain process memory: uninstrumented reads on the
-//!   fast path, writer commit emulated as epoch-quiesced double-buffered
+//!   fast path, writer commit emulated as epoch-quiesced copy-on-write
 //!   publication (see `crate::native` and DESIGN.md §9). No abort
-//!   breakdowns, no schedule exploration — raw speed.
+//!   breakdowns, and schedule exploration only at the protocol's own
+//!   steps — raw speed.
 //!
 //! A backend hands out per-thread [`StoreSession`]s; each session owns
 //! whatever thread-affine state its substrate needs (an HTM thread
@@ -33,7 +34,8 @@ use crate::sharded::{PutOutcome, ShardedKv, WriteScratch};
 pub enum BackendKind {
     /// Simulated HTM over `simmem` (paper-faithful breakdowns).
     Sim,
-    /// Plain process memory with epoch-quiesced double buffering.
+    /// Plain process memory with epoch-quiesced copy-on-write
+    /// publication.
     Native,
 }
 

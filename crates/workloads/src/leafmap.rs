@@ -1,16 +1,31 @@
 //! An ordered `u64 → u64` map laid out for the native store's traffic:
 //! point lookups over a key set far larger than the cache, short range
-//! walks, and every mutation applied twice.
+//! walks, and one writer publishing versions to readers that never wait.
 //!
 //! The shape is a B+-tree with **fat leaves**. A leaf is eight cache
 //! lines — a length word and 31 keys (`LEAF_CAP`) in the first four, the
 //! values in the last four — so a lookup that misses the cache misses on
 //! one leaf, not on one node per level as `BTreeMap`'s six-deep descent
-//! over a 250 k-key shard does. Everything above the leaves (12 bytes
-//! per leaf, ~100 KB for such a shard) is small enough to stay cached.
-//! Nodes live in two arenas and name each other by `u32` index, so the
-//! map is two allocations however large it grows, and grows them only
-//! as keys arrive.
+//! over a 250 k-key shard does. Everything above the leaves (14 bytes
+//! per leaf, ~115 KB for such a shard) is small enough to stay cached.
+//! Nodes live in two arenas and name each other by `u32` index. An arena
+//! is a directory of chunks, chunk `c` holding `8 << c` nodes: it grows
+//! a chunk at a time as keys arrive and never moves a node. A chunk is
+//! allocated, not zero-filled, so the pages of the part not yet handed
+//! out are never touched and never made resident.
+//!
+//! **Versions.** The map is copy-on-write. Its one writer changes a node
+//! in place only if the node was allocated since the map's last
+//! [`LeafMap::publish`]; any other node is first copied, together with
+//! its ancestors up to the root (path copying), and the original is
+//! *retired*. A published version is therefore never changed: a reader
+//! that picked its root ([`Tree::pick`]) reads one image while the
+//! writer builds the next. Retired nodes return to use at
+//! [`LeafMap::reclaim`], which the writer calls once no reader can still
+//! hold an older root — in the native store, after the grace period that
+//! follows the flip. A map that is never published (the loader's, the
+//! SGL canary's) has only fresh nodes, so the same `insert` and `remove`
+//! change it in place.
 //!
 //! Every node is **asked for whole before it is searched**: one
 //! prefetch per cache line, so the lines of a routing node (mostly in
@@ -18,11 +33,11 @@
 //! together rather than one per step of the binary search, and a
 //! leaf's value lines are on their way before the key is found.
 //!
-//! A lookup is two steps, [`LeafMap::locate`] (the descent, ending with
-//! the request for the leaf) and [`LeafMap::get_at`] (the search inside
+//! A lookup is two steps, [`Snapshot::locate`] (the descent, ending with
+//! the request for the leaf) and [`Snapshot::get_at`] (the search inside
 //! the leaf), so a caller with several independent keys in hand can
 //! locate them all before it searches any and have the leaf misses
-//! overlap. [`LeafMap::get`] is the two back to back.
+//! overlap. [`Snapshot::get`] is the two back to back.
 //!
 //! **Splits** move half of a full node to a new right sibling, except at
 //! the two ends of the key space: an insert beyond the last key opens a
@@ -32,21 +47,32 @@
 //! leaves completely (a half split would leave them at 50 % and double
 //! the map's memory). **Removal** never merges: a node is unlinked and
 //! recycled when it holds nothing (free-at-empty), and the tree loses
-//! its routing levels only when it empties altogether. Split and unlink
-//! work is one node per level, so neither grows with the map.
+//! its routing levels only when it empties altogether. Split, unlink and
+//! path-copy work is one node per level, so none of them grows with the
+//! map.
 //!
 //! Separators are real keys and routing only ever asks "is this
 //! separator `<=` the key", so `0` and `u64::MAX` are ordinary keys.
 
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::fmt;
 use std::ops::RangeInclusive;
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Pairs per leaf: with the length word, four cache lines of keys and
 /// four of values.
 const LEAF_CAP: usize = 31;
 
-/// Children per inner node.
-const INNER_CAP: usize = 64;
+/// Children per inner node: seven cache lines, so a path copy writes
+/// about half of what 64 children cost, and a 250 k-key shard is still
+/// three routing levels deep.
+const INNER_CAP: usize = 32;
+
+/// The length [`LeafMap::reclaim`] gives a node it frees when asked to
+/// poison it: every search asserts that it never meets one.
+const POISON: u32 = u32::MAX;
 
 /// Eight cache lines of pairs, sorted by key in `keys[..len]`.
 #[derive(Clone, Copy)]
@@ -55,6 +81,8 @@ struct Leaf {
     len: u32,
     keys: [u64; LEAF_CAP],
     vals: [u64; LEAF_CAP],
+    /// The version that allocated this node (see [`Node`]).
+    born: u64,
 }
 
 impl Leaf {
@@ -62,11 +90,14 @@ impl Leaf {
         len: 0,
         keys: [0; LEAF_CAP],
         vals: [0; LEAF_CAP],
+        born: 0,
     };
 
     #[inline]
     fn keys(&self) -> &[u64] {
-        &self.keys[..self.len as usize]
+        let len = self.len as usize;
+        assert!(len <= LEAF_CAP, "a reader reached a freed leaf");
+        &self.keys[..len]
     }
 
     fn insert_at(&mut self, pos: usize, key: u64, value: u64) {
@@ -100,12 +131,16 @@ impl Leaf {
 /// One routing node: child `i` holds the keys `k` with
 /// `keys[i] <= k < keys[i + 1]`; `keys[0]` is never consulted (child 0
 /// takes everything below `keys[1]`), and the node's own bounds are its
-/// ancestors' business.
+/// ancestors' business. Line-aligned, like a leaf, so a copy written
+/// into one node never shares a line with a neighbour readers are on.
 #[derive(Clone, Copy)]
+#[repr(C, align(64))]
 struct Inner {
     len: u32,
     kids: [u32; INNER_CAP],
     keys: [u64; INNER_CAP],
+    /// The version that allocated this node (see [`Node`]).
+    born: u64,
 }
 
 impl Inner {
@@ -113,12 +148,15 @@ impl Inner {
         len: 0,
         kids: [0; INNER_CAP],
         keys: [0; INNER_CAP],
+        born: 0,
     };
 
     /// Index of the child that `key` routes to.
     #[inline]
     fn child_of(&self, key: u64) -> usize {
-        self.keys[1..self.len as usize].partition_point(|&sep| sep <= key)
+        let len = self.len as usize;
+        assert!(len <= INNER_CAP, "a reader reached a freed node");
+        self.keys[1..len].partition_point(|&sep| sep <= key)
     }
 
     fn insert_at(&mut self, pos: usize, sep: u64, kid: u32) {
@@ -149,9 +187,184 @@ impl Inner {
     }
 }
 
+/// What the arenas and the copy-on-write rule need of a node: the
+/// version that allocated it — the writer may change it in place while
+/// that version is the one being built — and a way to poison it.
+trait Node: Copy {
+    fn born(&self) -> u64;
+    fn set_born(&mut self, version: u64);
+    fn poison(&mut self);
+}
+
+impl Node for Leaf {
+    fn born(&self) -> u64 {
+        self.born
+    }
+    fn set_born(&mut self, version: u64) {
+        self.born = version;
+    }
+    fn poison(&mut self) {
+        self.len = POISON;
+    }
+}
+
+impl Node for Inner {
+    fn born(&self) -> u64 {
+        self.born
+    }
+    fn set_born(&mut self, version: u64) {
+        self.born = version;
+    }
+    fn poison(&mut self) {
+        self.len = POISON;
+    }
+}
+
+/// Nodes in an arena's first chunk; chunk `c` holds `CHUNK0 << c`.
+const CHUNK0: u64 = 8;
+
+/// Chunks enough for every `u32` id.
+const CHUNKS: usize = 30;
+
+/// Where node `id` lives: its chunk and its place there. Chunk `c` holds
+/// the ids from `CHUNK0 * (2^c - 1)` on, so `id + CHUNK0` has its top bit
+/// at `log2(CHUNK0) + c` and the bits below it are the place.
+#[inline]
+fn slot(id: u32) -> (usize, usize) {
+    let x = u64::from(id) + CHUNK0;
+    let top = 63 - x.leading_zeros();
+    (
+        (top - CHUNK0.trailing_zeros()) as usize,
+        (x ^ (1 << top)) as usize,
+    )
+}
+
+/// One kind of node, in chunks that never move. Each directory entry
+/// goes from null to its chunk once, when the writer first needs it, and
+/// never changes after that.
+struct Arena<T> {
+    chunks: [AtomicPtr<T>; CHUNKS],
+}
+
+impl<T> Arena<T> {
+    fn new() -> Arena<T> {
+        Arena {
+            chunks: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
+        }
+    }
+
+    fn layout(chunk: usize) -> Layout {
+        Layout::array::<T>((CHUNK0 as usize) << chunk)
+            .expect("an arena chunk fits the address space")
+    }
+
+    /// Node `id`'s address. Relaxed: a reader meets `id` only through a
+    /// root published after [`Arena::grow`] stored its chunk, so the root
+    /// word's SeqCst store and load order the two; the writer reads its
+    /// own stores.
+    #[inline]
+    fn at(&self, id: u32) -> *mut T {
+        let (chunk, place) = slot(id);
+        self.chunks[chunk]
+            .load(Ordering::Relaxed)
+            .wrapping_add(place)
+    }
+
+    /// Node `id`, which a live version or the writer's own reaches: ids
+    /// come only from a root or from a node, never from outside the map.
+    #[inline]
+    fn node(&self, id: u32) -> &T {
+        // SAFETY: `id` is reachable from a version that is not reclaimed
+        // while it is read (the caller's snapshot, or the writer's own
+        // with `&` access to the writer), so it was written before that
+        // version was published and is not written again until no
+        // reader of that version is left.
+        unsafe { &*self.at(id) }
+    }
+
+    /// Allocates the chunk `id` opens. Writer only; Relaxed, because
+    /// readers learn of the chunk through a later root flip (see
+    /// [`Arena::at`]).
+    #[cold]
+    fn grow(&self, id: u32) {
+        let (chunk, _) = slot(id);
+        let layout = Self::layout(chunk);
+        // SAFETY: `layout` has a non-zero size: a chunk holds at least
+        // `CHUNK0` nodes. The memory is left uninitialised; only the
+        // slots the writer hands out are ever written or read.
+        let mem = unsafe { alloc(layout) }.cast::<T>();
+        if mem.is_null() {
+            handle_alloc_error(layout);
+        }
+        self.chunks[chunk].store(mem, Ordering::Relaxed);
+    }
+}
+
+impl<T> Drop for Arena<T> {
+    fn drop(&mut self) {
+        for (chunk, mem) in self.chunks.iter_mut().enumerate() {
+            let mem = *mem.get_mut();
+            if !mem.is_null() {
+                // SAFETY: `grow` allocated `mem` with this layout, and
+                // nodes are `Copy`, so there is nothing to drop in it.
+                unsafe { dealloc(mem.cast(), Self::layout(chunk)) };
+            }
+        }
+    }
+}
+
+/// Everything a reader of a map touches: the two arenas and the root
+/// word. Shared by the map's one writer ([`LeafMap`], which writes only
+/// nodes no published version reaches) and its readers
+/// ([`Tree::pick`]).
+pub struct Tree {
+    leaves: Arena<Leaf>,
+    inners: Arena<Inner>,
+    /// The published root: `height << 32 | node`.
+    root: AtomicU64,
+}
+
+impl Tree {
+    /// The published version, as a read section picks it: one SeqCst
+    /// load of the root word. It races the writer's flip-then-scan in
+    /// the store-buffering shape (`native.rs` module docs), so anything
+    /// weaker lets both sides miss each other. Reader side of
+    /// `wmm::proto`'s `native_flip_dekker` litmus.
+    ///
+    /// # Safety
+    ///
+    /// The map's writer must not [`LeafMap::reclaim`] a node of this
+    /// version while the snapshot is in use. The native store's read
+    /// section guarantees it: its epoch entry precedes this load, and
+    /// the writer reclaims only after a grace period that waits the
+    /// section out.
+    // SAFETY: the load itself is an atomic read of the root word; the
+    // contract above is what keeps the version's nodes alive.
+    #[inline]
+    pub unsafe fn pick(&self) -> Snapshot<'_> {
+        let word = self.root.load(Ordering::SeqCst);
+        Snapshot {
+            tree: self,
+            node: word as u32,
+            height: (word >> 32) as u32,
+        }
+    }
+}
+
+/// One version of a map: a root, read against the tree's nodes. Nothing
+/// a snapshot reaches changes while it is in use.
+#[derive(Clone, Copy)]
+pub struct Snapshot<'t> {
+    tree: &'t Tree,
+    /// An inner node when `height > 0`, else the one leaf.
+    node: u32,
+    /// Inner levels above the leaves.
+    height: u32,
+}
+
 /// Where a key lives if it is present: the result of
-/// [`LeafMap::locate`], good for [`LeafMap::get_at`] and
-/// [`LeafMap::range_at`] on the same map until its next mutation.
+/// [`Snapshot::locate`], good for [`Snapshot::get_at`] and
+/// [`Snapshot::range_at`] on the same snapshot.
 #[derive(Debug, Clone, Copy)]
 pub struct Spot {
     leaf: u32,
@@ -159,74 +372,22 @@ pub struct Spot {
     upper: Option<u64>,
 }
 
-/// The map. See the module docs for the layout.
-///
-/// A clone is two `memcpy`s of arenas sized exactly to the nodes in
-/// use, and has the original's layout: the native store builds one copy
-/// of a shard and clones it into the second.
-#[derive(Clone)]
-pub struct LeafMap {
-    leaves: Vec<Leaf>,
-    inners: Vec<Inner>,
-    /// Unlinked nodes awaiting reuse.
-    free_leaves: Vec<u32>,
-    free_inners: Vec<u32>,
-    /// The root: an inner node when `height > 0`, else the one leaf.
-    root: u32,
-    /// Inner levels above the leaves.
-    height: u32,
-    len: usize,
-    /// Descent scratch of `insert`/`remove`: `(inner node, child taken)`
-    /// from the root down. Kept here so neither allocates once warm.
-    path: Vec<(u32, u32)>,
-}
-
-impl Default for LeafMap {
-    fn default() -> LeafMap {
-        LeafMap::new()
-    }
-}
-
-impl LeafMap {
-    /// An empty map: one empty leaf and nothing else.
-    pub fn new() -> LeafMap {
-        LeafMap {
-            leaves: vec![Leaf::EMPTY],
-            inners: Vec::new(),
-            free_leaves: Vec::new(),
-            free_inners: Vec::new(),
-            root: 0,
-            height: 0,
-            len: 0,
-            path: Vec::new(),
-        }
-    }
-
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the map holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The descent both halves of the API share: from the root to the
-    /// leaf `key` belongs to, every node asked for whole before it is
+impl Snapshot<'_> {
+    /// The descent every lookup and every write shares: from the root to
+    /// the leaf `key` belongs to, every node asked for whole before it is
     /// searched, `step(node, its contents, child taken)` at each routing
     /// level. Returns the leaf, requested but not read.
     #[inline]
     fn walk(&self, key: u64, mut step: impl FnMut(u32, &Inner, usize)) -> u32 {
-        let mut node = self.root;
+        let mut node = self.node;
         for _ in 0..self.height {
-            let inner = &self.inners[node as usize];
+            let inner = self.tree.inners.node(node);
             prefetch(inner);
             let i = inner.child_of(key);
             step(node, inner, i);
             node = inner.kids[i];
         }
-        prefetch(&self.leaves[node as usize]);
+        prefetch(self.tree.leaves.node(node));
         node
     }
 
@@ -246,7 +407,7 @@ impl LeafMap {
     /// The second half of a lookup: searches the located leaf.
     #[inline]
     pub fn get_at(&self, spot: Spot, key: u64) -> Option<u64> {
-        let leaf = &self.leaves[spot.leaf as usize];
+        let leaf = self.tree.leaves.node(spot.leaf);
         let i = leaf.keys().binary_search(&key).ok()?;
         Some(leaf.vals[i])
     }
@@ -261,11 +422,11 @@ impl LeafMap {
         self.range_at(self.locate(*keys.start()), keys, out);
     }
 
-    /// [`LeafMap::range`] from an already located `keys.start()`.
+    /// [`Snapshot::range`] from an already located `keys.start()`.
     pub fn range_at(&self, mut spot: Spot, keys: RangeInclusive<u64>, out: &mut Vec<(u64, u64)>) {
         let (mut from, last) = keys.into_inner();
         loop {
-            let leaf = &self.leaves[spot.leaf as usize];
+            let leaf = self.tree.leaves.node(spot.leaf);
             let ks = leaf.keys();
             let first = ks.partition_point(|&k| k < from);
             for (&key, &value) in ks[first..].iter().zip(&leaf.vals[first..]) {
@@ -287,6 +448,199 @@ impl LeafMap {
         }
     }
 
+    /// Every pair, ascending.
+    fn pairs(&self) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        self.range(0..=u64::MAX, &mut out);
+        out
+    }
+}
+
+/// The writer's bookkeeping of one arena.
+#[derive(Default)]
+struct Pool {
+    /// Slots handed out so far: ids `0..used`.
+    used: u32,
+    /// Nodes no version reaches, ready for reuse.
+    free: Vec<u32>,
+    /// Nodes that only published versions reach, no longer the one being
+    /// built: free once no reader can hold those versions.
+    retired: Vec<u32>,
+}
+
+impl Pool {
+    /// A slot no version reaches: a free one, or a new one.
+    fn take<T>(&mut self, arena: &Arena<T>) -> u32 {
+        if let Some(id) = self.free.pop() {
+            return id;
+        }
+        let id = self.used;
+        self.used = id
+            .checked_add(1)
+            .expect("more than u32::MAX nodes in one map");
+        if slot(id).1 == 0 {
+            arena.grow(id);
+        }
+        id
+    }
+
+    /// Stores `node`, allocated in `version`, in a slot of its own.
+    fn alloc<T: Node>(&mut self, arena: &Arena<T>, mut node: T, version: u64) -> u32 {
+        node.set_born(version);
+        let id = self.take(arena);
+        // SAFETY: no version reaches the slot `take` returned, so no
+        // reader holds it, and the writer has no reference into it.
+        unsafe { arena.at(id).write(node) };
+        id
+    }
+
+    /// `id` itself if `version` allocated it, else a copy allocated in
+    /// `version`, with the original retired.
+    fn own<T: Node>(&mut self, arena: &Arena<T>, id: u32, version: u64) -> u32 {
+        if arena.node(id).born() == version {
+            return id;
+        }
+        let copy = self.take(arena);
+        // SAFETY: as in `alloc` for `copy`; `id` is another slot, which
+        // published versions reach and nothing writes.
+        unsafe {
+            ptr::copy_nonoverlapping(arena.at(id), arena.at(copy), 1);
+            (*arena.at(copy)).set_born(version);
+        }
+        self.retired.push(id);
+        copy
+    }
+
+    /// Frees every retired node, poisoned first if asked.
+    fn reclaim<T: Node>(&mut self, arena: &Arena<T>, poison: bool) {
+        if poison {
+            for &id in &self.retired {
+                // SAFETY: the caller of `LeafMap::reclaim` promises that
+                // no reader still holds a version that reaches a retired
+                // node, and the version being built does not reach it.
+                unsafe { (*arena.at(id)).poison() };
+            }
+        }
+        self.free.append(&mut self.retired);
+    }
+}
+
+/// The map and its one writer. See the module docs for the layout and
+/// the versions.
+pub struct LeafMap {
+    tree: Arc<Tree>,
+    /// The root being built, published by [`LeafMap::publish`].
+    root: u32,
+    /// Inner levels above the leaves, in the version being built.
+    height: u32,
+    /// The version being built: the writer changes nodes it allocated
+    /// in place, and copies any other before changing it.
+    version: u64,
+    leaves: Pool,
+    inners: Pool,
+    len: usize,
+    /// Descent scratch of `insert`/`remove`: `(inner node, child taken)`
+    /// from the root down. Kept here so neither allocates once warm.
+    path: Vec<(u32, u32)>,
+}
+
+impl Default for LeafMap {
+    fn default() -> LeafMap {
+        LeafMap::new()
+    }
+}
+
+impl LeafMap {
+    /// An empty map: one empty leaf and nothing else, published as the
+    /// root word's initial value.
+    pub fn new() -> LeafMap {
+        let tree = Arc::new(Tree {
+            leaves: Arena::new(),
+            inners: Arena::new(),
+            root: AtomicU64::new(0),
+        });
+        let mut leaves = Pool::default();
+        let root = leaves.alloc(&tree.leaves, Leaf::EMPTY, 0);
+        LeafMap {
+            tree,
+            root,
+            height: 0,
+            version: 0,
+            leaves,
+            inners: Pool::default(),
+            len: 0,
+            path: Vec::new(),
+        }
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the map holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The nodes and the root word, for readers on other threads
+    /// ([`Tree::pick`]).
+    pub fn tree(&self) -> Arc<Tree> {
+        Arc::clone(&self.tree)
+    }
+
+    /// The version being built, with every write so far: what the map's
+    /// owner reads.
+    pub fn snapshot(&self) -> Snapshot<'_> {
+        Snapshot {
+            tree: &self.tree,
+            node: self.root,
+            height: self.height,
+        }
+    }
+
+    /// Publishes the version built so far and starts the next, so that
+    /// whatever a later write changes is copied first. The native store's
+    /// commit point: SeqCst, so the flip is ordered before the barrier's
+    /// clock scan in the single total order (`native.rs` module docs; the
+    /// paper's R1 commit-point discipline). Writer side of `wmm::proto`'s
+    /// `native_flip_dekker` litmus.
+    pub fn publish(&mut self) {
+        let word = u64::from(self.height) << 32 | u64::from(self.root);
+        self.tree.root.store(word, Ordering::SeqCst);
+        self.version += 1;
+    }
+
+    /// Frees the nodes the published versions before the last one alone
+    /// reach. Call it only once no reader can still hold such a version —
+    /// in the native store, after the grace period that follows
+    /// [`LeafMap::publish`]. With `poison`, each freed node is marked so
+    /// that a reader which reaches it anyway panics (schedule exploration
+    /// asks for it; a production writer reuses the nodes as they are).
+    pub fn reclaim(&mut self, poison: bool) {
+        self.leaves.reclaim(&self.tree.leaves, poison);
+        self.inners.reclaim(&self.tree.inners, poison);
+    }
+
+    /// Leaf `id`, which the version being built allocated, to change in
+    /// place.
+    fn leaf_mut(&mut self, id: u32) -> &mut Leaf {
+        // SAFETY: `id` was allocated in the version being built, so no
+        // published version reaches it and no reader holds it; `&mut
+        // self` is the writer's one handle on it.
+        let leaf = unsafe { &mut *self.tree.leaves.at(id) };
+        debug_assert_eq!(leaf.born, self.version, "leaf {id} is published");
+        leaf
+    }
+
+    /// [`LeafMap::leaf_mut`] for an inner node.
+    fn inner_mut(&mut self, id: u32) -> &mut Inner {
+        // SAFETY: as in `leaf_mut`: a node of the version being built.
+        let inner = unsafe { &mut *self.tree.inners.at(id) };
+        debug_assert_eq!(inner.born, self.version, "inner {id} is published");
+        inner
+    }
+
     /// Descends to `key`'s leaf, recording the way in `self.path`.
     /// Returns the leaf and whether the descent hugged the left and the
     /// right edge of the tree all the way.
@@ -294,7 +648,7 @@ impl LeafMap {
         let mut path = std::mem::take(&mut self.path);
         path.clear();
         let (mut leftmost, mut rightmost) = (true, true);
-        let leaf = self.walk(key, |node, inner, i| {
+        let leaf = self.snapshot().walk(key, |node, inner, i| {
             leftmost &= i == 0;
             rightmost &= i + 1 == inner.len as usize;
             path.push((node, i as u32));
@@ -303,17 +657,51 @@ impl LeafMap {
         (leaf, leftmost, rightmost)
     }
 
+    /// Makes the recorded path and its `leaf` the writer's to change:
+    /// from the root down, each node a published version reaches is
+    /// replaced by a copy, which its (already copied) parent, or the
+    /// root, then names. Returns the leaf as the path now names it.
+    ///
+    /// The nodes of the version being built are closed upwards — a node
+    /// becomes the writer's only by a path copy from the root, or by a
+    /// split or a new root under or over nodes that already are — so a
+    /// leaf of that version needs no walk: every write of a map that
+    /// never publishes, and every write after the first to a leaf in a
+    /// cycle, stops here.
+    fn own_path(&mut self, leaf: u32) -> u32 {
+        let (tree, version) = (&*self.tree, self.version);
+        if tree.leaves.node(leaf).born() == version {
+            return leaf;
+        }
+        let mut above: Option<(u32, u32)> = None;
+        for step in &mut self.path {
+            let own = self.inners.own(&tree.inners, step.0, version);
+            if own != step.0 {
+                relink(tree, above, own, &mut self.root);
+                step.0 = own;
+            }
+            above = Some(*step);
+        }
+        let own = self.leaves.own(&tree.leaves, leaf, version);
+        if own != leaf {
+            relink(tree, above, own, &mut self.root);
+        }
+        own
+    }
+
     /// Inserts or updates `key`, returning the value it replaced.
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
         let (id, leftmost, rightmost) = self.descend(key);
-        let leaf = &mut self.leaves[id as usize];
+        let id = self.own_path(id);
+        let version = self.version;
+        let leaf = self.leaf_mut(id);
         let pos = match leaf.keys().binary_search(&key) {
             Ok(i) => return Some(std::mem::replace(&mut leaf.vals[i], value)),
             Err(pos) => pos,
         };
-        self.len += 1;
         if (leaf.len as usize) < LEAF_CAP {
             leaf.insert_at(pos, key, value);
+            self.len += 1;
             return None;
         }
         // Full. At either end of the key space the full leaf stays full
@@ -332,7 +720,8 @@ impl LeafMap {
             right.insert_at(pos - at, key, value);
         }
         let sep = right.keys[0];
-        let right = alloc(&mut self.leaves, &mut self.free_leaves, right);
+        self.len += 1;
+        let right = self.leaves.alloc(&self.tree.leaves, right, version);
         self.add_child(sep, right, rightmost);
         None
     }
@@ -340,8 +729,9 @@ impl LeafMap {
     /// Links `kid`, whose keys start at `sep`, to the right of the child
     /// the recorded path took, splitting full ancestors on the way up.
     fn add_child(&mut self, mut sep: u64, mut kid: u32, rightmost: bool) {
+        let version = self.version;
         while let Some((id, taken)) = self.path.pop() {
-            let inner = &mut self.inners[id as usize];
+            let inner = self.inner_mut(id);
             let pos = taken as usize + 1;
             if (inner.len as usize) < INNER_CAP {
                 inner.insert_at(pos, sep, kid);
@@ -361,67 +751,60 @@ impl LeafMap {
                 right.insert_at(pos - at, sep, kid);
             }
             sep = right.keys[0];
-            kid = alloc(&mut self.inners, &mut self.free_inners, right);
+            kid = self.inners.alloc(&self.tree.inners, right, version);
         }
         // The root itself split: a new root over the two halves.
         let mut root = Inner::EMPTY;
         root.insert_at(0, 0, self.root);
         root.insert_at(1, sep, kid);
-        self.root = alloc(&mut self.inners, &mut self.free_inners, root);
+        self.root = self.inners.alloc(&self.tree.inners, root, version);
         self.height += 1;
     }
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove(&mut self, key: u64) -> Option<u64> {
         let (id, ..) = self.descend(key);
-        let leaf = &mut self.leaves[id as usize];
-        let i = leaf.keys().binary_search(&key).ok()?;
+        // An absent key changes nothing, so nothing is copied for it.
+        let i = self.tree.leaves.node(id).keys().binary_search(&key).ok()?;
+        let id = self.own_path(id);
+        let leaf = self.leaf_mut(id);
         let old = leaf.vals[i];
         leaf.remove_at(i);
+        let emptied = leaf.len == 0;
         self.len -= 1;
-        if leaf.len == 0 && self.height > 0 {
+        if emptied && self.height > 0 {
             self.unlink(id);
         }
         Some(old)
     }
 
     /// Takes the emptied leaf `id` out of the tree along the recorded
-    /// path, with every ancestor it was the last child of.
+    /// path, with every ancestor it was the last child of. The path is
+    /// the writer's own (`own_path`), so what it unlinks is free at once.
     fn unlink(&mut self, id: u32) {
         while let Some((parent, taken)) = self.path.pop() {
-            let inner = &mut self.inners[parent as usize];
+            let inner = self.inner_mut(parent);
             inner.remove_at(taken as usize);
             if inner.len > 0 {
-                self.free_leaves.push(id);
+                self.leaves.free.push(id);
                 return;
             }
-            self.free_inners.push(parent);
+            self.inners.free.push(parent);
         }
         // Every level emptied: the map is one empty leaf again.
         self.root = id;
         self.height = 0;
     }
-
-    /// Every pair, ascending.
-    fn pairs(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.len);
-        self.range(0..=u64::MAX, &mut out);
-        out
-    }
 }
 
-/// Stores `node` in a recycled slot of `arena`, or a new one.
-fn alloc<T>(arena: &mut Vec<T>, free: &mut Vec<u32>, node: T) -> u32 {
-    match free.pop() {
-        Some(id) => {
-            arena[id as usize] = node;
-            id
-        }
-        None => {
-            let id = u32::try_from(arena.len()).expect("more than u32::MAX nodes in one map");
-            arena.push(node);
-            id
-        }
+/// Points `above` — an inner node the writer owns and the child it took
+/// — or, with no node above, the root being built, at `id`.
+fn relink(tree: &Tree, above: Option<(u32, u32)>, id: u32, root: &mut u32) {
+    match above {
+        // SAFETY: `own_path` copied `parent` into the version being
+        // built before it came here, so no reader holds it.
+        Some((parent, taken)) => unsafe { (*tree.inners.at(parent)).kids[taken as usize] = id },
+        None => *root = id,
     }
 }
 
@@ -448,13 +831,13 @@ fn prefetch<T>(node: &T) {
 /// whatever order of inserts and removes built them.
 impl PartialEq for LeafMap {
     fn eq(&self, other: &LeafMap) -> bool {
-        self.len == other.len && self.pairs() == other.pairs()
+        self.len == other.len && self.snapshot().pairs() == other.snapshot().pairs()
     }
 }
 
 impl fmt::Debug for LeafMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.pairs()).finish()
+        f.debug_map().entries(self.snapshot().pairs()).finish()
     }
 }
 
@@ -465,28 +848,49 @@ mod tests {
     use std::collections::BTreeMap;
 
     impl LeafMap {
-        /// Walks the whole tree and checks what the module docs promise:
-        /// sorted leaves, none empty below a routing level, every key
-        /// inside the bounds its ancestors' separators give it, `len`
-        /// right, and every arena slot either reachable or on a free
-        /// list, never both.
-        fn audit(&self) {
+        /// Walks the version being built and checks what the module docs
+        /// promise: sorted leaves, none empty below a routing level,
+        /// every key inside the bounds its ancestors' separators give it,
+        /// `len` right, and every node handed out exactly one of:
+        /// reachable from the root, retired, or free.
+        pub(crate) fn audit(&self) {
             let mut seen = (
-                vec![false; self.leaves.len()],
-                vec![false; self.inners.len()],
+                vec![false; self.leaves.used as usize],
+                vec![false; self.inners.used as usize],
             );
             let pairs = self.audit_node(self.root, self.height, None, None, &mut seen);
             assert_eq!(pairs, self.len, "len");
-            for (free, seen) in [
-                (&self.free_leaves, &mut seen.0),
-                (&self.free_inners, &mut seen.1),
-            ] {
-                for &id in free {
-                    assert!(!seen[id as usize], "node {id} is linked and free");
+            for (pool, seen) in [(&self.leaves, &mut seen.0), (&self.inners, &mut seen.1)] {
+                for &id in pool.retired.iter().chain(&pool.free) {
+                    assert!(
+                        !seen[id as usize],
+                        "node {id} is reachable, retired or free twice"
+                    );
                     seen[id as usize] = true;
                 }
-                assert!(seen.iter().all(|&s| s), "a node is neither linked nor free");
+                assert!(
+                    seen.iter().all(|&s| s),
+                    "a node is neither reachable, retired nor free"
+                );
             }
+        }
+
+        /// [`LeafMap::audit`] of a map whose readers see all of it: the
+        /// root word names the root being built and nothing waits to be
+        /// reclaimed, so every node is reachable or free.
+        pub(crate) fn audit_published(&self) {
+            self.audit();
+            // SAFETY: `&self` keeps the writer from reclaiming anything.
+            let published = unsafe { self.tree.pick() };
+            assert_eq!(
+                (published.node, published.height),
+                (self.root, self.height),
+                "the root being built is not the published one"
+            );
+            assert!(
+                self.leaves.retired.is_empty() && self.inners.retired.is_empty(),
+                "retired nodes were never reclaimed"
+            );
         }
 
         fn audit_node(
@@ -500,14 +904,14 @@ mod tests {
             let inside = |k: u64| lo.is_none_or(|lo| lo <= k) && hi.is_none_or(|hi| k < hi);
             if level == 0 {
                 assert!(!std::mem::replace(&mut seen.0[id as usize], true));
-                let leaf = &self.leaves[id as usize];
+                let leaf = self.tree.leaves.node(id);
                 assert!(leaf.len > 0 || self.height == 0, "empty leaf {id} linked");
                 assert!(leaf.keys().windows(2).all(|w| w[0] < w[1]), "leaf {id}");
                 assert!(leaf.keys().iter().all(|&k| inside(k)), "leaf {id} bounds");
                 return leaf.len as usize;
             }
             assert!(!std::mem::replace(&mut seen.1[id as usize], true));
-            let inner = &self.inners[id as usize];
+            let inner = self.tree.inners.node(id);
             let len = inner.len as usize;
             assert!(len > 0, "empty inner {id} linked");
             let seps = &inner.keys[1..len];
@@ -525,6 +929,26 @@ mod tests {
                 })
                 .sum()
         }
+
+        /// Every leaf handed out, free ones included.
+        fn all_leaves(&self) -> impl Iterator<Item = &Leaf> {
+            (0..self.leaves.used).map(|id| self.tree.leaves.node(id))
+        }
+    }
+
+    /// The chunk layout: ids run through the chunks in order, each chunk
+    /// twice the one before, and the last `u32` id still has a chunk.
+    #[test]
+    fn ids_fill_the_chunks_in_order() {
+        let mut want = (0, 0);
+        for id in 0..10_000u32 {
+            assert_eq!(slot(id), want, "id {id}");
+            want.1 += 1;
+            if want.1 == (CHUNK0 as usize) << want.0 {
+                want = (want.0 + 1, 0);
+            }
+        }
+        assert!(slot(u32::MAX).0 < CHUNKS);
     }
 
     /// Raw key material, projected onto one of the universes below.
@@ -561,13 +985,21 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
+        /// Every op runs on two maps: one changed in place (never
+        /// published) and one that publishes each write as its own
+        /// version. Each published version is kept, with the pairs it
+        /// held, until a `Get` retires them all: every one must still
+        /// read its own pairs, although the writer has moved on, and
+        /// reclaiming poisons what only they reached.
         #[test]
         fn matches_btreemap_model(
             ops in prop::collection::vec(op(), 1..4000),
             universe in 0usize..3,
         ) {
             let key = |raw| project(universe, raw);
-            let mut map = LeafMap::new();
+            let (mut map, mut versioned) = (LeafMap::new(), LeafMap::new());
+            let tree = versioned.tree();
+            let mut live: Vec<(Snapshot, Vec<(u64, u64)>)> = Vec::new();
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             let mut out = Vec::new();
             if universe == 1 {
@@ -575,33 +1007,47 @@ mod tests {
                 // the first inserts split leaves *and* routing nodes.
                 for k in (0..5000).step_by(2) {
                     map.insert(k, k);
+                    versioned.insert(k, k);
                     model.insert(k, k);
                 }
                 prop_assert_eq!(map.height, 2);
+                versioned.publish();
             }
             for op in &ops {
                 match *op {
                     Op::Insert(k, v) => {
-                        prop_assert_eq!(map.insert(key(k), v), model.insert(key(k), v));
+                        let want = model.insert(key(k), v);
+                        prop_assert_eq!(map.insert(key(k), v), want);
+                        prop_assert_eq!(versioned.insert(key(k), v), want);
                     }
                     Op::Remove(k) => {
-                        prop_assert_eq!(map.remove(key(k)), model.remove(&key(k)));
+                        let want = model.remove(&key(k));
+                        prop_assert_eq!(map.remove(key(k)), want);
+                        prop_assert_eq!(versioned.remove(key(k)), want);
                     }
                     Op::Get(k) => {
-                        prop_assert_eq!(map.get(key(k)), model.get(&key(k)).copied());
+                        prop_assert_eq!(map.snapshot().get(key(k)), model.get(&key(k)).copied());
+                        for (version, pairs) in live.drain(..) {
+                            prop_assert_eq!(version.pairs(), pairs);
+                        }
+                        versioned.reclaim(true);
+                        versioned.audit();
+                        continue;
                     }
                     Op::Located(k) => {
                         // One located leaf answers for every key in it,
                         // and for the absent ones around them.
-                        let spot = map.locate(key(k));
-                        prop_assert_eq!(map.get_at(spot, key(k)), model.get(&key(k)).copied());
+                        let snap = map.snapshot();
+                        let spot = snap.locate(key(k));
+                        prop_assert_eq!(snap.get_at(spot, key(k)), model.get(&key(k)).copied());
+                        continue;
                     }
                     Op::Range(a, b) => {
                         // Half of these are empty (`a > b`).
                         let (a, b) = (key(a), key(b));
                         out.clear();
                         out.push((7, 7));
-                        map.range(a..=b, &mut out);
+                        map.snapshot().range(a..=b, &mut out);
                         let want: Vec<(u64, u64)> = if a <= b {
                             model.range(a..=b).map(|(&k, &v)| (k, v)).collect()
                         } else {
@@ -609,21 +1055,59 @@ mod tests {
                         };
                         prop_assert_eq!(out[0], (7, 7));
                         prop_assert_eq!(&out[1..], &want[..]);
+                        continue;
                     }
                 }
                 prop_assert_eq!(map.len(), model.len());
+                versioned.publish();
+                // SAFETY: reclaim runs only after `live` is drained.
+                live.push((unsafe { tree.pick() }, model.iter().map(|(&k, &v)| (k, v)).collect()));
             }
             map.audit();
+            versioned.audit();
             let all: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-            prop_assert_eq!(map.pairs(), all);
+            prop_assert_eq!(map.snapshot().pairs(), all.clone());
+            prop_assert_eq!(versioned.snapshot().pairs(), all);
+            for (version, pairs) in live.drain(..) {
+                prop_assert_eq!(version.pairs(), pairs);
+            }
+            versioned.reclaim(true);
             // Draining it leaves one empty leaf and no routing level.
             for &k in model.keys() {
                 prop_assert_eq!(map.remove(k), model.get(&k).copied());
             }
             map.audit();
             prop_assert!(map.is_empty() && map.height == 0);
-            prop_assert_eq!(map.get(0), None);
+            prop_assert_eq!(map.snapshot().get(0), None);
         }
+    }
+
+    /// A write copies the nodes on its path once per version: the first
+    /// write after a publication copies the leaf and every routing node
+    /// above it and retires the originals; a second write to the same
+    /// leaf changes the copies in place.
+    #[test]
+    fn a_write_copies_its_path_once_per_version() {
+        let mut map = LeafMap::new();
+        for k in 0..5000 {
+            map.insert(k, k);
+        }
+        assert_eq!(map.height, 2);
+        map.publish();
+        let used = (map.leaves.used, map.inners.used);
+        map.insert(100, 1);
+        assert_eq!((map.leaves.retired.len(), map.inners.retired.len()), (1, 2));
+        map.insert(101, 1);
+        map.remove(102);
+        assert_eq!((map.leaves.retired.len(), map.inners.retired.len()), (1, 2));
+        assert_eq!((map.leaves.used, map.inners.used), (used.0 + 1, used.1 + 2));
+        // An absent key copies nothing.
+        map.publish();
+        map.remove(1 << 40);
+        assert_eq!((map.leaves.retired.len(), map.inners.retired.len()), (1, 2));
+        map.audit();
+        map.reclaim(false);
+        map.audit_published();
     }
 
     const FULL_LEAVES: usize = 200;
@@ -637,10 +1121,13 @@ mod tests {
             map.insert(k, k);
         }
         map.audit();
-        assert_eq!(map.leaves.len(), FULL_LEAVES);
-        // 200 leaves under full 64-way nodes: 3 full, 1 partial, 1 root.
-        assert_eq!(map.inners.len(), FULL_LEAVES.div_ceil(INNER_CAP) + 1);
-        assert!(map.leaves.iter().all(|l| l.len as usize == LEAF_CAP));
+        assert_eq!(map.leaves.used as usize, FULL_LEAVES);
+        // 200 leaves under full 32-way nodes: 6 full, 1 partial, 1 root.
+        assert_eq!(
+            map.inners.used as usize,
+            FULL_LEAVES.div_ceil(INNER_CAP) + 1
+        );
+        assert!(map.all_leaves().all(|l| l.len as usize == LEAF_CAP));
     }
 
     #[test]
@@ -650,31 +1137,47 @@ mod tests {
             map.insert(k, k);
         }
         map.audit();
-        assert_eq!(map.leaves.len(), FULL_LEAVES);
-        assert!(map.leaves.iter().all(|l| l.len as usize == LEAF_CAP));
+        assert_eq!(map.leaves.used as usize, FULL_LEAVES);
+        assert!(map.all_leaves().all(|l| l.len as usize == LEAF_CAP));
     }
 
     /// Free-at-empty gives memory back to the map: a window of live keys
     /// sliding upwards through the key space reuses the leaves it
-    /// empties behind itself instead of growing the arena.
+    /// empties behind itself instead of growing the arena — changed in
+    /// place, and with every op its own published version, whose copies
+    /// come back at each reclaim.
     #[test]
     fn a_sliding_window_recycles_its_leaves() {
         const WINDOW: u64 = 1000;
-        let mut map = LeafMap::new();
-        for k in 0..50 * WINDOW {
-            map.insert(k, k);
-            if k >= WINDOW {
-                assert_eq!(map.remove(k - WINDOW), Some(k - WINDOW));
+        for versioned in [false, true] {
+            let mut map = LeafMap::new();
+            let op = |map: &mut LeafMap| {
+                if versioned {
+                    map.publish();
+                    map.reclaim(true);
+                }
+            };
+            for k in 0..50 * WINDOW {
+                map.insert(k, k);
+                op(&mut map);
+                if k >= WINDOW {
+                    assert_eq!(map.remove(k - WINDOW), Some(k - WINDOW));
+                    op(&mut map);
+                }
             }
+            if versioned {
+                map.audit_published();
+            } else {
+                map.audit();
+            }
+            assert_eq!(map.len(), WINDOW as usize);
+            let needed = (WINDOW as usize).div_ceil(LEAF_CAP);
+            assert!(
+                map.leaves.used as usize <= needed + 2,
+                "{} leaves allocated for a window that fits {needed} (versioned: {versioned})",
+                map.leaves.used
+            );
         }
-        map.audit();
-        assert_eq!(map.len(), WINDOW as usize);
-        let needed = (WINDOW as usize).div_ceil(LEAF_CAP);
-        assert!(
-            map.leaves.len() <= needed + 2,
-            "{} leaves allocated for a window that fits {needed}",
-            map.leaves.len()
-        );
     }
 
     #[test]
@@ -685,7 +1188,7 @@ mod tests {
             down.insert(4999 - k, (4999 - k) * 2);
         }
         // Different shapes (`down` has half-full routing nodes) ...
-        assert_ne!(up.inners.len(), down.inners.len());
+        assert_ne!(up.inners.used, down.inners.used);
         // ... same pairs.
         assert_eq!(up, down);
         down.insert(77, 0);

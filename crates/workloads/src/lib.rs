@@ -19,8 +19,8 @@
 //!
 //! [`backend`] abstracts the execution substrate: the simulated-HTM
 //! pipeline above, or [`native`] — the same RW-LE protocol over plain
-//! process memory with epoch-quiesced double-buffered writer commits
-//! (DESIGN.md §9), each shard copy a [`leafmap::LeafMap`].
+//! process memory with epoch-quiesced copy-on-write writer commits
+//! (DESIGN.md §9), each shard one [`leafmap::LeafMap`].
 
 #![warn(missing_docs)]
 

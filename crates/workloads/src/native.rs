@@ -2,20 +2,24 @@
 //! memory.
 //!
 //! Readers are truly uninstrumented — `enter` the epoch set, load the
-//! active slot index, read a plain [`LeafMap`], `exit`. Writer
-//! commit is emulated as **epoch-quiesced double-buffered publication**
-//! (the PairLock/Left-Right active/inactive flip): each shard keeps two
-//! copies of its map; a writer mutates the *inactive* copy under the
-//! shard's writer mutex, flips the active index (the commit point — one
-//! aggregate store, the native stand-in for a ROT's all-or-nothing store
-//! burst), waits one grace period on the existing scalable summary-tree
-//! barrier so no reader can still hold the old copy, then replays the
-//! mutation into it and unlocks. That lock → apply → flip → barrier →
-//! replay → unlock sequence is the **cycle**, the backend's one unit of
-//! publication (`NativeSession::cycle`): every shard group of a batch
-//! runs through it, one shard at a time, so a writer waiting out its
-//! grace period holds one shard mutex and nothing else.
-//! Outside a cycle the two copies of a shard are identical.
+//! shard's root word, read one version of a plain [`LeafMap`], `exit`.
+//! Writer commit is emulated as **epoch-quiesced copy-on-write
+//! publication** (RCU's synchronize-then-free): each shard holds one
+//! copy-on-write map. A writer applies its mutations under the shard's
+//! writer mutex — each copies the nodes on its path that readers can see,
+//! the leaf and its ancestors, unless an earlier mutation of the group
+//! already did — then flips the root word to the new root (the commit
+//! point — one aggregate store, the native stand-in for a ROT's
+//! all-or-nothing store burst), waits one grace period on the existing
+//! scalable summary-tree barrier so no reader can still hold the old
+//! root, frees the nodes only the old root reached, and unlocks. That
+//! lock → path copy → flip → barrier → free → unlock sequence is the
+//! **cycle**, the backend's one unit of publication
+//! (`NativeSession::cycle`): every shard group of a batch runs through
+//! it, one shard at a time, so a writer waiting out its grace period
+//! holds one shard mutex and nothing else. Each mutation is applied
+//! once. Outside a cycle a shard's published root reaches its whole map
+//! and no node waits to be freed.
 //!
 //! ## Read sections
 //!
@@ -24,7 +28,7 @@
 //! section's own three fenced operations. Both are shared where the
 //! caller has more than one thing to read. `get_many` answers up to
 //! [`GET_RUN`] keys per section: for each key the cached part of the
-//! descent ([`LeafMap::locate`], which also asks the cache for the
+//! descent ([`Snapshot::locate`], which also asks the cache for the
 //! leaf), and only then the searches inside the leaves, whose misses now
 //! overlap. `scan` is one section over the shards its range covers, each
 //! shard's first leaf located before any is walked.
@@ -40,13 +44,13 @@
 //! range of keys is a hot shard (EXPERIMENTS.md, "A SCAN reads the
 //! shards it covers", measures it on the Zipf mixes).
 //!
-//! A section picks a shard's copy once — the SeqCst index load, the
-//! first time the section asks for that shard (`Section::copy`) — and
-//! reads that copy until it ends, so everything one section reads of one
-//! shard is a snapshot of it (two loads could straddle a flip and show a
-//! batch's group half applied). Every copy is picked, located *and* read
-//! inside the one section whose `enter` preceded the index load — the
-//! borrow of the `Section` makes anything else a compile error — so
+//! A section picks a shard's root once — the SeqCst root-word load, the
+//! first time the section asks for that shard (`Section::pick`) — and
+//! reads that version until it ends, so everything one section reads of
+//! one shard is a snapshot of it (two loads could straddle a flip and
+//! show a batch's group half applied). Every root is picked, located
+//! *and* read inside the one section whose `enter` preceded the load —
+//! the borrow of the `Section` makes anything else a compile error — so
 //! the ordering argument below is the single-key one, unchanged. What
 //! does change is what a concurrent writer's barrier may have to wait
 //! out: [`GET_RUN`] lookups, or one SCAN (at most the wire's `MAX_SCAN`
@@ -57,36 +61,42 @@
 //! operations, torn-free reads, the quiescence-barrier structure (and
 //! its `barrier_stalls`/`barriers_shared` accounting, including grace
 //! sharing across shards through the one shared [`EpochSet`]). What it
-//! drops: abort/commit breakdowns (nothing speculates, nothing aborts)
-//! and `sched` schedule exploration (plain memory has no access hooks).
+//! drops: abort/commit breakdowns (nothing speculates, nothing aborts).
+//! Plain memory has no access hooks, so schedule exploration steps at
+//! the protocol's own points instead: the reader's root pick and each
+//! step of the cycle (`sched::step`), with the shard mutex taken through
+//! `try_lock` and `sched::Backoff` while a schedule runs, and every node
+//! a cycle frees poisoned so that a reader reaching one panics
+//! (`tests/native_schedules.rs`).
 //!
 //! ## Memory ordering
 //!
-//! The ISSUE's Release-flip/Acquire-load recipe is *not* sufficient:
-//! reader entry (clock store, then active-index load) races the writer's
-//! commit (active-index store, then clock scan) in the classic
+//! A Release flip read by an Acquire load is *not* sufficient:
+//! reader entry (clock store, then root-word load) races the writer's
+//! commit (root-word store, then clock scan) in the classic
 //! store-buffering shape, and with Release/Acquire both sides can miss
-//! each other — the writer would replay into a copy a reader still
-//! traverses. Exactly the lazy-subscription unsafety Dice et al.
-//! (arXiv:1407.6968) catalog. Both the flip and the reader's index load
-//! are therefore `SeqCst`, joining the protocol's SeqCst commit-point
-//! discipline: in the single total order, either the reader's clock
-//! store precedes the writer's scan (the barrier waits for it) or the
-//! reader sees the new index (and never touches the old copy).
+//! each other — the writer would free nodes a reader still traverses.
+//! Exactly the lazy-subscription unsafety Dice et al. (arXiv:1407.6968)
+//! catalog. Both the flip ([`LeafMap::publish`]) and the reader's root
+//! load ([`Tree::pick`]) are therefore `SeqCst`, joining the protocol's
+//! SeqCst commit-point discipline: in the single total order, either the
+//! reader's clock store precedes the writer's scan (the barrier waits
+//! for it) or the reader sees the new root (and never reaches a node the
+//! cycle frees).
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
-use epoch::EpochSet;
+use epoch::{sched, EpochSet};
 use stats::{CommitKind, ThreadStats};
 
 use crate::backend::{
     covered_shards, group_by_shard, scan_keys, shard_index, BatchOutcome, DurableSink, Lsn, MutOp,
     MutReply, StoreBackend, StoreFull, StoreLoader, StoreSession, NO_LSN,
 };
-use crate::leafmap::LeafMap;
+use crate::leafmap::{LeafMap, Snapshot, Tree};
 use crate::sharded::PutOutcome;
 
 /// Lookups one read section serves: how many leaves `get_many` (keys)
@@ -94,97 +104,77 @@ use crate::sharded::PutOutcome;
 /// so the longest run of lookups a writer's barrier waits behind.
 pub const GET_RUN: usize = 16;
 
-/// [`Section::picked`] of a shard the section has not read yet.
-const UNPICKED: u8 = u8::MAX;
-
 /// A read section in progress: made by [`NativeBackend::read`] for the
-/// duration of its closure and by nothing else, so a copy borrowed
+/// duration of its closure and by nothing else, so a version picked
 /// through it cannot outlive the section that protects it.
-struct Section<'s> {
-    shards: &'s [NativeShard],
-    /// Per shard, the copy this section reads ([`UNPICKED`] until asked).
-    picked: &'s [Cell<u8>],
+struct Section<'p, 'a> {
+    shards: &'a [NativeShard],
+    /// Per shard, the version this section reads (`None` until asked).
+    picked: &'p [Cell<Option<Snapshot<'a>>>],
 }
 
-impl Section<'_> {
-    /// Shard `s`'s copy for this section: the one that was active when
-    /// the section first asked.
+impl Section<'_, '_> {
+    /// Shard `s`'s version for this section: the one that was published
+    /// when the section first asked.
     #[inline]
-    fn copy(&self, s: usize) -> &LeafMap {
-        let shard = &self.shards[s];
-        let mut idx = self.picked[s].get();
-        if idx == UNPICKED {
-            idx = shard.reader_active_idx() as u8;
-            self.picked[s].set(idx);
+    fn pick(&self, s: usize) -> Snapshot<'_> {
+        if let Some(version) = self.picked[s].get() {
+            return version;
         }
-        // SAFETY: `idx` was active after this section's epoch entry, so
-        // any writer that retires this copy must first complete a grace
-        // period that includes us; the copy is not mutated for as long
-        // as the section — and with it this borrow — lasts.
-        unsafe { &*shard.slots[usize::from(idx)].get() }
+        // SAFETY: this section's epoch entry precedes the pick, so a
+        // writer that retires a node of this version frees it only
+        // after a grace period that includes us — not while the section
+        // (and with it this borrow) lasts.
+        let version = unsafe { self.shards[s].tree.pick() };
+        self.picked[s].set(Some(version));
+        // A schedule may run a whole cycle between the pick and the
+        // reads of this version.
+        sched::step();
+        version
     }
 }
 
-/// One shard: two map copies, the active index, and the writer mutex
-/// that serializes this shard's publications.
+/// One shard: one copy-on-write map, whose nodes and root word readers
+/// share and whose writer the mutex holds.
 struct NativeShard {
-    /// The two copies. Index [`NativeShard::reader_active_idx`] is read
-    /// by any number of epoch-protected readers; the other copy is
-    /// private to the mutex-holding writer.
-    slots: [UnsafeCell<LeafMap>; 2],
-    /// Which slot readers use (0 or 1).
-    active: AtomicUsize,
-    /// Serializes writers per shard.
-    writer: Mutex<()>,
+    /// What readers descend: the map's nodes and its published root.
+    tree: Arc<Tree>,
+    /// The map's one writer, behind the mutex that serializes this
+    /// shard's publications.
+    writer: Mutex<LeafMap>,
 }
-
-// SAFETY: the double-buffer protocol keeps the two `UnsafeCell` maps
-// race-free. Readers only dereference `slots[active]` between epoch
-// enter/exit; a writer only mutates `slots[1 - active]` while holding
-// `writer`, and touches the previously-active copy only after a full
-// grace period has drained every reader that could have observed its
-// index (both the flip and the reader's index load are SeqCst, so a
-// reader either sees the new index or its odd clock is seen by the
-// barrier — see the module docs).
-unsafe impl Sync for NativeShard {}
 
 impl NativeShard {
-    /// A shard whose two copies are `map` and its clone: identical, as
-    /// they must be before the first writer runs.
-    fn new(map: LeafMap) -> NativeShard {
+    /// A shard over `map`, which the loader changed in place: published
+    /// here, before any reader exists, so readers start at the loaded
+    /// root and the first cycle copies what it changes.
+    fn new(mut map: LeafMap) -> NativeShard {
+        map.publish();
         NativeShard {
-            slots: [UnsafeCell::new(map.clone()), UnsafeCell::new(map)],
-            active: AtomicUsize::new(0),
-            writer: Mutex::new(()),
+            tree: map.tree(),
+            writer: Mutex::new(map),
         }
     }
 
-    /// The active index as a reader loads it. SeqCst: races the writer's
-    /// flip-then-scan in the store-buffering shape (see module docs);
-    /// anything weaker lets both sides miss each other. Reader side of
-    /// `wmm::proto`'s `native_flip_dekker` litmus, which kills every
-    /// one-notch weakening with a reproducing seed.
-    #[inline]
-    fn reader_active_idx(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    /// The active index as the mutex-holding writer reads it. Relaxed:
-    /// only writers store this index, and they are serialized by
-    /// `writer`, so the lock's own synchronization already orders the
-    /// previous writer's store before this load.
-    #[inline]
-    fn writer_active_idx(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
-    }
-
-    /// Flips readers onto `idx` — the commit point. SeqCst so the flip
-    /// is ordered before the barrier's clock scan in the single total
-    /// order (module docs; the paper's R1 commit-point discipline).
-    /// Writer side of `wmm::proto`'s `native_flip_dekker` litmus.
-    #[inline]
-    fn publish(&self, idx: usize) {
-        self.active.store(idx, Ordering::SeqCst);
+    /// Takes the writer mutex. Under a `sched` schedule a blocked lock
+    /// would stall the one thread that runs while the holder waits for
+    /// the baton, so it is a `try_lock` that hands the baton on instead.
+    fn lock(&self) -> MutexGuard<'_, LeafMap> {
+        if sched::is_scheduled() {
+            let mut backoff = sched::Backoff::new();
+            loop {
+                match self.writer.try_lock() {
+                    Ok(map) => return map,
+                    Err(TryLockError::WouldBlock) => backoff.snooze(),
+                    Err(TryLockError::Poisoned(_)) => {
+                        panic!("a writer panicked inside its publication cycle")
+                    }
+                }
+            }
+        }
+        self.writer
+            .lock()
+            .expect("a writer panicked inside its publication cycle")
     }
 }
 
@@ -219,11 +209,16 @@ impl NativeBackend {
 
     /// Runs `f` inside one epoch read section of slot `tid`, with
     /// `picked` (one cell per shard) as the section's memory of the
-    /// copies it chose.
+    /// versions it chose.
     #[inline]
-    fn read<R>(&self, tid: usize, picked: &[Cell<u8>], f: impl FnOnce(&Section) -> R) -> R {
+    fn read<'a, R>(
+        &'a self,
+        tid: usize,
+        picked: &[Cell<Option<Snapshot<'a>>>],
+        f: impl FnOnce(&Section<'_, 'a>) -> R,
+    ) -> R {
         for pick in picked {
-            pick.set(UNPICKED);
+            pick.set(None);
         }
         self.epochs.enter(tid);
         let out = f(&Section {
@@ -250,9 +245,9 @@ impl NativeBackend {
 }
 
 /// The native store's [`StoreLoader`]: one [`LeafMap`] per shard and
-/// nothing else — no mutex, flip, grace period or replay, each op
-/// applied once. [`StoreLoader::finish`] clones every map into its
-/// shard's second copy.
+/// nothing else — no mutex, flip or grace period, each op applied once
+/// and in place. [`StoreLoader::finish`] publishes each map as its
+/// shard's first version.
 pub struct NativeLoader {
     maps: Vec<LeafMap>,
     max_threads: usize,
@@ -291,21 +286,20 @@ impl StoreBackend for NativeBackend {
 
 /// Per-thread session over [`NativeBackend`]: an epoch slot plus the
 /// scratch a publication cycle reuses across calls — the barrier
-/// snapshot buffer, the per-shard op-index groups, and the shards the
-/// running cycle has flipped but not yet replayed (empty between
-/// cycles) — and the per-shard picks of a read section.
+/// snapshot buffer, the per-shard op-index groups, and the writers of
+/// the shards the running cycle has flipped but not yet freed (empty
+/// between cycles) — and the per-shard picks of a read section.
 struct NativeSession<'a> {
     backend: &'a NativeBackend,
     tid: usize,
     st: ThreadStats,
     snap: Vec<u64>,
     groups: Vec<Vec<usize>>,
-    /// `(shard, its writer guard, the copy the flip retired)`.
-    held: Vec<(usize, MutexGuard<'a, ()>, usize)>,
-    picked: Vec<Cell<u8>>,
+    held: Vec<MutexGuard<'a, LeafMap>>,
+    picked: Vec<Cell<Option<Snapshot<'a>>>>,
 }
 
-/// Applies one mutation to one map copy.
+/// Applies one mutation to a map.
 fn apply_one(map: &mut LeafMap, op: &MutOp) -> MutReply {
     match *op {
         MutOp::Put { key, value } => MutReply::Put(Ok(match map.insert(key, value) {
@@ -320,7 +314,7 @@ impl StoreSession for NativeSession<'_> {
     fn get(&mut self, key: u64) -> Option<u64> {
         let n_shards = self.backend.shards.len();
         let out = self.backend.read(self.tid, &self.picked, |sec| {
-            sec.copy(shard_index(key, n_shards)).get(key)
+            sec.pick(shard_index(key, n_shards)).get(key)
         });
         // Reads are uninstrumented, exactly as under simulated RW-LE.
         self.st.commit(CommitKind::Uninstrumented);
@@ -336,11 +330,11 @@ impl StoreSession for NativeSession<'_> {
                 // run pays about one miss latency, not one per key.
                 let mut spots = [None; GET_RUN];
                 for (spot, &key) in spots.iter_mut().zip(run) {
-                    let map = sec.copy(shard_index(key, n_shards));
-                    *spot = Some((map, map.locate(key)));
+                    let version = sec.pick(shard_index(key, n_shards));
+                    *spot = Some((version, version.locate(key)));
                 }
-                for ((map, spot), &key) in spots.into_iter().flatten().zip(run) {
-                    out.push(map.get_at(spot, key));
+                for ((version, spot), &key) in spots.into_iter().flatten().zip(run) {
+                    out.push(version.get_at(spot, key));
                 }
             });
             for _ in run {
@@ -365,11 +359,11 @@ impl StoreSession for NativeSession<'_> {
                 for lo in (0..covered).step_by(GET_RUN) {
                     let mut spots = [None; GET_RUN];
                     for (spot, i) in spots.iter_mut().zip(lo..covered) {
-                        let map = sec.copy((first + i) % n_shards);
-                        *spot = Some((map, map.locate(start)));
+                        let version = sec.pick((first + i) % n_shards);
+                        *spot = Some((version, version.locate(start)));
                     }
-                    for (map, spot) in spots.into_iter().flatten() {
-                        map.range_at(spot, keys.clone(), out);
+                    for (version, spot) in spots.into_iter().flatten() {
+                        version.range_at(spot, keys.clone(), out);
                     }
                 }
             });
@@ -391,7 +385,7 @@ impl StoreSession for NativeSession<'_> {
     /// The durable override: the log needs the batch's commit order
     /// pinned while its one record is appended, so every touched shard
     /// goes through a *single* cycle that keeps each guard until after
-    /// the append (flips → append → one barrier → replays → unlock).
+    /// the append (flips → append → one barrier → frees → unlock).
     /// Two batches that conflict on any shard serialize their appends
     /// through that shard's lock, so log order equals commit order
     /// without a global order lock — and the group-commit fsync the
@@ -419,26 +413,26 @@ impl<'a> NativeSession<'a> {
             snap: Vec::new(),
             groups: vec![Vec::new(); backend.shards.len()],
             held: Vec::new(),
-            picked: vec![Cell::new(UNPICKED); backend.shards.len()],
+            picked: vec![Cell::new(None); backend.shards.len()],
         }
     }
 
-    /// The unit of publication, and the only place a copy is retired:
-    /// for each shard of `span` with a non-empty group — lock, apply the
-    /// group to the inactive copy, SeqCst flip; then the log append (if
-    /// any), one grace period, and per shard the replay into the retired
-    /// copy followed by its unlock.
+    /// The unit of publication, and the only place a node is retired or
+    /// freed: for each shard of `span` with a non-empty group — lock,
+    /// apply the group (each op copying what of its path the published
+    /// version still reaches), SeqCst flip; then the log append (if
+    /// any), one grace period, and per shard the free of the nodes the
+    /// old root alone reached, followed by its unlock.
     ///
-    /// A shard flips once per cycle (a second flip before the replay
-    /// would hand readers a copy missing the first group), so its whole
-    /// group is applied before the one publication. The barrier takes
-    /// its grace snapshot at entry, i.e. after the span's last flip,
-    /// which is what lets one grace period cover every copy the span
-    /// retired: a reader still on any of them has an odd clock at the
-    /// scan (module docs). Volatile callers pass one-shard spans and so
-    /// hold one mutex at a time. Only a durable batch spans several
-    /// shards; it takes them in ascending order, which cannot deadlock
-    /// against another ascending span or a holder of a single lock.
+    /// A shard flips once per cycle, after its group's last op, so
+    /// readers see the whole group or none of it. The barrier takes its
+    /// grace snapshot at entry, i.e. after the span's last flip, which
+    /// is what lets one grace period cover every root the span retired:
+    /// a reader still on any of them has an odd clock at the scan
+    /// (module docs). Volatile callers pass one-shard spans and so hold
+    /// one mutex at a time. Only a durable batch spans several shards;
+    /// it takes them in ascending order, which cannot deadlock against
+    /// another ascending span or a holder of a single lock.
     fn cycle(
         &mut self,
         span: Range<usize>,
@@ -452,22 +446,19 @@ impl<'a> NativeSession<'a> {
             if self.groups[s].is_empty() {
                 continue;
             }
-            let shard = &backend.shards[s];
-            let guard = shard
-                .writer
-                .lock()
-                .expect("a writer panicked inside its publication cycle");
-            let active = shard.writer_active_idx();
-            // SAFETY: the inactive copy is private to the mutex-holding
-            // writer — readers dereference only the active index, and
-            // the previous cycle's grace period already drained everyone
-            // who saw this copy as active.
-            let map = unsafe { &mut *shard.slots[1 - active].get() };
+            let mut map = backend.shards[s].lock();
             for &i in &self.groups[s] {
-                replies[i] = apply_one(map, &ops[i]);
+                // The path copy: this op's leaf and its ancestors, those
+                // the group has not copied yet.
+                sched::step();
+                replies[i] = apply_one(&mut map, &ops[i]);
+                // The publication flip stands in for a ROT's aggregate
+                // store: one ROT commit per mutation.
+                self.st.commit(CommitKind::Rot);
             }
-            shard.publish(1 - active);
-            self.held.push((s, guard, active));
+            sched::step();
+            map.publish();
+            self.held.push(map);
         }
         if self.held.is_empty() {
             return NO_LSN;
@@ -478,6 +469,7 @@ impl<'a> NativeSession<'a> {
         // `ops` *is* the effective write-set. The wal lock nests
         // strictly inside the shard locks, so lock order is acyclic.
         let lsn = sink.map_or(NO_LSN, |sink| sink.append(ops));
+        sched::step();
         let barrier = backend
             .epochs
             .synchronize_in(Some(self.tid), &mut self.snap);
@@ -485,19 +477,14 @@ impl<'a> NativeSession<'a> {
         self.st.barriers_shared += barrier.shared as u64;
         out.barriers += !barrier.shared as u64;
         out.shared += barrier.shared as u64;
-        for (s, _guard, retired) in self.held.drain(..) {
-            // SAFETY: the grace period drained every reader that could
-            // have loaded `retired` as its index, and `_guard` still
-            // excludes other writers until the end of this iteration.
-            // Both copies were identical before the cycle, so replaying
-            // the group restores that.
-            let map = unsafe { &mut *backend.shards[s].slots[retired].get() };
-            for &i in &self.groups[s] {
-                apply_one(map, &ops[i]);
-                // The publication flip stands in for a ROT's aggregate
-                // store: one ROT commit per mutation.
-                self.st.commit(CommitKind::Rot);
-            }
+        // Under a schedule, freed nodes are poisoned: a reader that
+        // reaches one panics instead of reading a reused node.
+        let poison = sched::is_scheduled();
+        for mut map in self.held.drain(..) {
+            // The grace period drained every reader that could have
+            // picked a root older than this cycle's flip.
+            sched::step();
+            map.reclaim(poison);
         }
         lsn
     }
@@ -526,7 +513,8 @@ impl<'a> NativeSession<'a> {
 
 /// Single-global-lock canary over plain process memory: one mutex around
 /// one [`LeafMap`] (the container the RW-LE store uses, so the pair
-/// differs in synchronisation only), none of the elision machinery. This is the
+/// differs in synchronisation only), none of the elision machinery. It
+/// never publishes, so every write changes the map in place. This is the
 /// `--scheme SGL --backend native` baseline the CI batching gate
 /// normalizes against — it reports the `"native"` backend label so
 /// `regress --relative-to SGL` can match it to the RW-LE native rows at
@@ -603,14 +591,14 @@ struct SglSession<'a> {
 
 impl StoreSession for SglSession<'_> {
     fn get(&mut self, key: u64) -> Option<u64> {
-        let out = self.backend.map.lock().unwrap().get(key);
+        let out = self.backend.map.lock().unwrap().snapshot().get(key);
         self.st.commit(CommitKind::Sgl);
         out
     }
 
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>) {
         if let Some(keys) = scan_keys(start, count) {
-            self.backend.map.lock().unwrap().range(keys, out);
+            self.backend.map.lock().unwrap().snapshot().range(keys, out);
         }
         self.st.commit(CommitKind::Sgl);
     }
@@ -646,19 +634,21 @@ pub(crate) mod tests {
         groups.iter().filter(|g| !g.is_empty()).count() as u64
     }
 
-    /// The identical-copies invariant, checked once nothing is running.
-    fn assert_copies_identical(backend: &mut NativeBackend) {
+    /// The one image of each shard, checked once nothing is running:
+    /// the published root reaches the whole map, and every node the map
+    /// handed out is reachable from it or free — none retired and left
+    /// behind, none lost.
+    fn assert_one_image(backend: &mut NativeBackend) {
         for shard in &mut backend.shards {
-            let [a, b] = &mut shard.slots;
-            assert_eq!(a.get_mut(), b.get_mut());
+            shard.writer.get_mut().unwrap().audit_published();
         }
     }
 
-    /// The load path applies each op once, to one copy, and `finish`
-    /// clones it: the copies are equal. (That the loaded store equals
-    /// the published one is `wal`'s `native_backend_replay_equals_store`.)
+    /// The load path applies each op once, in place, and `finish`
+    /// publishes each map as it is. (That the loaded store equals the
+    /// published one is `wal`'s `native_backend_replay_equals_store`.)
     #[test]
-    fn a_loaded_store_has_identical_copies() {
+    fn a_loaded_store_is_one_whole_image() {
         let records: [&[MutOp]; 4] = [
             &[MutOp::Put { key: 3, value: 1 }, MutOp::Del { key: 5 }],
             &[],
@@ -676,11 +666,11 @@ pub(crate) mod tests {
         for ops in records {
             loader.apply(ops).unwrap();
         }
-        assert_copies_identical(&mut loader.finish());
+        assert_one_image(&mut loader.finish());
     }
 
     #[test]
-    fn copies_stay_identical_after_writes() {
+    fn the_image_stays_whole_after_writes() {
         let mut backend = NativeBackend::create(2, 2, 20);
         {
             let mut s = backend.session();
@@ -688,7 +678,7 @@ pub(crate) mod tests {
             s.del(5);
             s.put(3, 99).unwrap();
         }
-        assert_copies_identical(&mut backend);
+        assert_one_image(&mut backend);
     }
 
     #[test]
@@ -744,7 +734,7 @@ pub(crate) mod tests {
         let st = s.take_stats();
         assert_eq!(st.commits(CommitKind::Rot), 5);
         drop(s);
-        assert_copies_identical(&mut backend);
+        assert_one_image(&mut backend);
     }
 
     /// `want` disjoint key pairs `(k, k + d)` from `from` upwards whose
@@ -765,7 +755,7 @@ pub(crate) mod tests {
     /// written with equal values in one batch never differ to a reader
     /// that looks at both inside one read section (a scan, or both keys
     /// in one `get_many`), and never run backwards across two (a get of
-    /// each). Real threads, so this also drives replay-vs-reader on
+    /// each). Real threads, so this also drives frees-vs-reader on
     /// plain memory.
     #[test]
     fn shard_groups_are_never_seen_torn() {
@@ -834,7 +824,7 @@ pub(crate) mod tests {
                 assert_eq!(s.get(b), Some(ROUNDS));
             }
             drop(s);
-            assert_copies_identical(&mut backend);
+            assert_one_image(&mut backend);
         }
     }
 
@@ -953,7 +943,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// What the shard layout buys: a scan's section picks the copies of
+    /// What the shard layout buys: a scan's section picks the roots of
     /// the shards its blocks live on and no others — at most two for 64
     /// pairs from any start, `min(17, n)` for 1024 pairs from mid-block
     /// (16 from a block edge). A section resets its cells when it starts,
@@ -967,7 +957,7 @@ pub(crate) mod tests {
             let mut s = NativeSession::new(&backend);
             let mut picks = |start, count| {
                 s.scan(start, count, &mut Vec::new());
-                s.picked.iter().filter(|p| p.get() != UNPICKED).count()
+                s.picked.iter().filter(|p| p.get().is_some()).count()
             };
             for start in [0, 1, 63, 64, 100, 1000, 4090, TOP - 64, TOP - 63, TOP] {
                 let two = picks(start, 64);

@@ -2,7 +2,8 @@
 //! `get_many` and `scan` touch the heap only to grow the caller's output
 //! buffer (the `epoch/tests/alloc_free.rs` pattern, one level up — a read
 //! section that allocated would hold a writer's barrier behind the
-//! allocator's lock).
+//! allocator's lock). So is the native store's write path: a cycle's
+//! path copies take the nodes an earlier cycle freed.
 //!
 //! A counting global allocator tallies this thread's allocations in a
 //! const-initialised `thread_local!` `Cell` (no lazy initialisation, so
@@ -12,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use workloads::backend::SimBackend;
+use workloads::backend::{MutOp, SimBackend};
 use workloads::native::{NativeBackend, SglBackend};
 use workloads::sharded::buckets_per_shard;
 use workloads::{SchemeKind, StoreBackend};
@@ -101,4 +102,42 @@ fn sim_reads_are_allocation_free_when_warm() {
     let buckets = buckets_per_shard(KEYS, 16);
     let backend = SimBackend::create(SchemeKind::RwLeOpt, 16, buckets, KEYS, 0, 1, 1).unwrap();
     assert_eq!(allocs_over_warm_reads(&backend), 0, "a sim read allocated");
+}
+
+/// A warm native `apply_batch` allocates nothing: each cycle copies the
+/// nodes its group's paths reach and retires the originals, and after
+/// its grace period hands them back for the next cycle's copies, while
+/// the session's scratch (groups, held writers, barrier snapshot) and
+/// each map's descent path keep their capacity. The keys are the same
+/// every round, so every round retires as many nodes per shard as the
+/// warm-up round did.
+#[test]
+fn native_batches_are_allocation_free_when_warm() {
+    let backend = NativeBackend::create(16, 1, KEYS);
+    let mut sess = backend.session();
+    let mut replies = Vec::new();
+    let mut round = |r: u64| {
+        let ops: Vec<MutOp> = (0..24u64)
+            .flat_map(|i| {
+                let key = i * 613 % KEYS;
+                // An update, and a delete and re-insert of a second key.
+                [
+                    MutOp::Put { key, value: r },
+                    MutOp::Del { key: key + 1 },
+                    MutOp::Put {
+                        key: key + 1,
+                        value: r,
+                    },
+                ]
+            })
+            .collect();
+        let before = ALLOCS.with(Cell::get);
+        let out = sess.apply_batch(&ops, &mut replies);
+        assert!(out.barriers + out.shared > 0);
+        ALLOCS.with(Cell::get) - before
+    };
+    round(0);
+    round(1);
+    let allocs: u64 = (2..=500).map(&mut round).sum();
+    assert_eq!(allocs, 0, "a warm native batch allocated");
 }

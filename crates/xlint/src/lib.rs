@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 /// The crates whose `Ordering::*` sites the manifest must cover and to
 /// which all five lints apply. `workloads` joined the list when the
-/// native backend landed: its double-buffer publication runs on real
+/// native backend landed: its copy-on-write publication runs on real
 /// hardware memory, so its orderings are protocol, not hygiene.
 /// `rind` joined with the reader-indicator layer: its bias word and
 /// visible-readers table are the read-side half of the NS fallback
