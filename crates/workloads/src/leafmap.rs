@@ -629,7 +629,7 @@ impl LeafMap {
         // published version reaches it and no reader holds it; `&mut
         // self` is the writer's one handle on it.
         let leaf = unsafe { &mut *self.tree.leaves.at(id) };
-        debug_assert_eq!(leaf.born, self.version, "leaf {id} is published");
+        assert_eq!(leaf.born, self.version, "leaf {id} is published");
         leaf
     }
 
@@ -637,7 +637,7 @@ impl LeafMap {
     fn inner_mut(&mut self, id: u32) -> &mut Inner {
         // SAFETY: as in `leaf_mut`: a node of the version being built.
         let inner = unsafe { &mut *self.tree.inners.at(id) };
-        debug_assert_eq!(inner.born, self.version, "inner {id} is published");
+        assert_eq!(inner.born, self.version, "inner {id} is published");
         inner
     }
 
