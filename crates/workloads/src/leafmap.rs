@@ -625,20 +625,20 @@ impl LeafMap {
     /// Leaf `id`, which the version being built allocated, to change in
     /// place.
     fn leaf_mut(&mut self, id: u32) -> &mut Leaf {
-        // SAFETY: `id` was allocated in the version being built, so no
-        // published version reaches it and no reader holds it; `&mut
-        // self` is the writer's one handle on it.
-        let leaf = unsafe { &mut *self.tree.leaves.at(id) };
-        assert_eq!(leaf.born, self.version, "leaf {id} is published");
-        leaf
+        let born = self.tree.leaves.node(id).born;
+        assert_eq!(born, self.version, "leaf {id} is published");
+        // SAFETY: `id` was allocated in the version being built (just
+        // checked), so no published version reaches it and no reader
+        // holds it; `&mut self` is the writer's one handle on it.
+        unsafe { &mut *self.tree.leaves.at(id) }
     }
 
     /// [`LeafMap::leaf_mut`] for an inner node.
     fn inner_mut(&mut self, id: u32) -> &mut Inner {
+        let born = self.tree.inners.node(id).born;
+        assert_eq!(born, self.version, "inner {id} is published");
         // SAFETY: as in `leaf_mut`: a node of the version being built.
-        let inner = unsafe { &mut *self.tree.inners.at(id) };
-        assert_eq!(inner.born, self.version, "inner {id} is published");
-        inner
+        unsafe { &mut *self.tree.inners.at(id) }
     }
 
     /// Descends to `key`'s leaf, recording the way in `self.path`.
