@@ -348,7 +348,16 @@ impl Server {
                 }
                 let stream = match conn {
                     Ok(c) => c,
-                    Err(_) => continue,
+                    Err(_) => {
+                        // At the fd limit `accept` fails at once for as
+                        // long as the backlog holds a connection; back
+                        // off instead of spinning, and go round to the
+                        // shutdown check.
+                        // xlint: allow(a5) -- a retry delay, not a test
+                        // window: no event says a descriptor was freed.
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        continue;
+                    }
                 };
                 Counters::inc(&shared.counters.conns);
                 // The slot guard releases on every exit path — worker
@@ -452,6 +461,11 @@ fn load<L: StoreLoader>(
 fn bad_log(e: wal::WalError) -> io::Error {
     io::Error::other(format!("wal: {e}"))
 }
+
+/// How long the acceptor waits after a failed `accept` (EMFILE at the
+/// fd limit, a connection reset before it was taken) before it tries
+/// again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Poller token reserved for the worker's waker eventfd.
 const WAKE_TOKEN: u64 = u64::MAX;

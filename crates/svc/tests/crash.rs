@@ -8,7 +8,7 @@
 //!
 //! The server runs as a real child process (`CARGO_BIN_EXE_rwled`) so
 //! the kill is a genuine SIGKILL of the whole address space, not a
-//! cooperative shutdown: page-cache state, the flusher thread and any
+//! cooperative shutdown: page-cache state, an fsync in flight and any
 //! half-written record die exactly the way a power-cut leaves them.
 //! The load generator runs in-process (the `loadgen` library) with
 //! journaling on, so the ack journal survives in our memory when the

@@ -9,10 +9,19 @@
 //! one barrier; under the sink's order mutex elsewhere). The staged
 //! bytes reach the file in one `write` when somebody needs them there —
 //! the ack gate ([`DurableSink::wait_durable`], once per server
-//! wake-up), the group-commit thread before an `fdatasync`, a segment
-//! rotation, the drop — so no lock that pins commit order is ever held
-//! across a system call, and a wake-up that appended many records pays
-//! for one.
+//! wake-up), whoever leads an `fdatasync`, a segment rotation, the drop
+//! — so no lock that pins commit order is ever held across a system
+//! call, and a wake-up that appended many records pays for one.
+//!
+//! Group commit needs no thread of its own. Under
+//! [`FsyncPolicy::Batch`] a waiter whose record is not yet durable
+//! leads the next fsync itself when none is in flight: it writes what
+//! is staged, syncs outside the lock and publishes the frontier; the
+//! waiters that found a sync in flight follow it, and the records
+//! staged meanwhile ride the next leader's sync. Only
+//! [`FsyncPolicy::Interval`] runs a thread, a ticker that syncs every
+//! interval while records are pending, since nobody waits for those
+//! syncs.
 //!
 //! Three frontiers, each chasing the one before it: **staged** (the
 //! highest LSN encoded, `appended`), **written** (the highest LSN
@@ -37,7 +46,7 @@ use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -112,7 +121,7 @@ pub struct WalStats {
 
 /// Most bytes the staging buffer holds once an append has returned: an
 /// appender that never waits (a log being generated, a backlog behind a
-/// slow flusher) writes inline at this mark instead of growing it.
+/// slow fsync) writes inline at this mark instead of growing it.
 const STAGE_CAP: usize = 32 << 10;
 
 /// A failed log write must not ack. Every site that writes holds the
@@ -120,8 +129,16 @@ const STAGE_CAP: usize = 32 << 10;
 /// waiter on any worker fails too instead of acking past the hole.
 const WRITE_FAILED: &str = "wal write failed";
 
+/// A failed fsync must not ack either, and panics the same way.
+const FSYNC_FAILED: &str = "wal fsync failed";
+
+/// What the next locker of a poisoned log reports: it fails stop too.
+const POISONED: &str = "wal poisoned by a failed write or fsync";
+
 struct WalInner {
-    file: File,
+    /// The current segment; a sync runs on a clone of the `Arc`, outside
+    /// the lock, so no file handle is ever duplicated.
+    file: Arc<File>,
     /// Bytes of the current segment, staged ones included (header too).
     seg_bytes: u64,
     next_lsn: Lsn,
@@ -132,6 +149,9 @@ struct WalInner {
     written: Lsn,
     /// Encoded records not yet written, in LSN order.
     stage: Vec<u8>,
+    /// An fsync runs outside the lock; the next one waits for it.
+    syncing: bool,
+    /// Set by the drop: the ticker returns.
     stop: bool,
     stats: WalStats,
 }
@@ -150,20 +170,19 @@ impl WalInner {
     }
 }
 
-/// State shared between appenders and the group-commit thread. The
-/// flusher owns an `Arc<WalShared>` (never the outer [`Wal`], which
-/// would cycle and leak the thread).
+/// State shared between appenders, waiters and the interval ticker,
+/// which owns an `Arc<WalShared>` (never the outer [`Wal`], which would
+/// cycle and leak the thread).
 struct WalShared {
     dir: PathBuf,
     policy: FsyncPolicy,
     segment_bytes: u64,
     inner: Mutex<WalInner>,
-    /// Wakes the flusher when there is new work (Batch policy).
-    work: Condvar,
-    /// Wakes `wait_durable` callers when the frontier advances.
+    /// Wakes the followers of an fsync when it completes, and the
+    /// ticker at the drop.
     durable_cv: Condvar,
-    /// Highest LSN covered by a completed fsync. Written by the
-    /// flusher, read lock-free on the reply fast path.
+    /// Highest LSN covered by a completed fsync. Published by whoever
+    /// led that fsync, read lock-free on the reply fast path.
     durable: AtomicU64,
     /// Serializes execute+append for backends that cannot pin commit
     /// order themselves; doubles as the write-set scratch buffer.
@@ -173,75 +192,58 @@ struct WalShared {
 impl WalShared {
     /// Highest LSN covered by a completed fsync.
     fn durable_frontier(&self) -> Lsn {
-        // Acquire pairs with the flusher's Release store: a frontier
+        // Acquire pairs with the Release store in `sync`: a frontier
         // observation carries visibility of every write()/fsync that
         // produced it, so a reply released by `wait_durable` can never
         // outrun its own record reaching the disk.
         self.durable.load(Ordering::Acquire)
     }
 
-    /// Publishes a new durable frontier and wakes waiters. Takes the
-    /// inner lock around store+notify so a waiter cannot check the
-    /// predicate and park in between (the classic lost-wakeup race).
-    fn publish_durable(&self, target: Lsn) {
-        let _inner = self.inner.lock().unwrap();
-        // Release pairs with the Acquire in `durable_frontier`; see
-        // there.
-        self.durable.store(target, Ordering::Release);
+    /// Leads one fsync (the caller holds the lock and no sync is in
+    /// flight): writes what is staged — what the sync is to cover has to
+    /// be in the file first — syncs with the lock released, publishes
+    /// the frontier and wakes the followers. Everything up to the target
+    /// is in the current segment or in an older one sealed at rotation,
+    /// so one `sync_data` covers the whole range. Returns the re-taken
+    /// lock.
+    fn sync<'a>(&'a self, mut inner: MutexGuard<'a, WalInner>) -> MutexGuard<'a, WalInner> {
+        inner.write_staged().expect(WRITE_FAILED);
+        let (file, target) = (Arc::clone(&inner.file), inner.appended);
+        inner.syncing = true;
+        inner.stats.fsyncs += 1;
+        drop(inner);
+        let synced = file.sync_data();
+        let mut inner = self.inner.lock().expect(POISONED);
+        inner.syncing = false;
         self.durable_cv.notify_all();
+        // A failed fsync must not ack: panicking with the lock held
+        // poisons it, so the followers just woken, and every later
+        // appender or waiter, fail stop instead of parking for good.
+        synced.expect(FSYNC_FAILED);
+        // Release pairs with the Acquire in `durable_frontier`. The store
+        // is made under the lock, and the followers woken above re-check
+        // only once they hold it, so none can check the frontier and
+        // park in between (the classic lost-wakeup race).
+        self.durable.store(target, Ordering::Release);
+        inner
     }
 
-    fn flusher_loop(&self) {
-        let mut last_sync = Instant::now();
-        loop {
-            let (file, target, stop);
-            {
-                let mut inner = self.inner.lock().unwrap();
-                while !inner.stop {
-                    let pending = inner.appended > self.durable_frontier();
-                    inner = match self.policy {
-                        // The cadence holds under load too: with appends
-                        // pending, what is left of `d` since the last
-                        // sync is still slept out.
-                        FsyncPolicy::Interval(d) => {
-                            let left = d.saturating_sub(last_sync.elapsed());
-                            if pending && left.is_zero() {
-                                break;
-                            }
-                            let nap = if left.is_zero() { d } else { left };
-                            self.work.wait_timeout(inner, nap).unwrap().0
-                        }
-                        _ if pending => break,
-                        _ => self.work.wait(inner).unwrap(),
-                    };
-                }
-                stop = inner.stop;
-                target = inner.appended;
-                if target <= self.durable_frontier() {
-                    // Only a stop leaves the wait with nothing pending.
-                    return;
-                }
-                // What the sync is to cover has to be in the file first.
-                inner.write_staged().expect(WRITE_FAILED);
-                // Clone the fd so the (possibly slow) fsync runs
-                // outside the append lock. Everything ≤ target is in
-                // this file or in an older segment already synced at
-                // rotation, so one sync_data covers the whole range.
-                file = match inner.file.try_clone() {
-                    Ok(f) => f,
-                    Err(_) => continue,
-                };
-                inner.stats.fsyncs += 1;
+    /// The interval ticker: every `every`, syncs what is pending. The
+    /// cadence holds under load too — a wake-up before the deadline
+    /// sleeps out what is left of it.
+    fn tick(&self, every: Duration) {
+        let mut inner = self.inner.lock().expect(POISONED);
+        let mut due = Instant::now() + every;
+        while !inner.stop {
+            let left = due.saturating_duration_since(Instant::now());
+            if !left.is_zero() {
+                inner = self.durable_cv.wait_timeout(inner, left).expect(POISONED).0;
+                continue;
             }
-            // A failed fsync must not ack: the frontier below would
-            // release replies for records that may not be on disk, so
-            // this fails stop like a failed write does.
-            file.sync_data().expect("wal fsync failed");
-            last_sync = Instant::now();
-            self.publish_durable(target);
-            if stop {
-                return;
+            if inner.appended > self.durable_frontier() {
+                inner = self.sync(inner);
             }
+            due = Instant::now() + every;
         }
     }
 
@@ -265,10 +267,6 @@ impl WalShared {
         if inner.stage.len() >= STAGE_CAP {
             inner.write_staged().expect(WRITE_FAILED);
         }
-        drop(inner);
-        if matches!(self.policy, FsyncPolicy::Batch) {
-            self.work.notify_one();
-        }
         lsn
     }
 
@@ -276,11 +274,12 @@ impl WalShared {
     /// were counted into it — then seals it (fsync) and opens the next
     /// one. Runs synchronously in the appender: rotation is rare (once
     /// per `segment_bytes`) and keeping old segments fully durable
-    /// before any new-segment append means the flusher only ever needs
-    /// to sync the *current* file.
+    /// before any new-segment append means a sync only ever needs to
+    /// cover the *current* file. A sync in flight on the old file covers
+    /// what it targeted all the same.
     ///
-    /// [`FsyncPolicy::Off`] seals nothing: it promises no fsync, there
-    /// is no flusher to rely on the sealed segments, and syncing a whole
+    /// [`FsyncPolicy::Off`] seals nothing: it promises no fsync, no sync
+    /// relies on the sealed segments, and syncing a whole
     /// segment here would stall every appender behind the log's lock
     /// for as long as the device takes (measured 140–170 ms per 64 MiB),
     /// once per segment — i.e. the more often the faster the server
@@ -289,12 +288,12 @@ impl WalShared {
         inner.write_staged().expect(WRITE_FAILED);
         let seal = !matches!(self.policy, FsyncPolicy::Off);
         if seal {
-            inner.file.sync_data().expect("wal fsync failed");
+            inner.file.sync_data().expect(FSYNC_FAILED);
             inner.stats.fsyncs += 1;
         }
         let (file, seg_bytes) =
             new_segment(&self.dir, inner.next_lsn, seal).expect("wal segment rotation failed");
-        inner.file = file;
+        inner.file = Arc::new(file);
         inner.seg_bytes = seg_bytes;
     }
 }
@@ -302,11 +301,12 @@ impl WalShared {
 /// A writable redo log rooted at one directory.
 ///
 /// `Wal` is `Sync`: many sessions append concurrently (each append is
-/// one short critical section), one background thread group-commits.
-/// Dropping the `Wal` stops and joins the flusher.
+/// one short critical section), and under `batch` their waits lead and
+/// follow the group commits. Dropping the `Wal` stops and joins the
+/// `interval` ticker.
 pub struct Wal {
     shared: Arc<WalShared>,
-    flusher: Option<JoinHandle<()>>,
+    ticker: Option<JoinHandle<()>>,
 }
 
 impl Wal {
@@ -335,32 +335,33 @@ impl Wal {
             policy,
             segment_bytes: segment_bytes.max(record::SEGMENT_HEADER as u64 + 1),
             inner: Mutex::new(WalInner {
-                file,
+                file: Arc::new(file),
                 seg_bytes,
                 next_lsn,
                 appended: next_lsn - 1,
                 written: next_lsn - 1,
                 stage: Vec::new(),
+                syncing: false,
                 stop: false,
                 stats: WalStats::default(),
             }),
-            work: Condvar::new(),
             durable_cv: Condvar::new(),
             durable: AtomicU64::new(next_lsn - 1),
             order: Mutex::new(Vec::new()),
         });
-        let flusher = if matches!(policy, FsyncPolicy::Off) {
-            None
-        } else {
-            let for_thread = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("wal-flusher".into())
-                    .spawn(move || for_thread.flusher_loop())
-                    .map_err(WalError::Io)?,
-            )
+        let ticker = match policy {
+            FsyncPolicy::Interval(every) => {
+                let for_thread = Arc::clone(&shared);
+                Some(
+                    std::thread::Builder::new()
+                        .name("wal-ticker".into())
+                        .spawn(move || for_thread.tick(every))
+                        .map_err(WalError::Io)?,
+                )
+            }
+            FsyncPolicy::Batch | FsyncPolicy::Off => None,
         };
-        Ok(Wal { shared, flusher })
+        Ok(Wal { shared, ticker })
     }
 
     /// The fsync policy this log was opened with.
@@ -406,21 +407,27 @@ impl DurableSink for Wal {
     /// record still in the staging buffer dies with the process, and an
     /// ack must not. One call covers every record staged so far, so a
     /// wake-up that waits once on its highest LSN pays one `write`.
-    /// [`FsyncPolicy::Batch`] then waits for the covering fsync.
+    /// [`FsyncPolicy::Batch`] then waits for the covering fsync: it
+    /// follows the one in flight, or leads the next.
     fn wait_durable(&self, lsn: Lsn) {
-        if lsn == NO_LSN || self.shared.durable_frontier() >= lsn {
+        let shared = &*self.shared;
+        if lsn == NO_LSN || shared.durable_frontier() >= lsn {
             return;
         }
-        let mut inner = self.shared.inner.lock().unwrap();
+        let mut inner = shared.inner.lock().expect(POISONED);
         if inner.written < lsn {
             // A failed write must not ack: panicking here, with the
             // lock held, tears this worker down before any reply of its
             // wake-up is flushed and poisons the log for the others.
             inner.write_staged().expect(WRITE_FAILED);
         }
-        if matches!(self.shared.policy, FsyncPolicy::Batch) {
-            while self.shared.durable_frontier() < lsn && !inner.stop {
-                inner = self.shared.durable_cv.wait(inner).unwrap();
+        if matches!(shared.policy, FsyncPolicy::Batch) {
+            while shared.durable_frontier() < lsn {
+                inner = if inner.syncing {
+                    shared.durable_cv.wait(inner).expect(POISONED)
+                } else {
+                    shared.sync(inner)
+                };
             }
         }
     }
@@ -429,26 +436,24 @@ impl DurableSink for Wal {
 impl Drop for Wal {
     fn drop(&mut self) {
         // A poisoned lock means a write or fsync already failed and the
-        // process is failing stop: nothing more is written, and the
-        // flusher finds the same poison on its own.
-        if let Ok(mut inner) = self.shared.inner.lock() {
+        // process is failing stop: nothing more is written or synced,
+        // and the ticker finds the same poison on its own.
+        let clean = self.shared.inner.lock().map(|mut inner| {
             inner.stop = true;
             // Records nobody waited for (a log being generated): every
             // acked one was written by its `wait_durable`.
             if let Err(e) = inner.write_staged() {
                 eprintln!("wal: staged records lost at close: {e}");
             }
-        }
-        self.shared.work.notify_all();
+        });
         self.shared.durable_cv.notify_all();
-        if let Some(handle) = self.flusher.take() {
+        if let Some(handle) = self.ticker.take() {
             let _ = handle.join();
-        } else if let Ok(inner) = self.shared.inner.lock() {
-            // Off policy: best-effort final sync so a clean shutdown
-            // still leaves a complete log on disk — the current
-            // segment, the ones rotation left unsealed, and their
-            // directory entries.
-            let _ = inner.file.sync_data();
+        }
+        if clean.is_ok() {
+            // Best effort, so a clean shutdown leaves a complete log on
+            // disk under every policy: the segments (`off` seals none at
+            // rotation) and their directory entries.
             for (_, path) in recover::list_segments(&self.shared.dir).unwrap_or_default() {
                 let _ = File::open(path).and_then(|f| f.sync_data());
             }

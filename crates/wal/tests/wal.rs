@@ -51,7 +51,7 @@ fn segment_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Never reached within a test: an `interval` log whose flusher stays
+/// Never reached within a test: an `interval` log whose ticker stays
 /// out of the way until the drop.
 const NEVER: Duration = Duration::from_secs(3600);
 
@@ -285,7 +285,9 @@ fn reopen_appends_in_a_new_segment() {
 /// The written frontier, seen from the directory while the log is
 /// open: an appended record is in memory only, the wait on its LSN puts
 /// it (and everything before it) in the file — under every policy, and
-/// under `off` and `interval` without waiting for an fsync.
+/// under `off` and `interval` without waiting for an fsync. Under
+/// `batch` the waiter leads the one fsync itself: nothing syncs or
+/// writes before somebody waits.
 #[test]
 fn records_reach_the_file_at_the_wait_under_every_policy() {
     for policy in [
@@ -293,27 +295,28 @@ fn records_reach_the_file_at_the_wait_under_every_policy() {
         FsyncPolicy::Interval(NEVER),
         FsyncPolicy::Batch,
     ] {
-        // Batch's flusher is woken by the append and may write early.
-        let eager_flusher = policy == FsyncPolicy::Batch;
         let dir = scratch(&format!("written-{}", policy.label().replace(':', "-")));
         let w = Wal::open(&dir, policy, 1).unwrap();
         w.append(&[put(1, 1)]);
         let b = w.append(&[put(2, 2), del(1)]);
-        if !eager_flusher {
-            assert_eq!(collect(&dir).0.records, 0, "{policy:?}: unwaited record");
-            assert_eq!(w.stats().writes, 0, "{policy:?}");
-        }
+        assert_eq!(collect(&dir).0.records, 0, "{policy:?}: unwaited record");
+        assert_eq!(w.stats().writes, 0, "{policy:?}");
         w.wait_durable(b);
         let c = w.append(&[put(3, 3)]);
         let lsns: Vec<u64> = collect(&dir).1.iter().map(|(lsn, _)| *lsn).collect();
-        assert_eq!(lsns[..2], [1, 2], "{policy:?}: waited records missing");
-        if eager_flusher {
-            assert!(w.durable_frontier() >= b);
-        } else {
-            assert_eq!(lsns, [1, 2], "{policy:?}: unwaited record");
-            let stats = w.stats();
-            assert_eq!((stats.writes, stats.fsyncs), (1, 0), "{policy:?}");
-        }
+        assert_eq!(lsns, [1, 2], "{policy:?}");
+        let batch = policy == FsyncPolicy::Batch;
+        let stats = w.stats();
+        assert_eq!(
+            (stats.writes, stats.fsyncs),
+            (1, batch as u64),
+            "{policy:?}"
+        );
+        assert_eq!(
+            w.durable_frontier(),
+            if batch { b } else { 0 },
+            "{policy:?}"
+        );
         // A clean shutdown writes what nobody waited for.
         drop(w);
         let (report, got) = collect(&dir);
@@ -323,10 +326,40 @@ fn records_reach_the_file_at_the_wait_under_every_policy() {
     }
 }
 
+/// Under `batch` the waiters share fsyncs: a waiter that finds one in
+/// flight follows it and, if its record came too late for it, one of
+/// the followers leads the next. Every wait returns with its record
+/// durable, and the fsyncs stay at most one per wait.
+#[test]
+fn batch_waiters_lead_and_follow_the_group_commits() {
+    let dir = scratch("leaders");
+    let w = Wal::open(&dir, FsyncPolicy::Batch, 1).unwrap();
+    let (threads, rounds) = (4u64, 100u64);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let w = &w;
+            s.spawn(move || {
+                for i in 0..rounds {
+                    let lsn = w.append(&[put(t, i)]);
+                    w.wait_durable(lsn);
+                    assert!(w.durable_frontier() >= lsn, "returned before its fsync");
+                }
+            });
+        }
+    });
+    let stats = w.stats();
+    assert_eq!(stats.appends, threads * rounds);
+    assert!((1..=stats.appends).contains(&stats.fsyncs), "{stats:?}");
+    assert_eq!(w.durable_frontier(), threads * rounds);
+    drop(w);
+    assert_eq!(collect(&dir).0.records, threads * rounds);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Whoever hands staged bytes to the kernel — a waiter, another
-/// thread's waiter, the flusher — hands over all of them, in LSN order:
-/// the file never holds a gap or an inversion, and every waited record
-/// is in it before the log is dropped.
+/// thread's waiter, an fsync's leader — hands over all of them, in LSN
+/// order: the file never holds a gap or an inversion, and every waited
+/// record is in it before the log is dropped.
 #[test]
 fn concurrent_append_and_wait_leave_the_file_in_lsn_order() {
     for policy in [FsyncPolicy::Off, FsyncPolicy::Batch] {
@@ -369,8 +402,8 @@ fn rotation_writes_staged_records_into_the_old_segment() {
         let w = Wal::open_with_segment_bytes(&dir, policy, 1, 200).unwrap();
         let mut last = NO_LSN;
         for i in 0..50u64 {
-            // Never waited for: only rotation (and batch's flusher)
-            // moves these records out of memory.
+            // Never waited for: only rotation moves these records out
+            // of memory.
             last = w.append(&[put(i, i * 2), del(i + 1000)]);
         }
         w.wait_durable(last);
@@ -471,8 +504,8 @@ fn multi_record_write_torn_at_every_byte_replays_a_gap_free_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `interval:<ms>` is a cadence, not a floor: appends that keep the
-/// flusher's queue non-empty for N intervals still get about N fsyncs
+/// `interval:<ms>` is a cadence, not a floor: appends that keep records
+/// pending for N intervals still get about N fsyncs
 /// (one per interval, one in flight at the edges), not one per wake-up.
 #[test]
 fn interval_policy_keeps_its_cadence_under_continuous_appends() {

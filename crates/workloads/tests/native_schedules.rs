@@ -26,7 +26,11 @@
 //! * durable records come in flip order: the values a reader sees of a
 //!   key that both writers write in every batch follow the log's order;
 //! * durable batches whose shard sets overlap all finish (a deadlock
-//!   would exhaust the scheduler's step budget).
+//!   would exhaust the scheduler's step budget). Writer 0's durable
+//!   batches touch their blocks in ascending order and writer 1's in
+//!   descending order, so a cycle that took its guards in the order
+//!   its ops first touch the shards, instead of ascending shard order,
+//!   can deadlock.
 
 use std::sync::{Arc, Mutex};
 
@@ -63,9 +67,16 @@ fn tag(w: u64, round: u64) -> u64 {
 /// Writer `w`'s batch in `round`: the first and third pair each get a
 /// stale value first, and the shards' groups are interleaved in the
 /// batch; every third round, all six keys are deleted instead. A durable
-/// batch also writes [`SHARED`].
+/// batch also writes [`SHARED`]: writer 0's last, after blocks 0, 1 and
+/// 2, and writer 1's first, before its pairs in blocks 2, 1 and 0.
 fn round_ops(w: u64, round: u64, durable: bool) -> Vec<MutOp> {
-    let [a, b, c, d, e, f] = keys(w);
+    let descending = durable && w == 1;
+    let [a, b, c, d, e, f] = if descending {
+        let [a, b, c, d, e, f] = keys(w);
+        [e, f, c, d, a, b]
+    } else {
+        keys(w)
+    };
     let v = tag(w, round);
     let put = |key, value| MutOp::Put { key, value };
     let mut ops = if round % 3 == 2 {
@@ -82,7 +93,9 @@ fn round_ops(w: u64, round: u64, durable: bool) -> Vec<MutOp> {
             put(e, v),
         ]
     };
-    if durable {
+    if descending {
+        ops.insert(0, put(SHARED, v));
+    } else if durable {
         ops.push(put(SHARED, v));
     }
     ops
@@ -164,8 +177,11 @@ fn schedule(n_shards: usize, durable: bool, seed: u64) {
                 } else {
                     sess.apply_batch(&ops, &mut replies);
                 }
-                let want = want_replies(round);
-                assert_eq!(replies[..want.len()], want, "writer {w}, round {round}");
+                let own: Vec<MutReply> = (ops.iter().zip(&replies))
+                    .filter(|(op, _)| op.key() != SHARED)
+                    .map(|(_, &reply)| reply)
+                    .collect();
+                assert_eq!(own, want_replies(round), "writer {w}, round {round}");
             }
         });
     }
