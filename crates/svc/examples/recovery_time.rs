@@ -3,15 +3,17 @@
 //!
 //! ```text
 //! cargo run --release -p svc --example recovery_time -- \
-//!     --rwled target/release/rwled --ops 150000,600000,2400000 [--label NAME]
+//!     --rwled target/release/rwled --ops 150000,600000,2400000 \
+//!     [--prefill N] [--label NAME]
 //! ```
 //!
 //! For each log length it writes one log — records of 64 mutations of
-//! keys below the 100 000-key prefill, PUT or DEL with even odds, the
-//! shape of the log `benchmark/` replays for `recover_s` — then starts
-//! `rwled --backend native --shards 16 --threads 2 --prefill 100000
-//! --wal-dir D --fsync off` eight times. Each start is timed from spawn to the
-//! first reply (a STATS exchange) and then killed. One row per length:
+//! keys below the prefill (`--prefill`, default 100 000), PUT or DEL
+//! with even odds, the shape of the log `benchmark/` replays for
+//! `recover_s` — then starts `rwled --backend native --shards 16
+//! --threads 2 --prefill N --wal-dir D --fsync off` eight times. Each
+//! start is timed from spawn to the first reply (a STATS exchange) and
+//! then killed. One row per length:
 //! the median, fastest and slowest start, and the median prefill,
 //! read+check and apply times of the `rwled recovered:` line (`-` when
 //! the binary prints none). `--rwled` may name any build, so two
@@ -29,17 +31,16 @@ use svc::proto::{read_frame, Request, Response};
 use wal::{FsyncPolicy, Wal};
 use workloads::backend::{DurableSink, MutOp};
 
-const FLAGS: &[&str] = &["help", "rwled", "ops", "label"];
+const FLAGS: &[&str] = &["help", "rwled", "ops", "prefill", "label"];
 
 const USAGE: &str = "\
-usage: recovery_time --rwled PATH --ops N[,N...] [--label NAME] [--help]
+usage: recovery_time --rwled PATH --ops N[,N...] [--prefill N] [--label NAME] [--help]
 
   Writes a synthetic redo log of each --ops length and times eight
-  starts of the --rwled binary on it, spawn to first reply.";
+  starts of the --rwled binary on it, spawn to first reply. Keys
+  0..--prefill (default 100000) are in the store before the log, and
+  the log's keys are drawn from the same range.";
 
-/// Keys `0..PREFILL` are in the store before the log; the log's keys
-/// are drawn from the same range.
-const PREFILL: u64 = 100_000;
 /// Starts timed per log length.
 const STARTS: usize = 8;
 
@@ -57,20 +58,25 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     };
+    let prefill: u64 = args.get_or("prefill", 100_000);
+    if prefill == 0 {
+        eprintln!("--prefill must be positive: the log's keys are drawn below it");
+        std::process::exit(2);
+    }
     let label = args.get("label").unwrap_or("rwled");
     let dir = std::env::temp_dir().join(format!("recovery-time-{}", std::process::id()));
     println!(
-        "# {label}: native, prefill {PREFILL}, {STARTS} starts per log; ms: start = spawn to \
+        "# {label}: native, prefill {prefill}, {STARTS} starts per log; ms: start = spawn to \
          first reply (median min max), then the median phase split rwled reports"
     );
     println!("label log_ops records start_ms min_ms max_ms prefill_ms read_ms apply_ms");
     for ops in lengths {
         let _ = std::fs::remove_dir_all(&dir);
-        let records = write_log(&dir, ops);
+        let records = write_log(&dir, ops, prefill);
         let mut times = Vec::new();
         let mut phases: [Vec<f64>; PHASES.len()] = Default::default();
         for _ in 0..STARTS {
-            let (ms, split) = start(rwled, &dir);
+            let (ms, split) = start(rwled, &dir, prefill);
             times.push(ms);
             for (all, one) in phases.iter_mut().zip(split.into_iter().flatten()) {
                 all.push(one);
@@ -99,15 +105,16 @@ fn median(v: &mut [f64]) -> Option<f64> {
     v.get(v.len() / 2).copied()
 }
 
-/// Writes `ops` mutations in records of 64; returns the record count.
-fn write_log(dir: &Path, ops: u64) -> u64 {
+/// Writes `ops` mutations of keys below `prefill` in records of 64;
+/// returns the record count.
+fn write_log(dir: &Path, ops: u64, prefill: u64) -> u64 {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(0x10d);
     let wal = Wal::open(dir, FsyncPolicy::Off, 1).expect("open the log");
     let (mut left, mut records, mut record) = (ops, 0, Vec::with_capacity(64));
     while left > 0 {
         record.clear();
         for i in 0..left.min(64) {
-            let key = rng.gen_range(0..PREFILL);
+            let key = rng.gen_range(0..prefill);
             record.push(if rng.gen_bool(0.5) {
                 MutOp::Put {
                     key,
@@ -126,7 +133,7 @@ fn write_log(dir: &Path, ops: u64) -> u64 {
 
 /// One start: spawn to the first STATS reply, in ms, and the phase
 /// split of the recovery line, when there is one.
-fn start(rwled: &str, dir: &Path) -> (f64, Option<[f64; PHASES.len()]>) {
+fn start(rwled: &str, dir: &Path, prefill: u64) -> (f64, Option<[f64; PHASES.len()]>) {
     let t0 = Instant::now();
     let mut child = Command::new(rwled)
         .args([
@@ -139,7 +146,7 @@ fn start(rwled: &str, dir: &Path) -> (f64, Option<[f64; PHASES.len()]>) {
             "--fsync",
             "off",
         ])
-        .args(["--backend", "native", "--prefill", &PREFILL.to_string()])
+        .args(["--backend", "native", "--prefill", &prefill.to_string()])
         .arg("--wal-dir")
         .arg(dir)
         .stdin(Stdio::null())

@@ -119,6 +119,16 @@ pub(crate) fn shard_index(key: u64, n_shards: usize) -> usize {
     ((key >> BLOCK_BITS) % n_shards as u64) as usize
 }
 
+/// The keys below `end` that shard `shard` of `n_shards` holds,
+/// ascending: those of its blocks `shard`, `shard + n`, `shard + 2n`, ….
+pub(crate) fn shard_keys(shard: usize, n_shards: usize, end: u64) -> impl Iterator<Item = u64> {
+    (shard as u64..)
+        .step_by(n_shards)
+        .map(|block| block << BLOCK_BITS)
+        .take_while(move |&first| first < end)
+        .flat_map(move |first| first..first.saturating_add(1 << BLOCK_BITS).min(end))
+}
+
 /// The shards `keys` lives on, as `(first, covered)`: the `covered` =
 /// `min(blocks, n_shards)` shards consecutive modulo `n_shards` from
 /// `first`, in the order of their first blocks in the range.

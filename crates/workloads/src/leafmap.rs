@@ -45,11 +45,14 @@
 //! first key moves the full leaf's contents right and keeps the new key
 //! alone on the left. Ascending and descending loads therefore fill
 //! leaves completely (a half split would leave them at 50 % and double
-//! the map's memory). **Removal** never merges: a node is unlinked and
-//! recycled when it holds nothing (free-at-empty), and the tree loses
-//! its routing levels only when it empties altogether. Split, unlink and
-//! path-copy work is one node per level, so none of them grows with the
-//! map.
+//! the map's memory). A sorted load does not take that path at all:
+//! [`LeafMap::from_ascending`] builds the tree ascending inserts would,
+//! bottom-up, each leaf written once and no descent per key, so the end
+//! rules serve the appends that arrive at run time. **Removal** never
+//! merges: a node is unlinked and recycled when it holds nothing
+//! (free-at-empty), and the tree loses its routing levels only when it
+//! empties altogether. Split, unlink and path-copy work is one node per
+//! level, so none of them grows with the map.
 //!
 //! Separators are real keys and routing only ever asks "is this
 //! separator `<=` the key", so `0` and `u64::MAX` are ordinary keys.
@@ -554,21 +557,65 @@ impl LeafMap {
     /// An empty map: one empty leaf and nothing else, published as the
     /// root word's initial value.
     pub fn new() -> LeafMap {
-        let tree = Arc::new(Tree {
-            leaves: Arena::new(),
-            inners: Arena::new(),
-            root: AtomicU64::new(0),
-        });
-        let mut leaves = Pool::default();
-        let root = leaves.alloc(&tree.leaves, Leaf::EMPTY, 0);
+        LeafMap::from_ascending([])
+    }
+
+    /// A map of `pairs`, whose keys must be strictly ascending, built
+    /// bottom-up: leaves filled to the brim in key order, each written
+    /// once into its slot, and over each level routing nodes filled the
+    /// same way. Every level keeps one open node, which is closed when
+    /// the next child arrives and finds it full, so a level's last node
+    /// is never empty. That is the tree ascending [`LeafMap::insert`]s
+    /// build (the module docs' append rule), every node born in version
+    /// 0, without a descent per key. Its root is the root word's initial
+    /// value; with no pairs, the one empty leaf.
+    ///
+    /// # Panics
+    ///
+    /// If a key is not greater than the one before it.
+    pub fn from_ascending(pairs: impl IntoIterator<Item = (u64, u64)>) -> LeafMap {
+        let (leaf_arena, inner_arena) = (Arena::new(), Arena::new());
+        let (mut leaves, mut inners) = (Pool::default(), Pool::default());
+        let (mut leaf, mut open) = (Leaf::EMPTY, Vec::new());
+        let (mut len, mut last) = (0, None);
+        for (key, value) in pairs {
+            assert!(
+                last.is_none_or(|last| last < key),
+                "from_ascending: key {key} after {last:?}"
+            );
+            last = Some(key);
+            if leaf.len as usize == LEAF_CAP {
+                let id = leaves.alloc(&leaf_arena, leaf, 0);
+                append(&inner_arena, &mut inners, &mut open, 0, leaf.keys[0], id);
+                leaf.len = 0;
+            }
+            leaf.insert_at(leaf.len as usize, key, value);
+            len += 1;
+        }
+        // Close the open nodes bottom-up, each into the level above; the
+        // top level's, which has at least two children, is the root.
+        let mut sep = leaf.keys[0];
+        let mut root = leaves.alloc(&leaf_arena, leaf, 0);
+        let mut height = 0;
+        while height < open.len() {
+            append(&inner_arena, &mut inners, &mut open, height, sep, root);
+            sep = open[height].keys[0];
+            root = inners.alloc(&inner_arena, open[height], 0);
+            height += 1;
+        }
+        let height = height as u32;
         LeafMap {
-            tree,
+            tree: Arc::new(Tree {
+                leaves: leaf_arena,
+                inners: inner_arena,
+                root: AtomicU64::new(u64::from(height) << 32 | u64::from(root)),
+            }),
             root,
-            height: 0,
+            height,
             version: 0,
             leaves,
-            inners: Pool::default(),
-            len: 0,
+            inners,
+            len,
             path: Vec::new(),
         }
     }
@@ -797,6 +844,31 @@ impl LeafMap {
     }
 }
 
+/// Appends `kid`, whose keys start at `sep`, to the open routing node of
+/// `level` in a bottom-up build ([`LeafMap::from_ascending`]), opening
+/// the level if it has no node yet. A full node is first closed: stored
+/// in its slot and appended to the level above.
+fn append(
+    arena: &Arena<Inner>,
+    pool: &mut Pool,
+    open: &mut Vec<Inner>,
+    level: usize,
+    sep: u64,
+    kid: u32,
+) {
+    if level == open.len() {
+        open.push(Inner::EMPTY);
+    }
+    if open[level].len as usize == INNER_CAP {
+        let first = open[level].keys[0];
+        let id = pool.alloc(arena, open[level], 0);
+        append(arena, pool, open, level + 1, first, id);
+        open[level].len = 0;
+    }
+    let node = &mut open[level];
+    node.insert_at(node.len as usize, sep, kid);
+}
+
 /// Points `above` — an inner node the writer owns and the child it took
 /// — or, with no node above, the root being built, at `id`.
 fn relink(tree: &Tree, above: Option<(u32, u32)>, id: u32, root: &mut u32) {
@@ -845,6 +917,8 @@ impl fmt::Debug for LeafMap {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
 
     impl LeafMap {
@@ -1112,8 +1186,9 @@ mod tests {
 
     const FULL_LEAVES: usize = 200;
 
-    /// The prefill's shape: ascending keys fill every leaf, and every
-    /// routing node but the last of its level, to the brim.
+    /// The append rule: ascending keys fill every leaf, and every
+    /// routing node but the last of its level, to the brim — the shape
+    /// [`LeafMap::from_ascending`] builds directly.
     #[test]
     fn ascending_inserts_fill_leaves_completely() {
         let mut map = LeafMap::new();
@@ -1139,6 +1214,132 @@ mod tests {
         map.audit();
         assert_eq!(map.leaves.used as usize, FULL_LEAVES);
         assert!(map.all_leaves().all(|l| l.len as usize == LEAF_CAP));
+    }
+
+    /// The sizes where the shape changes: no key, one, a full leaf and
+    /// one past it, a full one-level tree and one past it (a second
+    /// routing level), and one past a full two-level tree.
+    const BULK_EDGES: [usize; 7] = [
+        0,
+        1,
+        LEAF_CAP,
+        LEAF_CAP + 1,
+        LEAF_CAP * INNER_CAP,
+        LEAF_CAP * INNER_CAP + 1,
+        LEAF_CAP * INNER_CAP * INNER_CAP + 1,
+    ];
+
+    /// Strictly ascending pairs: a dense run of keys (the prefill's
+    /// shape) or keys spread over all of `u64`, from `0`, up to
+    /// `u64::MAX` or from anywhere between, at an edge size or any size
+    /// up to three routing levels.
+    fn ascending_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
+        let len = prop_oneof![
+            (0..BULK_EDGES.len()).prop_map(|i| BULK_EDGES[i]),
+            0..LEAF_CAP * INNER_CAP * INNER_CAP + 2000,
+        ];
+        (len, any::<bool>(), 0u8..3, any::<u64>()).prop_map(|(len, dense, from, seed)| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // The first key, then gaps of at most `max_gap`: the last
+            // key is at most `room + (len - 1) * max_gap = u64::MAX`.
+            let max_gap = if dense {
+                1
+            } else {
+                u64::MAX / len.max(1) as u64
+            };
+            let room = u64::MAX - len.saturating_sub(1) as u64 * max_gap;
+            let mut key = match from {
+                0 => 0,
+                1 => room,
+                _ => rng.gen_range(0..=room),
+            };
+            (0..len)
+                .map(|i| {
+                    if i > 0 {
+                        key += rng.gen_range(1..=max_gap);
+                    }
+                    (key, rng.gen())
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The bulk build is the tree ascending inserts build — same
+        /// pairs, height and node counts, every node born in version 0 —
+        /// and afterwards an ordinary map: published, then written,
+        /// published and reclaimed, it still follows the model, and its
+        /// first version still reads the pairs it was built from until
+        /// the first reclaim.
+        #[test]
+        fn bulk_build_is_the_ascending_insert_tree(
+            pairs in ascending_pairs(),
+            ops in prop::collection::vec(op(), 1..600),
+        ) {
+            let mut map = LeafMap::from_ascending(pairs.iter().copied());
+            let mut inserted = LeafMap::new();
+            for &(k, v) in &pairs {
+                inserted.insert(k, v);
+            }
+            map.audit();
+            prop_assert_eq!(map.snapshot().pairs(), pairs.clone());
+            prop_assert_eq!(map.len(), pairs.len());
+            prop_assert_eq!(map.height, inserted.height);
+            prop_assert_eq!(map.leaves.used, inserted.leaves.used);
+            prop_assert_eq!(map.inners.used, inserted.inners.used);
+            prop_assert!(map.all_leaves().all(|l| l.born == 0));
+            prop_assert!((0..map.inners.used).all(|id| map.tree.inners.node(id).born == 0));
+
+            // Half the keys the ops name are built ones, half anywhere.
+            let key = |raw: u64| match pairs.len() {
+                0 => raw,
+                n if raw & 1 == 0 => pairs[(raw >> 1) as usize % n].0,
+                _ => raw,
+            };
+            let mut model: BTreeMap<u64, u64> = pairs.iter().copied().collect();
+            map.publish();
+            let tree = map.tree();
+            // SAFETY: reclaim runs only after the built version's check.
+            let built = unsafe { tree.pick() };
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Insert(k, v) => prop_assert_eq!(map.insert(key(k), v), model.insert(key(k), v)),
+                    Op::Remove(k) => prop_assert_eq!(map.remove(key(k)), model.remove(&key(k))),
+                    Op::Get(k) | Op::Located(k) => {
+                        prop_assert_eq!(map.snapshot().get(key(k)), model.get(&key(k)).copied());
+                    }
+                    Op::Range(a, b) => {
+                        let (a, b) = (key(a).min(key(b)), key(a).max(key(b)));
+                        let mut out = Vec::new();
+                        map.snapshot().range(a..=b, &mut out);
+                        let want: Vec<(u64, u64)> = model.range(a..=b).map(|(&k, &v)| (k, v)).collect();
+                        prop_assert_eq!(out, want);
+                    }
+                }
+                map.publish();
+                if i == 0 {
+                    prop_assert_eq!(built.pairs(), pairs.clone());
+                }
+                map.reclaim(true);
+            }
+            map.audit_published();
+            let all: Vec<(u64, u64)> = model.into_iter().collect();
+            prop_assert_eq!(map.snapshot().pairs(), all);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "from_ascending: key 1 after Some(2)")]
+    fn a_bulk_build_refuses_unsorted_keys() {
+        LeafMap::from_ascending([(0, 0), (2, 0), (1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "from_ascending: key 5 after Some(5)")]
+    fn a_bulk_build_refuses_a_duplicate_key() {
+        LeafMap::from_ascending([(5, 0), (5, 1)]);
     }
 
     /// Free-at-empty gives memory back to the map: a window of live keys

@@ -93,8 +93,8 @@ use epoch::{sched, EpochSet};
 use stats::{CommitKind, ThreadStats};
 
 use crate::backend::{
-    covered_shards, group_by_shard, scan_keys, shard_index, BatchOutcome, DurableSink, Lsn, MutOp,
-    MutReply, StoreBackend, StoreFull, StoreLoader, StoreSession, NO_LSN,
+    covered_shards, group_by_shard, scan_keys, shard_index, shard_keys, BatchOutcome, DurableSink,
+    Lsn, MutOp, MutReply, StoreBackend, StoreFull, StoreLoader, StoreSession, NO_LSN,
 };
 use crate::leafmap::{LeafMap, Snapshot, Tree};
 use crate::sharded::PutOutcome;
@@ -196,14 +196,15 @@ impl NativeBackend {
     }
 
     /// [`NativeBackend::create`] stopped before the store is handed out,
-    /// so a redo log can be loaded into it first.
+    /// so a redo log can be loaded into it first. Each shard's map is
+    /// built bottom-up from its own keys, which its blocks give in
+    /// ascending order ([`LeafMap::from_ascending`]).
     pub fn loader(n_shards: usize, max_threads: usize, prefill: u64) -> NativeLoader {
         assert!(n_shards > 0, "need at least one shard");
         assert!(max_threads > 0, "need at least one session slot");
-        let mut maps: Vec<LeafMap> = (0..n_shards).map(|_| LeafMap::new()).collect();
-        for key in 0..prefill {
-            maps[shard_index(key, n_shards)].insert(key, key);
-        }
+        let maps = (0..n_shards)
+            .map(|s| LeafMap::from_ascending(shard_keys(s, n_shards, prefill).map(|k| (k, k))))
+            .collect();
         NativeLoader { maps, max_threads }
     }
 
@@ -531,14 +532,11 @@ impl SglBackend {
     }
 
     /// [`SglBackend::create`] stopped before the store is handed out, so
-    /// a redo log can be loaded into it first.
+    /// a redo log can be loaded into it first. The map is built
+    /// bottom-up ([`LeafMap::from_ascending`]).
     pub fn loader(prefill: u64) -> SglLoader {
-        let mut map = LeafMap::new();
-        for key in 0..prefill {
-            map.insert(key, key);
-        }
         SglLoader(SglBackend {
-            map: Mutex::new(map),
+            map: Mutex::new(LeafMap::from_ascending((0..prefill).map(|k| (k, k)))),
         })
     }
 }
@@ -679,6 +677,44 @@ pub(crate) mod tests {
             s.put(3, 99).unwrap();
         }
         assert_one_image(&mut backend);
+    }
+
+    /// The bulk-built prefill on every shard layout, and the canary's:
+    /// each key below the prefill reads back as itself, the prefill's
+    /// own key is absent, and one scan past the end returns exactly the
+    /// prefill, ascending. Sizes around a block (64) and around a round
+    /// of 16 blocks, and one of 200 to 3 200 leaves per shard.
+    #[test]
+    fn the_prefill_reads_back_on_every_shard_layout() {
+        let check = |store: &dyn StoreBackend, prefill: u64, what: &str| {
+            let mut s = store.session();
+            for key in 0..prefill {
+                assert_eq!(s.get(key), Some(key), "{what}: key {key}");
+            }
+            assert_eq!(s.get(prefill), None, "{what}: key {prefill}");
+            let mut out = Vec::new();
+            s.scan(0, prefill as u32 + 1, &mut out);
+            assert!(
+                out.iter().copied().eq((0..prefill).map(|k| (k, k))),
+                "{what}: scan"
+            );
+        };
+        for prefill in [0, 1, 63, 64, 65, 64 * 16 + 1, 100_003] {
+            for n_shards in [1, 3, 16] {
+                let mut backend = NativeBackend::create(n_shards, 1, prefill);
+                check(
+                    &backend,
+                    prefill,
+                    &format!("{n_shards} shards, prefill {prefill}"),
+                );
+                assert_one_image(&mut backend);
+            }
+            check(
+                &SglBackend::create(prefill),
+                prefill,
+                &format!("canary, prefill {prefill}"),
+            );
+        }
     }
 
     #[test]
