@@ -14,9 +14,11 @@
 //! --threads 2 --prefill N --wal-dir D --fsync off` eight times. Each
 //! start is timed from spawn to the first reply (a STATS exchange) and
 //! then killed. One row per length:
-//! the median, fastest and slowest start, and the median prefill,
-//! read+check and apply times of the `rwled recovered:` line (`-` when
-//! the binary prints none). `--rwled` may name any build, so two
+//! the median, fastest and slowest start, and the median of each phase
+//! the `rwled recovered:` line reports. Builds before the one-merge
+//! start-up report prefill, read+check and apply; later ones read+check
+//! and build (sort and merge, prefill included). A phase the binary does
+//! not report prints `-`, so `--rwled` may name any build, and two
 //! revisions are compared by alternating runs with each binary.
 
 use std::io::{BufRead, BufReader, Write};
@@ -44,8 +46,8 @@ usage: recovery_time --rwled PATH --ops N[,N...] [--prefill N] [--label NAME] [-
 /// Starts timed per log length.
 const STARTS: usize = 8;
 
-/// The phases `rwled recovered:` reports, in ms, in line order.
-const PHASES: [&str; 3] = ["prefill ", "read+check ", "apply "];
+/// The phases `rwled recovered:` reports, in ms, old and new names.
+const PHASES: [&str; 4] = ["prefill ", "read+check ", "apply ", "build "];
 
 fn main() {
     let args = Args::parse();
@@ -69,7 +71,7 @@ fn main() {
         "# {label}: native, prefill {prefill}, {STARTS} starts per log; ms: start = spawn to \
          first reply (median min max), then the median phase split rwled reports"
     );
-    println!("label log_ops records start_ms min_ms max_ms prefill_ms read_ms apply_ms");
+    println!("label log_ops records start_ms min_ms max_ms prefill_ms read_ms apply_ms build_ms");
     for ops in lengths {
         let _ = std::fs::remove_dir_all(&dir);
         let records = write_log(&dir, ops, prefill);
@@ -78,8 +80,8 @@ fn main() {
         for _ in 0..STARTS {
             let (ms, split) = start(rwled, &dir, prefill);
             times.push(ms);
-            for (all, one) in phases.iter_mut().zip(split.into_iter().flatten()) {
-                all.push(one);
+            for (all, one) in phases.iter_mut().zip(split) {
+                all.extend(one);
             }
         }
         let split: Vec<String> = phases
@@ -131,9 +133,9 @@ fn write_log(dir: &Path, ops: u64, prefill: u64) -> u64 {
     records
 }
 
-/// One start: spawn to the first STATS reply, in ms, and the phase
-/// split of the recovery line, when there is one.
-fn start(rwled: &str, dir: &Path, prefill: u64) -> (f64, Option<[f64; PHASES.len()]>) {
+/// One start: spawn to the first STATS reply, in ms, and the phases of
+/// the recovery line, each when the binary reports it.
+fn start(rwled: &str, dir: &Path, prefill: u64) -> (f64, [Option<f64>; PHASES.len()]) {
     let t0 = Instant::now();
     let mut child = Command::new(rwled)
         .args([
@@ -154,7 +156,7 @@ fn start(rwled: &str, dir: &Path, prefill: u64) -> (f64, Option<[f64; PHASES.len
         .spawn()
         .expect("spawn rwled");
     let mut stdout = BufReader::new(child.stdout.take().expect("piped"));
-    let (mut line, mut split) = (String::new(), None);
+    let (mut line, mut split) = (String::new(), [None; PHASES.len()]);
     let addr = loop {
         line.clear();
         assert!(
@@ -178,12 +180,11 @@ fn start(rwled: &str, dir: &Path, prefill: u64) -> (f64, Option<[f64; PHASES.len
     (ms, split)
 }
 
-/// `prefill P ms, read+check R ms, apply A ms` from the recovery line.
-fn phase_split(line: &str) -> Option<[f64; PHASES.len()]> {
-    let mut out = [0.0; PHASES.len()];
-    for (slot, phase) in out.iter_mut().zip(PHASES) {
+/// Each phase's `NAME T ms` from the recovery line, `None` where it
+/// has none.
+fn phase_split(line: &str) -> [Option<f64>; PHASES.len()] {
+    PHASES.map(|phase| {
         let at = line.find(phase)? + phase.len();
-        *slot = line[at..].split_whitespace().next()?.parse().ok()?;
-    }
-    Some(out)
+        line[at..].split_whitespace().next()?.parse().ok()
+    })
 }

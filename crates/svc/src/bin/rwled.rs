@@ -139,16 +139,15 @@ fn main() {
         let log = &r.replay;
         println!(
             "rwled recovered: {} records ({} ops) from {} segments, \
-             {} torn bytes truncated, next lsn {}; prefill {:.1} ms, \
-             read+check {:.1} ms, apply {:.1} ms",
+             {} torn bytes truncated, next lsn {}; read+check {:.1} ms, \
+             build {:.1} ms",
             log.records,
             log.ops,
             log.segments,
             log.truncated_bytes,
             log.next_lsn,
-            ms(r.prefill),
             ms(r.read),
-            ms(r.apply)
+            ms(r.build)
         );
     }
     if let Some(path) = args.get("port-file") {

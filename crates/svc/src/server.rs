@@ -188,13 +188,13 @@ pub struct Recovery {
     /// What the replay read: records, ops, segments, torn bytes, the
     /// next LSN.
     pub replay: wal::Replay,
-    /// Building the store and loading keys `0..prefill` into it.
-    pub prefill: Duration,
     /// Reading the segments and checking and decoding their records:
-    /// the replay's own time, `apply` not included.
+    /// the replay's own time, the loader's share of it not included.
     pub read: Duration,
-    /// Applying the decoded records to the store, each op once.
-    pub apply: Duration,
+    /// The loader's time, prefill included: for the native stores,
+    /// buffering the records and then one sort and merge per shard; for
+    /// the simulated store, the prefill and each op applied once.
+    pub build: Duration,
 }
 
 /// A bound, configured server ready to [`run`](Server::run).
@@ -408,9 +408,10 @@ impl Server {
     }
 }
 
-/// The starting store, built through `loader`, which holds the prefill
-/// it has loaded since `started`. On a durable server every logged
-/// record is applied in LSN order first, and the report says where the
+/// The starting store, built through `loader`, made since `started`
+/// (the simulated store's prefill is in it already; the native loaders
+/// build theirs at `finish`). On a durable server every logged record
+/// goes to the loader in LSN order first, and the report says where the
 /// time went. Log order is commit order, so this rebuilds exactly what
 /// the previous incarnations acked — unless a record does not fit, and
 /// then the server refuses to start rather than serve without a write
@@ -423,7 +424,7 @@ fn load<L: StoreLoader>(
     let Some(dir) = &cfg.wal_dir else {
         return Ok((Box::new(loader.finish()), None));
     };
-    let prefill = started.elapsed();
+    let made = started.elapsed();
     let replay_started = Instant::now();
     let mut apply = Duration::ZERO;
     let mut full = None;
@@ -449,13 +450,14 @@ fn load<L: StoreLoader>(
         ));
     }
     let read = replay_started.elapsed().saturating_sub(apply);
+    let finish_started = Instant::now();
+    let store = loader.finish();
     let recovery = Recovery {
         replay,
-        prefill,
         read,
-        apply,
+        build: made + apply + finish_started.elapsed(),
     };
-    Ok((Box::new(loader.finish()), Some(recovery)))
+    Ok((Box::new(store), Some(recovery)))
 }
 
 fn bad_log(e: wal::WalError) -> io::Error {

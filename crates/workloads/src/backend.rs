@@ -19,7 +19,7 @@
 //! created on the thread that uses them and are not transferable.
 
 use simmem::{SharedMem, SimAlloc, WORDS_PER_LINE};
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
 
 use htm::{HtmConfig, HtmRuntime, ThreadCtx, MAX_SLOTS};
@@ -122,11 +122,21 @@ pub(crate) fn shard_index(key: u64, n_shards: usize) -> usize {
 /// The keys below `end` that shard `shard` of `n_shards` holds,
 /// ascending: those of its blocks `shard`, `shard + n`, `shard + 2n`, ….
 pub(crate) fn shard_keys(shard: usize, n_shards: usize, end: u64) -> impl Iterator<Item = u64> {
+    shard_blocks(shard, n_shards, end).flatten()
+}
+
+/// [`shard_keys`] a block at a time: the key range of each block,
+/// ascending.
+pub(crate) fn shard_blocks(
+    shard: usize,
+    n_shards: usize,
+    end: u64,
+) -> impl Iterator<Item = Range<u64>> {
     (shard as u64..)
         .step_by(n_shards)
         .map(|block| block << BLOCK_BITS)
         .take_while(move |&first| first < end)
-        .flat_map(move |first| first..first.saturating_add(1 << BLOCK_BITS).min(end))
+        .map(move |first| first..first.saturating_add(1 << BLOCK_BITS).min(end))
 }
 
 /// The shards `keys` lives on, as `(first, covered)`: the `covered` =
@@ -220,19 +230,21 @@ pub trait DurableSink: Send + Sync {
     fn wait_durable(&self, lsn: Lsn);
 }
 
-/// A store being built, before anything can read it: the prefill is in,
-/// and [`StoreLoader::apply`] adds the redo log's records, one at a
-/// time and in log order. The loader *owns* the store, so no session
-/// exists until [`StoreLoader::finish`] hands it over, and no reader
-/// can observe a write. Nothing is published: a loader skips the
-/// writer protocol (native flips and grace periods, sim write sections)
-/// that exists only to make writes safe for concurrent readers, and
-/// applies each op once.
+/// A store being built, before anything can read it: it starts from
+/// the prefill, and [`StoreLoader::apply`] hands it the redo log's
+/// records, one at a time and in log order. The loader *owns* the
+/// store, so no session exists until [`StoreLoader::finish`] hands it
+/// over, and no reader can observe a write. Nothing is published: a
+/// loader skips the writer protocol (native flips and grace periods,
+/// sim write sections) that exists only to make writes safe for
+/// concurrent readers. The simulated store applies each op once, in
+/// place; the native stores buffer the ops and build each map once, at
+/// `finish`, from the prefill merged with each key's last op.
 pub trait StoreLoader {
     /// The store this loader builds.
     type Store: StoreBackend + 'static;
 
-    /// Applies one record's write-set in order. `Err` means a PUT of a
+    /// Takes one record's write-set, in order. `Err` means a PUT of a
     /// new key found the store full (the simulated store, on a smaller
     /// capacity than the log was written under). The ops before it are
     /// applied and the ones after it are not, so the caller must

@@ -23,9 +23,9 @@
 //! writer builds the next. Retired nodes return to use at
 //! [`LeafMap::reclaim`], which the writer calls once no reader can still
 //! hold an older root — in the native store, after the grace period that
-//! follows the flip. A map that is never published (the loader's, the
-//! SGL canary's) has only fresh nodes, so the same `insert` and `remove`
-//! change it in place.
+//! follows the flip. A map that is never published (the SGL canary's)
+//! has only fresh nodes, so the same `insert` and `remove` change it in
+//! place.
 //!
 //! Every node is **asked for whole before it is searched**: one
 //! prefetch per cache line, so the lines of a routing node (mostly in
@@ -459,6 +459,63 @@ impl Snapshot<'_> {
     }
 }
 
+impl<'t> Snapshot<'t> {
+    /// Every leaf of the version, in key order, as its keys and their
+    /// values: the pairs streamed a leaf at a time, with no descent per
+    /// leaf.
+    pub fn leaves(&self) -> Leaves<'t> {
+        let (first, stack) = match self.height {
+            0 => (Some(self.node), Vec::new()),
+            _ => (None, vec![(self.node, 0)]),
+        };
+        Leaves {
+            tree: self.tree,
+            height: self.height as usize,
+            first,
+            stack,
+        }
+    }
+}
+
+/// The iterator [`Snapshot::leaves`] returns: a depth-first walk of the
+/// routing nodes.
+pub struct Leaves<'t> {
+    tree: &'t Tree,
+    height: usize,
+    /// The root, when it is the one leaf.
+    first: Option<u32>,
+    /// The routing nodes from the root down to the current leaf's
+    /// parent, each with the next child to take.
+    stack: Vec<(u32, usize)>,
+}
+
+impl<'t> Iterator for Leaves<'t> {
+    type Item = (&'t [u64], &'t [u64]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let id = match self.first.take() {
+            Some(id) => id,
+            None => loop {
+                let (node, next) = self.stack.last_mut()?;
+                let inner = self.tree.inners.node(*node);
+                if *next == inner.len as usize {
+                    self.stack.pop();
+                    continue;
+                }
+                let kid = inner.kids[*next];
+                *next += 1;
+                if self.stack.len() == self.height {
+                    break kid;
+                }
+                self.stack.push((kid, 0));
+            },
+        };
+        let leaf = self.tree.leaves.node(id);
+        let keys = leaf.keys();
+        Some((keys, &leaf.vals[..keys.len()]))
+    }
+}
+
 /// The writer's bookkeeping of one arena.
 #[derive(Default)]
 struct Pool {
@@ -561,63 +618,18 @@ impl LeafMap {
     }
 
     /// A map of `pairs`, whose keys must be strictly ascending, built
-    /// bottom-up: leaves filled to the brim in key order, each written
-    /// once into its slot, and over each level routing nodes filled the
-    /// same way. Every level keeps one open node, which is closed when
-    /// the next child arrives and finds it full, so a level's last node
-    /// is never empty. That is the tree ascending [`LeafMap::insert`]s
-    /// build (the module docs' append rule), every node born in version
-    /// 0, without a descent per key. Its root is the root word's initial
-    /// value; with no pairs, the one empty leaf.
+    /// bottom-up by a [`Builder`]: the tree ascending
+    /// [`LeafMap::insert`]s build, without a descent per key.
     ///
     /// # Panics
     ///
     /// If a key is not greater than the one before it.
     pub fn from_ascending(pairs: impl IntoIterator<Item = (u64, u64)>) -> LeafMap {
-        let (leaf_arena, inner_arena) = (Arena::new(), Arena::new());
-        let (mut leaves, mut inners) = (Pool::default(), Pool::default());
-        let (mut leaf, mut open) = (Leaf::EMPTY, Vec::new());
-        let (mut len, mut last) = (0, None);
+        let mut build = Builder::new();
         for (key, value) in pairs {
-            assert!(
-                last.is_none_or(|last| last < key),
-                "from_ascending: key {key} after {last:?}"
-            );
-            last = Some(key);
-            if leaf.len as usize == LEAF_CAP {
-                let id = leaves.alloc(&leaf_arena, leaf, 0);
-                append(&inner_arena, &mut inners, &mut open, 0, leaf.keys[0], id);
-                leaf.len = 0;
-            }
-            leaf.insert_at(leaf.len as usize, key, value);
-            len += 1;
+            build.push(key, value);
         }
-        // Close the open nodes bottom-up, each into the level above; the
-        // top level's, which has at least two children, is the root.
-        let mut sep = leaf.keys[0];
-        let mut root = leaves.alloc(&leaf_arena, leaf, 0);
-        let mut height = 0;
-        while height < open.len() {
-            append(&inner_arena, &mut inners, &mut open, height, sep, root);
-            sep = open[height].keys[0];
-            root = inners.alloc(&inner_arena, open[height], 0);
-            height += 1;
-        }
-        let height = height as u32;
-        LeafMap {
-            tree: Arc::new(Tree {
-                leaves: leaf_arena,
-                inners: inner_arena,
-                root: AtomicU64::new(u64::from(height) << 32 | u64::from(root)),
-            }),
-            root,
-            height,
-            version: 0,
-            leaves,
-            inners,
-            len,
-            path: Vec::new(),
-        }
+        build.finish()
     }
 
     /// Number of pairs.
@@ -845,7 +857,7 @@ impl LeafMap {
 }
 
 /// Appends `kid`, whose keys start at `sep`, to the open routing node of
-/// `level` in a bottom-up build ([`LeafMap::from_ascending`]), opening
+/// `level` in a bottom-up build ([`Builder`]), opening
 /// the level if it has no node yet. A full node is first closed: stored
 /// in its slot and appended to the level above.
 fn append(
@@ -897,6 +909,120 @@ fn prefetch<T>(node: &T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = node;
+}
+
+/// A map being built bottom-up from strictly ascending pairs, one
+/// [`Builder::push`] at a time: leaves filled to the brim in key order,
+/// each written once into its slot, and over each level routing nodes
+/// filled the same way. Every level keeps one open node, which is closed
+/// when the next child arrives and finds it full, so a level's last node
+/// is never empty. That is the tree ascending [`LeafMap::insert`]s build
+/// (the module docs' append rule), every node born in version 0.
+pub struct Builder {
+    leaf_arena: Arena<Leaf>,
+    inner_arena: Arena<Inner>,
+    leaves: Pool,
+    inners: Pool,
+    /// The open leaf.
+    leaf: Leaf,
+    /// The open routing node of each level, lowest first.
+    open: Vec<Inner>,
+    len: usize,
+    last: Option<u64>,
+}
+
+impl Default for Builder {
+    fn default() -> Builder {
+        Builder::new()
+    }
+}
+
+impl Builder {
+    /// A build with no pairs yet.
+    pub fn new() -> Builder {
+        Builder {
+            leaf_arena: Arena::new(),
+            inner_arena: Arena::new(),
+            leaves: Pool::default(),
+            inners: Pool::default(),
+            leaf: Leaf::EMPTY,
+            open: Vec::new(),
+            len: 0,
+            last: None,
+        }
+    }
+
+    /// Appends a pair.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is not greater than the key pushed before it.
+    #[inline]
+    pub fn push(&mut self, key: u64, value: u64) {
+        assert!(
+            self.last.is_none_or(|last| last < key),
+            "from_ascending: key {key} after {:?}",
+            self.last
+        );
+        self.last = Some(key);
+        let leaf = &mut self.leaf;
+        if leaf.len as usize == LEAF_CAP {
+            let id = self.leaves.alloc(&self.leaf_arena, *leaf, 0);
+            let sep = leaf.keys[0];
+            append(
+                &self.inner_arena,
+                &mut self.inners,
+                &mut self.open,
+                0,
+                sep,
+                id,
+            );
+            leaf.len = 0;
+        }
+        leaf.insert_at(leaf.len as usize, key, value);
+        self.len += 1;
+    }
+
+    /// The map of the pushed pairs. Its root is the root word's initial
+    /// value; with no pairs, the one empty leaf.
+    pub fn finish(self) -> LeafMap {
+        let Builder {
+            leaf_arena,
+            inner_arena,
+            mut leaves,
+            mut inners,
+            leaf,
+            mut open,
+            len,
+            ..
+        } = self;
+        // Close the open nodes bottom-up, each into the level above; the
+        // top level's, which has at least two children, is the root.
+        let mut sep = leaf.keys[0];
+        let mut root = leaves.alloc(&leaf_arena, leaf, 0);
+        let mut height = 0;
+        while height < open.len() {
+            append(&inner_arena, &mut inners, &mut open, height, sep, root);
+            sep = open[height].keys[0];
+            root = inners.alloc(&inner_arena, open[height], 0);
+            height += 1;
+        }
+        let height = height as u32;
+        LeafMap {
+            tree: Arc::new(Tree {
+                leaves: leaf_arena,
+                inners: inner_arena,
+                root: AtomicU64::new(u64::from(height) << 32 | u64::from(root)),
+            }),
+            root,
+            height,
+            version: 0,
+            leaves,
+            inners,
+            len,
+            path: Vec::new(),
+        }
+    }
 }
 
 /// Contents, not layout: two maps holding the same pairs are equal
@@ -1268,7 +1394,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The bulk build is the tree ascending inserts build — same
-        /// pairs, height and node counts, every node born in version 0 —
+        /// pairs (also streamed a leaf at a time), height and node
+        /// counts, every node born in version 0 —
         /// and afterwards an ordinary map: published, then written,
         /// published and reclaimed, it still follows the model, and its
         /// first version still reads the pairs it was built from until
@@ -1285,6 +1412,10 @@ mod tests {
             }
             map.audit();
             prop_assert_eq!(map.snapshot().pairs(), pairs.clone());
+            let leaves = map.snapshot().leaves();
+            prop_assert!(leaves
+                .flat_map(|(keys, vals)| keys.iter().copied().zip(vals.iter().copied()))
+                .eq(pairs.iter().copied()));
             prop_assert_eq!(map.len(), pairs.len());
             prop_assert_eq!(map.height, inserted.height);
             prop_assert_eq!(map.leaves.used, inserted.leaves.used);

@@ -85,6 +85,7 @@
 //! cycle frees).
 
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -93,10 +94,10 @@ use epoch::{sched, EpochSet};
 use stats::{CommitKind, ThreadStats};
 
 use crate::backend::{
-    covered_shards, group_by_shard, scan_keys, shard_index, shard_keys, BatchOutcome, DurableSink,
-    Lsn, MutOp, MutReply, StoreBackend, StoreFull, StoreLoader, StoreSession, NO_LSN,
+    covered_shards, group_by_shard, scan_keys, shard_blocks, shard_index, shard_keys, BatchOutcome,
+    DurableSink, Lsn, MutOp, MutReply, StoreBackend, StoreFull, StoreLoader, StoreSession, NO_LSN,
 };
-use crate::leafmap::{LeafMap, Snapshot, Tree};
+use crate::leafmap::{Builder, LeafMap, Leaves, Snapshot, Tree};
 use crate::sharded::PutOutcome;
 
 /// Lookups one read section serves: how many leaves `get_many` (keys)
@@ -196,16 +197,16 @@ impl NativeBackend {
     }
 
     /// [`NativeBackend::create`] stopped before the store is handed out,
-    /// so a redo log can be loaded into it first. Each shard's map is
-    /// built bottom-up from its own keys, which its blocks give in
-    /// ascending order ([`LeafMap::from_ascending`]).
+    /// so a redo log can be loaded into it first. It builds nothing yet:
+    /// [`StoreLoader::finish`] builds each shard's map once, from its
+    /// prefill keys merged with the sorted log.
     pub fn loader(n_shards: usize, max_threads: usize, prefill: u64) -> NativeLoader {
         assert!(n_shards > 0, "need at least one shard");
         assert!(max_threads > 0, "need at least one session slot");
-        let maps = (0..n_shards)
-            .map(|s| LeafMap::from_ascending(shard_keys(s, n_shards, prefill).map(|k| (k, k))))
-            .collect();
-        NativeLoader { maps, max_threads }
+        NativeLoader {
+            merge: LogMerge::new(n_shards, prefill),
+            max_threads,
+        }
     }
 
     /// Runs `f` inside one epoch read section of slot `tid`, with
@@ -245,12 +246,12 @@ impl NativeBackend {
     }
 }
 
-/// The native store's [`StoreLoader`]: one [`LeafMap`] per shard and
-/// nothing else — no mutex, flip or grace period, each op applied once
-/// and in place. [`StoreLoader::finish`] publishes each map as its
-/// shard's first version.
+/// The native store's [`StoreLoader`]: the log buffered per shard and
+/// merged into each shard's map at [`StoreLoader::finish`], which then
+/// publishes each map as its shard's first version. No mutex, flip or
+/// grace period: nothing can read the store yet.
 pub struct NativeLoader {
-    maps: Vec<LeafMap>,
+    merge: LogMerge,
     max_threads: usize,
 }
 
@@ -258,19 +259,299 @@ impl StoreLoader for NativeLoader {
     type Store = NativeBackend;
 
     fn apply(&mut self, ops: &[MutOp]) -> Result<(), StoreFull> {
-        let n_shards = self.maps.len();
-        for op in ops {
-            apply_one(&mut self.maps[shard_index(op.key(), n_shards)], op);
-        }
+        self.merge.buffer(ops);
         Ok(())
     }
 
     fn finish(self) -> NativeBackend {
         NativeBackend {
-            shards: self.maps.into_iter().map(NativeShard::new).collect(),
+            shards: self
+                .merge
+                .finish()
+                .into_iter()
+                .map(NativeShard::new)
+                .collect(),
             epochs: EpochSet::new(self.max_threads),
             next_tid: AtomicUsize::new(0),
             capacity: self.max_threads,
+        }
+    }
+}
+
+/// Log ops both native loaders buffer before they fold them into their
+/// maps: 4 Mi ops, 64 MiB at 16 B an op. A longer log is merged in
+/// rounds of this many ops, each streaming the maps the round before
+/// built.
+const FOLD_OPS: usize = 4 << 20;
+
+/// The value a buffered DEL holds. A PUT of this value is buffered the
+/// same way and told apart by [`LogMerge::tombstone_puts`].
+const TOMBSTONE: u64 = u64::MAX;
+
+/// Start-up as one sorted merge, what both native loaders do with a
+/// redo log. [`LogMerge::buffer`] appends each op to its shard's run as
+/// `(key, value)`, a DEL as `(key, TOMBSTONE)`; a fold sorts each run by
+/// key, stably, so log order decides among a key's ops, keeps each
+/// key's last op, and builds the shard's map once, bottom-up, from the
+/// run merged with the shard's previous contents ([`merge`]). Until the
+/// first fold those are the shard's prefill keys, after it the map the
+/// fold built. No `insert` or `remove` runs: the cost is the final
+/// state's size plus a sort, not a descent per logged op.
+struct LogMerge {
+    prefill: u64,
+    /// Each shard's map, once a fold has built it.
+    maps: Option<Vec<LeafMap>>,
+    /// Each shard's buffered ops, in log order.
+    runs: Vec<Vec<(u64, u64)>>,
+    /// The keys whose last buffered op is a PUT of [`TOMBSTONE`]'s value.
+    tombstone_puts: HashSet<u64>,
+    buffered: usize,
+    /// The sort's second buffer, shared by the runs.
+    spare: Vec<(u64, u64)>,
+}
+
+impl LogMerge {
+    fn new(n_shards: usize, prefill: u64) -> LogMerge {
+        LogMerge {
+            prefill,
+            maps: None,
+            runs: vec![Vec::new(); n_shards],
+            tombstone_puts: HashSet::new(),
+            buffered: 0,
+            spare: Vec::new(),
+        }
+    }
+
+    /// Buffers one record's ops, folding past [`FOLD_OPS`].
+    fn buffer(&mut self, ops: &[MutOp]) {
+        let n_shards = self.runs.len();
+        for op in ops {
+            let (key, value) = match *op {
+                MutOp::Put { key, value } => (key, value),
+                MutOp::Del { key } => (key, TOMBSTONE),
+            };
+            if matches!(op, MutOp::Put { .. }) && value == TOMBSTONE {
+                self.tombstone_puts.insert(key);
+            } else if !self.tombstone_puts.is_empty() {
+                self.tombstone_puts.remove(&key);
+            }
+            self.runs[shard_index(key, n_shards)].push((key, value));
+        }
+        self.buffered += ops.len();
+        if self.buffered >= FOLD_OPS {
+            self.fold();
+        }
+    }
+
+    /// Merges every run into its shard's map and empties it. A shard
+    /// whose run is empty keeps its map; before the first fold that is
+    /// its prefill, built straight from its keys.
+    fn fold(&mut self) {
+        let (n_shards, prefill) = (self.runs.len(), self.prefill);
+        let (tombstone_puts, spare) = (&self.tombstone_puts, &mut self.spare);
+        let runs = self.runs.iter_mut();
+        let maps = match self.maps.take() {
+            None => runs
+                .enumerate()
+                .map(|(s, run)| {
+                    if run.is_empty() {
+                        LeafMap::from_ascending(shard_keys(s, n_shards, prefill).map(|k| (k, k)))
+                    } else {
+                        let blocks = shard_blocks(s, n_shards, prefill);
+                        merge(Prefill::new(blocks), run, spare, tombstone_puts)
+                    }
+                })
+                .collect(),
+            Some(maps) => maps
+                .into_iter()
+                .zip(runs)
+                .map(|(map, run)| {
+                    if run.is_empty() {
+                        map
+                    } else {
+                        merge(
+                            Built::new(map.snapshot().leaves()),
+                            run,
+                            spare,
+                            tombstone_puts,
+                        )
+                    }
+                })
+                .collect(),
+        };
+        self.maps = Some(maps);
+        self.tombstone_puts.clear();
+        self.buffered = 0;
+    }
+
+    /// Each shard's map, with every buffered op folded in.
+    fn finish(mut self) -> Vec<LeafMap> {
+        self.fold();
+        self.maps.expect("a fold builds every map")
+    }
+}
+
+/// One ascending input of [`merge`]: a shard's contents before its run.
+trait Ascending {
+    /// Hands `out` every remaining pair with a key below `key`, and
+    /// drops the pair at `key`, if there is one.
+    fn copy_to(&mut self, key: u64, out: &mut Builder);
+
+    /// Hands `out` every remaining pair.
+    fn copy_rest(&mut self, out: &mut Builder);
+}
+
+/// Sorts `run` by key, stably ([`sort_run`]), and builds the map of
+/// `base` with each key's last op of the run applied: a PUT adds or
+/// overrides its key, a DEL drops it (a no-op if it is absent). Between
+/// two op keys the base is copied a stretch at a time. Leaves `run`
+/// empty.
+fn merge(
+    mut base: impl Ascending,
+    run: &mut Vec<(u64, u64)>,
+    spare: &mut Vec<(u64, u64)>,
+    tombstone_puts: &HashSet<u64>,
+) -> LeafMap {
+    sort_run(run, spare);
+    let mut out = Builder::new();
+    for ops in run.chunk_by(|a, b| a.0 == b.0) {
+        let (key, value) = ops[ops.len() - 1];
+        base.copy_to(key, &mut out);
+        if value != TOMBSTONE || (!tombstone_puts.is_empty() && tombstone_puts.contains(&key)) {
+            out.push(key, value);
+        }
+    }
+    base.copy_rest(&mut out);
+    run.clear();
+    out.finish()
+}
+
+/// Bits per pass of [`sort_run`]: two passes order keys below 4 Mi.
+const RADIX_BITS: u32 = 11;
+
+/// Sorts `run` by key, stably: a least-significant-digit radix sort,
+/// one counting pass and one scatter per digit, over the bits where the
+/// run's keys differ, with `spare` as the scatter's target. On the log
+/// `benchmark/` replays it takes a quarter of a stable comparison sort's
+/// time (EXPERIMENTS.md, "Start-up as one sorted merge").
+fn sort_run(run: &mut Vec<(u64, u64)>, spare: &mut Vec<(u64, u64)>) {
+    let (any, all) = run.iter().fold((0, u64::MAX), |(any, all), &(key, _)| {
+        (any | key, all & key)
+    });
+    let width = u64::BITS - (any ^ all).leading_zeros();
+    spare.clear();
+    spare.resize(run.len(), (0, 0));
+    for shift in (0..width).step_by(RADIX_BITS as usize) {
+        let digit = |key: u64| (key >> shift) as usize & ((1 << RADIX_BITS) - 1);
+        // Per digit, first its count, then where its next op goes.
+        let mut at = [0; 1 << RADIX_BITS];
+        for &(key, _) in run.iter() {
+            at[digit(key)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut at {
+            sum += std::mem::replace(slot, sum);
+        }
+        for &op in run.iter() {
+            let to = &mut at[digit(op.0)];
+            spare[*to] = op;
+            *to += 1;
+        }
+        std::mem::swap(run, spare);
+    }
+}
+
+/// A shard's prefill as a merge input: its blocks' key ranges, each
+/// pair `(key, key)`.
+struct Prefill<I> {
+    blocks: I,
+    /// What is left of the current block.
+    at: Range<u64>,
+}
+
+impl<I: Iterator<Item = Range<u64>>> Prefill<I> {
+    fn new(blocks: I) -> Prefill<I> {
+        Prefill { blocks, at: 0..0 }
+    }
+}
+
+impl<I: Iterator<Item = Range<u64>>> Ascending for Prefill<I> {
+    fn copy_to(&mut self, key: u64, out: &mut Builder) {
+        loop {
+            let stop = self.at.end.min(key);
+            for k in self.at.start..stop {
+                out.push(k, k);
+            }
+            self.at.start = self.at.start.max(stop);
+            if !self.at.is_empty() {
+                // `key` lies in this block or before it.
+                if self.at.start == key {
+                    self.at.start += 1;
+                }
+                return;
+            }
+            match self.blocks.next() {
+                Some(block) => self.at = block,
+                None => return,
+            }
+        }
+    }
+
+    fn copy_rest(&mut self, out: &mut Builder) {
+        for k in std::iter::once(self.at.clone())
+            .chain(&mut self.blocks)
+            .flatten()
+        {
+            out.push(k, k);
+        }
+    }
+}
+
+/// A built map as a merge input, streamed a leaf at a time.
+struct Built<'m> {
+    leaves: Leaves<'m>,
+    /// What is left of the current leaf.
+    keys: &'m [u64],
+    vals: &'m [u64],
+}
+
+impl<'m> Built<'m> {
+    fn new(leaves: Leaves<'m>) -> Built<'m> {
+        Built {
+            leaves,
+            keys: &[],
+            vals: &[],
+        }
+    }
+}
+
+impl Ascending for Built<'_> {
+    fn copy_to(&mut self, key: u64, out: &mut Builder) {
+        loop {
+            let stop = self.keys.partition_point(|&k| k < key);
+            for (&k, &v) in self.keys[..stop].iter().zip(self.vals) {
+                out.push(k, v);
+            }
+            if stop < self.keys.len() {
+                let next = stop + usize::from(self.keys[stop] == key);
+                (self.keys, self.vals) = (&self.keys[next..], &self.vals[next..]);
+                return;
+            }
+            match self.leaves.next() {
+                Some(leaf) => (self.keys, self.vals) = leaf,
+                None => {
+                    (self.keys, self.vals) = (&[], &[]);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn copy_rest(&mut self, out: &mut Builder) {
+        for (keys, vals) in std::iter::once((self.keys, self.vals)).chain(&mut self.leaves) {
+            for (&k, &v) in keys.iter().zip(vals) {
+                out.push(k, v);
+            }
         }
     }
 }
@@ -532,36 +813,29 @@ impl SglBackend {
     }
 
     /// [`SglBackend::create`] stopped before the store is handed out, so
-    /// a redo log can be loaded into it first. The map is built
-    /// bottom-up ([`LeafMap::from_ascending`]).
+    /// a redo log can be loaded into it first. Like the native store's,
+    /// it builds the map once, at [`StoreLoader::finish`], from one
+    /// sorted merge of the prefill and the log.
     pub fn loader(prefill: u64) -> SglLoader {
-        SglLoader(SglBackend {
-            map: Mutex::new(LeafMap::from_ascending((0..prefill).map(|k| (k, k)))),
-        })
+        SglLoader(LogMerge::new(1, prefill))
     }
 }
 
-/// The canary's [`StoreLoader`]: the map behind the lock, reached
-/// through `Mutex::get_mut` because the loader owns it.
-pub struct SglLoader(SglBackend);
+/// The canary's [`StoreLoader`]: the native store's merge over one map.
+pub struct SglLoader(LogMerge);
 
 impl StoreLoader for SglLoader {
     type Store = SglBackend;
 
     fn apply(&mut self, ops: &[MutOp]) -> Result<(), StoreFull> {
-        let map = self
-            .0
-            .map
-            .get_mut()
-            .expect("nothing else can hold the lock");
-        for op in ops {
-            apply_one(map, op);
-        }
+        self.0.buffer(ops);
         Ok(())
     }
 
     fn finish(self) -> SglBackend {
-        self.0
+        SglBackend {
+            map: Mutex::new(self.0.finish().pop().expect("one map")),
+        }
     }
 }
 
@@ -622,6 +896,9 @@ impl StoreSession for SglSession<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::driver::run_backend_threads;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::TryLockError;
 
     /// How many of `n_shards` shards `ops` touch: the grace periods
@@ -642,7 +919,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The load path applies each op once, in place, and `finish`
+    /// The load path builds each map once, from the merge, and `finish`
     /// publishes each map as it is. (That the loaded store equals the
     /// published one is `wal`'s `native_backend_replay_equals_store`.)
     #[test]
@@ -665,6 +942,173 @@ pub(crate) mod tests {
             loader.apply(ops).unwrap();
         }
         assert_one_image(&mut loader.finish());
+    }
+
+    /// What a loaded store holds, checked shard by shard: each map is
+    /// one published image holding only its own shard's keys. All the
+    /// pairs, ascending.
+    fn loaded_pairs(maps: &mut [&mut LeafMap]) -> Vec<(u64, u64)> {
+        let n_shards = maps.len();
+        let mut pairs = Vec::new();
+        for (s, map) in maps.iter_mut().enumerate() {
+            map.audit_published();
+            let from = pairs.len();
+            map.snapshot().range(0..=u64::MAX, &mut pairs);
+            assert!(
+                pairs[from..]
+                    .iter()
+                    .all(|&(k, _)| shard_index(k, n_shards) == s),
+                "shard {s} of {n_shards} holds another shard's key"
+            );
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// The per-op load the merge replaces, as the oracle: the prefill,
+    /// then every op `insert`ed or `remove`d in log order.
+    fn replayed(prefill: u64, log: &[Vec<MutOp>]) -> Vec<(u64, u64)> {
+        let mut map = LeafMap::from_ascending((0..prefill).map(|k| (k, k)));
+        for op in log.iter().flatten() {
+            apply_one(&mut map, op);
+        }
+        let mut pairs = Vec::new();
+        map.snapshot().range(0..=u64::MAX, &mut pairs);
+        pairs
+    }
+
+    /// Loads `log` over `prefill` into the native store at `n_shards`
+    /// (the canary with `None`), folding after each record `folds`
+    /// names, and returns the loaded pairs.
+    fn merged(
+        n_shards: Option<usize>,
+        prefill: u64,
+        log: &[Vec<MutOp>],
+        folds: &[usize],
+    ) -> Vec<(u64, u64)> {
+        let load = |merge: &mut LogMerge| {
+            for (i, ops) in log.iter().enumerate() {
+                merge.buffer(ops);
+                if folds.contains(&i) {
+                    merge.fold();
+                }
+            }
+        };
+        match n_shards {
+            Some(n) => {
+                let mut loader = NativeBackend::loader(n, 1, prefill);
+                load(&mut loader.merge);
+                let mut backend = loader.finish();
+                let mut maps: Vec<_> = backend
+                    .shards
+                    .iter_mut()
+                    .map(|s| s.writer.get_mut().unwrap())
+                    .collect();
+                loaded_pairs(&mut maps)
+            }
+            None => {
+                let mut loader = SglBackend::loader(prefill);
+                load(&mut loader.0);
+                loaded_pairs(&mut [loader.finish().map.get_mut().unwrap()])
+            }
+        }
+    }
+
+    /// A log over `prefill` keys: records of one to eight ops, PUT and
+    /// DEL at even odds, and keys that make every branch of the merge
+    /// likely — prefilled ones, a few hot keys written again and again
+    /// (re-puts, deletes of absent keys, dozens of ops per key in one
+    /// run), keys just past the prefill, `u64::MAX` and its neighbours,
+    /// and any key. One PUT in eight writes [`TOMBSTONE`]'s value.
+    fn log(prefill: u64, seed: u64, ops: usize) -> Vec<Vec<MutOp>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut log = Vec::new();
+        let mut left = ops;
+        while left > 0 {
+            let record: Vec<MutOp> = (0..rng.gen_range(1..=8).min(left))
+                .map(|_| {
+                    let key = match rng.gen_range(0..10) {
+                        0..=2 if prefill > 0 => rng.gen_range(0..prefill),
+                        0..=4 => prefill.saturating_sub(4) + rng.gen_range(0..12),
+                        5 | 6 => prefill + rng.gen_range(0..200),
+                        7 => u64::MAX - rng.gen_range(0..3),
+                        _ => rng.gen(),
+                    };
+                    match rng.gen_range(0..16) {
+                        0..=7 => MutOp::Del { key },
+                        8 => MutOp::Put {
+                            key,
+                            value: TOMBSTONE,
+                        },
+                        _ => MutOp::Put {
+                            key,
+                            value: rng.gen(),
+                        },
+                    }
+                })
+                .collect();
+            left -= record.len();
+            log.push(record);
+        }
+        log
+    }
+
+    /// Prefill sizes around a block (64), then any up to 48 blocks.
+    const PREFILLS: [u64; 5] = [0, 1, 63, 64, 65];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Start-up as one sorted merge equals the per-op replay it
+        /// replaces, on every shard layout and on the canary, with and
+        /// without folds part-way through the log: the same pairs, each
+        /// map one published image of its own shard's keys.
+        #[test]
+        fn the_merged_load_equals_per_op_replay(
+            prefill in prop_oneof![
+                (0..PREFILLS.len()).prop_map(|i| PREFILLS[i]),
+                0u64..3072,
+            ],
+            seed in any::<u64>(),
+            ops in 0usize..1500,
+            folds in prop::collection::vec(0usize..400, 0..3),
+        ) {
+            let log = log(prefill, seed, ops);
+            let want = replayed(prefill, &log);
+            for n_shards in [Some(1), Some(3), Some(16), None] {
+                for folds in [&[][..], &folds] {
+                    prop_assert_eq!(
+                        merged(n_shards, prefill, &log, folds),
+                        want.clone(),
+                        "{:?} shards, prefill {}, folds after records {:?}",
+                        n_shards,
+                        prefill,
+                        folds
+                    );
+                }
+            }
+        }
+    }
+
+    /// A fold part-way through the log — what crossing [`FOLD_OPS`]
+    /// does — keeps log order: every op buffered after it wins over the
+    /// map it built, whichever op each side holds for a key.
+    #[test]
+    fn ops_after_a_fold_win_over_the_folded_map() {
+        let put = |key, value| MutOp::Put { key, value };
+        let del = |key| MutOp::Del { key };
+        let log = vec![
+            vec![put(5, 1), del(7), put(300, 3), put(301, 4), del(9)],
+            vec![put(5, 2), put(7, 8), del(300), del(301), put(9, TOMBSTONE)],
+        ];
+        let mut want: Vec<(u64, u64)> = (0..200).map(|k| (k, k)).collect();
+        want[5].1 = 2;
+        want[7].1 = 8;
+        want[9].1 = TOMBSTONE;
+        assert_eq!(replayed(200, &log), want);
+        for n_shards in [Some(1), Some(3), Some(16), None] {
+            assert_eq!(merged(n_shards, 200, &log, &[0]), want, "{n_shards:?}");
+        }
     }
 
     #[test]
