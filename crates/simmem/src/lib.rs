@@ -17,6 +17,9 @@
 //! * [`SimAlloc`] — a thread-safe segregated free-list allocator handing
 //!   out line-aligned blocks, so one allocated node maps to one (or more)
 //!   whole cache lines.
+//! * [`madvise_hugepage`] — the process's one `madvise`, which asks for
+//!   transparent huge pages over a range about to be filled; the
+//!   native store's bulk builds use it too.
 //!
 //! # Examples
 //!
@@ -40,4 +43,4 @@ mod mem;
 
 pub use addr::{Addr, LineId, LINE_BYTES, WORDS_PER_LINE};
 pub use alloc::{AllocError, AllocStats, SimAlloc};
-pub use mem::{SharedMem, StridePrefetcher};
+pub use mem::{madvise_hugepage, SharedMem, StridePrefetcher, HUGE_PAGE};

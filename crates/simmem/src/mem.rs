@@ -4,13 +4,14 @@ use core::sync::atomic::{AtomicU64, Ordering};
 
 use crate::addr::{Addr, WORDS_PER_LINE};
 
-/// Allocations at least this large are 2 MiB-aligned and advised onto
-/// transparent huge pages. Benchmark-scale memories span hundreds of
-/// megabytes that workloads pointer-chase at random; with 4 KiB pages
-/// almost every simulated access also pays a dTLB miss and page walk,
-/// which has nothing to do with the memory system being modelled. Small
-/// (test-scale) memories keep the allocator's natural alignment.
-const HUGE_PAGE: usize = 2 * 1024 * 1024;
+/// A transparent huge page: 2 MiB. Allocations at least this large are
+/// 2 MiB-aligned and advised onto transparent huge pages. Benchmark-scale
+/// memories span hundreds of megabytes that workloads pointer-chase at
+/// random; with 4 KiB pages almost every simulated access also pays a
+/// dTLB miss and page walk, which has nothing to do with the memory
+/// system being modelled. Small (test-scale) memories keep the
+/// allocator's natural alignment.
+pub const HUGE_PAGE: usize = 2 * 1024 * 1024;
 
 /// Owner of the word array: a manually allocated block so the backing
 /// store can be over-aligned to 2 MiB (a `Box<[AtomicU64]>` cannot carry
@@ -70,12 +71,20 @@ impl Drop for WordStore {
 
 /// Advises the kernel to back `[addr, addr + len)` with transparent huge
 /// pages (`madvise(MADV_HUGEPAGE)`). Best effort; errors are ignored.
+/// Only whole 2 MiB-aligned pages inside the range can be huge, and the
+/// kernel backs one whole page at its first touch, so advise only what
+/// will be filled. The one `madvise` in the tree: the simulated memory
+/// and the native store's bulk builds (`workloads::leafmap`) share it.
+/// Advice never changes what the range holds, so any address is safe to
+/// pass; one the process does not map makes the call fail, ignored.
+/// A no-op off Linux/x86-64.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn madvise_hugepage(addr: *mut u8, len: usize) {
+pub fn madvise_hugepage(addr: *mut u8, len: usize) {
     const SYS_MADVISE: usize = 28;
     const MADV_HUGEPAGE: usize = 14;
-    // SAFETY: madvise on an owned mapping reads/writes no memory; a raw
-    // syscall avoids a libc dependency. rcx/r11 are clobbered by the
+    // SAFETY: madvise(MADV_HUGEPAGE) reads and writes no memory and
+    // leaves the range's contents as they are; a raw syscall avoids a
+    // libc dependency. rcx/r11 are clobbered by the
     // `syscall` instruction itself.
     unsafe {
         let _ret: isize;
@@ -92,8 +101,9 @@ fn madvise_hugepage(addr: *mut u8, len: usize) {
     }
 }
 
+/// [`madvise_hugepage`] where there is no such call: nothing.
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn madvise_hugepage(_addr: *mut u8, _len: usize) {}
+pub fn madvise_hugepage(_addr: *mut u8, _len: usize) {}
 
 /// A flat, word-addressable simulated shared memory.
 ///

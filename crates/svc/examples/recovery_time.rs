@@ -14,12 +14,14 @@
 //! --threads 2 --prefill N --wal-dir D --fsync off` eight times. Each
 //! start is timed from spawn to the first reply (a STATS exchange) and
 //! then killed. One row per length:
-//! the median, fastest and slowest start, and the median of each phase
-//! the `rwled recovered:` line reports. Builds before the one-merge
-//! start-up report prefill, read+check and apply; later ones read+check
-//! and build (sort and merge, prefill included). A phase the binary does
-//! not report prints `-`, so `--rwled` may name any build, and two
-//! revisions are compared by alternating runs with each binary.
+//! the median, fastest and slowest start, the median of each phase
+//! the `rwled recovered:` line reports, and the medians of the minor
+//! page faults the server had taken and the KiB of huge pages it held
+//! at its first reply, read from its `/proc` entry. Builds before the
+//! one-merge start-up report prefill, read+check and apply; later ones
+//! read+check and build (sort and merge, prefill included). A phase the
+//! binary does not report prints `-`, so `--rwled` may name any build,
+//! and two revisions are compared by alternating runs with each binary.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -29,6 +31,7 @@ use std::time::Instant;
 
 use bench::Args;
 use rand::{Rng, SeedableRng};
+use svc::procstat;
 use svc::proto::{read_frame, Request, Response};
 use wal::{FsyncPolicy, Wal};
 use workloads::backend::{DurableSink, MutOp};
@@ -48,6 +51,10 @@ const STARTS: usize = 8;
 
 /// The phases `rwled recovered:` reports, in ms, old and new names.
 const PHASES: [&str; 4] = ["prefill ", "read+check ", "apply ", "build "];
+
+/// What a start reports: each phase's ms, then the server's minor faults
+/// and KiB of huge pages.
+const COLUMNS: usize = PHASES.len() + 2;
 
 fn main() {
     let args = Args::parse();
@@ -69,25 +76,31 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("recovery-time-{}", std::process::id()));
     println!(
         "# {label}: native, prefill {prefill}, {STARTS} starts per log; ms: start = spawn to \
-         first reply (median min max), then the median phase split rwled reports"
+         first reply (median min max), then the median phase split rwled reports; then the \
+         median minor faults and KiB of huge pages of the server at its first reply"
     );
-    println!("label log_ops records start_ms min_ms max_ms prefill_ms read_ms apply_ms build_ms");
+    println!(
+        "label log_ops records start_ms min_ms max_ms prefill_ms read_ms apply_ms build_ms \
+         faults huge_kib"
+    );
     for ops in lengths {
         let _ = std::fs::remove_dir_all(&dir);
         let records = write_log(&dir, ops, prefill);
         let mut times = Vec::new();
-        let mut phases: [Vec<f64>; PHASES.len()] = Default::default();
+        let mut columns: [Vec<f64>; COLUMNS] = Default::default();
         for _ in 0..STARTS {
-            let (ms, split) = start(rwled, &dir, prefill);
+            let (ms, row) = start(rwled, &dir, prefill);
             times.push(ms);
-            for (all, one) in phases.iter_mut().zip(split) {
+            for (all, one) in columns.iter_mut().zip(row) {
                 all.extend(one);
             }
         }
-        let split: Vec<String> = phases
+        let split: Vec<String> = columns
             .iter_mut()
-            .map(|p| match median(p) {
-                Some(ms) => format!("{ms:.1}"),
+            .enumerate()
+            .map(|(i, column)| match median(column) {
+                Some(ms) if i < PHASES.len() => format!("{ms:.1}"),
+                Some(count) => format!("{count:.0}"),
                 None => "-".into(),
             })
             .collect();
@@ -133,9 +146,11 @@ fn write_log(dir: &Path, ops: u64, prefill: u64) -> u64 {
     records
 }
 
-/// One start: spawn to the first STATS reply, in ms, and the phases of
-/// the recovery line, each when the binary reports it.
-fn start(rwled: &str, dir: &Path, prefill: u64) -> (f64, [Option<f64>; PHASES.len()]) {
+/// One start: spawn to the first STATS reply, in ms, and its
+/// [`COLUMNS`]: the phases of the recovery line, each when the binary
+/// reports it, and the server's minor faults and KiB of huge pages at
+/// that reply, where `/proc` has them.
+fn start(rwled: &str, dir: &Path, prefill: u64) -> (f64, [Option<f64>; COLUMNS]) {
     let t0 = Instant::now();
     let mut child = Command::new(rwled)
         .args([
@@ -156,7 +171,7 @@ fn start(rwled: &str, dir: &Path, prefill: u64) -> (f64, [Option<f64>; PHASES.le
         .spawn()
         .expect("spawn rwled");
     let mut stdout = BufReader::new(child.stdout.take().expect("piped"));
-    let (mut line, mut split) = (String::new(), [None; PHASES.len()]);
+    let (mut line, mut row) = (String::new(), [None; COLUMNS]);
     let addr = loop {
         line.clear();
         assert!(
@@ -164,7 +179,7 @@ fn start(rwled: &str, dir: &Path, prefill: u64) -> (f64, [Option<f64>; PHASES.le
             "rwled exited"
         );
         if line.starts_with("rwled recovered:") {
-            split = phase_split(&line);
+            row[..PHASES.len()].copy_from_slice(&phase_split(&line));
         }
         if let Some(rest) = line.strip_prefix("rwled listening on ") {
             break rest.split_whitespace().next().expect("address").to_string();
@@ -175,9 +190,12 @@ fn start(rwled: &str, dir: &Path, prefill: u64) -> (f64, [Option<f64>; PHASES.le
     let reply = Response::decode(&read_frame(&mut c).expect("reply")).expect("decode");
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     assert!(matches!(reply, Response::Stats(_)), "first reply {reply:?}");
+    let pid = child.id().to_string();
+    row[PHASES.len()] = procstat::minor_faults(&pid).map(|n| n as f64);
+    row[PHASES.len() + 1] = procstat::huge_page_kib(&pid).map(|kib| kib as f64);
     child.kill().expect("kill rwled");
     child.wait().expect("reap rwled");
-    (ms, split)
+    (ms, row)
 }
 
 /// Each phase's `NAME T ms` from the recovery line, `None` where it

@@ -11,7 +11,9 @@
 //! Prints the bound address on stdout, serves until a SHUTDOWN request,
 //! then drains and prints the final report (including batch/barrier
 //! amortization counters). A durable start prints what recovery read and
-//! where its time went first. Exit codes: 0 clean drain, 1 runtime
+//! where its time went first; every start prints what building the store
+//! cost in minor page faults, and the huge pages the process then holds,
+//! where `/proc` tells. Exit codes: 0 clean drain, 1 runtime
 //! failure or drain mismatch, 2 bad configuration or a redo log that
 //! does not load.
 
@@ -19,6 +21,7 @@ use std::process::exit;
 use std::time::Duration;
 
 use bench::Args;
+use svc::procstat;
 use svc::server::{Server, ServerConfig};
 use workloads::{BackendKind, SchemeKind};
 
@@ -111,6 +114,7 @@ fn main() {
         None => "volatile".to_string(),
     };
     let threads = cfg.threads;
+    let faults_before = procstat::minor_faults("self");
     let server = match Server::bind(cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -132,23 +136,34 @@ fn main() {
             exit(2);
         }
     };
+    // What the load cost the memory system, where /proc tells.
+    let faults = faults_before
+        .zip(procstat::minor_faults("self"))
+        .map(|(before, after)| format!("minor faults {}", after - before));
+    let huge = procstat::huge_page_kib("self").map(|kib| format!("huge pages {kib} KiB"));
+    let memory: Vec<String> = faults.into_iter().chain(huge).collect();
     // Before the port file: a script that waits for the port finds
-    // this line already written.
-    if let Some(r) = server.recovery() {
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        let log = &r.replay;
-        println!(
-            "rwled recovered: {} records ({} ops) from {} segments, \
-             {} torn bytes truncated, next lsn {}; read+check {:.1} ms, \
-             build {:.1} ms",
-            log.records,
-            log.ops,
-            log.segments,
-            log.truncated_bytes,
-            log.next_lsn,
-            ms(r.read),
-            ms(r.build)
-        );
+    // these lines already written.
+    match server.recovery() {
+        Some(r) => {
+            let ms = |d: Duration| d.as_secs_f64() * 1e3;
+            let log = &r.replay;
+            println!(
+                "rwled recovered: {} records ({} ops) from {} segments, \
+                 {} torn bytes truncated, next lsn {}; read+check {:.1} ms, \
+                 build {:.1} ms{}",
+                log.records,
+                log.ops,
+                log.segments,
+                log.truncated_bytes,
+                log.next_lsn,
+                ms(r.read),
+                ms(r.build),
+                memory.iter().map(|m| format!(", {m}")).collect::<String>()
+            );
+        }
+        None if !memory.is_empty() => println!("rwled built: {}", memory.join(", ")),
+        None => {}
     }
     if let Some(path) = args.get("port-file") {
         if let Err(e) = std::fs::write(path, addr.port().to_string()) {

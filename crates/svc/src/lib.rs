@@ -20,6 +20,8 @@
 //! * [`loadgen`] — the client: closed-loop (optionally pipelined) or
 //!   shared-pacing open-loop traffic with configurable skew and write
 //!   fraction, latency recorded per op class in [`stats::LatencyHist`];
+//! * [`procstat`] — a process's minor page faults and huge pages, as
+//!   `/proc` reports them, for `rwled`'s start report;
 //! * [`journal`] — the ack journal loadgen writes in `--journal` runs
 //!   and the verifier the crash-recovery harness replays it with
 //!   (every acked write must be readable after recovery).
@@ -31,5 +33,6 @@
 pub mod journal;
 pub mod loadgen;
 pub mod poll;
+pub mod procstat;
 pub mod proto;
 pub mod server;

@@ -119,19 +119,14 @@ pub(crate) fn shard_index(key: u64, n_shards: usize) -> usize {
     ((key >> BLOCK_BITS) % n_shards as u64) as usize
 }
 
-/// The keys below `end` that shard `shard` of `n_shards` holds,
-/// ascending: those of its blocks `shard`, `shard + n`, `shard + 2n`, ….
-pub(crate) fn shard_keys(shard: usize, n_shards: usize, end: u64) -> impl Iterator<Item = u64> {
-    shard_blocks(shard, n_shards, end).flatten()
-}
-
-/// [`shard_keys`] a block at a time: the key range of each block,
-/// ascending.
+/// The keys below `end` that shard `shard` of `n_shards` holds, a
+/// block at a time: the key ranges of its blocks `shard`, `shard + n`,
+/// `shard + 2n`, …, ascending.
 pub(crate) fn shard_blocks(
     shard: usize,
     n_shards: usize,
     end: u64,
-) -> impl Iterator<Item = Range<u64>> {
+) -> impl Iterator<Item = Range<u64>> + Clone {
     (shard as u64..)
         .step_by(n_shards)
         .map(|block| block << BLOCK_BITS)

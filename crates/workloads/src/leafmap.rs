@@ -14,6 +14,23 @@
 //! allocated, not zero-filled, so the pages of the part not yet handed
 //! out are never touched and never made resident.
 //!
+//! **Sized builds.** A bulk build that knows how many pairs it will at
+//! least hold ([`Builder::with_capacity`]) reserves the leaf chunks
+//! `0..=k` that hold them as one block, aligned to 2 MiB once it spans
+//! that much. The directory points into the block, so the chunk
+//! geometry and the id to address arithmetic stay as they are, and
+//! writes past the block grow the arena a chunk at a time. Before its
+//! first write the build asks the kernel for transparent huge pages
+//! over the block's whole 2 MiB regions that those pairs fill, so each
+//! costs one page fault instead of 512. Only those: the kernel backs a
+//! whole huge page at the first touch, so advising a region the build
+//! fills in part would make up to 2 MiB resident that nothing uses, per
+//! map, and a store has a map per shard. A `svc-read` shard (250 k pairs, 3.94 MiB of leaves)
+//! gets one huge page for the first of its two regions; the 100 k-key
+//! workloads' shards (100–200 KiB) get none. Where the kernel refuses
+//! the advice, or the allocator hands back pages an earlier use already
+//! touched, the block stays on 4 KiB pages.
+//!
 //! **Versions.** The map is copy-on-write. Its one writer changes a node
 //! in place only if the node was allocated since the map's last
 //! [`LeafMap::publish`]; any other node is first copied, together with
@@ -63,6 +80,8 @@ use std::ops::RangeInclusive;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
+
+use simmem::{madvise_hugepage, HUGE_PAGE};
 
 /// Pairs per leaf: with the length word, four cache lines of keys and
 /// four of values.
@@ -242,18 +261,55 @@ fn slot(id: u32) -> (usize, usize) {
     )
 }
 
+/// The first id of chunk `chunk`: the ids chunks `0..chunk` hold.
+fn first_id(chunk: usize) -> usize {
+    (CHUNK0 as usize) * ((1 << chunk) - 1)
+}
+
 /// One kind of node, in chunks that never move. Each directory entry
 /// goes from null to its chunk once, when the writer first needs it, and
-/// never changes after that.
+/// never changes after that — except those of a block, set before the
+/// arena is shared.
 struct Arena<T> {
     chunks: [AtomicPtr<T>; CHUNKS],
+    /// The block a sized build reserved ([`Arena::with_block`]): its
+    /// last chunk `k` and its layout. Chunks `0..=k` lie in it, back to
+    /// back, from `chunks[0]` on.
+    block: Option<(usize, Layout)>,
 }
 
 impl<T> Arena<T> {
     fn new() -> Arena<T> {
         Arena {
             chunks: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
+            block: None,
         }
+    }
+
+    /// An arena whose chunks `0..=last` are allocated now, as one block:
+    /// aligned to a huge page when it spans one, so that each of its
+    /// whole 2 MiB regions can be one. Like a chunk, the block is left
+    /// uninitialised and untouched.
+    fn with_block(last: usize) -> Arena<T> {
+        let layout =
+            Layout::array::<T>(first_id(last + 1)).expect("an arena block fits the address space");
+        let layout = if layout.size() >= HUGE_PAGE {
+            layout.align_to(HUGE_PAGE).expect("huge-page alignment")
+        } else {
+            layout
+        };
+        // SAFETY: `layout` has a non-zero size: chunk 0 alone holds
+        // `CHUNK0` nodes. Uninitialised, as in `grow`.
+        let base = unsafe { alloc(layout) }.cast::<T>();
+        if base.is_null() {
+            handle_alloc_error(layout);
+        }
+        let mut arena = Arena::new();
+        for (chunk, mem) in arena.chunks[..=last].iter_mut().enumerate() {
+            *mem.get_mut() = base.wrapping_add(first_id(chunk));
+        }
+        arena.block = Some((last, layout));
+        arena
     }
 
     fn layout(chunk: usize) -> Layout {
@@ -285,12 +341,15 @@ impl<T> Arena<T> {
         unsafe { &*self.at(id) }
     }
 
-    /// Allocates the chunk `id` opens. Writer only; Relaxed, because
-    /// readers learn of the chunk through a later root flip (see
-    /// [`Arena::at`]).
+    /// Allocates the chunk `id` opens, unless the block holds it. Writer
+    /// only; Relaxed, because readers learn of the chunk through a later
+    /// root flip (see [`Arena::at`]).
     #[cold]
     fn grow(&self, id: u32) {
         let (chunk, _) = slot(id);
+        if self.block.is_some_and(|(last, _)| chunk <= last) {
+            return;
+        }
         let layout = Self::layout(chunk);
         // SAFETY: `layout` has a non-zero size: a chunk holds at least
         // `CHUNK0` nodes. The memory is left uninitialised; only the
@@ -305,7 +364,15 @@ impl<T> Arena<T> {
 
 impl<T> Drop for Arena<T> {
     fn drop(&mut self) {
-        for (chunk, mem) in self.chunks.iter_mut().enumerate() {
+        // The chunks the block holds go with it, not one by one.
+        let mut in_block = 0;
+        if let Some((last, layout)) = self.block {
+            // SAFETY: `with_block` allocated the block at `chunks[0]`
+            // with this layout, and nodes are `Copy`.
+            unsafe { dealloc(self.chunks[0].get_mut().cast(), layout) };
+            in_block = last + 1;
+        }
+        for (chunk, mem) in self.chunks.iter_mut().enumerate().skip(in_block) {
             let mem = *mem.get_mut();
             if !mem.is_null() {
                 // SAFETY: `grow` allocated `mem` with this layout, and
@@ -952,6 +1019,30 @@ impl Builder {
         }
     }
 
+    /// A build that will push at least `pairs` pairs. It reserves their
+    /// leaves up front: the leaf arena's chunks `0..=k` that hold
+    /// `pairs` pairs, as one block (pairs past that grow the arena a
+    /// chunk at a time, as [`LeafMap::insert`]s do). Before the first
+    /// write it asks for huge pages (`simmem::madvise_hugepage`) over
+    /// the whole 2 MiB regions of the block those pairs fill, so each
+    /// region costs one page fault, not 512; a region they fill only in
+    /// part stays on 4 KiB pages (module docs). `pairs` only sizes and
+    /// advises: the tree is the one [`Builder::new`] builds, and a
+    /// build that pushes fewer pairs is only slower or larger.
+    pub fn with_capacity(pairs: usize) -> Builder {
+        let last = u32::try_from(pairs.div_ceil(LEAF_CAP).max(1) - 1)
+            .expect("more than u32::MAX nodes in one map");
+        let mut leaf_arena = Arena::<Leaf>::with_block(slot(last).0);
+        let span = huge_span(pairs);
+        if span > 0 {
+            madvise_hugepage(leaf_arena.chunks[0].get_mut().cast(), span);
+        }
+        Builder {
+            leaf_arena,
+            ..Builder::new()
+        }
+    }
+
     /// Appends a pair.
     ///
     /// # Panics
@@ -1023,6 +1114,17 @@ impl Builder {
             path: Vec::new(),
         }
     }
+}
+
+/// The bytes, from the start of a sized build's leaf block, to advise
+/// onto huge pages when the build pushes at least `pairs` pairs: the
+/// whole 2 MiB regions their leaves fill, each leaf written whole. The
+/// kernel backs a whole huge page at its first touch, so a region the
+/// build filled only in part would hold up to 2 MiB of resident memory
+/// nothing uses; such a region stays on 4 KiB pages.
+fn huge_span(pairs: usize) -> usize {
+    let filled = pairs.div_ceil(LEAF_CAP) * size_of::<Leaf>();
+    filled / HUGE_PAGE * HUGE_PAGE
 }
 
 /// Contents, not layout: two maps holding the same pairs are equal
@@ -1471,6 +1573,151 @@ mod tests {
     #[should_panic(expected = "from_ascending: key 5 after Some(5)")]
     fn a_bulk_build_refuses_a_duplicate_key() {
         LeafMap::from_ascending([(5, 0), (5, 1)]);
+    }
+
+    /// Leaves per 2 MiB region.
+    const REGION_LEAVES: usize = HUGE_PAGE / size_of::<Leaf>();
+
+    /// The fewest pairs whose leaves fill one 2 MiB region: one in the
+    /// region's last leaf.
+    const REGION_PAIRS: usize = (REGION_LEAVES - 1) * LEAF_CAP + 1;
+
+    /// The sizes where a sized build's block changes: no key, one, a
+    /// full leaf and one past it; either side of the end of chunk 0, of
+    /// chunk 4 and of chunk 8 (past which the block spans a huge page
+    /// and is aligned to one); and either side of filling one and two
+    /// 2 MiB regions.
+    fn sized_edges() -> Vec<usize> {
+        let mut sizes = vec![0, 1, LEAF_CAP, LEAF_CAP + 1];
+        for chunk in [1, 5, 9] {
+            let pairs = first_id(chunk) * LEAF_CAP;
+            sizes.extend([pairs - 1, pairs, pairs + 1]);
+        }
+        for pairs in [REGION_PAIRS, REGION_PAIRS + REGION_LEAVES * LEAF_CAP] {
+            sizes.extend([pairs - 1, pairs]);
+        }
+        sizes
+    }
+
+    /// `n` strictly ascending pairs whose keys are not their ranks.
+    fn spread(n: usize) -> impl Iterator<Item = (u64, u64)> {
+        (0..n as u64).map(|i| (i * 3 + 1, i))
+    }
+
+    /// [`spread`]`(n)` through a build sized for `pairs`.
+    fn sized(pairs: usize, n: usize) -> LeafMap {
+        let mut build = Builder::with_capacity(pairs);
+        for (key, value) in spread(n) {
+            build.push(key, value);
+        }
+        build.finish()
+    }
+
+    /// A sized build is the unsized one — same pairs, height, node
+    /// counts and audit — whether its size is exact, too small (the
+    /// build itself then grows past the block) or too large. Its leaves
+    /// lie in one block: chunks `0..=k`, `k` the fewest that hold the
+    /// size, back to back from a base aligned to a huge page when the
+    /// block spans one, and no chunk after it yet.
+    #[test]
+    fn a_sized_build_is_the_unsized_one() {
+        for n in sized_edges() {
+            let plain = LeafMap::from_ascending(spread(n));
+            for (size, what) in [(n, "exact"), (n / 2, "small"), (2 * n + 1, "large")] {
+                let map = sized(size, n);
+                map.audit();
+                assert_eq!(
+                    map.snapshot().pairs(),
+                    plain.snapshot().pairs(),
+                    "{n} pairs, {what}"
+                );
+                assert_eq!(
+                    (map.height, map.leaves.used, map.inners.used),
+                    (plain.height, plain.leaves.used, plain.inners.used),
+                    "{n} pairs, {what}"
+                );
+                let arena = &map.tree.leaves;
+                let (last, layout) = arena.block.expect("a sized build has a block");
+                let reserved = size.div_ceil(LEAF_CAP).max(1);
+                assert!(
+                    first_id(last + 1) >= reserved && (last == 0 || first_id(last) < reserved),
+                    "{n} pairs, {what}: chunks 0..={last} for {reserved} leaves"
+                );
+                assert_eq!(layout.size(), first_id(last + 1) * size_of::<Leaf>());
+                assert_eq!(layout.size() >= HUGE_PAGE, layout.align() == HUGE_PAGE);
+                let base = arena.at(0);
+                assert_eq!(base as usize % layout.align(), 0);
+                for chunk in 0..=last {
+                    assert_eq!(
+                        arena.at(first_id(chunk) as u32),
+                        base.wrapping_add(first_id(chunk))
+                    );
+                }
+                if map.leaves.used as usize <= first_id(last + 1) {
+                    assert!(arena.at(first_id(last + 1) as u32).is_null());
+                }
+            }
+        }
+    }
+
+    /// A bulk-built map whose run-time writes outgrow its block: the
+    /// arena grows past it a chunk at a time, and every version is
+    /// still published and reclaimed whole.
+    #[test]
+    fn run_time_writes_grow_past_the_block() {
+        // Leaves for exactly chunks 0..=2.
+        let n = first_id(3) * LEAF_CAP;
+        let mut map = sized(n, n);
+        assert_eq!(map.tree.leaves.block.map(|(last, _)| last), Some(2));
+        let mut model: BTreeMap<u64, u64> = spread(n).collect();
+        map.publish();
+        let mut rng = SmallRng::seed_from_u64(38);
+        for round in 0..200 {
+            for _ in 0..20 {
+                let key = rng.gen_range(0..4 * n as u64);
+                if rng.gen_bool(0.8) {
+                    assert_eq!(map.insert(key, round), model.insert(key, round));
+                } else {
+                    assert_eq!(map.remove(key), model.remove(&key));
+                }
+            }
+            map.publish();
+            map.reclaim(true);
+        }
+        assert!(
+            slot(map.leaves.used - 1).0 > 2,
+            "the arena never grew past its block"
+        );
+        map.audit_published();
+        assert_eq!(
+            map.snapshot().pairs(),
+            model.into_iter().collect::<Vec<_>>()
+        );
+    }
+
+    /// The advice, as arithmetic: nothing below one whole 2 MiB region
+    /// of filled leaves, then whole regions only — every one the leaves
+    /// fill, none they fill in part.
+    #[test]
+    fn only_whole_filled_regions_are_advised() {
+        assert_eq!(huge_span(0), 0);
+        assert_eq!(huge_span(1), 0);
+        assert_eq!(huge_span(REGION_PAIRS - 1), 0);
+        assert_eq!(huge_span(REGION_PAIRS), HUGE_PAGE);
+        let two = REGION_PAIRS + REGION_LEAVES * LEAF_CAP;
+        assert_eq!(huge_span(two - 1), HUGE_PAGE);
+        assert_eq!(huge_span(two), 2 * HUGE_PAGE);
+        // A `svc-read` shard, 4 M keys over 16 shards, fills 3.94 MiB:
+        // one of its two regions.
+        assert_eq!(huge_span(250_000), HUGE_PAGE);
+        for pairs in (0..5 * REGION_PAIRS).step_by(997) {
+            let filled = pairs.div_ceil(LEAF_CAP) * size_of::<Leaf>();
+            let span = huge_span(pairs);
+            assert!(
+                span.is_multiple_of(HUGE_PAGE) && span <= filled && filled - span < HUGE_PAGE,
+                "{pairs} pairs: {span} of {filled} bytes advised"
+            );
+        }
     }
 
     /// Free-at-empty gives memory back to the map: a window of live keys

@@ -20,6 +20,17 @@ use workloads::{SchemeKind, StoreBackend};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Blocks and bytes this thread allocated and has not freed (a
+    /// block another thread frees counts there, below zero).
+    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+}
+
+/// Adds `blocks` and `bytes` to this thread's [`LIVE`] tally.
+fn live(blocks: i64, bytes: i64) {
+    LIVE.with(|l| {
+        let (b, n) = l.get();
+        l.set((b + blocks, n + bytes));
+    });
 }
 
 struct Counting;
@@ -32,17 +43,20 @@ unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller's contract is `System.alloc`'s.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        live(1, layout.size() as i64);
         System.alloc(layout)
     }
 
     // SAFETY: `ptr` came from `System` with this layout.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-1, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     // SAFETY: the caller's contract is `System.realloc`'s.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        live(0, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -140,4 +154,28 @@ fn native_batches_are_allocation_free_when_warm() {
     round(1);
     let allocs: u64 = (2..=500).map(&mut round).sum();
     assert_eq!(allocs, 0, "a warm native batch allocated");
+}
+
+/// A sized bulk build and its drop balance: every block the stores
+/// allocate is freed once — the leaf block of each sized build whole,
+/// the chunks past it one by one — with maps whose blocks span huge
+/// pages and one that run-time writes grew past its block.
+#[test]
+fn a_build_and_its_drop_balance() {
+    let scenario = || {
+        drop(NativeBackend::create(4, 1, 600_000));
+        drop(SglBackend::create(300_000));
+        let backend = NativeBackend::create(1, 1, 3_000);
+        let mut sess = backend.session();
+        for key in 3_000..40_000 {
+            sess.put(key, key).unwrap();
+        }
+        drop(sess);
+        drop(backend);
+    };
+    // The first round also makes what this thread keeps for good.
+    scenario();
+    let before = LIVE.with(Cell::get);
+    scenario();
+    assert_eq!(LIVE.with(Cell::get), before, "(blocks, bytes) left live");
 }
