@@ -1,7 +1,7 @@
 //! Quiescence is allocation-free: the barriers the commit paths call
-//! (`synchronize_in` from `NativeSession::cycle`, the `_from` forms from
-//! every `rwle` write path) must not touch the heap beyond growing the
-//! caller's scratch buffer.
+//! (the `_from` forms from `NativeSession::cycle` and every `rwle` write
+//! path, `synchronize_in` their shorthand) must not touch the heap
+//! beyond growing the caller's scratch buffer.
 //!
 //! A counting global allocator tallies this thread's allocations in a
 //! const-initialised `thread_local!` `Cell` (no lazy initialisation, so

@@ -331,7 +331,7 @@ fn main() {
             if s.batches > 0 {
                 println!(
                     "  amortization: {:.2} ops/batch, {:.4} barriers/mutation \
-                     ({} full + {} shared; one per touched shard), {} writev",
+                     ({} full + {} shared; at most one per touched shard), {} writev",
                     s.mean_batch(),
                     s.barriers_per_mutation(),
                     s.barriers,

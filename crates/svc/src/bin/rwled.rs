@@ -185,7 +185,7 @@ fn main() {
             );
             println!(
                 "  batches: {} ({:.2} ops/batch), barriers: {} full + {} shared \
-                 (one per touched shard), writev: {}",
+                 (at most one per touched shard), writev: {}",
                 s.batches,
                 s.mean_batch(),
                 s.barriers,

@@ -14,8 +14,8 @@
 //!   an epoll loop, a slab of nonblocking connections and one session
 //!   into the sharded elided store (`workloads::sharded`); a wake-up
 //!   serves its buffered pipelines in rounds, each batching its
-//!   mutations into one store pass that pays one quiescence barrier
-//!   per shard it touches, and flushes every reply with one write per
+//!   mutations into one store pass that pays at most one quiescence
+//!   barrier per shard it touches, and flushes every reply with one write per
 //!   connection;
 //! * [`loadgen`] — the client: closed-loop (optionally pipelined) or
 //!   shared-pacing open-loop traffic with configurable skew and write

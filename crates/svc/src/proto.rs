@@ -129,9 +129,9 @@ pub struct ServerStats {
     /// `batch_ops / batches`).
     pub batch_ops: u64,
     /// Quiescence barriers paid in full by batches' store passes: up to
-    /// one per shard a batch touches (on the native backend one per
-    /// batch when durable; on the simulated one, one per write section),
-    /// none on the SGL canary.
+    /// one per shard a batch touches (on the native backend the one the
+    /// shard's previous cycle deferred, none on its first; on the
+    /// simulated one, one per write section), none on the SGL canary.
     pub barriers: u64,
     /// Barriers satisfied by an already-elapsed shared grace period
     /// (`GraceSeq` sharing) — amortization across workers, on top of the
@@ -140,7 +140,8 @@ pub struct ServerStats {
     /// Reply writes issued (`replied / writev_calls` replies per
     /// syscall; the name dates from the vectored flush).
     pub writev_calls: u64,
-    /// WAL records appended (one per non-empty batch write-set); 0 when
+    /// WAL records appended (one per non-empty batch write-set, and on
+    /// the native backend one per shard that write-set touches); 0 when
     /// running volatile.
     pub wal_appends: u64,
     /// WAL fsync calls completed (group commits + segment rotations).
@@ -183,8 +184,9 @@ impl ServerStats {
     /// Full quiescence barriers per *mutation* — the amortization factor
     /// the paper's argument predicts should drop below 1.0 once batching
     /// coalesces writes (each unbatched PUT/DEL pays exactly 1.0). On
-    /// both sharded stores it is touched shards ÷ mutations: a batch's
-    /// mutations share a barrier only with those on the same shard.
+    /// both sharded stores it is at most touched shards ÷ mutations: a
+    /// batch's mutations share a barrier only with those on the same
+    /// shard, and a native shard's first cycle pays none.
     pub fn barriers_per_mutation(&self) -> f64 {
         let muts = self.puts + self.dels;
         if muts == 0 {

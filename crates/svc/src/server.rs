@@ -27,15 +27,17 @@
 //!    connection stops at its first read behind a mutation (see below).
 //!    The round then runs every collected mutation, from every
 //!    connection, in **one** `apply_batch` store pass — per touched
-//!    shard one flip and one quiescence barrier cover however many of
-//!    the round's mutations landed there (the paper's amortization
-//!    argument turned into served-traffic throughput), and the pass
-//!    holds one shard's writer lock at a time. A durable pass keeps the
-//!    touched shards locked until its log append — an encode into the
-//!    log's staging buffer, no system call — and pays one barrier for
-//!    all of them. A mutation's reply is encoded into its connection's
-//!    [`Outbox`] only after the pass returned, i.e. after every barrier
-//!    covering one of the round's flips has completed. The next round
+//!    shard one flip and at most one quiescence barrier cover however
+//!    many of the round's mutations landed there (the paper's
+//!    amortization argument turned into served-traffic throughput), and
+//!    the pass holds one shard's writer lock at a time. On the native
+//!    store the barrier is the one the shard's previous cycle deferred,
+//!    paid before the flip, and a durable pass appends each shard's
+//!    group as one record under that shard's lock — an encode into the
+//!    log's staging buffer, no system call. A mutation's reply is
+//!    encoded into its connection's [`Outbox`] only after the pass
+//!    returned, i.e. after every flip of the round: a read that starts
+//!    after the reply sees the write. The next round
 //!    starts at the frames the boundaries left behind. Once a SHUTDOWN
 //!    was seen, the round in progress is the last.
 //! 4. **Durable wait**, once, on the highest LSN any of the iteration's
@@ -44,7 +46,7 @@
 //!    `batch` the block on the fsync covering them.
 //! 5. **Flush**: one `write` per connection carries every reply the
 //!    iteration's rounds queued for it. Nothing is written before this
-//!    phase, so no client ever observes an acked but unquiesced (or,
+//!    phase, so no client ever observes an acked but unpublished (or,
 //!    durable, unlogged) write — and a 64-deep pipeline with a boundary
 //!    every few requests costs one `epoll_wait`, one `read`, one log
 //!    `write` and one reply `write`, not one of each per boundary.
@@ -62,7 +64,7 @@
 //! answered outside the store pass behind a mutation — a read, a
 //! rejection of a malformed frame — stays un-consumed in the reader and
 //! opens the connection's next round, after the previous round's
-//! mutations are applied and quiesced. Replies are appended to the
+//! mutations are applied and published. Replies are appended to the
 //! outbox in that same order. Closed-loop clients (one outstanding
 //! request) never reach a second round.
 //!
@@ -924,13 +926,13 @@ fn worker_loop(
                     Some(w) => sess.apply_batch_durable(&mut_ops, &mut mut_replies, w),
                     None => (sess.apply_batch(&mut_ops, &mut mut_replies), NO_LSN),
                 };
-                // Log order is commit order: a later round's record has
-                // the higher LSN.
+                // Log order is commit order: a later round's records have
+                // the higher LSNs.
                 durable_to = durable_to.max(lsn);
-                // Every barrier covering one of the round's flips
-                // completed inside the pass above, so no reply queued
-                // here can reach a client before its mutation is
-                // quiesced.
+                // Every one of the round's flips (write sections on the
+                // simulated store) happened inside the pass above, so no
+                // reply queued here can reach a client before its
+                // mutation is published.
                 for (&slot, reply) in mut_slots.iter().zip(&mut_replies) {
                     let Some(conn) = conns.get_mut(slot).and_then(|c| c.as_mut()) else {
                         continue;

@@ -459,10 +459,10 @@ fn one_byte_trickled_pipeline_stays_in_order() {
 }
 
 /// The batch-semantics invariant, observed from outside: a mutation's
-/// reply may only be flushed after the quiescence barrier covering its
-/// batch, so once the writer has the reply in hand, a read on a
-/// *different* connection must see the write — there is no window where
-/// an acknowledged write is invisible. Runs against both execution
+/// reply may only be flushed after the flip (or write section) that
+/// published its batch, so once the writer has the reply in hand, a read
+/// on a *different* connection must see the write — there is no window
+/// where an acknowledged write is invisible. Runs against both execution
 /// backends; concurrent background load keeps the decode phase actually
 /// forming multi-op batches rather than degenerate singletons.
 #[test]
@@ -504,9 +504,8 @@ fn acknowledged_writes_are_visible_across_connections_on_both_backends() {
                 request(&mut writer, &Request::Put { key, value: round }),
                 Response::Ok
             );
-            // The PUT is acknowledged; its barrier must already have
-            // retired every pre-flip reader, so a fresh read anywhere
-            // sees it.
+            // The PUT is acknowledged, so its flip has happened: a
+            // read that starts now, anywhere, picks the new root.
             assert_eq!(
                 request(&mut reader, &Request::Get { key }),
                 Response::Value(round),
@@ -522,9 +521,9 @@ fn acknowledged_writes_are_visible_across_connections_on_both_backends() {
         drop(reader);
         let report = shutdown(&addr, handle);
         // Amortization bookkeeping must balance: batched ops account for
-        // every enqueued request, and on both backends a batch pays one
-        // grace period (own or shared) per shard it touches — so at most
-        // one per mutation, and at most `shards` per batch.
+        // every enqueued request, and on both backends a batch pays at
+        // most one grace period (own or shared) per shard it touches — so
+        // at most one per mutation, and at most `shards` per batch.
         assert!(report.stats.batches > 0);
         let graces = report.stats.barriers + report.stats.barriers_shared;
         let mutations = report.stats.puts + report.stats.dels;

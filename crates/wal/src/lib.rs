@@ -4,9 +4,9 @@
 //! this crate rides that wait for durability. An append is a memory
 //! operation: the batch's effective write-set is encoded onto the log's
 //! staging buffer, and given its LSN, while the batch's commit order is
-//! still pinned (under the shard writer locks on the native backend,
-//! whose durable batch keeps them until after the append and then pays
-//! one barrier; under the sink's order mutex elsewhere). The staged
+//! still pinned (on the native backend each touched shard's group is a
+//! record of its own, appended after that shard's flip under its writer
+//! lock; under the sink's order mutex elsewhere). The staged
 //! bytes reach the file in one `write` when somebody needs them there —
 //! the ack gate ([`DurableSink::wait_durable`], once per server
 //! wake-up), whoever leads an `fdatasync`, a segment rotation, the drop

@@ -620,9 +620,9 @@ fn every_store_loads_what_it_replays(dir: &Path) -> Vec<(u64, u64)> {
 }
 
 /// The headline invariant: concurrent durable batches on the native
-/// backend replay to exactly the state the store held, because the
-/// append happens inside the shard-lock window (log order = commit
-/// order). Replayed the way a server starts — each store's load path,
+/// backend replay to exactly the state the store held, because each
+/// shard's group is appended as its own record inside that shard's
+/// lock window (log order = commit order, per shard). Replayed the way a server starts — each store's load path,
 /// which applies each op once and publishes nothing — the log gives
 /// every store the same contents as the worker path (`apply_batch`)
 /// does, for this log and for an empty one. The log holds PUT updates,
@@ -672,7 +672,10 @@ fn native_backend_replay_equals_store() {
     let live = contents(&*backend);
     drop(w);
     let (report, records) = collect(&dir);
-    assert_eq!(report.records, (threads * 200 + edges.len() + 1) as u64);
+    // One record per touched shard of a batch: the store deals 64-key
+    // blocks over its 4 shards, so each thread's batch touches blocks
+    // 0 and 1, and the edges 1 + 3 + 2 + 1 shards.
+    assert_eq!(report.records, (threads * 200 * 2 + 7 + 1) as u64);
     assert!(records.last().is_some_and(|(_, ops)| ops.is_empty()));
     assert!(live.contains(&(u64::MAX, 8)) && live.contains(&(7, 3)) && live.contains(&(0, 5)));
     assert!(!live

@@ -156,8 +156,9 @@ pub(crate) fn group_by_shard(ops: &[MutOp], groups: &mut [Vec<usize>]) {
 }
 
 /// Quiescence accounting for one [`StoreSession::apply_batch`] call:
-/// one grace period per touched shard on both sharded stores (one per
-/// batch on the native durable path), none on the SGL canary.
+/// one grace period per touched shard on the simulated store; on the
+/// native store one per touched shard whose previous cycle deferred one
+/// (every shard but on its first cycle); none on the SGL canary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Full grace periods this batch paid for itself (on the simulated
@@ -182,9 +183,10 @@ pub const NO_LSN: Lsn = 0;
 /// pair of conflicting batches. Two ways to get that ordering:
 ///
 /// * [`DurableSink::append`] trusts the caller to hold the store-side
-///   serialization already (the native backend's durable cycle keeps
-///   every touched shard's writer guard until after the append, so
-///   conflicting batches serialize their appends through those locks);
+///   serialization already (the native backend appends each shard's
+///   group as a record of its own, under that shard's writer lock and
+///   after its flip, so mutations of one key reach the log in commit
+///   order and records of different shards commute);
 /// * [`DurableSink::append_ordered`] serializes execute + append under
 ///   the sink's own global order lock, for backends whose `apply_batch`
 ///   has no lock window spanning the whole batch (the simulated store's
@@ -200,12 +202,13 @@ pub const NO_LSN: Lsn = 0;
 /// policy of the sink, not only a synchronous one. One wait on the
 /// highest LSN covers every record appended before it.
 pub trait DurableSink: Send + Sync {
-    /// Appends one batch's effective write-set as a single record and
-    /// returns its LSN (`NO_LSN` for an empty write-set). The caller
-    /// must already hold whatever store-side serialization orders this
-    /// batch against conflicting ones — see the trait docs. Cheap
-    /// enough for that lock window: `wal::Wal` encodes into a buffer
-    /// and leaves the system call to the wait.
+    /// Appends one effective write-set as a single record and returns
+    /// its LSN (`NO_LSN` for an empty write-set). The caller must
+    /// already hold whatever store-side serialization orders this
+    /// record against conflicting ones — on the native backend, the
+    /// writer lock of the one shard the record touches; see the trait
+    /// docs. Cheap enough for that lock window: `wal::Wal` encodes into
+    /// a buffer and leaves the system call to the wait.
     fn append(&self, ops: &[MutOp]) -> Lsn;
 
     /// Runs `exec` (which applies a batch and pushes its effective
@@ -308,13 +311,16 @@ pub trait StoreSession {
     /// actually paid. Every write a session makes goes through here.
     ///
     /// Semantics: per key, mutations apply in `ops` order, and every
-    /// mutation is durable-to-readers (quiesced) when the call returns —
-    /// a caller may acknowledge all of them afterwards. Both sharded
-    /// stores group the batch per shard and publish each touched shard's
-    /// group at once, holding that shard and no other: the native store
-    /// with one flip and one grace period, the simulated store with one
-    /// write section (`barriers + shared` = touched shards). The SGL
-    /// canary applies op by op under its lock and pays no grace period.
+    /// mutation is visible to every read that starts after the call
+    /// returns — a caller may acknowledge all of them afterwards. Both
+    /// sharded stores group the batch per shard and publish each touched
+    /// shard's group at once, holding that shard and no other: the
+    /// simulated store with one write section and its grace period
+    /// (`barriers + shared` = touched shards), the native store with one
+    /// flip, after first paying the grace period the shard's previous
+    /// cycle deferred (`barriers + shared` = touched shards, less those
+    /// on their first cycle). The SGL canary applies op by op under its
+    /// lock and pays no grace period.
     fn apply_batch(&mut self, ops: &[MutOp], replies: &mut Vec<MutReply>) -> BatchOutcome;
 
     /// [`StoreSession::apply_batch`] with a redo-log stop: the batch's
@@ -326,11 +332,11 @@ pub trait StoreSession {
     /// The default implementation serializes execute + append under the
     /// sink's order lock — sound on any backend, but it adds a global
     /// serialization point. The simulated store and the canary keep it.
-    /// The native backend overrides it: one publication cycle spans
-    /// every touched shard and keeps their writer guards until after the
-    /// append, which sits between the flips and the one quiescence
-    /// barrier (`barriers + shared <= 1`); the append is an encode into
-    /// the sink's buffer, so no guard is held across a system call.
+    /// The native backend overrides it: each touched shard's cycle
+    /// appends that shard's group as one record, after its flip and
+    /// under its writer lock, and the returned LSN is the highest of
+    /// them. The append is an encode into the sink's buffer, so no
+    /// guard is held across a system call.
     fn apply_batch_durable(
         &mut self,
         ops: &[MutOp],
@@ -522,7 +528,7 @@ impl StoreSession for SimSession<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::driver::run_backend_threads;
     use crate::native::NativeBackend;
@@ -773,9 +779,14 @@ mod tests {
 
     #[test]
     fn native_backend_batches() {
-        // One publication cycle per touched shard.
+        // One publication cycle per touched shard: a shard's first has
+        // nothing retired to wait out, each later one pays the grace
+        // period its predecessor deferred.
         assert!(batch_shards() > 1, "the batch must span shards");
-        batched_mutations(&native(), batch_shards());
+        let backend = native();
+        batched_mutations(&backend, 0);
+        let out = backend.session().apply_batch(&BATCH, &mut Vec::new());
+        assert_eq!(out.barriers + out.shared, batch_shards());
     }
 
     #[test]
@@ -927,7 +938,7 @@ mod tests {
 
     /// In-memory [`DurableSink`] recording every appended write-set.
     #[derive(Default)]
-    struct MockSink {
+    pub(crate) struct MockSink {
         records: std::sync::Mutex<Vec<Vec<MutOp>>>,
     }
 
@@ -955,21 +966,35 @@ mod tests {
         fn wait_durable(&self, _lsn: Lsn) {}
     }
 
-    /// The native durable cycle spans the whole batch: one grace period
-    /// (own or shared) and one log record however many shards it
-    /// touches, with the volatile path's replies and final state.
+    /// The native durable batch logs each touched shard's group, in
+    /// `ops` order, as one record of its own — from that shard's cycle,
+    /// so in shard order here — with the volatile path's replies and
+    /// final state. Its LSN is the last record's.
     #[test]
-    fn native_durable_batch_pays_one_barrier_and_one_record() {
+    fn native_durable_batch_logs_one_record_per_touched_shard() {
         assert!(batch_shards() > 1, "the batch must span shards");
         let backend = native();
         let sink = MockSink::default();
         let mut s = backend.session();
         let mut replies = Vec::new();
         let (out, lsn) = s.apply_batch_durable(&BATCH, &mut replies, &sink);
-        assert_eq!(out.barriers + out.shared, 1);
-        assert_eq!(lsn, 1);
-        assert_eq!(*sink.records.lock().unwrap(), vec![BATCH.to_vec()]);
-        assert_eq!(replies.len(), BATCH.len());
+        assert_eq!(out, BatchOutcome::default(), "first cycles pay nothing");
+        assert_eq!(lsn, batch_shards());
+        let mut groups = vec![Vec::new(); 4];
+        group_by_shard(&BATCH, &mut groups);
+        let per_shard: Vec<Vec<MutOp>> = (groups.iter().filter(|g| !g.is_empty()))
+            .map(|g| g.iter().map(|&i| BATCH[i]).collect())
+            .collect();
+        assert_eq!(*sink.records.lock().unwrap(), per_shard);
+        assert_eq!(
+            replies,
+            vec![
+                MutReply::Put(Ok(PutOutcome::Inserted)),
+                MutReply::Del(true),
+                MutReply::Put(Ok(PutOutcome::Updated)),
+                MutReply::Del(false),
+            ]
+        );
         assert_eq!(s.get(1000), Some(6));
         assert_eq!(s.get(1), None);
     }

@@ -10,16 +10,19 @@
 //! the leaf and its ancestors, unless an earlier mutation of the group
 //! already did — then flips the root word to the new root (the commit
 //! point — one aggregate store, the native stand-in for a ROT's
-//! all-or-nothing store burst), waits one grace period on the existing
-//! scalable summary-tree barrier so no reader can still hold the old
-//! root, frees the nodes only the old root reached, and unlocks. That
-//! lock → path copy → flip → barrier → free → unlock sequence is the
-//! **cycle**, the backend's one unit of publication
-//! (`NativeSession::cycle`): every shard group of a batch runs through
-//! it, one shard at a time, so a writer waiting out its grace period
-//! holds one shard mutex and nothing else. Each mutation is applied
-//! once. Outside a cycle a shard's published root reaches its whole map
-//! and no node waits to be freed.
+//! all-or-nothing store burst), notes the grace ticket of that flip and
+//! unlocks. The nodes only the old root reached wait for the shard's
+//! next cycle, which frees them first, once a grace period on the
+//! existing scalable summary-tree barrier has passed since the flip
+//! they were retired by, so no reader can still hold the old root. That
+//! lock → free the last cycle's retired nodes → path copy → flip →
+//! (append) → ticket → unlock sequence is the **cycle**, the backend's
+//! one unit of publication (`NativeSession::cycle`): every shard group
+//! of a batch runs through it, one shard at a time, so a writer waiting
+//! out a grace period holds one shard mutex and nothing else. Each
+//! mutation is applied once. Between cycles a shard's published root
+//! reaches its whole map, and at most its last cycle's retired nodes
+//! wait to be freed.
 //!
 //! ## Read sections
 //!
@@ -69,6 +72,15 @@
 //! a cycle frees poisoned so that a reader reaching one panics
 //! (`tests/native_schedules.rs`).
 //!
+//! ## Durability
+//!
+//! With a [`DurableSink`] each cycle appends its own group, in `ops`
+//! order, as one record, after its flip and under its shard's lock: the
+//! records of one shard are in commit order, records of different
+//! shards touch different keys and commute, and a batch's ack waits
+//! for its highest LSN. No cycle holds more than one lock, so there is
+//! no lock order to keep.
+//!
 //! ## Memory ordering
 //!
 //! A Release flip read by an Acquire load is *not* sufficient:
@@ -79,10 +91,16 @@
 //! Exactly the lazy-subscription unsafety Dice et al. (arXiv:1407.6968)
 //! catalog. Both the flip ([`LeafMap::publish`]) and the reader's root
 //! load ([`Tree::pick`]) are therefore `SeqCst`, joining the protocol's
-//! SeqCst commit-point discipline: in the single total order, either the
-//! reader's clock store precedes the writer's scan (the barrier waits
-//! for it) or the reader sees the new root (and never reaches a node the
-//! cycle frees).
+//! SeqCst commit-point discipline. The grace ticket a cycle notes
+//! ([`EpochSet::grace_snapshot`], SeqCst) is taken *after* its flip, so
+//! the barrier that covers it — the next cycle's own, or any other
+//! writer's that began after the ticket — scans the clocks after the
+//! flip: in the single total order, either the reader's clock store
+//! precedes that scan (the barrier waits for it) or the reader sees the
+//! new root (and never reaches a node the next cycle frees). A ticket
+//! taken before the flip could be covered by a grace period whose scan
+//! ran before it, and missed a reader that picked the old root in
+//! between.
 
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -140,9 +158,11 @@ impl Section<'_, '_> {
 struct NativeShard {
     /// What readers descend: the map's nodes and its published root.
     tree: Arc<Tree>,
-    /// The map's one writer, behind the mutex that serializes this
-    /// shard's publications.
-    writer: Mutex<LeafMap>,
+    /// The map's one writer, and the grace ticket its last cycle noted
+    /// after its flip (`None` before the first), behind the mutex that
+    /// serializes this shard's publications. The map's retired nodes are
+    /// that cycle's, free once a grace period has covered the ticket.
+    writer: Mutex<(LeafMap, Option<u64>)>,
 }
 
 impl NativeShard {
@@ -153,14 +173,14 @@ impl NativeShard {
         map.publish();
         NativeShard {
             tree: map.tree(),
-            writer: Mutex::new(map),
+            writer: Mutex::new((map, None)),
         }
     }
 
     /// Takes the writer mutex. Under a `sched` schedule a blocked lock
     /// would stall the one thread that runs while the holder waits for
     /// the baton, so it is a `try_lock` that hands the baton on instead.
-    fn lock(&self) -> MutexGuard<'_, LeafMap> {
+    fn lock(&self) -> MutexGuard<'_, (LeafMap, Option<u64>)> {
         if sched::is_scheduled() {
             let mut backoff = sched::Backoff::new();
             loop {
@@ -599,16 +619,15 @@ impl StoreBackend for NativeBackend {
 
 /// Per-thread session over [`NativeBackend`]: an epoch slot plus the
 /// scratch a publication cycle reuses across calls — the barrier
-/// snapshot buffer, the per-shard op-index groups, and the writers of
-/// the shards the running cycle has flipped but not yet freed (empty
-/// between cycles) — and the per-shard picks of a read section.
+/// snapshot buffer, the per-shard op-index groups and the record of the
+/// group being logged — and the per-shard picks of a read section.
 struct NativeSession<'a> {
     backend: &'a NativeBackend,
     tid: usize,
     st: ThreadStats,
     snap: Vec<u64>,
     groups: Vec<Vec<usize>>,
-    held: Vec<MutexGuard<'a, LeafMap>>,
+    record: Vec<MutOp>,
     picked: Vec<Cell<Option<Snapshot<'a>>>>,
 }
 
@@ -686,23 +705,21 @@ impl StoreSession for NativeSession<'_> {
     }
 
     /// The batch path: group per shard, then one [`NativeSession::cycle`]
-    /// per touched shard — its whole group rides one flip and one grace
-    /// period, and its writer lock is released before the next shard's
-    /// is taken, so a batch never makes another worker wait on a shard
-    /// it is not publishing right now.
+    /// per touched shard — its whole group rides one flip, and its writer
+    /// lock is released before the next shard's is taken, so a batch
+    /// never makes another worker wait on a shard it is not publishing
+    /// right now. Each cycle first pays the grace period its shard's
+    /// previous cycle deferred (none on a shard's first cycle).
     fn apply_batch(&mut self, ops: &[MutOp], replies: &mut Vec<MutReply>) -> BatchOutcome {
-        let (out, _lsn) = self.apply_batch_inner(ops, replies, None);
-        out
+        self.apply_batch_inner(ops, replies, None).0
     }
 
-    /// The durable override: the log needs the batch's commit order
-    /// pinned while its one record is appended, so every touched shard
-    /// goes through a *single* cycle that keeps each guard until after
-    /// the append (flips → append → one barrier → frees → unlock).
-    /// Two batches that conflict on any shard serialize their appends
-    /// through that shard's lock, so log order equals commit order
-    /// without a global order lock — and the group-commit fsync the
-    /// append kicks off runs concurrently with the grace period.
+    /// The durable override: the same cycles, each of which appends its
+    /// shard's group as one record under that shard's lock, after its
+    /// flip — so records of one shard are in commit order, and two
+    /// batches that conflict on a key serialize their records through
+    /// its shard's lock without a global order lock. Returns the highest
+    /// LSN, which covers every record of the batch.
     fn apply_batch_durable(
         &mut self,
         ops: &[MutOp],
@@ -725,84 +742,72 @@ impl<'a> NativeSession<'a> {
             st: ThreadStats::new(),
             snap: Vec::new(),
             groups: vec![Vec::new(); backend.shards.len()],
-            held: Vec::new(),
+            record: Vec::new(),
             picked: vec![Cell::new(None); backend.shards.len()],
         }
     }
 
     /// The unit of publication, and the only place a node is retired or
-    /// freed: for each shard of `span` with a non-empty group — lock,
+    /// freed, on shard `s`: lock; free the nodes the shard's previous
+    /// cycle retired, once a grace period has passed since its flip;
     /// apply the group (each op copying what of its path the published
-    /// version still reaches), SeqCst flip; then the log append (if
-    /// any), one grace period, and per shard the free of the nodes the
-    /// old root alone reached, followed by its unlock.
+    /// version still reaches); SeqCst flip; append the group as one
+    /// record (if there is a sink); note the grace ticket; unlock.
     ///
     /// A shard flips once per cycle, after its group's last op, so
-    /// readers see the whole group or none of it. The barrier takes its
-    /// grace snapshot at entry, i.e. after the span's last flip, which
-    /// is what lets one grace period cover every root the span retired:
-    /// a reader still on any of them has an odd clock at the scan
-    /// (module docs). Volatile callers pass one-shard spans and so hold
-    /// one mutex at a time. Only a durable batch spans several shards;
-    /// it takes them in ascending order, which cannot deadlock against
-    /// another ascending span or a holder of a single lock.
+    /// readers see the whole group or none of it. The ticket is taken
+    /// after the flip, so a grace period that covers it drained every
+    /// reader that could still hold the old root (module docs). The
+    /// deferred barrier returns at once when another writer's grace
+    /// period already covered the ticket, and otherwise waits only for
+    /// the readers still inside a section.
     fn cycle(
         &mut self,
-        span: Range<usize>,
+        s: usize,
         ops: &[MutOp],
         replies: &mut [MutReply],
         sink: Option<&dyn DurableSink>,
         out: &mut BatchOutcome,
     ) -> Lsn {
-        let backend = self.backend;
-        for s in span {
-            if self.groups[s].is_empty() {
-                continue;
-            }
-            let mut map = backend.shards[s].lock();
-            for &i in &self.groups[s] {
-                // The path copy: this op's leaf and its ancestors, those
-                // the group has not copied yet.
-                sched::step();
-                replies[i] = apply_one(&mut map, &ops[i]);
-                // The publication flip stands in for a ROT's aggregate
-                // store: one ROT commit per mutation.
-                self.st.commit(CommitKind::Rot);
-            }
+        let epochs = &self.backend.epochs;
+        let mut writer = self.backend.shards[s].lock();
+        let (map, retired_at) = &mut *writer;
+        if let Some(ticket) = retired_at.take() {
             sched::step();
-            map.publish();
-            self.held.push(map);
+            let barrier = epochs.synchronize_from(Some(self.tid), ticket, &mut self.snap);
+            self.st.barrier_stalls += barrier.stalls;
+            self.st.barriers_shared += barrier.shared as u64;
+            out.barriers += !barrier.shared as u64;
+            out.shared += barrier.shared as u64;
+            // Under a schedule, freed nodes are poisoned: a reader that
+            // reaches one panics instead of reading a reused node.
+            sched::step();
+            map.reclaim(sched::is_scheduled());
         }
-        if self.held.is_empty() {
-            return NO_LSN;
+        for &i in &self.groups[s] {
+            // The path copy: this op's leaf and its ancestors, those the
+            // group has not copied yet.
+            sched::step();
+            replies[i] = apply_one(map, &ops[i]);
+            // The publication flip stands in for a ROT's aggregate
+            // store: one ROT commit per mutation.
+            self.st.commit(CommitKind::Rot);
         }
-        // Commit order is pinned by the guards in `held`, so this is
-        // where the write-set is logged; the flush then rides the grace
-        // period below. Native PUTs are infallible (process heap), so
-        // `ops` *is* the effective write-set. The wal lock nests
-        // strictly inside the shard locks, so lock order is acyclic.
-        let lsn = sink.map_or(NO_LSN, |sink| sink.append(ops));
         sched::step();
-        let barrier = backend
-            .epochs
-            .synchronize_in(Some(self.tid), &mut self.snap);
-        self.st.barrier_stalls += barrier.stalls;
-        self.st.barriers_shared += barrier.shared as u64;
-        out.barriers += !barrier.shared as u64;
-        out.shared += barrier.shared as u64;
-        // Under a schedule, freed nodes are poisoned: a reader that
-        // reaches one panics instead of reading a reused node.
-        let poison = sched::is_scheduled();
-        for mut map in self.held.drain(..) {
-            // The grace period drained every reader that could have
-            // picked a root older than this cycle's flip.
-            sched::step();
-            map.reclaim(poison);
-        }
+        map.publish();
+        // Native PUTs are infallible (process heap), so the group *is*
+        // its effective write-set. The wal lock nests inside this one.
+        let lsn = sink.map_or(NO_LSN, |sink| {
+            self.record.clear();
+            self.record.extend(self.groups[s].iter().map(|&i| ops[i]));
+            sink.append(&self.record)
+        });
+        *retired_at = Some(epochs.grace_snapshot());
         lsn
     }
 
-    /// The batch path shared by the volatile and durable entry points.
+    /// The batch path of both entry points: one cycle per touched
+    /// shard, and the highest LSN they appended.
     fn apply_batch_inner(
         &mut self,
         ops: &[MutOp],
@@ -810,15 +815,13 @@ impl<'a> NativeSession<'a> {
         sink: Option<&dyn DurableSink>,
     ) -> (BatchOutcome, Lsn) {
         replies.clear();
-        let n_shards = self.backend.shards.len();
         group_by_shard(ops, &mut self.groups);
         replies.resize(ops.len(), MutReply::Del(false));
-        // One cycle per shard, unless a sink needs the guards kept
-        // until after its append: then one cycle spans every shard.
-        let width = if sink.is_some() { n_shards } else { 1 };
         let (mut out, mut lsn) = (BatchOutcome::default(), NO_LSN);
-        for lo in (0..n_shards).step_by(width) {
-            lsn = lsn.max(self.cycle(lo..lo + width, ops, replies, sink, &mut out));
+        for s in 0..self.groups.len() {
+            if !self.groups[s].is_empty() {
+                lsn = lsn.max(self.cycle(s, ops, replies, sink, &mut out));
+            }
         }
         (out, lsn)
     }
@@ -941,12 +944,17 @@ pub(crate) mod tests {
     }
 
     /// The one image of each shard, checked once nothing is running:
-    /// the published root reaches the whole map, and every node the map
-    /// handed out is reachable from it or free — none retired and left
-    /// behind, none lost.
+    /// the published root reaches the whole map, and once the last
+    /// cycle's retired nodes are reclaimed (no reader is left to hold
+    /// them), every node the map handed out is reachable from it or
+    /// free — none retired and left behind, none lost.
     fn assert_one_image(backend: &mut NativeBackend) {
         for shard in &mut backend.shards {
-            shard.writer.get_mut().unwrap().audit_published();
+            let (map, retired_at) = shard.writer.get_mut().unwrap();
+            if retired_at.take().is_some() {
+                map.reclaim(false);
+            }
+            map.audit_published();
         }
     }
 
@@ -1033,7 +1041,7 @@ pub(crate) mod tests {
                 let mut maps: Vec<_> = backend
                     .shards
                     .iter_mut()
-                    .map(|s| s.writer.get_mut().unwrap())
+                    .map(|s| &mut s.writer.get_mut().unwrap().0)
                     .collect();
                 loaded_pairs(&mut maps)
             }
@@ -1249,9 +1257,8 @@ pub(crate) mod tests {
         ];
         let mut replies = Vec::new();
         let out = s.apply_batch(&ops, &mut replies);
-        // One cycle, hence one grace period (own or shared), per touched
-        // shard — however many of the batch's ops landed on it.
-        assert_eq!(out.barriers + out.shared, touched_shards(&ops, 4));
+        // A shard's first cycle has nothing retired to wait out.
+        assert_eq!(out, BatchOutcome::default());
         assert_eq!(
             replies,
             vec![
@@ -1265,8 +1272,14 @@ pub(crate) mod tests {
         );
         assert_eq!(s.get(100), None);
         assert_eq!(s.get(7), Some(9));
+        // The second pays, per touched shard, the one grace period (own
+        // or shared) the first deferred — however many of the batch's
+        // ops landed on it.
+        let out = s.apply_batch(&ops, &mut replies);
+        assert_eq!(out.barriers + out.shared, touched_shards(&ops, 4));
+        assert_eq!(s.get(100), None);
         let st = s.take_stats();
-        assert_eq!(st.commits(CommitKind::Rot), 5);
+        assert_eq!(st.commits(CommitKind::Rot), 10);
         drop(s);
         assert_one_image(&mut backend);
     }
@@ -1362,65 +1375,85 @@ pub(crate) mod tests {
         }
     }
 
-    /// The property the one-shard cycle exists for: a volatile batch
-    /// that touches every shard never holds two shard mutexes at once.
+    /// The property the one-shard cycle exists for: a batch that touches
+    /// every shard, volatile or durable, never holds two shard mutexes at
+    /// once.
     ///
-    /// The main thread sits in a read section, so whichever cycle the
-    /// batch is in cannot get past its barrier — it is *parked* holding
-    /// what it holds — until the probe has looked 50 times; then the
-    /// reader steps out and back in, which lets the batch advance a
-    /// cycle or a few. The batch takes its shards in ascending order;
-    /// the probe sweeps them in *descending* order with `try_lock` and
-    /// keeps what it gets until the sweep ends, so the writer cannot
-    /// step onto a shard the probe has already passed: two misses in
-    /// one sweep mean the batch held both of those mutexes at once.
+    /// A first batch leaves each shard a grace period to wait out. Then
+    /// the main thread sits in a read section, so the second batch's
+    /// first cycle cannot get past that deferred barrier — it is
+    /// *parked* holding what it holds — until the probe has looked 50
+    /// times; then the reader steps out and back in, which lets the
+    /// batch advance. The batch takes its shards in ascending order; the
+    /// probe sweeps them in *descending* order with `try_lock` and keeps
+    /// what it gets until the sweep ends, so the writer cannot step onto
+    /// a shard the probe has already passed: two misses in one sweep
+    /// mean the batch held both of those mutexes at once.
     #[test]
-    fn volatile_batch_holds_one_shard_lock_at_a_time() {
+    fn a_batch_holds_one_shard_lock_at_a_time() {
         const SHARDS: usize = 32;
-        let backend = NativeBackend::create(SHARDS, 2, 0);
         let ops: Vec<MutOp> = (0..2048).map(|k| MutOp::Put { key: k, value: k }).collect();
         assert_eq!(
             touched_shards(&ops, SHARDS),
             SHARDS as u64,
             "the batch must span every shard"
         );
-        let reader = backend.register();
-        let (mut misses, mut worst) = (0, 0);
-        // Entered before the batch starts: its first barrier meets us.
-        backend.epochs.enter(reader);
-        std::thread::scope(|sc| {
-            let batch = sc.spawn(|| backend.session().apply_batch(&ops, &mut Vec::new()));
-            while worst <= 1 && !batch.is_finished() {
-                let mut caught = 0;
-                while caught < 50 && worst <= 1 && !batch.is_finished() {
-                    let mut kept = Vec::with_capacity(SHARDS);
-                    let mut busy = 0;
-                    for shard in backend.shards.iter().rev() {
-                        match shard.writer.try_lock() {
-                            Ok(guard) => kept.push(guard),
-                            Err(TryLockError::WouldBlock) => busy += 1,
-                            Err(TryLockError::Poisoned(_)) => panic!("the writer panicked"),
-                        }
-                    }
-                    drop(kept);
-                    worst = worst.max(busy);
-                    caught += busy;
-                    // All mutexes are free here: let a blocked writer in.
-                    std::thread::yield_now();
+        let sink = crate::backend::tests::MockSink::default();
+        for durable in [false, true] {
+            let apply = |s: &mut dyn StoreSession| {
+                if durable {
+                    s.apply_batch_durable(&ops, &mut Vec::new(), &sink);
+                } else {
+                    s.apply_batch(&ops, &mut Vec::new());
                 }
-                misses += caught;
+            };
+            // Slots are not recycled: the first batch's, the reader's and
+            // the second batch's.
+            let backend = NativeBackend::create(SHARDS, 3, 0);
+            apply(&mut *backend.session());
+            let reader = backend.register();
+            let (mut misses, mut worst) = (0, 0);
+            // Entered before the second batch starts: its first deferred
+            // barrier meets us.
+            backend.epochs.enter(reader);
+            std::thread::scope(|sc| {
+                let batch = sc.spawn(|| apply(&mut *backend.session()));
+                while worst <= 1 && !batch.is_finished() {
+                    let mut caught = 0;
+                    while caught < 50 && worst <= 1 && !batch.is_finished() {
+                        let mut kept = Vec::with_capacity(SHARDS);
+                        let mut busy = 0;
+                        for shard in backend.shards.iter().rev() {
+                            match shard.writer.try_lock() {
+                                Ok(guard) => kept.push(guard),
+                                Err(TryLockError::WouldBlock) => busy += 1,
+                                Err(TryLockError::Poisoned(_)) => panic!("the writer panicked"),
+                            }
+                        }
+                        drop(kept);
+                        worst = worst.max(busy);
+                        caught += busy;
+                        // All mutexes are free here: let a blocked writer in.
+                        std::thread::yield_now();
+                    }
+                    misses += caught;
+                    backend.epochs.exit(reader);
+                    backend.epochs.enter(reader);
+                }
+                // Step out before the scope joins the writer, which may
+                // still be parked behind this section.
                 backend.epochs.exit(reader);
-                backend.epochs.enter(reader);
-            }
-            // Step out before the scope joins the writer, which may
-            // still be parked behind this section.
-            backend.epochs.exit(reader);
-        });
-        assert!(
-            worst <= 1,
-            "{worst} shard mutexes held at once by one volatile batch"
-        );
-        assert!(misses >= 50, "the first cycle was parked behind the reader");
+            });
+            assert!(
+                worst <= 1,
+                "{worst} shard mutexes held at once by one batch, durable: {durable}"
+            );
+            assert!(
+                misses >= 50,
+                "the second batch's first cycle was not parked behind the reader, \
+                 durable: {durable}"
+            );
+        }
     }
 
     /// `scan` is the canary's `scan` on every shard layout: both stores

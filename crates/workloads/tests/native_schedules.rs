@@ -2,15 +2,16 @@
 //! interleavings ([`sched::explore`]). Plain memory has no access hooks,
 //! so a schedule steps at the protocol's own points: a read section's
 //! epoch entry and exit and each root it picks, and each step of a
-//! writer's cycle — every op's path copy, the flip, the barrier's wait
-//! and every shard's free. The shard mutexes are taken through
-//! `try_lock` while a schedule runs, and every node a cycle frees is
-//! poisoned, so a reader that reaches one panics.
+//! writer's cycle — the barrier it deferred from the shard's previous
+//! cycle, the free after it, every op's path copy and the flip. The
+//! shard mutexes are taken through `try_lock` while a schedule runs, and
+//! every node a cycle frees is poisoned, so a reader that reaches one
+//! panics.
 //!
 //! Two writers and two readers run against shards {1, 3, 16}, each with
-//! volatile batches (one cycle per touched shard) and durable ones (one
-//! cycle over every touched shard, guards kept across the log append).
-//! On every explored schedule:
+//! volatile batches and durable ones (the same one-shard cycles, each
+//! appending its shard's group as one record). On every explored
+//! schedule:
 //!
 //! * no reader sees a torn group: two keys of one shard that a batch
 //!   writes alike are alike to any one `scan` or `get_many` section, and
@@ -22,15 +23,17 @@
 //!   whole;
 //! * the final state equals the SGL canary fed the same ops — each
 //!   writer's batches in turn, or, durable, the log's records in LSN
-//!   order;
+//!   order, one record per touched shard group;
 //! * durable records come in flip order: the values a reader sees of a
-//!   key that both writers write in every batch follow the log's order;
-//! * durable batches whose shard sets overlap all finish (a deadlock
-//!   would exhaust the scheduler's step budget). Writer 0's durable
-//!   batches touch their blocks in ascending order and writer 1's in
-//!   descending order, so a cycle that took its guards in the order
-//!   its ops first touch the shards, instead of ascending shard order,
-//!   can deadlock.
+//!   key that both writers write in every batch follow the log's order.
+//!
+//! One more case aims at the grace ticket a cycle notes: one writer per
+//! shard of two, each a PUT per batch, so the other shard's deferred
+//! barriers are grace periods that can begin and end anywhere in a
+//! cycle, and a reader whose sections keep picking the first shard's
+//! root. A ticket taken before the flip is covered by such a grace
+//! period that scanned before the flip, and the next cycle frees a leaf
+//! the reader still holds.
 
 use std::sync::{Arc, Mutex};
 
@@ -67,16 +70,9 @@ fn tag(w: u64, round: u64) -> u64 {
 /// Writer `w`'s batch in `round`: the first and third pair each get a
 /// stale value first, and the shards' groups are interleaved in the
 /// batch; every third round, all six keys are deleted instead. A durable
-/// batch also writes [`SHARED`]: writer 0's last, after blocks 0, 1 and
-/// 2, and writer 1's first, before its pairs in blocks 2, 1 and 0.
+/// batch also writes [`SHARED`], last.
 fn round_ops(w: u64, round: u64, durable: bool) -> Vec<MutOp> {
-    let descending = durable && w == 1;
-    let [a, b, c, d, e, f] = if descending {
-        let [a, b, c, d, e, f] = keys(w);
-        [e, f, c, d, a, b]
-    } else {
-        keys(w)
-    };
+    let [a, b, c, d, e, f] = keys(w);
     let v = tag(w, round);
     let put = |key, value| MutOp::Put { key, value };
     let mut ops = if round % 3 == 2 {
@@ -93,12 +89,22 @@ fn round_ops(w: u64, round: u64, durable: bool) -> Vec<MutOp> {
             put(e, v),
         ]
     };
-    if descending {
-        ops.insert(0, put(SHARED, v));
-    } else if durable {
+    if durable {
         ops.push(put(SHARED, v));
     }
     ops
+}
+
+/// How many of `n_shards` shards `ops` touches (the store deals 64-key
+/// blocks round-robin): the records a durable batch of them logs.
+fn touched(ops: &[MutOp], n_shards: usize) -> usize {
+    let mut shards: Vec<u64> = ops
+        .iter()
+        .map(|op| (op.key() >> 6) % n_shards as u64)
+        .collect();
+    shards.sort_unstable();
+    shards.dedup();
+    shards.len()
 }
 
 /// The replies writer `w`'s own keys must get in `round`.
@@ -234,8 +240,13 @@ fn schedule(n_shards: usize, durable: bool, seed: u64) {
     let canary = SglBackend::create(STABLE);
     let mut model = canary.session();
     if durable {
-        assert_eq!(log.len() as u64, 2 * ROUNDS, "one record per batch");
+        let groups: usize = (0..2)
+            .flat_map(|w| (0..ROUNDS).map(move |round| round_ops(w, round, true)))
+            .map(|ops| touched(&ops, n_shards))
+            .sum();
+        assert_eq!(log.len(), groups, "one record per touched shard group");
         for ops in log.iter() {
+            assert_eq!(touched(ops, n_shards), 1, "a record spans shards: {ops:?}");
             model.apply_batch(ops, &mut Vec::new());
         }
         // The log position of each value of `SHARED`: what a reader saw
@@ -278,6 +289,42 @@ fn explore(durable: bool) {
             schedule(n_shards, durable, seed)
         });
     }
+}
+
+/// The grace-ticket case (module docs): writer `w` puts one of three
+/// keys of block `w`, so of shard `w`, per batch, and the reader's
+/// `get_many` runs look up shard 0's keys, each run one section.
+fn ticket_schedule(seed: u64) {
+    const PUTS: u64 = 6;
+    let backend = Arc::new(NativeBackend::create(2, 3, STABLE));
+    let mut s = sched::Scheduler::new(seed);
+    for w in 0..2u64 {
+        let backend = Arc::clone(&backend);
+        s.spawn(move || {
+            let mut sess = backend.session();
+            for round in 0..PUTS {
+                sess.put(64 * w + 10 + round % 3, tag(w, round)).unwrap();
+            }
+        });
+    }
+    s.spawn(move || {
+        let mut sess = backend.session();
+        let mut found = Vec::new();
+        for _ in 0..PUTS {
+            found.clear();
+            sess.get_many(&[0, 10, 11, 12, 128], &mut found);
+            assert_eq!(found[0], Some(0), "lost a prefilled key");
+            for v in found[1..].iter().flatten() {
+                assert_eq!(v >> 32, 1, "{v:#x} on shard 0");
+            }
+        }
+    });
+    s.run();
+}
+
+#[test]
+fn ticket_schedules() {
+    sched::explore("native-ticket", 0..1000, ticket_schedule);
 }
 
 #[test]
