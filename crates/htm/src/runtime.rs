@@ -115,15 +115,21 @@ struct SlotState {
     state: AtomicU64,
 }
 
-/// Per-line conflict-tracking metadata.
-struct LineMeta {
+/// Per-line conflict-tracking metadata: a view of the line's three
+/// adjacent words in [`HtmRuntime`]'s table, all zero for a line no
+/// transaction has touched.
+#[derive(Clone, Copy)]
+struct LineMeta<'a> {
     /// Packed speculative writer (`pack_writer`), or 0 when unowned.
-    writer: AtomicU64,
+    writer: &'a AtomicU64,
     /// HTM reader bitmap for slots 0–63.
-    readers0: AtomicU64,
+    readers0: &'a AtomicU64,
     /// HTM reader bitmap for slots 64–127.
-    readers1: AtomicU64,
+    readers1: &'a AtomicU64,
 }
+
+/// Words per [`LineMeta`] in the table: writer, readers0, readers1.
+const META_WORDS: usize = 3;
 
 /// Conflict-detection granularity in words: one 64-byte cache line, as on
 /// real HTM — false-sharing conflicts included — and the unit capacity
@@ -182,7 +188,8 @@ pub struct HtmRuntime {
     mem: Arc<SharedMem>,
     cfg: HtmConfig,
     slots: Box<[SlotState]>,
-    lines: Box<[LineMeta]>,
+    /// Per-granule [`LineMeta`], [`META_WORDS`] adjacent words each.
+    lines: Box<[AtomicU64]>,
     /// Counting filter of in-flight transactional claims, hashed by line.
     /// A zero counter proves no granule hashing to it is claimed, letting
     /// epoch-protected readers skip the (cache-cold) per-line metadata —
@@ -197,6 +204,12 @@ pub struct HtmRuntime {
 
 impl HtmRuntime {
     /// Creates a runtime over `mem` with the given configuration.
+    ///
+    /// The per-line conflict table (24 B per line of `mem`) starts
+    /// all-zero — no writer, no readers — and comes from
+    /// [`simmem::zeroed_words`], so creating it writes none of it: a
+    /// line's entry costs a page fault only once a transaction touches a
+    /// line near it.
     pub fn new(mem: Arc<SharedMem>, cfg: HtmConfig) -> Arc<Self> {
         // One metadata entry per conflict granule.
         let n_lines = (mem.num_words() as usize).div_ceil(GRANULE_WORDS as usize);
@@ -204,18 +217,12 @@ impl HtmRuntime {
         slots.resize_with(MAX_SLOTS, || SlotState {
             state: AtomicU64::new(pack_state(0, PHASE_IDLE, 0, 0)),
         });
-        let mut lines = Vec::with_capacity(n_lines);
-        lines.resize_with(n_lines, || LineMeta {
-            writer: AtomicU64::new(0),
-            readers0: AtomicU64::new(0),
-            readers1: AtomicU64::new(0),
-        });
         let n_groups = MAX_SLOTS.div_ceil(cfg.smt_group_size.max(1) as usize);
         Arc::new(HtmRuntime {
             mem,
             cfg,
             slots: slots.into_boxed_slice(),
-            lines: lines.into_boxed_slice(),
+            lines: simmem::zeroed_words(n_lines * META_WORDS),
             claim_filter: (0..CLAIM_FILTER_SLOTS).map(|_| AtomicU32::new(0)).collect(),
             next_slot: AtomicUsize::new(0),
             telemetry: Telemetry::default(),
@@ -260,8 +267,16 @@ impl HtmRuntime {
     }
 
     #[inline]
-    fn line(&self, line: usize) -> &LineMeta {
-        &self.lines[line]
+    fn line(&self, line: usize) -> LineMeta<'_> {
+        let at = line * META_WORDS;
+        let [writer, readers0, readers1] =
+            <&[AtomicU64; META_WORDS]>::try_from(&self.lines[at..at + META_WORDS])
+                .expect("a line's entry is META_WORDS words");
+        LineMeta {
+            writer,
+            readers0,
+            readers1,
+        }
     }
 
     #[inline]

@@ -122,23 +122,65 @@ impl SimAlloc {
             }
             addr
         } else {
-            let start = self.next.fetch_add(size, Ordering::Relaxed);
-            if start
-                .checked_add(size)
-                .is_none_or(|end| end > self.mem.num_words())
-            {
-                // Roll back so repeated failures don't wrap the bump pointer.
-                self.next.fetch_sub(size, Ordering::Relaxed);
-                return Err(AllocError {
-                    requested_words: words,
-                });
-            }
-            Addr(start)
+            Addr(self.bump(size).ok_or(AllocError {
+                requested_words: words,
+            })?)
         };
         self.words_allocated
             .fetch_add(size as u64, Ordering::Relaxed);
         self.live_blocks.fetch_add(1, Ordering::Relaxed);
         Ok(addr)
+    }
+
+    /// Allocates `count` fresh blocks of at least `words` words each,
+    /// zeroed, with one bump of the fresh-memory pointer and one stats
+    /// update: a bulk load's nodes at the cost of one [`SimAlloc::alloc`].
+    ///
+    /// The blocks are the next `count` ones of `words`' size class past
+    /// the bump pointer, in address order: block `i` starts at the first
+    /// block's address plus `i` times the block size, which is where `count`
+    /// calls of `alloc` on an allocator with no freed block of that
+    /// class would put them. Freed blocks are not reused. Each block is
+    /// later freed on its own, like one from `alloc`.
+    ///
+    /// # Errors
+    ///
+    /// When the run does not fit in the fresh memory, nothing is taken:
+    /// the bump pointer and the statistics stay as they were.
+    pub fn alloc_run(
+        &self,
+        count: u64,
+        words: u32,
+    ) -> Result<impl ExactSizeIterator<Item = Addr>, AllocError> {
+        let err = AllocError {
+            requested_words: words,
+        };
+        let (_, size) = Self::class_of(words.max(1)).ok_or(err)?;
+        let total = count
+            .checked_mul(u64::from(size))
+            .and_then(|t| u32::try_from(t).ok())
+            .ok_or(err)?;
+        let start = self.bump(total).ok_or(err)?;
+        self.words_allocated
+            .fetch_add(u64::from(total), Ordering::Relaxed);
+        self.live_blocks.fetch_add(count, Ordering::Relaxed);
+        Ok((start..start + total).step_by(size as usize).map(Addr))
+    }
+
+    /// Takes `words` words of fresh memory from the bump pointer,
+    /// returning the first, or `None` (and takes nothing) when they do
+    /// not fit.
+    fn bump(&self, words: u32) -> Option<u32> {
+        let start = self.next.fetch_add(words, Ordering::Relaxed);
+        if start
+            .checked_add(words)
+            .is_none_or(|end| end > self.mem.num_words())
+        {
+            // Roll back so repeated failures don't wrap the bump pointer.
+            self.next.fetch_sub(words, Ordering::Relaxed);
+            return None;
+        }
+        Some(start)
     }
 
     /// Returns a block to its size-class free list.
@@ -255,6 +297,59 @@ mod tests {
                 })
             );
         }
+    }
+
+    /// A run is the blocks `count` calls of `alloc` would return on a
+    /// fresh allocator, with the same statistics.
+    #[test]
+    fn a_run_is_the_blocks_alloc_would_hand_out() {
+        let mem = Arc::new(SharedMem::new_lines(64));
+        let (bulk, one_by_one) = (
+            SimAlloc::with_base(Arc::clone(&mem), Addr(8)),
+            SimAlloc::with_base(Arc::clone(&mem), Addr(8)),
+        );
+        for words in [3, 9] {
+            let run: Vec<Addr> = bulk.alloc_run(5, words).unwrap().collect();
+            let each: Vec<Addr> = (0..5).map(|_| one_by_one.alloc(words).unwrap()).collect();
+            assert_eq!(run, each);
+        }
+        assert_eq!(bulk.stats(), one_by_one.stats());
+        assert_eq!(bulk.words_remaining(), one_by_one.words_remaining());
+        // Each block of a run is freed on its own.
+        let run: Vec<Addr> = bulk.alloc_run(2, 8).unwrap().collect();
+        bulk.free_sized(run[1], 8);
+        assert_eq!(bulk.alloc(8), Ok(run[1]));
+    }
+
+    #[test]
+    fn an_empty_run_takes_nothing() {
+        let mem = Arc::new(SharedMem::new_lines(4));
+        let alloc = SimAlloc::new(Arc::clone(&mem));
+        assert_eq!(alloc.alloc_run(0, 3).unwrap().len(), 0);
+        assert_eq!(alloc.stats(), AllocStats::default());
+        assert_eq!(alloc.alloc(3), Ok(Addr(0)));
+    }
+
+    /// A run that does not fit leaves the bump pointer and the
+    /// statistics as they were, and the next `alloc` gets the next line.
+    #[test]
+    fn a_run_that_does_not_fit_takes_nothing() {
+        let mem = Arc::new(SharedMem::new_lines(8));
+        let alloc = SimAlloc::new(Arc::clone(&mem));
+        let first = alloc.alloc(1).unwrap();
+        let (stats, remaining) = (alloc.stats(), alloc.words_remaining());
+        for (count, words) in [(8, 3), (4, 9), (u64::MAX, 1), (1, u32::MAX)] {
+            assert_eq!(
+                alloc.alloc_run(count, words).err(),
+                Some(AllocError {
+                    requested_words: words
+                })
+            );
+            assert_eq!((alloc.stats(), alloc.words_remaining()), (stats, remaining));
+        }
+        assert_eq!(alloc.alloc(1), Ok(first.offset(WORDS_PER_LINE)));
+        assert_eq!(alloc.alloc_run(6, 1).unwrap().len(), 6);
+        assert_eq!(alloc.words_remaining(), 0);
     }
 
     #[test]

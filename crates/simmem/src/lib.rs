@@ -20,6 +20,9 @@
 //! * [`madvise_hugepage`] — the process's one `madvise`, which asks for
 //!   transparent huge pages over a range about to be filled; the
 //!   native store's bulk builds use it too.
+//! * [`zeroed_words`] — an all-zero `Box<[AtomicU64]>` whose pages the
+//!   kernel zeroes at first touch (the `htm` crate's conflict table), so
+//!   the crate's `unsafe` stays here.
 //!
 //! # Examples
 //!
@@ -43,4 +46,4 @@ mod mem;
 
 pub use addr::{Addr, LineId, LINE_BYTES, WORDS_PER_LINE};
 pub use alloc::{AllocError, AllocStats, SimAlloc};
-pub use mem::{madvise_hugepage, SharedMem, StridePrefetcher, HUGE_PAGE};
+pub use mem::{madvise_hugepage, zeroed_words, SharedMem, StridePrefetcher, HUGE_PAGE};

@@ -4,21 +4,29 @@ use core::sync::atomic::{AtomicU64, Ordering};
 
 use crate::addr::{Addr, WORDS_PER_LINE};
 
-/// A transparent huge page: 2 MiB. Allocations at least this large are
-/// 2 MiB-aligned and advised onto transparent huge pages. Benchmark-scale
-/// memories span hundreds of megabytes that workloads pointer-chase at
-/// random; with 4 KiB pages almost every simulated access also pays a
-/// dTLB miss and page walk, which has nothing to do with the memory
-/// system being modelled. Small (test-scale) memories keep the
-/// allocator's natural alignment.
+/// A transparent huge page: 2 MiB. A memory at least this large starts
+/// on a 2 MiB boundary and is advised onto transparent huge pages.
+/// Benchmark-scale memories span hundreds of megabytes that workloads
+/// pointer-chase at random; with 4 KiB pages almost every simulated
+/// access also pays a dTLB miss and page walk, which has nothing to do
+/// with the memory system being modelled. Its pages come zeroed from
+/// the kernel at their first touch, so a memory costs faults and
+/// resident memory only for the 2 MiB regions it fills. Small
+/// (test-scale) memories keep the allocator's natural alignment.
 pub const HUGE_PAGE: usize = 2 * 1024 * 1024;
 
-/// Owner of the word array: a manually allocated block so the backing
-/// store can be over-aligned to 2 MiB (a `Box<[AtomicU64]>` cannot carry
-/// an alignment beyond the element's own).
+/// Owner of the word array: a manually allocated block so that the
+/// words of a large store can start on a 2 MiB boundary inside it (a
+/// `Box<[AtomicU64]>` cannot carry an alignment beyond the element's
+/// own, and asking the allocator for 2 MiB alignment makes its zeroed
+/// path write the whole block).
 struct WordStore {
+    /// The first word: 2 MiB-aligned when the store is at least
+    /// [`HUGE_PAGE`].
     ptr: core::ptr::NonNull<AtomicU64>,
     len: usize,
+    /// The block as the allocator returned it, with its layout.
+    block: core::ptr::NonNull<u8>,
     layout: std::alloc::Layout,
 }
 
@@ -28,45 +36,82 @@ unsafe impl Send for WordStore {}
 unsafe impl Sync for WordStore {}
 
 impl WordStore {
-    /// Allocates `len` zeroed words, huge-page-backed when large.
+    /// Allocates `len` (> 0) zeroed words, huge-page-backed when large.
+    ///
+    /// The words come from the allocator's zeroed path at word
+    /// alignment, so nothing writes them here. A store of at least
+    /// [`HUGE_PAGE`] asks for one huge page more and starts at the
+    /// first 2 MiB boundary inside the block: a block that large is
+    /// fresh mapped memory, which `calloc` hands out unwritten, and the
+    /// kernel zeroes each page at its first touch.
     fn new_zeroed(len: usize) -> WordStore {
-        let layout = std::alloc::Layout::array::<AtomicU64>(len).expect("word array too large");
-        let layout = if layout.size() >= HUGE_PAGE {
-            layout.align_to(HUGE_PAGE).expect("huge-page alignment")
-        } else {
-            layout
-        };
+        let bytes = len
+            .checked_mul(core::mem::size_of::<AtomicU64>())
+            .expect("word array too large");
+        let slack = if bytes >= HUGE_PAGE { HUGE_PAGE } else { 0 };
+        let layout = bytes
+            .checked_add(slack)
+            .and_then(|size| {
+                std::alloc::Layout::from_size_align(size, core::mem::align_of::<AtomicU64>()).ok()
+            })
+            .expect("word array too large");
         // SAFETY: `layout` has non-zero size (callers guarantee len > 0).
-        let raw = unsafe { std::alloc::alloc(layout) };
-        let Some(ptr) = core::ptr::NonNull::new(raw.cast::<AtomicU64>()) else {
+        let raw = unsafe { std::alloc::alloc_zeroed(layout) };
+        let Some(block) = core::ptr::NonNull::new(raw) else {
             std::alloc::handle_alloc_error(layout);
         };
-        if layout.size() >= HUGE_PAGE {
-            // Advise *before* first touch so the zeroing faults below can
-            // be satisfied with huge pages directly. Best effort: if the
-            // kernel refuses, the store just stays on 4 KiB pages.
-            madvise_hugepage(raw, layout.size());
+        let start = if slack > 0 {
+            raw.addr().next_multiple_of(HUGE_PAGE) - raw.addr()
+        } else {
+            0
+        };
+        // SAFETY: `start` < `slack`, so the `bytes` from it lie inside
+        // the block.
+        let first = unsafe { raw.add(start) };
+        if slack > 0 {
+            // Advise *before* first touch so the first fault in each
+            // 2 MiB region can be served a huge page directly. Best
+            // effort: if the kernel refuses, the store stays on 4 KiB
+            // pages.
+            madvise_hugepage(first, bytes);
         }
-        // SAFETY: `raw` is a fresh allocation of `layout.size()` bytes;
-        // the all-zero bit pattern is a valid `AtomicU64` (same in-memory
-        // representation as `u64`).
-        unsafe { core::ptr::write_bytes(raw, 0, layout.size()) };
-        WordStore { ptr, len, layout }
+        WordStore {
+            ptr: core::ptr::NonNull::new(first.cast::<AtomicU64>()).expect("inside the block"),
+            len,
+            block,
+            layout,
+        }
     }
 
     #[inline]
     fn words(&self) -> &[AtomicU64] {
-        // SAFETY: `ptr` owns `len` initialized words for `self`'s lifetime.
+        // SAFETY: `ptr` is word-aligned (a word-aligned block plus a
+        // multiple of 2 MiB) and owns `len` words for `self`'s lifetime,
+        // zeroed at allocation; the all-zero bit pattern is a valid
+        // `AtomicU64` (same in-memory representation as `u64`).
         unsafe { core::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
 
 impl Drop for WordStore {
     fn drop(&mut self) {
-        // SAFETY: allocated in `new_zeroed` with exactly this layout;
-        // `AtomicU64` needs no drop.
-        unsafe { std::alloc::dealloc(self.ptr.as_ptr().cast(), self.layout) };
+        // SAFETY: `block` was allocated in `new_zeroed` with exactly this
+        // layout; `AtomicU64` needs no drop.
+        unsafe { std::alloc::dealloc(self.block.as_ptr(), self.layout) };
     }
+}
+
+/// `len` zero words from the allocator's zeroed path (`calloc`), for a
+/// table that must start all-zero and of which most may never be
+/// touched: a large one arrives as fresh pages that the kernel zeroes at
+/// their first touch, so building it writes nothing and an untouched
+/// page costs neither a fault nor resident memory. (Filling a `Vec`
+/// instead writes, and faults in, every page up front.)
+pub fn zeroed_words(len: usize) -> Box<[AtomicU64]> {
+    let words = Box::<[AtomicU64]>::new_zeroed_slice(len);
+    // SAFETY: the all-zero bit pattern is a valid `AtomicU64` (same
+    // in-memory representation as `u64`).
+    unsafe { words.assume_init() }
 }
 
 /// Advises the kernel to back `[addr, addr + len)` with transparent huge
@@ -117,7 +162,9 @@ pub fn madvise_hugepage(_addr: *mut u8, _len: usize) {}
 /// Benchmark-scale memories are huge-page-backed (2 MiB alignment plus
 /// `madvise(MADV_HUGEPAGE)` on Linux/x86-64), so
 /// simulated accesses measure the protocol plus ordinary cache behaviour,
-/// not host TLB thrash.
+/// not host TLB thrash. Creating one writes none of it: its pages come
+/// zeroed from the kernel when first touched, so a memory occupies only
+/// the pages its users have written or read (see [`HUGE_PAGE`]).
 pub struct SharedMem {
     words: WordStore,
 }
@@ -268,7 +315,7 @@ impl Default for StridePrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::LineId;
+    use crate::addr::{LineId, LINE_BYTES};
     use std::sync::Arc;
 
     #[test]
@@ -323,6 +370,42 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(mem.load(Addr(0)), 4000);
+    }
+
+    /// A memory of at least [`HUGE_PAGE`] starts on a 2 MiB boundary
+    /// inside its over-sized block and reads zero across its whole
+    /// range, first and last word included.
+    #[test]
+    fn a_large_memory_is_huge_page_aligned_and_reads_zero() {
+        let lines = (HUGE_PAGE / LINE_BYTES as usize) as u32 * 3 + 5;
+        let mem = SharedMem::new_lines(lines);
+        assert_eq!(mem.words.ptr.as_ptr().addr() % HUGE_PAGE, 0);
+        let last = mem.num_words() - 1;
+        let sampled = (0..mem.num_words()).step_by(4093).chain([last]);
+        for w in sampled {
+            assert_eq!(mem.load(Addr(w)), 0, "word {w}");
+        }
+        mem.store(Addr(last), 7);
+        assert_eq!(mem.load(Addr(last)), 7);
+    }
+
+    #[test]
+    fn a_small_memory_reads_zero() {
+        let mem = SharedMem::new_lines(3);
+        assert!(mem.words.layout.size() < HUGE_PAGE);
+        assert!((0..mem.num_words()).all(|w| mem.load(Addr(w)) == 0));
+    }
+
+    #[test]
+    fn zeroed_words_are_zero_and_atomic() {
+        assert!(zeroed_words(0).is_empty());
+        let words = zeroed_words(HUGE_PAGE / 8 + 3);
+        assert!(words
+            .iter()
+            .step_by(511)
+            .all(|w| w.load(Ordering::Relaxed) == 0));
+        assert_eq!(words[HUGE_PAGE / 8 + 2].fetch_add(3, Ordering::Relaxed), 0);
+        assert_eq!(words[HUGE_PAGE / 8 + 2].load(Ordering::Relaxed), 3);
     }
 
     #[test]

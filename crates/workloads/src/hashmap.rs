@@ -167,22 +167,38 @@ impl SimHashMap {
     }
 
     /// Links a new node for `key`, which must be absent, at its bucket
-    /// head with plain stores: [`SimHashMap::populate`]'s step, which
-    /// skips [`SimHashMap::insert`]'s walk of the chain.
+    /// head with plain stores, skipping [`SimHashMap::insert`]'s walk of
+    /// the chain: one step of [`SimHashMap::populate`], with its own
+    /// allocation.
     pub fn push_fresh(&self, alloc: &SimAlloc, key: u64, value: u64) -> Result<(), AllocError> {
-        let node = self.make_node(alloc, key, value)?;
-        let mem = alloc_mem(alloc);
+        let node = alloc.alloc(NODE_WORDS)?;
+        self.link_fresh(alloc_mem(alloc), node, key, value);
+        Ok(())
+    }
+
+    /// Fills the fresh (all-zero) `node` with `key` and `value` and
+    /// links it at its bucket head with plain stores; `key` must be
+    /// absent.
+    pub(crate) fn link_fresh(&self, mem: &SharedMem, node: Addr, key: u64, value: u64) {
         let bucket = self.bucket_of(key);
+        mem.store(node.offset(KEY), key);
+        mem.store(node.offset(VAL), value);
         mem.store(node.offset(NEXT), mem.load(bucket));
         mem.store(bucket, node.to_word());
-        Ok(())
     }
 
     /// Populates the map single-threadedly with keys `0..n` (value =
     /// `key`), bypassing the HTM layer (initialization happens before any
-    /// concurrency).
+    /// concurrency). The nodes are one [`SimAlloc::alloc_run`], key `k`'s
+    /// the run's `k`-th, each linked at its bucket head: on an allocator
+    /// with no freed node, word for word the image `n` calls of
+    /// [`SimHashMap::push_fresh`] leave, at the cost of one allocation.
     pub fn populate(&self, alloc: &SimAlloc, n: u64) -> Result<(), AllocError> {
-        (0..n).try_for_each(|key| self.push_fresh(alloc, key, key))
+        let mem = alloc_mem(alloc);
+        for (key, node) in (0..n).zip(alloc.alloc_run(n, NODE_WORDS)?) {
+            self.link_fresh(mem, node, key, key);
+        }
+        Ok(())
     }
 }
 
@@ -220,7 +236,7 @@ fn alloc_mem(alloc: &SimAlloc) -> &SharedMem {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use htm::{HtmConfig, HtmRuntime, TxMode};
     use std::sync::Arc;
@@ -328,5 +344,35 @@ mod tests {
         assert!(map.is_empty(&mut nt).unwrap());
         assert_eq!(map.lookup(&mut nt, 1).unwrap(), None);
         assert_eq!(map.remove(&mut nt, 1).unwrap(), None);
+    }
+
+    /// The words of `mem` and the statistics of `alloc`: what a store
+    /// build leaves behind.
+    pub(crate) fn image(alloc: &SimAlloc) -> (Vec<u64>, simmem::AllocStats, u32) {
+        let mem = alloc.mem();
+        let words = (0..mem.num_words()).map(|w| mem.load(Addr(w))).collect();
+        (words, alloc.stats(), alloc.words_remaining())
+    }
+
+    /// `populate` takes its nodes as one run and links them with plain
+    /// stores: the image, statistics and bump pointer are those of
+    /// pushing the keys one at a time, on a key count that is not a
+    /// multiple of 64 and chains of a few nodes each.
+    #[test]
+    fn populate_writes_the_per_key_image() {
+        let build = |bulk: bool| {
+            let alloc = SimAlloc::new(Arc::new(simmem::SharedMem::new_lines(2048)));
+            let map = SimHashMap::create(&alloc, 37).unwrap();
+            let n = 1001;
+            if bulk {
+                map.populate(&alloc, n).unwrap();
+            } else {
+                (0..n).for_each(|key| map.push_fresh(&alloc, key, key).unwrap());
+            }
+            image(&alloc)
+        };
+        let bulk = build(true);
+        assert_eq!(bulk.1.live_blocks, 1002, "the bucket array and 1001 nodes");
+        assert!(bulk == build(false), "populate's image differs");
     }
 }

@@ -298,11 +298,18 @@ impl ShardedKv {
 
     /// Pre-loads keys `0..n` with `value = key`, single-threaded,
     /// bypassing the HTM layer (initialization precedes concurrency).
+    /// The nodes are one [`SimAlloc::alloc_run`]: key `k`'s is the run's
+    /// `k`-th, linked at the head of its bucket in its shard. On an
+    /// allocator with no freed node that is word for word the image of
+    /// pushing the keys one by one ([`SimHashMap::push_fresh`]), at the
+    /// cost of one allocation.
     pub fn populate(&self, alloc: &SimAlloc, n: u64) -> Result<(), AllocError> {
-        (0..n).try_for_each(|key| {
+        let mem = alloc.mem();
+        for (key, node) in (0..n).zip(alloc.alloc_run(n, NODE_WORDS)?) {
             let (shard, at) = self.locate(key);
-            shard.map.push_fresh(alloc, at, key)
-        })
+            shard.map.link_fresh(mem, node, at, key);
+        }
+        Ok(())
     }
 }
 
@@ -649,5 +656,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The prefill's one run leaves word for word the image, the
+    /// statistics and the bump pointer of pushing each key into its
+    /// shard one at a time, on the service's 16 shards and a key count
+    /// that ends inside a block.
+    #[test]
+    fn populate_writes_the_per_key_image() {
+        let n = 100 * 64 + 37;
+        let build = |bulk: bool| {
+            let (_rt, alloc) = setup(16384);
+            let kv = ShardedKv::create(&alloc, SchemeKind::RwLeOpt, 16, 512, 4).unwrap();
+            if bulk {
+                kv.populate(&alloc, n).unwrap();
+            } else {
+                for key in 0..n {
+                    let (shard, at) = kv.locate(key);
+                    shard.map.push_fresh(&alloc, at, key).unwrap();
+                }
+            }
+            crate::hashmap::tests::image(&alloc)
+        };
+        let bulk = build(true);
+        assert!(bulk.1.live_blocks > n);
+        assert!(bulk == build(false), "populate's image differs");
     }
 }
