@@ -193,9 +193,10 @@ pub struct Recovery {
     /// Reading the segments and checking and decoding their records:
     /// the replay's own time, the loader's share of it not included.
     pub read: Duration,
-    /// The loader's time, prefill included: for the native stores,
-    /// buffering the records and then one sort and merge per shard; for
-    /// the simulated store, the prefill and each op applied once.
+    /// The loader's wall time, prefill included: for the native stores,
+    /// buffering the records and then one sort and merge per shard, the
+    /// shards spread over the host's cores; for the simulated store, the
+    /// prefill and each op applied once.
     pub build: Duration,
 }
 

@@ -16,20 +16,21 @@
 //!
 //! **Sized builds.** A bulk build that knows how many pairs it will at
 //! least hold ([`Builder::with_capacity`]) reserves the leaf chunks
-//! `0..=k` that hold them as one block, aligned to 2 MiB once it spans
-//! that much. The directory points into the block, so the chunk
-//! geometry and the id to address arithmetic stay as they are, and
-//! writes past the block grow the arena a chunk at a time. Before its
-//! first write the build asks the kernel for transparent huge pages
-//! over the block's whole 2 MiB regions that those pairs fill, so each
-//! costs one page fault instead of 512. Only those: the kernel backs a
-//! whole huge page at the first touch, so advising a region the build
-//! fills in part would make up to 2 MiB resident that nothing uses, per
-//! map, and a store has a map per shard. A `svc-read` shard (250 k pairs, 3.94 MiB of leaves)
-//! gets one huge page for the first of its two regions; the 100 k-key
-//! workloads' shards (100–200 KiB) get none. Where the kernel refuses
-//! the advice, or the allocator hands back pages an earlier use already
-//! touched, the block stays on 4 KiB pages.
+//! `0..=k` that hold them as one block. The directory points into the
+//! block, so the chunk geometry and the id to address arithmetic stay
+//! as they are, and writes past the block grow the arena a chunk at a
+//! time. Before its first write the build asks the kernel for
+//! transparent huge pages over the 2 MiB regions of the block that
+//! those pairs fill to at least 7/8 (`HUGE_FILL`), so each costs one
+//! page fault instead of 512; a block with such regions is rounded up
+//! to whole regions and aligned to one. The kernel backs a whole huge
+//! page at the first touch, so a region the build fills only in part
+//! holds memory nothing uses: at most 256 KiB per map, and a store has
+//! a map per shard. A `svc-read` shard (250 k pairs, 3.94 MiB of
+//! leaves) fills its second region to 97 % and gets two huge pages; the
+//! 100 k-key workloads' shards (100–200 KiB) get none. Where the kernel
+//! refuses the advice, or the allocator hands back pages an earlier use
+//! already touched, the block stays on 4 KiB pages.
 //!
 //! **Versions.** The map is copy-on-write. Its one writer changes a node
 //! in place only if the node was allocated since the map's last
@@ -286,15 +287,19 @@ impl<T> Arena<T> {
         }
     }
 
-    /// An arena whose chunks `0..=last` are allocated now, as one block:
-    /// aligned to a huge page when it spans one, so that each of its
-    /// whole 2 MiB regions can be one. Like a chunk, the block is left
-    /// uninitialised and untouched.
-    fn with_block(last: usize) -> Arena<T> {
+    /// An arena whose chunks `0..=last` are allocated now, as one block,
+    /// with its first `huge` bytes (whole 2 MiB regions, [`huge_span`])
+    /// advised onto huge pages. Advice decides the layout: a block with
+    /// some is rounded up to whole regions, so the last advised one lies
+    /// inside it even where it reaches past chunk `last`, and aligned to
+    /// one, so each advised region can be a huge page. Like a chunk, the
+    /// block is left uninitialised and untouched.
+    fn with_block(last: usize, huge: usize) -> Arena<T> {
         let layout =
             Layout::array::<T>(first_id(last + 1)).expect("an arena block fits the address space");
-        let layout = if layout.size() >= HUGE_PAGE {
-            layout.align_to(HUGE_PAGE).expect("huge-page alignment")
+        let layout = if huge > 0 {
+            let size = layout.size().max(huge).next_multiple_of(HUGE_PAGE);
+            Layout::from_size_align(size, HUGE_PAGE).expect("a huge-page block fits")
         } else {
             layout
         };
@@ -303,6 +308,9 @@ impl<T> Arena<T> {
         let base = unsafe { alloc(layout) }.cast::<T>();
         if base.is_null() {
             handle_alloc_error(layout);
+        }
+        if huge > 0 {
+            madvise_hugepage(base.cast(), huge);
         }
         let mut arena = Arena::new();
         for (chunk, mem) in arena.chunks[..=last].iter_mut().enumerate() {
@@ -1024,21 +1032,18 @@ impl Builder {
     /// `pairs` pairs, as one block (pairs past that grow the arena a
     /// chunk at a time, as [`LeafMap::insert`]s do). Before the first
     /// write it asks for huge pages (`simmem::madvise_hugepage`) over
-    /// the whole 2 MiB regions of the block those pairs fill, so each
-    /// region costs one page fault, not 512; a region they fill only in
-    /// part stays on 4 KiB pages (module docs). `pairs` only sizes and
-    /// advises: the tree is the one [`Builder::new`] builds, and a
-    /// build that pushes fewer pairs is only slower or larger.
+    /// the 2 MiB regions of the block those pairs fill to at least 7/8
+    /// (`HUGE_FILL`), so each region costs one page fault, not 512; a
+    /// block with such regions is rounded up to whole regions and
+    /// aligned to one, and a region they fill less stays on 4 KiB pages
+    /// (module docs). `pairs` only sizes and advises: the tree is the
+    /// one [`Builder::new`] builds, and a build that pushes fewer pairs
+    /// is only slower or larger.
     pub fn with_capacity(pairs: usize) -> Builder {
         let last = u32::try_from(pairs.div_ceil(LEAF_CAP).max(1) - 1)
             .expect("more than u32::MAX nodes in one map");
-        let mut leaf_arena = Arena::<Leaf>::with_block(slot(last).0);
-        let span = huge_span(pairs);
-        if span > 0 {
-            madvise_hugepage(leaf_arena.chunks[0].get_mut().cast(), span);
-        }
         Builder {
-            leaf_arena,
+            leaf_arena: Arena::with_block(slot(last).0, huge_span(pairs)),
             ..Builder::new()
         }
     }
@@ -1116,15 +1121,22 @@ impl Builder {
     }
 }
 
+/// The least a sized build's leaves fill of a 2 MiB region for the
+/// region to be advised onto a huge page: 7/8 of it. The kernel backs a
+/// whole huge page at its first touch, and only the last advised region
+/// can be filled in part, so a map holds at most `HUGE_PAGE -
+/// HUGE_FILL` = 256 KiB of resident memory that nothing uses. A
+/// `svc-read` shard fills its second region to 97 %.
+const HUGE_FILL: usize = HUGE_PAGE / 8 * 7;
+
 /// The bytes, from the start of a sized build's leaf block, to advise
 /// onto huge pages when the build pushes at least `pairs` pairs: the
-/// whole 2 MiB regions their leaves fill, each leaf written whole. The
-/// kernel backs a whole huge page at its first touch, so a region the
-/// build filled only in part would hold up to 2 MiB of resident memory
-/// nothing uses; such a region stays on 4 KiB pages.
+/// 2 MiB regions their leaves fill to at least [`HUGE_FILL`], each leaf
+/// written whole. The last of them can reach past the chunks that hold
+/// the leaves ([`Arena::with_block`] rounds the block up to it).
 fn huge_span(pairs: usize) -> usize {
     let filled = pairs.div_ceil(LEAF_CAP) * size_of::<Leaf>();
-    filled / HUGE_PAGE * HUGE_PAGE
+    (filled + HUGE_PAGE - HUGE_FILL) / HUGE_PAGE * HUGE_PAGE
 }
 
 /// Contents, not layout: two maps holding the same pairs are equal
@@ -1578,23 +1590,30 @@ mod tests {
     /// Leaves per 2 MiB region.
     const REGION_LEAVES: usize = HUGE_PAGE / size_of::<Leaf>();
 
-    /// The fewest pairs whose leaves fill one 2 MiB region: one in the
-    /// region's last leaf.
-    const REGION_PAIRS: usize = (REGION_LEAVES - 1) * LEAF_CAP + 1;
+    /// Leaves that fill [`HUGE_FILL`] of a region.
+    const FILL_LEAVES: usize = HUGE_FILL / size_of::<Leaf>();
+
+    /// The fewest pairs on `leaves` leaves: one in the last.
+    const fn pairs_on(leaves: usize) -> usize {
+        (leaves - 1) * LEAF_CAP + 1
+    }
 
     /// The sizes where a sized build's block changes: no key, one, a
     /// full leaf and one past it; either side of the end of chunk 0, of
-    /// chunk 4 and of chunk 8 (past which the block spans a huge page
-    /// and is aligned to one); and either side of filling one and two
-    /// 2 MiB regions.
+    /// chunk 4 and of chunk 8; and either side of filling 7/8 of one
+    /// and of two 2 MiB regions (past which the block is advised, then
+    /// rounded up to whole regions and aligned to one) and of filling
+    /// them whole.
     fn sized_edges() -> Vec<usize> {
         let mut sizes = vec![0, 1, LEAF_CAP, LEAF_CAP + 1];
         for chunk in [1, 5, 9] {
             let pairs = first_id(chunk) * LEAF_CAP;
             sizes.extend([pairs - 1, pairs, pairs + 1]);
         }
-        for pairs in [REGION_PAIRS, REGION_PAIRS + REGION_LEAVES * LEAF_CAP] {
-            sizes.extend([pairs - 1, pairs]);
+        for leaves in [FILL_LEAVES, REGION_LEAVES] {
+            for pairs in [pairs_on(leaves), pairs_on(leaves + REGION_LEAVES)] {
+                sizes.extend([pairs - 1, pairs]);
+            }
         }
         sizes
     }
@@ -1617,8 +1636,10 @@ mod tests {
     /// counts and audit — whether its size is exact, too small (the
     /// build itself then grows past the block) or too large. Its leaves
     /// lie in one block: chunks `0..=k`, `k` the fewest that hold the
-    /// size, back to back from a base aligned to a huge page when the
-    /// block spans one, and no chunk after it yet.
+    /// size, back to back, and no chunk after it yet. A block with
+    /// advice holds the whole advised span, and is those chunks rounded
+    /// up to whole 2 MiB regions from a base aligned to one; a block
+    /// without is the chunks alone.
     #[test]
     fn a_sized_build_is_the_unsized_one() {
         for n in sized_edges() {
@@ -1643,8 +1664,20 @@ mod tests {
                     first_id(last + 1) >= reserved && (last == 0 || first_id(last) < reserved),
                     "{n} pairs, {what}: chunks 0..={last} for {reserved} leaves"
                 );
-                assert_eq!(layout.size(), first_id(last + 1) * size_of::<Leaf>());
-                assert_eq!(layout.size() >= HUGE_PAGE, layout.align() == HUGE_PAGE);
+                let chunks = first_id(last + 1) * size_of::<Leaf>();
+                let span = huge_span(size);
+                if span > 0 {
+                    assert!(
+                        span <= layout.size()
+                            && layout.size() == chunks.max(span).next_multiple_of(HUGE_PAGE),
+                        "{n} pairs, {what}: {span} B advised of {} B, chunks {chunks} B",
+                        layout.size()
+                    );
+                    assert_eq!(layout.align(), HUGE_PAGE, "{n} pairs, {what}");
+                } else {
+                    assert_eq!(layout.size(), chunks, "{n} pairs, {what}");
+                    assert!(layout.align() < HUGE_PAGE, "{n} pairs, {what}");
+                }
                 let base = arena.at(0);
                 assert_eq!(base as usize % layout.align(), 0);
                 for chunk in 0..=last {
@@ -1695,28 +1728,45 @@ mod tests {
         );
     }
 
-    /// The advice, as arithmetic: nothing below one whole 2 MiB region
-    /// of filled leaves, then whole regions only — every one the leaves
-    /// fill, none they fill in part.
+    /// The advice, as arithmetic: a region is advised once the leaves
+    /// fill 7/8 of it — either side of that edge for the first and the
+    /// second region — so at most 256 KiB of an advised span is unused,
+    /// and less than 7/8 of a region filled is left unadvised. A
+    /// `svc-read` shard fills its second region to 97 % and is advised
+    /// both. So is a build of 3 584 to 4 088 leaves, which chunks
+    /// `0..=8` hold in less than 2 MiB: its block is one whole region.
     #[test]
-    fn only_whole_filled_regions_are_advised() {
+    fn regions_filled_to_seven_eighths_are_advised() {
         assert_eq!(huge_span(0), 0);
         assert_eq!(huge_span(1), 0);
-        assert_eq!(huge_span(REGION_PAIRS - 1), 0);
-        assert_eq!(huge_span(REGION_PAIRS), HUGE_PAGE);
-        let two = REGION_PAIRS + REGION_LEAVES * LEAF_CAP;
-        assert_eq!(huge_span(two - 1), HUGE_PAGE);
-        assert_eq!(huge_span(two), 2 * HUGE_PAGE);
-        // A `svc-read` shard, 4 M keys over 16 shards, fills 3.94 MiB:
-        // one of its two regions.
-        assert_eq!(huge_span(250_000), HUGE_PAGE);
-        for pairs in (0..5 * REGION_PAIRS).step_by(997) {
+        assert_eq!(huge_span(pairs_on(FILL_LEAVES) - 1), 0);
+        assert_eq!(huge_span(pairs_on(FILL_LEAVES)), HUGE_PAGE);
+        let second = FILL_LEAVES + REGION_LEAVES;
+        assert_eq!(huge_span(pairs_on(second) - 1), HUGE_PAGE);
+        assert_eq!(huge_span(pairs_on(second)), 2 * HUGE_PAGE);
+        // 4 M keys over 16 shards: 3.94 MiB of leaves.
+        assert_eq!(huge_span(250_000), 2 * HUGE_PAGE);
+        for pairs in (0..5 * pairs_on(REGION_LEAVES)).step_by(997) {
             let filled = pairs.div_ceil(LEAF_CAP) * size_of::<Leaf>();
             let span = huge_span(pairs);
             assert!(
-                span.is_multiple_of(HUGE_PAGE) && span <= filled && filled - span < HUGE_PAGE,
+                span.is_multiple_of(HUGE_PAGE)
+                    && span.saturating_sub(filled) <= 256 << 10
+                    && filled.saturating_sub(span) < HUGE_FILL,
                 "{pairs} pairs: {span} of {filled} bytes advised"
             );
+        }
+        // The band where the advice, not the chunks, sizes the block.
+        assert_eq!((FILL_LEAVES, first_id(9)), (3584, 4088));
+        assert!(first_id(9) * size_of::<Leaf>() < HUGE_PAGE);
+        for leaves in [FILL_LEAVES, FILL_LEAVES + 1, first_id(9)] {
+            let pairs = leaves * LEAF_CAP;
+            assert_eq!(slot(leaves as u32 - 1).0, 8, "{leaves} leaves");
+            assert_eq!(huge_span(pairs), HUGE_PAGE, "{leaves} leaves");
+            let build = Builder::with_capacity(pairs);
+            let (last, layout) = build.leaf_arena.block.expect("a sized build has a block");
+            assert_eq!(last, 8, "{leaves} leaves");
+            assert_eq!((layout.size(), layout.align()), (HUGE_PAGE, HUGE_PAGE));
         }
     }
 

@@ -210,8 +210,9 @@ pub struct NativeBackend {
 
 impl NativeBackend {
     /// Builds `n_shards` shards sized for `max_threads` sessions, with
-    /// keys `0..prefill` pre-loaded as `value = key` (single-threaded,
-    /// before any sharing).
+    /// keys `0..prefill` pre-loaded as `value = key`, before any
+    /// sharing: each shard's map is one bulk build, and a large store's
+    /// builds run on the host's cores ([`StoreLoader::finish`]).
     pub fn create(n_shards: usize, max_threads: usize, prefill: u64) -> NativeBackend {
         NativeBackend::loader(n_shards, max_threads, prefill).finish()
     }
@@ -304,6 +305,14 @@ impl StoreLoader for NativeLoader {
 /// built.
 const FOLD_OPS: usize = 4 << 20;
 
+/// The fewest pairs and ops, base and run together, a fold hands each
+/// of its threads: a smaller fold runs on fewer threads, or inline. A
+/// fold thread costs about 200 KiB of resident memory, mostly its stack
+/// and allocator arena and the code that starts it — 5 % of a 100 k-key
+/// store's — and saved at most 0.5 ms of a 100 k-key prefill's 1.6 ms
+/// merge (2 vCPUs). A 4 M-key prefill is three shares.
+const FOLD_SHARE: usize = 1 << 20;
+
 /// The value a buffered DEL holds. A PUT of this value is buffered the
 /// same way and told apart by [`LogMerge::tombstone_puts`].
 const TOMBSTONE: u64 = u64::MAX;
@@ -316,7 +325,9 @@ const TOMBSTONE: u64 = u64::MAX;
 /// run merged with the shard's previous contents ([`merge`]). Until the
 /// first fold those are the shard's prefill keys, after it the map the
 /// fold built. No `insert` or `remove` runs: the cost is the final
-/// state's size plus a sort, not a descent per logged op.
+/// state's size plus a sort, not a descent per logged op. A large
+/// fold spreads its shards over threads ([`LogMerge::fold`]); the ops
+/// are buffered on the loader's thread.
 struct LogMerge {
     prefill: u64,
     /// Each shard's map, once a fold has built it.
@@ -326,7 +337,8 @@ struct LogMerge {
     /// The keys whose last buffered op is a PUT of [`TOMBSTONE`]'s value.
     tombstone_puts: HashSet<u64>,
     buffered: usize,
-    /// The sort's second buffer, shared by the runs.
+    /// The sort's second buffer, shared by the runs a fold merges on
+    /// this thread (a fold thread has its own).
     spare: Vec<(u64, u64)>,
 }
 
@@ -363,32 +375,79 @@ impl LogMerge {
         }
     }
 
-    /// Merges every run into its shard's map and empties it. A shard
-    /// whose run is empty keeps its map; before the first fold there is
-    /// none, and the merge of an empty run builds its prefill.
+    /// Merges every run into its shard's map and empties it, on as many
+    /// threads as the host runs at once, as long as each gets at least
+    /// [`FOLD_SHARE`] pairs and ops to merge ([`LogMerge::fold_on`]).
     fn fold(&mut self) {
+        let pairs = match &self.maps {
+            Some(maps) => maps.iter().map(LeafMap::len).sum(),
+            None => usize::try_from(self.prefill).unwrap_or(usize::MAX),
+        };
+        let shares = pairs.saturating_add(self.buffered) / FOLD_SHARE;
+        // Under two shares the fold is inline on any host, so it does
+        // not ask for the core count (which reads the cgroup files).
+        let workers = match shares {
+            0 | 1 => 1,
+            _ => std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(shares),
+        };
+        self.fold_on(workers);
+    }
+
+    /// Merges every run into its shard's map and empties it, spread
+    /// over at most `workers` scoped threads, each folding a
+    /// consecutive range of shards with its own sort buffer; with one
+    /// worker (or one shard) on this thread, spawning nothing. A shard
+    /// whose run is empty keeps its map; before the first fold there is
+    /// none, and the merge of an empty run builds its prefill. Map `s`
+    /// lands at index `s`, so the maps do not depend on `workers`.
+    fn fold_on(&mut self, workers: usize) {
         let (n_shards, prefill) = (self.runs.len(), self.prefill);
-        let (tombstone_puts, spare) = (&self.tombstone_puts, &mut self.spare);
-        let runs = self.runs.iter_mut();
-        let maps = match self.maps.take() {
-            None => runs
-                .enumerate()
-                .map(|(s, run)| {
-                    let blocks = shard_blocks(s, n_shards, prefill);
-                    merge(Prefill::new(blocks), run, spare, tombstone_puts)
-                })
-                .collect(),
-            Some(maps) => maps
-                .into_iter()
-                .zip(runs)
-                .map(|(map, run)| {
-                    if run.is_empty() {
-                        map
-                    } else {
-                        merge(Built::new(&map), run, spare, tombstone_puts)
+        let tombstone_puts = &self.tombstone_puts;
+        let mut bases: Vec<Option<LeafMap>> = match self.maps.take() {
+            Some(maps) => maps.into_iter().map(Some).collect(),
+            None => (0..n_shards).map(|_| None).collect(),
+        };
+        // Shards `first..` of the runs, each merged into its base.
+        let fold = |first: usize,
+                    runs: &mut [Vec<(u64, u64)>],
+                    bases: &mut [Option<LeafMap>],
+                    spare: &mut Vec<(u64, u64)>| {
+            (first..)
+                .zip(runs.iter_mut().zip(bases))
+                .map(|(s, (run, base))| match base.take() {
+                    None => {
+                        let blocks = shard_blocks(s, n_shards, prefill);
+                        merge(Prefill::new(blocks), run, spare, tombstone_puts)
                     }
+                    Some(map) if run.is_empty() => map,
+                    Some(map) => merge(Built::new(&map), run, spare, tombstone_puts),
                 })
-                .collect(),
+                .collect::<Vec<_>>()
+        };
+        let workers = workers.clamp(1, n_shards);
+        let maps = if workers == 1 {
+            fold(0, &mut self.runs, &mut bases, &mut self.spare)
+        } else {
+            let per = n_shards.div_ceil(workers);
+            std::thread::scope(|scope| {
+                let threads: Vec<_> = self
+                    .runs
+                    .chunks_mut(per)
+                    .zip(bases.chunks_mut(per))
+                    .enumerate()
+                    .map(|(c, (runs, bases))| {
+                        let fold = &fold;
+                        scope.spawn(move || fold(c * per, runs, bases, &mut Vec::new()))
+                    })
+                    .collect();
+                // Joined in spawn order, which is shard order.
+                threads
+                    .into_iter()
+                    .flat_map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
         };
         self.maps = Some(maps);
         self.tombstone_puts.clear();
@@ -1147,6 +1206,61 @@ pub(crate) mod tests {
         assert_eq!(replayed(200, &log), want);
         for n_shards in [Some(1), Some(3), Some(16), None] {
             assert_eq!(merged(n_shards, 200, &log, &[0]), want, "{n_shards:?}");
+        }
+    }
+
+    /// The fold's worker count changes nothing: inline (1), uneven
+    /// ranges of shards (2, 3), a shard each (16) and more workers than
+    /// shards (17) build the same 16 maps, each one published image of
+    /// its own shard's keys at its own index, from a log folded part-way
+    /// through and ending in PUTs of `u64::MAX`. The runs are long
+    /// enough (about 25 k ops a shard) that the threads' sorts overlap.
+    #[test]
+    fn the_maps_do_not_depend_on_the_fold_workers() {
+        const SHARDS: usize = 16;
+        const PREFILL: u64 = 50_000;
+        let log = log(PREFILL, 44, 400_000);
+        let (head, tail) = log.split_at(log.len() / 3);
+        let built = |workers: usize| {
+            let mut merge = LogMerge::new(SHARDS, PREFILL);
+            for ops in head {
+                merge.buffer(ops);
+            }
+            merge.fold_on(workers);
+            for ops in tail {
+                merge.buffer(ops);
+            }
+            merge.buffer(&[
+                MutOp::Put {
+                    key: 7,
+                    value: TOMBSTONE,
+                },
+                MutOp::Put {
+                    key: u64::MAX,
+                    value: 3,
+                },
+            ]);
+            merge.fold_on(workers);
+            let maps = merge.maps.expect("a fold builds every map");
+            maps.iter()
+                .enumerate()
+                .map(|(s, map)| {
+                    map.audit_published();
+                    let mut pairs = Vec::new();
+                    map.snapshot().range(0..=u64::MAX, &mut pairs);
+                    assert!(
+                        pairs.iter().all(|&(k, _)| shard_index(k, SHARDS) == s),
+                        "{workers} workers: map {s} holds another shard's key"
+                    );
+                    pairs
+                })
+                .collect::<Vec<_>>()
+        };
+        let inline = built(1);
+        assert!(inline[shard_index(7, SHARDS)].contains(&(7, TOMBSTONE)));
+        assert!(inline[shard_index(u64::MAX, SHARDS)].contains(&(u64::MAX, 3)));
+        for workers in [2, 3, 16, 17] {
+            assert!(built(workers) == inline, "{workers} workers");
         }
     }
 

@@ -159,14 +159,20 @@ fn native_batches_are_allocation_free_when_warm() {
 }
 
 /// A sized bulk build and its drop balance: every block the stores
-/// allocate is freed once — the leaf block of each sized build whole,
-/// the chunks past it one by one — with maps whose blocks span huge
-/// pages and one that run-time writes grew past its block.
+/// allocate is freed once, with the layout it was allocated with — the
+/// leaf block of each sized build whole, the chunks past it one by one
+/// — with maps whose blocks the huge-page advice rounded up to whole
+/// 2 MiB regions (one from chunks that end below 2 MiB) and one that
+/// run-time writes grew past its block. Each store here is under two
+/// fold shares (`native::FOLD_SHARE`), so its maps are built on this
+/// thread, where the tally sees them.
 #[test]
 fn a_build_and_its_drop_balance() {
     let scenario = || {
         drop(NativeBackend::create(4, 1, 600_000));
         drop(SglBackend::create(300_000));
+        // 3 871 leaves: 7/8 of a region, in chunks that end below it.
+        drop(SglBackend::create(120_000));
         let backend = NativeBackend::create(1, 1, 3_000);
         let mut sess = backend.session();
         for key in 3_000..40_000 {
