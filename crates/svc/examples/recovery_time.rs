@@ -19,7 +19,10 @@
 //! page faults the server had taken and the KiB of huge pages it held
 //! at its first reply, read from its `/proc` entry. Builds before the
 //! one-merge start-up report prefill, read+check and apply; later ones
-//! read+check and build (sort and merge, prefill included). A phase the
+//! read+check (the log streamed through one 1 MiB buffer and each
+//! record's CRC checked, a carry-less-multiply fold where the CPU has
+//! one) and build (the runs sized from the log's estimated length and
+//! buffered, then sort and merge, prefill included). A phase the
 //! binary does not report prints `-`, so `--rwled` may name any build,
 //! and two revisions are compared by alternating runs with each binary.
 

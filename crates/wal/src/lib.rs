@@ -37,9 +37,12 @@
 //! crash mid-write leaves — part of one wake-up's records) is truncated
 //! to the last whole record on recovery, and a final segment torn inside
 //! its header (a crash while opening it) is removed. Every record is
-//! checked by a CRC-32 computed slicing-by-8 ([`record`]). A server
-//! hands the replayed records to its store's load path
-//! ([`workloads::StoreLoader`]), before anything can read the store:
+//! checked by a CRC-32, a carry-less-multiply fold where the CPU has
+//! one and slicing-by-8 where not ([`record`]); replay streams each
+//! segment through one reused 1 MiB buffer. A server tells its store's
+//! load path ([`workloads::StoreLoader`]) about how many ops the log
+//! holds ([`estimate_ops`]), then hands it the replayed records, before
+//! anything can read the store:
 //! the native stores sort them by key and build each shard once from
 //! the prefill merged with each key's last op, the simulated store
 //! applies each op in place.
@@ -57,7 +60,7 @@ use workloads::backend::{BatchOutcome, DurableSink, Lsn, MutOp, NO_LSN};
 pub mod record;
 pub mod recover;
 
-pub use recover::{replay, Replay, WalError};
+pub use recover::{estimate_ops, replay, Replay, WalError, READ_CHUNK};
 
 /// Default segment rotation threshold (64 MiB).
 pub const DEFAULT_SEGMENT_BYTES: u64 = 64 << 20;

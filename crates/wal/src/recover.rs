@@ -10,9 +10,16 @@
 //! log was damaged after it was written (bit rot, manual edits) and is
 //! reported as a hard error rather than silently dropping acked
 //! history.
+//!
+//! A segment is read through one reused buffer of [`READ_CHUNK`] bytes,
+//! not into memory of its own size: what is left of the chunk moves to
+//! its front and the file refills the rest, so a record may straddle
+//! two chunks, and a record longer than the buffer grows it to fit.
+//! Each record's ops are decoded into one reused `Vec`. A start thereby
+//! touches about 1 MiB for the log's bytes whatever its length.
 
 use std::fs;
-use std::io::{Read as _, Write as _};
+use std::io::{Read, Write as _};
 use std::path::{Path, PathBuf};
 
 use workloads::backend::{Lsn, MutOp};
@@ -109,6 +116,114 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(Lsn, PathBuf)>, WalError>
     Ok(segs)
 }
 
+/// Bytes of the buffer [`replay`] streams each segment through.
+pub const READ_CHUNK: usize = 1 << 20;
+
+/// Bytes [`estimate_ops`] samples from the front of the log.
+const SAMPLE: usize = 64 << 10;
+
+/// About how many ops the log under `dir` holds, before it is replayed:
+/// its record bytes (every segment's length past its header) times the
+/// ops per byte of the whole records in its first 64 KiB (`SAMPLE`),
+/// counted from their headers, nothing checked. Records of one shape
+/// (the synthetic logs `benchmark/` and `recovery_time` write: 64 ops,
+/// PUT or DEL with even odds) put it within about 1 %. 0 for an empty
+/// or absent log, or one whose first record is longer than the sample.
+/// A loader may size its buffers by it ([`StoreLoader::expect`]); the
+/// replay never relies on it.
+///
+/// [`StoreLoader::expect`]: workloads::StoreLoader::expect
+pub fn estimate_ops(dir: &Path) -> Result<usize, WalError> {
+    if !dir.exists() {
+        return Ok(0);
+    }
+    let header = record::SEGMENT_HEADER as u64;
+    let mut framed = 0;
+    let mut first = None;
+    for (_, path) in list_segments(dir)? {
+        let len = fs::metadata(&path)?.len();
+        if len > header {
+            framed += len - header;
+            first.get_or_insert(path);
+        }
+    }
+    let Some(first) = first else {
+        return Ok(0);
+    };
+    let mut sample = Vec::with_capacity(SAMPLE);
+    fs::File::open(first)?
+        .take(SAMPLE as u64)
+        .read_to_end(&mut sample)?;
+    let (ops, bytes) = record::count_framed(sample.get(record::SEGMENT_HEADER..).unwrap_or(&[]));
+    Ok(match bytes {
+        0 => 0,
+        _ => usize::try_from(u128::from(framed) * u128::from(ops) / u128::from(bytes))
+            .unwrap_or(usize::MAX),
+    })
+}
+
+/// One segment read a chunk at a time into a reused buffer.
+struct Chunks<'b> {
+    file: fs::File,
+    /// The segment's length when it was opened.
+    len: u64,
+    buf: &'b mut Vec<u8>,
+    /// The file offset of `buf[0]`.
+    start: u64,
+    /// `buf[at..end]` is read and not yet consumed.
+    at: usize,
+    end: usize,
+}
+
+impl<'b> Chunks<'b> {
+    fn open(path: &Path, buf: &'b mut Vec<u8>) -> Result<Chunks<'b>, WalError> {
+        let file = fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        Ok(Chunks {
+            file,
+            len,
+            buf,
+            start: 0,
+            at: 0,
+            end: 0,
+        })
+    }
+
+    /// The file offset of the first unconsumed byte.
+    fn offset(&self) -> u64 {
+        self.start + self.at as u64
+    }
+
+    /// The unconsumed bytes in hand, holding at least the first `want`
+    /// of the rest of the segment, or all of it where it holds fewer:
+    /// the bytes in hand move to the buffer's front, the buffer grows
+    /// to `want` if it is shorter, and the file fills the rest.
+    fn window(&mut self, want: usize) -> Result<&[u8], WalError> {
+        let rest = self.len.saturating_sub(self.offset());
+        let want = want.min(usize::try_from(rest).unwrap_or(usize::MAX));
+        if self.end - self.at < want {
+            self.buf.copy_within(self.at..self.end, 0);
+            self.start += self.at as u64;
+            self.end -= self.at;
+            self.at = 0;
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+            while self.end < self.buf.len() {
+                match self.file.read(&mut self.buf[self.end..])? {
+                    0 => break,
+                    n => self.end += n,
+                }
+            }
+        }
+        Ok(&self.buf[self.at..self.end])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.at += n;
+    }
+}
+
 /// Replays every record under `dir` in LSN order, calling `apply` with
 /// each record's write-set. Truncates a torn tail in place (so the next
 /// open appends after the last whole record) and removes a final segment
@@ -135,23 +250,27 @@ pub fn replay(dir: &Path, mut apply: impl FnMut(Lsn, &[MutOp])) -> Result<Replay
             segs.pop();
         }
     }
+    let mut buf = vec![0; READ_CHUNK];
+    let mut ops = Vec::new();
     let mut next = None::<Lsn>;
     for (i, (name_base, path)) in segs.iter().enumerate() {
         let last = i + 1 == segs.len();
-        let mut bytes = Vec::new();
-        fs::File::open(path)?.read_to_end(&mut bytes)?;
-        let base = record::decode_segment_header(&bytes)
+        let mut seg = Chunks::open(path, &mut buf)?;
+        let base = record::decode_segment_header(seg.window(READ_CHUNK)?)
             .ok_or_else(|| WalError::BadHeader(path.clone()))?;
         if base != *name_base {
             return Err(WalError::BaseMismatch(path.clone()));
         }
+        seg.consume(record::SEGMENT_HEADER);
         // Empty log restarts are allowed to leave earlier empty
         // segments behind; a non-empty segment must start where the
         // previous one left off.
-        let mut at = record::SEGMENT_HEADER;
         let mut first_in_seg = true;
-        while at < bytes.len() {
-            match record::decode_record(&bytes[at..]) {
+        while seg.offset() < seg.len {
+            let head = seg.window(record::RECORD_HEADER)?;
+            let framed = record::framed_len(head);
+            let bytes = seg.window(framed)?;
+            match record::decode_record(bytes, &mut ops) {
                 Some(rec) => {
                     if first_in_seg {
                         if rec.lsn != base {
@@ -172,23 +291,24 @@ pub fn replay(dir: &Path, mut apply: impl FnMut(Lsn, &[MutOp])) -> Result<Replay
                             found: rec.lsn,
                         });
                     }
-                    apply(rec.lsn, &rec.ops);
+                    apply(rec.lsn, &ops);
                     out.records += 1;
-                    out.ops += rec.ops.len() as u64;
+                    out.ops += ops.len() as u64;
                     next = Some(rec.lsn + 1);
-                    at += rec.size;
+                    seg.consume(rec.size);
                 }
                 None if last => {
                     // Torn tail: drop it so future appends resume from
                     // a clean record boundary.
-                    out.truncated_bytes += (bytes.len() - at) as u64;
+                    let at = seg.offset();
+                    out.truncated_bytes += seg.len - at;
                     let f = fs::OpenOptions::new().write(true).open(path)?;
-                    f.set_len(at as u64)?;
+                    f.set_len(at)?;
                     f.sync_all()?;
-                    at = bytes.len();
+                    break;
                 }
                 None => {
-                    return Err(WalError::CorruptInterior(path.clone(), at as u64));
+                    return Err(WalError::CorruptInterior(path.clone(), seg.offset()));
                 }
             }
         }

@@ -136,6 +136,133 @@ fn half_torn_record_prefix_is_truncated() {
 /// or at a rotation) leaves a final segment shorter than the header. No
 /// record was ever written behind it, so recovery drops it as torn and
 /// the next incarnation recreates it under the same name.
+/// Records of `n` ops each, keys from `from`, PUT and DEL alternating.
+fn records(count: usize, n: u64, from: u64) -> Vec<Vec<MutOp>> {
+    (0..count as u64)
+        .map(|r| {
+            (0..n)
+                .map(|i| match (r + i) % 2 {
+                    0 => put(from + r * n + i, r),
+                    _ => del(from + r * n + i),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The file offsets at which the records of a segment of `batches`
+/// from LSN 1 start, and the segment's length.
+fn record_starts(batches: &[Vec<MutOp>]) -> (Vec<u64>, u64) {
+    let mut buf = Vec::new();
+    wal::record::encode_segment_header(&mut buf, 1);
+    let mut starts = Vec::new();
+    for (i, ops) in batches.iter().enumerate() {
+        starts.push(buf.len() as u64);
+        wal::record::encode_record(&mut buf, 1 + i as u64, ops);
+    }
+    (starts, buf.len() as u64)
+}
+
+/// Replay reads a segment a chunk at a time: a record that straddles a
+/// chunk boundary, and one longer than a whole chunk, replay whole.
+#[test]
+fn records_that_straddle_a_read_chunk_replay_whole() {
+    let dir = scratch("straddle");
+    let chunk = wal::READ_CHUNK as u64;
+    // 64-op records (852 B) past two chunks, then one of 80 000 PUTs
+    // (1.36 MB) that spans the third chunk whole, then a small one.
+    let mut batches = records(2600, 64, 0);
+    batches.push((0..80_000).map(|k| put(1 << 40 | k, k)).collect());
+    batches.push(vec![del(3)]);
+    let (starts, len) = record_starts(&batches);
+    assert!(
+        starts.windows(2).any(|w| w[0] < chunk && w[1] > chunk),
+        "no record crosses the first chunk boundary"
+    );
+    assert!(
+        starts[2601] - starts[2600] > chunk,
+        "the long record fits a chunk"
+    );
+    wal::recover::write_segment(&dir, 1, &batches, &[]).unwrap();
+    let (report, got) = collect(&dir);
+    assert_eq!(report.records, batches.len() as u64);
+    assert_eq!(report.truncated_bytes, 0);
+    assert_eq!(
+        std::fs::metadata(dir.join(wal::recover::segment_name(1)))
+            .unwrap()
+            .len(),
+        len
+    );
+    let want: Vec<(u64, Vec<MutOp>)> = (1..).zip(batches).collect();
+    assert!(got == want, "the replay differs from the log");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A torn tail inside a record that straddles a chunk boundary, or
+/// inside one longer than a chunk, truncates to that record's start,
+/// as any torn tail does; a bit flip in such a record past the boundary
+/// fails its CRC.
+#[test]
+fn a_torn_record_across_a_read_chunk_truncates_to_its_start() {
+    let dir = scratch("straddle-torn");
+    let chunk = wal::READ_CHUNK as u64;
+    let mut batches = records(1300, 64, 0);
+    batches.push((0..80_000).map(|k| put(1 << 40 | k, k)).collect());
+    let (starts, len) = record_starts(&batches);
+    let crossing = starts
+        .windows(2)
+        .position(|w| w[0] < chunk && w[1] > chunk)
+        .expect("a record crosses the first chunk boundary");
+    let path = wal::recover::write_segment(&dir, 1, &batches, &[]).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let long = batches.len() - 1;
+    // Cut inside the crossing record past the boundary; cut inside the
+    // long record past the chunk after its start.
+    for (torn, cut) in [
+        (crossing, chunk + 5),
+        (long, starts[long] + chunk + 100),
+        (long, len - 1),
+    ] {
+        std::fs::write(&path, &bytes[..cut as usize]).unwrap();
+        let (report, got) = collect(&dir);
+        assert_eq!(report.records, torn as u64, "cut at {cut}");
+        assert_eq!(report.truncated_bytes, cut - starts[torn], "cut at {cut}");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            starts[torn],
+            "cut at {cut}"
+        );
+        assert_eq!(report.next_lsn, 1 + torn as u64);
+        assert_eq!(got.last().map(|(lsn, _)| *lsn), Some(torn as u64));
+    }
+    let mut bad = bytes.clone();
+    bad[(chunk + 5) as usize] ^= 0x40;
+    std::fs::write(&path, &bad).unwrap();
+    let (report, _) = collect(&dir);
+    assert_eq!(
+        report.records, crossing as u64,
+        "a flip past the boundary decoded"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The op estimate a loader sizes by: exact on a log of one record
+/// shape, near on an even mix, 0 on no log.
+#[test]
+fn the_op_estimate_follows_the_log() {
+    let dir = scratch("estimate");
+    assert_eq!(wal::estimate_ops(&dir).unwrap(), 0);
+    let batches = records(3000, 64, 0);
+    wal::recover::write_segment(&dir, 1, &batches, &[]).unwrap();
+    let estimate = wal::estimate_ops(&dir).unwrap();
+    let ops = 3000 * 64;
+    assert!(
+        estimate.abs_diff(ops) <= ops / 100,
+        "{estimate} for {ops} ops"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn torn_final_segment_header_is_dropped_and_the_log_continues() {
     for torn in [0, 7, 15] {
@@ -415,8 +542,9 @@ fn rotation_writes_staged_records_into_the_old_segment() {
             let base = wal::record::decode_segment_header(&bytes).expect("header");
             assert_eq!(base, next, "{policy:?}: {} starts late", path.display());
             let mut at = wal::record::SEGMENT_HEADER;
+            let mut ops = Vec::new();
             while at < bytes.len() {
-                let rec = wal::record::decode_record(&bytes[at..]).expect("whole record");
+                let rec = wal::record::decode_record(&bytes[at..], &mut ops).expect("whole record");
                 assert_eq!(rec.lsn, next, "{policy:?}: {}", path.display());
                 next += 1;
                 at += rec.size;
@@ -477,9 +605,14 @@ fn multi_record_write_torn_at_every_byte_replays_a_gap_free_prefix() {
     // Offsets at which a record ends (the header's end stands for
     // "no record").
     let mut ends = vec![wal::record::SEGMENT_HEADER];
+    let mut ops = Vec::new();
     while *ends.last().unwrap() < bytes.len() {
         let at = *ends.last().unwrap();
-        ends.push(at + wal::record::decode_record(&bytes[at..]).unwrap().size);
+        ends.push(
+            at + wal::record::decode_record(&bytes[at..], &mut ops)
+                .unwrap()
+                .size,
+        );
     }
     assert_eq!(ends.len(), 5);
 

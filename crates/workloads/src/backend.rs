@@ -242,6 +242,12 @@ pub trait StoreLoader {
     /// The store this loader builds.
     type Store: StoreBackend + 'static;
 
+    /// Told once, before the first [`StoreLoader::apply`], about how
+    /// many ops the log holds: an estimate (`wal::estimate_ops`), which
+    /// a loader may size its buffers by and must not rely on. The
+    /// default ignores it.
+    fn expect(&mut self, _ops: usize) {}
+
     /// Takes one record's write-set, in order. `Err` means a PUT of a
     /// new key found the store full (the simulated store, on a smaller
     /// capacity than the log was written under). The ops before it are

@@ -102,9 +102,11 @@
 //! ran before it, and missed a reader that picked the old root in
 //! between.
 
+use std::alloc::{dealloc, Layout};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::ops::Range;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
@@ -115,7 +117,7 @@ use crate::backend::{
     covered_shards, group_by_shard, scan_keys, shard_blocks, shard_index, BatchOutcome,
     DurableSink, Lsn, MutOp, MutReply, StoreBackend, StoreFull, StoreLoader, StoreSession, NO_LSN,
 };
-use crate::leafmap::{Builder, LeafMap, Leaves, Snapshot, Tree};
+use crate::leafmap::{alloc_advised, huge_bytes, Builder, LeafMap, Leaves, Snapshot, Tree};
 use crate::sharded::PutOutcome;
 
 /// Lookups one read section serves: how many leaves `get_many` (keys)
@@ -279,6 +281,10 @@ pub struct NativeLoader {
 impl StoreLoader for NativeLoader {
     type Store = NativeBackend;
 
+    fn expect(&mut self, ops: usize) {
+        self.merge.expect(ops);
+    }
+
     fn apply(&mut self, ops: &[MutOp]) -> Result<(), StoreFull> {
         self.merge.buffer(ops);
         Ok(())
@@ -327,13 +333,14 @@ const TOMBSTONE: u64 = u64::MAX;
 /// fold built. No `insert` or `remove` runs: the cost is the final
 /// state's size plus a sort, not a descent per logged op. A large
 /// fold spreads its shards over threads ([`LogMerge::fold`]); the ops
-/// are buffered on the loader's thread.
+/// are buffered on the loader's thread, into runs sized from the log's
+/// length before the first push ([`LogMerge::expect`]).
 struct LogMerge {
     prefill: u64,
     /// Each shard's map, once a fold has built it.
     maps: Option<Vec<LeafMap>>,
     /// Each shard's buffered ops, in log order.
-    runs: Vec<Vec<(u64, u64)>>,
+    runs: Runs,
     /// The keys whose last buffered op is a PUT of [`TOMBSTONE`]'s value.
     tombstone_puts: HashSet<u64>,
     buffered: usize,
@@ -347,16 +354,32 @@ impl LogMerge {
         LogMerge {
             prefill,
             maps: None,
-            runs: vec![Vec::new(); n_shards],
+            runs: Runs::with_slots(n_shards, 0, 0),
             tombstone_puts: HashSet::new(),
             buffered: 0,
             spare: Vec::new(),
         }
     }
 
+    /// Sizes the runs for a log of about `ops` ops (at most
+    /// [`FOLD_OPS`] of them are buffered at once), before the first
+    /// push: each shard's slot holds its share and a sixteenth more, so
+    /// a shard rarely outgrows it and the runs touch no page twice
+    /// (regrowing costs a copy of every run). Ignored once an op is
+    /// buffered, and for an empty log.
+    fn expect(&mut self, ops: usize) {
+        if ops == 0 || self.buffered > 0 || self.maps.is_some() {
+            return;
+        }
+        let n_shards = self.runs.lens.len();
+        let ops = ops.min(FOLD_OPS);
+        let share = ops.div_ceil(n_shards);
+        self.runs = Runs::with_slots(n_shards, share + share / 16 + 64, ops);
+    }
+
     /// Buffers one record's ops, folding past [`FOLD_OPS`].
     fn buffer(&mut self, ops: &[MutOp]) {
-        let n_shards = self.runs.len();
+        let n_shards = self.runs.lens.len();
         for op in ops {
             let (key, value) = match *op {
                 MutOp::Put { key, value } => (key, value),
@@ -367,7 +390,7 @@ impl LogMerge {
             } else if !self.tombstone_puts.is_empty() {
                 self.tombstone_puts.remove(&key);
             }
-            self.runs[shard_index(key, n_shards)].push((key, value));
+            self.runs.push(shard_index(key, n_shards), (key, value));
         }
         self.buffered += ops.len();
         if self.buffered >= FOLD_OPS {
@@ -403,7 +426,7 @@ impl LogMerge {
     /// none, and the merge of an empty run builds its prefill. Map `s`
     /// lands at index `s`, so the maps do not depend on `workers`.
     fn fold_on(&mut self, workers: usize) {
-        let (n_shards, prefill) = (self.runs.len(), self.prefill);
+        let (n_shards, prefill) = (self.runs.lens.len(), self.prefill);
         let tombstone_puts = &self.tombstone_puts;
         let mut bases: Vec<Option<LeafMap>> = match self.maps.take() {
             Some(maps) => maps.into_iter().map(Some).collect(),
@@ -411,7 +434,7 @@ impl LogMerge {
         };
         // Shards `first..` of the runs, each merged into its base.
         let fold = |first: usize,
-                    runs: &mut [Vec<(u64, u64)>],
+                    runs: &mut [Run<'_>],
                     bases: &mut [Option<LeafMap>],
                     spare: &mut Vec<(u64, u64)>| {
             (first..)
@@ -421,19 +444,19 @@ impl LogMerge {
                         let blocks = shard_blocks(s, n_shards, prefill);
                         merge(Prefill::new(blocks), run, spare, tombstone_puts)
                     }
-                    Some(map) if run.is_empty() => map,
+                    Some(map) if run.ops.is_empty() => map,
                     Some(map) => merge(Built::new(&map), run, spare, tombstone_puts),
                 })
                 .collect::<Vec<_>>()
         };
         let workers = workers.clamp(1, n_shards);
+        let mut runs = self.runs.runs_mut();
         let maps = if workers == 1 {
-            fold(0, &mut self.runs, &mut bases, &mut self.spare)
+            fold(0, &mut runs, &mut bases, &mut self.spare)
         } else {
             let per = n_shards.div_ceil(workers);
             std::thread::scope(|scope| {
-                let threads: Vec<_> = self
-                    .runs
+                let threads: Vec<_> = runs
                     .chunks_mut(per)
                     .zip(bases.chunks_mut(per))
                     .enumerate()
@@ -450,6 +473,7 @@ impl LogMerge {
             })
         };
         self.maps = Some(maps);
+        self.runs.clear();
         self.tombstone_puts.clear();
         self.buffered = 0;
     }
@@ -458,6 +482,134 @@ impl LogMerge {
     fn finish(mut self) -> Vec<LeafMap> {
         self.fold();
         self.maps.expect("a fold builds every map")
+    }
+}
+
+/// Every shard's buffered ops, in one block: shard `s`'s run is the
+/// first `lens[s]` pairs of the slot of `per` pairs at `s * per`, filled
+/// from its start, so a slot's pages are touched only as far as it is
+/// filled. [`LogMerge::expect`] sizes the slots from the log's length;
+/// unsized, or once a shard fills its slot anyway, every run moves into
+/// a block of slots twice as long ([`Runs::grow`]).
+struct Runs {
+    block: NonNull<(u64, u64)>,
+    /// The block's layout; size 0 while there is none.
+    layout: Layout,
+    per: usize,
+    lens: Vec<usize>,
+    /// The pairs of each run that hold [`TOMBSTONE`]: its DELs, and any
+    /// PUT of that value.
+    dels: Vec<usize>,
+}
+
+// SAFETY: `Runs` owns its block alone, as a `Vec` owns its buffer; the
+// pairs in it are plain data.
+unsafe impl Send for Runs {}
+
+/// One shard's run, as a fold merges it.
+struct Run<'r> {
+    ops: &'r mut [(u64, u64)],
+    /// [`Runs::dels`] of the shard.
+    dels: usize,
+}
+
+/// The fewest pairs a slot of [`Runs::grow`] holds.
+const MIN_SLOT: usize = 256;
+
+impl Runs {
+    /// Empty runs in slots of `per` pairs, one block for all of them,
+    /// uninitialised and untouched. The block asks for huge pages over
+    /// the 2 MiB regions `expected` pairs fill to 7/8
+    /// (`leafmap::HUGE_FILL`), as if they lay packed: a sized slot is at
+    /// most a sixteenth larger than its expected run.
+    fn with_slots(n_shards: usize, per: usize, expected: usize) -> Runs {
+        let mut runs = Runs {
+            block: NonNull::dangling(),
+            layout: Layout::new::<()>(),
+            per,
+            lens: vec![0; n_shards],
+            dels: vec![0; n_shards],
+        };
+        if per > 0 {
+            let layout = Layout::array::<(u64, u64)>(n_shards * per).expect("runs fit in memory");
+            let huge = huge_bytes(expected * size_of::<(u64, u64)>());
+            let (base, layout) = alloc_advised(layout, huge);
+            runs.block = NonNull::new(base.cast()).expect("alloc_advised never returns null");
+            runs.layout = layout;
+        }
+        runs
+    }
+
+    /// Appends `pair` to shard `s`'s run.
+    #[inline]
+    fn push(&mut self, s: usize, pair: (u64, u64)) {
+        if self.lens[s] == self.per {
+            self.grow();
+        }
+        // SAFETY: `lens[s] < per` (grown above if not), so the slot
+        // lies inside the block of `lens.len() * per` pairs.
+        unsafe {
+            self.block
+                .as_ptr()
+                .add(s * self.per + self.lens[s])
+                .write(pair);
+        }
+        self.lens[s] += 1;
+        self.dels[s] += usize::from(pair.1 == TOMBSTONE);
+    }
+
+    /// Moves every run into a block of slots twice as long.
+    #[cold]
+    fn grow(&mut self) {
+        let mut next = Runs::with_slots(self.lens.len(), (self.per * 2).max(MIN_SLOT), 0);
+        for (s, &len) in self.lens.iter().enumerate() {
+            // SAFETY: the first `len` pairs of slot `s` are written, and
+            // the new slot, `next.per > per` pairs long, does not
+            // overlap the old block.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    self.block.as_ptr().add(s * self.per),
+                    next.block.as_ptr().add(s * next.per),
+                    len,
+                );
+            }
+        }
+        next.lens = std::mem::take(&mut self.lens);
+        next.dels = std::mem::take(&mut self.dels);
+        *self = next;
+    }
+
+    /// Each shard's run, in shard order.
+    fn runs_mut(&mut self) -> Vec<Run<'_>> {
+        let base = self.block.as_ptr();
+        self.lens
+            .iter()
+            .zip(&self.dels)
+            .enumerate()
+            .map(|(s, (&len, &dels))| Run {
+                // SAFETY: slot `s` is `per` pairs at `s * per`, disjoint
+                // from every other slot, and its first `len` pairs are
+                // written; the block lives as long as `&mut self`.
+                ops: unsafe { std::slice::from_raw_parts_mut(base.add(s * self.per), len) },
+                dels,
+            })
+            .collect()
+    }
+
+    /// Empties every run, keeping the block.
+    fn clear(&mut self) {
+        self.lens.fill(0);
+        self.dels.fill(0);
+    }
+}
+
+impl Drop for Runs {
+    fn drop(&mut self) {
+        if self.layout.size() > 0 {
+            // SAFETY: `with_slots` allocated the block with this layout;
+            // the pairs need no drop.
+            unsafe { dealloc(self.block.as_ptr().cast(), self.layout) };
+        }
     }
 }
 
@@ -478,15 +630,15 @@ trait Ascending {
 /// `base` with each key's last op of the run applied: a PUT adds or
 /// overrides its key, a DEL drops it (a no-op if it is absent). Between
 /// two op keys the base is copied a stretch at a time. The build is
-/// sized by [`fewest_merged`]. Leaves `run` empty.
+/// sized by [`fewest_merged`].
 fn merge(
     mut base: impl Ascending,
-    run: &mut Vec<(u64, u64)>,
+    run: &mut Run<'_>,
     spare: &mut Vec<(u64, u64)>,
     tombstone_puts: &HashSet<u64>,
 ) -> LeafMap {
-    sort_run(run, spare);
-    let least = fewest_merged(base.len(), run.len());
+    let least = fewest_merged(base.len(), run.dels);
+    let run = sort_run(run.ops, spare);
     let mut out = Builder::with_capacity(least);
     for ops in run.chunk_by(|a, b| a.0 == b.0) {
         let (key, value) = ops[ops.len() - 1];
@@ -496,7 +648,6 @@ fn merge(
         }
     }
     base.copy_rest(&mut out);
-    run.clear();
     let map = out.finish();
     debug_assert!(
         map.len() >= least,
@@ -506,14 +657,15 @@ fn merge(
     map
 }
 
-/// The fewest pairs a merge of a base of `base` pairs with a run of
-/// `ops` ops can end with: each op drops at most one pair. (The run's
-/// distinct keys give a tighter bound, but on every log `benchmark/`
-/// replays it advises the same regions, and counting them, a pass over
-/// the sorted run, took about 1.3 ms of the 12 ms a 600 k-op log's
-/// merges take on 100 k keys.)
-fn fewest_merged(base: usize, ops: usize) -> usize {
-    base.saturating_sub(ops)
+/// The fewest pairs a merge of a base of `base` pairs with a run that
+/// holds `dels` DELs can end with: a PUT never drops a pair, and a DEL
+/// drops at most one. (The run's distinct deleted keys give a tighter
+/// bound, but counting them is a pass over the sorted run; on
+/// `svc-read`'s 200 k-op log this bound already fills every shard's
+/// second 2 MiB region past 7/8, where subtracting every op left it
+/// at 87.1 % and on 4 KiB pages.)
+fn fewest_merged(base: usize, dels: usize) -> usize {
+    base.saturating_sub(dels)
 }
 
 /// Bits per pass of [`sort_run`]: two passes order keys below 4 Mi.
@@ -523,11 +675,13 @@ const RADIX_BITS: u32 = 11;
 /// one counting pass and one scatter per digit, over the bits where the
 /// run's keys differ, with `spare` as the scatter's target. On the log
 /// `benchmark/` replays it takes a quarter of a stable comparison sort's
-/// time (EXPERIMENTS.md, "Start-up as one sorted merge").
-fn sort_run(run: &mut Vec<(u64, u64)>, spare: &mut Vec<(u64, u64)>) {
+/// time (EXPERIMENTS.md, "Start-up as one sorted merge"). The passes
+/// alternate between `run` and `spare`; the sorted run is in whichever
+/// the last one wrote, which it returns.
+fn sort_run<'a>(run: &'a mut [(u64, u64)], spare: &'a mut Vec<(u64, u64)>) -> &'a [(u64, u64)] {
     if run.len() < 2 {
         // Nothing to order: one op, or a prefill-only merge's empty run.
-        return;
+        return run;
     }
     let (any, all) = run.iter().fold((0, u64::MAX), |(any, all), &(key, _)| {
         (any | key, all & key)
@@ -535,24 +689,26 @@ fn sort_run(run: &mut Vec<(u64, u64)>, spare: &mut Vec<(u64, u64)>) {
     let width = u64::BITS - (any ^ all).leading_zeros();
     spare.clear();
     spare.resize(run.len(), (0, 0));
+    let (mut from, mut to) = (run, &mut spare[..]);
     for shift in (0..width).step_by(RADIX_BITS as usize) {
         let digit = |key: u64| (key >> shift) as usize & ((1 << RADIX_BITS) - 1);
         // Per digit, first its count, then where its next op goes.
         let mut at = [0; 1 << RADIX_BITS];
-        for &(key, _) in run.iter() {
+        for &(key, _) in from.iter() {
             at[digit(key)] += 1;
         }
         let mut sum = 0;
         for slot in &mut at {
             sum += std::mem::replace(slot, sum);
         }
-        for &op in run.iter() {
-            let to = &mut at[digit(op.0)];
-            spare[*to] = op;
-            *to += 1;
+        for &op in from.iter() {
+            let slot = &mut at[digit(op.0)];
+            to[*slot] = op;
+            *slot += 1;
         }
-        std::mem::swap(run, spare);
+        std::mem::swap(&mut from, &mut to);
     }
+    from
 }
 
 /// A shard's prefill as a merge input: its blocks' key ranges, each
@@ -920,6 +1076,10 @@ pub struct SglLoader(LogMerge);
 impl StoreLoader for SglLoader {
     type Store = SglBackend;
 
+    fn expect(&mut self, ops: usize) {
+        self.0.expect(ops);
+    }
+
     fn apply(&mut self, ops: &[MutOp]) -> Result<(), StoreFull> {
         self.0.buffer(ops);
         Ok(())
@@ -1264,6 +1424,36 @@ pub(crate) mod tests {
         }
     }
 
+    /// Runs sized from an estimate build the maps unsized runs build,
+    /// whether the estimate is exact, far too small (every slot
+    /// regrows) or far too large, on the store's and the canary's
+    /// shard counts.
+    #[test]
+    fn the_maps_do_not_depend_on_the_runs_size() {
+        let log = log(3_000, 45, 20_000);
+        let ops: usize = log.iter().map(Vec::len).sum();
+        for shards in [1, 3, 16] {
+            let built = |estimate: Option<usize>| {
+                let mut merge = LogMerge::new(shards, 3_000);
+                if let Some(estimate) = estimate {
+                    merge.expect(estimate);
+                }
+                for ops in &log {
+                    merge.buffer(ops);
+                }
+                let mut maps = merge.finish();
+                loaded_pairs(&mut maps.iter_mut().collect::<Vec<_>>())
+            };
+            let grown = built(None);
+            for estimate in [ops, 10, ops * 5, 0] {
+                assert!(
+                    built(Some(estimate)) == grown,
+                    "{shards} shards, estimate {estimate} of {ops} ops"
+                );
+            }
+        }
+    }
+
     /// A merge's lower bound: each op drops at most one base pair, so a
     /// run of DELs of distinct base keys ends exactly at it, and one
     /// whose ops repeat keys or add them ends above it.
@@ -1275,16 +1465,27 @@ pub(crate) mod tests {
         let (mut spare, none) = (Vec::new(), HashSet::new());
         let mut merged = |ops: &[(u64, u64)]| {
             let base = Prefill::new(shard_blocks(0, 1, 256));
-            merge(base, &mut ops.to_vec(), &mut spare, &none).len()
+            let mut ops = ops.to_vec();
+            let dels = ops.iter().filter(|op| op.1 == TOMBSTONE).count();
+            let run = &mut Run {
+                ops: &mut ops,
+                dels,
+            };
+            let least = fewest_merged(256, dels);
+            let len = merge(base, run, &mut spare, &none).len();
+            assert!(len >= least, "{len} pairs, under the bound {least}");
+            len
         };
         let dels: Vec<(u64, u64)> = (0..10).map(|i| (i * 7, TOMBSTONE)).collect();
         assert_eq!(merged(&dels), fewest_merged(256, 10));
+        // A PUT drops nothing: a run of PUTs alone is bounded by the base.
         let puts: Vec<(u64, u64)> = (0..10).map(|i| (1000 + i, i)).collect();
         assert_eq!(merged(&puts), 266);
+        let overrides: Vec<(u64, u64)> = (0..10).map(|i| (i, i + 1)).collect();
+        assert_eq!(merged(&overrides), fewest_merged(256, 0));
         let repeated: Vec<(u64, u64)> =
             dels.iter().chain(&puts).cycle().take(60).copied().collect();
         assert_eq!(merged(&repeated), 256);
-        assert!(fewest_merged(256, 60) < 256);
     }
 
     #[test]
