@@ -166,16 +166,17 @@ fn claim_filter_sane(o: &Outcome) -> bool {
 
 // --- Native backend publication ----------------------------------------
 
-// DESIGN.md §9 flip/root-load Dekker: the reader publishes its epoch
-// clock then loads the root word; the writer flips the root word then
-// scans the clocks. Forbidden: the reader descends the retired root
-// while the writer believes nobody can still see it and frees its nodes.
+// DESIGN.md §9 flip/version-load Dekker: the reader publishes its epoch
+// clock then loads the version word; the writer flips the version word
+// then scans the clocks. Forbidden: the reader reads the old version
+// while the writer believes nobody can still hold it, and its next
+// cycle overwrites the words and frees the nodes that version reads.
 fn native_build(o: &[MemOrder]) -> Litmus {
     const CLOCK: usize = 0;
-    const ROOT: usize = 1;
-    Litmus::new("native_flip_dekker", &["clock", "root_word"])
-        .thread(vec![st(CLOCK, 1, SeqCst), ld(ROOT, 0, o[1])])
-        .thread(vec![st(ROOT, 1, o[0]), ld(CLOCK, 0, SeqCst)])
+    const VERSION: usize = 1;
+    Litmus::new("native_flip_dekker", &["clock", "version_word"])
+        .thread(vec![st(CLOCK, 1, SeqCst), ld(VERSION, 0, o[1])])
+        .thread(vec![st(VERSION, 1, o[0]), ld(CLOCK, 0, SeqCst)])
 }
 
 fn native_forbidden(o: &Outcome) -> bool {
@@ -184,6 +185,37 @@ fn native_forbidden(o: &Outcome) -> bool {
 
 fn native_sane(o: &Outcome) -> bool {
     o.r(0, 0) == 0 && o.r(1, 0) == 1
+}
+
+// Two-version child words, message passing: the writer writes a node's
+// copy whole (`born` stands for all of it), then stores the child word
+// that names it; a reader loads the word, then reads the copy's `born`
+// to choose between the word's halves. Forbidden: the reader sees the
+// new word but not the copy — it decides by a stale `born`, or enters
+// a half-written node. The same shape twice: a routing node's child
+// word, and the root word.
+fn child_word_shape(name: &str, o: &[MemOrder]) -> Litmus {
+    const BORN: usize = 0;
+    const WORD: usize = 1;
+    Litmus::new(name, &["born", "child_word"])
+        .thread(vec![st(BORN, 1, Relaxed), st(WORD, 1, o[0])])
+        .thread(vec![ld(WORD, 0, o[1]), ld(BORN, 1, Relaxed)])
+}
+
+fn child_word_build(o: &[MemOrder]) -> Litmus {
+    child_word_shape("native_child_word", o)
+}
+
+fn root_word_build(o: &[MemOrder]) -> Litmus {
+    child_word_shape("native_root_word", o)
+}
+
+fn child_word_forbidden(o: &Outcome) -> bool {
+    o.r(1, 0) == 1 && o.r(1, 1) == 0
+}
+
+fn child_word_sane(o: &Outcome) -> bool {
+    o.r(1, 0) == 0 && o.r(1, 1) == 1
 }
 
 // --- Reader indicators --------------------------------------------------
@@ -421,31 +453,89 @@ pub static SUITES: &[Suite] = &[
     Suite {
         name: "native_flip_dekker",
         group: "Native backend publication",
-        about: "DESIGN.md \u{a7}9: LeafMap::publish's root-word flip races Tree::pick's \
+        about: "DESIGN.md \u{a7}9: LeafMap::publish's version-word flip races Tree::pick's \
                 load against the reader's clock publication and the writer's \
                 quiescence scan (fixed SeqCst, documented under the epoch groups)",
         sites: &[
             SiteSpec {
                 file: "crates/workloads/src/leafmap.rs",
                 symbol: "LeafMap::publish",
-                label: "writer root-word flip store",
+                label: "writer version-word flip store",
                 strength: "SeqCst",
                 kind: OpKind::Store,
             },
             SiteSpec {
                 file: "crates/workloads/src/leafmap.rs",
                 symbol: "Tree::pick",
-                label: "reader root-word load",
+                label: "reader version-word load",
                 strength: "SeqCst",
                 kind: OpKind::Load,
             },
         ],
         seeds: SEEDS,
         build: native_build,
-        forbidden: "reader descends the retired root AND the writer's scan misses its clock",
+        forbidden: "reader reads the retired version AND the writer's scan misses its clock",
         is_forbidden: native_forbidden,
-        sane: "reader descends the retired root but the scan waits for it",
+        sane: "reader reads the retired version but the scan waits for it",
         is_sane: native_sane,
+    },
+    Suite {
+        name: "native_child_word",
+        group: "Native backend publication",
+        about: "DESIGN.md \u{a7}9: relink's Release store of a child word after the copy it \
+                names is written, against Inner::kid's Acquire load before the reader \
+                reads the copy's born",
+        sites: &[
+            SiteSpec {
+                file: "crates/workloads/src/leafmap.rs",
+                symbol: "relink",
+                label: "writer child-word store",
+                strength: "Release",
+                kind: OpKind::Store,
+            },
+            SiteSpec {
+                file: "crates/workloads/src/leafmap.rs",
+                symbol: "Inner::kid",
+                label: "reader child-word load",
+                strength: "Acquire",
+                kind: OpKind::Load,
+            },
+        ],
+        seeds: SEEDS,
+        build: child_word_build,
+        forbidden: "reader loads the new child word AND reads the copy's born unwritten",
+        is_forbidden: child_word_forbidden,
+        sane: "reader loads the old child word after the copy is written",
+        is_sane: child_word_sane,
+    },
+    Suite {
+        name: "native_root_word",
+        group: "Native backend publication",
+        about: "DESIGN.md \u{a7}9: set_root's Release store of the root word after the new \
+                root is written, against Tree::pick's Acquire load before the reader \
+                reads the root's born",
+        sites: &[
+            SiteSpec {
+                file: "crates/workloads/src/leafmap.rs",
+                symbol: "LeafMap::set_root",
+                label: "writer root-word store",
+                strength: "Release",
+                kind: OpKind::Store,
+            },
+            SiteSpec {
+                file: "crates/workloads/src/leafmap.rs",
+                symbol: "Tree::pick",
+                label: "reader root-word load",
+                strength: "Acquire",
+                kind: OpKind::Load,
+            },
+        ],
+        seeds: SEEDS,
+        build: root_word_build,
+        forbidden: "reader loads the new root word AND reads the root's born unwritten",
+        is_forbidden: child_word_forbidden,
+        sane: "reader loads the old root word after the new root is written",
+        is_sane: child_word_sane,
     },
     Suite {
         name: "rind_bias_revocation",

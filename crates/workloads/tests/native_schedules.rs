@@ -34,6 +34,17 @@
 //! root. A ticket taken before the flip is covered by such a grace
 //! period that scanned before the flip, and the next cycle frees a leaf
 //! the reader still holds.
+//!
+//! A third aims at the two-version child words: one writer and one
+//! reader on one shard, the reader's sections each looking up three keys
+//! of two leaves, the writer's cycles copying those very leaves. A
+//! section may pick version `v` and then sit while cycle `v + 1` copies
+//! its leaves and swaps their words, or runs whole, and the next cycle
+//! waits at its barrier: the section must read `v` throughout. A reader
+//! that always takes a word's `cur`, a word swapped before the copy it
+//! names is written, a word overwritten before the deferred barrier, or
+//! a leaf's length read before the choice between its versions each
+//! show a section an image no version had, or a poisoned node.
 
 use std::sync::{Arc, Mutex};
 
@@ -320,6 +331,56 @@ fn ticket_schedule(seed: u64) {
         }
     });
     s.run();
+}
+
+/// The in-flight case (module docs): 64 prefilled keys on one shard,
+/// so leaf `A` holds keys `0..=30` and leaf `B` keys `31..=61`. Cycle 1
+/// writes `A` twice (a PUT, and a DEL of its last key, which shortens
+/// it) and `B` once, cycle 2 writes only `A`, cycle 3 both again; the
+/// reader's sections each look up one key of `B` and two of `A`.
+fn inflight_schedule(seed: u64) {
+    const KEYS: [u64; 3] = [5, 30, 40];
+    let put = |key, value| MutOp::Put { key, value };
+    let rounds = [
+        vec![put(5, 1), MutOp::Del { key: 30 }, put(40, 1)],
+        vec![put(5, 2)],
+        vec![put(40, 3), put(30, 3)],
+    ];
+    // What each version holds of `KEYS`.
+    let versions = [
+        [Some(5), Some(30), Some(40)],
+        [Some(1), None, Some(1)],
+        [Some(2), None, Some(1)],
+        [Some(2), Some(3), Some(3)],
+    ];
+    let backend = Arc::new(NativeBackend::create(1, 2, 64));
+    let mut s = sched::Scheduler::new(seed);
+    let writer = Arc::clone(&backend);
+    s.spawn(move || {
+        let mut sess = writer.session();
+        for ops in &rounds {
+            sess.apply_batch(ops, &mut Vec::new());
+        }
+    });
+    s.spawn(move || {
+        let mut sess = backend.session();
+        let mut found = Vec::new();
+        let mut last = 0;
+        for _ in 0..6 {
+            found.clear();
+            sess.get_many(&KEYS, &mut found);
+            let version = versions.iter().position(|v| v[..] == found[..]);
+            let version = version.unwrap_or_else(|| panic!("a section read {found:?}"));
+            assert!(version >= last, "version {version} after {last}");
+            last = version;
+        }
+    });
+    s.run();
+}
+
+#[test]
+fn inflight_schedules() {
+    sched::explore("native-inflight", 0..1000, inflight_schedule);
 }
 
 #[test]
