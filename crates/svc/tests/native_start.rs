@@ -1,11 +1,12 @@
 //! What building `svc-read`'s store costs the memory system: 16 shards
-//! of 250 k keys, each a bulk build whose leaves (3.94 MiB a shard) are
-//! reserved as one block and advised onto transparent huge pages over
-//! every 2 MiB region they fill to at least 7/8. Both of a shard's
-//! regions qualify, so with huge pages the 64 MiB of leaves take a few
-//! dozen faults and the build about 570; advising only the regions the
-//! leaves fill whole leaves the second on 4 KiB pages, about 8 450
-//! faults.
+//! of 250 k keys, each a bulk build whose nodes (8 065 leaves and 301
+//! routing nodes, 4.08 MiB a shard) are reserved as one block and
+//! advised onto transparent huge pages over every 2 MiB region they
+//! fill to at least 7/8. Two regions of a shard qualify, so with huge
+//! pages the 64 MiB they cover take a few dozen faults and the build
+//! about 570; advising only the regions the nodes fill whole used to
+//! leave the second on 4 KiB pages (when the block held leaves alone),
+//! about 8 450 faults.
 //!
 //! Its own test binary, with one test, so no other test's allocations
 //! land in the counts. The fold's threads are the process's too:

@@ -32,6 +32,7 @@ pub const DICHOTOMY_GROUPS: &[&str] = &[
     "Summary tree and grace sharing",
     "Claim filter and release",
     "Native backend publication",
+    "Server statistics",
     "Reader indicators",
 ];
 
@@ -192,22 +193,14 @@ fn native_sane(o: &Outcome) -> bool {
 // that names it; a reader loads the word, then reads the copy's `born`
 // to choose between the word's halves. Forbidden: the reader sees the
 // new word but not the copy — it decides by a stale `born`, or enters
-// a half-written node. The same shape twice: a routing node's child
-// word, and the root word.
-fn child_word_shape(name: &str, o: &[MemOrder]) -> Litmus {
+// a half-written node. The root word is an ordinary child word, stored
+// and loaded by the same two sites, so this one shape covers it too.
+fn child_word_build(o: &[MemOrder]) -> Litmus {
     const BORN: usize = 0;
     const WORD: usize = 1;
-    Litmus::new(name, &["born", "child_word"])
+    Litmus::new("native_child_word", &["born", "child_word"])
         .thread(vec![st(BORN, 1, Relaxed), st(WORD, 1, o[0])])
         .thread(vec![ld(WORD, 0, o[1]), ld(BORN, 1, Relaxed)])
-}
-
-fn child_word_build(o: &[MemOrder]) -> Litmus {
-    child_word_shape("native_child_word", o)
-}
-
-fn root_word_build(o: &[MemOrder]) -> Litmus {
-    child_word_shape("native_root_word", o)
 }
 
 fn child_word_forbidden(o: &Outcome) -> bool {
@@ -215,6 +208,32 @@ fn child_word_forbidden(o: &Outcome) -> bool {
 }
 
 fn child_word_sane(o: &Outcome) -> bool {
+    o.r(1, 0) == 0 && o.r(1, 1) == 1
+}
+
+// --- Server statistics --------------------------------------------------
+
+// STATS' tallies, message passing through a counter: a worker counts a
+// round's requests as enqueued (Relaxed add), then their replies
+// (Release add); a snapshot loads `replied` (Acquire), then `enqueued`
+// (Relaxed). Forbidden: the snapshot counts a reply whose request it
+// does not count — more replies than requests.
+fn stats_build(o: &[MemOrder]) -> Litmus {
+    const ENQUEUED: usize = 0;
+    const REPLIED: usize = 1;
+    Litmus::new("stats_replied_after_enqueued", &["enqueued", "replied"])
+        .thread(vec![
+            fetch_add(ENQUEUED, 1, 0, Relaxed),
+            fetch_add(REPLIED, 1, 1, o[0]),
+        ])
+        .thread(vec![ld(REPLIED, 0, o[1]), ld(ENQUEUED, 1, Relaxed)])
+}
+
+fn stats_forbidden(o: &Outcome) -> bool {
+    o.r(1, 0) == 1 && o.r(1, 1) == 0
+}
+
+fn stats_sane(o: &Outcome) -> bool {
     o.r(1, 0) == 0 && o.r(1, 1) == 1
 }
 
@@ -482,9 +501,9 @@ pub static SUITES: &[Suite] = &[
     Suite {
         name: "native_child_word",
         group: "Native backend publication",
-        about: "DESIGN.md \u{a7}9: relink's Release store of a child word after the copy it \
-                names is written, against Inner::kid's Acquire load before the reader \
-                reads the copy's born",
+        about: "DESIGN.md \u{a7}9: relink's Release store of a child word (the root word \
+                included) after the copy it names is written, against load_word's \
+                Acquire load before the reader reads the copy's born",
         sites: &[
             SiteSpec {
                 file: "crates/workloads/src/leafmap.rs",
@@ -495,7 +514,7 @@ pub static SUITES: &[Suite] = &[
             },
             SiteSpec {
                 file: "crates/workloads/src/leafmap.rs",
-                symbol: "Inner::kid",
+                symbol: "load_word",
                 label: "reader child-word load",
                 strength: "Acquire",
                 kind: OpKind::Load,
@@ -509,33 +528,33 @@ pub static SUITES: &[Suite] = &[
         is_sane: child_word_sane,
     },
     Suite {
-        name: "native_root_word",
-        group: "Native backend publication",
-        about: "DESIGN.md \u{a7}9: set_root's Release store of the root word after the new \
-                root is written, against Tree::pick's Acquire load before the reader \
-                reads the root's born",
+        name: "stats_replied_after_enqueued",
+        group: "Server statistics",
+        about: "STATS: Counters::reply's Release add of the replies after the round's \
+                Relaxed enqueued add, against Shared::snapshot's Acquire load of \
+                replied before its Relaxed load of enqueued",
         sites: &[
             SiteSpec {
-                file: "crates/workloads/src/leafmap.rs",
-                symbol: "LeafMap::set_root",
-                label: "writer root-word store",
+                file: "crates/svc/src/server.rs",
+                symbol: "Counters::reply",
+                label: "worker replied fetch_add",
                 strength: "Release",
-                kind: OpKind::Store,
+                kind: OpKind::Rmw,
             },
             SiteSpec {
-                file: "crates/workloads/src/leafmap.rs",
-                symbol: "Tree::pick",
-                label: "reader root-word load",
+                file: "crates/svc/src/server.rs",
+                symbol: "Shared::snapshot",
+                label: "snapshot replied load",
                 strength: "Acquire",
                 kind: OpKind::Load,
             },
         ],
         seeds: SEEDS,
-        build: root_word_build,
-        forbidden: "reader loads the new root word AND reads the root's born unwritten",
-        is_forbidden: child_word_forbidden,
-        sane: "reader loads the old root word after the new root is written",
-        is_sane: child_word_sane,
+        build: stats_build,
+        forbidden: "snapshot counts a reply AND not the request it answers",
+        is_forbidden: stats_forbidden,
+        sane: "snapshot counts the request before its reply",
+        is_sane: stats_sane,
     },
     Suite {
         name: "rind_bias_revocation",

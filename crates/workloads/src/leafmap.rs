@@ -8,47 +8,53 @@
 //! one leaf, not on one node per level as `BTreeMap`'s six-deep descent
 //! over a 250 k-key shard does. Everything above the leaves (18 bytes
 //! per leaf, ~150 KB for such a shard) is small enough to stay cached.
-//! Nodes live in two arenas and name each other by `u32` index. An arena
-//! is a directory of chunks, chunk `c` holding `8 << c` nodes: it grows
-//! a chunk at a time as keys arrive and never moves a node. A chunk is
+//! A routing node is the same size, so nodes of both kinds live in
+//! **one arena** and name each other by `u32` index; a slot's header
+//! says which kind it holds (`height`, 0 for a leaf). The arena is a
+//! directory of chunks, chunk `c` holding `8 << c` nodes: it grows a
+//! chunk at a time as keys arrive and never moves a node. A chunk is
 //! allocated, not zero-filled, so the pages of the part not yet handed
 //! out are never touched and never made resident.
 //!
 //! **Sized builds.** A bulk build that knows how many pairs it will at
-//! least hold ([`Builder::with_capacity`]) reserves the leaf chunks
-//! `0..=k` that hold them as one block. The directory points into the
-//! block, so the chunk geometry and the id to address arithmetic stay
-//! as they are, and writes past the block grow the arena a chunk at a
-//! time. Before its first write the build asks the kernel for
-//! transparent huge pages over the 2 MiB regions of the block that
-//! those pairs fill to at least 7/8 (`HUGE_FILL`), so each costs one
-//! page fault instead of 512; a block with such regions is rounded up
-//! to whole regions and aligned to one. The kernel backs a whole huge
-//! page at the first touch, so a region the build fills only in part
-//! holds memory nothing uses: at most 256 KiB per map, and a store has
-//! a map per shard. A `svc-read` shard (250 k pairs, 3.94 MiB of
-//! leaves) fills its second region to 97 % and gets two huge pages; the
-//! 100 k-key workloads' shards (100–200 KiB) get none. Where the kernel
-//! refuses the advice, or the allocator hands back pages an earlier use
-//! already touched, the block stays on 4 KiB pages.
+//! least hold ([`Builder::with_capacity`]) reserves the chunks `0..=k`
+//! that hold their leaves and the routing nodes over them as one block.
+//! The directory points into the block, so the chunk geometry and the
+//! id to address arithmetic stay as they are, and writes past the block
+//! grow the arena a chunk at a time. Before its first write the build
+//! asks the kernel for transparent huge pages over the 2 MiB regions of
+//! the block that those nodes fill to at least 7/8 (`HUGE_FILL`), so
+//! each costs one page fault instead of 512; a block with such regions
+//! is rounded up to whole regions and aligned to one. The kernel backs a
+//! whole huge page at the first touch, so a region the build fills only
+//! in part holds memory nothing uses: at most 256 KiB per map, and a
+//! store has a map per shard. A `svc-read` shard (250 k pairs: 8 065
+//! leaves and 301 routing nodes, 4.08 MiB) fills two regions whole and
+//! gets two huge pages; the 87 KiB it writes into a third stay on 4 KiB
+//! pages, and the rest of the block is never touched. The 100 k-key
+//! workloads' shards (100–200 KiB) get none. Where the kernel refuses
+//! the advice, or the allocator hands back pages an earlier use already
+//! touched, the block stays on 4 KiB pages.
 //!
 //! **Versions.** Every child reference — each routing node's children
 //! and the map's root — is one 64-bit *child word* holding two node
 //! ids, `cur` and `prev`: node copying with one spare version per edge
 //! (Driscoll, Sarnak, Sleator & Tarjan, "Making data structures
 //! persistent", JCSS 1989), the spare bounded by the grace period the
-//! native store already waits. Every node records the version that
-//! allocated it (`born`). The writer builds version `b`; it changes a
-//! node in place only if `b` allocated it, and first copies any other
-//! node into `b`, *retiring* the original. The copy is linked by storing
-//! `(copy, original)` into the one child word that named the original,
-//! in place (Release). So a leaf-only write copies its leaf and stores
-//! one word; a split or an unlink also copies the routing nodes whose
-//! children change, and a new root or the last level's collapse stores
-//! the root word. A published node's length, keys and values never
-//! change, only its child words do, and only so; a copy carries its
-//! words over unchanged. [`LeafMap::publish`] makes `b` the published
-//! version with one SeqCst store of the version word.
+//! native store already waits. The root word is an ordinary child word,
+//! stored and loaded as every other one; the tree's height is the root's
+//! own. Every node records the version that allocated it (`born`). The
+//! writer builds version `b`; it changes a node in place only if `b`
+//! allocated it, and first copies any other node into `b`, *retiring*
+//! the original. The copy is linked by storing `(copy, original)` into
+//! the one child word that named the original, in place (Release). So a
+//! leaf-only write copies its leaf and stores one word; a split or an
+//! unlink also copies the routing nodes whose children change, and a new
+//! root or the last level's collapse stores the root word, whose `prev`
+//! is always the last published root. A published node's length, keys
+//! and values never change, only its child words do, and only so; a
+//! copy carries its words over unchanged. [`LeafMap::publish`] makes `b`
+//! the published version with one SeqCst store of the version word.
 //!
 //! A reader picks a version `v` ([`Tree::pick`]) and at each edge takes
 //! `cur` if `cur` was born in `v` or before, else `prev`. It decides
@@ -70,7 +76,11 @@
 //! prefetch per cache line, so the lines of a routing node (mostly in
 //! the outer cache levels) or of a leaf (mostly in memory) arrive
 //! together rather than one per step of the binary search, and a
-//! leaf's value lines are on their way before the key is found.
+//! leaf's value lines are on their way before the key is found. A
+//! reader computes a routing edge's address once, for the prefetch, the
+//! `born` check and the node, and a leaf edge's once for the prefetch
+//! and once more for the rest ([`Snapshot::get_at`] runs apart from the
+//! descent).
 //!
 //! A lookup is two steps, [`Snapshot::locate`] (the descent, ending with
 //! the request for the leaf) and [`Snapshot::get_at`] (the choice between
@@ -99,6 +109,7 @@
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::RangeInclusive;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -120,10 +131,6 @@ const INNER_CAP: usize = 28;
 /// poison it: every search asserts that it never meets one.
 const POISON: u32 = u32::MAX;
 
-/// Bits of a node id in the root word's halves; the bits above hold the
-/// height of the tree under that root.
-const ID_BITS: u32 = 28;
-
 /// A child word: `cur` in the low half, `prev` in the high one.
 #[inline]
 fn word(cur: u32, prev: u32) -> u64 {
@@ -136,25 +143,46 @@ fn halves(word: u64) -> (u32, u32) {
     (word as u32, (word >> 32) as u32)
 }
 
-/// A root word half: node `id`, with `height` routing levels under it.
-fn tag(id: u32, height: u32) -> u32 {
-    height << ID_BITS | id
+/// A child word as a reader loads it — a routing node's or the root
+/// word: Acquire, so that it sees the node the word names written whole
+/// (reader side of `wmm::proto`'s `native_child_word` litmus).
+#[inline]
+fn load_word(word: &AtomicU64) -> u64 {
+    word.load(Ordering::Acquire)
 }
 
-/// A root word half's `(node, height)`.
-#[inline]
-fn untag(half: u32) -> (u32, u32) {
-    (half & ((1 << ID_BITS) - 1), half >> ID_BITS)
+/// An arena slot: a [`Leaf`] or a routing node ([`Inner`]). Both are
+/// `repr(C)`, this size and alignment, and begin with this header, so
+/// the header is read through the slot before the kind is known and a
+/// node is a cast of its slot.
+#[repr(C, align(64))]
+struct Slot {
+    /// The version that allocated the node: first, where
+    /// [`Addr::born`] reads it.
+    born: u64,
+    len: u32,
+    /// Routing levels from the node down to the leaves: 0 for a leaf, 1
+    /// for a routing node over leaves. It never changes, and a copy
+    /// keeps it.
+    height: u32,
+    _body: [u8; 512 - 16],
 }
+
+/// Whether `T` fills a [`Slot`] exactly: a node type.
+const fn fills_slot<T>() -> bool {
+    size_of::<T>() == size_of::<Slot>() && align_of::<T>() == align_of::<Slot>()
+}
+
+const _: () = assert!(fills_slot::<Leaf>() && fills_slot::<Inner>());
 
 /// Eight cache lines of pairs, sorted by key in `keys[..len]`.
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
 struct Leaf {
-    /// The version that allocated this node: first, where [`born`]
-    /// reads it (see [`Node`]).
+    /// The [`Slot`] header.
     born: u64,
     len: u32,
+    height: u32,
     keys: [u64; LEAF_CAP],
     vals: [u64; LEAF_CAP],
 }
@@ -163,6 +191,7 @@ impl Leaf {
     const EMPTY: Leaf = Leaf {
         born: 0,
         len: 0,
+        height: 0,
         keys: [0; LEAF_CAP],
         vals: [0; LEAF_CAP],
     };
@@ -210,30 +239,31 @@ impl Leaf {
 /// shares a line with a neighbour readers are on.
 #[repr(C, align(64))]
 struct Inner {
-    /// The version that allocated this node: first, where [`born`]
-    /// reads it (see [`Node`]).
+    /// The [`Slot`] header.
     born: u64,
     len: u32,
+    height: u32,
     keys: [u64; INNER_CAP],
     kids: [AtomicU64; INNER_CAP],
 }
 
 impl Inner {
-    fn empty() -> Inner {
+    /// A routing node with no children, `height` levels above the
+    /// leaves.
+    fn empty(height: u32) -> Inner {
         Inner {
             born: 0,
             len: 0,
+            height,
             keys: [0; INNER_CAP],
             kids: [const { AtomicU64::new(0) }; INNER_CAP],
         }
     }
 
-    /// Child word `i`, as a reader loads it: Acquire, so that it sees
-    /// the node the word names written whole (reader side of
-    /// `wmm::proto`'s `native_child_word` litmus).
+    /// Child word `i`, as a reader loads it ([`load_word`]).
     #[inline]
     fn kid(&self, i: usize) -> u64 {
-        self.kids[i].load(Ordering::Acquire)
+        load_word(&self.kids[i])
     }
 
     /// Index of the child that `key` routes to.
@@ -273,10 +303,10 @@ impl Inner {
     }
 
     /// Moves the children from `at` on, words unchanged, into a new
-    /// node.
+    /// node of the same height.
     fn split_off(&mut self, at: usize) -> Inner {
         let len = self.len as usize;
-        let mut right = Inner::empty();
+        let mut right = Inner::empty(self.height);
         right.keys[..len - at].copy_from_slice(&self.keys[at..len]);
         for i in at..len {
             *right.kid_mut(i - at) = *self.kid_mut(i);
@@ -287,59 +317,61 @@ impl Inner {
     }
 }
 
-/// What the arenas and the copy-on-write rule need of a node: the
-/// version that allocated it — the writer may change it in place while
-/// that version is the one being built — and a way to poison it. Both
-/// node types are `repr(C)` with `born: u64` first, which [`born`]
-/// relies on.
-trait Node {
-    fn set_born(&mut self, version: u64);
-    fn poison(&mut self);
-}
+/// The address of a node's slot ([`Arena::at`]), used for the prefetch,
+/// the `born` check and the node alike.
+#[derive(Debug, Clone, Copy)]
+struct Addr<'a>(*mut Slot, PhantomData<&'a Arena>);
 
-impl Node for Leaf {
-    fn set_born(&mut self, version: u64) {
-        self.born = version;
+impl<'a> Addr<'a> {
+    /// The version that allocated the node, read without a reference to
+    /// it: what a reader reads of a child before it decides whether to
+    /// enter it, while the writer may hold that node to change it.
+    #[inline]
+    fn born(self) -> u64 {
+        // SAFETY: the address came from a child word that the caller's
+        // version reaches, so its slot was written (`born` included)
+        // before the Release store or the publication that named it, and
+        // it is not freed, so not rewritten, while that version can be
+        // read. The writer changes other fields of a node of the version
+        // being built in place, never `born`, so this read races no
+        // write; it reads the field alone, through no reference.
+        unsafe { (*self.0).born }
     }
-    fn poison(&mut self) {
-        self.len = POISON;
-    }
-}
 
-impl Node for Inner {
-    fn set_born(&mut self, version: u64) {
-        self.born = version;
+    /// The node's height: 0 for a leaf, else routing levels to the
+    /// leaves.
+    #[inline]
+    fn height(self) -> u32 {
+        // SAFETY: as in `born`: a slot written before any word named it,
+        // and a field no write to a reachable node changes.
+        unsafe { (*self.0).height }
     }
-    fn poison(&mut self) {
-        self.len = POISON;
+
+    /// The leaf at this address, which a live version or the writer's
+    /// own reaches and whose contents that version does not see change:
+    /// ids come only from a root or from a node, never from outside the
+    /// map.
+    #[inline]
+    fn leaf(self) -> &'a Leaf {
+        debug_assert_eq!(self.height(), 0, "a routing node read as a leaf");
+        // SAFETY: the node is reachable from a version that is not
+        // reclaimed while it is read (the caller's snapshot, or the
+        // writer's own with `&` access to the writer), and is a leaf (the
+        // caller's descent counted the levels). A reader enters only
+        // nodes born in its version or before ([`Arena::take`]), which
+        // were written before that version was published and whose
+        // non-atomic fields are not written again until no reader of it
+        // is left.
+        unsafe { &*self.0.cast::<Leaf>() }
     }
-}
 
-/// The version that allocated node `id`, read without a reference to
-/// the node: what a reader reads of a child before it decides whether
-/// to enter it, while the writer may hold that node to change it.
-#[inline]
-fn born<T: Node>(arena: &Arena<T>, id: u32) -> u64 {
-    // SAFETY: `born` is the first field of both `repr(C)` node types.
-    // `id` came from a child word or a root the caller's version
-    // reaches, so its slot was written (`born` included) before the
-    // Release store or the publication that named it, and it is not
-    // freed, so not rewritten, while that version can be read. The
-    // writer changes other fields of a node of the version being built
-    // in place, never `born`, so this read races no write.
-    unsafe { arena.at(id).cast::<u64>().read() }
-}
-
-/// The child a reader of `version` takes at an edge whose word is
-/// `word`: `cur` if it was born in `version` or before, else `prev`
-/// (module docs). Reads nothing of `cur` but its `born`.
-#[inline]
-fn take<T: Node>(arena: &Arena<T>, word: u64, version: u64) -> u32 {
-    let (cur, prev) = halves(word);
-    if born(arena, cur) <= version {
-        cur
-    } else {
-        prev
+    /// [`Addr::leaf`] for a routing node.
+    #[inline]
+    fn inner(self) -> &'a Inner {
+        debug_assert_ne!(self.height(), 0, "a leaf read as a routing node");
+        // SAFETY: as in `leaf`; child words, the one part of a published
+        // routing node that changes, are atomics.
+        unsafe { &*self.0.cast::<Inner>() }
     }
 }
 
@@ -367,20 +399,20 @@ fn first_id(chunk: usize) -> usize {
     (CHUNK0 as usize) * ((1 << chunk) - 1)
 }
 
-/// One kind of node, in chunks that never move. Each directory entry
-/// goes from null to its chunk once, when the writer first needs it, and
+/// A map's nodes, in chunks that never move. Each directory entry goes
+/// from null to its chunk once, when the writer first needs it, and
 /// never changes after that — except those of a block, set before the
 /// arena is shared.
-struct Arena<T> {
-    chunks: [AtomicPtr<T>; CHUNKS],
+struct Arena {
+    chunks: [AtomicPtr<Slot>; CHUNKS],
     /// The block a sized build reserved ([`Arena::with_block`]): its
     /// last chunk `k` and its layout. Chunks `0..=k` lie in it, back to
     /// back, from `chunks[0]` on.
     block: Option<(usize, Layout)>,
 }
 
-impl<T> Arena<T> {
-    fn new() -> Arena<T> {
+impl Arena {
+    fn new() -> Arena {
         Arena {
             chunks: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
             block: None,
@@ -394,11 +426,11 @@ impl<T> Arena<T> {
     /// inside it even where it reaches past chunk `last`, and aligned to
     /// one, so each advised region can be a huge page. Like a chunk, the
     /// block is left uninitialised and untouched.
-    fn with_block(last: usize, huge: usize) -> Arena<T> {
-        let layout =
-            Layout::array::<T>(first_id(last + 1)).expect("an arena block fits the address space");
+    fn with_block(last: usize, huge: usize) -> Arena {
+        let layout = Layout::array::<Slot>(first_id(last + 1))
+            .expect("an arena block fits the address space");
         let (base, layout) = alloc_advised(layout, huge);
-        let base = base.cast::<T>();
+        let base = base.cast::<Slot>();
         let mut arena = Arena::new();
         for (chunk, mem) in arena.chunks[..=last].iter_mut().enumerate() {
             *mem.get_mut() = base.wrapping_add(first_id(chunk));
@@ -408,40 +440,39 @@ impl<T> Arena<T> {
     }
 
     fn layout(chunk: usize) -> Layout {
-        Layout::array::<T>((CHUNK0 as usize) << chunk)
+        Layout::array::<Slot>((CHUNK0 as usize) << chunk)
             .expect("an arena chunk fits the address space")
     }
 
     /// Node `id`'s address. Relaxed: a reader meets `id` only through a
-    /// child word or a root word the writer stored (Release) after
-    /// [`Arena::grow`] stored its chunk, and loaded that word (Acquire)
-    /// after picking a version (SeqCst), so those pairs order the two;
-    /// the writer reads its own stores.
+    /// child word (the root word is one) the writer stored (Release)
+    /// after [`Arena::grow`] stored its chunk, and loaded that word
+    /// (Acquire) after picking a version (SeqCst), so those pairs order
+    /// the two; the writer reads its own stores.
     #[inline]
-    fn at(&self, id: u32) -> *mut T {
+    fn at(&self, id: u32) -> Addr<'_> {
         let (chunk, place) = slot(id);
-        self.chunks[chunk]
-            .load(Ordering::Relaxed)
-            .wrapping_add(place)
+        let mem = self.chunks[chunk].load(Ordering::Relaxed);
+        Addr(mem.wrapping_add(place), PhantomData)
     }
 
-    /// Node `id`, which a live version or the writer's own reaches and
-    /// whose contents that version does not see change: ids come only
-    /// from a root or from a node, never from outside the map.
+    /// The child a reader of `version` takes at an edge whose word is
+    /// `word`, with the address of its `cur`: `cur` if it was born in
+    /// `version` or before, else `prev` (module docs). Reads nothing of
+    /// `cur` but its `born`.
     #[inline]
-    fn node(&self, id: u32) -> &T {
-        // SAFETY: `id` is reachable from a version that is not reclaimed
-        // while it is read (the caller's snapshot, or the writer's own
-        // with `&` access to the writer). A reader enters only nodes
-        // born in its version or before ([`take`]), which were written
-        // before that version was published and whose non-atomic fields
-        // are not written again until no reader of it is left.
-        unsafe { &*self.at(id) }
+    fn take<'a>(&'a self, word: u64, cur: Addr<'a>, version: u64) -> (u32, Addr<'a>) {
+        let (id, prev) = halves(word);
+        if cur.born() <= version {
+            (id, cur)
+        } else {
+            (prev, self.at(prev))
+        }
     }
 
     /// Allocates the chunk `id` opens, unless the block holds it. Writer
     /// only; Relaxed, because readers learn of the chunk through a later
-    /// child word or root word store (see [`Arena::at`]).
+    /// child word store (see [`Arena::at`]).
     #[cold]
     fn grow(&self, id: u32) {
         let (chunk, _) = slot(id);
@@ -452,7 +483,7 @@ impl<T> Arena<T> {
         // SAFETY: `layout` has a non-zero size: a chunk holds at least
         // `CHUNK0` nodes. The memory is left uninitialised; only the
         // slots the writer hands out are ever written or read.
-        let mem = unsafe { alloc(layout) }.cast::<T>();
+        let mem = unsafe { alloc(layout) }.cast::<Slot>();
         if mem.is_null() {
             handle_alloc_error(layout);
         }
@@ -486,49 +517,47 @@ pub(crate) fn alloc_advised(layout: Layout, huge: usize) -> (*mut u8, Layout) {
     (base, layout)
 }
 
-impl<T> Drop for Arena<T> {
+impl Drop for Arena {
     fn drop(&mut self) {
         // The chunks the block holds go with it, not one by one.
-        let mut in_block = 0;
-        if let Some((last, layout)) = self.block {
-            // SAFETY: `with_block` allocated the block at `chunks[0]`
-            // with this layout, and the nodes need no drop (their
-            // atomics are plain integers).
-            unsafe { dealloc(self.chunks[0].get_mut().cast(), layout) };
-            in_block = last + 1;
-        }
-        for (chunk, mem) in self.chunks.iter_mut().enumerate().skip(in_block) {
-            let mem = *mem.get_mut();
+        let (in_block, block) = match self.block {
+            Some((last, layout)) => (last + 1, Some((*self.chunks[0].get_mut(), layout))),
+            None => (0, None),
+        };
+        let chunks = (self.chunks.iter_mut().enumerate().skip(in_block))
+            .map(|(chunk, mem)| (*mem.get_mut(), Self::layout(chunk)));
+        for (mem, layout) in block.into_iter().chain(chunks) {
             if !mem.is_null() {
-                // SAFETY: `grow` allocated `mem` with this layout, and
-                // the nodes need no drop.
-                unsafe { dealloc(mem.cast(), Self::layout(chunk)) };
+                // SAFETY: `with_block` allocated the block at `chunks[0]`
+                // with its layout and `grow` every later chunk with its
+                // own, and the nodes need no drop (their atomics are
+                // plain integers).
+                unsafe { dealloc(mem.cast(), layout) };
             }
         }
     }
 }
 
 /// Everything a reader of a map touches: the version word, the root
-/// word and the two arenas. Shared by the map's one writer
-/// ([`LeafMap`], which changes in place only nodes of the version it
-/// builds, and child words) and its readers ([`Tree::pick`]).
+/// word and the arena. Shared by the map's one writer ([`LeafMap`],
+/// which changes in place only nodes of the version it builds, and
+/// child words) and its readers ([`Tree::pick`]).
 pub struct Tree {
     /// The published version.
     version: AtomicU64,
-    /// The root's child word: each half a [`tag`]ged root.
+    /// The root's child word.
     root: AtomicU64,
-    leaves: Arena<Leaf>,
-    inners: Arena<Inner>,
+    nodes: Arena,
 }
 
 impl Tree {
     /// The published version, as a read section picks it: one SeqCst
-    /// load of the version word, then the root that version reads. The
-    /// load races the writer's flip-then-scan in the store-buffering
-    /// shape (`native.rs` module docs), so anything weaker lets both
-    /// sides miss each other. Reader side of `wmm::proto`'s
-    /// `native_flip_dekker` litmus; the root word's Acquire load is the
-    /// reader side of `native_root_word` (module docs, "Versions").
+    /// load of the version word, then the root that version takes at the
+    /// root word, loaded and chosen as any other child word is, and the
+    /// root's height from its header. The version load races the
+    /// writer's flip-then-scan in the store-buffering shape (`native.rs`
+    /// module docs), so anything weaker lets both sides miss each other.
+    /// Reader side of `wmm::proto`'s `native_flip_dekker` litmus.
     ///
     /// # Safety
     ///
@@ -542,22 +571,14 @@ impl Tree {
     #[inline]
     pub unsafe fn pick(&self) -> Snapshot<'_> {
         let version = self.version.load(Ordering::SeqCst);
-        let (cur, prev) = halves(self.root.load(Ordering::Acquire));
-        let (node, height) = untag(cur);
-        let cur_born = match height {
-            0 => born(&self.leaves, node),
-            _ => born(&self.inners, node),
-        };
-        let (node, height) = if cur_born <= version {
-            (node, height)
-        } else {
-            untag(prev)
-        };
+        let root = load_word(&self.root);
+        let nodes = &self.nodes;
+        let (node, at) = nodes.take(root, nodes.at(halves(root).0), version);
         Snapshot {
             tree: self,
             version,
             node,
-            height,
+            height: at.height(),
         }
     }
 }
@@ -571,7 +592,7 @@ pub struct Snapshot<'t> {
     version: u64,
     /// An inner node when `height > 0`, else the one leaf.
     node: u32,
-    /// Inner levels above the leaves.
+    /// Inner levels above the leaves: the root's height.
     height: u32,
 }
 
@@ -586,7 +607,7 @@ pub struct Spot {
     upper: Option<u64>,
 }
 
-impl Snapshot<'_> {
+impl<'t> Snapshot<'t> {
     /// The descent every lookup and every write shares: from the root to
     /// the leaf `key` belongs to, every routing node asked for whole and
     /// chosen by its `born` before it is searched, and `step(node, its
@@ -597,32 +618,35 @@ impl Snapshot<'_> {
     /// word, with its `cur` requested but not read.
     #[inline]
     fn walk(&self, key: u64, mut step: impl FnMut(u32, &Inner, usize)) -> u64 {
-        let tree = self.tree;
+        let nodes = &self.tree.nodes;
         let mut node = self.node;
         let mut edge = word(node, node);
-        if self.height > 0 {
-            prefetch(tree.inners.at(node));
-        }
+        let mut at = nodes.at(node);
+        prefetch(at);
         for level in (0..self.height).rev() {
-            let inner = tree.inners.node(node);
+            let inner = at.inner();
             let i = inner.child_of(key);
             step(node, inner, i);
             edge = inner.kid(i);
+            at = nodes.at(halves(edge).0);
+            prefetch(at);
             if level > 0 {
-                prefetch(tree.inners.at(halves(edge).0));
-                node = take(&tree.inners, edge, self.version);
+                (node, at) = nodes.take(edge, at, self.version);
             }
         }
-        prefetch(tree.leaves.at(halves(edge).0));
         edge
     }
 
-    /// The leaf this version takes at the leaf edge `edge`.
+    /// The leaf this version takes at the leaf edge `edge`. The leaf's
+    /// address is computed again here rather than carried over from
+    /// [`Snapshot::walk`]'s prefetch: carried in the [`Spot`], it made
+    /// a native `get` about 30 ns slower on a 2-vCPU Sapphire Rapids
+    /// guest, whatever the store's size.
     #[inline]
-    fn leaf(&self, edge: u64) -> &Leaf {
-        self.tree
-            .leaves
-            .node(take(&self.tree.leaves, edge, self.version))
+    fn leaf(&self, edge: u64) -> &'t Leaf {
+        let nodes = &self.tree.nodes;
+        let (_, at) = nodes.take(edge, nodes.at(halves(edge).0), self.version);
+        at.leaf()
     }
 
     /// Descends to the leaf `key` belongs to and asks the cache for it,
@@ -689,21 +713,19 @@ impl Snapshot<'_> {
         self.range(0..=u64::MAX, &mut out);
         out
     }
-}
 
-impl<'t> Snapshot<'t> {
     /// Every leaf of the version, in key order, as its keys and their
     /// values: the pairs streamed a leaf at a time, with no descent per
     /// leaf.
     pub fn leaves(&self) -> Leaves<'t> {
+        let root = self.tree.nodes.at(self.node);
         let (first, stack) = match self.height {
-            0 => (Some(self.node), Vec::new()),
-            _ => (None, vec![(self.node, 0)]),
+            0 => (Some(root.leaf()), Vec::new()),
+            _ => (None, vec![(root.inner(), 0)]),
         };
         Leaves {
             tree: self.tree,
             version: self.version,
-            height: self.height as usize,
             first,
             stack,
         }
@@ -715,43 +737,42 @@ impl<'t> Snapshot<'t> {
 pub struct Leaves<'t> {
     tree: &'t Tree,
     version: u64,
-    height: usize,
     /// The root, when it is the one leaf.
-    first: Option<u32>,
+    first: Option<&'t Leaf>,
     /// The routing nodes from the root down to the current leaf's
     /// parent, each with the next child to take.
-    stack: Vec<(u32, usize)>,
+    stack: Vec<(&'t Inner, usize)>,
 }
 
 impl<'t> Iterator for Leaves<'t> {
     type Item = (&'t [u64], &'t [u64]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let id = match self.first.take() {
-            Some(id) => id,
+        let leaf = match self.first.take() {
+            Some(leaf) => leaf,
             None => loop {
-                let (node, next) = self.stack.last_mut()?;
-                let inner = self.tree.inners.node(*node);
+                let (inner, next) = self.stack.last_mut()?;
+                let inner: &'t Inner = inner;
                 if *next == inner.len as usize {
                     self.stack.pop();
                     continue;
                 }
                 let edge = inner.kid(*next);
                 *next += 1;
-                if self.stack.len() == self.height {
-                    break take(&self.tree.leaves, edge, self.version);
+                let nodes = &self.tree.nodes;
+                let (_, at) = nodes.take(edge, nodes.at(halves(edge).0), self.version);
+                if inner.height == 1 {
+                    break at.leaf();
                 }
-                let kid = take(&self.tree.inners, edge, self.version);
-                self.stack.push((kid, 0));
+                self.stack.push((at.inner(), 0));
             },
         };
-        let leaf = self.tree.leaves.node(id);
         let keys = leaf.keys();
         Some((keys, &leaf.vals[..keys.len()]))
     }
 }
 
-/// The writer's bookkeeping of one arena.
+/// The writer's bookkeeping of the arena.
 #[derive(Default)]
 struct Pool {
     /// Slots handed out so far: ids `0..used`.
@@ -765,63 +786,73 @@ struct Pool {
 
 impl Pool {
     /// A slot no version reaches: a free one, or a new one.
-    fn take<T>(&mut self, arena: &Arena<T>) -> u32 {
+    fn take(&mut self, arena: &Arena) -> u32 {
         if let Some(id) = self.free.pop() {
             return id;
         }
         let id = self.used;
-        assert!(id < 1 << ID_BITS, "more than 2^{ID_BITS} nodes in one map");
-        self.used = id + 1;
+        self.used = id
+            .checked_add(1)
+            .expect("more than u32::MAX nodes in one map");
         if slot(id).1 == 0 {
             arena.grow(id);
         }
         id
     }
 
-    /// Stores `node`, allocated in `version`, in a slot of its own.
-    fn alloc<T: Node>(&mut self, arena: &Arena<T>, mut node: T, version: u64) -> u32 {
-        node.set_born(version);
+    /// Stores `node`, a leaf or a routing node allocated in `version`,
+    /// in a slot of its own.
+    fn alloc<T>(&mut self, arena: &Arena, node: T, version: u64) -> u32 {
+        const { assert!(fills_slot::<T>()) };
         let id = self.take(arena);
+        let at = arena.at(id).0;
         // SAFETY: no version reaches the slot `take` returned, so no
-        // reader holds it, and the writer has no reference into it.
-        unsafe { arena.at(id).write(node) };
+        // reader holds it, and the writer has no reference into it; `T`
+        // fills it exactly and begins with the slot's header.
+        unsafe {
+            at.cast::<T>().write(node);
+            (*at).born = version;
+        }
         id
     }
 
     /// A copy of the published node `id`, allocated in `version`, with
-    /// the original retired. Its child words come along unchanged.
-    fn copy<T: Node>(&mut self, arena: &Arena<T>, id: u32, version: u64) -> u32 {
+    /// the original retired. Its height and child words come along
+    /// unchanged.
+    fn copy(&mut self, arena: &Arena, id: u32, version: u64) -> u32 {
         let copy = self.take(arena);
+        let (from, to) = (arena.at(id).0, arena.at(copy).0);
         // SAFETY: as in `alloc` for `copy`; `id` is another slot, whose
         // non-atomic fields nothing writes, and whose child words only
         // this writer stores.
         unsafe {
-            ptr::copy_nonoverlapping(arena.at(id), arena.at(copy), 1);
-            (*arena.at(copy)).set_born(version);
+            ptr::copy_nonoverlapping(from, to, 1);
+            (*to).born = version;
         }
         self.retired.push(id);
         copy
     }
 
     /// Frees every retired node, poisoned first if asked.
-    fn reclaim<T: Node>(&mut self, arena: &Arena<T>, poison: bool) {
+    fn reclaim(&mut self, arena: &Arena, poison: bool) {
         if poison {
             for &id in &self.retired {
                 // SAFETY: the caller of `LeafMap::reclaim` promises that
                 // no reader still holds a version that reaches a retired
                 // node, and the version being built does not reach it.
-                unsafe { (*arena.at(id)).poison() };
+                unsafe { (*arena.at(id).0).len = POISON };
             }
         }
         self.free.append(&mut self.retired);
     }
 }
 
-/// Stores `new` into the child word `edge`, whose `cur` is `old`, a node
-/// of the last published version: `(new, old)`, so that readers of that
-/// version still take `old`. Release, so a reader that loads the word
-/// (Acquire) sees `new` written whole. Writer side of `wmm::proto`'s
-/// `native_child_word` litmus.
+/// Stores `new` into the child word `edge`, routing node's or root, as
+/// `(new, old)`, so that readers of the last published version still
+/// take `old`, which is what that version takes there. Release, so a
+/// reader that loads the word ([`load_word`], Acquire) sees `new`
+/// written whole. Writer side of `wmm::proto`'s `native_child_word`
+/// litmus, and the only store of a child word a reader can see.
 fn relink(edge: &AtomicU64, new: u32, old: u32) {
     edge.store(word(new, old), Ordering::Release);
     // A schedule may run a reader between this store and the writer's
@@ -835,19 +866,17 @@ pub struct LeafMap {
     tree: Arc<Tree>,
     /// The root being built.
     root: u32,
-    /// Inner levels above the leaves, in the version being built.
-    height: u32,
-    /// The last published root, [`tag`]ged: the root word's `prev`
-    /// while the root being built differs from it.
+    /// The last published root: the root word's `prev` while the root
+    /// being built differs from it.
     published: u32,
     /// The version being built: the writer changes nodes it allocated
     /// in place, and copies any other before changing it.
     version: u64,
-    leaves: Pool,
-    inners: Pool,
+    pool: Pool,
     len: usize,
-    /// Descent scratch of `insert`/`remove`: `(inner node, child taken)`
-    /// from the root down. Kept here so neither allocates once warm.
+    /// Descent scratch of `insert`/`remove`: `(node, child taken)` from
+    /// the root down, the leaf last (its child unused). Kept here so
+    /// neither allocates once warm.
     path: Vec<(u32, u32)>,
 }
 
@@ -895,6 +924,12 @@ impl LeafMap {
         Arc::clone(&self.tree)
     }
 
+    /// Routing levels above the leaves in the version being built: the
+    /// root's height.
+    fn height(&self) -> u32 {
+        self.tree.nodes.at(self.root).height()
+    }
+
     /// The version being built, with every write so far: what the map's
     /// owner reads. Its every edge takes `cur`, born in it or before.
     pub fn snapshot(&self) -> Snapshot<'_> {
@@ -902,7 +937,7 @@ impl LeafMap {
             tree: &self.tree,
             version: self.version,
             node: self.root,
-            height: self.height,
+            height: self.height(),
         }
     }
 
@@ -914,7 +949,7 @@ impl LeafMap {
     /// Writer side of `wmm::proto`'s `native_flip_dekker` litmus.
     pub fn publish(&mut self) {
         self.tree.version.store(self.version, Ordering::SeqCst);
-        self.published = tag(self.root, self.height);
+        self.published = self.root;
         self.version += 1;
     }
 
@@ -929,34 +964,27 @@ impl LeafMap {
     /// (schedule exploration asks for it; a production writer reuses the
     /// nodes as they are).
     pub fn reclaim(&mut self, poison: bool) {
-        self.leaves.reclaim(&self.tree.leaves, poison);
-        self.inners.reclaim(&self.tree.inners, poison);
+        self.pool.reclaim(&self.tree.nodes, poison);
     }
 
-    /// Leaf `id`, which the version being built allocated, to change in
-    /// place.
-    fn leaf_mut(&mut self, id: u32) -> &mut Leaf {
-        let born = self.tree.leaves.node(id).born;
-        assert_eq!(born, self.version, "leaf {id} is published");
+    /// Node `id` — a [`Leaf`] or an [`Inner`], as `T` says — which the
+    /// version being built allocated, to change in place.
+    fn node_mut<T>(&mut self, id: u32) -> &mut T {
+        const { assert!(fills_slot::<T>()) };
+        let at = self.tree.nodes.at(id);
+        assert_eq!(at.born(), self.version, "node {id} is published");
         // SAFETY: `id` was allocated in the version being built (just
         // checked), so no published version enters it: a reader may
-        // read its `born` (through `born`, never through a reference),
-        // nothing else. `&mut self` is the writer's one handle on it.
-        unsafe { &mut *self.tree.leaves.at(id) }
+        // read its `born` (through `Addr::born`, never through a
+        // reference), nothing else. `&mut self` is the writer's one
+        // handle on it, and the caller's descent says its kind.
+        unsafe { &mut *at.0.cast::<T>() }
     }
 
-    /// [`LeafMap::leaf_mut`] for an inner node.
-    fn inner_mut(&mut self, id: u32) -> &mut Inner {
-        let born = self.tree.inners.node(id).born;
-        assert_eq!(born, self.version, "inner {id} is published");
-        // SAFETY: as in `leaf_mut`: a node of the version being built.
-        unsafe { &mut *self.tree.inners.at(id) }
-    }
-
-    /// Descends to `key`'s leaf, recording the way in `self.path`.
-    /// Returns the leaf and whether the descent hugged the left and the
+    /// Descends to `key`'s leaf, recording the way, the leaf last, in
+    /// `self.path`. Returns whether the descent hugged the left and the
     /// right edge of the tree all the way.
-    fn descend(&mut self, key: u64) -> (u32, bool, bool) {
+    fn descend(&mut self, key: u64) -> (bool, bool) {
         let mut path = std::mem::take(&mut self.path);
         path.clear();
         let (mut leftmost, mut rightmost) = (true, true);
@@ -965,63 +993,45 @@ impl LeafMap {
             rightmost &= i + 1 == inner.len as usize;
             path.push((node, i as u32));
         });
-        self.path = path;
         // The version being built takes every edge's `cur`.
-        (halves(edge).0, leftmost, rightmost)
+        path.push((halves(edge).0, 0));
+        self.path = path;
+        (leftmost, rightmost)
     }
 
-    /// Points the edge above level `depth` of the recorded path — the
-    /// child word that routing node `depth - 1` took, or the root word
-    /// at depth 0 — from the published node `old` at `new`, its copy.
-    fn link(&mut self, depth: usize, new: u32, old: u32) {
+    /// Points the edge above node `depth` of the recorded path — the
+    /// child word routing node `depth - 1` took, or the root word at
+    /// depth 0 — at `new`, which replaces that node. The word keeps as
+    /// `prev` what the last published version takes there: the replaced
+    /// node, which is published (only [`LeafMap::own`] replaces a node
+    /// below the root), or at the root the published root, whatever root
+    /// this version had before.
+    fn link(&mut self, depth: usize, new: u32) {
         match depth.checked_sub(1) {
             Some(up) => {
                 let (parent, taken) = self.path[up];
-                relink(
-                    &self.tree.inners.node(parent).kids[taken as usize],
-                    new,
-                    old,
-                );
+                let edge = &self.tree.nodes.at(parent).inner().kids[taken as usize];
+                relink(edge, new, self.path[depth].0);
             }
-            None => self.set_root(new, self.height),
+            None => {
+                self.root = new;
+                relink(&self.tree.root, new, self.published);
+            }
         }
     }
 
-    /// Makes `id` the root being built, `height` levels above the
-    /// leaves, and stores the root word: `(id, published root)`, so that
-    /// readers of the last published version still take its root,
-    /// whatever root this version had before. Release, like
-    /// [`relink`].
-    fn set_root(&mut self, id: u32, height: u32) {
-        (self.root, self.height) = (id, height);
-        let root = word(tag(id, height), self.published);
-        self.tree.root.store(root, Ordering::Release);
-        sched::step();
-    }
-
-    /// Makes `leaf`, reached by the recorded path, the writer's to
-    /// change: itself if the version being built allocated it, else a
-    /// copy linked in its place. A leaf-only write stops here, having
-    /// copied one node and stored one word.
-    fn own_leaf(&mut self, leaf: u32) -> u32 {
-        if self.tree.leaves.node(leaf).born == self.version {
-            return leaf;
-        }
-        let copy = self.leaves.copy(&self.tree.leaves, leaf, self.version);
-        self.link(self.path.len(), copy, leaf);
-        copy
-    }
-
-    /// [`LeafMap::own_leaf`] for routing node `depth` of the recorded
-    /// path, which then names the copy: what a split or an unlink does
-    /// before it changes a node's children.
-    fn own_inner(&mut self, depth: usize) -> u32 {
+    /// Makes node `depth` of the recorded path — a routing node, or the
+    /// leaf at the end — the writer's to change: itself if the version
+    /// being built allocated it, else a copy linked in its place, which
+    /// the path then names. A leaf-only write copies its leaf this way
+    /// and stores one word.
+    fn own(&mut self, depth: usize) -> u32 {
         let id = self.path[depth].0;
-        if self.tree.inners.node(id).born == self.version {
+        if self.tree.nodes.at(id).born() == self.version {
             return id;
         }
-        let copy = self.inners.copy(&self.tree.inners, id, self.version);
-        self.link(depth, copy, id);
+        let copy = self.pool.copy(&self.tree.nodes, id, self.version);
+        self.link(depth, copy);
         self.path[depth].0 = copy;
         copy
     }
@@ -1030,37 +1040,34 @@ impl LeafMap {
     /// map that never published, else retired, because a reader of the
     /// published version may still read its `born` through a word this
     /// version no longer reaches.
-    fn drop_node(&mut self, leaf: bool, id: u32) {
-        let pool = match leaf {
-            true => &mut self.leaves,
-            false => &mut self.inners,
-        };
+    fn drop_node(&mut self, id: u32) {
         match self.version {
-            0 => pool.free.push(id),
-            _ => pool.retired.push(id),
+            0 => self.pool.free.push(id),
+            _ => self.pool.retired.push(id),
         }
     }
 
     /// Inserts or updates `key`, returning the value it replaced.
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
-        let (id, leftmost, rightmost) = self.descend(key);
-        let leaf = self.tree.leaves.node(id);
+        let (leftmost, rightmost) = self.descend(key);
+        let depth = self.path.len() - 1;
+        let leaf = self.tree.nodes.at(self.path[depth].0).leaf();
         if leaf.len as usize == LEAF_CAP && leaf.keys().binary_search(&key).is_err() {
             // A split. The routing nodes that gain a child — the lowest
             // one with room and every full one below it, or all of them
             // when the root splits — are copied first, top down, so
             // that only the highest copy is linked by a store readers
             // can see.
-            let tree = &self.tree;
-            let roomy = (self.path.iter())
-                .rposition(|&(id, _)| (tree.inners.node(id).len as usize) < INNER_CAP);
-            for depth in roomy.unwrap_or(0)..self.path.len() {
-                self.own_inner(depth);
+            let nodes = &self.tree.nodes;
+            let roomy = (self.path[..depth].iter())
+                .rposition(|&(id, _)| (nodes.at(id).inner().len as usize) < INNER_CAP);
+            for up in roomy.unwrap_or(0)..depth {
+                self.own(up);
             }
         }
-        let id = self.own_leaf(id);
+        let id = self.own(depth);
         let version = self.version;
-        let leaf = self.leaf_mut(id);
+        let leaf = self.node_mut::<Leaf>(id);
         let pos = match leaf.keys().binary_search(&key) {
             Ok(i) => return Some(std::mem::replace(&mut leaf.vals[i], value)),
             Err(pos) => pos,
@@ -1087,7 +1094,7 @@ impl LeafMap {
         }
         let sep = right.keys[0];
         self.len += 1;
-        let right = self.leaves.alloc(&self.tree.leaves, right, version);
+        let right = self.pool.alloc(&self.tree.nodes, right, version);
         self.add_child(sep, right, rightmost);
         None
     }
@@ -1097,10 +1104,10 @@ impl LeafMap {
     /// [`LeafMap::insert`] already made each of them the writer's.
     fn add_child(&mut self, mut sep: u64, mut kid: u32, rightmost: bool) {
         let version = self.version;
-        for depth in (0..self.path.len()).rev() {
+        for depth in (0..self.path.len() - 1).rev() {
             let id = self.path[depth].0;
             let pos = self.path[depth].1 as usize + 1;
-            let inner = self.inner_mut(id);
+            let inner = self.node_mut::<Inner>(id);
             if (inner.len as usize) < INNER_CAP {
                 inner.insert_at(pos, sep, kid);
                 return;
@@ -1119,73 +1126,67 @@ impl LeafMap {
                 right.insert_at(pos - at, sep, kid);
             }
             sep = right.keys[0];
-            kid = self.inners.alloc(&self.tree.inners, right, version);
+            kid = self.pool.alloc(&self.tree.nodes, right, version);
         }
         // The root itself split: a new root over the two halves.
-        let mut root = Inner::empty();
+        let mut root = Inner::empty(self.height() + 1);
         root.insert_at(0, 0, self.root);
         root.insert_at(1, sep, kid);
-        let root = self.inners.alloc(&self.tree.inners, root, version);
-        self.set_root(root, self.height + 1);
+        let root = self.pool.alloc(&self.tree.nodes, root, version);
+        self.link(0, root);
     }
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove(&mut self, key: u64) -> Option<u64> {
-        let (id, ..) = self.descend(key);
+        self.descend(key);
+        let depth = self.path.len() - 1;
         // An absent key changes nothing, so nothing is copied for it.
-        let leaf = self.tree.leaves.node(id);
+        let leaf = self.tree.nodes.at(self.path[depth].0).leaf();
         let i = leaf.keys().binary_search(&key).ok()?;
         let old = leaf.vals[i];
         self.len -= 1;
-        if leaf.len == 1 && self.height > 0 {
-            self.unlink(id);
+        if leaf.len == 1 && depth > 0 {
+            self.unlink();
         } else {
-            let id = self.own_leaf(id);
-            self.leaf_mut(id).remove_at(i);
+            let id = self.own(depth);
+            self.node_mut::<Leaf>(id).remove_at(i);
         }
         Some(old)
     }
 
-    /// Takes leaf `id`, whose last pair is being removed, out of the
-    /// tree along the recorded path, with every ancestor it was the last
-    /// child of, and copies none of them: the lowest ancestor that keeps
-    /// other children is copied (if published) without it, and with none
-    /// the map becomes one empty leaf again.
-    fn unlink(&mut self, id: u32) {
-        self.drop_node(true, id);
-        for depth in (0..self.path.len()).rev() {
+    /// Takes the recorded path's leaf, whose last pair is being removed,
+    /// out of the tree, with every ancestor it was the last child of, and
+    /// copies none of them: the lowest ancestor that keeps other children
+    /// is copied (if published) without it, and with none the map
+    /// becomes one empty leaf again.
+    fn unlink(&mut self) {
+        let leaf = self.path.len() - 1;
+        self.drop_node(self.path[leaf].0);
+        for depth in (0..leaf).rev() {
             let (parent, taken) = self.path[depth];
-            if self.tree.inners.node(parent).len > 1 {
-                let parent = self.own_inner(depth);
-                self.inner_mut(parent).remove_at(taken as usize);
+            if self.tree.nodes.at(parent).inner().len > 1 {
+                let parent = self.own(depth);
+                self.node_mut::<Inner>(parent).remove_at(taken as usize);
                 return;
             }
-            self.drop_node(false, parent);
+            self.drop_node(parent);
         }
-        let empty = self
-            .leaves
-            .alloc(&self.tree.leaves, Leaf::EMPTY, self.version);
-        self.set_root(empty, 0);
+        let empty = self.pool.alloc(&self.tree.nodes, Leaf::EMPTY, self.version);
+        self.link(0, empty);
     }
 }
 
 /// Appends `kid`, whose keys start at `sep`, to the open routing node of
-/// `level` in a bottom-up build ([`Builder`]), opening
-/// the level if it has no node yet. A full node is first closed: stored
-/// in its slot and appended to the level above.
-fn append(
-    arena: &Arena<Inner>,
-    pool: &mut Pool,
-    open: &mut Vec<Inner>,
-    level: usize,
-    sep: u64,
-    kid: u32,
-) {
+/// `level` (0 over the leaves) in a bottom-up build ([`Builder`]),
+/// opening the level if it has no node yet. A full node is first
+/// closed: stored in its slot and appended to the level above.
+fn append(arena: &Arena, pool: &mut Pool, open: &mut Vec<Inner>, level: usize, sep: u64, kid: u32) {
+    let height = level as u32 + 1;
     if level == open.len() {
-        open.push(Inner::empty());
+        open.push(Inner::empty(height));
     }
     if open[level].len as usize == INNER_CAP {
-        let full = std::mem::replace(&mut open[level], Inner::empty());
+        let full = std::mem::replace(&mut open[level], Inner::empty(height));
         let first = full.keys[0];
         let id = pool.alloc(arena, full, 0);
         append(arena, pool, open, level + 1, first, id);
@@ -1198,12 +1199,12 @@ fn append(
 /// line, so the lines arrive together instead of one per step of the
 /// search.
 #[inline]
-fn prefetch<T>(node: *const T) {
+fn prefetch(node: Addr<'_>) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let base = node.cast::<i8>();
-        for offset in (0..size_of::<T>()).step_by(64) {
+        let base = node.0.cast::<i8>();
+        for offset in (0..size_of::<Slot>()).step_by(64) {
             // SAFETY: a prefetch is a hint with no architectural effect
             // — it neither faults nor reads — so any address will do.
             unsafe { _mm_prefetch::<_MM_HINT_T0>(base.wrapping_add(offset)) };
@@ -1222,10 +1223,8 @@ fn prefetch<T>(node: *const T) {
 /// (the module docs' append rule), every node born in version 0 and
 /// every child word settled (`cur` = `prev`).
 pub struct Builder {
-    leaf_arena: Arena<Leaf>,
-    inner_arena: Arena<Inner>,
-    leaves: Pool,
-    inners: Pool,
+    arena: Arena,
+    pool: Pool,
     /// The open leaf.
     leaf: Leaf,
     /// The open routing node of each level, lowest first.
@@ -1244,10 +1243,8 @@ impl Builder {
     /// A build with no pairs yet.
     pub fn new() -> Builder {
         Builder {
-            leaf_arena: Arena::new(),
-            inner_arena: Arena::new(),
-            leaves: Pool::default(),
-            inners: Pool::default(),
+            arena: Arena::new(),
+            pool: Pool::default(),
             leaf: Leaf::EMPTY,
             open: Vec::new(),
             len: 0,
@@ -1256,22 +1253,22 @@ impl Builder {
     }
 
     /// A build that will push at least `pairs` pairs. It reserves their
-    /// leaves up front: the leaf arena's chunks `0..=k` that hold
-    /// `pairs` pairs, as one block (pairs past that grow the arena a
-    /// chunk at a time, as [`LeafMap::insert`]s do). Before the first
-    /// write it asks for huge pages (`simmem::madvise_hugepage`) over
-    /// the 2 MiB regions of the block those pairs fill to at least 7/8
-    /// (`HUGE_FILL`), so each region costs one page fault, not 512; a
-    /// block with such regions is rounded up to whole regions and
-    /// aligned to one, and a region they fill less stays on 4 KiB pages
-    /// (module docs). `pairs` only sizes and advises: the tree is the
-    /// one [`Builder::new`] builds, and a build that pushes fewer pairs
-    /// is only slower or larger.
+    /// nodes up front (`nodes_for`): the arena's chunks `0..=k` that
+    /// hold the leaves and the routing nodes over them, as one block
+    /// (nodes past that grow the arena a chunk at a time, as
+    /// [`LeafMap::insert`]s do). Before the first write it asks for huge
+    /// pages (`simmem::madvise_hugepage`) over the 2 MiB regions of the
+    /// block those nodes fill to at least 7/8 (`HUGE_FILL`), so each
+    /// region costs one page fault, not 512; a block with such regions
+    /// is rounded up to whole regions and aligned to one, and a region
+    /// they fill less stays on 4 KiB pages (module docs). `pairs` only
+    /// sizes and advises: the tree is the one [`Builder::new`] builds,
+    /// and a build that pushes fewer pairs is only slower or larger.
     pub fn with_capacity(pairs: usize) -> Builder {
-        let last = u32::try_from(pairs.div_ceil(LEAF_CAP).max(1) - 1)
-            .expect("more than u32::MAX nodes in one map");
+        let last =
+            u32::try_from(nodes_for(pairs) - 1).expect("more than u32::MAX nodes in one map");
         Builder {
-            leaf_arena: Arena::with_block(slot(last).0, huge_span(pairs)),
+            arena: Arena::with_block(slot(last).0, huge_span(pairs)),
             ..Builder::new()
         }
     }
@@ -1291,16 +1288,9 @@ impl Builder {
         self.last = Some(key);
         let leaf = &mut self.leaf;
         if leaf.len as usize == LEAF_CAP {
-            let id = self.leaves.alloc(&self.leaf_arena, *leaf, 0);
+            let id = self.pool.alloc(&self.arena, *leaf, 0);
             let sep = leaf.keys[0];
-            append(
-                &self.inner_arena,
-                &mut self.inners,
-                &mut self.open,
-                0,
-                sep,
-                id,
-            );
+            append(&self.arena, &mut self.pool, &mut self.open, 0, sep, id);
             leaf.len = 0;
         }
         leaf.insert_at(leaf.len as usize, key, value);
@@ -1311,10 +1301,8 @@ impl Builder {
     /// word's initial value; with no pairs, the one empty leaf.
     pub fn finish(self) -> LeafMap {
         let Builder {
-            leaf_arena,
-            inner_arena,
-            mut leaves,
-            mut inners,
+            arena,
+            mut pool,
             leaf,
             mut open,
             len,
@@ -1323,42 +1311,51 @@ impl Builder {
         // Close the open nodes bottom-up, each into the level above; the
         // top level's, which has at least two children, is the root.
         let mut sep = leaf.keys[0];
-        let mut root = leaves.alloc(&leaf_arena, leaf, 0);
-        let mut height = 0;
-        while height < open.len() {
-            append(&inner_arena, &mut inners, &mut open, height, sep, root);
-            let top = std::mem::replace(&mut open[height], Inner::empty());
+        let mut root = pool.alloc(&arena, leaf, 0);
+        let mut level = 0;
+        while level < open.len() {
+            append(&arena, &mut pool, &mut open, level, sep, root);
+            let top = std::mem::replace(&mut open[level], Inner::empty(level as u32 + 1));
             sep = top.keys[0];
-            root = inners.alloc(&inner_arena, top, 0);
-            height += 1;
+            root = pool.alloc(&arena, top, 0);
+            level += 1;
         }
-        let height = height as u32;
-        let published = tag(root, height);
         LeafMap {
             tree: Arc::new(Tree {
                 version: AtomicU64::new(0),
-                root: AtomicU64::new(word(published, published)),
-                leaves: leaf_arena,
-                inners: inner_arena,
+                root: AtomicU64::new(word(root, root)),
+                nodes: arena,
             }),
             root,
-            height,
-            published,
+            published: root,
             version: 0,
-            leaves,
-            inners,
+            pool,
             len,
             path: Vec::new(),
         }
     }
 }
 
-/// The least a sized build's leaves fill of a 2 MiB region for the
+/// The nodes a bottom-up build of `pairs` pairs makes: its leaves, each
+/// full but the last, and over them routing nodes filled the same way, a
+/// level at a time until one node is left — Σ⌈L/28^k⌉ over `L` leaves,
+/// about one routing node per 27 leaves.
+fn nodes_for(pairs: usize) -> usize {
+    let mut level = pairs.div_ceil(LEAF_CAP).max(1);
+    let mut nodes = level;
+    while level > 1 {
+        level = level.div_ceil(INNER_CAP);
+        nodes += level;
+    }
+    nodes
+}
+
+/// The least a sized build's nodes fill of a 2 MiB region for the
 /// region to be advised onto a huge page: 7/8 of it. The kernel backs a
 /// whole huge page at its first touch, and only the last advised region
 /// can be filled in part, so a map holds at most `HUGE_PAGE -
 /// HUGE_FILL` = 256 KiB of resident memory that nothing uses. A
-/// `svc-read` shard fills its second region to 97 %.
+/// `svc-read` shard fills two regions whole.
 const HUGE_FILL: usize = HUGE_PAGE / 8 * 7;
 
 /// The bytes, from the start of a block that `filled` bytes will fill
@@ -1368,13 +1365,14 @@ pub(crate) fn huge_bytes(filled: usize) -> usize {
     (filled + HUGE_PAGE - HUGE_FILL) / HUGE_PAGE * HUGE_PAGE
 }
 
-/// The bytes, from the start of a sized build's leaf block, to advise
-/// onto huge pages when the build pushes at least `pairs` pairs: the
-/// 2 MiB regions their leaves fill to at least [`HUGE_FILL`], each leaf
-/// written whole. The last of them can reach past the chunks that hold
-/// the leaves ([`Arena::with_block`] rounds the block up to it).
+/// The bytes, from the start of a sized build's block, to advise onto
+/// huge pages when the build pushes at least `pairs` pairs: the 2 MiB
+/// regions their nodes ([`nodes_for`]) fill to at least [`HUGE_FILL`],
+/// each node written whole. The last of them can reach past the chunks
+/// that hold the nodes ([`Arena::with_block`] rounds the block up to
+/// it).
 fn huge_span(pairs: usize) -> usize {
-    huge_bytes(pairs.div_ceil(LEAF_CAP) * size_of::<Leaf>())
+    huge_bytes(nodes_for(pairs) * size_of::<Slot>())
 }
 
 /// Contents, not layout: two maps holding the same pairs are equal
@@ -1406,25 +1404,20 @@ mod tests {
         /// `len` right, and every node handed out exactly one of:
         /// reachable from the root, retired, or free.
         pub(crate) fn audit(&self) {
-            let mut seen = (
-                vec![false; self.leaves.used as usize],
-                vec![false; self.inners.used as usize],
-            );
-            let pairs = self.audit_node(self.root, self.height, None, None, &mut seen);
+            let mut seen = vec![false; self.pool.used as usize];
+            let pairs = self.audit_node(self.root, self.height(), None, None, &mut seen);
             assert_eq!(pairs, self.len, "len");
-            for (pool, seen) in [(&self.leaves, &mut seen.0), (&self.inners, &mut seen.1)] {
-                for &id in pool.retired.iter().chain(&pool.free) {
-                    assert!(
-                        !seen[id as usize],
-                        "node {id} is reachable, retired or free twice"
-                    );
-                    seen[id as usize] = true;
-                }
+            for &id in self.pool.retired.iter().chain(&self.pool.free) {
                 assert!(
-                    seen.iter().all(|&s| s),
-                    "a node is neither reachable, retired nor free"
+                    !seen[id as usize],
+                    "node {id} is reachable, retired or free twice"
                 );
+                seen[id as usize] = true;
             }
+            assert!(
+                seen.iter().all(|&s| s),
+                "a node is neither reachable, retired nor free"
+            );
         }
 
         /// [`LeafMap::audit`] of a map whose readers see all of it: the
@@ -1436,11 +1429,11 @@ mod tests {
             let published = unsafe { self.tree.pick() };
             assert_eq!(
                 (published.node, published.height),
-                (self.root, self.height),
+                (self.root, self.height()),
                 "the root being built is not the published one"
             );
             assert!(
-                self.leaves.retired.is_empty() && self.inners.retired.is_empty(),
+                self.pool.retired.is_empty(),
                 "retired nodes were never reclaimed"
             );
         }
@@ -1451,19 +1444,20 @@ mod tests {
             level: u32,
             lo: Option<u64>,
             hi: Option<u64>,
-            seen: &mut (Vec<bool>, Vec<bool>),
+            seen: &mut [bool],
         ) -> usize {
             let inside = |k: u64| lo.is_none_or(|lo| lo <= k) && hi.is_none_or(|hi| k < hi);
+            let at = self.tree.nodes.at(id);
+            assert!(!std::mem::replace(&mut seen[id as usize], true));
+            assert_eq!(at.height(), level, "node {id}'s height");
             if level == 0 {
-                assert!(!std::mem::replace(&mut seen.0[id as usize], true));
-                let leaf = self.tree.leaves.node(id);
-                assert!(leaf.len > 0 || self.height == 0, "empty leaf {id} linked");
+                let leaf = at.leaf();
+                assert!(leaf.len > 0 || self.height() == 0, "empty leaf {id} linked");
                 assert!(leaf.keys().windows(2).all(|w| w[0] < w[1]), "leaf {id}");
                 assert!(leaf.keys().iter().all(|&k| inside(k)), "leaf {id} bounds");
                 return leaf.len as usize;
             }
-            assert!(!std::mem::replace(&mut seen.1[id as usize], true));
-            let inner = self.tree.inners.node(id);
+            let inner = at.inner();
             let len = inner.len as usize;
             assert!(len > 0, "empty inner {id} linked");
             let seps = &inner.keys[1..len];
@@ -1482,9 +1476,36 @@ mod tests {
                 .sum()
         }
 
-        /// Every leaf handed out, free ones included.
+        /// Every leaf handed out, free ones included: the slots whose
+        /// header says height 0.
         fn all_leaves(&self) -> impl Iterator<Item = &Leaf> {
-            (0..self.leaves.used).map(|id| self.tree.leaves.node(id))
+            let nodes = &self.tree.nodes;
+            (0..self.pool.used)
+                .map(|id| nodes.at(id))
+                .filter(|at| at.height() == 0)
+                .map(|at| at.leaf())
+        }
+
+        /// How many of `ids` are leaves and how many routing nodes, by
+        /// their headers' height.
+        fn kinds_of(&self, ids: impl IntoIterator<Item = u32>) -> (usize, usize) {
+            let leaves = ids
+                .into_iter()
+                .map(|id| self.tree.nodes.at(id).height() == 0);
+            leaves.fold((0, 0), |(l, r), leaf| match leaf {
+                true => (l + 1, r),
+                false => (l, r + 1),
+            })
+        }
+
+        /// Leaves and routing nodes handed out, free ones included.
+        fn kinds(&self) -> (usize, usize) {
+            self.kinds_of(0..self.pool.used)
+        }
+
+        /// Leaves and routing nodes retired.
+        fn retired(&self) -> (usize, usize) {
+            self.kinds_of(self.pool.retired.iter().copied())
         }
     }
 
@@ -1567,7 +1588,7 @@ mod tests {
                     versioned.insert(k, k);
                     model.insert(k, k);
                 }
-                prop_assert_eq!(map.height, 2);
+                prop_assert_eq!(map.height(), 2);
             }
             let pairs = |model: &BTreeMap<u64, u64>| -> Vec<(u64, u64)> {
                 model.iter().map(|(&k, &v)| (k, v)).collect()
@@ -1642,7 +1663,7 @@ mod tests {
                 prop_assert_eq!(map.remove(k), model.get(&k).copied());
             }
             map.audit();
-            prop_assert!(map.is_empty() && map.height == 0);
+            prop_assert!(map.is_empty() && map.height() == 0);
             prop_assert_eq!(map.snapshot().get(0), None);
         }
     }
@@ -1654,44 +1675,57 @@ mod tests {
         (held.0.get(k), want.map(|i| held.1[i].1))
     }
 
-    /// Every child word of every routing node handed out.
-    fn words(map: &LeafMap) -> Vec<u64> {
-        (0..map.inners.used)
-            .flat_map(|id| {
-                let inner = map.tree.inners.node(id);
-                (0..INNER_CAP).map(|i| inner.kid(i))
-            })
-            .collect()
+    /// The root word, then every child word of every slot handed out:
+    /// `None` where the slot holds a leaf.
+    fn words(map: &LeafMap) -> Vec<Option<u64>> {
+        let root = Some(load_word(&map.tree.root));
+        let kids = (0..map.pool.used).flat_map(|id| {
+            let at = map.tree.nodes.at(id);
+            (0..INNER_CAP).map(move |i| (at.height() > 0).then(|| at.inner().kid(i)))
+        });
+        std::iter::once(root).chain(kids).collect()
     }
 
-    /// How many child words of `map`'s routing nodes that were handed
-    /// out when `before` was taken differ from it.
-    fn stored(map: &LeafMap, before: &[u64]) -> usize {
+    /// How many words stored in place differ from `before`: the root
+    /// word, and the child words of the slots that held routing nodes
+    /// when `before` was taken and still do. A slot reused for another
+    /// kind of node was written whole, not stored into.
+    fn stored(map: &LeafMap, before: &[Option<u64>]) -> usize {
         let after = words(map);
-        before.iter().zip(&after).filter(|(a, b)| a != b).count()
+        let both = |(a, b): &(&Option<u64>, &Option<u64>)| a.is_some() && b.is_some();
+        before
+            .iter()
+            .zip(&after)
+            .filter(both)
+            .filter(|(a, b)| a != b)
+            .count()
     }
 
     /// A leaf-only write copies one node, its leaf, and stores one child
     /// word, in place in the leaf's published parent; later writes to
     /// that leaf in the same version change the copy. A split also
     /// copies the routing node that gains a child, and links it by one
-    /// word in its parent. An absent key copies nothing.
+    /// word in its parent. An absent key copies nothing. None of them
+    /// stores the root word, which is counted like any other word: a
+    /// root split stores it, and so does the collapse of the last
+    /// routing level, each as the one word it stores in place.
     #[test]
     fn a_leaf_only_write_copies_one_leaf_and_stores_one_word() {
         let mut map = LeafMap::from_ascending((0..10_000).step_by(2).map(|k| (k, k)));
-        assert_eq!(map.height, 2);
+        assert_eq!(map.height(), 2);
         map.publish();
-        let used = (map.leaves.used, map.inners.used);
+        let used = map.kinds();
         // The root being built changes only with a root word store.
         let (before, root) = (words(&map), map.root);
         map.insert(100, 1);
-        assert_eq!((map.leaves.retired.len(), map.inners.retired.len()), (1, 0));
+        assert_eq!(map.retired(), (1, 0));
         assert_eq!(stored(&map, &before), 1);
         map.insert(102, 1);
         map.remove(104);
-        assert_eq!((map.leaves.retired.len(), map.inners.retired.len()), (1, 0));
-        assert_eq!((map.leaves.used, map.inners.used), (used.0 + 1, used.1));
+        assert_eq!(map.retired(), (1, 0));
+        assert_eq!(map.kinds(), (used.0 + 1, used.1));
         assert_eq!(stored(&map, &before), 1);
+        assert_eq!(words(&map)[0], before[0], "the root word was stored");
         assert_eq!(map.root, root);
         map.publish();
         map.reclaim(false);
@@ -1701,15 +1735,44 @@ mod tests {
         // one word in the root.
         let before = words(&map);
         map.insert(9001, 1);
-        assert_eq!((map.leaves.retired.len(), map.inners.retired.len()), (1, 1));
+        assert_eq!(map.retired(), (1, 1));
         assert_eq!(stored(&map, &before), 1);
+        assert_eq!(words(&map)[0], before[0], "the root word was stored");
         assert_eq!(map.root, root);
         // An absent key copies nothing.
         map.publish();
         map.reclaim(false);
         map.remove(1 << 40);
-        assert_eq!((map.leaves.retired.len(), map.inners.retired.len()), (0, 0));
+        assert_eq!(map.retired(), (0, 0));
         map.audit();
+        map.publish();
+        map.reclaim(false);
+        map.audit_published();
+
+        // A root split: the one published leaf is copied and split, and
+        // a new root over the two halves is linked by the root word.
+        let cap = LEAF_CAP as u64;
+        let mut map = LeafMap::from_ascending((0..cap).map(|k| (k, k)));
+        map.publish();
+        let before = words(&map);
+        map.insert(cap, cap);
+        assert_eq!((map.height(), map.retired()), (1, (1, 0)));
+        assert_eq!(stored(&map, &before), 1);
+        assert_ne!(words(&map)[0], before[0], "the root word was not stored");
+        // The collapse: the last two pairs, one in each leaf, leave; the
+        // root is copied without the first and then dropped, and the
+        // root word names a new empty leaf.
+        for k in 0..cap - 1 {
+            map.remove(k);
+        }
+        map.publish();
+        map.reclaim(false);
+        let before = words(&map);
+        map.remove(cap - 1);
+        map.remove(cap);
+        assert!(map.is_empty() && map.height() == 0);
+        assert_eq!(stored(&map, &before), 1);
+        assert_ne!(words(&map)[0], before[0], "the root word was not stored");
         map.publish();
         map.reclaim(false);
         map.audit_published();
@@ -1727,11 +1790,10 @@ mod tests {
             map.insert(k, k);
         }
         map.audit();
-        assert_eq!(map.leaves.used as usize, FULL_LEAVES);
         // 200 leaves under full 28-way nodes: 7 full, 1 partial, 1 root.
         assert_eq!(
-            map.inners.used as usize,
-            FULL_LEAVES.div_ceil(INNER_CAP) + 1
+            map.kinds(),
+            (FULL_LEAVES, FULL_LEAVES.div_ceil(INNER_CAP) + 1)
         );
         assert!(map.all_leaves().all(|l| l.len as usize == LEAF_CAP));
     }
@@ -1743,7 +1805,7 @@ mod tests {
             map.insert(k, k);
         }
         map.audit();
-        assert_eq!(map.leaves.used as usize, FULL_LEAVES);
+        assert_eq!(map.kinds().0, FULL_LEAVES);
         assert!(map.all_leaves().all(|l| l.len as usize == LEAF_CAP));
     }
 
@@ -1822,11 +1884,10 @@ mod tests {
                 .flat_map(|(keys, vals)| keys.iter().copied().zip(vals.iter().copied()))
                 .eq(pairs.iter().copied()));
             prop_assert_eq!(map.len(), pairs.len());
-            prop_assert_eq!(map.height, inserted.height);
-            prop_assert_eq!(map.leaves.used, inserted.leaves.used);
-            prop_assert_eq!(map.inners.used, inserted.inners.used);
-            prop_assert!(map.all_leaves().all(|l| l.born == 0));
-            prop_assert!((0..map.inners.used).all(|id| map.tree.inners.node(id).born == 0));
+            prop_assert_eq!(map.height(), inserted.height());
+            prop_assert_eq!(map.kinds(), inserted.kinds());
+            prop_assert_eq!(map.pool.used as usize, nodes_for(pairs.len()));
+            prop_assert!((0..map.pool.used).all(|id| map.tree.nodes.at(id).born() == 0));
 
             // Half the keys the ops name are built ones, half anywhere.
             let key = |raw: u64| match pairs.len() {
@@ -1878,31 +1939,42 @@ mod tests {
         LeafMap::from_ascending([(5, 0), (5, 1)]);
     }
 
-    /// Leaves per 2 MiB region.
-    const REGION_LEAVES: usize = HUGE_PAGE / size_of::<Leaf>();
+    /// Nodes per 2 MiB region.
+    const REGION_NODES: usize = HUGE_PAGE / size_of::<Slot>();
 
-    /// Leaves that fill [`HUGE_FILL`] of a region.
-    const FILL_LEAVES: usize = HUGE_FILL / size_of::<Leaf>();
+    /// Nodes that fill [`HUGE_FILL`] of a region.
+    const FILL_NODES: usize = HUGE_FILL / size_of::<Slot>();
 
-    /// The fewest pairs on `leaves` leaves: one in the last.
-    const fn pairs_on(leaves: usize) -> usize {
-        (leaves - 1) * LEAF_CAP + 1
+    /// The fewest pairs whose build makes at least `nodes` nodes.
+    fn fewest(nodes: usize) -> usize {
+        let (mut lo, mut hi) = (0, nodes * LEAF_CAP);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if nodes_for(mid) >= nodes {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
     }
 
     /// The sizes where a sized build's block changes: no key, one, a
     /// full leaf and one past it; either side of the end of chunk 0, of
-    /// chunk 4 and of chunk 8; and either side of filling 7/8 of one
-    /// and of two 2 MiB regions (past which the block is advised, then
-    /// rounded up to whole regions and aligned to one) and of filling
-    /// them whole.
+    /// chunk 4 and of chunk 8, reached by the leaves alone and by the
+    /// leaves and their routing nodes; and either side of filling 7/8
+    /// of one and of two 2 MiB regions (past which the block is advised,
+    /// then rounded up to whole regions and aligned to one) and of
+    /// filling them whole.
     fn sized_edges() -> Vec<usize> {
         let mut sizes = vec![0, 1, LEAF_CAP, LEAF_CAP + 1];
         for chunk in [1, 5, 9] {
-            let pairs = first_id(chunk) * LEAF_CAP;
-            sizes.extend([pairs - 1, pairs, pairs + 1]);
+            for pairs in [first_id(chunk) * LEAF_CAP, fewest(first_id(chunk) + 1)] {
+                sizes.extend([pairs - 1, pairs, pairs + 1]);
+            }
         }
-        for leaves in [FILL_LEAVES, REGION_LEAVES] {
-            for pairs in [pairs_on(leaves), pairs_on(leaves + REGION_LEAVES)] {
+        for nodes in [FILL_NODES, REGION_NODES] {
+            for pairs in [fewest(nodes), fewest(nodes + REGION_NODES)] {
                 sizes.extend([pairs - 1, pairs]);
             }
         }
@@ -1924,13 +1996,13 @@ mod tests {
     }
 
     /// A sized build is the unsized one — same pairs, height, node
-    /// counts and audit — whether its size is exact, too small (the
-    /// build itself then grows past the block) or too large. Its leaves
-    /// lie in one block: chunks `0..=k`, `k` the fewest that hold the
-    /// size, back to back, and no chunk after it yet. A block with
-    /// advice holds the whole advised span, and is those chunks rounded
-    /// up to whole 2 MiB regions from a base aligned to one; a block
-    /// without is the chunks alone.
+    /// counts of each kind and audit — whether its size is exact, too
+    /// small (the build itself then grows past the block) or too large.
+    /// Its nodes lie in one block: chunks `0..=k`, `k` the fewest that
+    /// hold the size's leaves and routing nodes, back to back, and no
+    /// chunk after it yet. A block with advice holds the whole advised
+    /// span, and is those chunks rounded up to whole 2 MiB regions from
+    /// a base aligned to one; a block without is the chunks alone.
     #[test]
     fn a_sized_build_is_the_unsized_one() {
         for n in sized_edges() {
@@ -1944,18 +2016,18 @@ mod tests {
                     "{n} pairs, {what}"
                 );
                 assert_eq!(
-                    (map.height, map.leaves.used, map.inners.used),
-                    (plain.height, plain.leaves.used, plain.inners.used),
+                    (map.height(), map.kinds()),
+                    (plain.height(), plain.kinds()),
                     "{n} pairs, {what}"
                 );
-                let arena = &map.tree.leaves;
+                let arena = &map.tree.nodes;
                 let (last, layout) = arena.block.expect("a sized build has a block");
-                let reserved = size.div_ceil(LEAF_CAP).max(1);
+                let reserved = nodes_for(size);
                 assert!(
                     first_id(last + 1) >= reserved && (last == 0 || first_id(last) < reserved),
-                    "{n} pairs, {what}: chunks 0..={last} for {reserved} leaves"
+                    "{n} pairs, {what}: chunks 0..={last} for {reserved} nodes"
                 );
-                let chunks = first_id(last + 1) * size_of::<Leaf>();
+                let chunks = first_id(last + 1) * size_of::<Slot>();
                 let span = huge_span(size);
                 if span > 0 {
                     assert!(
@@ -1969,18 +2041,42 @@ mod tests {
                     assert_eq!(layout.size(), chunks, "{n} pairs, {what}");
                     assert!(layout.align() < HUGE_PAGE, "{n} pairs, {what}");
                 }
-                let base = arena.at(0);
+                let base = arena.at(0).0;
                 assert_eq!(base as usize % layout.align(), 0);
                 for chunk in 0..=last {
                     assert_eq!(
-                        arena.at(first_id(chunk) as u32),
+                        arena.at(first_id(chunk) as u32).0,
                         base.wrapping_add(first_id(chunk))
                     );
                 }
-                if map.leaves.used as usize <= first_id(last + 1) {
-                    assert!(arena.at(first_id(last + 1) as u32).is_null());
+                if map.pool.used as usize <= first_id(last + 1) {
+                    assert!(arena.at(first_id(last + 1) as u32).0.is_null());
                 }
             }
+        }
+    }
+
+    /// A build sized exactly holds every node it makes — its leaves and
+    /// the routing nodes over them — in its block: at every edge size,
+    /// `finish` leaves every chunk past the block unallocated. A block
+    /// sized for the leaves alone fails this at the first size whose
+    /// routing nodes spill into the next chunk (9 nodes, 8 leaves and
+    /// their root, past chunk 0).
+    #[test]
+    fn an_exact_sized_build_allocates_no_chunk_past_its_block() {
+        for n in sized_edges() {
+            let map = sized(n, n);
+            let arena = &map.tree.nodes;
+            let (last, _) = arena.block.expect("a sized build has a block");
+            assert!(
+                map.pool.used as usize <= first_id(last + 1),
+                "{n} pairs: {} nodes for chunks 0..={last}",
+                map.pool.used
+            );
+            assert!(
+                (last + 1..CHUNKS).all(|c| arena.at(first_id(c) as u32).0.is_null()),
+                "{n} pairs: a chunk past 0..={last} was allocated"
+            );
         }
     }
 
@@ -1989,10 +2085,11 @@ mod tests {
     /// still published and reclaimed whole.
     #[test]
     fn run_time_writes_grow_past_the_block() {
-        // Leaves for exactly chunks 0..=2.
-        let n = first_id(3) * LEAF_CAP;
+        // Nodes for exactly chunks 0..=2: the most pairs whose leaves and
+        // routing nodes fit there.
+        let n = fewest(first_id(3) + 1) - 1;
         let mut map = sized(n, n);
-        assert_eq!(map.tree.leaves.block.map(|(last, _)| last), Some(2));
+        assert_eq!(map.tree.nodes.block.map(|(last, _)| last), Some(2));
         let mut model: BTreeMap<u64, u64> = spread(n).collect();
         map.publish();
         let mut rng = SmallRng::seed_from_u64(38);
@@ -2009,7 +2106,7 @@ mod tests {
             map.reclaim(true);
         }
         assert!(
-            slot(map.leaves.used - 1).0 > 2,
+            slot(map.pool.used - 1).0 > 2,
             "the arena never grew past its block"
         );
         map.audit_published();
@@ -2019,26 +2116,28 @@ mod tests {
         );
     }
 
-    /// The advice, as arithmetic: a region is advised once the leaves
+    /// The advice, as arithmetic: a region is advised once the nodes
     /// fill 7/8 of it — either side of that edge for the first and the
     /// second region — so at most 256 KiB of an advised span is unused,
     /// and less than 7/8 of a region filled is left unadvised. A
-    /// `svc-read` shard fills its second region to 97 % and is advised
-    /// both. So is a build of 3 584 to 4 088 leaves, which chunks
-    /// `0..=8` hold in less than 2 MiB: its block is one whole region.
+    /// `svc-read` shard fills two regions whole and is advised both. A
+    /// build of 3 584 to 4 088 nodes, which chunks `0..=8` hold in less
+    /// than 2 MiB, is advised one: its block is one whole region.
     #[test]
     fn regions_filled_to_seven_eighths_are_advised() {
         assert_eq!(huge_span(0), 0);
         assert_eq!(huge_span(1), 0);
-        assert_eq!(huge_span(pairs_on(FILL_LEAVES) - 1), 0);
-        assert_eq!(huge_span(pairs_on(FILL_LEAVES)), HUGE_PAGE);
-        let second = FILL_LEAVES + REGION_LEAVES;
-        assert_eq!(huge_span(pairs_on(second) - 1), HUGE_PAGE);
-        assert_eq!(huge_span(pairs_on(second)), 2 * HUGE_PAGE);
-        // 4 M keys over 16 shards: 3.94 MiB of leaves.
+        assert_eq!(huge_span(fewest(FILL_NODES) - 1), 0);
+        assert_eq!(huge_span(fewest(FILL_NODES)), HUGE_PAGE);
+        let second = FILL_NODES + REGION_NODES;
+        assert_eq!(huge_span(fewest(second) - 1), HUGE_PAGE);
+        assert_eq!(huge_span(fewest(second)), 2 * HUGE_PAGE);
+        // 4 M keys over 16 shards: 8 065 leaves and 301 routing nodes,
+        // 4.08 MiB.
+        assert_eq!(nodes_for(250_000), 8_065 + 301);
         assert_eq!(huge_span(250_000), 2 * HUGE_PAGE);
-        for pairs in (0..5 * pairs_on(REGION_LEAVES)).step_by(997) {
-            let filled = pairs.div_ceil(LEAF_CAP) * size_of::<Leaf>();
+        for pairs in (0..5 * fewest(REGION_NODES)).step_by(997) {
+            let filled = nodes_for(pairs) * size_of::<Slot>();
             let span = huge_span(pairs);
             assert!(
                 span.is_multiple_of(HUGE_PAGE)
@@ -2047,16 +2146,18 @@ mod tests {
                 "{pairs} pairs: {span} of {filled} bytes advised"
             );
         }
-        // The band where the advice, not the chunks, sizes the block.
-        assert_eq!((FILL_LEAVES, first_id(9)), (3584, 4088));
-        assert!(first_id(9) * size_of::<Leaf>() < HUGE_PAGE);
-        for leaves in [FILL_LEAVES, FILL_LEAVES + 1, first_id(9)] {
-            let pairs = leaves * LEAF_CAP;
-            assert_eq!(slot(leaves as u32 - 1).0, 8, "{leaves} leaves");
-            assert_eq!(huge_span(pairs), HUGE_PAGE, "{leaves} leaves");
+        // The band where the advice, not the chunks, sizes the block:
+        // its first build, one leaf more, and its last.
+        assert_eq!((FILL_NODES, first_id(9)), (3584, 4088));
+        assert!(first_id(9) * size_of::<Slot>() < HUGE_PAGE);
+        let first = fewest(FILL_NODES);
+        for pairs in [first, first + LEAF_CAP, fewest(first_id(9) + 1) - 1] {
+            let nodes = nodes_for(pairs);
+            assert_eq!(slot(nodes as u32 - 1).0, 8, "{nodes} nodes");
+            assert_eq!(huge_span(pairs), HUGE_PAGE, "{nodes} nodes");
             let build = Builder::with_capacity(pairs);
-            let (last, layout) = build.leaf_arena.block.expect("a sized build has a block");
-            assert_eq!(last, 8, "{leaves} leaves");
+            let (last, layout) = build.arena.block.expect("a sized build has a block");
+            assert_eq!(last, 8, "{nodes} nodes");
             assert_eq!((layout.size(), layout.align()), (HUGE_PAGE, HUGE_PAGE));
         }
     }
@@ -2093,9 +2194,9 @@ mod tests {
             assert_eq!(map.len(), WINDOW as usize);
             let needed = (WINDOW as usize).div_ceil(LEAF_CAP);
             assert!(
-                map.leaves.used as usize <= needed + 2,
+                map.kinds().0 <= needed + 2,
                 "{} leaves allocated for a window that fits {needed} (versioned: {versioned})",
-                map.leaves.used
+                map.kinds().0
             );
         }
     }
@@ -2108,7 +2209,7 @@ mod tests {
             down.insert(4999 - k, (4999 - k) * 2);
         }
         // Different shapes (`down` has half-full routing nodes) ...
-        assert_ne!(up.inners.used, down.inners.used);
+        assert_ne!(up.kinds().1, down.kinds().1);
         // ... same pairs.
         assert_eq!(up, down);
         down.insert(77, 0);
