@@ -49,7 +49,7 @@ fn bench_native_read(c: &mut Criterion) {
                 }
             })
         });
-        for run in [4usize, 8, 32] {
+        for run in [1usize, 4, 8, 16, 32] {
             let mut keys = vec![0; run];
             let mut found = Vec::with_capacity(run);
             g.bench_function(format!("{store}_get_many_{run}"), |b| {

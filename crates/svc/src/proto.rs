@@ -372,11 +372,12 @@ impl Response {
                 out.extend_from_slice(&v.to_le_bytes());
             }
             Response::Pairs(pairs) => {
+                // One reserve and one 16-byte write per pair.
+                out.reserve(5 + 16 * pairs.len());
                 out.push(0x82);
                 out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-                for (k, v) in pairs {
-                    out.extend_from_slice(&k.to_le_bytes());
-                    out.extend_from_slice(&v.to_le_bytes());
+                for &(k, v) in pairs {
+                    out.extend_from_slice(&(u128::from(v) << 64 | u128::from(k)).to_le_bytes());
                 }
             }
             Response::Stats(s) => {
