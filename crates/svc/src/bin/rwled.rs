@@ -202,6 +202,10 @@ fn main() {
                     s.wal_bytes
                 );
             }
+            println!(
+                "  waits: {} spun, {} slept",
+                report.spun_waits, report.slept_waits
+            );
             println!("  {}", report.summary);
             if !report.drained() {
                 eprintln!(

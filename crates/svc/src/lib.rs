@@ -20,8 +20,9 @@
 //! * [`loadgen`] — the client: closed-loop (optionally pipelined) or
 //!   shared-pacing open-loop traffic with configurable skew and write
 //!   fraction, latency recorded per op class in [`stats::LatencyHist`];
-//! * [`procstat`] — a process's minor page faults and huge pages, as
-//!   `/proc` reports them, for `rwled`'s start report;
+//! * [`procstat`] — a process's minor page faults, huge pages and CPU
+//!   time, as `/proc` reports them, for `rwled`'s start report and the
+//!   tests that watch a server's CPU;
 //! * [`journal`] — the ack journal loadgen writes in `--journal` runs
 //!   and the verifier the crash-recovery harness replays it with
 //!   (every acked write must be readable after recovery).

@@ -14,7 +14,12 @@
 //! One loop iteration — one wake-up — serves everything it has in hand:
 //!
 //! 1. **Wait** for readiness (or a zero timeout if input was left
-//!    behind by the previous iteration).
+//!    behind by the previous iteration). The wait spins, then blocks:
+//!    for `SPIN_WINDOW` after a wake-up that found work, the worker
+//!    polls with a zero timeout and yields between polls, so a request
+//!    that arrives in that window is picked up without the wake-up of a
+//!    blocked poller; only then does it block. A server that times out
+//!    idle, or has started its drain, does not spin.
 //! 2. **Read** ready sockets into per-connection [`FrameReader`]s, one
 //!    chunk each.
 //! 3. **Rounds**, while any pumped connection still has a complete
@@ -174,6 +179,13 @@ pub struct DrainReport {
     /// log (0 when volatile). Here and not in [`ServerStats`]: the
     /// STATS wire layout is frozen until it is versioned.
     pub wal_writes: u64,
+    /// Waits the workers' spin answered: zero-timeout polls, in the
+    /// `SPIN_WINDOW` after a wake-up that found work, that returned an
+    /// event. Beside `wal_writes` for the same reason.
+    pub spun_waits: u64,
+    /// Blocking waits that an event ended (a wait that timed out idle
+    /// counts in neither tally).
+    pub slept_waits: u64,
 }
 
 impl DrainReport {
@@ -344,6 +356,7 @@ impl Server {
         let backend = &*backend;
         let cfg_ref = &cfg;
         let mut worker_stats: Vec<ThreadStats> = Vec::new();
+        let mut waits = Waits::default();
         std::thread::scope(|s| {
             let mut workers = Vec::with_capacity(cfg.threads);
             for (w, poller) in pollers.into_iter().enumerate() {
@@ -394,7 +407,10 @@ impl Server {
                 waker.wake();
             }
             for w in workers {
-                worker_stats.push(w.join().expect("worker panicked"));
+                let (stats, w) = w.join().expect("worker panicked");
+                worker_stats.push(stats);
+                waits.spun += w.spun;
+                waits.slept += w.slept;
             }
             // Everything admitted is now answered and flushed: ack the
             // SHUTDOWN on the connection that requested it.
@@ -413,6 +429,8 @@ impl Server {
             stats: shared.snapshot(),
             summary: StatsSummary::from_threads(&worker_stats),
             wal_writes: shared.wal.as_ref().map_or(0, |w| w.stats().writes),
+            spun_waits: waits.spun,
+            slept_waits: waits.slept,
         })
     }
 }
@@ -507,8 +525,17 @@ const OUTBOX_HIGH_WATER: usize = 256 * 1024;
 const DRAIN_GRACE: Duration = Duration::from_secs(1);
 
 /// How often each worker sweeps its connections for idle-timeout
-/// reaping — also the longest an idle event loop sleeps in one wait.
+/// reaping — also the longest an idle event loop sleeps in one wait,
+/// once its `SPIN_WINDOW` has passed.
 const REAP_TICK: Duration = Duration::from_millis(100);
+
+/// How long a worker keeps polling after a wake-up that found work
+/// before it blocks. Waking a blocked poller costs about 5 µs on a
+/// 2-vCPU host, and an open-loop request gap is tens of µs; 50 µs is
+/// the smallest of a {25, 50, 100, 200} µs sweep whose `svc-paced`
+/// p50 was as good as the best (EXPERIMENTS.md, "Spin, then block"),
+/// and it is far below the milliseconds an idle server is left alone.
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
 
 /// A connection handed from the acceptor to a worker.
 struct NewConn {
@@ -725,15 +752,24 @@ struct RoundTally {
     scans: u64,
 }
 
+/// What one worker's waits were: answered by the spin, or ended by an
+/// event while blocked ([`DrainReport::spun_waits`], `slept_waits`).
+#[derive(Default)]
+struct Waits {
+    spun: u64,
+    slept: u64,
+}
+
 /// The per-worker event loop. See the module docs for the phase
-/// structure; returns the session's merged stats after the drain.
+/// structure; returns the session's merged stats and the worker's wait
+/// tallies after the drain.
 fn worker_loop(
     idx: usize,
     mut poller: Poller,
     backend: &dyn StoreBackend,
     cfg: &ServerConfig,
     shared: &Arc<Shared>,
-) -> ThreadStats {
+) -> (ThreadStats, Waits) {
     let mut sess = backend.session();
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
@@ -759,11 +795,19 @@ fn worker_loop(
         .max(Duration::from_millis(1));
     let mut last_reap = Instant::now();
     let mut drain_deadline: Option<Instant> = None;
+    // End of the spin window; `None` after a wake-up that found work,
+    // until the next wait opens a window of `SPIN_WINDOW` from then.
+    let mut spin_until = Some(Instant::now());
+    let mut waits = Waits::default();
 
     loop {
         // Phase 1: wait. Deferred work or an active drain keeps the
-        // loop hot; otherwise sleep one reap tick.
-        let timeout = if !carry.is_empty() {
+        // loop hot; in the spin window after a wake-up that found work
+        // the wait is a poll; otherwise sleep one reap tick.
+        let spin = carry.is_empty()
+            && drain_deadline.is_none()
+            && Instant::now() < *spin_until.get_or_insert_with(|| Instant::now() + SPIN_WINDOW);
+        let timeout = if !carry.is_empty() || spin {
             Duration::ZERO
         } else if drain_deadline.is_some() {
             Duration::from_millis(5)
@@ -773,6 +817,19 @@ fn worker_loop(
         events.clear();
         if poller.wait(&mut events, Some(timeout)).is_err() {
             break;
+        }
+        if events.is_empty() {
+            if spin {
+                std::thread::yield_now();
+                continue;
+            }
+        } else {
+            if spin {
+                waits.spun += 1;
+            } else if !timeout.is_zero() {
+                waits.slept += 1;
+            }
+            spin_until = None;
         }
 
         // Phase 2: pick up new connections and read ready sockets.
@@ -1069,7 +1126,7 @@ fn worker_loop(
             *shared.shutdown_reply.lock().unwrap() = Some(conn.stream);
         }
     }
-    sess.take_stats()
+    (sess.take_stats(), waits)
 }
 
 /// The consecutive GETs gathered from one connection and not answered

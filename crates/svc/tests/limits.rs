@@ -93,18 +93,10 @@ impl Rwled {
             .count()
     }
 
-    /// User plus system CPU time so far, from `/proc/<pid>/stat` (fields
-    /// 14 and 15, in clock ticks of the kernel's fixed 100 Hz USER_HZ).
-    fn cpu(&self) -> Duration {
-        let stat = std::fs::read_to_string(format!("/proc/{}/stat", self.pid())).expect("stat");
-        // Fields from the state on; the command name before it may
-        // contain spaces.
-        let fields: Vec<u64> = stat[stat.rfind(')').expect("comm") + 2..]
-            .split(' ')
-            .skip(1)
-            .map(|f| f.parse().unwrap_or(0))
-            .collect();
-        Duration::from_millis(10 * (fields[10] + fields[11]))
+    /// User plus system CPU time so far, in clock ticks of the kernel's
+    /// fixed 100 Hz USER_HZ.
+    fn cpu_ticks(&self) -> u64 {
+        svc::procstat::cpu_ticks(&self.pid().to_string()).expect("stat")
     }
 
     /// Opens a connection the server has accepted: it answered a PUT.
@@ -197,12 +189,39 @@ fn a_batch_server_at_its_fd_limit_does_not_spin() {
     let server = Rwled::start(&dir, 2, "batch", Some(FD_LIMIT));
     let c = server.accepted();
     let _flood = server.fill_fd_table();
-    let (cpu0, t0) = (server.cpu(), Instant::now());
+    let (ticks0, t0) = (server.cpu_ticks(), Instant::now());
     // xlint: allow(a5) -- the sleep IS the measurement window: the
     // server's CPU time is read across it.
     std::thread::sleep(Duration::from_secs(1));
-    let per_s = (server.cpu() - cpu0).as_secs_f64() / t0.elapsed().as_secs_f64();
+    let cpu_s = (server.cpu_ticks() - ticks0) as f64 / 100.0;
+    let per_s = cpu_s / t0.elapsed().as_secs_f64();
     assert!(per_s < 0.25, "{per_s:.2} CPU-s per second at the fd limit");
+    server.shutdown(c);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// After a wake-up that found work a worker polls for a bounded window
+/// before it blocks again: a server left idle after a burst on each of
+/// its workers uses next to no CPU. A spin that never ended would use
+/// about a CPU-second per worker here.
+#[test]
+fn an_idle_server_after_a_burst_does_not_spin() {
+    let dir = scratch("idle");
+    let server = Rwled::start(&dir, 2, "off", None);
+    // The acceptor deals connections round-robin: one to each worker.
+    let mut conns = [server.accepted(), server.accepted()];
+    for key in 0..200 {
+        for c in &mut conns {
+            assert_eq!(put(c, key), Response::Ok);
+        }
+    }
+    let ticks0 = server.cpu_ticks();
+    // xlint: allow(a5) -- the sleep IS the idle window: the server's
+    // CPU time is read across it.
+    std::thread::sleep(Duration::from_secs(1));
+    let used = server.cpu_ticks() - ticks0;
+    assert!(used <= 5, "{used} clock ticks of CPU in 1 s idle");
+    let [c, _] = conns;
     server.shutdown(c);
     let _ = std::fs::remove_dir_all(&dir);
 }

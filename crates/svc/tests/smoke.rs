@@ -703,6 +703,32 @@ fn pipeline_with_boundaries_is_served_from_one_wakeup() {
     let _ = std::fs::remove_dir_all(&scratch_dir);
 }
 
+/// A client with one request outstanding sends its next one a few µs
+/// after a reply: the worker is still in its spin window then, so most
+/// of its waits are answered by the spin. The wait that first found the
+/// connection blocked, so both tallies move.
+#[test]
+fn round_trips_are_picked_up_by_the_spin() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..small_cfg()
+    });
+    let mut c = connect(&addr);
+    for i in 0..1000u64 {
+        assert_eq!(
+            request(&mut c, &Request::Get { key: i % 1000 }),
+            Response::Value(i % 1000)
+        );
+    }
+    let report = shutdown_over(c, handle);
+    assert!(
+        report.spun_waits > 0 && report.slept_waits > 0,
+        "{} spun, {} slept",
+        report.spun_waits,
+        report.slept_waits
+    );
+}
+
 /// SHUTDOWN while another connection of the same worker still has a
 /// pipeline buffered: rounds stop, whatever was admitted is answered in
 /// order, and nothing is counted that is not.
