@@ -532,8 +532,9 @@ const REAP_TICK: Duration = Duration::from_millis(100);
 /// How long a worker keeps polling after a wake-up that found work
 /// before it blocks. Waking a blocked poller costs about 5 µs on a
 /// 2-vCPU host, and an open-loop request gap is tens of µs; 50 µs is
-/// the smallest of a {25, 50, 100, 200} µs sweep whose `svc-paced`
-/// p50 was as good as the best (EXPERIMENTS.md, "Spin, then block"),
+/// the smallest of a {25, 50, 100, 200} µs sweep whose median
+/// `svc-paced` p50 lay inside the best's quartiles (EXPERIMENTS.md,
+/// "Spin, then block"),
 /// and it is far below the milliseconds an idle server is left alone.
 const SPIN_WINDOW: Duration = Duration::from_micros(50);
 
