@@ -679,6 +679,8 @@ impl Shared {
     fn snapshot(&self) -> ServerStats {
         let c = &self.counters;
         let replied = c.replied.load(Ordering::Acquire);
+        #[cfg(test)]
+        tests::between_snapshot_loads(self);
         let mut batch_hist = [0u64; 8];
         for (out, bucket) in batch_hist.iter_mut().zip(&c.batch_hist) {
             *out = Counters::get(bucket);
@@ -1285,7 +1287,21 @@ impl Poller {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
+
+    thread_local! {
+        /// Run by [`Shared::snapshot`] on this thread after it loads
+        /// `replied` and before it loads `enqueued`.
+        static BETWEEN_LOADS: Cell<Option<fn(&Shared)>> = const { Cell::new(None) };
+    }
+
+    pub(super) fn between_snapshot_loads(shared: &Shared) {
+        if let Some(hook) = BETWEEN_LOADS.get() {
+            hook(shared);
+        }
+    }
 
     fn test_shared() -> Arc<Shared> {
         Arc::new(Shared {
@@ -1346,6 +1362,26 @@ mod tests {
         // (the join above orders the worker's drop before this load).
         // xlint: allow(a1) -- test assertion on the slot counter.
         assert_eq!(shared.active_conns.load(Ordering::Relaxed), 0);
+    }
+
+    /// A worker's whole round (count enqueued, then replied) lands
+    /// between the snapshot's two loads. Loading `enqueued` first would
+    /// miss the request and count its reply.
+    #[test]
+    fn a_round_between_the_snapshot_loads_never_shows_more_replies_than_enqueued() {
+        let shared = test_shared();
+        BETWEEN_LOADS.set(Some(|s: &Shared| {
+            Counters::add(&s.counters.enqueued, 1);
+            s.counters.reply(1);
+        }));
+        let st = shared.snapshot();
+        BETWEEN_LOADS.set(None);
+        assert!(
+            st.replied <= st.enqueued,
+            "snapshot shows {} replies of {} enqueued",
+            st.replied,
+            st.enqueued
+        );
     }
 
     #[test]
